@@ -132,7 +132,6 @@ def attribute_gap(
     Per-stage shares are reported against the network backend's total
     instrumented time, so they always sum to at most 100%.
     """
-    gap = network_report.wall_time - engine_report.wall_time
     network_only = [
         (stage, seconds, calls)
         for stage, seconds, calls in network_probe.stage_totals()
@@ -142,7 +141,13 @@ def attribute_gap(
     engine_instrumented = sum(
         seconds for _, seconds, _ in engine_probe.stage_totals()
     )
-    attributed = max(network_instrumented - engine_instrumented, 0.0)
+    # Everything reported is derived from the *rounded* operands, so the
+    # published numbers satisfy ``attributed == network - engine`` exactly
+    # instead of to within three independent roundings.
+    gap = round(network_report.wall_time - engine_report.wall_time, 6)
+    network_seconds = round(network_instrumented, 6)
+    engine_seconds = round(engine_instrumented, 6)
+    attributed = round(max(network_seconds - engine_seconds, 0.0), 6)
     top = [
         {
             "stage": stage,
@@ -164,10 +169,10 @@ def attribute_gap(
         )
         if engine_report.wall_time > 0
         else 0.0,
-        "wall_gap_seconds": round(gap, 6),
-        "network_instrumented_seconds": round(network_instrumented, 6),
-        "engine_instrumented_seconds": round(engine_instrumented, 6),
-        "gap_attributed_seconds": round(attributed, 6),
+        "wall_gap_seconds": gap,
+        "network_instrumented_seconds": network_seconds,
+        "engine_instrumented_seconds": engine_seconds,
+        "gap_attributed_seconds": attributed,
         "gap_attributed_fraction": round(attributed / gap, 4)
         if gap > 0
         else 0.0,

@@ -242,20 +242,24 @@ class Broker:
         re-stacking the candidate bounds, and lets the checker's verdict
         cache recognise repeated instances during re-advertisement
         storms.  Any membership change yields a fresh snapshot (and a
-        fresh fingerprint, invalidating cached verdicts).
+        fresh fingerprint, invalidating cached verdicts): the cached one
+        extended by a row when exactly one advertisement was appended,
+        a full re-stack otherwise.
         """
         sent_here = self.sent.get(neighbor)
+        cached = self._link_candidates.get(neighbor)
         if not sent_here:
-            cached = self._link_candidates.get(neighbor)
             if cached is not None and not len(cached):
                 return cached
             snapshot = CandidateSet(())
         else:
             ids = tuple(sent_here)
-            cached = self._link_candidates.get(neighbor)
             if cached is not None and cached.ids == ids:
                 return cached
-            snapshot = CandidateSet(list(sent_here.values()))
+            if cached is not None and cached.ids == ids[:-1]:
+                snapshot = cached.extended(sent_here[ids[-1]])
+            else:
+                snapshot = CandidateSet(list(sent_here.values()))
         self._link_candidates[neighbor] = snapshot
         return snapshot
 

@@ -96,6 +96,31 @@ class CandidateSet(Sequence):
         self._highs = highs
         self._ids: Optional[Tuple[str, ...]] = None
 
+    def extended(self, subscription: Subscription) -> "CandidateSet":
+        """Snapshot of "these candidates, then ``subscription``".
+
+        The append-only counterpart of re-snapshotting: one block copy of
+        the stacked bounds plus one row, instead of a per-candidate gather
+        and schema scan.  The result is a new snapshot — fresh
+        fingerprint, own arrays — and this one is left untouched.
+        """
+        if not self.subscriptions:
+            return CandidateSet((subscription,))
+        self._check_same_schema(subscription)
+        snapshot = CandidateSet.__new__(CandidateSet)
+        snapshot.subscriptions = self.subscriptions + (subscription,)
+        snapshot.schema = self.schema
+        snapshot.fingerprint = next(_fingerprints)
+        if self._lows is None:
+            snapshot._lows = snapshot._highs = None  # still lazily stacked
+        else:
+            snapshot._lows = np.concatenate((self._lows, subscription.lows[np.newaxis]))
+            snapshot._highs = np.concatenate(
+                (self._highs, subscription.highs[np.newaxis])
+            )
+        snapshot._ids = None if self._ids is None else self._ids + (subscription.id,)
+        return snapshot
+
     # ------------------------------------------------------------------
     # Vectorised containment
     # ------------------------------------------------------------------

@@ -17,6 +17,20 @@ supports everything the rest of the pipeline needs:
   counts ``fc_i`` (Definition 5, Proposition 3) for the MCS reduction,
 * per-attribute minimum uncovered gaps used by the ``rho_w`` estimator
   (Algorithm 2).
+
+Layout.  A HIGH entry is exactly a LOW entry of the mirrored axis
+``x -> -x``, so the table stores one *signed, attribute-major* matrix
+``Q`` of shape ``(2m, k)``: rows ``0..m-1`` hold the candidates' lower
+bounds, rows ``m..2m-1`` their **negated** upper bounds, and the
+subscription's own bounds are mirrored the same way.  Every stage —
+``defined``, the snapped slice ends, the conflict thresholds, the
+Algorithm-2 cell measures — is then one LOW-side expression over ``Q``
+instead of a LOW copy and a HIGH copy, and every reduction over the
+candidates runs along the contiguous ``k`` axis.  IEEE negation is exact,
+``floor(-x) == -ceil(x)``, ``-x - 1.0 == -(x + 1.0)``,
+``min(-a, -b) == -max(a, b)`` and ``nextafter`` mirrors exactly, so each
+cell is bit-identical to the two-sided formulation (pinned against the
+scalar oracles by ``tests/test_subsumption_arena.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ from repro.model.errors import ValidationError
 from repro.model.intervals import Interval
 from repro.model.subscriptions import Subscription
 
-__all__ = ["EntrySide", "EntryRef", "ConflictTable"]
+__all__ = ["EntrySide", "EntryRef", "ConflictTable", "conflict_free_entries"]
 
 
 class EntrySide(IntEnum):
@@ -56,6 +70,33 @@ class EntryRef:
     def __str__(self) -> str:  # pragma: no cover - trivial
         tag = "<low" if self.side is EntrySide.LOW else ">high"
         return f"T[{self.row}][x{self.attribute + 1}{tag}]"
+
+
+def conflict_free_entries(opposing: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """Boolean ``(2m, n)`` mask of the conflict-free entries among ``n``
+    candidates — the one kernel behind ``fc_i`` and every MCS pass.
+
+    ``opposing``/``threshold`` are the matrices of
+    :meth:`ConflictTable._ensure_pass_cache` restricted to the ``n``
+    active candidate columns (``n >= 1``).  An entry is conflict free iff
+    the largest opposing bound *of any other candidate* is ``<=`` its
+    threshold.  That bound is the row maximum ``top`` for every candidate
+    but the one holding it, which faces the runner-up instead — so the
+    test is one broadcast comparison plus a fix-up of the ``2m``
+    extreme-holder cells.  (On a tie the runner-up equals ``top``, so
+    which holder ``argmax`` names — the first — cannot change a cell.)
+    ``opposing`` is masked and restored in place around the runner-up
+    reduction rather than copied.
+    """
+    axes = np.arange(opposing.shape[0])
+    holder = opposing.argmax(axis=1)
+    top = opposing[axes, holder]
+    opposing[axes, holder] = -np.inf
+    runner_up = opposing.max(axis=1)
+    opposing[axes, holder] = top
+    free = threshold >= top[:, np.newaxis]
+    free[axes, holder] = threshold[axes, holder] >= runner_up
+    return free
 
 
 class ConflictTable:
@@ -111,32 +152,39 @@ class ConflictTable:
         self.m = subscription.m
         self.k = len(self.candidates)
 
-        s_lows = subscription.lows
-        s_highs = subscription.highs
+        m = self.m
         if cand_lows is None:
             if self.k:
                 cand_lows = np.array([c.lows for c in self.candidates])
                 cand_highs = np.array([c.highs for c in self.candidates])
             else:
-                cand_lows = np.empty((0, self.m), dtype=float)
-                cand_highs = np.empty((0, self.m), dtype=float)
+                cand_lows = np.empty((0, m), dtype=float)
+                cand_highs = np.empty((0, m), dtype=float)
 
         #: per-candidate lower bounds, shape ``(k, m)``
         self.candidate_lows = cand_lows
         #: per-candidate upper bounds, shape ``(k, m)``
         self.candidate_highs = cand_highs
 
+        # The signed attribute-major matrix ``Q`` (see the module
+        # docstring) and ``s``'s own lower end on each signed axis.
+        signed = np.empty((2 * m, self.k), dtype=float)
+        signed[:m] = cand_lows.T
+        np.negative(cand_highs.T, out=signed[m:])
+        self._signed = signed
+        self._own_low = np.concatenate((subscription.lows, -subscription.highs))
+
         # An entry is defined when ``s`` sticks out of ``s_i`` on that side:
         # the LOW entry T_i^{2j-1} is defined iff s has points with
         # ``x_j < low_i^j`` and the HIGH entry iff it has points with
-        # ``x_j > high_i^j``.
-        self.defined_low = cand_lows > s_lows[np.newaxis, :]
-        self.defined_high = cand_highs < s_highs[np.newaxis, :]
+        # ``x_j > high_i^j`` — on the signed axes both read ``Q > own low``.
+        self._defined = signed > self._own_low[:, np.newaxis]
+        #: ``(k, m)`` views of the defined flags, one per side
+        self.defined_low = self._defined[:m].T
+        self.defined_high = self._defined[m:].T
 
         #: number of defined entries per row (the paper's ``t_i``)
-        self.row_defined_counts = (
-            self.defined_low.sum(axis=1) + self.defined_high.sum(axis=1)
-        ).astype(int)
+        self.row_defined_counts = self._defined.sum(axis=0)
 
         self._vectors = getattr(schema, "vectors", None)
         if self._vectors is not None:
@@ -150,69 +198,84 @@ class ConflictTable:
         # estimator, built lazily on first use: tables resolved by the
         # fast deterministic decisions never pay for them.
         self._pass_cache: Optional[Tuple[np.ndarray, ...]] = None
-        self._gap_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._col_index: Optional[np.ndarray] = None
+        self._gap_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _ensure_pass_cache(self) -> Tuple[np.ndarray, ...]:
-        """Precompute everything of ``conflict_free_counts`` that does not
-        depend on the active row subset.
+        """Precompute everything of the conflict test that does not depend
+        on the active candidate subset: ``(opposing, threshold, snapped)``,
+        each of shape ``(2m, k)``.
 
-        A LOW entry of row ``i`` (negation ``x < cl[i,j]``) conflicts with
-        the largest *other-row* defined HIGH bound ``B`` iff:
+        On a signed axis an entry of candidate ``i`` (negation ``x < q``)
+        conflicts with the largest *other-candidate* defined bound ``B`` of
+        the opposite side (``x > B``) iff, with ``p`` the upper end of
+        ``s`` on that axis:
 
-        * discrete axis: ``floor(min(cl-1, s_high)) < ceil(max(B+1, s_low))``
-          — with ``Hd = floor(min(cl-1, s_high))`` an integer-valued float,
-          ``Hd < ceil(x)`` is equivalent to ``Hd < x``, so the condition is
-          ``(B > Hd - 1) or (Hd < s_low)``;
-        * continuous axis: ``not (min(cl, s_high) > max(B, s_low))`` —
-          with ``Hc = min(cl, s_high)`` this is ``(B >= Hc) or (Hc <= s_low)``,
-          and for floats ``B >= Hc`` is exactly ``B > nextafter(Hc, -inf)``.
+        * discrete axis: ``floor(min(q-1, p)) < ceil(max(B+1, own_low))``
+          — with ``snapped = floor(min(q-1, p))`` an integer-valued float,
+          ``snapped < ceil(x)`` is equivalent to ``snapped < x``, so the
+          condition is ``(B > snapped - 1) or (snapped < own_low)``;
+        * continuous axis: ``not (min(q, p) > max(B, own_low))`` — with
+          ``snapped = min(q, p)`` this is ``(B >= snapped) or (snapped <=
+          own_low)``, and for floats ``B >= snapped`` is exactly
+          ``B > nextafter(snapped, -inf)``.
 
         Folding the ``or`` term in as a ``-inf`` threshold makes the whole
-        per-pass LOW test one comparison against a precomputed matrix (the
-        ``-inf`` "no other row" sentinel fails every comparison on its
-        own).  The HIGH side is symmetric against the smallest other-row
-        LOW bound with a ``+inf`` fold.  Cell for cell these thresholds
-        reproduce the original branchy expressions exactly.
+        per-pass test one comparison ``B <= threshold`` against a
+        precomputed matrix (the ``-inf`` "no other candidate" sentinel
+        passes every comparison on its own).  Undefined cells get a NaN
+        threshold, which fails every comparison, so no per-pass ``&
+        defined`` is needed.  ``opposing[r]`` holds, for the entries of
+        signed axis ``r``, the bounds they can conflict with: the masked
+        negation of the mirrored axis ``(r + m) mod 2m`` (``-inf`` where
+        undefined).  ``snapped`` is reused by :meth:`_ensure_gap_cache`.
         """
         cache = self._pass_cache
         if cache is not None:
             return cache
-        cl = self.candidate_lows
-        ch = self.candidate_highs
-        s_low = self.subscription.lows
-        s_high = self.subscription.highs
+        m = self.m
+        signed = self._signed
+        own_low = self._own_low[:, np.newaxis]
+        own_high = np.concatenate(
+            (self.subscription.highs, -self.subscription.lows)
+        )[:, np.newaxis]
+        undefined = ~self._defined
         discrete = self._discrete
-        with np.errstate(invalid="ignore"):
-            # masked bound matrices: ``±inf`` marks "entry undefined"
-            high_bounds = np.where(self.defined_high, ch, -np.inf)
-            low_bounds = np.where(self.defined_low, cl, np.inf)
 
-            # Only the variant a schema actually needs is materialised —
-            # the unused pair stays ``None`` and the gap cache's matching
-            # branch guards keep it untouched.
-            all_discrete = bool(discrete.all())
-            all_continuous = not all_discrete and not discrete.any()
-            hd = hc = ld = gc = None
-            if not all_continuous:
-                hd = np.floor(np.minimum(cl - 1.0, s_high))
-                thr_low_d = np.where(hd < s_low, -np.inf, hd - 1.0)
-                ld = np.ceil(np.maximum(ch + 1.0, s_low))
-                thr_high_d = np.where(s_high < ld, np.inf, ld + 1.0)
-            if not all_discrete:
-                hc = np.minimum(cl, s_high)
-                thr_low_c = np.where(hc <= s_low, -np.inf, np.nextafter(hc, -np.inf))
-                gc = np.maximum(ch, s_low)
-                thr_high_c = np.where(s_high <= gc, np.inf, np.nextafter(gc, np.inf))
+        # At a few hundred candidates these passes are bound by memory
+        # traffic, so temporaries are reused in place (``out=``/``putmask``)
+        # and only the variant a schema actually needs is materialised.
+        def discrete_axes():
+            snapped = signed - 1.0
+            np.minimum(snapped, own_high, out=snapped)
+            np.floor(snapped, out=snapped)
+            threshold = snapped - 1.0
+            np.putmask(threshold, snapped < own_low, -np.inf)
+            return snapped, threshold
 
-            if all_discrete:
-                thr_low, thr_high = thr_low_d, thr_high_d
-            elif all_continuous:
-                thr_low, thr_high = thr_low_c, thr_high_c
-            else:
-                thr_low = np.where(discrete, thr_low_d, thr_low_c)
-                thr_high = np.where(discrete, thr_high_d, thr_high_c)
-        cache = (high_bounds, low_bounds, thr_low, thr_high, hd, hc, ld, gc)
+        def continuous_axes():
+            snapped = np.minimum(signed, own_high)
+            threshold = np.nextafter(snapped, -np.inf)
+            np.putmask(threshold, snapped <= own_low, -np.inf)
+            return snapped, threshold
+
+        if discrete.all():
+            snapped, threshold = discrete_axes()
+        elif not discrete.any():
+            snapped, threshold = continuous_axes()
+        else:
+            both = np.concatenate((discrete, discrete))[:, np.newaxis]
+            (snapped_d, threshold_d), (snapped_c, threshold_c) = (
+                discrete_axes(),
+                continuous_axes(),
+            )
+            snapped = np.where(both, snapped_d, snapped_c)
+            threshold = np.where(both, threshold_d, threshold_c)
+        np.putmask(threshold, undefined, np.nan)
+
+        opposing = np.concatenate((signed[m:], signed[:m]))
+        np.negative(opposing, out=opposing)
+        np.putmask(opposing, np.concatenate((undefined[m:], undefined[:m])), -np.inf)
+        cache = (opposing, threshold, snapped)
         self._pass_cache = cache
         return cache
 
@@ -341,68 +404,26 @@ class ConflictTable:
         A defined entry is *conflict free* when it conflicts with no defined
         entry of any other row (Proposition 3).  ``rows`` restricts the
         computation to a subset of rows (used by MCS after removals); the
-        returned array is indexed positionally by that subset.
+        returned array is indexed positionally by that subset, in the
+        order given.
 
         A LOW entry (negation ``x < A``) conflicts with a HIGH entry
         (negation ``x > B``) of another row iff ``s`` has no point strictly
         between ``B`` and ``A``.  The condition is monotone in ``B`` (larger
         ``B`` => more likely conflict), so per attribute only the largest
         *other-row* ``B`` matters — and symmetrically only the smallest
-        other-row ``A`` for HIGH entries.  With the conflict condition
-        folded into the precomputed per-cell thresholds of
-        :meth:`_ensure_pass_cache`, each call is a max/second-max
-        reduction plus one comparison per side.
+        other-row ``A`` for HIGH entries, which on the signed layout is
+        the same statement about the mirrored axis
+        (:func:`conflict_free_entries`).
         """
-        high_bounds, low_bounds, thr_low, thr_high = self._ensure_pass_cache()[:4]
-        if rows is not None and len(rows) == self.k:
-            rows = None  # the full set needs no gather
-        if rows is None:
-            n = self.k
-            d_low = self.defined_low
-            d_high = self.defined_high
-            hb = high_bounds
-            lb = low_bounds
-        else:
+        opposing, threshold = self._ensure_pass_cache()[:2]
+        if rows is not None:
             active = np.asarray(rows, dtype=int)
-            n = len(active)
-            d_low = self.defined_low[active]
-            d_high = self.defined_high[active]
-            hb = high_bounds[active]
-            lb = low_bounds[active]
-            thr_low = thr_low[active]
-            thr_high = thr_high[active]
-        if n == 0:
+            opposing = opposing[:, active]
+            threshold = threshold[:, active]
+        if opposing.shape[1] == 0:
             return np.zeros(0, dtype=int)
-
-        # Per attribute: the extreme defined HIGH bound (and the runner-
-        # up, for excluding an entry's own row) — ``±inf`` marks "no
-        # defined entry of that side on this attribute".
-        high_arg = hb.argmax(axis=0)
-        col_index = self._col_index
-        if col_index is None or col_index.size != self.m:
-            col_index = self._col_index = np.arange(self.m)
-        high_max = hb[high_arg, col_index]
-        hb = hb.copy()
-        hb[high_arg, col_index] = -np.inf
-        high_second = hb.max(axis=0)
-
-        low_arg = lb.argmin(axis=0)
-        low_min = lb[low_arg, col_index]
-        lb = lb.copy()
-        lb[low_arg, col_index] = np.inf
-        low_second = lb.min(axis=0)
-
-        rows_index = np.arange(n)[:, np.newaxis]
-        other_b = np.where(rows_index == high_arg, high_second, high_max)
-        other_a = np.where(rows_index == low_arg, low_second, low_min)
-
-        # ``thr`` cells are NaN only where the matching ``defined`` flag
-        # is False, so the mask absorbs the comparison's NaN outcome and
-        # ``<=`` is exactly ``~(>)`` on every cell that matters.
-        counts = (d_low & (other_b <= thr_low)).sum(axis=1) + (
-            d_high & (other_a >= thr_high)
-        ).sum(axis=1)
-        return counts.astype(int, copy=False)
+        return conflict_free_entries(opposing, threshold).sum(axis=0)
 
     def _conflict_free_counts_scalar(
         self, rows: Optional[Sequence[int]] = None
@@ -544,92 +565,70 @@ class ConflictTable:
         ``floor(high) - ceil(low) + 1`` of the uncovered slice, on
         continuous axes its length floored by the domain resolution.
         """
-        low_vals, high_vals, initial = self._ensure_gap_cache()
+        cells, initial = self._ensure_gap_cache()
         if rows is not None:
-            active = np.asarray(rows, dtype=int)
-            low_vals = low_vals[active]
-            high_vals = high_vals[active]
-        gaps = np.minimum(
-            initial,
-            np.minimum(
-                low_vals.min(axis=0, initial=np.inf),
-                high_vals.min(axis=0, initial=np.inf),
-            ),
-        )
-        return gaps
+            cells = cells[:, np.asarray(rows, dtype=int)]
+        least = cells.min(axis=1, initial=np.inf)
+        m = self.m
+        return np.minimum(initial, np.minimum(least[:m], least[m:]))
 
-    def _ensure_gap_cache(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _ensure_gap_cache(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-cell uncovered-slice measures, shared across row subsets.
 
-        The per-cell measures depend only on the table, so Algorithm 2
-        restricted to any row subset is a slice + min-reduction over these
-        matrices.  ``Hd``/``Hc``/``Ld``/``G`` come from
-        :meth:`_ensure_pass_cache` — the same snapped extremes the MCS
-        thresholds are derived from.
+        The ``(2m, k)`` cell measures depend only on the table, so
+        Algorithm 2 restricted to any row subset is a column gather + min
+        reduction over them.  ``snapped`` comes from
+        :meth:`_ensure_pass_cache` — the same slice ends the MCS thresholds
+        are derived from: the slice of ``s`` strictly below a candidate's
+        bound on a signed axis is ``[own_low, snapped]`` (one tick removed
+        on discrete axes).  Also returns the ``(m,)`` initial value, the
+        full extent of ``s`` on each attribute.
         """
         cache = self._gap_cache
         if cache is not None:
             return cache
-        hd, hc, ld, gc = self._ensure_pass_cache()[4:]
+        snapped = self._ensure_pass_cache()[2]
+        m = self.m
+        own_low = self._own_low
         s_low = self.subscription.lows
         s_high = self.subscription.highs
         discrete = self._discrete
         resolution = self._vectors.resolution
 
-        all_discrete = bool(discrete.all())
-        all_continuous = not all_discrete and not discrete.any()
-
         with np.errstate(invalid="ignore"):
-            lo_ceil = np.ceil(s_low)
-            hi_floor = np.floor(s_high)
+            # ``ceil`` of the signed lower ends: ``ceil(s_low)`` on top,
+            # ``-floor(s_high)`` below.
+            own_ceil = np.ceil(own_low)
 
-            # LOW entries: the slice of ``s`` strictly below the candidate's
-            # lower bound (one tick removed on discrete axes).
-            if not all_continuous:
-                low_disc = np.maximum(
-                    np.maximum(hd - lo_ceil + 1.0, 0.0), 1e-12
-                )
-            if not all_discrete:
-                low_cont = np.maximum(hc - s_low, resolution)
-            if all_discrete:
-                low_vals = low_disc
-            elif all_continuous:
-                low_vals = low_cont
+            def discrete_axes():
+                # point count, clamped at 0 and floored by ``gap_measure``
+                # (a single ``maximum`` does both)
+                cells = snapped - own_ceil[:, np.newaxis]
+                cells += 1.0
+                np.maximum(cells, 1e-12, out=cells)
+                return cells, -own_ceil[m:] - own_ceil[:m] + 1.0
+
+            def continuous_axes():
+                cells = snapped - own_low[:, np.newaxis]
+                floor = np.concatenate((resolution, resolution))[:, np.newaxis]
+                np.maximum(cells, floor, out=cells)
+                return cells, np.maximum(s_high - s_low, resolution)
+
+            if discrete.all():
+                cells, initial = discrete_axes()
+            elif not discrete.any():
+                cells, initial = continuous_axes()
             else:
-                low_vals = np.where(discrete, low_disc, low_cont)
-
-            # HIGH entries: the slice strictly above the upper bound.
-            if not all_continuous:
-                high_disc = np.maximum(
-                    np.maximum(hi_floor - ld + 1.0, 0.0), 1e-12
+                (cells_d, initial_d), (cells_c, initial_c) = (
+                    discrete_axes(),
+                    continuous_axes(),
                 )
-            if not all_discrete:
-                high_cont = np.maximum(s_high - gc, resolution)
-            if all_discrete:
-                high_vals = high_disc
-            elif all_continuous:
-                high_vals = high_cont
-            else:
-                high_vals = np.where(discrete, high_disc, high_cont)
-
+                both = np.concatenate((discrete, discrete))[:, np.newaxis]
+                cells = np.where(both, cells_d, cells_c)
+                initial = np.where(discrete, initial_d, initial_c)
             # Undefined entries contribute nothing to the minima.
-            low_vals = np.where(self.defined_low, low_vals, np.inf)
-            high_vals = np.where(self.defined_high, high_vals, np.inf)
-
-            # Initial value: the full extent of ``s`` on each attribute.
-            if all_discrete:
-                initial = hi_floor - lo_ceil + 1.0
-            elif all_continuous:
-                initial = np.maximum(s_high - s_low, resolution)
-            else:
-                initial = np.where(
-                    discrete,
-                    hi_floor - lo_ceil + 1.0,
-                    np.maximum(s_high - s_low, resolution),
-                )
-        cache = (low_vals, high_vals, initial)
+            np.putmask(cells, ~self._defined, np.inf)
+        cache = (cells, initial)
         self._gap_cache = cache
         return cache
 

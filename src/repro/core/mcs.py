@@ -16,16 +16,25 @@ Removing candidates can create new conflict-free entries, so the two rules
 are applied until a fixed point is reached.  The reduction preserves the
 answer to the subsumption question and typically shrinks both ``k`` and the
 required number of RSPC trials ``d`` dramatically (Figures 6–10).
+
+There is one fixed point for every table size.  Each pass is
+:func:`~repro.core.conflict_table.conflict_free_entries` over the table's
+signed ``(2m, k)`` matrices — an ``argmax``/``max`` along the contiguous
+candidate axis, one broadcast comparison and a ``2m``-cell fix-up, about
+twenty NumPy dispatches whose cost is flat in ``k`` up to a few hundred
+rows — followed by a compaction of the survivors, so the late passes
+(which typically run over a dozen rows after pass 1 removed hundreds)
+touch only what is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.conflict_table import ConflictTable
+from repro.core.conflict_table import ConflictTable, conflict_free_entries
 from repro.model.subscriptions import Subscription
 
 __all__ = ["MCSResult", "minimized_cover_set"]
@@ -70,16 +79,6 @@ class MCSResult:
         return self.removed_count / original_size
 
 
-#: instances within these bounds run the fused scalar fixed point —
-#: beneath them, NumPy per-call dispatch costs more than the arithmetic
-#: itself (broker workloads sit around ``k`` of 10-40 with ``m`` of 8).
-#: The row bound matters most: each pass walks the per-column sorted
-#: orders over the active rows, which scales linearly in ``k`` with no
-#: vectorisation to amortise it (k = 200 is ~40% slower scalar).
-_SMALL_INSTANCE_ROWS = 64
-_SMALL_INSTANCE_CELLS = 4096
-
-
 def minimized_cover_set(table: ConflictTable) -> MCSResult:
     """Run Algorithm 3 on a pre-built conflict table.
 
@@ -87,152 +86,32 @@ def minimized_cover_set(table: ConflictTable) -> MCSResult:
     the evaluation (how many candidates were removed and in how many
     passes).  The input table is not modified.
     """
-    if (
-        0 < table.k <= _SMALL_INSTANCE_ROWS
-        and table.k * table.m <= _SMALL_INSTANCE_CELLS
-    ):
-        removed, kept_rows, passes = _fixed_point_small(table)
-    else:
-        removed, kept_rows, passes = _fixed_point_vectorised(table)
+    opposing, threshold = table._ensure_pass_cache()[:2]
+    defined_counts = table.row_defined_counts
+    active = np.arange(table.k)
+    removed: List[int] = []
+    passes = 0
+
+    while True:
+        passes += 1
+        size = active.size
+        if size == 0:
+            break
+        drop = conflict_free_entries(opposing, threshold).any(axis=0)
+        drop |= defined_counts >= size
+        keep = (~drop).nonzero()[0]
+        if keep.size == size:
+            break
+        removed.extend(active[drop].tolist())
+        active = active[keep]
+        defined_counts = defined_counts[keep]
+        opposing = opposing.take(keep, axis=1)
+        threshold = threshold.take(keep, axis=1)
+
+    kept_rows = tuple(active.tolist())
     return MCSResult(
         kept_rows=kept_rows,
         removed_rows=tuple(removed),
         iterations=passes,
         kept=tuple(table.candidates[row] for row in kept_rows),
     )
-
-
-def _fixed_point_vectorised(
-    table: ConflictTable,
-) -> Tuple[List[int], Tuple[int, ...], int]:
-    """The matrix fixed point: one ``conflict_free_counts`` call per pass."""
-    active = np.arange(table.k, dtype=int)
-    removed: List[int] = []
-    passes = 0
-    t_all = table.row_defined_counts
-
-    while True:
-        passes += 1
-        if active.size == 0:
-            break
-        conflict_free = table.conflict_free_counts(active)
-        drop = (conflict_free >= 1) | (t_all[active] >= active.size)
-        if not drop.any():
-            break
-        removed.extend(active[drop].tolist())
-        active = active[~drop]
-
-    return removed, tuple(int(row) for row in active), passes
-
-
-def _fixed_point_small(
-    table: ConflictTable,
-) -> Tuple[List[int], Tuple[int, ...], int]:
-    """Fused scalar fixed point for small tables.
-
-    Replays :meth:`ConflictTable.conflict_free_counts` cell for cell —
-    same masked bounds, same precomputed thresholds, same first-max tie
-    handling — over plain Python lists, where a pass over a 20x8 table
-    is a few hundred scalar steps instead of ~15 NumPy dispatches.  The
-    drop rule short-circuits on the first conflict-free entry because
-    only ``fc_i >= 1`` matters, never the exact count.  Kept/removed
-    rows, pass counts and verdicts are bit-identical to the vectorised
-    fixed point (enforced by the differential tests).
-    """
-    high_bounds, low_bounds, thr_low, thr_high = table._ensure_pass_cache()[:4]
-    k = table.k
-    m = table.m
-    columns = range(m)
-    neg_inf = float("-inf")
-    pos_inf = float("inf")
-
-    # Per column, rows ordered by masked bound: stable descending for
-    # HIGH bounds and stable ascending for LOW bounds, so walking the
-    # order over the surviving rows yields the extreme and the runner-up
-    # with exactly ``argmax``/``argmin`` first-occurrence tie handling.
-    hb = high_bounds.tolist()
-    lb = low_bounds.tolist()
-    high_order = np.argsort(-high_bounds, axis=0, kind="stable").T.tolist()
-    low_order = np.argsort(low_bounds, axis=0, kind="stable").T.tolist()
-
-    tl = thr_low.tolist()
-    th = thr_high.tolist()
-    d_low = table.defined_low.tolist()
-    d_high = table.defined_high.tolist()
-    t_all = table.row_defined_counts.tolist()
-
-    is_active = [True] * k
-    active = list(range(k))
-    removed: List[int] = []
-    passes = 0
-
-    while True:
-        passes += 1
-        if not active:
-            break
-        size = len(active)
-
-        max_high = [neg_inf] * m
-        second_high = [neg_inf] * m
-        arg_high = [-1] * m
-        min_low = [pos_inf] * m
-        second_low = [pos_inf] * m
-        arg_low = [-1] * m
-        for col in columns:
-            found = False
-            for row in high_order[col]:
-                if is_active[row]:
-                    if found:
-                        second_high[col] = hb[row][col]
-                        break
-                    arg_high[col] = row
-                    max_high[col] = hb[row][col]
-                    found = True
-            found = False
-            for row in low_order[col]:
-                if is_active[row]:
-                    if found:
-                        second_low[col] = lb[row][col]
-                        break
-                    arg_low[col] = row
-                    min_low[col] = lb[row][col]
-                    found = True
-
-        # Drop decisions read the pass-start extremes; deactivation only
-        # affects the next pass's walk, mirroring the matrix fixed point.
-        keep: List[int] = []
-        for row in active:
-            if t_all[row] >= size:
-                removed.append(row)
-                is_active[row] = False
-                continue
-            row_d_low = d_low[row]
-            row_d_high = d_high[row]
-            row_tl = tl[row]
-            row_th = th[row]
-            conflict_free = False
-            for col in columns:
-                if row_d_low[col]:
-                    other = (
-                        second_high[col] if arg_high[col] == row else max_high[col]
-                    )
-                    if other <= row_tl[col]:
-                        conflict_free = True
-                        break
-                if row_d_high[col]:
-                    other = (
-                        second_low[col] if arg_low[col] == row else min_low[col]
-                    )
-                    if other >= row_th[col]:
-                        conflict_free = True
-                        break
-            if conflict_free:
-                removed.append(row)
-                is_active[row] = False
-            else:
-                keep.append(row)
-        if len(keep) == size:
-            break
-        active = keep
-
-    return removed, tuple(active), passes

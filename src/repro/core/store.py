@@ -237,8 +237,10 @@ class SubscriptionStore:
     def active_candidates(self) -> Sequence[Subscription]:
         """Snapshot of the active pool as a contiguous candidate set.
 
-        Rebuilt lazily after an active-pool mutation (a single vectorised
-        arena row gather); between mutations every reduction decision —
+        After a pure append the snapshot is the previous one extended by
+        a row (:meth:`_activate`); after any removal, demotion or merge it
+        is rebuilt lazily by a single vectorised arena row gather.
+        Between mutations every reduction decision —
         including the re-insertion storms of :meth:`remove_detailed` —
         shares the same snapshot, and with it the checker's cached
         deterministic verdicts.
@@ -262,15 +264,23 @@ class SubscriptionStore:
     # Arena bookkeeping
     # ------------------------------------------------------------------
     def _activate(self, subscription: Subscription) -> None:
-        """Record an active-pool insertion in the arena."""
-        self._selection = None
+        """Record an active-pool insertion (an append) in the arena.
+
+        When the current snapshot is still valid — nothing was removed,
+        demoted or merged away since it was taken — the new one is that
+        snapshot plus one row; otherwise it is re-gathered on demand.
+        """
+        previous, self._selection = self._selection, None
         if not self._arena_ok:
             return
         try:
             self.arena.add(subscription)
+            if isinstance(previous, CandidateSet):
+                self._selection = previous.extended(subscription)
         except ValidationError:
-            # Mixed attribute counts (possible only under flooding, which
-            # never inspects bounds) — fall back to plain snapshots.
+            # Mixed schemas or attribute counts (possible only under
+            # flooding, which never inspects bounds) — fall back to plain
+            # snapshots.
             self._arena_ok = False
 
     def _deactivate(self, subscription_id: str) -> None:

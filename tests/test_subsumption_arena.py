@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.arena import CandidateSet, SubscriptionArena, as_candidate_set
 from repro.core.conflict_table import ConflictTable
+from repro.core.mcs import minimized_cover_set
 from repro.core.pairwise import PairwiseCoverageChecker
 from repro.core.results import DecisionMethod
 from repro.core.store import SubscriptionStore
@@ -649,3 +650,379 @@ class TestStoreAndStrategyThreading:
             assert tuple(d.id for d in a.demoted) == tuple(d.id for d in b.demoted)
         assert [s.id for s in sequential.active] == [s.id for s in batched.active]
         assert sequential.stats == batched.stats
+
+
+# ----------------------------------------------------------------------
+# The signed attribute-major kernel (conflict thresholds, MCS, gaps)
+# ----------------------------------------------------------------------
+def _reference_fixed_point(table):
+    """Algorithm 3 driven by the scalar ``fc_i`` oracle.
+
+    Returns ``(kept_rows, removed_rows, passes, late_t_rule)`` where the
+    last flag records that some pass after the first dropped a row with
+    no conflict-free entry, i.e. through ``t_i >= |active|`` alone.
+    """
+    active = list(range(table.k))
+    removed = []
+    passes = 0
+    late_t_rule = False
+    while True:
+        passes += 1
+        if not active:
+            break
+        fc = table._conflict_free_counts_scalar(active)
+        drop = [
+            fc[i] >= 1 or table.t(row) >= len(active)
+            for i, row in enumerate(active)
+        ]
+        if passes > 1 and any(d and fc[i] == 0 for i, d in enumerate(drop)):
+            late_t_rule = True
+        if not any(drop):
+            break
+        removed += [row for row, d in zip(active, drop) if d]
+        active = [row for row, d in zip(active, drop) if not d]
+    return tuple(active), tuple(removed), passes, late_t_rule
+
+
+def _continuous_schema() -> Schema:
+    return Schema(
+        [(f"c{i}", ContinuousDomain(0.0, 10.0, resolution=1e-6)) for i in range(5)],
+        name="continuous",
+    )
+
+
+def _jittered(schema, subscription, rng):
+    """Non-integer bounds on every axis (discrete ones included)."""
+    lows = subscription.lows + rng.uniform(-0.9, 0.9, schema.m)
+    highs = np.maximum(subscription.highs + rng.uniform(-0.9, 0.9, schema.m), lows)
+    return Subscription(schema, lows, highs)
+
+
+def _kernel_instances():
+    """Seeded tables over every schema kind, on both sides of 64 rows."""
+    schemas = (
+        Schema.uniform_integer(6, 0, 500),
+        Schema.uniform_integer(3, 0, 4),  # tiny domain: ties everywhere
+        _continuous_schema(),
+        _mixed_schema(),
+    )
+    for schema in schemas:
+        for k in (1, 2, 12, 63, 64, 65, 130):
+            for variant in range(6):
+                rng = np.random.default_rng([variant, k])
+                subscription = random_subscription(
+                    schema, rng, width_fraction=(0.3, 0.95)
+                )
+                candidates = [
+                    random_subscription(schema, rng, width_fraction=(0.05, 0.8))
+                    for _ in range(k)
+                ]
+                if variant % 3 == 1:
+                    subscription = _jittered(schema, subscription, rng)
+                    candidates = [_jittered(schema, c, rng) for c in candidates]
+                if variant % 3 == 2:  # duplicated boxes: ties at every extreme
+                    candidates = [
+                        Subscription(schema, c.lows, c.highs)
+                        for c in (candidates[: (k + 1) // 2] * 2)[:k]
+                    ]
+                yield ConflictTable(subscription, candidates)
+
+
+class TestSignedKernel:
+    """One signed ``(2m, k)`` kernel vs the per-attribute scalar oracles."""
+
+    def test_fixed_point_and_gaps_match_scalar_oracles(self):
+        seen = {"late_t_rule": 0, "emptied_in_pass_1": 0, "folded_cell": 0}
+        sizes = set()
+        for table in _kernel_instances():
+            kept, removed, passes, late_t_rule = _reference_fixed_point(table)
+            result = minimized_cover_set(table)
+            assert result.kept_rows == kept
+            assert result.removed_rows == removed  # same order, pass by pass
+            assert result.iterations == passes
+            assert all(type(row) is int for row in result.kept_rows)
+            # a second run sees the table's cached matrices unharmed
+            assert minimized_cover_set(table) == result
+            for rows in (None, list(kept) or None):
+                assert (
+                    table.minimum_gap_measures(rows).tolist()
+                    == table._minimum_gap_measures_scalar(rows).tolist()
+                )
+            seen["late_t_rule"] += late_t_rule
+            seen["emptied_in_pass_1"] += not kept and passes == 2
+            threshold = table._ensure_pass_cache()[1]
+            seen["folded_cell"] += bool(np.isneginf(threshold).any())
+            sizes.add(table.k)
+        # the sweep really exercises what it claims to
+        assert all(seen.values()), seen
+        assert {1, 63, 64, 65, 130} <= sizes
+
+    def test_conflict_free_counts_follow_the_given_row_order(self):
+        """Regression: a full-length permutation used to skip the gather."""
+        schema = Schema.uniform_integer(6, 0, 500)
+        rng = np.random.default_rng(17)
+        subscription, candidates = _random_instance(schema, rng, 6)
+        table = ConflictTable(subscription, candidates)
+        in_order = table._conflict_free_counts_scalar().tolist()
+        assert len(set(in_order)) > 1  # order is observable
+        for rows in ([5, 4, 3, 2, 1, 0], [2, 0, 1, 5, 3, 4]):
+            assert table.conflict_free_counts(rows).tolist() == [
+                in_order[row] for row in rows
+            ]
+        for rows in ([5, 4, 3, 2, 1, 0], [4, 1], [1, 4], [3]):
+            assert (
+                table.conflict_free_counts(rows).tolist()
+                == table._conflict_free_counts_scalar(rows).tolist()
+            )
+        assert table.conflict_free_counts().tolist() == in_order
+        assert table.conflict_free_counts([]).tolist() == []
+
+    def test_non_integer_bound_on_discrete_axis_folds_to_minus_infinity(self):
+        """``snapped < own_low``: the slice holds no integer point, so the
+        entry conflicts with every opposing entry there is."""
+        schema = Schema.uniform_integer(2, 0, 20)
+        subscription = Subscription(schema, [2.5, 0.0], [9.0, 20.0])
+        sliver = Subscription(schema, [3.2, 0.0], [9.0, 20.0])  # LOW slice (2.5, 2.2]
+        other = Subscription(schema, [0.0, 0.0], [6.0, 20.0])  # HIGH entry on x1
+        table = ConflictTable(subscription, [sliver, other])
+        threshold = table._ensure_pass_cache()[1]
+        assert threshold[0, 0] == -np.inf
+        for rows in (None, [0], [1], [1, 0]):
+            assert (
+                table.conflict_free_counts(rows).tolist()
+                == table._conflict_free_counts_scalar(rows).tolist()
+            )
+        # alone, the sliver's entry has nothing to conflict with
+        assert table.conflict_free_counts([0]).tolist() == [1]
+        assert table.conflict_free_counts().tolist()[0] == 0
+
+    def test_tie_at_a_column_extreme(self):
+        """Two rows share the largest HIGH bound: each faces the other's."""
+        schema = Schema.uniform_integer(1, 0, 100)
+        subscription = Subscription(schema, [0.0], [100.0])
+        left_a = Subscription(schema, [0.0], [40.0])
+        left_b = Subscription(schema, [0.0], [40.0])
+        right = Subscription(schema, [41.0], [100.0])
+        table = ConflictTable(subscription, [left_a, left_b, right])
+        for rows in (None, [0, 2], [1, 2], [2], [0, 1]):
+            assert (
+                table.conflict_free_counts(rows).tolist()
+                == table._conflict_free_counts_scalar(rows).tolist()
+            )
+        kept, removed, passes, _ = _reference_fixed_point(table)
+        result = minimized_cover_set(table)
+        assert (result.kept_rows, result.removed_rows, result.iterations) == (
+            kept,
+            removed,
+            passes,
+        )
+
+    def test_infinite_bounds(self):
+        unbounded = Schema(
+            [
+                ("u", ContinuousDomain(-np.inf, np.inf)),
+                ("v", ContinuousDomain(-np.inf, np.inf)),
+                ("n", IntegerDomain(0, 100)),
+            ],
+            name="unbounded",
+        )
+        inf = np.inf
+        subscription = Subscription(unbounded, [-inf, 0.0, 10.0], [inf, inf, 90.0])
+        candidates = [
+            Subscription(unbounded, [-inf, -5.0, 0.0], [3.0, inf, 50.0]),
+            Subscription(unbounded, [3.0, 0.0, 40.0], [inf, 7.5, 100.0]),
+            Subscription(unbounded, [-1.0, 7.5, 20.0], [1.0, inf, 60.0]),
+            Subscription(unbounded, [-inf, -inf, 0.0], [inf, inf, 100.0]),
+        ]
+        tables = [ConflictTable(subscription, candidates)]
+        # ±inf in the candidate matrices of a *discrete* axis as well
+        schema = Schema.uniform_integer(2, 0, 50)
+        bounded = Subscription(schema, [5.0, 5.0], [45.0, 45.0])
+        rows = [Subscription(schema, [10.0, 0.0], [50.0, 30.0]) for _ in range(3)]
+        lows = np.array([[10.0, -inf], [-inf, 20.0], [12.5, 0.0]])
+        highs = np.array([[inf, 30.0], [25.0, inf], [40.0, 44.5]])
+        tables.append(ConflictTable(bounded, rows, cand_lows=lows, cand_highs=highs))
+        for table in tables:
+            for subset in (None, [0, 1], [2, 0]):
+                assert (
+                    table.conflict_free_counts(subset).tolist()
+                    == table._conflict_free_counts_scalar(subset).tolist()
+                )
+                assert (
+                    table.minimum_gap_measures(subset).tolist()
+                    == table._minimum_gap_measures_scalar(subset).tolist()
+                )
+            kept, removed, passes, _ = _reference_fixed_point(table)
+            result = minimized_cover_set(table)
+            assert (result.kept_rows, result.removed_rows, result.iterations) == (
+                kept,
+                removed,
+                passes,
+            )
+
+
+# ----------------------------------------------------------------------
+# Append-only candidate snapshots
+# ----------------------------------------------------------------------
+def _assert_snapshot_is(snapshot, subscriptions):
+    """``snapshot`` equals a from-scratch rebuild over ``subscriptions``."""
+    subscriptions = list(subscriptions)
+    assert len(snapshot) == len(subscriptions)
+    assert all(a is b for a, b in zip(snapshot, subscriptions))
+    assert snapshot.ids == tuple(s.id for s in subscriptions)
+    if subscriptions:
+        assert np.array_equal(snapshot.lows, np.vstack([s.lows for s in subscriptions]))
+        assert np.array_equal(
+            snapshot.highs, np.vstack([s.highs for s in subscriptions])
+        )
+
+
+class TestAppendOnlySnapshots:
+    def test_extended_equals_a_fresh_snapshot(self):
+        schema = Schema.uniform_integer(4, 0, 50)
+        rng = np.random.default_rng(5)
+        subs = [random_subscription(schema, rng) for _ in range(7)]
+        arena = SubscriptionArena()
+        for sub in subs:
+            arena.add(sub)
+        for base in (arena.select(subs[:6]), CandidateSet(subs[:6])):
+            lazily_stacked = base._lows is None
+            if not lazily_stacked:
+                lows_before, highs_before = base.lows.copy(), base.highs.copy()
+            grown = base.extended(subs[6])
+            _assert_snapshot_is(grown, subs)
+            fresh = arena.select(subs)
+            assert grown.ids == fresh.ids
+            assert np.array_equal(grown.lows, fresh.lows)
+            assert np.array_equal(grown.highs, fresh.highs)
+            assert grown.schema is base.schema
+            assert grown.fingerprint not in (base.fingerprint, fresh.fingerprint)
+            # the previous snapshot is neither aliased nor touched
+            _assert_snapshot_is(base, subs[:6])
+            assert not np.shares_memory(grown.lows, base.lows)
+            assert not np.shares_memory(grown.highs, base.highs)
+            if not lazily_stacked:
+                assert np.array_equal(base.lows, lows_before)
+                assert np.array_equal(base.highs, highs_before)
+            grown.lows[0, 0] += 1.0  # writing to the copy cannot leak back
+            assert base.lows[0, 0] == subs[0].lows[0]
+
+    def test_extended_from_empty_and_across_schemas(self):
+        schema = Schema.uniform_integer(2, 0, 9)
+        other = Schema.uniform_integer(2, 0, 8)  # same m, different domain
+        first = Subscription(schema, [1, 1], [5, 5])
+        grown = CandidateSet(()).extended(first)
+        _assert_snapshot_is(grown, [first])
+        assert grown.schema is schema
+        with pytest.raises(ValidationError):
+            grown.extended(Subscription(other, [0, 0], [5, 5]))
+
+    @pytest.mark.parametrize("policy", ["pairwise", "group", "merging", "hybrid"])
+    def test_store_never_serves_a_stale_snapshot(self, policy):
+        schema = Schema.uniform_integer(3, 0, 60)
+        rng = np.random.default_rng(23)
+        store = SubscriptionStore(
+            policy=policy,
+            checker=SubsumptionChecker(delta=1e-3, max_iterations=40, rng=4),
+            merge_budget=0.5,
+        )
+        outcomes = set()
+        extended_in_place = 0
+        live = []
+        for step in range(160):
+            before = store.active_candidates()
+            ids_before = tuple(s.id for s in store.active)
+            if live and rng.random() < 0.3:
+                victim = live.pop(int(rng.integers(0, len(live))))
+                outcome = store.remove_detailed(victim)
+                outcomes.add("removed-active" if outcome.was_active else "removed")
+                outcomes.update("promoted" for _ in outcome.promoted)
+            else:
+                # wide boxes demote, narrow ones get suppressed or merged
+                width = (0.5, 1.0) if step % 7 == 0 else (0.05, 0.5)
+                sub = random_subscription(schema, rng, width_fraction=width)
+                decision = store.add(sub)
+                live.append(sub.id)
+                if decision.merged is not None:
+                    outcomes.add("merged")
+                elif not decision.forwarded:
+                    outcomes.add("suppressed")
+                elif decision.demoted:
+                    outcomes.add("demoting")
+                else:
+                    outcomes.add("forwarded")
+            grown_eagerly = store._selection is not None
+            after = store.active_candidates()
+            _assert_snapshot_is(after, store.active)
+            assert len(store.arena) == store.active_count
+            if tuple(s.id for s in store.active) == ids_before:
+                assert after is before  # untouched pool, shared snapshot
+            else:
+                assert after.fingerprint != before.fingerprint
+                _assert_snapshot_is(before, before.subscriptions)  # left intact
+                extended_in_place += grown_eagerly
+        expected = {"forwarded", "suppressed", "removed-active"}
+        expected |= (
+            {"merged"} if policy in ("merging", "hybrid") else {"demoting", "promoted"}
+        )
+        assert expected <= outcomes, outcomes
+        assert extended_in_place  # the append path really ran
+
+    @pytest.mark.parametrize("policy", ["pairwise", "group", "merging", "hybrid"])
+    def test_broker_links_never_serve_a_stale_snapshot(self, policy):
+        from repro.broker.broker import Broker
+        from repro.broker.messages import SubscriptionMessage, UnsubscriptionMessage
+
+        schema = Schema.uniform_integer(3, 0, 60)
+        rng = np.random.default_rng(29)
+        broker = Broker(
+            "B",
+            neighbors=("N1", "N2"),
+            policy=policy,
+            checker=SubsumptionChecker(delta=1e-3, max_iterations=40, rng=4),
+            merge_budget=0.5,
+        )
+        inner = broker.strategy.decide
+        decided_against = []
+
+        def spy(subscription, candidates):
+            # at decision time the snapshot is one link's advertisement
+            # set, in advertisement order, with matching bounds
+            assert any(
+                candidates.ids == tuple(sent) for sent in broker.sent.values()
+            ) or not len(candidates)
+            _assert_snapshot_is(candidates, candidates.subscriptions)
+            decided_against.append(len(candidates))
+            return inner(subscription, candidates)
+
+        broker.strategy.decide = spy
+        live = []
+        extended = 0
+        for step in range(140):
+            cached = dict(broker._link_candidates)
+            if live and rng.random() < 0.3:
+                victim = live.pop(int(rng.integers(0, len(live))))
+                broker.handle_unsubscription(
+                    UnsubscriptionMessage(
+                        sender=None, recipient="B", subscription_id=victim, origin="B"
+                    )
+                )
+            else:
+                width = (0.5, 1.0) if step % 7 == 0 else (0.05, 0.5)
+                sub = random_subscription(schema, rng, width_fraction=width)
+                live.append(sub.id)
+                broker.handle_subscription(
+                    SubscriptionMessage(
+                        sender=None, recipient="B", subscription=sub, origin="B"
+                    )
+                )
+            for neighbor in broker.neighbors:
+                snapshot = broker._candidates_for(neighbor)
+                _assert_snapshot_is(snapshot, broker.sent.get(neighbor, {}).values())
+                assert broker._candidates_for(neighbor) is snapshot
+                previous = cached.get(neighbor)
+                if previous is not None and snapshot is not previous:
+                    assert snapshot.fingerprint != previous.fingerprint
+                    _assert_snapshot_is(previous, previous.subscriptions)
+                    extended += snapshot.ids[:-1] == previous.ids
+        assert extended and max(decided_against) >= 2
