@@ -292,6 +292,16 @@ class ConflictTable:
         """Number of defined entries in ``row`` (the paper's ``t_i``)."""
         return int(self.row_defined_counts[row])
 
+    def signed_bounds(self, rows: Optional[Sequence[int]] = None) -> np.ndarray:
+        """The signed ``(2m, r)`` bound matrix of ``rows`` (default: all).
+
+        One column gather of ``Q`` — what RSPC tests its guesses against
+        (:func:`repro.core.rspc.run_rspc`'s ``bounds``).
+        """
+        if rows is None:
+            return self._signed
+        return self._signed[:, np.asarray(rows, dtype=int)]
+
     def entry_bound(self, row: int, attribute: int, side: EntrySide) -> float:
         """The numeric bound appearing in the negated predicate.
 

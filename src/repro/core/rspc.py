@@ -6,6 +6,22 @@ point is a *point witness*, i.e. lies outside every subscription of the
 candidate set ``S``.  Finding a witness proves non-coverage (a definite
 NO); exhausting the ``d`` allowed guesses yields a probabilistic YES whose
 error probability is bounded by ``(1 - rho_w)^d`` (Proposition 1 / Eq. 1).
+
+The guess kernel (:func:`_guess_witness`).  One seeded generator serves
+every check of a run, so *what* is drawn, and in which order, is part of
+the recorded behaviour: guesses come in batches of 256, each batch drawn
+column by column, and a check stops consuming the stream at the batch
+that holds its witness.  The batch size is therefore fixed — changing it
+changes every verdict downstream.  How many batches are *in flight* is
+not: most guesses are spent confirming covers at the full budget, so
+after a batch without a witness the kernel draws and tests a
+geometrically growing group of batches (up to ``_GROUP_CAP``) in one
+fused ``Generator.integers`` call and one membership pass, and if a
+witness turns up before the end of a group it restores the generator
+state saved before the group and re-draws only the batches a one-batch-
+at-a-time loop would have drawn.  Every later check sees the stream
+position it always saw; the cap bounds what a rollback can re-draw and
+the size of the group buffers.
 """
 
 from __future__ import annotations
@@ -13,13 +29,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.arena import CandidateSet
-from repro.core.error_model import effective_error, required_iterations
-from repro.core.witness import point_is_witness
+from repro.core.error_model import (
+    compute_required_iterations,
+    effective_error,
+    required_iterations,
+)
+from repro.model.errors import DomainError
 from repro.model.subscriptions import Subscription
 from repro.utils.rng import RandomSource, ensure_rng
 
@@ -76,10 +97,18 @@ class RSPCResult:
     truncated: bool
 
 
-#: how many random guesses are generated and tested per vectorised batch
+#: Guesses per batch.  Not a tuning knob: the checker's one generator is
+#: consumed batch by batch — every attribute column of a batch is drawn
+#: before the next batch starts — so this number *is* the seeded guess
+#: stream the golden traces pin.
 _BATCH_SIZE = 256
 
-#: candidates per membership-test block (see ``_guess_witness``)
+#: Most full batches drawn and tested together.  Bounds the draw-ahead a
+#: witness can force the kernel to repeat (fewer than this many batches)
+#: and the group buffers (``_GROUP_CAP * _BATCH_SIZE`` points).
+_GROUP_CAP = 16
+
+#: candidates per membership-test block (see :func:`_first_uncovered`)
 _CANDIDATE_BLOCK = 8
 
 #: sampling-plan step kinds (see :func:`_sampling_plan`)
@@ -89,137 +118,171 @@ _DRAW_CONSTANT = 2
 
 
 def _sampling_plan(subscription: Subscription) -> list:
-    """Precompute the per-attribute sampling spec of one RSPC check.
+    """Precompute how one batch of guesses inside ``subscription`` is drawn.
 
-    The plan fixes, once per check instead of once per 256-point batch,
-    how each attribute column is drawn: discrete columns from
-    ``rng.integers``, non-degenerate continuous columns from
-    ``rng.uniform``, degenerate columns as a constant fill.  The draw
-    sequence is identical to the historical per-batch derivation, so
-    seeded runs produce bit-identical guess streams.
+    The plan is a list of steps ``(kind, start, stop, a, b)`` over the
+    attribute columns ``start:stop``, in column order: a run of
+    consecutive discrete columns is one ``rng.integers`` call with
+    per-column bounds ``a``/``b`` of shape ``(stop - start, 1)``, a
+    non-degenerate continuous column one ``rng.uniform(a, b)``, a
+    degenerate continuous column the constant ``a``.  Discrete bounds are
+    snapped inwards like :meth:`IntegerDomain.sample` does, so every guess
+    is a point of ``s``; a discrete range holding no integer raises
+    :class:`DomainError`, as :meth:`Subscription.sample_point` would.
     """
-    cached = getattr(subscription, "_rspc_plan", None)
-    if cached is not None:
-        return cached
-    schema = subscription.schema
-    vectors = getattr(schema, "vectors", None)
-    plan = []
+    plan = subscription._rspc_plan
+    if plan is not None:
+        return plan
     lows = subscription.lows.tolist()
     highs = subscription.highs.tolist()
-    for attribute in range(schema.m):
-        low = lows[attribute]
-        high = highs[attribute]
-        discrete = (
-            bool(vectors.discrete[attribute])
-            if vectors is not None
-            else schema.domain(attribute).is_discrete
+    discrete = subscription.schema.vectors.discrete.tolist()
+    plan = []
+    for is_discrete, run in groupby(range(len(lows)), key=discrete.__getitem__):
+        columns = list(run)
+        if not is_discrete:
+            for attribute in columns:
+                low, high = lows[attribute], highs[attribute]
+                kind = _DRAW_UNIFORM if high > low else _DRAW_CONSTANT
+                plan.append((kind, attribute, attribute + 1, low, high))
+            continue
+        start, stop = columns[0], columns[-1] + 1
+        first = [math.ceil(low) for low in lows[start:stop]]
+        beyond = [math.floor(high) + 1 for high in highs[start:stop]]
+        if any(a >= b for a, b in zip(first, beyond)):
+            raise DomainError("cannot sample from an empty interval")
+        plan.append(
+            (
+                _DRAW_INTEGERS,
+                start,
+                stop,
+                np.array(first, dtype=np.int64)[:, np.newaxis],
+                np.array(beyond, dtype=np.int64)[:, np.newaxis],
+            )
         )
-        if discrete:
-            plan.append((_DRAW_INTEGERS, int(low), int(high) + 1))
-        elif high > low:
-            plan.append((_DRAW_UNIFORM, low, high))
-        else:
-            plan.append((_DRAW_CONSTANT, low, low))
     # Subscription bounds are immutable after construction, so the plan
     # can ride on the object across the many re-checks brokers perform.
-    try:
-        subscription._rspc_plan = plan
-    except AttributeError:  # __slots__ without room for the cache
-        pass
+    subscription._rspc_plan = plan
     return plan
 
 
-def _sample_points(
-    plan, rng: np.random.Generator, count: int
+def _draw_points(
+    plan: list, rng: np.random.Generator, batches: int, size: int
 ) -> np.ndarray:
-    """Sample ``count`` uniform points following a precomputed plan.
+    """Draw ``batches`` consecutive batches of ``size`` guesses each.
 
-    Equivalent to calling :meth:`Subscription.sample_point` ``count`` times
-    but drawing whole columns at once, which keeps RSPC fast when the trial
-    budget is large.  Accepts a :class:`Subscription` directly for
-    convenience (the plan is then derived on the spot).
+    Returns the points attribute-major, shape ``(m, batches * size)``,
+    batch after batch.  The bit generator is consumed exactly as by
+    drawing every column of every batch with its own scalar-bounds call,
+    in batch then column order: ``Generator.integers`` with broadcast
+    bounds fills its output in C order through the same bounded-integer
+    routine as the scalar call, so an all-discrete plan takes one call for
+    the whole group and a mixed plan one call per run of discrete columns
+    (pinned by ``tests/test_rspc_kernel.py::TestNumpyStreamProperty``).
     """
-    if isinstance(plan, Subscription):
-        plan = _sampling_plan(plan)
-    points = np.empty((count, len(plan)), dtype=float)
-    for attribute, (kind, a, b) in enumerate(plan):
-        if kind == _DRAW_INTEGERS:
-            # assignment into the float column casts in place; the draw
-            # itself is the same ``integers`` call either way
-            points[:, attribute] = rng.integers(a, b, size=count)
-        elif kind == _DRAW_UNIFORM:
-            points[:, attribute] = rng.uniform(a, b, size=count)
-        else:
-            points[:, attribute] = a
-    return points
+    m = plan[-1][2]
+    points = np.empty((m, batches, size), dtype=float)
+    kind, _, stop, a, b = plan[0]
+    if kind == _DRAW_INTEGERS and stop == m:
+        points[...] = rng.integers(a, b, size=(batches, m, size)).transpose(1, 0, 2)
+        return points.reshape(m, batches * size)
+    for batch in range(batches):
+        for kind, start, stop, a, b in plan:
+            if kind == _DRAW_INTEGERS:
+                points[start:stop, batch] = rng.integers(
+                    a, b, size=(stop - start, size)
+                )
+            elif kind == _DRAW_UNIFORM:
+                points[start, batch] = rng.uniform(a, b, size=size)
+            else:
+                points[start, batch] = a
+    return points.reshape(m, batches * size)
+
+
+def _candidate_blocks(signed: np.ndarray) -> list:
+    """Split the signed ``(2m, r)`` bounds into membership-test blocks.
+
+    "Is the point inside ANY candidate?" is order-independent, so the
+    candidates are tested in blocks sorted by (heuristic) volume: the
+    widest candidates absorb most guesses in the first block or two, and
+    the remaining blocks only ever see the few points still uncovered.
+    Each block is a ``(2m, block, 1)`` slice of the reordered matrix.
+    """
+    m = signed.shape[0] // 2
+    with np.errstate(all="ignore"):
+        volume = np.prod(1.0 - signed[m:] - signed[:m], axis=0)
+    ordered = signed[:, np.argsort(-volume), np.newaxis]
+    return [
+        ordered[:, start : start + _CANDIDATE_BLOCK]
+        for start in range(0, signed.shape[1], _CANDIDATE_BLOCK)
+    ]
+
+
+def _first_uncovered(points: np.ndarray, blocks: list) -> int:
+    """Index of the first column of ``points`` outside every candidate, or -1.
+
+    ``points`` is attribute-major ``(m, n)``.  Mirrored onto the signed
+    axes (``p`` on top of ``-p``) a point is inside a candidate iff it is
+    ``>=`` the candidate's signed column on all ``2m`` axes — one
+    comparison per block.  Each block only sees the points no earlier
+    block contained, and the scan stops as soon as none is left.
+    """
+    m, count = points.shape
+    mirrored = np.empty((2 * m, count), dtype=float)
+    mirrored[:m] = points
+    np.negative(points, out=mirrored[m:])
+    remaining = np.arange(count)
+    for block in blocks:
+        outside = ~(mirrored[:, np.newaxis, :] >= block).all(axis=0).any(axis=0)
+        remaining = remaining[outside]
+        if remaining.size == 0:
+            return -1
+        mirrored = mirrored[:, outside]
+    return int(remaining[0])
 
 
 def _guess_witness(
     subscription: Subscription,
-    cand_lows: np.ndarray,
-    cand_highs: np.ndarray,
+    signed: np.ndarray,
     rng: np.random.Generator,
     allowed: int,
 ) -> tuple:
-    """Vectorised Algorithm 1 loop: ``(witness_or_None, guesses_used)``."""
+    """Algorithm 1's loop: ``(witness_or_None, guesses_used)``.
+
+    Guesses come in batches of ``_BATCH_SIZE`` (the last one may be
+    shorter).  How many batches are *in flight* is execution policy only:
+    after a batch in which every guess was covered — the sign of a check
+    that will spend its whole budget confirming a cover — the kernel
+    draws and tests 2, 4, ... up to ``_GROUP_CAP`` full batches at once.
+
+    Rollback invariant: on return the generator is in exactly the state
+    that drawing one batch at a time and stopping at the batch holding the
+    witness leaves it in.  When the witness lands in batch ``j`` of a
+    group, the state saved before the group is restored and ``j + 1``
+    batches are drawn again, so no later check can tell how far this one
+    drew ahead.
+    """
     plan = _sampling_plan(subscription)
-
-    # "Is the point inside ANY candidate?" is order-independent, so the
-    # candidates can be tested in blocks sorted by (heuristic) volume:
-    # the widest candidates absorb most guesses in the first block or
-    # two, and the remaining blocks only ever see the few points still
-    # uncovered — an early exit that typically skips most of the O(k·m)
-    # membership work without changing a single verdict or guess count.
-    # A candidate set that fits in one block needs neither the volume
-    # heuristic nor the ordering.
-    if len(cand_lows) <= _CANDIDATE_BLOCK:
-        blocks = [
-            (cand_lows[np.newaxis, :, :], cand_highs[np.newaxis, :, :])
-        ]
-    else:
-        with np.errstate(all="ignore"):
-            volume = np.prod(cand_highs - cand_lows + 1.0, axis=1)
-        order = np.argsort(-volume)
-        blocks = [
-            (
-                cand_lows[order[start : start + _CANDIDATE_BLOCK]][np.newaxis, :, :],
-                cand_highs[order[start : start + _CANDIDATE_BLOCK]][np.newaxis, :, :],
-            )
-            for start in range(0, len(order), _CANDIDATE_BLOCK)
-        ]
-
+    blocks = _candidate_blocks(signed)
+    bit_generator = rng.bit_generator
     performed = 0
-    single_block = len(blocks) == 1
+    group = 1
     while performed < allowed:
-        batch = min(_BATCH_SIZE, allowed - performed)
-        points = _sample_points(plan, rng, batch)
-        if single_block:
-            block_lows, block_highs = blocks[0]
-            subset = points[:, np.newaxis, :]
-            covered = (
-                ((subset >= block_lows) & (subset <= block_highs))
-                .all(axis=2)
-                .any(axis=1)
-            )
-        else:
-            covered = np.zeros(batch, dtype=bool)
-            remaining = np.arange(batch)
-            for block_lows, block_highs in blocks:
-                subset = points[remaining, np.newaxis, :]
-                inside = (
-                    ((subset >= block_lows) & (subset <= block_highs))
-                    .all(axis=2)
-                    .any(axis=1)
-                )
-                covered[remaining[inside]] = True
-                remaining = remaining[~inside]
-                if remaining.size == 0:
-                    break
-        if covered.all():
-            performed += batch
+        left = allowed - performed
+        size = min(_BATCH_SIZE, left)
+        # only full batches are grouped; a shorter last one goes alone
+        batches = max(1, min(group, left // _BATCH_SIZE))
+        state = bit_generator.state
+        points = _draw_points(plan, rng, batches, size)
+        first = _first_uncovered(points, blocks)
+        if first < 0:
+            performed += batches * size
+            group = min(2 * group, _GROUP_CAP)
             continue
-        first = int(covered.argmin())
-        return points[first], performed + first + 1
+        drawn = first // size + 1
+        if drawn < batches:
+            bit_generator.state = state
+            _draw_points(plan, rng, drawn, size)
+        return points[:, first].copy(), performed + first + 1
     return None, performed
 
 
@@ -230,7 +293,7 @@ def run_rspc(
     delta: float = 1e-6,
     rng: RandomSource = None,
     max_iterations: Optional[int] = None,
-    bounds: Optional[tuple] = None,
+    bounds: Optional[np.ndarray] = None,
 ) -> RSPCResult:
     """Execute Algorithm 1 against ``candidates``.
 
@@ -253,9 +316,11 @@ def run_rspc(
         capping keeps the checker practical, at the cost of a weaker error
         bound which is reported through ``truncated``/``error_bound``.
     bounds:
-        Optional pre-stacked ``(lows, highs)`` candidate bound matrices
-        (e.g. conflict-table slices) — skips re-stacking the candidate
-        objects.  Must describe exactly ``candidates``.
+        Optional candidate bounds already in the conflict table's signed,
+        attribute-major layout (:meth:`ConflictTable.signed_bounds`):
+        shape ``(2m, len(candidates))``, lower bounds on top of negated
+        upper bounds — skips re-stacking the candidate objects.  Must
+        describe exactly ``candidates``.
 
     Returns
     -------
@@ -278,24 +343,18 @@ def run_rspc(
         )
 
     theoretical = required_iterations(delta, rho_w)
-    if max_iterations is None:
-        allowed = int(theoretical) if math.isfinite(theoretical) else 2**31 - 1
-    else:
-        allowed = int(min(theoretical, float(max_iterations)))
-    allowed = max(allowed, 1)
+    allowed = max(compute_required_iterations(delta, rho_w, max_iterations), 1)
     truncated = allowed < theoretical
 
-    if bounds is not None:
-        cand_lows, cand_highs = bounds
-    elif isinstance(candidates, CandidateSet):
-        cand_lows, cand_highs = candidates.lows, candidates.highs
-    else:
-        cand_lows = np.array([candidate.lows for candidate in candidates])
-        cand_highs = np.array([candidate.highs for candidate in candidates])
+    if bounds is None:
+        if isinstance(candidates, CandidateSet):
+            cand_lows, cand_highs = candidates.lows, candidates.highs
+        else:
+            cand_lows = np.array([candidate.lows for candidate in candidates])
+            cand_highs = np.array([candidate.highs for candidate in candidates])
+        bounds = np.concatenate((cand_lows.T, -cand_highs.T))
 
-    witness, performed = _guess_witness(
-        subscription, cand_lows, cand_highs, generator, allowed
-    )
+    witness, performed = _guess_witness(subscription, bounds, generator, allowed)
 
     if witness is not None:
         return RSPCResult(

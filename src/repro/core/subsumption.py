@@ -307,14 +307,6 @@ class SubsumptionChecker:
         theoretical = prepared.theoretical
 
         # --- Stage 5: RSPC ---------------------------------------------
-        if reduction is not None:
-            row_index = list(reduced_rows)
-            reduced_bounds = (
-                table.candidate_lows[row_index],
-                table.candidate_highs[row_index],
-            )
-        else:
-            reduced_bounds = (table.candidate_lows, table.candidate_highs)
         rspc = run_rspc(
             subscription,
             reduced_candidates,
@@ -322,7 +314,9 @@ class SubsumptionChecker:
             delta=self.delta,
             rng=self._rng,
             max_iterations=self.max_iterations,
-            bounds=reduced_bounds,
+            bounds=table.signed_bounds(
+                reduced_rows if reduction is not None else None
+            ),
         )
 
         details = {

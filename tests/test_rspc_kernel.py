@@ -1,0 +1,455 @@
+"""Differential test of the RSPC guess kernel against the per-batch loop.
+
+``_reference_guess_witness`` is the loop the kernel replaced: one batch of
+256 guesses at a time, every attribute column drawn by its own
+scalar-bounds call, row-major ``(count, m)`` points.  The kernel draws
+several batches ahead in fused calls and rolls the generator back when a
+witness turns up early, so the contract checked here is threefold — the
+same witness, the same guess count, and the same
+``rng.bit_generator.state`` after the call, which is what keeps every
+*later* check on the seeded stream the golden traces pin.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.core.rspc import (
+    _BATCH_SIZE,
+    _CANDIDATE_BLOCK,
+    _GROUP_CAP,
+    RSPCOutcome,
+    _guess_witness,
+    run_rspc,
+)
+from repro.core.subsumption import SubsumptionChecker
+from repro.model import Attribute, ContinuousDomain, IntegerDomain, Schema, Subscription
+
+
+# ----------------------------------------------------------------------
+# The reference: the per-batch loop as it stood before the kernel, with
+# the sampling plan inlined (and its discrete bounds snapped inwards)
+# ----------------------------------------------------------------------
+def _reference_sample_points(subscription, rng, count):
+    discrete = subscription.schema.vectors.discrete
+    points = np.empty((count, subscription.m), dtype=float)
+    for attribute in range(subscription.m):
+        low = float(subscription.lows[attribute])
+        high = float(subscription.highs[attribute])
+        if discrete[attribute]:
+            points[:, attribute] = rng.integers(
+                math.ceil(low), math.floor(high) + 1, size=count
+            )
+        elif high > low:
+            points[:, attribute] = rng.uniform(low, high, size=count)
+        else:
+            points[:, attribute] = low
+    return points
+
+
+def _reference_guess_witness(subscription, cand_lows, cand_highs, rng, allowed):
+    if len(cand_lows) <= _CANDIDATE_BLOCK:
+        blocks = [(cand_lows[np.newaxis, :, :], cand_highs[np.newaxis, :, :])]
+    else:
+        with np.errstate(all="ignore"):
+            volume = np.prod(cand_highs - cand_lows + 1.0, axis=1)
+        order = np.argsort(-volume)
+        blocks = [
+            (
+                cand_lows[order[start : start + _CANDIDATE_BLOCK]][np.newaxis, :, :],
+                cand_highs[order[start : start + _CANDIDATE_BLOCK]][np.newaxis, :, :],
+            )
+            for start in range(0, len(order), _CANDIDATE_BLOCK)
+        ]
+    performed = 0
+    while performed < allowed:
+        batch = min(_BATCH_SIZE, allowed - performed)
+        points = _reference_sample_points(subscription, rng, batch)
+        covered = np.zeros(batch, dtype=bool)
+        remaining = np.arange(batch)
+        for block_lows, block_highs in blocks:
+            subset = points[remaining, np.newaxis, :]
+            inside = (
+                ((subset >= block_lows) & (subset <= block_highs))
+                .all(axis=2)
+                .any(axis=1)
+            )
+            covered[remaining[inside]] = True
+            remaining = remaining[~inside]
+            if remaining.size == 0:
+                break
+        if covered.all():
+            performed += batch
+            continue
+        first = int(covered.argmin())
+        return points[first], performed + first + 1
+    return None, performed
+
+
+# ----------------------------------------------------------------------
+# Instances
+# ----------------------------------------------------------------------
+M = 4
+SPAN = 100_000.0
+
+
+def _schema(kind):
+    integer = IntegerDomain(-200_000, 200_000)
+    continuous = ContinuousDomain(-200_000.0, 200_000.0)
+    domains = {
+        "discrete": [integer] * M,
+        "continuous": [continuous] * M,
+        "mixed": [integer, continuous, continuous, integer],
+        # a degenerate column of each kind (see ``_subscription``)
+        "degenerate": [integer, integer, continuous, continuous],
+    }[kind]
+    return Schema(
+        [Attribute(f"x{j + 1}", domain) for j, domain in enumerate(domains)],
+        name=kind,
+    )
+
+
+SCHEMAS = {
+    kind: _schema(kind) for kind in ("discrete", "continuous", "mixed", "degenerate")
+}
+
+
+def _subscription(kind):
+    lows = [0.0] * M
+    highs = [SPAN] * M
+    if kind == "degenerate":
+        highs[1] = lows[1] = 7.0
+        highs[3] = lows[3] = 2.5
+    return Subscription(SCHEMAS[kind], lows, highs)
+
+
+def _candidates(kind, k, hole, seed):
+    """``k`` boxes that together hold all of ``s`` but a slab ``hole``
+    wide at the top of its first attribute.
+
+    Every box spans the covered part of attribute 1 and all of the
+    degenerate columns; one other attribute is cut into overlapping
+    slices whose union is ``s``, so a guess is a witness iff it falls into
+    the slab — with probability ``hole / SPAN``.
+    """
+    rng = np.random.default_rng(seed)
+    schema = SCHEMAS[kind]
+    cut = 1 if kind != "degenerate" else 2
+    top = SPAN - hole
+    edges = np.linspace(0.0, SPAN, k + 1)
+    out = []
+    for i in range(k):
+        lows = [-5.0] * M
+        highs = [SPAN + 5.0] * M
+        highs[0] = top if hole else SPAN + 5.0
+        if k > 1:
+            # overlapping slices along ``cut``; the widths differ so the
+            # volume ordering has something to sort
+            lows[cut] = math.floor(edges[i]) - float(rng.integers(0, 3))
+            highs[cut] = math.ceil(edges[i + 1]) + float(rng.integers(0, 40))
+        out.append(Subscription(schema, lows, highs))
+    order = rng.permutation(k)
+    return [out[i] for i in order]
+
+
+def _signed(candidates):
+    lows = np.array([c.lows for c in candidates])
+    highs = np.array([c.highs for c in candidates])
+    return lows, highs, np.concatenate((lows.T, -highs.T))
+
+
+def _run_both(subscription, candidates, allowed, seed, burn=0):
+    lows, highs, signed = _signed(candidates)
+    old_rng = np.random.default_rng(seed)
+    new_rng = np.random.default_rng(seed)
+    if burn:
+        # an odd number of buffered 32-bit draws before the call
+        old_rng.integers(0, 10, size=burn, dtype=np.uint32)
+        new_rng.integers(0, 10, size=burn, dtype=np.uint32)
+    expected = _reference_guess_witness(subscription, lows, highs, old_rng, allowed)
+    got = _guess_witness(subscription, signed, new_rng, allowed)
+    return expected, got, old_rng, new_rng
+
+
+def _states_equal(first, second):
+    """``bit_generator.state`` equality (MT19937 keeps its key in an array)."""
+    if isinstance(first, dict):
+        return first.keys() == second.keys() and all(
+            _states_equal(first[key], second[key]) for key in first
+        )
+    if isinstance(first, np.ndarray):
+        return np.array_equal(first, second)
+    return first == second
+
+
+def _assert_same(expected, got, old_rng, new_rng):
+    assert got[1] == expected[1]
+    if expected[0] is None:
+        assert got[0] is None
+    else:
+        assert got[0] is not None
+        assert got[0].dtype == expected[0].dtype
+        assert np.array_equal(got[0], expected[0])
+    assert _states_equal(new_rng.bit_generator.state, old_rng.bit_generator.state)
+
+
+KINDS = ("discrete", "mixed", "continuous", "degenerate")
+KS = (1, 8, 9, 64, 200)
+BUDGETS = (1, 255, 256, 257, 1000, 10_000)
+#: slab widths giving a witness never / once in 5 000 guesses (late
+#: batches, or none in a 10 000 budget) / once in 50 (the first batch)
+NEVER, RARE, COMMON = 0.0, 20.0, 2000.0
+HOLES = (NEVER, RARE, COMMON)
+
+
+BIT_GENERATORS = (
+    np.random.PCG64,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+)
+
+
+class TestNumpyStreamProperty:
+    """What the fused draw rests on, as a statement about NumPy alone:
+    ``integers`` with broadcast bounds and ``size=(G, m, B)`` returns the
+    values of — and leaves the generator where — ``G x m`` scalar-bounds
+    calls of ``size=B`` in C order do.  Should a NumPy release change
+    that, this test names the cause instead of forty golden traces."""
+
+    #: number of values in each range: 1 draws nothing, 2**32 takes raw
+    #: 32-bit words, 2**32 + 1 is the first to need the 64-bit routine
+    RANGES = (1, 2, 256, 65_536, 2**32 - 1, 2**32, 2**32 + 1, 2**45)
+    OFFSETS = (0, -7, -(2**40), 12_345)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("burn", (0, 1, 3))
+    def test_broadcast_bounds_equal_scalar_calls(self, bit_generator, burn):
+        batches, size = 3, 37
+        lows = np.array(
+            [self.OFFSETS[i % len(self.OFFSETS)] for i in range(len(self.RANGES))],
+            dtype=np.int64,
+        )
+        highs = lows + np.array(self.RANGES, dtype=np.int64)
+        m = len(lows)
+        fused_rng = np.random.Generator(bit_generator(2006))
+        scalar_rng = np.random.Generator(bit_generator(2006))
+        for rng in (fused_rng, scalar_rng):
+            # an odd count leaves half a 64-bit word in the 32-bit buffer
+            rng.integers(0, 10, size=burn, dtype=np.uint32)
+        fused = fused_rng.integers(
+            lows[np.newaxis, :, np.newaxis],
+            highs[np.newaxis, :, np.newaxis],
+            size=(batches, m, size),
+        )
+        scalar = np.array(
+            [
+                [
+                    scalar_rng.integers(int(lows[j]), int(highs[j]), size=size)
+                    for j in range(m)
+                ]
+                for _ in range(batches)
+            ]
+        )
+        assert fused.dtype == scalar.dtype == np.int64
+        assert np.array_equal(fused, scalar)
+        assert _states_equal(
+            fused_rng.bit_generator.state, scalar_rng.bit_generator.state
+        )
+        # and the streams stay together afterwards
+        assert fused_rng.integers(0, 2**62) == scalar_rng.integers(0, 2**62)
+        assert fused_rng.uniform() == scalar_rng.uniform()
+
+
+class TestKernelDifferential:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", KS)
+    def test_sweep_matches_reference(self, kind, k):
+        subscription = _subscription(kind)
+        seed = 0
+        for hole in HOLES:
+            candidates = _candidates(kind, k, hole, seed=k)
+            for allowed in BUDGETS:
+                seed += 1
+                expected, got, old_rng, new_rng = _run_both(
+                    subscription, candidates, allowed, seed, burn=seed % 2
+                )
+                _assert_same(expected, got, old_rng, new_rng)
+                if expected[0] is not None:
+                    assert subscription.contains_point(got[0])
+                    assert not any(c.contains_point(got[0]) for c in candidates)
+
+    def test_sweep_reaches_every_witness_position(self):
+        """The sweep above would be hollow if every witness fell into the
+        first batch; count where they land over many seeds."""
+        subscription = _subscription("discrete")
+        candidates = _candidates("discrete", 9, RARE, seed=9)
+        landed = set()
+        for seed in range(100):
+            expected, got, old_rng, new_rng = _run_both(
+                subscription, candidates, 10_000, seed
+            )
+            _assert_same(expected, got, old_rng, new_rng)
+            if got[0] is None:
+                landed.add("none")
+                continue
+            batch = (got[1] - 1) // _BATCH_SIZE
+            # groups hold batches [0], [1, 2], [3..6], [7..14], [15..30],
+            # [31..38] and the partial batch 39 of 10 000 = 39 * 256 + 16
+            starts = {0: 1, 1: 2, 3: 4, 7: 8, 15: 16, 31: 8, 39: 1}
+            start = max(s for s in starts if s <= batch)
+            size = starts[start]
+            if batch == 0:
+                landed.add("first batch")
+            elif batch == 39:
+                landed.add("partial final batch")
+            elif batch == start + size - 1:
+                landed.add("last batch of a group")
+            else:
+                landed.add("mid-group")  # the rollback path
+        assert landed >= {
+            "first batch",
+            "mid-group",
+            "last batch of a group",
+            "none",
+        }
+
+    def test_witness_in_partial_final_batch(self):
+        subscription = _subscription("discrete")
+        candidates = _candidates("discrete", 9, RARE, seed=9)
+        allowed = 3 * _BATCH_SIZE + 100
+        hits = 0
+        for seed in range(400):
+            expected, got, old_rng, new_rng = _run_both(
+                subscription, candidates, allowed, seed
+            )
+            _assert_same(expected, got, old_rng, new_rng)
+            hits += got[0] is not None and got[1] > 3 * _BATCH_SIZE
+        assert hits
+
+    @pytest.mark.parametrize("kind", ("discrete", "mixed"))
+    def test_groups_grow_geometrically_up_to_the_cap(self, kind, monkeypatch):
+        from repro.core import rspc as rspc_module
+
+        drawn = []
+        draw = rspc_module._draw_points
+
+        def recording(plan, rng, batches, size):
+            drawn.append((batches, size))
+            return draw(plan, rng, batches, size)
+
+        monkeypatch.setattr(rspc_module, "_draw_points", recording)
+        subscription = _subscription(kind)
+        _, _, signed = _signed(_candidates(kind, 9, NEVER, seed=9))
+        witness, performed = _guess_witness(
+            subscription, signed, np.random.default_rng(0), 10_000
+        )
+        assert (witness, performed) == (None, 10_000)
+        # 39 full batches, then the 16 guesses left over on their own
+        assert drawn == [(g, _BATCH_SIZE) for g in (1, 2, 4, 8, 16, 8)] + [(1, 16)]
+        assert max(batches for batches, _ in drawn) == _GROUP_CAP
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_rollback_on_every_bit_generator(self, bit_generator):
+        subscription = _subscription("mixed")
+        candidates = _candidates("mixed", 9, RARE, seed=3)
+        lows, highs, signed = _signed(candidates)
+        for seed in range(8):
+            old_rng = np.random.Generator(bit_generator(seed))
+            new_rng = np.random.Generator(bit_generator(seed))
+            expected = _reference_guess_witness(
+                subscription, lows, highs, old_rng, 10_000
+            )
+            got = _guess_witness(subscription, signed, new_rng, 10_000)
+            _assert_same(expected, got, old_rng, new_rng)
+
+
+class TestDrawAheadIsInvisible:
+    def test_second_check_unchanged_by_the_first_ones_draw_ahead(self):
+        """Two RSPC runs on one generator: the first finds its witness
+        mid-group (so the kernel had drawn past it), the second must see
+        the stream — and reach the verdict — the per-batch loop gives it."""
+        subscription = _subscription("discrete")
+        rare = _candidates("discrete", 9, RARE, seed=9)
+        common = _candidates("discrete", 12, COMMON, seed=12)
+        rolled_back = 0
+        for seed in range(40):
+            old_rng = np.random.default_rng(seed)
+            new_rng = np.random.default_rng(seed)
+            lows, highs, signed = _signed(rare)
+            first_old = _reference_guess_witness(
+                subscription, lows, highs, old_rng, 10_000
+            )
+            first_new = _guess_witness(subscription, signed, new_rng, 10_000)
+            _assert_same(first_old, first_new, old_rng, new_rng)
+            rolled_back += (
+                first_new[0] is not None and first_new[1] > 3 * _BATCH_SIZE
+            )
+            lows, highs, signed = _signed(common)
+            second_old = _reference_guess_witness(
+                subscription, lows, highs, old_rng, 2_000
+            )
+            second_new = _guess_witness(subscription, signed, new_rng, 2_000)
+            _assert_same(second_old, second_new, old_rng, new_rng)
+        assert rolled_back
+
+    def test_checker_sequence_matches_per_batch_loop(self, monkeypatch):
+        """The same through ``SubsumptionChecker.check``: a seeded checker
+        deciding a sequence of instances returns the verdicts, witnesses
+        and iteration counts it returns with the reference loop patched in."""
+        from repro.core import rspc as rspc_module
+
+        subscription = _subscription("discrete")
+        instances = [
+            _candidates("discrete", k, hole, seed=k)
+            for k, hole in ((9, RARE), (12, COMMON), (64, NEVER), (9, RARE), (20, COMMON))
+        ]
+
+        def decide():
+            checker = SubsumptionChecker(
+                delta=1e-6,
+                max_iterations=10_000,
+                use_mcs=False,
+                use_fast_decisions=False,
+                rng=11,
+            )
+            return [checker.check(subscription, candidates) for candidates in instances]
+
+        new = decide()
+
+        def reference(subscription, signed, rng, allowed):
+            m = signed.shape[0] // 2
+            return _reference_guess_witness(
+                subscription,
+                np.ascontiguousarray(signed[:m].T),
+                np.ascontiguousarray(-signed[m:].T),
+                rng,
+                allowed,
+            )
+
+        monkeypatch.setattr(rspc_module, "_guess_witness", reference)
+        old = decide()
+        assert [r.method for r in new] == [r.method for r in old]
+        assert [r.iterations_performed for r in new] == [
+            r.iterations_performed for r in old
+        ]
+        for got, expected in zip(new, old):
+            if expected.witness_point is None:
+                assert got.witness_point is None
+            else:
+                assert np.array_equal(got.witness_point, expected.witness_point)
+        methods = {r.method.value for r in new}
+        assert methods == {"point_witness", "rspc_exhausted"}
+
+
+class TestRunRspcBounds:
+    def test_bounds_argument_equals_stacking_the_candidates(self):
+        subscription = _subscription("mixed")
+        candidates = _candidates("mixed", 20, COMMON, seed=5)
+        _, _, signed = _signed(candidates)
+        plain = run_rspc(subscription, candidates, rho_w=0.02, rng=5)
+        fed = run_rspc(subscription, candidates, rho_w=0.02, rng=5, bounds=signed)
+        assert plain.outcome is fed.outcome is RSPCOutcome.WITNESS_FOUND
+        assert plain.iterations_performed == fed.iterations_performed
+        assert np.array_equal(plain.witness_point, fed.witness_point)
