@@ -25,6 +25,24 @@ This module keeps the bounds resident instead:
   ``fingerprint`` token, which is what the checker's verdict cache keys
   on: any add/remove invalidates the snapshot, forcing a new fingerprint
   and therefore a cache miss — stale verdicts can never be served.
+
+The signed layout.  Besides the row-major ``(k, m)`` pair, a snapshot
+carries — built on first use, handed on by :meth:`CandidateSet.extended`
+— the conflict table's own matrix: *signed, attribute-major*, shape
+``(2m, k)``, candidate lower bounds on top of **negated** upper bounds,
+one column per candidate (:attr:`CandidateSet.signed`).  On that layout
+"does this box meet that one" is a single comparison against the other
+box's upper end, :func:`boxes_meeting`, reducing along the short axis and
+scanning along the contiguous one.  It is the checker's candidate screen
+(:meth:`SubsumptionChecker.check <repro.core.subsumption.SubsumptionChecker.check>`
+drops the candidates that cannot meet ``s`` before any table is built)
+and, over raw bounds with a publication as the degenerate box, the
+counting index's match (:mod:`repro.matching.counting_index`).  The
+snapshot's matrix is *snapped*: on a discrete attribute only the ticks
+inside a range exist, so lower bounds are rounded up and upper bounds
+down — on the signed layout one ``ceil`` — and every stage of the
+pipeline reads tick-exact bounds (:func:`signed_box` is the same for the
+tested subscription).
 """
 
 from __future__ import annotations
@@ -37,7 +55,13 @@ import numpy as np
 from repro.model.errors import ValidationError
 from repro.model.subscriptions import Subscription
 
-__all__ = ["SubscriptionArena", "CandidateSet", "as_candidate_set"]
+__all__ = [
+    "SubscriptionArena",
+    "CandidateSet",
+    "as_candidate_set",
+    "boxes_meeting",
+    "signed_box",
+]
 
 #: process-unique tokens for candidate-set snapshots; never reused, so a
 #: verdict cached against a dead snapshot can never collide with a new one
@@ -47,6 +71,61 @@ _fingerprints = itertools.count(1)
 #: churn through the free-list for free, only sustained deletion at scale
 #: should pay for row moves
 _COMPACT_MIN_FREE = 64
+
+
+def boxes_meeting(signed: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Which columns of a signed ``(2m, n)`` matrix meet the box ``limit``.
+
+    A column holds a box as its lower bounds on top of its negated upper
+    bounds; ``limit`` holds the other box the opposite way round — upper
+    bounds on top of negated lower bounds, shape ``(2m,)``.  ``low_c <=
+    high`` and ``-high_c <= -low`` on every attribute is exactly "the two
+    closed boxes share a point", and a point is the box with ``low ==
+    high``.  A ``(2m, b)`` ``limit`` tests ``b`` boxes at once and returns
+    a ``(b, n)`` mask.  NaN columns meet nothing.
+    """
+    if limit.ndim == 2:
+        signed = signed[:, np.newaxis]
+    return (signed <= limit[..., np.newaxis]).all(axis=0)
+
+
+def _snap_inwards(signed: np.ndarray, schema) -> None:
+    """Round the discrete axes of a signed ``(2m, n)`` matrix up to a tick,
+    in place.
+
+    ``ceil`` of a lower bound and, because ``ceil(-x) == -floor(x)``,
+    ``floor`` of the upper bound negated below it.
+    """
+    where = schema.vectors.signed_discrete
+    if where is not False:
+        np.ceil(signed, out=signed, where=where)
+
+
+def signed_box(subscription: Subscription) -> np.ndarray:
+    """``subscription``'s two ends on the signed axes, snapped: ``(low, high)``.
+
+    Row 0, ``low``, is the column the subscription contributes to a
+    snapshot's :attr:`~CandidateSet.signed` matrix (``ceil`` of its lower
+    bounds on top of the negated ``floor`` of its upper bounds on discrete
+    axes, raw on continuous ones); row 1, ``high``, is the same box seen
+    from above — upper bounds on top of negated lower bounds — i.e. the
+    ``limit`` of :func:`boxes_meeting`.  One read-only ``(2, 2m)`` array,
+    memoised on the subscription (its bounds are immutable) like the RSPC
+    sampling plan.
+    """
+    box = subscription._signed_box
+    if box is None:
+        m = subscription.m
+        box = np.empty((2, 2 * m), dtype=float)
+        low, high = box
+        low[:m] = subscription.lows
+        np.negative(subscription.highs, out=low[m:])
+        _snap_inwards(low[:, np.newaxis], subscription.schema)
+        np.negative(low[m:], out=high[:m])
+        np.negative(low[:m], out=high[m:])
+        box.setflags(write=False)
+        subscription._signed_box = box
+    return box
 
 
 class CandidateSet(Sequence):
@@ -68,7 +147,15 @@ class CandidateSet(Sequence):
         once per check.
     """
 
-    __slots__ = ("subscriptions", "schema", "fingerprint", "_lows", "_highs", "_ids")
+    __slots__ = (
+        "subscriptions",
+        "schema",
+        "fingerprint",
+        "_lows",
+        "_highs",
+        "_signed",
+        "_ids",
+    )
 
     def __init__(
         self,
@@ -94,15 +181,17 @@ class CandidateSet(Sequence):
         self.fingerprint = next(_fingerprints)
         self._lows = lows
         self._highs = highs
+        self._signed: Optional[np.ndarray] = None
         self._ids: Optional[Tuple[str, ...]] = None
 
     def extended(self, subscription: Subscription) -> "CandidateSet":
         """Snapshot of "these candidates, then ``subscription``".
 
         The append-only counterpart of re-snapshotting: one block copy of
-        the stacked bounds plus one row, instead of a per-candidate gather
-        and schema scan.  The result is a new snapshot — fresh
-        fingerprint, own arrays — and this one is left untouched.
+        the stacked bounds plus one row (and of the signed matrix plus one
+        column, once built), instead of a per-candidate gather and schema
+        scan.  The result is a new snapshot — fresh fingerprint, own
+        arrays — and this one is left untouched.
         """
         if not self.subscriptions:
             return CandidateSet((subscription,))
@@ -118,8 +207,52 @@ class CandidateSet(Sequence):
             snapshot._highs = np.concatenate(
                 (self._highs, subscription.highs[np.newaxis])
             )
+        if self._signed is None:
+            snapshot._signed = None
+        else:
+            snapshot._signed = np.concatenate(
+                (self._signed, signed_box(subscription)[0][:, np.newaxis]), axis=1
+            )
+            snapshot._signed.setflags(write=False)
         snapshot._ids = None if self._ids is None else self._ids + (subscription.id,)
         return snapshot
+
+    # ------------------------------------------------------------------
+    # The signed layout
+    # ------------------------------------------------------------------
+    @property
+    def signed(self) -> np.ndarray:
+        """Snapped signed attribute-major bounds, shape ``(2m, k)``, read-only.
+
+        Rows ``0..m-1`` hold the candidates' lower bounds, rows
+        ``m..2m-1`` their negated upper bounds, both rounded inwards to a
+        tick on discrete attributes (see the module docstring).  Built on
+        first access and shared, zero-copy, by every conflict table over
+        this snapshot.
+        """
+        signed = self._signed
+        if signed is None:
+            lows, highs = self.lows, self.highs
+            k, m = lows.shape
+            signed = np.empty((2 * m, k), dtype=float)
+            signed[:m] = lows.T
+            np.negative(highs.T, out=signed[m:])
+            if k:
+                _snap_inwards(signed, self.schema)
+            signed.setflags(write=False)
+            self._signed = signed
+        return signed
+
+    def meeting(self, subscription: Subscription) -> np.ndarray:
+        """Boolean ``(k,)`` mask of the candidates sharing a point with
+        ``subscription`` — on discrete attributes, a tick.
+
+        A candidate outside the mask can take no part in covering
+        ``subscription``; it is what the checker screens out before it
+        builds a conflict table.
+        """
+        self._check_same_schema(subscription)
+        return boxes_meeting(self.signed, signed_box(subscription)[1])
 
     # ------------------------------------------------------------------
     # Vectorised containment

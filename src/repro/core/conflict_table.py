@@ -23,14 +23,27 @@ Layout.  A HIGH entry is exactly a LOW entry of the mirrored axis
 ``Q`` of shape ``(2m, k)``: rows ``0..m-1`` hold the candidates' lower
 bounds, rows ``m..2m-1`` their **negated** upper bounds, and the
 subscription's own bounds are mirrored the same way.  Every stage —
-``defined``, the snapped slice ends, the conflict thresholds, the
-Algorithm-2 cell measures — is then one LOW-side expression over ``Q``
-instead of a LOW copy and a HIGH copy, and every reduction over the
-candidates runs along the contiguous ``k`` axis.  IEEE negation is exact,
-``floor(-x) == -ceil(x)``, ``-x - 1.0 == -(x + 1.0)``,
-``min(-a, -b) == -max(a, b)`` and ``nextafter`` mirrors exactly, so each
-cell is bit-identical to the two-sided formulation (pinned against the
-scalar oracles by ``tests/test_subsumption_arena.py``).
+``defined``, the slice ends, the conflict thresholds, the Algorithm-2
+cell measures — is then one LOW-side expression over ``Q`` instead of a
+LOW copy and a HIGH copy, and every reduction over the candidates runs
+along the contiguous ``k`` axis.  IEEE negation is exact,
+``-x - 1.0 == -(x + 1.0)``, ``min(-a, -b) == -max(a, b)`` and
+``nextafter`` mirrors exactly, so each cell is bit-identical to the
+two-sided formulation (pinned against the scalar oracles by
+``tests/test_subsumption_arena.py``).
+
+``Q`` is not built here: it *is* the candidate snapshot's
+:attr:`~repro.core.arena.CandidateSet.signed` matrix — shared zero-copy
+when the table spans the whole snapshot, one column gather when it spans
+the ``rows`` the checker's candidate screen kept.  That matrix and the
+subscription's own ends (:func:`~repro.core.arena.signed_box`) arrive
+*snapped inwards* on discrete attributes (lower bounds rounded up, upper
+bounds down), because only the ticks inside a range exist there: a bound
+of ``4.7`` on an integer axis admits exactly the points ``5, 6, …``, and
+treating it as the tick ``4.7`` would call entries defined — and
+conflicts present — that no point of the domain can witness.  Everything
+below, the scalar oracles and :meth:`ConflictTable.entry_region`
+included, therefore reads integer-valued bounds on discrete axes.
 """
 
 from __future__ import annotations
@@ -42,7 +55,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.arena import CandidateSet
+from repro.core.arena import as_candidate_set, signed_box
 from repro.model.errors import ValidationError
 from repro.model.intervals import Interval
 from repro.model.subscriptions import Subscription
@@ -107,72 +120,53 @@ class ConflictTable:
     subscription:
         The new subscription ``s`` being tested for coverage.
     candidates:
-        The existing subscriptions ``s_1 … s_k`` (the disjunction ``S``).
+        The existing subscriptions ``s_1 … s_k`` (the disjunction ``S``):
+        a :class:`~repro.core.arena.CandidateSet` snapshot, or any
+        sequence of subscriptions (snapshotted here).
+    rows:
+        Optional positions into ``candidates``; the table then relates
+        ``s`` to those candidates only, in the given order — one column
+        gather of the snapshot's signed matrix.
 
     Notes
     -----
     All candidates must share the subscription's schema.  The table is
-    immutable once built; the MCS algorithm produces *restrictions* of the
-    table to a subset of rows via :meth:`restrict`.
+    immutable once built.
     """
 
     def __init__(
         self,
         subscription: Subscription,
         candidates: Sequence[Subscription],
-        *,
-        cand_lows: Optional[np.ndarray] = None,
-        cand_highs: Optional[np.ndarray] = None,
+        rows: Optional[Sequence[int]] = None,
     ):
         self.subscription = subscription
         schema = subscription.schema
-        if isinstance(candidates, CandidateSet):
-            # Arena-backed (or snapshotted) candidates: bounds are already
-            # stacked contiguously and the schema was fixed at snapshot
-            # time — one identity-first check replaces the per-candidate
-            # validation loop.
-            self.candidates = candidates.subscriptions
-            if candidates.schema is not None and (
-                candidates.schema is not schema and candidates.schema != schema
-            ):
-                raise ValidationError(
-                    "conflict table requires all subscriptions to share a schema"
-                )
-            if cand_lows is None and len(self.candidates):
-                cand_lows = candidates.lows
-                cand_highs = candidates.highs
-        else:
-            self.candidates = tuple(candidates)
-            for candidate in self.candidates:
-                if candidate.schema is not schema and candidate.schema != schema:
-                    raise ValidationError(
-                        "conflict table requires all subscriptions to share a schema"
-                    )
+        # The snapshot fixed one schema for all its candidates, so one
+        # identity-first check replaces a per-candidate validation loop.
+        snapshot = as_candidate_set(candidates)
+        if snapshot.schema is not None and (
+            snapshot.schema is not schema and snapshot.schema != schema
+        ):
+            raise ValidationError(
+                "conflict table requires all subscriptions to share a schema"
+            )
         self.schema = schema
-        self.m = subscription.m
-        self.k = len(self.candidates)
-
-        m = self.m
-        if cand_lows is None:
-            if self.k:
-                cand_lows = np.array([c.lows for c in self.candidates])
-                cand_highs = np.array([c.highs for c in self.candidates])
-            else:
-                cand_lows = np.empty((0, m), dtype=float)
-                cand_highs = np.empty((0, m), dtype=float)
-
-        #: per-candidate lower bounds, shape ``(k, m)``
-        self.candidate_lows = cand_lows
-        #: per-candidate upper bounds, shape ``(k, m)``
-        self.candidate_highs = cand_highs
+        self.m = m = subscription.m
 
         # The signed attribute-major matrix ``Q`` (see the module
-        # docstring) and ``s``'s own lower end on each signed axis.
-        signed = np.empty((2 * m, self.k), dtype=float)
-        signed[:m] = cand_lows.T
-        np.negative(cand_highs.T, out=signed[m:])
+        # docstring) and ``s``'s own two ends on each signed axis.
+        if rows is None:
+            self.candidates = snapshot.subscriptions
+            signed = snapshot.signed if self.candidates else np.empty((2 * m, 0))
+        else:
+            index = np.asarray(rows, dtype=np.intp)
+            subscriptions = snapshot.subscriptions
+            self.candidates = tuple(subscriptions[row] for row in index.tolist())
+            signed = snapshot.signed.take(index, axis=1)
+        self.k = len(self.candidates)
         self._signed = signed
-        self._own_low = np.concatenate((subscription.lows, -subscription.highs))
+        self._own_low, self._own_high = signed_box(subscription)
 
         # An entry is defined when ``s`` sticks out of ``s_i`` on that side:
         # the LOW entry T_i^{2j-1} is defined iff s has points with
@@ -186,13 +180,8 @@ class ConflictTable:
         #: number of defined entries per row (the paper's ``t_i``)
         self.row_defined_counts = self._defined.sum(axis=0)
 
-        self._vectors = getattr(schema, "vectors", None)
-        if self._vectors is not None:
-            self._discrete = self._vectors.discrete
-        else:
-            self._discrete = np.array(
-                [domain.is_discrete for domain in self.schema.domains], dtype=bool
-            )
+        self._vectors = schema.vectors
+        self._discrete = self._vectors.discrete
 
         # Pass-invariant matrices for the MCS inner loop and the rho_w
         # estimator, built lazily on first use: tables resolved by the
@@ -200,44 +189,56 @@ class ConflictTable:
         self._pass_cache: Optional[Tuple[np.ndarray, ...]] = None
         self._gap_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
+    @property
+    def candidate_lows(self) -> np.ndarray:
+        """Per-candidate (snapped) lower bounds, a ``(k, m)`` view of ``Q``."""
+        return self._signed[: self.m].T
+
+    @property
+    def candidate_highs(self) -> np.ndarray:
+        """Per-candidate (snapped) upper bounds, shape ``(k, m)``."""
+        return -self._signed[self.m :].T
+
     def _ensure_pass_cache(self) -> Tuple[np.ndarray, ...]:
         """Precompute everything of the conflict test that does not depend
         on the active candidate subset: ``(opposing, threshold, snapped)``,
         each of shape ``(2m, k)``.
 
-        On a signed axis an entry of candidate ``i`` (negation ``x < q``)
-        conflicts with the largest *other-candidate* defined bound ``B`` of
-        the opposite side (``x > B``) iff, with ``p`` the upper end of
-        ``s`` on that axis:
+        On a signed axis an entry of candidate ``i`` (negation ``x < q``,
+        defined, so ``q`` exceeds ``s``'s lower end) conflicts with the
+        largest *other-candidate* defined bound ``B`` of the opposite side
+        (``x > B``, defined, so ``B`` is below ``s``'s upper end ``p``) iff
+        no point of ``s`` lies strictly between ``B`` and ``q``:
 
-        * discrete axis: ``floor(min(q-1, p)) < ceil(max(B+1, own_low))``
-          — with ``snapped = floor(min(q-1, p))`` an integer-valued float,
-          ``snapped < ceil(x)`` is equivalent to ``snapped < x``, so the
-          condition is ``(B > snapped - 1) or (snapped < own_low)``;
-        * continuous axis: ``not (min(q, p) > max(B, own_low))`` — with
-          ``snapped = min(q, p)`` this is ``(B >= snapped) or (snapped <=
-          own_low)``, and for floats ``B >= snapped`` is exactly
-          ``B > nextafter(snapped, -inf)``.
+        * discrete axis (every bound a tick, see the module docstring): the
+          last tick of the entry's slice is ``snapped = min(q-1, p)`` and
+          the conflict is ``B + 1 > snapped``, i.e. ``B > snapped - 1``;
+        * continuous axis: the slice of the closed box ``s`` ends at
+          ``snapped = min(q, p)`` and the conflict is ``B >= snapped``,
+          which for floats is exactly ``B > nextafter(snapped, -inf)``.
 
-        Folding the ``or`` term in as a ``-inf`` threshold makes the whole
-        per-pass test one comparison ``B <= threshold`` against a
-        precomputed matrix (the ``-inf`` "no other candidate" sentinel
-        passes every comparison on its own).  Undefined cells get a NaN
-        threshold, which fails every comparison, so no per-pass ``&
-        defined`` is needed.  ``opposing[r]`` holds, for the entries of
-        signed axis ``r``, the bounds they can conflict with: the masked
-        negation of the mirrored axis ``(r + m) mod 2m`` (``-inf`` where
-        undefined).  ``snapped`` is reused by :meth:`_ensure_gap_cache`.
+        Either way the per-pass test is one comparison ``B <= threshold``
+        against a precomputed matrix (the ``-inf`` "no other candidate"
+        sentinel passes every comparison on its own).  ``s``'s lower end
+        does not enter: a defined entry's slice reaches down to it, so the
+        slice is never empty — provided ``s`` itself holds a point (a tick,
+        on a discrete axis), which sampling from it requires anyway.  In
+        particular the slice of a candidate lying wholly beyond ``p`` is
+        all of ``s`` and conflicts with nothing, which is what lets the
+        checker screen such candidates out before the table is built.
+        Undefined cells get a NaN threshold, which fails every comparison,
+        so no per-pass ``& defined`` is needed.  ``opposing[r]`` holds, for
+        the entries of signed axis ``r``, the bounds they can conflict
+        with: the masked negation of the mirrored axis ``(r + m) mod 2m``
+        (``-inf`` where undefined).  ``snapped`` is reused by
+        :meth:`_ensure_gap_cache`.
         """
         cache = self._pass_cache
         if cache is not None:
             return cache
         m = self.m
         signed = self._signed
-        own_low = self._own_low[:, np.newaxis]
-        own_high = np.concatenate(
-            (self.subscription.highs, -self.subscription.lows)
-        )[:, np.newaxis]
+        own_high = self._own_high[:, np.newaxis]
         undefined = ~self._defined
         discrete = self._discrete
 
@@ -247,16 +248,11 @@ class ConflictTable:
         def discrete_axes():
             snapped = signed - 1.0
             np.minimum(snapped, own_high, out=snapped)
-            np.floor(snapped, out=snapped)
-            threshold = snapped - 1.0
-            np.putmask(threshold, snapped < own_low, -np.inf)
-            return snapped, threshold
+            return snapped, snapped - 1.0
 
         def continuous_axes():
             snapped = np.minimum(signed, own_high)
-            threshold = np.nextafter(snapped, -np.inf)
-            np.putmask(threshold, snapped <= own_low, -np.inf)
-            return snapped, threshold
+            return snapped, np.nextafter(snapped, -np.inf)
 
         if discrete.all():
             snapped, threshold = discrete_axes()
@@ -306,11 +302,16 @@ class ConflictTable:
         """The numeric bound appearing in the negated predicate.
 
         ``LOW`` entries read ``x < bound`` and ``HIGH`` entries
-        ``x > bound``.
+        ``x > bound``; on a discrete attribute the bound is the
+        candidate's first (last) tick.
         """
         if side is EntrySide.LOW:
-            return float(self.candidate_lows[row, attribute])
-        return float(self.candidate_highs[row, attribute])
+            return float(self._signed[attribute, row])
+        return float(-self._signed[self.m + attribute, row])
+
+    def _own_interval(self, attribute: int) -> Tuple[float, float]:
+        """``s``'s (snapped) range on ``attribute`` as ``(low, high)``."""
+        return float(self._own_low[attribute]), float(self._own_high[attribute])
 
     def entry_region(self, row: int, attribute: int, side: EntrySide) -> Interval:
         """Portion of ``s``'s range on ``attribute`` satisfying the entry.
@@ -323,7 +324,7 @@ class ConflictTable:
         """
         if not self.is_defined(row, attribute, side):
             return Interval.empty()
-        s_interval = self.subscription.interval(attribute)
+        s_interval = Interval(*self._own_interval(attribute))
         bound = self.entry_bound(row, attribute, side)
         tick = 1.0 if self._discrete[attribute] else 0.0
         if side is EntrySide.LOW:
@@ -398,15 +399,14 @@ class ConflictTable:
         self, attribute: int, low_bound: float, high_bound: float
     ) -> bool:
         """Unsatisfiability of ``s ∧ (x < low_bound) ∧ (x > high_bound)``."""
-        s_low = float(self.subscription.lows[attribute])
-        s_high = float(self.subscription.highs[attribute])
+        s_low, s_high = self._own_interval(attribute)
         if self._discrete[attribute]:
             lowest = max(high_bound + 1.0, s_low)
             highest = min(low_bound - 1.0, s_high)
-            return math.floor(highest) < math.ceil(lowest)
+            return highest < lowest
         lowest = max(high_bound, s_low)
         highest = min(low_bound, s_high)
-        return not highest > lowest
+        return not self._open_slice_met(high_bound, lowest, highest, low_bound)
 
     def conflict_free_counts(self, rows: Optional[Sequence[int]] = None) -> np.ndarray:
         """Per-row count of conflict-free entries (the paper's ``fc_i``).
@@ -453,8 +453,8 @@ class ConflictTable:
         if n == 0:
             return counts
 
-        s_lows = self.subscription.lows
-        s_highs = self.subscription.highs
+        candidate_lows = self.candidate_lows
+        candidate_highs = self.candidate_highs
 
         for attribute in range(self.m):
             low_mask = self.defined_low[active, attribute]
@@ -462,8 +462,8 @@ class ConflictTable:
             low_positions = np.nonzero(low_mask)[0]
             high_positions = np.nonzero(high_mask)[0]
 
-            low_bounds = self.candidate_lows[active[low_positions], attribute]
-            high_bounds = self.candidate_highs[active[high_positions], attribute]
+            low_bounds = candidate_lows[active[low_positions], attribute]
+            high_bounds = candidate_highs[active[high_positions], attribute]
 
             # A LOW entry (negation ``x < A``) conflicts with a HIGH entry
             # (negation ``x > B``) of another row iff ``s`` has no point
@@ -472,8 +472,7 @@ class ConflictTable:
             # *other-row* ``B`` matters — and symmetrically only the smallest
             # other-row ``A`` matters for HIGH entries.
             discrete = bool(self._discrete[attribute])
-            s_low = float(s_lows[attribute])
-            s_high = float(s_highs[attribute])
+            s_low, s_high = self._own_interval(attribute)
 
             if low_positions.size:
                 other_max_b = self._exclusive_extreme(
@@ -482,13 +481,15 @@ class ConflictTable:
                 a = low_bounds
                 has_other = np.isfinite(other_max_b)
                 if discrete:
-                    highest = np.floor(np.minimum(a - 1.0, s_high))
-                    lowest = np.ceil(np.maximum(other_max_b + 1.0, s_low))
+                    highest = np.minimum(a - 1.0, s_high)
+                    lowest = np.maximum(other_max_b + 1.0, s_low)
                     conflict = has_other & (highest < lowest)
                 else:
                     highest = np.minimum(a, s_high)
                     lowest = np.maximum(other_max_b, s_low)
-                    conflict = has_other & ~(highest > lowest)
+                    conflict = has_other & ~self._open_slice_met(
+                        other_max_b, lowest, highest, a
+                    )
                 np.add.at(counts, low_positions, (~conflict).astype(int))
 
             if high_positions.size:
@@ -498,16 +499,31 @@ class ConflictTable:
                 b = high_bounds
                 has_other = np.isfinite(other_min_a)
                 if discrete:
-                    highest = np.floor(np.minimum(other_min_a - 1.0, s_high))
-                    lowest = np.ceil(np.maximum(b + 1.0, s_low))
+                    highest = np.minimum(other_min_a - 1.0, s_high)
+                    lowest = np.maximum(b + 1.0, s_low)
                     conflict = has_other & (highest < lowest)
                 else:
                     highest = np.minimum(other_min_a, s_high)
                     lowest = np.maximum(b, s_low)
-                    conflict = has_other & ~(highest > lowest)
+                    conflict = has_other & ~self._open_slice_met(
+                        b, lowest, highest, other_min_a
+                    )
                 np.add.at(counts, high_positions, (~conflict).astype(int))
 
         return counts
+
+    @staticmethod
+    def _open_slice_met(below, lowest, highest, above):
+        """Whether the closed range ``[lowest, highest]`` of ``s`` holds a
+        point strictly between ``below`` and ``above`` (continuous axes).
+
+        ``lowest = max(below, s_low)`` and ``highest = min(above, s_high)``.
+        ``s`` is a closed box: where it is a single point on the attribute
+        that point counts, unless a strict bound touches it.
+        """
+        return (highest > lowest) | (
+            (highest == lowest) & (below < lowest) & (highest < above)
+        )
 
     @staticmethod
     def _exclusive_extreme(
@@ -573,7 +589,8 @@ class ConflictTable:
         ``domain.measure`` + ``domain.gap_measure(1e-12)`` compute for
         the built-in domains: on discrete axes the snapped point count
         ``floor(high) - ceil(low) + 1`` of the uncovered slice, on
-        continuous axes its length floored by the domain resolution.
+        continuous axes its length floored by the domain resolution.  Bounds
+        are already snapped, so the point count is ``high - low + 1``.
         """
         cells, initial = self._ensure_gap_cache()
         if rows is not None:
@@ -600,29 +617,24 @@ class ConflictTable:
         snapped = self._ensure_pass_cache()[2]
         m = self.m
         own_low = self._own_low
-        s_low = self.subscription.lows
-        s_high = self.subscription.highs
         discrete = self._discrete
         resolution = self._vectors.resolution
 
         with np.errstate(invalid="ignore"):
-            # ``ceil`` of the signed lower ends: ``ceil(s_low)`` on top,
-            # ``-floor(s_high)`` below.
-            own_ceil = np.ceil(own_low)
 
             def discrete_axes():
                 # point count, clamped at 0 and floored by ``gap_measure``
                 # (a single ``maximum`` does both)
-                cells = snapped - own_ceil[:, np.newaxis]
+                cells = snapped - own_low[:, np.newaxis]
                 cells += 1.0
                 np.maximum(cells, 1e-12, out=cells)
-                return cells, -own_ceil[m:] - own_ceil[:m] + 1.0
+                return cells, -own_low[m:] - own_low[:m] + 1.0
 
             def continuous_axes():
                 cells = snapped - own_low[:, np.newaxis]
                 floor = np.concatenate((resolution, resolution))[:, np.newaxis]
                 np.maximum(cells, floor, out=cells)
-                return cells, np.maximum(s_high - s_low, resolution)
+                return cells, np.maximum(-own_low[m:] - own_low[:m], resolution)
 
             if discrete.all():
                 cells, initial = discrete_axes()
@@ -650,8 +662,7 @@ class ConflictTable:
         gaps = np.empty(self.m, dtype=float)
         for attribute in range(self.m):
             domain = self.schema.domain(attribute)
-            s_interval = self.subscription.interval(attribute)
-            minimum = domain.measure(s_interval)
+            minimum = domain.measure(Interval(*self._own_interval(attribute)))
             for row in active:
                 if self.defined_low[row, attribute]:
                     slice_measure = domain.measure(
@@ -667,23 +678,6 @@ class ConflictTable:
         return gaps
 
     # ------------------------------------------------------------------
-    # Restriction (used by MCS)
-    # ------------------------------------------------------------------
-    def restrict(self, rows: Sequence[int]) -> "ConflictTable":
-        """Return a new conflict table containing only ``rows``.
-
-        The restricted table slices this table's bound matrices instead
-        of re-stacking the candidate objects.
-        """
-        index = np.asarray(rows, dtype=int)
-        return ConflictTable(
-            self.subscription,
-            tuple(self.candidates[row] for row in rows),
-            cand_lows=self.candidate_lows[index],
-            cand_highs=self.candidate_highs[index],
-        )
-
-    # ------------------------------------------------------------------
     # Presentation
     # ------------------------------------------------------------------
     def render(self, max_rows: int = 20) -> str:
@@ -694,18 +688,19 @@ class ConflictTable:
             header.append(f"{name}<low")
             header.append(f"{name}>high")
         lines = ["\t".join(header)]
+        candidate_lows, candidate_highs = self.candidate_lows, self.candidate_highs
         for row in range(min(self.k, max_rows)):
             cells = [self.candidates[row].id]
             for attribute in range(self.m):
                 if self.defined_low[row, attribute]:
                     cells.append(
-                        f"{names[attribute]}<{self.candidate_lows[row, attribute]:g}"
+                        f"{names[attribute]}<{candidate_lows[row, attribute]:g}"
                     )
                 else:
                     cells.append("undefined")
                 if self.defined_high[row, attribute]:
                     cells.append(
-                        f"{names[attribute]}>{self.candidate_highs[row, attribute]:g}"
+                        f"{names[attribute]}>{candidate_highs[row, attribute]:g}"
                     )
                 else:
                     cells.append("undefined")

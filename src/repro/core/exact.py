@@ -44,6 +44,19 @@ def _box_is_empty(schema, lows: np.ndarray, highs: np.ndarray) -> bool:
     return False
 
 
+def _ticks_inside(subscription: Subscription) -> _Box:
+    """``subscription``'s bounds rounded inwards to a tick on the discrete
+    attributes: only ticks exist there, and the ``± tick`` arithmetic of
+    :func:`_subtract` is exact on tick-valued bounds only (a lower bound of
+    ``4.7`` leaves the tick ``4`` uncovered, not just ``x <= 3.7``)."""
+    lows = subscription.lows.copy()
+    highs = subscription.highs.copy()
+    discrete = subscription.schema.vectors.discrete
+    lows[discrete] = np.ceil(lows[discrete])
+    highs[discrete] = np.floor(highs[discrete])
+    return lows, highs
+
+
 def _subtract(
     schema,
     box: _Box,
@@ -101,39 +114,28 @@ def uncovered_region(
     ``max_boxes`` boxes (a safety valve for adversarial instances).
     """
     schema = subscription.schema
-    boxes: List[_Box] = [(subscription.lows.copy(), subscription.highs.copy())]
+    boxes: List[_Box] = [_ticks_inside(subscription)]
+    if _box_is_empty(schema, *boxes[0]):
+        return []  # no tick inside ``s``: nothing to leave uncovered
     for candidate in candidates:
         if not boxes:
             break
+        cand_lows, cand_highs = _ticks_inside(candidate)
         next_boxes: List[_Box] = []
         for box in boxes:
-            next_boxes.extend(
-                _subtract(schema, box, candidate.lows, candidate.highs)
-            )
+            next_boxes.extend(_subtract(schema, box, cand_lows, cand_highs))
             if len(next_boxes) > max_boxes:
                 raise RuntimeError(
                     "uncovered_region exceeded the box budget "
                     f"({max_boxes}); the instance is too large for the exact oracle"
                 )
         boxes = next_boxes
-    result = []
-    for index, (lows, highs) in enumerate(boxes):
-        snapped_lows = lows.copy()
-        snapped_highs = highs.copy()
-        for attribute in range(schema.m):
-            domain = schema.domain(attribute)
-            if domain.is_discrete:
-                snapped_lows[attribute] = math.ceil(snapped_lows[attribute])
-                snapped_highs[attribute] = math.floor(snapped_highs[attribute])
-        result.append(
-            Subscription(
-                schema,
-                snapped_lows,
-                snapped_highs,
-                subscription_id=f"{subscription.id}#uncovered{index}",
-            )
+    return [
+        Subscription(
+            schema, lows, highs, subscription_id=f"{subscription.id}#uncovered{index}"
         )
-    return result
+        for index, (lows, highs) in enumerate(boxes)
+    ]
 
 
 def exact_group_cover(

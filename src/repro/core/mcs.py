@@ -23,8 +23,12 @@ signed ``(2m, k)`` matrices — an ``argmax``/``max`` along the contiguous
 candidate axis, one broadcast comparison and a ``2m``-cell fix-up, about
 twenty NumPy dispatches whose cost is flat in ``k`` up to a few hundred
 rows — followed by a compaction of the survivors, so the late passes
-(which typically run over a dozen rows after pass 1 removed hundreds)
-touch only what is left.
+touch only what is left.  The bulk of what pass 1 used to remove — the
+candidates sharing no point with ``s``, each of which owns a
+conflict-free entry — never reaches the table: the checker screens them
+out first (see :mod:`repro.core.subsumption`), and since both rules only
+ever become *more* applicable as candidates leave, the fixed point from
+the screened set is the one from the full set.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.arena import CandidateSet
+from repro.core.arena import as_candidate_set
 from repro.core.error_model import (
     compute_required_iterations,
     effective_error,
@@ -347,12 +347,7 @@ def run_rspc(
     truncated = allowed < theoretical
 
     if bounds is None:
-        if isinstance(candidates, CandidateSet):
-            cand_lows, cand_highs = candidates.lows, candidates.highs
-        else:
-            cand_lows = np.array([candidate.lows for candidate in candidates])
-            cand_highs = np.array([candidate.highs for candidate in candidates])
-        bounds = np.concatenate((cand_lows.T, -cand_highs.T))
+        bounds = as_candidate_set(candidates).signed
 
     witness, performed = _guess_witness(subscription, bounds, generator, allowed)
 

@@ -16,11 +16,31 @@ Every stage can be toggled so the experiments can quantify its individual
 contribution (the ±MCS curves of Figures 7 and 9, the fast-decision
 ablation of the micro-benchmarks).
 
-Candidates may be handed over as a plain sequence of subscriptions (the
-historical object pipeline) or as a
+The candidate screen.  Wherever MCS applies, step 1 is preceded by one
+box test on the snapshot's signed matrix
+(:meth:`CandidateSet.meeting <repro.core.arena.CandidateSet.meeting>`):
+the candidates that share no point with ``s`` are dropped and the table
+is built over the rest.  This is MCS pass 1, hoisted — a candidate
+disjoint from ``s`` owns a conflict-free entry (the one on the separating
+axis, whose slice is all of ``s`` and so meets every other entry's), so
+Proposition 4 removes it whatever else is in the set, and because both
+removal rules are monotone under removals the fixed point reached from
+the smaller set is the same ``S'``.  Same verdict, same kept candidates,
+same ``rho_w`` and the same random draws; what shrinks is the ``k`` every
+stage pays for.  Row indices in the result (``covering_row``,
+``mcs_kept_rows``) are positions in the caller's sequence, and
+``details["screened_size"]`` records how many candidates reached the
+table.  The one observable shift is a label: Corollary 3 can fire on the
+screened table (``polyhedron_witness``) where the full one would have
+reached ``empty_mcs`` — both a definite NO without a draw.  With
+``use_mcs=False`` the paper's ``S`` is kept whole, so the ±MCS ablation
+curves compare what they always compared.
+
+Candidates may be handed over as a plain sequence of subscriptions
+(snapshotted on entry) or as a
 :class:`~repro.core.arena.CandidateSet` snapshot, in which case the
-conflict table is built zero-copy from the snapshot's contiguous bound
-matrices and the verdict becomes cacheable: deterministic verdicts
+conflict table is built zero-copy from the snapshot's signed bound
+matrix and the verdict becomes cacheable: deterministic verdicts
 (pair-wise cover, polyhedron witness, empty MCS — the stages that consume
 no randomness) are memoised against the snapshot's fingerprint, so
 re-deciding an identical instance (the unsubscription re-check storms of
@@ -37,6 +57,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.arena import CandidateSet, as_candidate_set
 from repro.core.conflict_table import ConflictTable
@@ -200,10 +222,24 @@ class SubsumptionChecker:
     # ------------------------------------------------------------------
     @staticmethod
     def _build_table(
-        subscription: Subscription, candidates: Sequence[Subscription]
-    ) -> ConflictTable:
-        """Stage 1: the conflict table (zero-copy for candidate snapshots)."""
-        return ConflictTable(subscription, candidates)
+        subscription: Subscription, candidates: CandidateSet, screen: bool
+    ) -> Tuple[Optional[ConflictTable], Optional[np.ndarray]]:
+        """The candidate screen and stage 1: ``(table, rows)``.
+
+        With ``screen`` the table relates ``subscription`` to the
+        candidates it shares a point with; ``rows`` maps the table's rows
+        back to positions in ``candidates`` (``None`` when nothing was
+        dropped — the table then shares the snapshot's matrix), and the
+        table itself is ``None`` when nothing was left.
+        """
+        rows = None
+        if screen:
+            rows = candidates.meeting(subscription).nonzero()[0]
+            if not rows.size:
+                return None, rows
+            if rows.size == len(candidates):
+                rows = None
+        return ConflictTable(subscription, candidates, rows), rows
 
     def _prepare(self, table: ConflictTable, use_mcs: bool) -> _PreparedInstance:
         """Stages 3 and 4: MCS reduction plus the ``rho_w``/``d`` estimate."""
@@ -259,18 +295,36 @@ class SubsumptionChecker:
                 return cached
             self.cache_misses += 1
 
-        table = self._build_table(subscription, candidates)
+        table, rows = self._build_table(
+            subscription, as_candidate_set(candidates), self.use_mcs
+        )
+        if table is None:
+            # Nothing meets ``s`` — what MCS makes of k disjoint candidates.
+            result = SubsumptionResult(
+                answer=Answer.NOT_COVERED,
+                method=DecisionMethod.EMPTY_MCS,
+                original_set_size=k,
+                reduced_set_size=0,
+                details={"screened_size": 0},
+            )
+            self._cache_store(key, result)
+            return result
+        details = {"screened_size": table.k}
 
         # --- Stage 2: fast deterministic decisions -------------------
         if self.use_fast_decisions:
             pairwise = detect_pairwise_cover(table)
             if pairwise is not None:
+                covering_row = pairwise.covering_row
                 result = SubsumptionResult(
                     answer=Answer.COVERED,
                     method=DecisionMethod.PAIRWISE_COVER,
                     original_set_size=k,
                     reduced_set_size=k,
-                    covering_row=pairwise.covering_row,
+                    covering_row=(
+                        covering_row if rows is None else int(rows[covering_row])
+                    ),
+                    details=details,
                 )
                 self._cache_store(key, result)
                 return result
@@ -281,6 +335,7 @@ class SubsumptionChecker:
                     method=DecisionMethod.POLYHEDRON_WITNESS,
                     original_set_size=k,
                     reduced_set_size=k,
+                    details=details,
                 )
                 self._cache_store(key, result)
                 return result
@@ -288,13 +343,15 @@ class SubsumptionChecker:
         # --- Stages 3 + 4: MCS reduction and error model --------------
         prepared = self._prepare(table, self.use_mcs)
         reduction = prepared.reduction
+        if reduction is not None:
+            details["mcs_passes"] = reduction.iterations
         if prepared.mcs_empty:
             result = SubsumptionResult(
                 answer=Answer.NOT_COVERED,
                 method=DecisionMethod.EMPTY_MCS,
                 original_set_size=k,
                 reduced_set_size=0,
-                details={"mcs_passes": reduction.iterations},
+                details=details,
             )
             self._cache_store(key, result)
             return result
@@ -319,16 +376,18 @@ class SubsumptionChecker:
             ),
         )
 
-        details = {
-            "witness_estimate": prepared.estimate,
-            "rspc_outcome": rspc.outcome.value,
-        }
+        details["witness_estimate"] = prepared.estimate
+        details["rspc_outcome"] = rspc.outcome.value
         if reduction is not None:
-            details["mcs_passes"] = reduction.iterations
             # The minimized cover set the verdict was actually computed
-            # against — the minimal dependency set of a covered verdict
-            # (consumed by the reduction-strategy layer).
-            details["mcs_kept_rows"] = tuple(reduction.kept_rows)
+            # against, as positions in the caller's sequence — the minimal
+            # dependency set of a covered verdict (consumed by the
+            # reduction-strategy layer).
+            details["mcs_kept_rows"] = (
+                reduced_rows
+                if rows is None
+                else tuple(rows[list(reduced_rows)].tolist())
+            )
 
         if rspc.outcome is RSPCOutcome.WITNESS_FOUND:
             result = SubsumptionResult(
@@ -399,15 +458,20 @@ class SubsumptionChecker:
         """The paper's ``d`` for this instance without running RSPC.
 
         Used by the Figure 7/9 experiments which plot the theoretical trial
-        budget with and without the MCS reduction.  Shares stages 1/3/4
-        with :meth:`check` through :meth:`_prepare`.
+        budget with and without the MCS reduction.  Shares the candidate
+        screen and stages 1/3/4 with :meth:`check` through
+        :meth:`_build_table` and :meth:`_prepare`.
         """
         if not hasattr(candidates, "__len__"):
             candidates = tuple(candidates)  # tolerate iterator inputs
         if not len(candidates):
             return 0.0
-        table = self._build_table(subscription, candidates)
         use_mcs = self.use_mcs if apply_mcs is None else apply_mcs
+        table = self._build_table(
+            subscription, as_candidate_set(candidates), use_mcs
+        )[0]
+        if table is None:
+            return 0.0
         prepared = self._prepare(table, use_mcs)
         if prepared.mcs_empty:
             return 0.0

@@ -7,16 +7,23 @@ constraints are satisfied by the publication's value and increments a
 per-subscription counter; a subscription matches when its counter reaches
 the number of attributes.
 
-This implementation keeps per-attribute bound arrays and evaluates each
-attribute with vectorised comparisons, which is the natural NumPy
-realisation of the counting strategy.  Maintenance is *incremental*:
-``add`` appends a row into a geometrically grown bound matrix and
-``remove`` tombstones the row in an alive mask; tombstones are compacted
-away (preserving insertion order) once they rival the live rows, so
-neither operation ever rebuilds the index and a match is a single
-vectorised pass over at most ``2 × live`` rows.  ``match_batch`` stacks a
-burst of publications into one comparison, amortising the per-call array
-setup.
+This implementation keeps one bound matrix in the conflict table's
+layout — *signed, attribute-major*, shape ``(2m, capacity)``, one column
+per subscription with its lower bounds on top of its **negated** upper
+bounds — and matches with the checker's own box test,
+:func:`repro.core.arena.boxes_meeting`: a publication is the box with
+``low == high``, so "every attribute's constraint is satisfied" is one
+``<=`` against ``[v, -v]`` reduced over the ``2m`` axes, each attribute's
+comparison running along a contiguous row.  The bounds are kept *raw*
+(the contract is :meth:`Subscription.contains_values`; snapping to ticks
+is the checker's business).  Maintenance is *incremental*: ``add`` fills
+the next column of a geometrically grown matrix and ``remove`` tombstones
+its column with NaN, which no comparison passes — as is every column
+never used; tombstones are compacted away (preserving insertion order)
+once they rival the live columns, so neither operation ever rebuilds the
+index and a match is a single vectorised pass over at most ``2 × live``
+columns.  ``match_batch`` stacks a burst of publications into one
+comparison, amortising the per-call array setup.
 
 The index serves as a deterministic baseline for the matching
 micro-benchmarks, as an independent test oracle for the matching engine,
@@ -30,6 +37,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.arena import boxes_meeting
 from repro.model.errors import ValidationError
 from repro.model.publications import Publication
 from repro.model.schema import Schema
@@ -48,9 +56,8 @@ class CountingIndex:
 
     def __init__(self, schema: Schema):
         self.schema = schema
-        self._lows = np.empty((0, schema.m), dtype=float)
-        self._highs = np.empty((0, schema.m), dtype=float)
-        self._alive = np.empty(0, dtype=bool)
+        #: signed bounds, one column per row in use; NaN marks a tombstone
+        self._signed = np.empty((2 * schema.m, 0), dtype=float)
         #: rows in use, tombstones included
         self._size = 0
         self._dead = 0
@@ -61,7 +68,7 @@ class CountingIndex:
     # Maintenance
     # ------------------------------------------------------------------
     def add(self, subscription: Subscription) -> None:
-        """Index a subscription (appends one row; never rebuilds)."""
+        """Index a subscription (fills one column; never rebuilds)."""
         if subscription.schema != self.schema:
             raise ValidationError("subscription schema does not match the index")
         if subscription.id in self._rows:
@@ -69,11 +76,11 @@ class CountingIndex:
                 f"subscription {subscription.id!r} is already indexed"
             )
         row = self._size
-        if row == len(self._alive):
-            self._grow()
-        self._lows[row] = subscription.lows
-        self._highs[row] = subscription.highs
-        self._alive[row] = True
+        if row == self._signed.shape[1]:
+            self._resize(max(_MIN_CAPACITY, 2 * row), slice(0, row))
+        m = self.schema.m
+        self._signed[:m, row] = subscription.lows
+        np.negative(subscription.highs, out=self._signed[m:, row])
         self._subscriptions.append(subscription)
         self._rows[subscription.id] = row
         self._size += 1
@@ -85,44 +92,33 @@ class CountingIndex:
             self.add(subscription)
 
     def remove(self, subscription_id: str) -> bool:
-        """Remove a subscription by identifier (tombstones its row)."""
+        """Remove a subscription by identifier (tombstones its column)."""
         row = self._rows.pop(subscription_id, None)
         if row is None:
             return False
         self._on_remove(row)
-        self._alive[row] = False
+        self._signed[:, row] = np.nan
         self._subscriptions[row] = None
         self._dead += 1
         if self._dead >= _MIN_CAPACITY and 2 * self._dead >= self._size:
             self._compact()
         return True
 
-    def _grow(self) -> None:
-        capacity = max(_MIN_CAPACITY, 2 * len(self._alive))
-        lows = np.empty((capacity, self.schema.m), dtype=float)
-        highs = np.empty((capacity, self.schema.m), dtype=float)
-        alive = np.zeros(capacity, dtype=bool)
-        lows[: self._size] = self._lows[: self._size]
-        highs[: self._size] = self._highs[: self._size]
-        alive[: self._size] = self._alive[: self._size]
-        self._lows, self._highs, self._alive = lows, highs, alive
+    def _resize(self, capacity: int, keep) -> None:
+        """Move the ``keep`` columns to the front of a fresh NaN matrix."""
+        signed = np.full((2 * self.schema.m, capacity), np.nan)
+        kept = self._signed[:, keep]
+        signed[:, : kept.shape[1]] = kept
+        self._signed = signed
 
     def _compact(self) -> None:
-        """Drop tombstoned rows, preserving the insertion order of the rest."""
-        keep = np.nonzero(self._alive[: self._size])[0]
-        live = int(keep.size)
-        capacity = max(_MIN_CAPACITY, live)
-        lows = np.empty((capacity, self.schema.m), dtype=float)
-        highs = np.empty((capacity, self.schema.m), dtype=float)
-        alive = np.zeros(capacity, dtype=bool)
-        lows[:live] = self._lows[keep]
-        highs[:live] = self._highs[keep]
-        alive[:live] = True
-        subscriptions = [self._subscriptions[int(i)] for i in keep]
-        self._lows, self._highs, self._alive = lows, highs, alive
+        """Drop tombstoned columns, preserving the insertion order of the rest."""
+        keep = [i for i, s in enumerate(self._subscriptions) if s is not None]
+        self._resize(max(_MIN_CAPACITY, len(keep)), keep)
+        subscriptions = [self._subscriptions[i] for i in keep]
         self._subscriptions = subscriptions
         self._rows = {s.id: i for i, s in enumerate(subscriptions)}
-        self._size = live
+        self._size = len(keep)
         self._dead = 0
         self._on_compact()
 
@@ -146,11 +142,10 @@ class CountingIndex:
         if not self._rows:
             return []
         values = publication.values
-        lows = self._lows[: self._size]
-        highs = self._highs[: self._size]
-        satisfied = (lows <= values) & (values <= highs)
-        hits = np.nonzero(satisfied.all(axis=1) & self._alive[: self._size])[0]
-        return [self._subscriptions[int(i)] for i in hits]
+        hits = boxes_meeting(
+            self._signed[:, : self._size], np.concatenate((values, -values))
+        )
+        return [self._subscriptions[i] for i in hits.nonzero()[0].tolist()]
 
     def match_batch(
         self, publications: Sequence[Publication]
@@ -158,8 +153,8 @@ class CountingIndex:
         """Match a burst of publications in one (chunked) vectorised pass.
 
         Equivalent to ``[self.match(p) for p in publications]`` but the
-        bound arrays are set up once and compared against the whole burst,
-        chunked so the boolean workspace stays within a fixed budget.
+        bound matrix is compared against the whole burst at once, chunked
+        so the boolean workspace stays within a fixed budget.
         """
         publications = list(publications)
         for publication in publications:
@@ -169,20 +164,14 @@ class CountingIndex:
                 )
         if not self._rows:
             return [[] for _ in publications]
-        rows = self._size
-        lows = self._lows[:rows][np.newaxis, :, :]
-        highs = self._highs[:rows][np.newaxis, :, :]
-        alive = self._alive[:rows]
-        chunk = max(1, _BATCH_CELL_BUDGET // max(1, rows * self.schema.m))
+        signed = self._signed[:, : self._size]
+        subscriptions = self._subscriptions
+        chunk = max(1, _BATCH_CELL_BUDGET // signed.size)
         results: List[List[Subscription]] = []
         for start in range(0, len(publications), chunk):
-            batch = publications[start : start + chunk]
-            values = np.stack([p.values for p in batch])[:, np.newaxis, :]
-            satisfied = (lows <= values) & (values <= highs)
-            ok = satisfied.all(axis=2) & alive
-            for i in range(len(batch)):
-                hits = np.nonzero(ok[i])[0]
-                results.append([self._subscriptions[int(j)] for j in hits])
+            values = np.array([p.values for p in publications[start : start + chunk]]).T
+            for hits in boxes_meeting(signed, np.concatenate((values, -values))):
+                results.append([subscriptions[i] for i in hits.nonzero()[0].tolist()])
         return results
 
     def match_count(self, publication: Publication) -> int:

@@ -8,8 +8,10 @@ selectivity (average fraction of the attribute's domain that indexed
 subscriptions accept) and candidate subscriptions are eliminated attribute
 by attribute, short-circuiting as soon as the candidate set becomes empty.
 
-Storage and maintenance are shared with :class:`CountingIndex` (appends
-plus tombstones, no rebuilds); the selectivity statistics are kept
+Storage and maintenance are shared with :class:`CountingIndex` (one
+signed attribute-major bound matrix, appends plus NaN tombstones, no
+rebuilds), so each attribute's two bounds are contiguous rows of that
+matrix; the selectivity statistics are kept
 incrementally as per-attribute accepted-width sums, so the evaluation
 order is an ``argsort`` away at any moment instead of a full re-scan.
 
@@ -46,27 +48,24 @@ class SelectivityIndex(CountingIndex):
     # ------------------------------------------------------------------
     # Incremental selectivity statistics
     # ------------------------------------------------------------------
-    def _row_widths(self, row: int) -> np.ndarray:
-        return (self._highs[row] - self._lows[row]) / self._extents
+    def _widths(self, rows) -> np.ndarray:
+        """Normalised accepted widths of the ``rows`` columns, ``(m, ...)``."""
+        m = self.schema.m
+        spans = -self._signed[m:, rows] - self._signed[:m, rows]
+        return (spans.T / self._extents).T
 
     def _on_add(self, row: int) -> None:
-        self._width_sums += self._row_widths(row)
+        self._width_sums += self._widths(row)
         self._order = None
 
     def _on_remove(self, row: int) -> None:
-        self._width_sums -= self._row_widths(row)
+        self._width_sums -= self._widths(row)
         self._order = None
 
     def _on_compact(self) -> None:
         # Recompute exactly, shedding any floating-point drift accumulated
         # by the incremental +=/-= updates.
-        if self._size:
-            widths = (
-                self._highs[: self._size] - self._lows[: self._size]
-            ) / self._extents
-            self._width_sums = widths.sum(axis=0)
-        else:
-            self._width_sums = np.zeros(self.schema.m, dtype=float)
+        self._width_sums = self._widths(slice(0, self._size)).sum(axis=1)
         self._order = None
 
     def _attribute_indices(self) -> np.ndarray:
@@ -91,14 +90,18 @@ class SelectivityIndex(CountingIndex):
             raise ValidationError("publication schema does not match the index")
         if not self._rows:
             return []
-        candidates = np.nonzero(self._alive[: self._size])[0]
+        m = self.schema.m
+        signed = self._signed[:, : self._size]
         values = publication.values
+        # Every column is a candidate until an attribute rules it out; a
+        # tombstone (NaN) is ruled out by the first one.
+        candidates = np.arange(self._size)
         for attribute in self._attribute_indices():
             value = values[attribute]
-            keep = (self._lows[candidates, attribute] <= value) & (
-                value <= self._highs[candidates, attribute]
+            keep = (signed[attribute, candidates] <= value) & (
+                signed[m + attribute, candidates] <= -value
             )
             candidates = candidates[keep]
             if candidates.size == 0:
                 return []
-        return [self._subscriptions[int(i)] for i in candidates]
+        return [self._subscriptions[i] for i in candidates.tolist()]

@@ -41,7 +41,7 @@ class SchemaVectors:
     ``measure``).
     """
 
-    __slots__ = ("discrete", "resolution", "vectorisable")
+    __slots__ = ("discrete", "signed_discrete", "resolution", "vectorisable")
 
     _EXACT_TYPES = (IntegerDomain, CategoricalDomain, TimestampDomain, ContinuousDomain)
 
@@ -49,6 +49,15 @@ class SchemaVectors:
         self.discrete = np.array(
             [a.domain.is_discrete for a in attributes], dtype=bool
         )
+        #: ``discrete`` on the signed axes (lows on top of negated highs) as
+        #: a ``(2m, 1)`` column, collapsed to one ``bool`` when every
+        #: attribute agrees — a ufunc ``where=`` argument either way
+        if self.discrete.all() or not self.discrete.any():
+            self.signed_discrete = bool(self.discrete.all())
+        else:
+            self.signed_discrete = np.concatenate((self.discrete, self.discrete))[
+                :, np.newaxis
+            ]
         self.resolution = np.array(
             [
                 a.domain.resolution if isinstance(a.domain, ContinuousDomain) else 0.0
@@ -92,7 +101,11 @@ class Schema:
         self._attributes: Tuple[Attribute, ...] = tuple(attrs)
         self._index: Dict[str, int] = {a.name: i for i, a in enumerate(attrs)}
         self.name = name
+        # Immutable facts, computed on first use (the attribute tuple never
+        # changes after construction).
         self._vectors: Optional[SchemaVectors] = None
+        self._hash: Optional[int] = None
+        self._full_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -172,10 +185,22 @@ class Schema:
         return name in self._index
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return isinstance(other, Schema) and self._attributes == other._attributes
 
     def __hash__(self) -> int:
-        return hash(self._attributes)
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._attributes)
+        return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # String hashes are salted per process: a schema unpickled in a
+        # shard worker must re-hash there, not inherit the sender's value.
+        state = self.__dict__.copy()
+        state["_hash"] = None
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Schema({self.name!r}, m={self.m})"
@@ -191,10 +216,23 @@ class Schema:
         return self._vectors
 
     def full_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-attribute domain bounds as ``(lows, highs)`` arrays."""
-        lows = np.array([a.domain.lower_bound for a in self._attributes], dtype=float)
-        highs = np.array([a.domain.upper_bound for a in self._attributes], dtype=float)
-        return lows, highs
+        """Per-attribute domain bounds as ``(lows, highs)`` arrays.
+
+        The pair is computed once and shared, so both arrays are
+        read-only; copy before writing into them.
+        """
+        bounds = self._full_bounds
+        if bounds is None:
+            lows = np.array(
+                [a.domain.lower_bound for a in self._attributes], dtype=float
+            )
+            highs = np.array(
+                [a.domain.upper_bound for a in self._attributes], dtype=float
+            )
+            lows.setflags(write=False)
+            highs.setflags(write=False)
+            bounds = self._full_bounds = (lows, highs)
+        return bounds
 
     def full_intervals(self) -> List[Interval]:
         """Per-attribute domain intervals."""
@@ -243,7 +281,7 @@ class Schema:
         "unconstrained".  Unlisted attributes are unconstrained and take the
         full domain range, following the paper's convention.
         """
-        lows, highs = self.full_bounds()
+        lows, highs = (bound.copy() for bound in self.full_bounds())
         for name, spec in constraints.items():
             j = self.index_of(name)
             domain = self._attributes[j].domain

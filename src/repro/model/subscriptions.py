@@ -64,6 +64,7 @@ class Subscription:
         "_size",
         "_bounds_list",
         "_rspc_plan",
+        "_signed_box",
     )
 
     def __init__(
@@ -113,6 +114,9 @@ class Subscription:
         self._bounds_list: Optional[Tuple[List[float], List[float]]] = None
         #: cached per-attribute RSPC sampling plan (bounds are immutable)
         self._rspc_plan: Optional[list] = None
+        #: cached snapped ends on the signed axes
+        #: (:func:`repro.core.arena.signed_box`)
+        self._signed_box: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -149,7 +153,7 @@ class Subscription:
         Predicates on the same attribute are intersected; an unsatisfiable
         conjunction raises :class:`ValidationError`.
         """
-        lows, highs = schema.full_bounds()
+        lows, highs = (bound.copy() for bound in schema.full_bounds())
         for predicate in predicates:
             j = schema.index_of(predicate.attribute)
             interval = predicate.to_interval(schema.domain(j))

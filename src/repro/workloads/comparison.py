@@ -79,7 +79,7 @@ class ComparisonWorkload:
         # Zipf-weighted choice of which attributes the subscription
         # constrains; popular attributes appear in most subscriptions.
         chosen = self._rng.choice(m, size=min(count, m), replace=False, p=self._weights)
-        lows, highs = self.schema.full_bounds()
+        lows, highs = (bound.copy() for bound in self.schema.full_bounds())
         for attribute in chosen:
             domain = self.schema.domain(int(attribute))
             extent = domain.upper_bound - domain.lower_bound

@@ -187,7 +187,22 @@ class TestGapMeasures:
         assert gaps.tolist() == [20.0, 4.0]
 
     def test_restrict(self, table3_subscription, table7_candidates):
+        """``rows`` builds the table over a subset, in the given order."""
         table = ConflictTable(table3_subscription, table7_candidates)
-        restricted = table.restrict([0, 1])
-        assert restricted.k == 2
-        assert [c.id for c in restricted.candidates] == ["s1", "s2"]
+        for rows in ([0, 1], [2, 0], np.array([1])):
+            restricted = ConflictTable(table3_subscription, table7_candidates, rows)
+            assert restricted.k == len(rows)
+            assert [c.id for c in restricted.candidates] == [
+                table7_candidates[row].id for row in rows
+            ]
+            assert np.array_equal(
+                restricted.signed_bounds(), table.signed_bounds(list(rows))
+            )
+            assert (
+                restricted.row_defined_counts.tolist()
+                == table.row_defined_counts[list(rows)].tolist()
+            )
+            assert (
+                restricted.conflict_free_counts().tolist()
+                == table.conflict_free_counts(list(rows)).tolist()
+            )

@@ -17,11 +17,18 @@ from repro.broker.network import BrokerNetwork
 from repro.broker.routing import RouteEntry, RoutingTable, SourceKind
 from repro.core.store import CoveringPolicyName
 from repro.core.subsumption import SubsumptionChecker
-from repro.matching.backends import BACKEND_NAMES, make_backend
+from repro.matching.backends import BACKEND_NAMES, LinearBackend, make_backend
 from repro.matching.counting_index import CountingIndex
 from repro.matching.engine import MatchingEngine
 from repro.matching.selectivity_index import SelectivityIndex
-from repro.model import Publication, Schema, Subscription
+from repro.model import (
+    CategoricalDomain,
+    ContinuousDomain,
+    IntegerDomain,
+    Publication,
+    Schema,
+    Subscription,
+)
 from repro.scenarios import (
     ScenarioRunner,
     ScenarioSpec,
@@ -174,6 +181,111 @@ class TestIncrementalIndexes:
             assert [s.id for s in matched] == [
                 s.id for s in index.match(publication)
             ]
+
+
+def _edge_schemas():
+    inf = np.inf
+    return [
+        Schema.uniform_integer(3, 0, 200),
+        Schema(
+            [
+                ("n", IntegerDomain(-5, 5)),
+                ("x", ContinuousDomain(0.0, 1.0)),
+                ("c", CategoricalDomain(["a", "b", "c"])),
+            ],
+            name="mixed",
+        ),
+        Schema(
+            [("u", ContinuousDomain(-inf, inf)), ("v", ContinuousDomain(0.0, inf))],
+            name="unbounded",
+        ),
+    ]
+
+
+def _edge_publications(schema, rng):
+    """Random points plus every corner of the domain (``±inf`` included)."""
+    lows, highs = schema.full_bounds()
+    corners = [np.where(mask, highs, lows) for mask in np.ndindex(*(2,) * schema.m)]
+    finite_lows = np.where(np.isfinite(lows), lows, -1e6)
+    finite_highs = np.where(np.isfinite(highs), highs, 1e6)
+    inside = [rng.uniform(finite_lows, finite_highs) for _ in range(8)]
+    zeros = [np.clip(np.zeros(schema.m), lows, highs), np.clip(-np.zeros(schema.m), lows, highs)]
+    return [Publication(schema, values) for values in corners + inside + zeros]
+
+
+def _edge_subscription(schema, rng, sid):
+    """A random box; now and then one reaching a domain edge or a point."""
+    lows, highs = schema.full_bounds()
+    finite_lows = np.where(np.isfinite(lows), lows, -1e6)
+    finite_highs = np.where(np.isfinite(highs), highs, 1e6)
+    a = rng.uniform(finite_lows, finite_highs)
+    b = rng.uniform(finite_lows, finite_highs)
+    box_lows, box_highs = np.minimum(a, b), np.maximum(a, b)
+    for j in range(schema.m):
+        roll = rng.random()
+        if roll < 0.15:
+            box_lows[j] = lows[j]
+        elif roll < 0.3:
+            box_highs[j] = highs[j]
+        elif roll < 0.4:
+            box_highs[j] = box_lows[j]
+    return Subscription(schema, box_lows, box_highs, subscription_id=sid)
+
+
+# an unbounded domain has no finite extent to normalise widths by: the
+# selectivity statistics of that attribute are NaN (it is evaluated last)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("index_class", [CountingIndex, SelectivityIndex])
+@pytest.mark.parametrize("seed", range(4))
+def test_indexes_equal_the_linear_scan_through_grow_remove_compact(index_class, seed):
+    """Content *and* order of ``match``/``match_batch`` vs ``LinearBackend``
+    over random add/remove sequences that grow the matrix, tombstone
+    columns and compact them away — at domain edges too, where a stale or
+    never-used column would be easiest to mistake for a match."""
+    for schema in _edge_schemas():
+        rng = np.random.default_rng([seed, schema.m])
+        index = index_class(schema)
+        linear = LinearBackend()
+        live = []
+        counter = grown = compacted = 0
+        for step in range(260):
+            # bursts of adds, then bursts of removals, so that both the
+            # doubling and the compaction threshold are crossed repeatedly
+            adding = (step // 40) % 2 == 0 or not live
+            if adding or rng.random() < 0.2:
+                subscription = _edge_subscription(schema, rng, f"s{counter}")
+                counter += 1
+                capacity = index._signed.shape[1]
+                index.add(subscription)
+                grown += index._signed.shape[1] != capacity
+                linear.add(subscription)
+                live.append(subscription.id)
+            else:
+                victim = live.pop(int(rng.integers(0, len(live))))
+                dead = index._dead
+                assert index.remove(victim) and linear.remove(victim)
+                compacted += index._dead < dead
+            assert len(index) == len(linear) == len(live)
+            if step % 7:
+                continue
+            # one bounds matrix; whatever is not a live column is NaN
+            assert not hasattr(index, "_lows") and not hasattr(index, "_highs")
+            signed = index._signed
+            assert signed.shape[0] == 2 * schema.m
+            assert np.isnan(signed[:, index._size :]).all()
+            used = [s is not None for s in index._subscriptions]
+            assert len(used) == index._size
+            assert np.isnan(signed[:, : index._size][:, ~np.array(used, dtype=bool)]).all()
+            publications = _edge_publications(schema, rng)
+            expected = [
+                [s.id for s in linear.match_candidates(p)[0]] for p in publications
+            ]
+            assert [[s.id for s in index.match(p)] for p in publications] == expected
+            assert [
+                [s.id for s in matched] for matched in index.match_batch(publications)
+            ] == expected
+        assert grown >= 3 and compacted >= 2
+        assert any(expected)  # the last probe round matched something
 
 
 class TestSelectivityIncrementalOrder:

@@ -136,3 +136,61 @@ class TestEncoding:
         payload = mixed_schema.to_dict()
         assert payload["name"] == "mixed"
         assert len(payload["attributes"]) == 3
+
+
+class TestMemoisedFacts:
+    """A schema's attribute tuple never changes, so what derives from it is
+    computed once — without leaking into other processes or other callers."""
+
+    def test_hash_is_computed_once_and_agrees_with_equality(self, mixed_schema):
+        twin = Schema(mixed_schema.attributes, name="another name")
+        assert mixed_schema._hash is None
+        assert hash(mixed_schema) == hash(twin) == hash(mixed_schema.attributes)
+        assert mixed_schema._hash == hash(mixed_schema.attributes)
+        assert mixed_schema == twin and mixed_schema == mixed_schema
+        assert {mixed_schema: 1}[twin] == 1
+        assert mixed_schema != Schema.uniform_integer(3, 0, 50)
+
+    def test_cached_hash_is_not_pickled(self, mixed_schema):
+        """String hashes are salted per process; a shard worker that
+        unpickles a schema must hash it afresh."""
+        import pickle
+
+        hash(mixed_schema)
+        mixed_schema.full_bounds()
+        clone = pickle.loads(pickle.dumps(mixed_schema))
+        assert clone._hash is None
+        assert mixed_schema._hash is not None  # pickling left the original alone
+        assert clone == mixed_schema and hash(clone) == hash(mixed_schema)
+        assert clone.full_bounds()[1].tolist() == [1000.0, 2.0, 50.0]
+
+    def test_identical_schemas_compare_without_touching_attributes(self):
+        class Unequal(IntegerDomain):
+            def __eq__(self, other):  # pragma: no cover - must not be reached
+                raise AssertionError("identity should have short-circuited")
+
+            __hash__ = IntegerDomain.__hash__
+
+        schema = Schema([("a", Unequal(0, 9))])
+        assert schema == schema
+
+    def test_full_bounds_is_one_shared_read_only_pair(self, mixed_schema):
+        lows, highs = mixed_schema.full_bounds()
+        again = mixed_schema.full_bounds()
+        assert again[0] is lows and again[1] is highs
+        for bound in (lows, highs):
+            with pytest.raises(ValueError):
+                bound[0] = -1.0
+        # the call sites that used to write into the pair copy it first
+        encoded_lows, encoded_highs = mixed_schema.encode_constraints({"price": (10, 20)})
+        assert (encoded_lows[0], encoded_highs[0]) == (10.0, 20.0)
+        assert mixed_schema.full_bounds()[0][0] == 0.0
+        from repro.model import Predicate, Subscription
+        from repro.model.predicates import Operator
+
+        narrowed = Subscription.from_predicates(
+            mixed_schema, [Predicate("stock", Operator.LE, 7)]
+        )
+        assert narrowed.highs.tolist() == [1000.0, 2.0, 7.0]
+        assert Subscription.whole_space(mixed_schema).highs.tolist() == [1000.0, 2.0, 50.0]
+        assert mixed_schema.full_bounds()[1].tolist() == [1000.0, 2.0, 50.0]

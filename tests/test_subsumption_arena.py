@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.arena import CandidateSet, SubscriptionArena, as_candidate_set
-from repro.core.conflict_table import ConflictTable
+from repro.core.conflict_table import ConflictTable, EntrySide
 from repro.core.mcs import minimized_cover_set
 from repro.core.pairwise import PairwiseCoverageChecker
 from repro.core.results import DecisionMethod
@@ -33,6 +33,7 @@ from repro.model import (
     Subscription,
 )
 from repro.model.errors import ValidationError
+from repro.model.intervals import Interval
 from repro.workloads.generators import random_publication, random_subscription
 from repro.workloads.scenarios import (
     non_cover_scenario,
@@ -698,6 +699,13 @@ def _jittered(schema, subscription, rng):
     return Subscription(schema, lows, highs)
 
 
+def _pinched(schema, subscription, attribute=1):
+    """``subscription`` collapsed to a single value on one attribute."""
+    highs = subscription.highs.copy()
+    highs[attribute] = subscription.lows[attribute]
+    return Subscription(schema, subscription.lows, highs)
+
+
 def _kernel_instances():
     """Seeded tables over every schema kind, on both sides of 64 rows."""
     schemas = (
@@ -720,6 +728,8 @@ def _kernel_instances():
                 if variant % 3 == 1:
                     subscription = _jittered(schema, subscription, rng)
                     candidates = [_jittered(schema, c, rng) for c in candidates]
+                if variant == 3 and schema.m > 1:  # a single-point axis of s
+                    subscription = _pinched(schema, subscription)
                 if variant % 3 == 2:  # duplicated boxes: ties at every extreme
                     candidates = [
                         Subscription(schema, c.lows, c.highs)
@@ -732,7 +742,12 @@ class TestSignedKernel:
     """One signed ``(2m, k)`` kernel vs the per-attribute scalar oracles."""
 
     def test_fixed_point_and_gaps_match_scalar_oracles(self):
-        seen = {"late_t_rule": 0, "emptied_in_pass_1": 0, "folded_cell": 0}
+        seen = {
+            "late_t_rule": 0,
+            "emptied_in_pass_1": 0,
+            "fractional_discrete_bound": 0,
+            "entry_on_a_single_point_axis": 0,
+        }
         sizes = set()
         for table in _kernel_instances():
             kept, removed, passes, late_t_rule = _reference_fixed_point(table)
@@ -750,8 +765,24 @@ class TestSignedKernel:
                 )
             seen["late_t_rule"] += late_t_rule
             seen["emptied_in_pass_1"] += not kept and passes == 2
-            threshold = table._ensure_pass_cache()[1]
-            seen["folded_cell"] += bool(np.isneginf(threshold).any())
+            # raw bounds off the ticks of a discrete axis reach the table
+            # snapped inwards ...
+            raw = np.array([c.lows for c in table.candidates])
+            discrete = table.schema.vectors.discrete
+            seen["fractional_discrete_bound"] += bool(
+                (raw != np.ceil(raw))[:, discrete].any()
+            )
+            assert np.array_equal(
+                table.candidate_lows[:, discrete], np.ceil(raw)[:, discrete]
+            )
+            assert np.array_equal(table.candidate_lows[:, ~discrete], raw[:, ~discrete])
+            # ... and where s is one point of a continuous axis its entries
+            # are slices of a closed box, not empty ones
+            pinched = ~discrete & (table.subscription.lows == table.subscription.highs)
+            seen["entry_on_a_single_point_axis"] += bool(
+                (table.defined_low | table.defined_high)[:, pinched].any()
+            )
+            assert np.isfinite(table._ensure_pass_cache()[1][table._defined]).all()
             sizes.add(table.k)
         # the sweep really exercises what it claims to
         assert all(seen.values()), seen
@@ -777,24 +808,33 @@ class TestSignedKernel:
         assert table.conflict_free_counts().tolist() == in_order
         assert table.conflict_free_counts([]).tolist() == []
 
-    def test_non_integer_bound_on_discrete_axis_folds_to_minus_infinity(self):
-        """``snapped < own_low``: the slice holds no integer point, so the
-        entry conflicts with every opposing entry there is."""
+    def test_non_integer_bound_on_discrete_axis_snaps_to_its_tick(self):
+        """A bound between two ticks stands for the next tick inwards: the
+        slice below ``3.2`` inside ``[2.5, 9]`` is the tick ``3``, not the
+        empty range ``[2.5, 2.2]`` the raw arithmetic makes of it."""
         schema = Schema.uniform_integer(2, 0, 20)
-        subscription = Subscription(schema, [2.5, 0.0], [9.0, 20.0])
-        sliver = Subscription(schema, [3.2, 0.0], [9.0, 20.0])  # LOW slice (2.5, 2.2]
+        subscription = Subscription(schema, [2.5, 0.0], [9.0, 20.0])  # ticks 3..9
+        sliver = Subscription(schema, [3.2, 0.0], [9.0, 20.0])  # ticks 4..9
         other = Subscription(schema, [0.0, 0.0], [6.0, 20.0])  # HIGH entry on x1
-        table = ConflictTable(subscription, [sliver, other])
-        threshold = table._ensure_pass_cache()[1]
-        assert threshold[0, 0] == -np.inf
-        for rows in (None, [0], [1], [1, 0]):
+        hollow = Subscription(schema, [2.9, 0.0], [9.4, 20.0])  # ticks 3..9 too
+        table = ConflictTable(subscription, [sliver, other, hollow])
+        assert table.entry_region(0, 0, EntrySide.LOW) == Interval(3.0, 3.0)
+        snapped = table._ensure_pass_cache()[2]
+        assert snapped[0, 0] == 3.0
+        assert not np.isneginf(table._ensure_pass_cache()[1]).any()
+        # every tick of s is a tick of ``hollow``: no entry, whatever the
+        # raw bounds say
+        assert table.t(2) == 0
+        assert not subscription.is_covered_by(hollow)
+        for rows in (None, [0], [1], [1, 0], [2, 0, 1]):
             assert (
                 table.conflict_free_counts(rows).tolist()
                 == table._conflict_free_counts_scalar(rows).tolist()
             )
-        # alone, the sliver's entry has nothing to conflict with
+        # the tick 3 is not above 6: the sliver's entry conflicts with
+        # ``other``'s, and alone it has nothing to conflict with
         assert table.conflict_free_counts([0]).tolist() == [1]
-        assert table.conflict_free_counts().tolist()[0] == 0
+        assert table.conflict_free_counts([0, 1]).tolist()[0] == 0
 
     def test_tie_at_a_column_extreme(self):
         """Two rows share the largest HIGH bound: each faces the other's."""
@@ -841,7 +881,20 @@ class TestSignedKernel:
         rows = [Subscription(schema, [10.0, 0.0], [50.0, 30.0]) for _ in range(3)]
         lows = np.array([[10.0, -inf], [-inf, 20.0], [12.5, 0.0]])
         highs = np.array([[inf, 30.0], [25.0, inf], [40.0, 44.5]])
-        tables.append(ConflictTable(bounded, rows, cand_lows=lows, cand_highs=highs))
+        snapshot = CandidateSet(rows, lows, highs)
+        tables.append(ConflictTable(bounded, snapshot))
+        # the fractional bounds reach the table as ticks, the infinite
+        # ones as they are
+        assert tables[-1].candidate_lows.tolist() == [
+            [10.0, -inf],
+            [-inf, 20.0],
+            [13.0, 0.0],
+        ]
+        assert tables[-1].candidate_highs.tolist() == [
+            [inf, 30.0],
+            [25.0, inf],
+            [40.0, 44.0],
+        ]
         for table in tables:
             for subset in (None, [0, 1], [2, 0]):
                 assert (
