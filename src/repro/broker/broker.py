@@ -625,84 +625,27 @@ class Broker:
         return [], []
 
     def handle_publication(self, message: PublicationMessage) -> List[Message]:
-        """Process a publication, delivering locally and forwarding.
-
-        Forwarding follows the reverse path of every matching subscription:
-        the publication is sent to each neighbour from which at least one
-        matching subscription was received (at most once per neighbour) and
-        delivered to each matching local subscriber.
-        """
-        publication = message.publication
-        obs = self._obs
-        trace = obs is not None and obs.spans is not None and bool(message.trace_id)
-
-        if obs is not None:
-            obs.stage_push("broker.dedup")
-        duplicate = publication.id in self._seen_publications
-        if not duplicate:
-            self._seen_publications[publication.id] = None
-            while len(self._seen_publications) > self.dedup_window:
-                self._seen_publications.popitem(last=False)
-        if obs is not None:
-            obs.stage_pop()
-        if trace:
-            obs.spans.record(
-                message.trace_id,
-                "publication",
-                "dedup",
-                message.delivered_at,
-                broker=self.id,
-                status="duplicate" if duplicate else "fresh",
-                publication_id=publication.id,
-            )
-        if duplicate:
-            return []
-
-        if obs is not None:
-            obs.stage_push("broker.route_lookup")
-            try:
-                matching, route_tests = self.routing.matching_entries_with_tests(
-                    publication
-                )
-            finally:
-                obs.stage_pop()
-            if trace:
-                obs.spans.record(
-                    message.trace_id,
-                    "publication",
-                    "route-lookup",
-                    message.delivered_at,
-                    broker=self.id,
-                    matches=len(matching),
-                    tests=route_tests,
-                )
-            obs.stage_push("broker.match_forward")
-        else:
-            matching = self.routing.matching_entries(publication)
-        targets, delivered_any = self._match_and_forward(message, matching)
-        if obs is not None:
-            obs.stage_pop()
-            if trace:
-                self._record_match_span(message, delivered_any, targets)
-
-        return self._forwarded_copies(message, targets)
+        """Process one publication: :meth:`handle_publication_batch` of one."""
+        return self.handle_publication_batch((message,))[0]
 
     def handle_publication_batch(
         self, messages: Sequence[PublicationMessage], values=None
     ) -> List[List[Message]]:
-        """Process several same-instant publications in one batched pass.
+        """Process publications delivered at one instant, in order.
 
-        The batch travels the matching stack as a unit: one bounded-window
-        dedup sweep over the batch, one
+        The one publication handler.  Forwarding follows the reverse path
+        of every matching subscription: a publication is sent to each
+        neighbour from which at least one matching subscription was
+        received (at most once per neighbour, in routing-table order) and
+        delivered to each matching local subscriber.  The batch travels
+        the stack as a unit — one bounded-window dedup sweep, one
         :meth:`~repro.broker.routing.RoutingTable.matching_entries_batch`
-        lookup for every fresh publication (``values`` optionally carries
-        the batch's points pre-stacked as a ``(B, m)`` array), then the
-        per-publication delivery/forwarding bookkeeping in original order.
-        Returns one outgoing-message list per input message (empty for
-        deduplicated members) so the caller can restore any global
-        scheduling order; deliveries, forwards, dead-letter accounting and
-        each per-message outgoing list are identical to calling
-        :meth:`handle_publication` per message.
+        lookup for the fresh publications (``values`` optionally carries
+        the batch's points pre-stacked as a ``(B, m)`` array), then one
+        pass that delivers, picks the targets and builds the forwarded
+        copies — and returns one outgoing-message list per input message
+        (empty for deduplicated members) so the caller can restore any
+        global scheduling order.
         """
         obs = self._obs
         spans = obs.spans if obs is not None else None
@@ -710,21 +653,20 @@ class Broker:
         if obs is not None:
             obs.stage_push("broker.dedup")
         seen = self._seen_publications
-        fresh: List[PublicationMessage] = []
-        duplicate_flags: List[bool] = []
-        for message in messages:
+        window = self.dedup_window
+        fresh: List[int] = []
+        for position, message in enumerate(messages):
             publication_id = message.publication.id
-            duplicate = publication_id in seen
-            duplicate_flags.append(duplicate)
-            if not duplicate:
+            if publication_id not in seen:
                 seen[publication_id] = None
-                while len(seen) > self.dedup_window:
+                while len(seen) > window:
                     seen.popitem(last=False)
-                fresh.append(message)
+                fresh.append(position)
         if obs is not None:
             obs.stage_pop()
         if spans is not None:
-            for message, duplicate in zip(messages, duplicate_flags):
+            fresh_positions = set(fresh)
+            for position, message in enumerate(messages):
                 if message.trace_id:
                     spans.record(
                         message.trace_id,
@@ -732,26 +674,29 @@ class Broker:
                         "dedup",
                         message.delivered_at,
                         broker=self.id,
-                        status="duplicate" if duplicate else "fresh",
+                        status=(
+                            "fresh" if position in fresh_positions else "duplicate"
+                        ),
                         publication_id=message.publication.id,
                     )
         outgoing: List[List[Message]] = [[] for _ in messages]
         if not fresh:
             return outgoing
+        if len(fresh) != len(messages) and values is not None:
+            values = values[fresh]
 
-        if values is not None and len(fresh) != len(messages):
-            values = None  # the pre-stacked points no longer line up
         if obs is not None:
             obs.stage_push("broker.route_lookup")
         try:
             lookups = self.routing.matching_entries_batch(
-                [message.publication for message in fresh], values
+                [messages[position].publication for position in fresh], values
             )
         finally:
             if obs is not None:
                 obs.stage_pop()
         if spans is not None:
-            for message, (matching, route_tests) in zip(fresh, lookups):
+            for position, (matching, route_tests) in zip(fresh, lookups):
+                message = messages[position]
                 if message.trace_id:
                     spans.record(
                         message.trace_id,
@@ -765,83 +710,67 @@ class Broker:
 
         if obs is not None:
             obs.stage_push("broker.match_forward")
-        fresh_iter = iter(zip(fresh, lookups))
+        merges = self.strategy.merges
         try:
-            for position, duplicate in enumerate(duplicate_flags):
-                if duplicate:
-                    continue
-                message, (matching, _tests) = next(fresh_iter)
-                targets, delivered_any = self._match_and_forward(message, matching)
+            for position, (matching, _tests) in zip(fresh, lookups):
+                message = messages[position]
+                sender = message.sender
+                targets: List[str] = []
+                delivered_any = False
+                for entry in matching:
+                    if entry.source_kind is SourceKind.LOCAL:
+                        if not merges:
+                            self._deliver(entry, message)
+                            delivered_any = True
+                    elif entry.source_id != sender and entry.source_id not in targets:
+                        targets.append(entry.source_id)
+                if merges:
+                    # Local delivery runs through the merged group filters:
+                    # every member of a matching group is notified, even
+                    # when its own subscription does not match (client-side
+                    # filtering) — those extra notifications are the
+                    # merge's false positives.
+                    delivered_any = self._deliver_merged_local(
+                        message.publication, message
+                    )
+                if sender is not None and not delivered_any and not targets:
+                    # A neighbour routed the publication here although
+                    # nothing matches: dead-end traffic attracted by an
+                    # over-approximating (merged) advertisement.
+                    self.dead_letter_publications += 1
                 if spans is not None and message.trace_id:
-                    self._record_match_span(message, delivered_any, targets)
-                outgoing[position] = self._forwarded_copies(message, targets)
+                    if targets:
+                        status = "forwarded"
+                    else:
+                        status = "delivered" if delivered_any else "dead-end"
+                    spans.record(
+                        message.trace_id,
+                        "publication",
+                        "match",
+                        message.delivered_at,
+                        broker=self.id,
+                        status=status,
+                        local=int(delivered_any),
+                        forwards=len(targets),
+                    )
+                if targets:
+                    outgoing[position] = [
+                        PublicationMessage(
+                            sender=self.id,
+                            recipient=target,
+                            hops=message.hops + 1,
+                            publication=message.publication,
+                            origin=message.origin or self.id,
+                            injected_at=message.injected_at,
+                            sent_at=message.delivered_at,
+                            trace_id=message.trace_id,
+                        )
+                        for target in targets
+                    ]
         finally:
             if obs is not None:
                 obs.stage_pop()
         return outgoing
-
-    def _match_and_forward(
-        self, message: PublicationMessage, matching: Sequence[RouteEntry]
-    ) -> Tuple[List[str], bool]:
-        """Deliver locally and pick forwarding targets for one publication."""
-        publication = message.publication
-        targets: List[str] = []
-        delivered_any = False
-        for entry in matching:
-            if entry.source_kind is SourceKind.LOCAL:
-                if not self.strategy.merges:
-                    self._deliver(entry, message)
-                    delivered_any = True
-            elif entry.source_id != message.sender and entry.source_id not in targets:
-                targets.append(entry.source_id)
-        if self.strategy.merges:
-            # Local delivery runs through the merged group filters: every
-            # member of a matching group is notified, even when its own
-            # subscription does not match (client-side filtering) — those
-            # extra notifications are the merge's false positives.
-            delivered_any = self._deliver_merged_local(publication, message)
-        if message.sender is not None and not delivered_any and not targets:
-            # A neighbour routed the publication here although nothing
-            # matches: dead-end traffic attracted by an over-approximating
-            # (merged) advertisement.
-            self.dead_letter_publications += 1
-        return targets, delivered_any
-
-    def _record_match_span(
-        self, message: PublicationMessage, delivered_any: bool, targets: List[str]
-    ) -> None:
-        if delivered_any or targets:
-            status = "forwarded" if targets else "delivered"
-        else:
-            status = "dead-end"
-        self._obs.spans.record(
-            message.trace_id,
-            "publication",
-            "match",
-            message.delivered_at,
-            broker=self.id,
-            status=status,
-            local=int(delivered_any),
-            forwards=len(targets),
-        )
-
-    def _forwarded_copies(
-        self, message: PublicationMessage, targets: List[str]
-    ) -> List[Message]:
-        publication = message.publication
-        return [
-            PublicationMessage(
-                sender=self.id,
-                recipient=target,
-                hops=message.hops + 1,
-                publication=publication,
-                origin=message.origin or self.id,
-                injected_at=message.injected_at,
-                sent_at=message.delivered_at,
-                trace_id=message.trace_id,
-            )
-            for target in targets
-        ]
 
     def _deliver(self, entry: RouteEntry, message: PublicationMessage) -> None:
         """Record one notification to a local subscriber."""

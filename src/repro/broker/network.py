@@ -24,7 +24,7 @@ O(1) bookkeeping per cancellation instead of an O(n) list rebuild.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.broker.broker import Broker
 from repro.broker.messages import (
@@ -274,115 +274,67 @@ class BrokerNetwork:
         self._run(message)
 
     def publish(self, client_id: str, publication: Publication) -> List[NotificationRecord]:
-        """Publish on behalf of an attached client.
+        """Publish on behalf of an attached client: a burst of one.
 
         Returns the notifications delivered for this publication (the
         network-wide metrics are updated as a side effect).
         """
-        broker_id = self._broker_of(client_id)
-        obs = self._obs
-        if obs is not None:
-            obs.stage_push("network.oracle")
-        expected = self._expected_notifications(publication)
-        if obs is not None:
-            obs.stage_pop()
-        self.metrics.expected_notifications += len(expected)
-
-        delivered_before = {
-            broker.id: len(broker.delivered) for broker in self.brokers.values()
-        }
-        message = PublicationMessage(
-            sender=None,
-            recipient=broker_id,
-            publication=publication,
-            origin=broker_id,
-        )
-        self._run(message)
-        return self._collect_deliveries(expected, delivered_before)
+        return self.publish_many(((client_id, publication),))
 
     def publish_batch(
         self, client_id: str, publications: Sequence[Publication]
     ) -> List[NotificationRecord]:
-        """Publish a burst in one timed drain — the kernel batching path.
-
-        All publications of a chunk are injected at the same virtual
-        instant, so brokers forwarding them toward a common neighbour
-        coalesce them into shared
-        :class:`~repro.broker.messages.PublicationBatchMessage` hops when
-        the kernel's ``batch_size`` allows (a burst of 100 publications
-        crossing one link costs ``ceil(100/batch_size)`` message hops
-        instead of 100).  Bursts are drained in chunks of at most
-        ``dedup_window`` publications: on cyclic topologies the dedup
-        memory is what stops a broker re-processing a publication arriving
-        over a second path, and bounding the in-flight set per drain below
-        the window guarantees no id is evicted while its duplicates are
-        still travelling.  Delivery and loss accounting are identical to
-        publishing one by one.
-        """
-        if not publications:
-            return []
-        broker_id = self._broker_of(client_id)
-        obs = self._obs
-        if obs is not None:
-            obs.stage_push("network.oracle")
-        expected: List[NotificationRecord] = []
-        for publication in publications:
-            expected.extend(self._expected_notifications(publication))
-        if obs is not None:
-            obs.stage_pop()
-        self.metrics.expected_notifications += len(expected)
-
-        delivered_before = {
-            broker.id: len(broker.delivered) for broker in self.brokers.values()
-        }
-        publications = list(publications)
-        for start in range(0, len(publications), self.dedup_window):
-            for publication in publications[start:start + self.dedup_window]:
-                self._inject(
-                    PublicationMessage(
-                        sender=None,
-                        recipient=broker_id,
-                        publication=publication,
-                        origin=broker_id,
-                    )
-                )
-            self._drain()
-        return self._collect_deliveries(expected, delivered_before)
+        """Publish one client's burst: :meth:`publish_many` for one client."""
+        return self.publish_many(
+            [(client_id, publication) for publication in publications]
+        )
 
     def publish_many(
         self, operations: Sequence[Tuple[str, Publication]]
     ) -> List[NotificationRecord]:
         """Publish a burst of ``(client, publication)`` operations at once.
 
-        The batch-native fast path: the delivery oracle answers the whole
-        burst through one ``match_batch`` call, the burst is injected at a
-        single virtual instant and drained in chunks of at most
-        ``dedup_window`` publications (the same re-processing guarantee as
-        :meth:`publish_batch`), and the grouped drain hands same-instant
-        same-broker publications to the batched broker handler.  Delivery,
-        loss and traffic accounting are identical to calling
-        :meth:`publish` once per operation — but note the *injection
-        timing* differs under non-zero latency models (every operation
-        enters at the same virtual time), so timed runs should keep the
-        one-at-a-time path.
+        The one publication entry point: the delivery oracle answers the
+        whole burst through one ``match_batch`` call, the burst is
+        injected at a single virtual instant and drained in chunks of at
+        most ``dedup_window`` publications, and the grouped drain hands
+        same-instant same-broker publications to the broker handler
+        together.  Brokers forwarding a burst toward a common neighbour
+        coalesce it into shared
+        :class:`~repro.broker.messages.PublicationBatchMessage` hops when
+        the kernel's ``batch_size`` allows (a burst of 100 publications
+        crossing one link costs ``ceil(100/batch_size)`` message hops
+        instead of 100).  The chunking matters on cyclic topologies: the
+        dedup memory is what stops a broker re-processing a publication
+        arriving over a second path, and bounding the in-flight set per
+        drain below the window guarantees no id is evicted while its
+        duplicates are still travelling.  Delivery, loss and traffic
+        accounting are identical to publishing one operation per call —
+        but note the *injection timing* differs under non-zero latency
+        models (every operation enters at the same virtual time), so
+        timed runs should publish one at a time.
         """
         if not operations:
             # Cheap no-op: no oracle call, no kernel events, no delivery
             # collection pass over every broker.
             return []
-        pairs = [
-            (self._broker_of(client_id), publication)
-            for client_id, publication in operations
-        ]
+        messages = []
+        for client_id, publication in operations:
+            broker_id = self._broker_of(client_id)
+            messages.append(
+                PublicationMessage(
+                    sender=None,
+                    recipient=broker_id,
+                    publication=publication,
+                    origin=broker_id,
+                )
+            )
         obs = self._obs
         if obs is not None:
             obs.stage_push("network.oracle")
-        expected: List[NotificationRecord] = []
-        oracle_hits = self._oracle.match_batch(
-            [publication for _, publication in pairs]
+        expected = self._expected_notifications(
+            [message.publication for message in messages]
         )
-        for (_, publication), (matched, _tests) in zip(pairs, oracle_hits):
-            self._expected_records(publication, matched, expected)
         if obs is not None:
             obs.stage_pop()
         self.metrics.expected_notifications += len(expected)
@@ -390,16 +342,10 @@ class BrokerNetwork:
         delivered_before = {
             broker.id: len(broker.delivered) for broker in self.brokers.values()
         }
-        for start in range(0, len(pairs), self.dedup_window):
-            for broker_id, publication in pairs[start:start + self.dedup_window]:
-                self._inject(
-                    PublicationMessage(
-                        sender=None,
-                        recipient=broker_id,
-                        publication=publication,
-                        origin=broker_id,
-                    )
-                )
+        for start in range(0, len(messages), self.dedup_window):
+            self.kernel.schedule_many(
+                self._injected(messages[start : start + self.dedup_window])
+            )
             self._drain()
         return self._collect_deliveries(expected, delivered_before)
 
@@ -411,11 +357,11 @@ class BrokerNetwork:
         obs = self._obs
         if obs is not None:
             obs.stage_push("network.collect")
-            try:
-                return self._collect_deliveries_impl(expected, delivered_before)
-            finally:
+        try:
+            return self._collect_deliveries_impl(expected, delivered_before)
+        finally:
+            if obs is not None:
                 obs.stage_pop()
-        return self._collect_deliveries_impl(expected, delivered_before)
 
     def _collect_deliveries_impl(
         self,
@@ -463,58 +409,63 @@ class BrokerNetwork:
         return broker_id
 
     def _expected_notifications(
-        self, publication: Publication
+        self, publications: Sequence[Publication]
     ) -> List[NotificationRecord]:
-        matched, _tests = self._oracle.match_candidates(publication)
+        """What a lossless system would deliver: one oracle ``match_batch``."""
         expected: List[NotificationRecord] = []
-        self._expected_records(publication, matched, expected)
-        return expected
-
-    def _expected_records(
-        self,
-        publication: Publication,
-        matched: Sequence[Subscription],
-        expected: List[NotificationRecord],
-    ) -> None:
-        for subscription in matched:
-            _, client_id, broker_id = self._all_subscriptions[subscription.id]
-            expected.append(
-                NotificationRecord(
-                    broker=broker_id,
-                    subscriber=client_id,
-                    subscription_id=subscription.id,
-                    publication_id=publication.id,
+        for publication, (matched, _tests) in zip(
+            publications, self._oracle.match_batch(publications)
+        ):
+            for subscription in matched:
+                _, client_id, broker_id = self._all_subscriptions[subscription.id]
+                expected.append(
+                    NotificationRecord(
+                        broker=broker_id,
+                        subscriber=client_id,
+                        subscription_id=subscription.id,
+                        publication_id=publication.id,
+                    )
                 )
-            )
+        return expected
 
     # ------------------------------------------------------------------
     # Message pump (virtual-time event loop)
     # ------------------------------------------------------------------
     def _run(self, initial: Message) -> None:
-        self._inject(initial)
+        self.kernel.schedule_many(self._injected((initial,)))
         self._drain()
 
-    def _inject(self, message: Message) -> None:
-        message.injected_at = self.kernel.now
-        message.sent_at = self.kernel.now
-        if self._obs is not None:
-            self._obs.on_inject(message, self.kernel.now)
-        self.kernel.schedule(message)
+    def _injected(self, messages: Iterable[Message]) -> Iterator[Message]:
+        """Stamp client operations as entering the network now.
+
+        A generator, so that under span recording each operation's
+        ``injected`` span still directly precedes its ``enqueued`` one.
+        """
+        now = self.kernel.now
+        obs = self._obs
+        for message in messages:
+            message.injected_at = now
+            message.sent_at = now
+            if obs is not None:
+                obs.on_inject(message, now)
+            yield message
 
     def _drain(self) -> None:
         kernel = self.kernel
         obs = self._obs
+        metrics = self.metrics
         for message in kernel.drain_grouped():
             if type(message) is list:
-                # One same-instant delivery generation, popped as a run:
-                # partition it per receiving broker (stably, so every
-                # broker processes its share in pop order) and hand each
-                # share to the batched handler — one match_batch route
-                # lookup per broker instead of one scalar lookup per hop.
-                # The run's outgoing messages are then scheduled in
-                # original run order, which reproduces the one-at-a-time
-                # drain's heap sequence (and therefore every downstream
-                # dedup race on cyclic topologies) exactly.
+                # Plain publication hops arrive as runs (one same-instant
+                # delivery generation under the zero model, runs of one
+                # otherwise): partition the run per receiving broker
+                # (stably, so every broker processes its share in pop
+                # order) and hand each share to the broker's handler — one
+                # route lookup per broker.  The run's outgoing messages
+                # are then scheduled in original run order, which
+                # reproduces the one-at-a-time drain's heap sequence (and
+                # therefore every downstream dedup race on cyclic
+                # topologies) exactly.
                 run = message
                 by_recipient: Dict[str, List[int]] = {}
                 for position, inner in enumerate(run):
@@ -523,34 +474,28 @@ class BrokerNetwork:
                     )
                 run_outgoing: List[List[Message]] = [[]] * len(run)
                 for recipient, positions in by_recipient.items():
-                    broker = self.brokers[recipient]
                     share = [run[position] for position in positions]
-                    for inner in share:
-                        if obs is not None:
+                    if obs is not None:
+                        for inner in share:
                             obs.on_hop_delivered(inner)
-                        if inner.sender is not None:
-                            self.metrics.publication_messages += 1
-                    dead_before = broker.dead_letter_publications
-                    if obs is not None:
-                        obs.stage_push("network.handle_publication")
-                    share_outgoing = broker.handle_publication_batch(share)
-                    if obs is not None:
-                        obs.stage_pop()
-                    self.metrics.dead_letter_publications += (
-                        broker.dead_letter_publications - dead_before
+                    metrics.publication_messages += sum(
+                        inner.sender is not None for inner in share
+                    )
+                    share_outgoing = self._handle_publications(
+                        self.brokers[recipient], share
                     )
                     for position, outs in zip(positions, share_outgoing):
                         run_outgoing[position] = outs
-                for outs in run_outgoing:
-                    for out in outs:
-                        kernel.schedule(out)
+                outgoing = [out for outs in run_outgoing for out in outs]
+                if outgoing:
+                    kernel.schedule_many(outgoing)
                 continue
             if obs is not None:
                 obs.on_hop_delivered(message)
             broker = self.brokers[message.recipient]
             if isinstance(message, SubscriptionMessage):
                 if message.sender is not None:
-                    self.metrics.subscription_messages += 1
+                    metrics.subscription_messages += 1
                 if obs is not None:
                     obs.stage_push("network.handle_subscription")
                 outgoing, decisions = broker.handle_subscription(message)
@@ -559,7 +504,7 @@ class BrokerNetwork:
                 self._account_decisions(decisions)
             elif isinstance(message, UnsubscriptionMessage):
                 if message.sender is not None:
-                    self.metrics.unsubscription_messages += 1
+                    metrics.unsubscription_messages += 1
                 if obs is not None:
                     obs.stage_push("network.handle_unsubscription")
                 outgoing, decisions = broker.handle_unsubscription(message)
@@ -568,45 +513,41 @@ class BrokerNetwork:
                 self._account_decisions(decisions)
             elif isinstance(message, PublicationBatchMessage):
                 # One hop (and one latency sample) for the whole batch.
-                self.metrics.publication_messages += 1
-                self.metrics.batched_publications += len(message.messages)
-                dead_before = broker.dead_letter_publications
+                metrics.publication_messages += 1
+                metrics.batched_publications += len(message.messages)
                 for inner in message.messages:
                     inner.delivered_at = message.delivered_at
-                if obs is not None:
-                    obs.stage_push("network.handle_publication")
                 outgoing = [
                     out
-                    for outs in broker.handle_publication_batch(
-                        message.messages, values=message.values_matrix()
+                    for outs in self._handle_publications(
+                        broker, message.messages, message.values_matrix()
                     )
                     for out in outs
                 ]
-                if obs is not None:
-                    obs.stage_pop()
-                self.metrics.dead_letter_publications += (
-                    broker.dead_letter_publications - dead_before
-                )
-            elif isinstance(message, PublicationMessage):
-                if message.sender is not None:
-                    self.metrics.publication_messages += 1
-                dead_before = broker.dead_letter_publications
-                if obs is not None:
-                    obs.stage_push("network.handle_publication")
-                outgoing = broker.handle_publication(message)
-                if obs is not None:
-                    obs.stage_pop()
-                self.metrics.dead_letter_publications += (
-                    broker.dead_letter_publications - dead_before
-                )
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown message type {type(message)!r}")
-            for out in outgoing:
-                kernel.schedule(out)
-        self.metrics.queue_depth_high_water = kernel.queue_depth_high_water
-        self.metrics.phase_queue_depth_high_water = (
+            if outgoing:
+                kernel.schedule_many(outgoing)
+        metrics.queue_depth_high_water = kernel.queue_depth_high_water
+        metrics.phase_queue_depth_high_water = (
             kernel.phase_queue_depth_high_water
         )
+
+    def _handle_publications(
+        self, broker: Broker, messages: Sequence[PublicationMessage], values=None
+    ) -> List[List[Message]]:
+        """One broker's share of a delivery generation, through its handler."""
+        obs = self._obs
+        dead_before = broker.dead_letter_publications
+        if obs is not None:
+            obs.stage_push("network.handle_publication")
+        outgoing = broker.handle_publication_batch(messages, values)
+        if obs is not None:
+            obs.stage_pop()
+        self.metrics.dead_letter_publications += (
+            broker.dead_letter_publications - dead_before
+        )
+        return outgoing
 
     def _account_decisions(self, decisions) -> None:
         for decision in decisions:

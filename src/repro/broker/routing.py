@@ -5,12 +5,13 @@ the subscription came from: either a local client or the neighbouring
 broker that forwarded it.  Publications are later routed along the reverse
 of those paths (reverse path forwarding, Section 2).
 
-The forwarding-table lookup (:meth:`RoutingTable.matching_entries`) is
-delegated to a pluggable matcher backend
-(:mod:`repro.matching.backends`), so a broker can match publications with
-the seed's linear scan or with a vectorised index without any change in
-observable routing behaviour: every backend yields the matching entries in
-insertion order.
+The forwarding-table lookup is one method,
+:meth:`RoutingTable.matching_entries_batch` — a single publication is a
+batch of one — delegated to the ``match_batch`` of a pluggable matcher
+backend (:mod:`repro.matching.backends`): for every backend the shared
+box-test kernel over signed bound columns, without any change in
+observable routing behaviour, since every backend yields the matching
+entries in insertion order.
 """
 
 from __future__ import annotations
@@ -97,38 +98,23 @@ class RoutingTable:
     def matching_entries(self, publication: Publication) -> List[RouteEntry]:
         """Entries whose subscription matches ``publication``.
 
-        Entries are returned in insertion order regardless of the matcher
-        backend, so reverse-path forwarding decisions are
-        backend-independent.
+        :meth:`matching_entries_batch` of one publication, without the
+        test count.
         """
-        matched, _tests = self._index.match_candidates(publication)
-        return [self._entries[subscription.id] for subscription in matched]
-
-    def matching_entries_with_tests(
-        self, publication: Publication
-    ) -> Tuple[List[RouteEntry], int]:
-        """:meth:`matching_entries` plus the membership-test count.
-
-        The observability layer uses the test count to attribute
-        route-lookup cost per broker; the entry list is identical to
-        :meth:`matching_entries`.
-        """
-        matched, tests = self._index.match_candidates(publication)
-        return (
-            [self._entries[subscription.id] for subscription in matched],
-            tests,
-        )
+        return self.matching_entries_batch((publication,))[0][0]
 
     def matching_entries_batch(
         self, publications: Sequence[Publication], values=None
     ) -> List[Tuple[List[RouteEntry], int]]:
         """Per-publication ``(matching entries, tests)`` for a whole burst.
 
-        One ``match_batch`` call answers the entire burst, amortising the
-        backend's array setup across it; each publication's entry list and
-        test charge are identical to :meth:`matching_entries_with_tests`.
-        ``values`` optionally passes the burst's points pre-stacked as a
-        ``(len(publications), m)`` array.
+        The table's one lookup: a single ``match_batch`` call of the
+        backend answers the entire burst.  Entries are returned in
+        insertion order regardless of the matcher backend, so reverse-path
+        forwarding decisions are backend-independent; ``tests`` is the
+        membership-test count the observability layer attributes per
+        broker.  ``values`` optionally passes the burst's points
+        pre-stacked as a ``(len(publications), m)`` array.
         """
         entries = self._entries
         return [

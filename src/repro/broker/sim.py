@@ -20,7 +20,12 @@ replaces that pump with a discrete-event kernel:
   :class:`~repro.broker.messages.PublicationBatchMessage` hop once
   ``batch_size`` of them accumulate (partial batches flush when a
   non-publication message needs the link, preserving FIFO causality, or
-  when the kernel drains).
+  when the kernel drains);
+* messages are scheduled in runs (:meth:`EventKernel.schedule_many` — a
+  handler's whole output, a burst's whole injection) and same-instant
+  publication hops are popped in runs (:meth:`EventKernel.drain_grouped`),
+  so the per-message cost of the kernel is a heap push and a heap pop;
+  both leave exactly the heap sequence of one message at a time.
 
 With the zero model every event is scheduled at time 0.0 and the heap
 degenerates to insertion order — exactly the seed pump's global FIFO — so
@@ -39,7 +44,7 @@ scenario specs, trace headers and the CLI::
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -248,54 +253,87 @@ class EventKernel:
         obs = self._obs
         if obs is not None:
             obs.stage_push("kernel.schedule")
-            try:
-                self._schedule(message)
-            finally:
+        try:
+            if (
+                self.batch_size > 1
+                and message.sender is not None
+                and isinstance(message, PublicationMessage)
+            ):
+                link = (message.sender, message.recipient)
+                pending = self._egress.setdefault(link, [])
+                pending.append(message)
+                if len(pending) >= self.batch_size:
+                    self._flush_link(link)
+                return
+            if message.sender is not None:
+                # A control message must not overtake publications already
+                # buffered for this link.
+                self._flush_link((message.sender, message.recipient))
+            self._push((message,))
+        finally:
+            if obs is not None:
                 obs.stage_pop()
-            return
-        self._schedule(message)
 
-    def _schedule(self, message: Message) -> None:
-        if (
-            self.batch_size > 1
-            and message.sender is not None
-            and isinstance(message, PublicationMessage)
-        ):
-            link = (message.sender, message.recipient)
-            pending = self._egress.setdefault(link, [])
-            pending.append(message)
-            if len(pending) >= self.batch_size:
-                self._flush_link(link)
-            return
-        if message.sender is not None:
-            # A control message must not overtake publications already
-            # buffered for this link.
-            self._flush_link((message.sender, message.recipient))
-        self._push(message)
+    def schedule_many(self, messages: Iterable[Message]) -> None:
+        """:meth:`schedule` every message, in order, as one scheduling run.
 
-    def _push(self, message: Message) -> None:
+        Leaves the heap (sequence numbers included), the link clocks,
+        :attr:`scheduled` and both high-water marks exactly as scheduling
+        one by one would, for one ``kernel.schedule`` stage entry instead
+        of one per message.  ``messages`` is consumed lazily, each message
+        taken only when its turn to be pushed has come.  With egress
+        batching on (or a buffer still holding publications) every message
+        goes through :meth:`schedule`.
+        """
+        if self.batch_size > 1 or self._egress:
+            for message in messages:
+                self.schedule(message)
+            return
+        obs = self._obs
+        if obs is not None:
+            obs.stage_push("kernel.schedule")
+        try:
+            self._push(messages)
+        finally:
+            if obs is not None:
+                obs.stage_pop()
+
+    def _push(self, messages: Iterable[Message]) -> None:
+        """Time-stamp ``messages`` and push them onto the heap, in order."""
+        heap = self._heap
+        link_clock = self._link_clock
+        sample = self.latency_model.sample
         # Never schedule behind the virtual clock: a message can sit in an
         # egress buffer while unrelated traffic advances time, so its
         # recorded sent_at may be stale by the time the batch flushes.
-        send_time = max(message.sent_at, self.now)
-        if message.sender is None:
-            deliver_at = send_time
-        else:
-            link = (message.sender, message.recipient)
-            latency = self.latency_model.sample(*link)
-            deliver_at = send_time + latency
-            deliver_at = max(deliver_at, self._link_clock.get(link, 0.0))
-            self._link_clock[link] = deliver_at
-        message.delivered_at = deliver_at
-        heapq.heappush(self._heap, (deliver_at, self._sequence, message))
-        self._sequence += 1
-        self.scheduled += 1
-        if len(self._heap) > self.queue_depth_high_water:
-            self.queue_depth_high_water = len(self._heap)
-        if len(self._heap) > self.phase_queue_depth_high_water:
-            self.phase_queue_depth_high_water = len(self._heap)
-        if self._obs is not None:
-            self._obs.on_enqueue(message, deliver_at, len(self._heap))
+        now = self.now
+        obs = self._obs
+        sequence = self._sequence
+        try:
+            for message in messages:
+                deliver_at = now if now > message.sent_at else message.sent_at
+                sender = message.sender
+                if sender is not None:
+                    link = (sender, message.recipient)
+                    deliver_at += sample(sender, message.recipient)
+                    clock = link_clock.get(link, 0.0)
+                    if clock > deliver_at:
+                        deliver_at = clock
+                    link_clock[link] = deliver_at
+                message.delivered_at = deliver_at
+                heapq.heappush(heap, (deliver_at, sequence, message))
+                sequence += 1
+                if obs is not None:
+                    obs.on_enqueue(message, deliver_at, len(heap))
+        finally:
+            self.scheduled += sequence - self._sequence
+            self._sequence = sequence
+            # the queue only grew, so it is now as deep as it got
+            depth = len(heap)
+            if depth > self.queue_depth_high_water:
+                self.queue_depth_high_water = depth
+            if depth > self.phase_queue_depth_high_water:
+                self.phase_queue_depth_high_water = depth
 
     def reset_phase_high_water(self) -> None:
         """Start a fresh per-phase queue-depth high-water interval."""
@@ -306,18 +344,20 @@ class EventKernel:
         if not pending:
             return
         if len(pending) == 1:
-            self._push(pending[0])
+            self._push(pending)
             return
         first = pending[0]
         self._push(
-            PublicationBatchMessage(
-                sender=first.sender,
-                recipient=first.recipient,
-                hops=first.hops,
-                injected_at=first.injected_at,
-                sent_at=first.sent_at,
-                trace_id=first.trace_id,
-                messages=pending,
+            (
+                PublicationBatchMessage(
+                    sender=first.sender,
+                    recipient=first.recipient,
+                    hops=first.hops,
+                    injected_at=first.injected_at,
+                    sent_at=first.sent_at,
+                    trace_id=first.trace_id,
+                    messages=pending,
+                ),
             )
         )
 
@@ -353,22 +393,22 @@ class EventKernel:
     def drain_grouped(
         self,
     ) -> Iterator[Union[Message, List[PublicationMessage]]]:
-        """:meth:`drain`, but same-instant publication hops pop as one run.
+        """:meth:`drain`, but plain publication hops pop as runs.
 
-        Under the zero latency model a maximal run of consecutive plain
-        publication hops with one delivery time is popped together and
-        yielded as a single list in pop (sequence) order, so the consumer
-        can process the whole delivery generation batched per receiving
-        broker.  The run is exactly the prefix :meth:`drain` would have
-        yielded one message at a time — everything a run member schedules
-        carries a later sequence number at the same or a later time, so
-        nothing can interleave into the run — which makes the identity
-        obligation the *consumer's*: it must keep per-recipient processing
-        order and reschedule the run's outgoing messages in original run
-        order (see :meth:`~repro.broker.network.BrokerNetwork._drain`).
-        Non-publication messages, singleton runs and timed models (whose
-        queue-depth gauges reflect exact pop timing) are yielded one
-        message at a time.
+        Every plain publication hop is yielded inside a list.  Under the
+        zero latency model the list is the maximal run of consecutive
+        plain publication hops with one delivery time, in pop (sequence)
+        order, so the consumer can process the whole delivery generation
+        batched per receiving broker.  The run is exactly the prefix
+        :meth:`drain` would have yielded one message at a time —
+        everything a run member schedules carries a later sequence number
+        at the same or a later time, so nothing can interleave into the
+        run — which makes the identity obligation the *consumer's*: it
+        must keep per-recipient processing order and reschedule the run's
+        outgoing messages in original run order (see
+        :meth:`~repro.broker.network.BrokerNetwork._drain`).  Timed models
+        (whose queue-depth gauges reflect exact pop timing) get runs of
+        one; every other message is yielded bare.
         """
         heap = self._heap
         group_enabled = self.latency_model.name == "zero"
@@ -379,19 +419,13 @@ class EventKernel:
                 self._flush_all()
             deliver_at, _, message = heapq.heappop(heap)
             self.now = deliver_at
-            if not group_enabled or type(message) is not PublicationMessage:
-                yield message
-                continue
-            if not (
-                heap
-                and heap[0][0] == deliver_at
-                and type(heap[0][2]) is PublicationMessage
-            ):
+            if type(message) is not PublicationMessage:
                 yield message
                 continue
             run = [message]
             while (
-                heap
+                group_enabled
+                and heap
                 and heap[0][0] == deliver_at
                 and type(heap[0][2]) is PublicationMessage
             ):

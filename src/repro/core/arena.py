@@ -36,8 +36,10 @@ box's upper end, :func:`boxes_meeting`, reducing along the short axis and
 scanning along the contiguous one.  It is the checker's candidate screen
 (:meth:`SubsumptionChecker.check <repro.core.subsumption.SubsumptionChecker.check>`
 drops the candidates that cannot meet ``s`` before any table is built)
-and, over raw bounds with a publication as the degenerate box, the
-counting index's match (:mod:`repro.matching.counting_index`).  The
+and, over raw bounds with a publication as the degenerate box, every
+publication lookup — :func:`boxes_containing`, which the matcher
+backends, hence the brokers' routing tables and the network's delivery
+oracle, answer whole bursts with (:mod:`repro.matching.backends`).  The
 snapshot's matrix is *snapped*: on a discrete attribute only the ticks
 inside a range exist, so lower bounds are rounded up and upper bounds
 down — on the signed layout one ``ceil`` — and every stage of the
@@ -59,6 +61,7 @@ __all__ = [
     "SubscriptionArena",
     "CandidateSet",
     "as_candidate_set",
+    "boxes_containing",
     "boxes_meeting",
     "signed_box",
 ]
@@ -87,6 +90,39 @@ def boxes_meeting(signed: np.ndarray, limit: np.ndarray) -> np.ndarray:
     if limit.ndim == 2:
         signed = signed[:, np.newaxis]
     return (signed <= limit[..., np.newaxis]).all(axis=0)
+
+
+#: bound on the boolean workspace of one :func:`boxes_containing` kernel
+#: call, in array cells; larger blocks of points are tested chunk by chunk
+_CELL_BUDGET = 4_000_000
+
+
+def boxes_containing(signed: np.ndarray, points: np.ndarray) -> List[List[int]]:
+    """For every row of ``points``, the columns of ``signed`` holding it.
+
+    ``signed`` is a signed ``(2m, n)`` matrix of *raw* bounds and
+    ``points`` a ``(B, m)`` block; a point is the box with ``low == high``,
+    so the answer is :func:`boxes_meeting` against ``[v, -v]`` — one kernel
+    call and one ``nonzero`` per chunk of points, however many there are,
+    each chunk's ``(2m, B', n)`` workspace within :data:`_CELL_BUDGET`.
+    Column indices ascend within each list.  This is every publication
+    lookup of the program: the matcher backends' ``match_batch``, hence
+    the brokers' route lookup and the network's delivery oracle.
+    """
+    count = len(points)
+    # C-ordered on purpose: concatenating the transposes would come out
+    # Fortran-ordered, and the broadcast below is then 1.3-1.6x slower at
+    # routing-table sizes
+    limits = np.concatenate((points, -points), axis=1).T.copy()
+    hits: List[List[int]] = [[] for _ in range(count)]
+    step = max(1, _CELL_BUDGET // max(signed.size, 1))
+    for start in range(0, count, step):
+        mask = boxes_meeting(signed, limits[:, start : start + step])
+        # flat, then split: a 2-D ``nonzero`` pays per cell, ten times over
+        which, columns = np.divmod(np.nonzero(mask.ravel())[0], mask.shape[1])
+        for point, column in zip((which + start).tolist(), columns.tolist()):
+            hits[point].append(column)
+    return hits
 
 
 def _snap_inwards(signed: np.ndarray, schema) -> None:

@@ -13,20 +13,30 @@ Three backends are provided, each descending from a family of matchers
 the paper surveys in Section 7 (related work):
 
 ``linear``
-    Algorithm 5's own mechanism: a straight Python scan that charges one
-    test per stored subscription.  It is the seed engine's behaviour,
-    kept bit-for-bit as the oracle the vectorised backends are
-    differentially tested against.
+    Algorithm 5's own mechanism: ``match_candidates`` is a straight
+    Python scan that charges one test per stored subscription.  The
+    *scan* is the seed engine's behaviour, kept bit-for-bit as the oracle
+    everything vectorised is differentially tested against; the backend's
+    *batch* path is not a scan at all but the shared kernel below, over
+    signed columns it maintains alongside the dictionary.
 ``counting``
     The counting algorithm of Yan & Garcia-Molina — the ancestor of the
     "deterministic matcher" family in Section 7 — realised as one
-    vectorised NumPy pass over per-attribute bound arrays
+    vectorised NumPy pass over a signed bound matrix
     (:class:`~repro.matching.counting_index.CountingIndex`).
 ``selectivity``
     Carzaniga & Wolf's selectivity-ordered forwarding tables (also
     Section 7): attributes are evaluated most-selective-first so the
     candidate set collapses early
     (:class:`~repro.matching.selectivity_index.SelectivityIndex`).
+
+Every ``match_batch`` — and therefore every broker route lookup and the
+network's delivery oracle, whichever backend is plugged in — is one
+routine, :func:`repro.core.arena.boxes_containing`: the checker's box
+test over incrementally kept signed columns
+(:class:`~repro.matching.counting_index.SignedColumns`), one kernel call
+and one ``nonzero`` per burst under one workspace budget.  No backend
+has a box test of its own.
 
 All backends return candidates in insertion order, so every consumer
 observes the same candidate stream whichever backend is plugged in; only
@@ -46,7 +56,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.matching.counting_index import CountingIndex
+from repro.matching.counting_index import CountingIndex, SignedColumns
 from repro.matching.selectivity_index import SelectivityIndex
 from repro.model.publications import Publication
 from repro.model.schema import Schema
@@ -122,24 +132,29 @@ class LinearBackend(MatcherBackend):
 
     def __init__(self) -> None:
         self._subscriptions: Dict[str, Subscription] = {}
-        #: cached ``(subscriptions, lows, highs)`` bounds stack for the
-        #: batched path; dropped on any add/remove (and left ``None`` for
-        #: mixed-arity subscription sets, which fall back to the scan)
-        self._stacked: Optional[Tuple[Tuple[Subscription, ...], np.ndarray, np.ndarray]] = None
-        self._stacked_valid = False
+        #: the same subscriptions, in the same order, as signed columns for
+        #: the batched path; ``None`` from the moment subscriptions of two
+        #: attribute counts are stored until the backend is next empty (the
+        #: scan handles mixed sets; one matrix cannot)
+        self._columns: Optional[SignedColumns] = None
 
     def add(self, subscription: Subscription) -> None:
         if subscription.id in self._subscriptions:
             raise ValueError(
                 f"subscription {subscription.id!r} is already indexed"
             )
+        if not self._subscriptions:
+            self._columns = SignedColumns(subscription.m)
+        elif self._columns is not None and self._columns.m != subscription.m:
+            self._columns = None
         self._subscriptions[subscription.id] = subscription
-        self._stacked_valid = False
+        if self._columns is not None:
+            self._columns.add(subscription)
 
     def remove(self, subscription_id: str) -> bool:
         removed = self._subscriptions.pop(subscription_id, None) is not None
-        if removed:
-            self._stacked_valid = False
+        if removed and self._columns is not None:
+            self._columns.remove(subscription_id)
         return removed
 
     def match_candidates(self, publication: Publication) -> MatchCandidates:
@@ -151,63 +166,28 @@ class LinearBackend(MatcherBackend):
         ]
         return matched, len(self._subscriptions)
 
-    def _bounds_stack(
-        self,
-    ) -> Optional[Tuple[Tuple[Subscription, ...], np.ndarray, np.ndarray]]:
-        """Stored subscriptions with their bounds stacked ``(k, m)``.
-
-        ``None`` when the stored subscriptions do not share one attribute
-        count (the flat scan handles mixed sets; the matrix cannot).
-        """
-        if not self._stacked_valid:
-            subscriptions = tuple(self._subscriptions.values())
-            arity = {subscription.m for subscription in subscriptions}
-            if len(arity) == 1:
-                self._stacked = (
-                    subscriptions,
-                    np.array([s.lows for s in subscriptions]),
-                    np.array([s.highs for s in subscriptions]),
-                )
-            else:
-                self._stacked = None
-            self._stacked_valid = True
-        return self._stacked
-
     def match_batch(
         self,
         publications: Sequence[Publication],
         values: Optional[np.ndarray] = None,
     ) -> List[MatchCandidates]:
-        """One broadcast containment test for the whole burst.
+        """The whole burst through the shared box-test kernel.
 
-        The stored bounds are stacked once (cached across bursts until the
-        stored set mutates) and every publication of the burst is tested
-        against every subscription in a single ``(B, k, m)`` comparison.
         Results — candidate order (insertion order) and the per-publication
-        test charge — are identical to mapping :meth:`match_candidates`.
+        test charge — are identical to mapping :meth:`match_candidates`,
+        which is also what answers when the stored subscriptions or the
+        burst do not share one attribute count.
         """
         publications = list(publications)
-        if len(publications) < 2 or not self._subscriptions:
+        columns = self._columns
+        if columns is None or not self._subscriptions or not publications:
             return [self.match_candidates(p) for p in publications]
-        stacked = self._bounds_stack()
-        if stacked is None:
-            return [self.match_candidates(p) for p in publications]
-        subscriptions, lows, highs = stacked
-        m = lows.shape[1]
         if values is None:
-            if any(p.values.shape != (m,) for p in publications):
+            if any(p.values.shape != (columns.m,) for p in publications):
                 return [self.match_candidates(p) for p in publications]
             values = np.array([p.values for p in publications])
-        points = values[:, np.newaxis, :]
-        hit_matrix = (
-            ((lows <= points) & (points <= highs)).all(axis=2)
-        )
-        tests = len(subscriptions)
-        results: List[MatchCandidates] = []
-        for row in hit_matrix:
-            hits = np.nonzero(row)[0]
-            results.append(([subscriptions[i] for i in hits], tests))
-        return results
+        tests = len(self._subscriptions)
+        return [(matched, tests) for matched in columns.containing(values)]
 
     def __len__(self) -> int:
         return len(self._subscriptions)

@@ -10,20 +10,22 @@ the number of attributes.
 This implementation keeps one bound matrix in the conflict table's
 layout — *signed, attribute-major*, shape ``(2m, capacity)``, one column
 per subscription with its lower bounds on top of its **negated** upper
-bounds — and matches with the checker's own box test,
-:func:`repro.core.arena.boxes_meeting`: a publication is the box with
-``low == high``, so "every attribute's constraint is satisfied" is one
-``<=`` against ``[v, -v]`` reduced over the ``2m`` axes, each attribute's
-comparison running along a contiguous row.  The bounds are kept *raw*
-(the contract is :meth:`Subscription.contains_values`; snapping to ticks
-is the checker's business).  Maintenance is *incremental*: ``add`` fills
-the next column of a geometrically grown matrix and ``remove`` tombstones
-its column with NaN, which no comparison passes — as is every column
-never used; tombstones are compacted away (preserving insertion order)
-once they rival the live columns, so neither operation ever rebuilds the
-index and a match is a single vectorised pass over at most ``2 × live``
-columns.  ``match_batch`` stacks a burst of publications into one
-comparison, amortising the per-call array setup.
+bounds — and matches with the checker's own box test: a publication is
+the box with ``low == high``, so "every attribute's constraint is
+satisfied" is one ``<=`` against ``[v, -v]`` reduced over the ``2m``
+axes, each attribute's comparison running along a contiguous row
+(:func:`repro.core.arena.boxes_containing`, which tests a whole burst of
+publications per kernel call under one workspace budget).  The bounds
+are kept *raw* (the contract is :meth:`Subscription.contains_values`;
+snapping to ticks is the checker's business).  Maintenance is
+*incremental* and lives in :class:`SignedColumns`, which the linear
+backend's batched path holds too: ``add`` fills the next column of a
+geometrically grown matrix and ``remove`` tombstones its column with
+NaN, which no comparison passes — as is every column never used;
+tombstones are compacted away (preserving insertion order) once they
+rival the live columns, so neither operation ever rebuilds the storage
+and a match is a single vectorised pass over at most ``2 × live``
+columns.
 
 The index serves as a deterministic baseline for the matching
 micro-benchmarks, as an independent test oracle for the matching engine,
@@ -37,27 +39,30 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.arena import boxes_meeting
+from repro.core.arena import boxes_containing, boxes_meeting
 from repro.model.errors import ValidationError
 from repro.model.publications import Publication
 from repro.model.schema import Schema
 from repro.model.subscriptions import Subscription
 
-__all__ = ["CountingIndex"]
+__all__ = ["CountingIndex", "SignedColumns"]
 
 #: smallest array capacity allocated (and smallest tombstone debt compacted)
 _MIN_CAPACITY = 8
-#: bound on the boolean workspace of one batched match, in array cells
-_BATCH_CELL_BUDGET = 4_000_000
 
 
-class CountingIndex:
-    """Vectorised counting-algorithm index over a fixed schema."""
+class SignedColumns:
+    """Subscriptions of one arity as incrementally kept signed columns.
 
-    def __init__(self, schema: Schema):
-        self.schema = schema
+    The storage under :class:`CountingIndex` and under the linear
+    backend's batched path: schema-agnostic (only the attribute count is
+    fixed), insertion-ordered, never rebuilt.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
         #: signed bounds, one column per row in use; NaN marks a tombstone
-        self._signed = np.empty((2 * schema.m, 0), dtype=float)
+        self._signed = np.empty((2 * m, 0), dtype=float)
         #: rows in use, tombstones included
         self._size = 0
         self._dead = 0
@@ -68,9 +73,7 @@ class CountingIndex:
     # Maintenance
     # ------------------------------------------------------------------
     def add(self, subscription: Subscription) -> None:
-        """Index a subscription (fills one column; never rebuilds)."""
-        if subscription.schema != self.schema:
-            raise ValidationError("subscription schema does not match the index")
+        """Store a subscription (fills one column; never rebuilds)."""
         if subscription.id in self._rows:
             raise ValidationError(
                 f"subscription {subscription.id!r} is already indexed"
@@ -78,7 +81,7 @@ class CountingIndex:
         row = self._size
         if row == self._signed.shape[1]:
             self._resize(max(_MIN_CAPACITY, 2 * row), slice(0, row))
-        m = self.schema.m
+        m = self.m
         self._signed[:m, row] = subscription.lows
         np.negative(subscription.highs, out=self._signed[m:, row])
         self._subscriptions.append(subscription)
@@ -87,7 +90,7 @@ class CountingIndex:
         self._on_add(row)
 
     def add_all(self, subscriptions: Sequence[Subscription]) -> None:
-        """Index many subscriptions at once."""
+        """Store many subscriptions in order."""
         for subscription in subscriptions:
             self.add(subscription)
 
@@ -106,7 +109,7 @@ class CountingIndex:
 
     def _resize(self, capacity: int, keep) -> None:
         """Move the ``keep`` columns to the front of a fresh NaN matrix."""
-        signed = np.full((2 * self.schema.m, capacity), np.nan)
+        signed = np.full((2 * self.m, capacity), np.nan)
         kept = self._signed[:, keep]
         signed[:, : kept.shape[1]] = kept
         self._signed = signed
@@ -135,12 +138,46 @@ class CountingIndex:
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
+    def containing(self, points: np.ndarray) -> List[List[Subscription]]:
+        """Per row of the ``(B, m)`` block ``points``, the stored
+        subscriptions containing it, in insertion order."""
+        subscriptions = self._subscriptions
+        return [
+            [subscriptions[column] for column in columns]
+            for columns in boxes_containing(
+                self._signed[:, : self._size], points
+            )
+        ]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __contains__(self, subscription_id: object) -> bool:
+        return subscription_id in self._rows
+
+
+class CountingIndex(SignedColumns):
+    """Vectorised counting-algorithm index over a fixed schema."""
+
+    def __init__(self, schema: Schema):
+        self.schema = schema
+        super().__init__(schema.m)
+
+    def add(self, subscription: Subscription) -> None:
+        """Index a subscription (fills one column; never rebuilds)."""
+        if subscription.schema != self.schema:
+            raise ValidationError("subscription schema does not match the index")
+        super().add(subscription)
+
     def match(self, publication: Publication) -> List[Subscription]:
         """Return every indexed subscription matching ``publication``."""
         if publication.schema != self.schema:
             raise ValidationError("publication schema does not match the index")
         if not self._rows:
             return []
+        # one point needs no split: the kernel on a 1-D limit, at a third
+        # of the batched routine's fixed cost (the engine matches its
+        # publications one at a time)
         values = publication.values
         hits = boxes_meeting(
             self._signed[:, : self._size], np.concatenate((values, -values))
@@ -153,8 +190,7 @@ class CountingIndex:
         """Match a burst of publications in one (chunked) vectorised pass.
 
         Equivalent to ``[self.match(p) for p in publications]`` but the
-        bound matrix is compared against the whole burst at once, chunked
-        so the boolean workspace stays within a fixed budget.
+        bound matrix is compared against the whole burst at once.
         """
         publications = list(publications)
         for publication in publications:
@@ -162,24 +198,10 @@ class CountingIndex:
                 raise ValidationError(
                     "publication schema does not match the index"
                 )
-        if not self._rows:
+        if not self._rows or not publications:
             return [[] for _ in publications]
-        signed = self._signed[:, : self._size]
-        subscriptions = self._subscriptions
-        chunk = max(1, _BATCH_CELL_BUDGET // signed.size)
-        results: List[List[Subscription]] = []
-        for start in range(0, len(publications), chunk):
-            values = np.array([p.values for p in publications[start : start + chunk]]).T
-            for hits in boxes_meeting(signed, np.concatenate((values, -values))):
-                results.append([subscriptions[i] for i in hits.nonzero()[0].tolist()])
-        return results
+        return self.containing(np.array([p.values for p in publications]))
 
     def match_count(self, publication: Publication) -> int:
         """Number of matching subscriptions (cheaper than materialising)."""
         return len(self.match(publication))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, subscription_id: object) -> bool:
-        return subscription_id in self._rows

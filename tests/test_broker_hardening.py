@@ -162,7 +162,7 @@ class TestOracleById:
             network.subscribe("sub", self.box(schema, lo, hi, f"s{index}"))
         network.unsubscribe("sub", "s1")
         publication = Publication.from_values(schema, {"x1": 15, "x2": 15})
-        expected = network._expected_notifications(publication)
+        expected = network._expected_notifications([publication])
         # Only s0 (0-20) still matches; s1 (10-60) unsubscribed.
         assert [record.subscription_id for record in expected] == ["s0"]
         delivered = network.publish("pub", publication)

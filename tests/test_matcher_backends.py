@@ -167,7 +167,7 @@ class TestIncrementalIndexes:
     def test_match_batch_chunked(self, index_class, schema, monkeypatch):
         # Force tiny chunks so the chunking loop itself is exercised.
         monkeypatch.setattr(
-            "repro.matching.counting_index._BATCH_CELL_BUDGET", 1
+            "repro.core.arena._CELL_BUDGET", 1
         )
         rng = np.random.default_rng(4)
         index = index_class(schema)
