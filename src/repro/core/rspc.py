@@ -10,7 +10,8 @@ error probability is bounded by ``(1 - rho_w)^d`` (Proposition 1 / Eq. 1).
 The guess kernel (:func:`_guess_witness`).  One seeded generator serves
 every check of a run, so *what* is drawn, and in which order, is part of
 the recorded behaviour: guesses come in batches of 256, each batch drawn
-column by column, and a check stops consuming the stream at the batch
+column by column (:meth:`Subscription.draw_batches`, the model's one way
+to draw inside a box), and a check stops consuming the stream at the batch
 that holds its witness.  The batch size is therefore fixed — changing it
 changes every verdict downstream.  How many batches are *in flight* is
 not: most guesses are spent confirming covers at the full budget, so
@@ -26,10 +27,8 @@ the size of the group buffers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ from repro.core.error_model import (
     effective_error,
     required_iterations,
 )
-from repro.model.errors import DomainError
 from repro.model.subscriptions import Subscription
 from repro.utils.rng import RandomSource, ensure_rng
 
@@ -111,93 +109,6 @@ _GROUP_CAP = 16
 #: candidates per membership-test block (see :func:`_first_uncovered`)
 _CANDIDATE_BLOCK = 8
 
-#: sampling-plan step kinds (see :func:`_sampling_plan`)
-_DRAW_INTEGERS = 0
-_DRAW_UNIFORM = 1
-_DRAW_CONSTANT = 2
-
-
-def _sampling_plan(subscription: Subscription) -> list:
-    """Precompute how one batch of guesses inside ``subscription`` is drawn.
-
-    The plan is a list of steps ``(kind, start, stop, a, b)`` over the
-    attribute columns ``start:stop``, in column order: a run of
-    consecutive discrete columns is one ``rng.integers`` call with
-    per-column bounds ``a``/``b`` of shape ``(stop - start, 1)``, a
-    non-degenerate continuous column one ``rng.uniform(a, b)``, a
-    degenerate continuous column the constant ``a``.  Discrete bounds are
-    snapped inwards like :meth:`IntegerDomain.sample` does, so every guess
-    is a point of ``s``; a discrete range holding no integer raises
-    :class:`DomainError`, as :meth:`Subscription.sample_point` would.
-    """
-    plan = subscription._rspc_plan
-    if plan is not None:
-        return plan
-    lows = subscription.lows.tolist()
-    highs = subscription.highs.tolist()
-    discrete = subscription.schema.vectors.discrete.tolist()
-    plan = []
-    for is_discrete, run in groupby(range(len(lows)), key=discrete.__getitem__):
-        columns = list(run)
-        if not is_discrete:
-            for attribute in columns:
-                low, high = lows[attribute], highs[attribute]
-                kind = _DRAW_UNIFORM if high > low else _DRAW_CONSTANT
-                plan.append((kind, attribute, attribute + 1, low, high))
-            continue
-        start, stop = columns[0], columns[-1] + 1
-        first = [math.ceil(low) for low in lows[start:stop]]
-        beyond = [math.floor(high) + 1 for high in highs[start:stop]]
-        if any(a >= b for a, b in zip(first, beyond)):
-            raise DomainError("cannot sample from an empty interval")
-        plan.append(
-            (
-                _DRAW_INTEGERS,
-                start,
-                stop,
-                np.array(first, dtype=np.int64)[:, np.newaxis],
-                np.array(beyond, dtype=np.int64)[:, np.newaxis],
-            )
-        )
-    # Subscription bounds are immutable after construction, so the plan
-    # can ride on the object across the many re-checks brokers perform.
-    subscription._rspc_plan = plan
-    return plan
-
-
-def _draw_points(
-    plan: list, rng: np.random.Generator, batches: int, size: int
-) -> np.ndarray:
-    """Draw ``batches`` consecutive batches of ``size`` guesses each.
-
-    Returns the points attribute-major, shape ``(m, batches * size)``,
-    batch after batch.  The bit generator is consumed exactly as by
-    drawing every column of every batch with its own scalar-bounds call,
-    in batch then column order: ``Generator.integers`` with broadcast
-    bounds fills its output in C order through the same bounded-integer
-    routine as the scalar call, so an all-discrete plan takes one call for
-    the whole group and a mixed plan one call per run of discrete columns
-    (pinned by ``tests/test_rspc_kernel.py::TestNumpyStreamProperty``).
-    """
-    m = plan[-1][2]
-    points = np.empty((m, batches, size), dtype=float)
-    kind, _, stop, a, b = plan[0]
-    if kind == _DRAW_INTEGERS and stop == m:
-        points[...] = rng.integers(a, b, size=(batches, m, size)).transpose(1, 0, 2)
-        return points.reshape(m, batches * size)
-    for batch in range(batches):
-        for kind, start, stop, a, b in plan:
-            if kind == _DRAW_INTEGERS:
-                points[start:stop, batch] = rng.integers(
-                    a, b, size=(stop - start, size)
-                )
-            elif kind == _DRAW_UNIFORM:
-                points[start, batch] = rng.uniform(a, b, size=size)
-            else:
-                points[start, batch] = a
-    return points.reshape(m, batches * size)
-
-
 def _candidate_blocks(signed: np.ndarray) -> list:
     """Split the signed ``(2m, r)`` bounds into membership-test blocks.
 
@@ -261,7 +172,6 @@ def _guess_witness(
     batches are drawn again, so no later check can tell how far this one
     drew ahead.
     """
-    plan = _sampling_plan(subscription)
     blocks = _candidate_blocks(signed)
     bit_generator = rng.bit_generator
     performed = 0
@@ -272,7 +182,7 @@ def _guess_witness(
         # only full batches are grouped; a shorter last one goes alone
         batches = max(1, min(group, left // _BATCH_SIZE))
         state = bit_generator.state
-        points = _draw_points(plan, rng, batches, size)
+        points = subscription.draw_batches(rng, batches, size)
         first = _first_uncovered(points, blocks)
         if first < 0:
             performed += batches * size
@@ -281,7 +191,7 @@ def _guess_witness(
         drawn = first // size + 1
         if drawn < batches:
             bit_generator.state = state
-            _draw_points(plan, rng, drawn, size)
+            subscription.draw_batches(rng, drawn, size)
         return points[:, first].copy(), performed + first + 1
     return None, performed
 

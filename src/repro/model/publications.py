@@ -27,6 +27,22 @@ def _next_publication_id() -> str:
     return f"pub-{next(_id_counter):06d}"
 
 
+def _check_inside_domain(schema: Schema, points: np.ndarray) -> None:
+    """Raise unless every row of ``points`` (``(m,)`` or ``(n, m)``) is in the domain.
+
+    One vectorised comparison for the whole matrix; the error names the
+    offending attributes of the first row outside.  NaN coordinates
+    compare false on both sides and pass, for one point and for many.
+    """
+    lows, highs = schema.full_bounds()
+    outside = (points < lows) | (points > highs)
+    if outside.any():
+        row = outside.reshape(-1, schema.m)
+        first = row[row.any(axis=1).argmax()]
+        bad = [name for name, out in zip(schema.names, first) if out]
+        raise ValidationError(f"publication outside the domain on: {bad}")
+
+
 class Publication:
     """A point publication: one value per schema attribute.
 
@@ -54,19 +70,12 @@ class Publication:
         publisher: Optional[str] = None,
         metadata: Optional[Dict[str, Any]] = None,
     ):
-        arr = np.asarray(values, dtype=float).copy()
+        arr = np.array(values, dtype=float)
         if arr.shape != (schema.m,):
             raise ValidationError(
                 f"publication has {arr.shape} coordinates, schema expects ({schema.m},)"
             )
-        lows, highs = schema.full_bounds()
-        if np.any(arr < lows) or np.any(arr > highs):
-            bad = [
-                schema.names[j]
-                for j in range(schema.m)
-                if arr[j] < lows[j] or arr[j] > highs[j]
-            ]
-            raise ValidationError(f"publication outside the domain on: {bad}")
+        _check_inside_domain(schema, arr)
         arr.setflags(write=False)
         self.schema = schema
         self.values = arr
@@ -90,6 +99,53 @@ class Publication:
         """Build a publication from a ``{attribute: value}`` mapping."""
         point = schema.encode_point(values)
         return cls(schema, point, publication_id, publisher, metadata)
+
+    @classmethod
+    def from_matrix(
+        cls,
+        schema: Schema,
+        points: Sequence[Sequence[float]],
+        publication_ids: Optional[Sequence[str]] = None,
+        publishers: Optional[Sequence[Optional[str]]] = None,
+    ) -> List["Publication"]:
+        """One publication per row of an encoded ``(n, m)`` matrix.
+
+        Equal, publication for publication, to calling the constructor on
+        each row — same values, identifiers (autogenerated in row order
+        when omitted), publishers, read-only flags and
+        :class:`ValidationError` — but the matrix is copied and checked
+        against the domain once, and every :attr:`values` is a read-only
+        row view of that one copy rather than an array of its own.
+        """
+        matrix = np.array(points, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[1] != schema.m:
+            raise ValidationError(
+                f"publication has {matrix.shape[1:]} coordinates, "
+                f"schema expects ({schema.m},)"
+            )
+        _check_inside_domain(schema, matrix)
+        matrix.setflags(write=False)
+        count = len(matrix)
+        if publication_ids is None:
+            publication_ids = [_next_publication_id() for _ in range(count)]
+        if publishers is None:
+            publishers = [None] * count
+        if len(publication_ids) != count or len(publishers) != count:
+            raise ValidationError(
+                f"{count} publications need as many identifiers and publishers; "
+                f"got {len(publication_ids)} and {len(publishers)}"
+            )
+        publications = []
+        for row, identifier, publisher in zip(matrix, publication_ids, publishers):
+            publication = cls.__new__(cls)
+            publication.schema = schema
+            publication.values = row
+            publication.id = identifier
+            publication.publisher = publisher
+            publication.metadata = {}
+            publication._values_list = None
+            publications.append(publication)
+        return publications
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,12 +14,13 @@ pair-wise covering) work with vectorised comparisons.
 from __future__ import annotations
 
 import itertools
+import math
 import uuid
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.model.errors import ValidationError
+from repro.model.errors import DomainError, ValidationError
 from repro.model.intervals import Interval
 from repro.model.predicates import Predicate
 from repro.model.schema import Schema
@@ -27,6 +28,11 @@ from repro.model.schema import Schema
 __all__ = ["Subscription"]
 
 _id_counter = itertools.count(1)
+
+#: sampling-plan step kinds (see :meth:`Subscription.sampling_plan`)
+_DRAW_INTEGERS = 0
+_DRAW_UNIFORM = 1
+_DRAW_CONSTANT = 2
 
 
 def _next_subscription_id() -> str:
@@ -63,7 +69,7 @@ class Subscription:
         "metadata",
         "_size",
         "_bounds_list",
-        "_rspc_plan",
+        "_sampling_plan",
         "_signed_box",
     )
 
@@ -112,8 +118,8 @@ class Subscription:
         self.metadata: Dict[str, Any] = dict(metadata or {})
         self._size: Optional[float] = None
         self._bounds_list: Optional[Tuple[List[float], List[float]]] = None
-        #: cached per-attribute RSPC sampling plan (bounds are immutable)
-        self._rspc_plan: Optional[list] = None
+        #: cached :meth:`sampling_plan` (bounds are immutable)
+        self._sampling_plan: Optional[list] = None
         #: cached snapped ends on the signed axes
         #: (:func:`repro.core.arena.signed_box`)
         self._signed_box: Optional[np.ndarray] = None
@@ -319,15 +325,118 @@ class Subscription:
             and np.array_equal(self.highs, other.highs)
         )
 
+    # ------------------------------------------------------------------
+    # Sampling
+    # ------------------------------------------------------------------
+    def sampling_plan(self) -> list:
+        """How points inside the box are drawn, computed once per box.
+
+        The plan is a list of steps ``(kind, start, stop, a, b)`` over the
+        attribute columns ``start:stop``, in column order: a run of
+        consecutive discrete columns is one ``rng.integers`` call with
+        per-column bounds ``a``/``b`` of shape ``(stop - start, 1)``, a
+        non-degenerate continuous column one ``rng.uniform(a, b)``, a
+        degenerate continuous column the constant ``a``.  Discrete bounds
+        are snapped inwards like :meth:`IntegerDomain.sample` does
+        (``ceil`` low, ``floor`` high), so every draw is a point of the
+        box; a discrete range holding no integer raises
+        :class:`DomainError`.
+        """
+        plan = self._sampling_plan
+        if plan is not None:
+            return plan
+        lows = self.lows.tolist()
+        highs = self.highs.tolist()
+        discrete = self.schema.vectors.discrete.tolist()
+        plan = []
+        for is_discrete, run in itertools.groupby(
+            range(len(lows)), key=discrete.__getitem__
+        ):
+            columns = list(run)
+            if not is_discrete:
+                for attribute in columns:
+                    low, high = lows[attribute], highs[attribute]
+                    kind = _DRAW_UNIFORM if high > low else _DRAW_CONSTANT
+                    plan.append((kind, attribute, attribute + 1, low, high))
+                continue
+            start, stop = columns[0], columns[-1] + 1
+            first = [math.ceil(low) for low in lows[start:stop]]
+            beyond = [math.floor(high) + 1 for high in highs[start:stop]]
+            if any(a >= b for a, b in zip(first, beyond)):
+                raise DomainError("cannot sample from an empty interval")
+            plan.append(
+                (
+                    _DRAW_INTEGERS,
+                    start,
+                    stop,
+                    np.array(first, dtype=np.int64)[:, np.newaxis],
+                    np.array(beyond, dtype=np.int64)[:, np.newaxis],
+                )
+            )
+        # Bounds are immutable after construction, so the plan rides on
+        # the object across the many re-checks brokers perform and the
+        # many publications a workload draws from one box.
+        self._sampling_plan = plan
+        return plan
+
+    def draw_batches(self, rng: Any, batches: int, size: int) -> np.ndarray:
+        """Draw ``batches`` consecutive batches of ``size`` points each.
+
+        The one way to draw inside a box.  Returns the points
+        attribute-major, shape ``(m, batches * size)``, batch after batch.
+        The bit generator is consumed exactly as by drawing every column
+        of every batch with its own scalar-bounds call, in batch then
+        column order: ``Generator.integers`` with broadcast bounds fills
+        its output in C order through the same bounded-integer routine as
+        the scalar call, so an all-discrete plan takes one call for the
+        whole group and a mixed plan one call per run of discrete columns
+        per batch (pinned by
+        ``tests/test_rspc_kernel.py::TestNumpyStreamProperty``).  RSPC
+        draws batches of 256 guesses; :meth:`sample_points` draws batches
+        of one.
+        """
+        plan = self.sampling_plan()
+        m = self.m
+        points = np.empty((m, batches, size), dtype=float)
+        kind, _, stop, a, b = plan[0]
+        if kind == _DRAW_INTEGERS and stop == m:
+            points[...] = rng.integers(a, b, size=(batches, m, size)).transpose(
+                1, 0, 2
+            )
+            return points.reshape(m, batches * size)
+        for batch in range(batches):
+            for kind, start, stop, a, b in plan:
+                if kind == _DRAW_INTEGERS:
+                    points[start:stop, batch] = rng.integers(
+                        a, b, size=(stop - start, size)
+                    )
+                elif kind == _DRAW_UNIFORM:
+                    points[start, batch] = rng.uniform(a, b, size=size)
+                else:
+                    points[start, batch] = a
+        return points.reshape(m, batches * size)
+
+    def sample_points(self, rng: Any, count: int) -> np.ndarray:
+        """``count`` uniformly random encoded points inside the box, one per row.
+
+        Each point draws its coordinates in attribute order before the
+        next point starts — the stream of ``count x m`` scalar
+        :meth:`AttributeDomain.sample` calls — so a run of ``count`` leaves
+        ``rng`` where ``count`` runs of one do, with the same values
+        (``tests/test_scenario_compile.py::TestSamplePoints``).  On an
+        all-discrete schema the whole run is one ``Generator.integers``
+        call of ``size=(count, m, 1)``.  The result is a fresh C-ordered
+        ``(count, m)`` matrix.
+        """
+        return np.ascontiguousarray(self.draw_batches(rng, count, 1).T)
+
     def sample_point(self, rng: Any) -> np.ndarray:
         """Sample a uniformly random encoded point inside the subscription.
 
-        This is the GUESS step of the RSPC algorithm (Algorithm 1, line 3).
+        This is the GUESS step of the RSPC algorithm (Algorithm 1, line 3);
+        a run of one (:meth:`sample_points`).
         """
-        point = np.empty(self.m, dtype=float)
-        for j, attr in enumerate(self.schema.attributes):
-            point[j] = attr.domain.sample(self.interval(j), rng)
-        return point
+        return self.sample_points(rng, 1)[0]
 
     def _check_same_schema(self, other: "Subscription") -> None:
         if self.schema != other.schema:

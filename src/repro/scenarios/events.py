@@ -12,22 +12,52 @@ The same ``(spec, seed)`` pair always produces the same compiled scenario:
   from ``numpy.random.SeedSequence(seed)`` (topology shape, workload
   content, phase mixing, broker network), so adding consumers to one
   stream never perturbs the others;
-* subscription and publication identifiers are rewritten to sequential
-  scenario-scoped identifiers (``s00001``, ``p00001``, …), so the global
-  process-wide ID counters of the data model never leak into a trace.
+* subscription and publication identifiers are sequential scenario-scoped
+  identifiers (``s00001``, ``p00001``, …), so the global process-wide ID
+  counters of the data model never leak into a trace.
 
 This is what makes the trace hash of a compiled scenario a stable
 fingerprint: two compilations of the same ``(spec, seed)`` — in the same
 process or years apart — hash identically.
+
+Two passes, one stream each
+---------------------------
+Compilation is two passes over the timeline (:class:`_EventBuilder`):
+
+1. *Schedule* — reads only the ``mix`` stream.  It decides the operation
+   sequence: which action comes next in a steady-state phase, which client
+   issues it, which live subscription a storm cancels, and the scenario
+   identifier each operation carries.  None of that ever depended on what
+   a subscription or publication *contains* — victims are picked by
+   position in the issue-ordered live list, identifiers are counters — so
+   the pass is content-free and never touches the workload.
+2. *Materialise* — reads only the ``workload`` stream, in event order.
+   Subscriptions are generated one by one (each is built once, already
+   carrying its subscriber and scenario identifier); publications are
+   generated over *maximal runs* of consecutive publish operations, across
+   phase boundaries: one :meth:`publication_points` call on the workload
+   and one :meth:`Publication.from_matrix` per run.
+
+Because every workload draws a run of ``n`` publications exactly as it
+draws ``n`` runs of one (``tests/test_scenario_compile.py``), run length is
+execution policy only: a burst of 100 000 and a single steady-state
+publish take the same code path and consume the same stream.  The same
+holds inside pass 1, which picks the clients of a ramp or burst, and the
+victims of a storm, in one broadcast-bounds ``Generator.integers`` call —
+the stream of that many scalar calls.  Pass 1 is a generator that pass 2
+consumes, so the schedule is never held whole: the two streams being
+independent is what lets the passes interleave in time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -214,11 +244,16 @@ class _GridAdapter:
         self._workload = workload
         self.schema = workload.schema
 
-    def subscription(self, subscriber: Optional[str] = None) -> Subscription:
-        return self._workload.service_subscription(service_id=subscriber)
+    def subscription(
+        self, subscriber: Optional[str] = None, subscription_id: Optional[str] = None
+    ) -> Subscription:
+        return self._workload.service_subscription(subscriber, subscription_id)
 
     def publication(self, publisher: Optional[str] = None) -> Publication:
         return self._workload.job_publication(job_id=publisher)
+
+    def publication_points(self, count: int) -> np.ndarray:
+        return self._workload.job_points(count)
 
 
 class _PaperFigureWorkload:
@@ -251,6 +286,7 @@ class _PaperFigureWorkload:
         self._scenario_kwargs = dict(scenario_kwargs)
         self._pool: List[Subscription] = []
         self._base: Optional[Subscription] = None
+        self._whole_space = Subscription.whole_space(schema)
 
     def _refill(self) -> None:
         instance = generate_scenario(
@@ -260,19 +296,33 @@ class _PaperFigureWorkload:
         self._base = instance.subscription
         self._pool = [instance.subscription, *instance.candidates]
 
-    def subscription(self, subscriber: Optional[str] = None) -> Subscription:
+    def subscription(
+        self, subscriber: Optional[str] = None, subscription_id: Optional[str] = None
+    ) -> Subscription:
         if not self._pool:
             self._refill()
-        return self._pool.pop(0).replace(subscriber=subscriber)
+        return self._pool.pop(0).replace(
+            subscription_id=subscription_id, subscriber=subscriber
+        )
 
-    def publication(self, publisher: Optional[str] = None) -> Publication:
+    def publication_points(self, count: int) -> np.ndarray:
+        """``count`` encoded points, one per row: each one ``random()`` draw
+        choosing the box, then one point of that box."""
         if self._base is None:
             self._refill()
-        if self._rng.random() < self._match_probability:
-            values = self._base.sample_point(self._rng)
-        else:
-            values = Subscription.whole_space(self.schema).sample_point(self._rng)
-        return Publication(self.schema, values, publisher=publisher)
+        rng = self._rng
+        points = np.empty((count, self.schema.m), dtype=float)
+        for point in points:
+            if rng.random() < self._match_probability:
+                point[:] = self._base.sample_point(rng)
+            else:
+                point[:] = self._whole_space.sample_point(rng)
+        return points
+
+    def publication(self, publisher: Optional[str] = None) -> Publication:
+        return Publication(
+            self.schema, self.publication_points(1)[0], publisher=publisher
+        )
 
 
 #: workload names accepted by :func:`make_workload`
@@ -295,8 +345,11 @@ _PAPER_SCENARIOS = {
 def make_workload(name: str, params: Mapping[str, Any], rng: np.random.Generator):
     """Instantiate the named workload adapter with its own RNG stream.
 
-    The returned object exposes ``schema``, ``subscription(subscriber=…)``
-    and ``publication(publisher=…)``.
+    The returned object exposes ``schema``,
+    ``subscription(subscriber=…, subscription_id=…)``,
+    ``publication(publisher=…)`` and ``publication_points(count)`` — the
+    encoded ``(count, m)`` matrix of a run of publications, drawn exactly
+    as ``count`` single publications would be.
     """
     params = dict(params)
     if name == "bike-rental":
@@ -325,8 +378,13 @@ def make_workload(name: str, params: Mapping[str, Any], rng: np.random.Generator
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
+#: one scheduled operation: ``(phase, action, client, identifier)`` — the
+#: identifier is the subscription's (issued or cancelled) or publication's
+_Operation = Tuple[str, EventAction, str, str]
+
+
 class _EventBuilder:
-    """Accumulates events while tracking live subscriptions for churn."""
+    """The two passes of compilation (see the module docstring)."""
 
     def __init__(self, spec: ScenarioSpec, workload, mix: np.random.Generator):
         self.spec = spec
@@ -334,117 +392,126 @@ class _EventBuilder:
         self.mix = mix
         self.events: List[ScenarioEvent] = []
         self.client_names = [f"c{index + 1:03d}" for index in range(spec.clients)]
-        #: live subscription ids in issue order -> owning client
-        self._live: Dict[str, str] = {}
+        #: live ``(subscription id, owning client)`` pairs in issue order
+        self._live: List[Tuple[str, str]] = []
         self._subscription_count = 0
         self._publication_count = 0
 
-    def _pick_client(self) -> str:
-        return self.client_names[int(self.mix.integers(0, len(self.client_names)))]
+    # ------------------------------------------------------------------
+    # Pass 1: the mix stream decides who does what, in which order
+    # ------------------------------------------------------------------
+    def _pick_clients(self, count: int) -> List[str]:
+        # one call for the run: the stream of ``count`` scalar picks
+        picks = self.mix.integers(0, len(self.client_names), size=count)
+        return [self.client_names[pick] for pick in picks.tolist()]
 
-    def subscribe(self, phase: str) -> None:
-        client = self._pick_client()
-        self._subscription_count += 1
-        identifier = f"s{self._subscription_count:05d}"
-        subscription = self.workload.subscription(subscriber=client).replace(
-            subscription_id=identifier
-        )
-        self._live[identifier] = client
-        self.events.append(
-            ScenarioEvent(
-                seq=len(self.events) + 1,
-                phase=phase,
-                action=EventAction.SUBSCRIBE,
-                client=client,
-                subscription=subscription,
+    def _subscribes(self, phase: str, count: int) -> Iterator[_Operation]:
+        for client in self._pick_clients(count):
+            self._subscription_count += 1
+            identifier = f"s{self._subscription_count:05d}"
+            self._live.append((identifier, client))
+            yield phase, EventAction.SUBSCRIBE, client, identifier
+
+    def _publishes(self, phase: str, count: int) -> Iterator[_Operation]:
+        for client in self._pick_clients(count):
+            self._publication_count += 1
+            yield phase, EventAction.PUBLISH, client, f"p{self._publication_count:05d}"
+
+    def _unsubscribes(self, phase: str, count: int) -> Iterator[_Operation]:
+        """Cancel ``count`` live subscriptions (at most all of them).
+
+        Victim ``i`` is a uniform position in the live list as the first
+        ``i`` cancellations left it: one broadcast-bounds draw for the
+        storm, the stream of ``count`` scalar draws with shrinking bounds.
+        """
+        count = min(count, len(self._live))
+        if not count:
+            return
+        remaining = np.arange(len(self._live), len(self._live) - count, -1)
+        for position in self.mix.integers(0, remaining).tolist():
+            identifier, client = self._live.pop(position)
+            yield phase, EventAction.UNSUBSCRIBE, client, identifier
+
+    def _phase_operations(self, phase: PhaseSpec) -> Iterator[_Operation]:
+        params = phase.params
+        if phase.kind is PhaseKind.SUBSCRIBE_RAMP:
+            yield from self._subscribes(phase.name, int(params.get("count", 0)))
+        elif phase.kind is PhaseKind.PUBLISH_BURST:
+            yield from self._publishes(phase.name, int(params.get("count", 0)))
+        elif phase.kind is PhaseKind.UNSUBSCRIBE_STORM:
+            if "count" in params:
+                victims = int(params["count"])
+            else:
+                victims = int(round(float(params["fraction"]) * len(self._live)))
+            yield from self._unsubscribes(phase.name, victims)
+        elif phase.kind is PhaseKind.FLASH_CROWD:
+            yield from self._subscribes(phase.name, int(params.get("subscriptions", 0)))
+            yield from self._publishes(phase.name, int(params.get("publications", 0)))
+        elif phase.kind is PhaseKind.STEADY_STATE:
+            weights = np.array(
+                [
+                    float(params.get("publish_weight", 0.6)),
+                    float(params.get("subscribe_weight", 0.3)),
+                    float(params.get("unsubscribe_weight", 0.1)),
+                ]
             )
-        )
+            weights = weights / weights.sum()
+            publish_below = float(weights[0])
+            subscribe_below = float(weights[0] + weights[1])
+            for _ in range(int(params.get("ops", 0))):
+                roll = float(self.mix.random())
+                if roll < publish_below:
+                    yield from self._publishes(phase.name, 1)
+                elif roll < subscribe_below:
+                    yield from self._subscribes(phase.name, 1)
+                elif self._live:
+                    yield from self._unsubscribes(phase.name, 1)
+                else:
+                    # Nothing live to cancel; keep the op count by publishing.
+                    yield from self._publishes(phase.name, 1)
+        else:  # pragma: no cover - PhaseSpec validates kinds
+            raise ValueError(f"unknown phase kind {phase.kind!r}")
 
-    def unsubscribe(self, phase: str) -> bool:
-        if not self._live:
-            return False
-        identifiers = list(self._live)
-        identifier = identifiers[int(self.mix.integers(0, len(identifiers)))]
-        client = self._live.pop(identifier)
-        self.events.append(
-            ScenarioEvent(
-                seq=len(self.events) + 1,
-                phase=phase,
-                action=EventAction.UNSUBSCRIBE,
-                client=client,
-                subscription_id=identifier,
-            )
-        )
-        return True
+    def schedule(self) -> Iterator[_Operation]:
+        """Pass 1: the operations of the whole timeline, in event order."""
+        for phase in self.spec.phases:
+            yield from self._phase_operations(phase)
 
-    def publish(self, phase: str) -> None:
-        client = self._pick_client()
-        self._publication_count += 1
-        raw = self.workload.publication(publisher=client)
-        publication = Publication(
-            raw.schema,
-            raw.values,
-            publication_id=f"p{self._publication_count:05d}",
-            publisher=client,
-            metadata=dict(raw.metadata),
-        )
-        self.events.append(
-            ScenarioEvent(
-                seq=len(self.events) + 1,
-                phase=phase,
-                action=EventAction.PUBLISH,
-                client=client,
-                publication=publication,
-            )
-        )
-
-    @property
-    def live_count(self) -> int:
-        return len(self._live)
-
-
-def _compile_phase(builder: _EventBuilder, phase: PhaseSpec) -> None:
-    params = phase.params
-    if phase.kind is PhaseKind.SUBSCRIBE_RAMP:
-        for _ in range(int(params.get("count", 0))):
-            builder.subscribe(phase.name)
-    elif phase.kind is PhaseKind.PUBLISH_BURST:
-        for _ in range(int(params.get("count", 0))):
-            builder.publish(phase.name)
-    elif phase.kind is PhaseKind.UNSUBSCRIBE_STORM:
-        if "count" in params:
-            victims = min(int(params["count"]), builder.live_count)
-        else:
-            victims = int(round(float(params["fraction"]) * builder.live_count))
-        for _ in range(victims):
-            if not builder.unsubscribe(phase.name):
-                break
-    elif phase.kind is PhaseKind.FLASH_CROWD:
-        for _ in range(int(params.get("subscriptions", 0))):
-            builder.subscribe(phase.name)
-        for _ in range(int(params.get("publications", 0))):
-            builder.publish(phase.name)
-    elif phase.kind is PhaseKind.STEADY_STATE:
-        ops = int(params.get("ops", 0))
-        weights = np.array(
-            [
-                float(params.get("publish_weight", 0.6)),
-                float(params.get("subscribe_weight", 0.3)),
-                float(params.get("unsubscribe_weight", 0.1)),
-            ]
-        )
-        weights = weights / weights.sum()
-        for _ in range(ops):
-            roll = float(builder.mix.random())
-            if roll < weights[0]:
-                builder.publish(phase.name)
-            elif roll < weights[0] + weights[1]:
-                builder.subscribe(phase.name)
-            elif not builder.unsubscribe(phase.name):
-                # Nothing live to cancel; keep the op count by publishing.
-                builder.publish(phase.name)
-    else:  # pragma: no cover - PhaseSpec validates kinds
-        raise ValueError(f"unknown phase kind {phase.kind!r}")
+    # ------------------------------------------------------------------
+    # Pass 2: the workload stream fills in content, in event order
+    # ------------------------------------------------------------------
+    def materialise(self, operations: Iterator[_Operation]) -> None:
+        """Pass 2: append one event per operation, content by maximal runs."""
+        workload = self.workload
+        events = self.events
+        for action, run in groupby(operations, key=itemgetter(1)):
+            run = list(run)
+            # one (subscription, publication, subscription_id) per operation
+            if action is EventAction.SUBSCRIBE:
+                payloads = [
+                    (
+                        workload.subscription(
+                            subscriber=client, subscription_id=identifier
+                        ),
+                        None,
+                        None,
+                    )
+                    for _, _, client, identifier in run
+                ]
+            elif action is EventAction.PUBLISH:
+                publications = Publication.from_matrix(
+                    workload.schema,
+                    workload.publication_points(len(run)),
+                    publication_ids=[identifier for _, _, _, identifier in run],
+                    publishers=[client for _, _, client, _ in run],
+                )
+                payloads = [(None, publication, None) for publication in publications]
+            else:
+                payloads = [(None, None, identifier) for _, _, _, identifier in run]
+            for (phase, _, client, _), payload in zip(run, payloads):
+                events.append(
+                    ScenarioEvent(len(events) + 1, phase, action, client, *payload)
+                )
 
 
 def compile_scenario(spec: ScenarioSpec, seed: int = 0) -> CompiledScenario:
@@ -472,8 +539,7 @@ def compile_scenario(spec: ScenarioSpec, seed: int = 0) -> CompiledScenario:
         for index, client in enumerate(builder.client_names)
     }
 
-    for phase in spec.phases:
-        _compile_phase(builder, phase)
+    builder.materialise(builder.schedule())
 
     return CompiledScenario(
         spec=spec,

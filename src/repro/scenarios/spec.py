@@ -95,11 +95,23 @@ class PhaseSpec:
                 f"phase {self.name!r} ({self.kind.value}) does not accept "
                 f"parameters {sorted(unknown)}; allowed: {sorted(allowed)}"
             )
+        for size in ("count", "ops", "subscriptions", "publications"):
+            if size in self.params and int(self.params[size]) < 0:
+                raise ValueError(
+                    f"phase {self.name!r}: {size!r} must be non-negative, "
+                    f"got {self.params[size]!r}"
+                )
         if self.kind is PhaseKind.UNSUBSCRIBE_STORM:
             if ("fraction" in self.params) == ("count" in self.params):
                 raise ValueError(
                     f"phase {self.name!r}: an unsubscribe storm needs exactly "
                     "one of 'fraction' or 'count'"
+                )
+            # negated so that NaN is rejected too
+            if not 0.0 <= float(self.params.get("fraction", 0.0)) <= 1.0:
+                raise ValueError(
+                    f"phase {self.name!r}: a storm 'fraction' must lie in "
+                    f"[0, 1], got {self.params['fraction']!r}"
                 )
         if self.kind is PhaseKind.STEADY_STATE:
             weights = [

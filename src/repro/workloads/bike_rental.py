@@ -94,11 +94,17 @@ class BikeRentalWorkload:
         #: bike categories are contiguous identifier blocks (e.g. city bikes,
         #: mountain bikes, ...), mirroring the paper's bID interpretation
         self._category_width = max(bikes // 10, 1)
+        #: what rental posts announce: any brand, any minute of the day
+        self._announcement_box = Subscription.from_constraints(
+            self.schema, {"bID": (1, bikes), "size": (14, 23), "rpID": (1, posts)}
+        )
 
     # ------------------------------------------------------------------
     # Subscriptions
     # ------------------------------------------------------------------
-    def subscription(self, subscriber: Optional[str] = None) -> Subscription:
+    def subscription(
+        self, subscriber: Optional[str] = None, subscription_id: Optional[str] = None
+    ) -> Subscription:
         """A random user preference subscription."""
         rng = self._rng
         bid_domain = self.schema.domain("bID")
@@ -162,7 +168,10 @@ class BikeRentalWorkload:
             if rng.random() < 0.6:
                 constraints["brand"] = BRANDS[int(rng.integers(0, len(BRANDS)))]
         return Subscription.from_constraints(
-            self.schema, constraints, subscriber=subscriber
+            self.schema,
+            constraints,
+            subscription_id=subscription_id,
+            subscriber=subscriber,
         )
 
     def _window(self, start_tick: int, minutes: int):
@@ -180,33 +189,29 @@ class BikeRentalWorkload:
     # ------------------------------------------------------------------
     # Publications
     # ------------------------------------------------------------------
+    def publication_points(self, count: int) -> np.ndarray:
+        """``count`` encoded bicycle announcements, one per row.
+
+        An announcement draws every attribute uniformly from a fixed box
+        of the schema, attribute by attribute, so a run of them is one
+        :meth:`Subscription.sample_points` call — the stream of ``count``
+        single announcements.
+        """
+        return self._announcement_box.sample_points(self._rng, count)
+
     def publication(self, publisher: Optional[str] = None) -> Publication:
         """A rental post announcing an available bicycle."""
-        rng = self._rng
-        values = {
-            "bID": int(rng.integers(1, int(self.schema.domain("bID").upper_bound) + 1)),
-            "size": int(rng.integers(14, 24)),
-            "brand": BRANDS[int(rng.integers(0, len(BRANDS)))],
-            "rpID": int(
-                rng.integers(1, int(self.schema.domain("rpID").upper_bound) + 1)
-            ),
-            "date": self.schema.domain("date").decode(
-                float(
-                    rng.integers(
-                        int(self.schema.domain("date").lower_bound),
-                        int(self.schema.domain("date").upper_bound) + 1,
-                    )
-                )
-            ),
-        }
-        return Publication.from_values(self.schema, values, publisher=publisher)
+        return Publication(
+            self.schema, self.publication_points(1)[0], publisher=publisher
+        )
 
     def publications(self, count: int, prefix: str = "post") -> List[Publication]:
         """``count`` publications attributed to numbered rental posts."""
-        return [
-            self.publication(publisher=f"{prefix}-{index + 1}")
-            for index in range(count)
-        ]
+        return Publication.from_matrix(
+            self.schema,
+            self.publication_points(count),
+            publishers=[f"{prefix}-{index + 1}" for index in range(count)],
+        )
 
     def matching_publication(
         self, subscription: Subscription, publisher: Optional[str] = None

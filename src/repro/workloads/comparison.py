@@ -71,7 +71,9 @@ class ComparisonWorkload:
     # ------------------------------------------------------------------
     # Subscription stream
     # ------------------------------------------------------------------
-    def subscription(self, subscriber: Optional[str] = None) -> Subscription:
+    def subscription(
+        self, subscriber: Optional[str] = None, subscription_id: Optional[str] = None
+    ) -> Subscription:
         """Generate the next subscription of the stream."""
         m = self.schema.m
         maximum = max(1, int(round(self.constrained_fraction * m)))
@@ -103,7 +105,13 @@ class ComparisonWorkload:
                 high = float(int(high))
             lows[int(attribute)] = low
             highs[int(attribute)] = max(high, low)
-        return Subscription(self.schema, lows, highs, subscriber=subscriber)
+        return Subscription(
+            self.schema,
+            lows,
+            highs,
+            subscription_id=subscription_id,
+            subscriber=subscriber,
+        )
 
     def subscriptions(self, count: int) -> List[Subscription]:
         """Generate ``count`` subscriptions."""
@@ -117,24 +125,32 @@ class ComparisonWorkload:
     # ------------------------------------------------------------------
     # Publication stream
     # ------------------------------------------------------------------
-    def publication(self, publisher: Optional[str] = None) -> Publication:
-        """A publication drawn from the same popularity model.
+    def publication_points(self, count: int) -> np.ndarray:
+        """``count`` encoded points from the same popularity model, one per row.
 
-        Publication values follow the same Pareto-centred popularity as the
+        Values follow the same Pareto-centred popularity as the
         subscription centres, so published content tends to fall where the
-        subscriptions are.
+        subscriptions are.  Every coordinate is its own Pareto draw, point
+        by point in attribute order.
         """
-        values = np.empty(self.schema.m, dtype=float)
-        for attribute in range(self.schema.m):
-            domain = self.schema.domain(attribute)
-            value = pareto_center(
-                domain.lower_bound, domain.upper_bound, self.center_skew, self._rng
-            )
-            if domain.is_discrete:
-                value = float(int(value))
-            values[attribute] = value
-        return Publication(self.schema, values, publisher=publisher)
+        points = np.empty((count, self.schema.m), dtype=float)
+        domains = self.schema.domains
+        for point in points:
+            for attribute, domain in enumerate(domains):
+                value = pareto_center(
+                    domain.lower_bound, domain.upper_bound, self.center_skew, self._rng
+                )
+                if domain.is_discrete:
+                    value = float(int(value))
+                point[attribute] = value
+        return points
+
+    def publication(self, publisher: Optional[str] = None) -> Publication:
+        """A publication drawn from the same popularity model."""
+        return Publication(
+            self.schema, self.publication_points(1)[0], publisher=publisher
+        )
 
     def publications(self, count: int) -> List[Publication]:
         """Generate ``count`` publications."""
-        return [self.publication() for _ in range(count)]
+        return Publication.from_matrix(self.schema, self.publication_points(count))

@@ -121,11 +121,7 @@ def random_publication(
     publisher: Optional[str] = None,
 ) -> Publication:
     """A uniformly random publication over the whole attribute space."""
-    generator = ensure_rng(rng)
-    values = np.empty(schema.m, dtype=float)
-    for j, attribute in enumerate(schema.attributes):
-        values[j] = attribute.domain.sample(attribute.full_interval(), generator)
-    return Publication(schema, values, publisher=publisher)
+    return publication_inside(Subscription.whole_space(schema), rng, publisher)
 
 
 def publication_inside(

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from repro.model.attributes import (
     Attribute,
     CategoricalDomain,
@@ -87,11 +89,18 @@ class GridWorkload:
         if self.schema is None:
             self.schema = grid_schema()
         self._rng = ensure_rng(self.rng)
+        #: where job requirements fall: any service domain, any minute
+        self._job_box = Subscription.from_constraints(
+            self.schema,
+            {"CPUcycles": (500, 10_000), "disk": (1, 1_000), "memory": (1, 64)},
+        )
 
     # ------------------------------------------------------------------
     # Service announcements (subscriptions)
     # ------------------------------------------------------------------
-    def service_subscription(self, service_id: Optional[str] = None) -> Subscription:
+    def service_subscription(
+        self, service_id: Optional[str] = None, subscription_id: Optional[str] = None
+    ) -> Subscription:
         """A service announcing the job profiles it can accept."""
         rng = self._rng
         if rng.random() < self.general_fraction:
@@ -133,6 +142,7 @@ class GridWorkload:
                 "service": SERVICE_DOMAINS[domain_index],
                 "time": window,
             },
+            subscription_id=subscription_id,
             subscriber=service_id,
             metadata={"service_class": class_name},
         )
@@ -149,32 +159,27 @@ class GridWorkload:
     # ------------------------------------------------------------------
     # Job requests (publications)
     # ------------------------------------------------------------------
+    def job_points(self, count: int) -> np.ndarray:
+        """``count`` encoded job requirements, one per row.
+
+        A job draws every attribute uniformly from a fixed box of the
+        schema, attribute by attribute, so a run of jobs is one
+        :meth:`Subscription.sample_points` call — the stream of ``count``
+        single jobs.
+        """
+        return self._job_box.sample_points(self._rng, count)
+
     def job_publication(self, job_id: Optional[str] = None) -> Publication:
         """A job describing the resources it needs."""
-        rng = self._rng
-        time_domain = self.schema.domain("time")
-        values = {
-            "CPUcycles": int(rng.integers(500, 10_001)),
-            "disk": int(rng.integers(1, 1_001)),
-            "memory": int(rng.integers(1, 65)),
-            "service": SERVICE_DOMAINS[int(rng.integers(0, len(SERVICE_DOMAINS)))],
-            "time": time_domain.decode(
-                float(
-                    rng.integers(
-                        int(time_domain.lower_bound),
-                        int(time_domain.upper_bound) + 1,
-                    )
-                )
-            ),
-        }
-        return Publication.from_values(self.schema, values, publisher=job_id)
+        return Publication(self.schema, self.job_points(1)[0], publisher=job_id)
 
     def job_publications(self, count: int, prefix: str = "job") -> List[Publication]:
         """``count`` job requests."""
-        return [
-            self.job_publication(job_id=f"{prefix}-{index + 1}")
-            for index in range(count)
-        ]
+        return Publication.from_matrix(
+            self.schema,
+            self.job_points(count),
+            publishers=[f"{prefix}-{index + 1}" for index in range(count)],
+        )
 
     def matching_job(
         self, service: Subscription, job_id: Optional[str] = None

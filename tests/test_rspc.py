@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.rspc import (
-    RSPCOutcome,
-    _draw_points,
-    _sampling_plan,
-    run_rspc,
-)
+from repro.core.rspc import RSPCOutcome, run_rspc
 from repro.model import (
     Attribute,
     ContinuousDomain,
@@ -19,12 +14,21 @@ from repro.model import (
 )
 
 
+def _reference_sample_point(subscription, rng):
+    """The per-attribute loop :meth:`Subscription.sample_point` replaced:
+    every coordinate through its own ``AttributeDomain.sample`` call."""
+    point = np.empty(subscription.m, dtype=float)
+    for j, attribute in enumerate(subscription.schema.attributes):
+        point[j] = attribute.domain.sample(subscription.interval(j), rng)
+    return point
+
+
 class TestDrawPoints:
     def test_points_inside_subscription(self, schema_small, rng):
         subscription = Subscription.from_constraints(
             schema_small, {"x1": (10, 20), "x2": (5, 5)}
         )
-        points = _draw_points(_sampling_plan(subscription), rng, 1, 200)
+        points = subscription.draw_batches(rng, 1, 200)
         assert points.shape == (3, 200)
         for point in points.T:
             assert subscription.contains_point(point)
@@ -32,15 +36,14 @@ class TestDrawPoints:
 
     def test_discrete_points_are_integral(self, schema_small, rng):
         subscription = Subscription.from_constraints(schema_small, {"x1": (0, 3)})
-        points = _draw_points(_sampling_plan(subscription), rng, 1, 50)
+        points = subscription.draw_batches(rng, 1, 50)
         assert np.all(points == np.round(points))
 
     def test_batches_are_laid_out_one_after_the_other(self, schema_small):
         subscription = Subscription.from_constraints(schema_small, {"x1": (0, 90)})
-        plan = _sampling_plan(subscription)
-        together = _draw_points(plan, np.random.default_rng(3), 3, 40)
+        together = subscription.draw_batches(np.random.default_rng(3), 3, 40)
         one_by_one = np.random.default_rng(3)
-        separate = [_draw_points(plan, one_by_one, 1, 40) for _ in range(3)]
+        separate = [subscription.draw_batches(one_by_one, 1, 40) for _ in range(3)]
         assert together.shape == (3, 120)
         assert np.array_equal(together, np.concatenate(separate, axis=1))
 
@@ -49,12 +52,14 @@ class TestSamplingPlanSnapsDiscreteBounds:
     """The plan draws a discrete column from the integers *inside* the
     bounds, like ``IntegerDomain.sample`` (``ceil`` low, ``floor`` high);
     truncating toward zero put guesses outside ``s`` on fractional and
-    negative bounds."""
+    negative bounds.  The oracle is the per-attribute ``domain.sample``
+    loop (:func:`_reference_sample_point`), not ``sample_point`` — that
+    now draws through the plan itself."""
 
     @staticmethod
     def _plan_ranges(subscription):
         ranges = {}
-        for kind, start, stop, a, b in _sampling_plan(subscription):
+        for kind, start, stop, a, b in subscription.sampling_plan():
             for offset in range(stop - start):
                 if isinstance(a, np.ndarray):
                     ranges[start + offset] = (int(a[offset, 0]), int(b[offset, 0]) - 1)
@@ -90,7 +95,7 @@ class TestSamplingPlanSnapsDiscreteBounds:
         schema = Schema.uniform_integer(2, -100, 100)
         subscription = Subscription(schema, lows, highs)
         recorder = self._RecordingRng()
-        subscription.sample_point(recorder)
+        _reference_sample_point(subscription, recorder)
         assert self._plan_ranges(subscription) == recorder.asked
 
     def test_mixed_schema_plan_matches_sample_point(self):
@@ -107,13 +112,13 @@ class TestSamplingPlanSnapsDiscreteBounds:
             schema, [-7.5, -1.5, 4.0, 1.25, -3.0], [-0.5, 2.5, 4.0, 6.75, -3.0]
         )
         recorder = self._RecordingRng()
-        subscription.sample_point(recorder)
+        _reference_sample_point(subscription, recorder)
         ranges = self._plan_ranges(subscription)
         # the degenerate continuous column draws nothing in either
         assert [r for i, r in enumerate(ranges) if i != 2] == recorder.asked
         assert ranges[2] == (4.0, 4.0)
         # consecutive discrete columns share one step
-        kinds = [step[:3] for step in _sampling_plan(subscription)]
+        kinds = [step[:3] for step in subscription.sampling_plan()]
         assert kinds == [(0, 0, 1), (1, 1, 2), (2, 2, 3), (0, 3, 5)]
 
     def test_no_false_not_covered_on_fractional_bounds(self):
@@ -131,9 +136,11 @@ class TestSamplingPlanSnapsDiscreteBounds:
         schema = Schema.uniform_integer(2, -100, 100)
         subscription = Subscription(schema, [2.25, 0.0], [2.75, 5.0])
         with pytest.raises(DomainError):
+            _reference_sample_point(subscription, np.random.default_rng(0))
+        with pytest.raises(DomainError):
             subscription.sample_point(np.random.default_rng(0))
         with pytest.raises(DomainError):
-            _sampling_plan(subscription)
+            subscription.sampling_plan()
 
 
 class TestRunRSPC:

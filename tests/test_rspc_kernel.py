@@ -330,16 +330,14 @@ class TestKernelDifferential:
 
     @pytest.mark.parametrize("kind", ("discrete", "mixed"))
     def test_groups_grow_geometrically_up_to_the_cap(self, kind, monkeypatch):
-        from repro.core import rspc as rspc_module
-
         drawn = []
-        draw = rspc_module._draw_points
+        draw = Subscription.draw_batches
 
-        def recording(plan, rng, batches, size):
+        def recording(self, rng, batches, size):
             drawn.append((batches, size))
-            return draw(plan, rng, batches, size)
+            return draw(self, rng, batches, size)
 
-        monkeypatch.setattr(rspc_module, "_draw_points", recording)
+        monkeypatch.setattr(Subscription, "draw_batches", recording)
         subscription = _subscription(kind)
         _, _, signed = _signed(_candidates(kind, 9, NEVER, seed=9))
         witness, performed = _guess_witness(

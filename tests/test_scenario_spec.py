@@ -33,6 +33,35 @@ class TestPhaseSpec:
                 "steady", PhaseKind.STEADY_STATE, {"publish_weight": -1}
             )
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_storm_rejects_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match=r"'storm'.*\[0, 1\]"):
+            PhaseSpec("storm", PhaseKind.UNSUBSCRIBE_STORM, {"fraction": fraction})
+
+    @pytest.mark.parametrize(
+        "kind, parameter",
+        [
+            (PhaseKind.SUBSCRIBE_RAMP, "count"),
+            (PhaseKind.PUBLISH_BURST, "count"),
+            (PhaseKind.UNSUBSCRIBE_STORM, "count"),
+            (PhaseKind.FLASH_CROWD, "subscriptions"),
+            (PhaseKind.FLASH_CROWD, "publications"),
+            (PhaseKind.STEADY_STATE, "ops"),
+        ],
+    )
+    def test_rejects_negative_sizes(self, kind, parameter):
+        with pytest.raises(ValueError, match=f"'sized'.*'{parameter}'.*non-negative"):
+            PhaseSpec("sized", kind, {parameter: -1})
+
+    def test_boundary_sizes_round_trip(self):
+        for phase in (
+            PhaseSpec("none", PhaseKind.UNSUBSCRIBE_STORM, {"fraction": 0.0}),
+            PhaseSpec("all", PhaseKind.UNSUBSCRIBE_STORM, {"fraction": 1}),
+            PhaseSpec("empty", PhaseKind.PUBLISH_BURST, {"count": 0}),
+        ):
+            assert PhaseSpec.from_dict(phase.to_dict()) == phase
+            assert phase.to_dict()["params"] == dict(phase.params)
+
     def test_storm_needs_exactly_one_sizing(self):
         with pytest.raises(ValueError, match="exactly one"):
             PhaseSpec("storm", PhaseKind.UNSUBSCRIBE_STORM, {})
