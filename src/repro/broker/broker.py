@@ -35,12 +35,11 @@ from repro.core.arena import CandidateSet
 from repro.core.merging import cheapest_merge
 from repro.core.policies import (
     DEFAULT_MERGE_BUDGET,
-    ReductionDecision,
     ReductionStrategy,
     make_strategy,
 )
 from repro.core.store import CoveringPolicyName
-from repro.core.subsumption import SubsumptionChecker, is_deterministic_result
+from repro.core.subsumption import SubsumptionChecker
 from repro.model.subscriptions import Subscription
 
 __all__ = ["Broker", "SubscriptionDecision"]
@@ -158,16 +157,6 @@ class Broker:
         #: per-neighbour candidate-set snapshot (contiguous bounds shared
         #: by consecutive covering decisions against an unchanged link)
         self._link_candidates: Dict[str, CandidateSet] = {}
-        #: per-link decision memo: ``(subscription id, bounds bytes,
-        #: snapshot fingerprint) -> ReductionDecision``.  Only decisions
-        #: whose verdict consumed no randomness (and minted no merged
-        #: advertisement) are stored, so a hit replays the exact decision
-        #: the strategy would recompute — one dict probe instead of a full
-        #: pipeline pass.  Any link mutation produces a snapshot with a
-        #: fresh fingerprint, so a stale hit is impossible; the memo is a
-        #: bounded LRU (:attr:`DECISION_MEMO_SIZE`) like the checker's
-        #: verdict cache.
-        self._decision_memo: "OrderedDict[tuple, ReductionDecision]" = OrderedDict()
         #: per-neighbour record of the subscriptions *withheld* from it:
         #: neighbour -> suppressed subscription id -> identifiers of the
         #: forwarded subscriptions whose coverage justified the suppression
@@ -227,24 +216,19 @@ class Broker:
         """Register a local client."""
         self.local_subscribers.add(subscriber_id)
 
-    #: capacity of the per-link decision memo (0 disables memoisation)
-    DECISION_MEMO_SIZE = 4096
-
     # ------------------------------------------------------------------
     # Covering decision
     # ------------------------------------------------------------------
     def _candidates_for(self, neighbor: str) -> CandidateSet:
         """Snapshot of the advertisements already sent to ``neighbor``.
 
-        The snapshot (candidate order, stacked bounds, cache
-        fingerprint) is reused as long as the link's advertisement set is
-        unchanged — one cheap id-tuple comparison per decision replaces
-        re-stacking the candidate bounds, and lets the checker's verdict
-        cache recognise repeated instances during re-advertisement
-        storms.  Any membership change yields a fresh snapshot (and a
-        fresh fingerprint, invalidating cached verdicts): the cached one
-        extended by a row when exactly one advertisement was appended,
-        a full re-stack otherwise.
+        The snapshot (candidate order, stacked bounds, signed matrix) is
+        reused as long as the link's advertisement set is unchanged — one
+        cheap id-tuple comparison per decision replaces re-stacking the
+        candidate bounds, e.g. for every subscription a departure
+        re-checks against the same link.  Any membership change yields a
+        new snapshot: the previous one extended by a row when exactly one
+        advertisement was appended, a full re-stack otherwise.
         """
         sent_here = self.sent.get(neighbor)
         cached = self._link_candidates.get(neighbor)
@@ -263,44 +247,6 @@ class Broker:
         self._link_candidates[neighbor] = snapshot
         return snapshot
 
-    def _memoizable(self, decision: ReductionDecision) -> bool:
-        """Whether a decision may be replayed from the per-link memo.
-
-        A merged advertisement mints a fresh subscription object per
-        decision and must never be aliased across replays; a
-        probabilistic verdict consumed random draws that a replay would
-        skip, shifting the seeded stream of later checks.  Everything
-        else (flood, pair-wise, and the checker's deterministic
-        short-circuits) is a pure function of the key.
-        """
-        if decision.merged is not None:
-            return False
-        if decision.result is None:
-            return True
-        return is_deterministic_result(decision.result)
-
-    def _decide(
-        self, subscription: Subscription, candidates: CandidateSet
-    ) -> ReductionDecision:
-        """Run the reduction strategy through the per-link decision memo."""
-        memo = self._decision_memo
-        key = (
-            subscription.id,
-            subscription.lows.tobytes(),
-            subscription.highs.tobytes(),
-            candidates.fingerprint,
-        )
-        decision = memo.get(key)
-        if decision is not None:
-            memo.move_to_end(key)
-            return decision
-        decision = self.strategy.decide(subscription, candidates)
-        if self.DECISION_MEMO_SIZE and self._memoizable(decision):
-            memo[key] = decision
-            while len(memo) > self.DECISION_MEMO_SIZE:
-                memo.popitem(last=False)
-        return decision
-
     def _coverage_decision(
         self, subscription, neighbor: str, message: Optional[Message] = None
     ) -> SubscriptionDecision:
@@ -309,14 +255,13 @@ class Broker:
         The candidate set is the set of advertisements already forwarded
         to that neighbour; the verdict (forward / suppress / replace with
         a merged bounding box) comes from the broker's pluggable
-        reduction strategy (one memo probe when an identical decision
-        against an unchanged link was already taken).
+        reduction strategy.
         """
         obs = self._obs
         if obs is not None:
             obs.stage_push("broker.decision")
             try:
-                decision = self._decide(
+                decision = self.strategy.decide(
                     subscription, self._candidates_for(neighbor)
                 )
             finally:
@@ -341,7 +286,7 @@ class Broker:
                     rspc_iterations=decision.rspc_iterations,
                 )
         else:
-            decision = self._decide(
+            decision = self.strategy.decide(
                 subscription, self._candidates_for(neighbor)
             )
         return SubscriptionDecision(

@@ -21,10 +21,11 @@ This module keeps the bounds resident instead:
   keeps working) that also carries the stacked bounds.  Arena-backed
   snapshots gather their rows in a single vectorised fancy-index; plain
   snapshots (e.g. a broker link's advertisement set) stack lazily, once,
-  instead of on every decision.  Each snapshot carries a process-unique
-  ``fingerprint`` token, which is what the checker's verdict cache keys
-  on: any add/remove invalidates the snapshot, forcing a new fingerprint
-  and therefore a cache miss — stale verdicts can never be served.
+  instead of on every decision.  A snapshot never changes: an add or
+  remove makes a new one (:meth:`CandidateSet.extended` for an append),
+  and its owner reuses the old one only while the set is unchanged — a
+  store until its next active-pool mutation, a broker link while its
+  advertisement ``ids`` still match.
 
 The signed layout.  Besides the row-major ``(k, m)`` pair, a snapshot
 carries — built on first use, handed on by :meth:`CandidateSet.extended`
@@ -49,7 +50,6 @@ tested subscription).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,10 +65,6 @@ __all__ = [
     "boxes_meeting",
     "signed_box",
 ]
-
-#: process-unique tokens for candidate-set snapshots; never reused, so a
-#: verdict cached against a dead snapshot can never collide with a new one
-_fingerprints = itertools.count(1)
 
 #: free-list size below which compaction never triggers — small stores
 #: churn through the free-list for free, only sustained deletion at scale
@@ -186,7 +182,6 @@ class CandidateSet(Sequence):
     __slots__ = (
         "subscriptions",
         "schema",
-        "fingerprint",
         "_lows",
         "_highs",
         "_signed",
@@ -214,7 +209,6 @@ class CandidateSet(Sequence):
         else:
             schema = None
         self.schema = schema
-        self.fingerprint = next(_fingerprints)
         self._lows = lows
         self._highs = highs
         self._signed: Optional[np.ndarray] = None
@@ -226,8 +220,8 @@ class CandidateSet(Sequence):
         The append-only counterpart of re-snapshotting: one block copy of
         the stacked bounds plus one row (and of the signed matrix plus one
         column, once built), instead of a per-candidate gather and schema
-        scan.  The result is a new snapshot — fresh fingerprint, own
-        arrays — and this one is left untouched.
+        scan.  The result is a new snapshot with its own arrays, and this
+        one is left untouched.
         """
         if not self.subscriptions:
             return CandidateSet((subscription,))
@@ -235,7 +229,6 @@ class CandidateSet(Sequence):
         snapshot = CandidateSet.__new__(CandidateSet)
         snapshot.subscriptions = self.subscriptions + (subscription,)
         snapshot.schema = self.schema
-        snapshot.fingerprint = next(_fingerprints)
         if self._lows is None:
             snapshot._lows = snapshot._highs = None  # still lazily stacked
         else:
@@ -378,7 +371,7 @@ class CandidateSet(Sequence):
         return iter(self.subscriptions)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"CandidateSet(k={len(self.subscriptions)}, fp={self.fingerprint})"
+        return f"CandidateSet(k={len(self.subscriptions)})"
 
 
 def as_candidate_set(candidates: Sequence[Subscription]) -> CandidateSet:

@@ -3,16 +3,17 @@
 Deterministic publish/subscribe systems (Siena, Rebeca, padres-style
 brokers) reduce subscription traffic by checking a new subscription against
 every existing subscription *individually*: ``s`` is dropped only when some
-single ``s_i`` covers it.  This module implements that baseline both as a
-stateless checker and as an incremental set maintainer used by the
-comparison experiment (Figures 13 and 14) and by the broker simulator's
-``pairwise`` covering policy.
+single ``s_i`` covers it.  This module is that test, stateless:
+:meth:`PairwiseCoverageChecker.check`.  The ``pairwise`` and ``merging``
+reduction strategies (:mod:`repro.core.policies`) decide with it, and a
+:class:`~repro.core.store.SubscriptionStore` under ``pairwise`` keeps the
+covering-reduced subscription set it implies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,25 +43,8 @@ class PairwiseResult:
 
 
 class PairwiseCoverageChecker:
-    """Stateless + incremental pair-wise covering.
+    """Stateless pair-wise covering (:meth:`check`)."""
 
-    The stateless entry point is :meth:`check`; the incremental interface
-    (:meth:`add`, :attr:`active`) maintains the classical *covering-reduced*
-    subscription set: a new subscription is added only when it is not
-    covered by an existing one, and existing subscriptions covered by the
-    newcomer are demoted (they would not be forwarded further by a broker).
-    """
-
-    def __init__(self, initial: Iterable[Subscription] = ()):
-        self._active: List[Subscription] = []
-        self._covered: List[Subscription] = []
-        self.comparisons = 0
-        for subscription in initial:
-            self.add(subscription)
-
-    # ------------------------------------------------------------------
-    # Stateless check
-    # ------------------------------------------------------------------
     @staticmethod
     def check(
         subscription: Subscription, candidates: Sequence[Subscription]
@@ -83,63 +67,3 @@ class PairwiseCoverageChecker:
             if candidate.covers(subscription):
                 return PairwiseResult(True, candidate, comparisons)
         return PairwiseResult(False, None, comparisons)
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance
-    # ------------------------------------------------------------------
-    @property
-    def active(self) -> Tuple[Subscription, ...]:
-        """Subscriptions currently forwarded (not pair-wise covered)."""
-        return tuple(self._active)
-
-    @property
-    def covered(self) -> Tuple[Subscription, ...]:
-        """Subscriptions retained locally but not forwarded."""
-        return tuple(self._covered)
-
-    @property
-    def active_count(self) -> int:
-        """Size of the forwarded (active) set."""
-        return len(self._active)
-
-    def add(self, subscription: Subscription) -> PairwiseResult:
-        """Insert a subscription, maintaining the covering-reduced set.
-
-        Returns the coverage verdict for the newcomer.  When the newcomer is
-        itself uncovered, any active subscriptions it covers are demoted to
-        the covered list (they became redundant for forwarding purposes).
-        """
-        result = self.check(subscription, self._active)
-        self.comparisons += result.comparisons
-        if result.covered:
-            self._covered.append(subscription)
-            return result
-
-        still_active: List[Subscription] = []
-        for existing in self._active:
-            self.comparisons += 1
-            if subscription.covers(existing):
-                self._covered.append(existing)
-            else:
-                still_active.append(existing)
-        still_active.append(subscription)
-        self._active = still_active
-        return result
-
-    def remove(self, subscription_id: str) -> bool:
-        """Remove a subscription (by id) from either set.
-
-        Note: promoting covered subscriptions back to active on removal of
-        their coverer is the responsibility of higher-level stores (see
-        :class:`repro.core.store.SubscriptionStore`), because it requires
-        re-checking coverage; the plain baseline simply forgets the entry.
-        """
-        for bucket in (self._active, self._covered):
-            for index, existing in enumerate(bucket):
-                if existing.id == subscription_id:
-                    del bucket[index]
-                    return True
-        return False
-
-    def __len__(self) -> int:
-        return len(self._active) + len(self._covered)

@@ -45,16 +45,13 @@ Five strategies ship with the repository:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.core.arena import as_candidate_set
 from repro.core.merging import cheapest_merge
 from repro.core.pairwise import PairwiseCoverageChecker
-from repro.core.results import Answer, DecisionMethod, SubsumptionResult
+from repro.core.results import SubsumptionResult
 from repro.core.subsumption import SubsumptionChecker
 from repro.model.subscriptions import Subscription
 
@@ -156,20 +153,17 @@ class ReductionDecision:
         return self.merged is not None
 
 
-def _empty_set_result() -> SubsumptionResult:
-    """The checker's ``k == 0`` verdict, constructed without entering it.
+def _candidate_sequence(
+    candidates: Iterable[Subscription],
+) -> Sequence[Subscription]:
+    """``candidates`` as a sized sequence, for a strategy's ``decide``.
 
-    Field-for-field the object
-    :meth:`~repro.core.subsumption.SubsumptionChecker.check` returns for
-    an empty candidate set, so batch fast paths that skip the checker
-    stay differentially identical to sequential ``decide`` calls.
+    An iterator is drained into a tuple; anything with a length — a list,
+    a tuple, a :class:`~repro.core.arena.CandidateSet` — is returned as it
+    is.  Nothing is snapshotted here: the store's mixed-schema flooding
+    mode hands ``none`` a plain tuple that no snapshot could hold.
     """
-    return SubsumptionResult(
-        answer=Answer.NOT_COVERED,
-        method=DecisionMethod.EMPTY_CANDIDATE_SET,
-        original_set_size=0,
-        reduced_set_size=0,
-    )
+    return candidates if hasattr(candidates, "__len__") else tuple(candidates)
 
 
 class ReductionStrategy:
@@ -196,26 +190,15 @@ class ReductionStrategy:
     def decide(
         self,
         subscription: Subscription,
-        candidates: Sequence[Subscription],
+        candidates: Iterable[Subscription],
     ) -> ReductionDecision:
-        """Decide the fate of ``subscription`` against ``candidates``."""
-        raise NotImplementedError
+        """Decide the fate of ``subscription`` against ``candidates``.
 
-    def decide_batch(
-        self,
-        subscriptions: Sequence[Subscription],
-        candidates: Sequence[Subscription],
-    ) -> List[ReductionDecision]:
-        """Decide many subscriptions against one shared candidate set.
-
-        The candidate bounds are snapshotted once (arena gather or a
-        single stack) and shared by every decision; results are in input
-        order and identical to sequential :meth:`decide` calls.  Only
-        valid when the decisions do not feed back into the candidate set
-        (callers that apply forwarded decisions must re-snapshot).
+        The one decision entry point: stores, brokers and engines call it
+        once per decision, with nothing in front of it.  ``candidates``
+        may be any iterable (see :func:`_candidate_sequence`).
         """
-        shared = as_candidate_set(candidates)
-        return [self.decide(subscription, shared) for subscription in subscriptions]
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"
@@ -229,30 +212,13 @@ class NoneStrategy(ReductionStrategy):
     def decide(
         self,
         subscription: Subscription,
-        candidates: Sequence[Subscription],
+        candidates: Iterable[Subscription],
     ) -> ReductionDecision:
         return ReductionDecision(
             subscription,
             forwarded=True,
-            candidates_considered=len(candidates),
+            candidates_considered=len(_candidate_sequence(candidates)),
         )
-
-    def decide_batch(
-        self,
-        subscriptions: Sequence[Subscription],
-        candidates: Sequence[Subscription],
-    ) -> List[ReductionDecision]:
-        # Flooding never inspects the candidates: one length snapshot
-        # serves the whole batch.
-        considered = len(as_candidate_set(candidates))
-        return [
-            ReductionDecision(
-                subscription,
-                forwarded=True,
-                candidates_considered=considered,
-            )
-            for subscription in subscriptions
-        ]
 
 
 class PairwiseStrategy(ReductionStrategy):
@@ -264,8 +230,9 @@ class PairwiseStrategy(ReductionStrategy):
     def decide(
         self,
         subscription: Subscription,
-        candidates: Sequence[Subscription],
+        candidates: Iterable[Subscription],
     ) -> ReductionDecision:
+        candidates = _candidate_sequence(candidates)
         check = PairwiseCoverageChecker.check(subscription, candidates)
         if check.covered:
             return ReductionDecision(
@@ -279,62 +246,6 @@ class PairwiseStrategy(ReductionStrategy):
             forwarded=True,
             candidates_considered=len(candidates),
         )
-
-    def decide_batch(
-        self,
-        subscriptions: Sequence[Subscription],
-        candidates: Sequence[Subscription],
-    ) -> List[ReductionDecision]:
-        """One broadcast covering test for the whole batch.
-
-        Every subscription of the batch is tested against every candidate
-        in a single ``(B, k, m)`` comparison over the shared candidate
-        snapshot's stacked bounds; the per-subscription verdict (including
-        which candidate is reported as the coverer — the first, in
-        candidate order) is identical to sequential :meth:`decide` calls.
-        """
-        shared = as_candidate_set(candidates)
-        if len(shared) == 0:
-            # Nothing can cover against an empty snapshot: forwarded
-            # verdicts, no per-subscription checker calls.
-            return [
-                ReductionDecision(s, forwarded=True, candidates_considered=0)
-                for s in subscriptions
-            ]
-        if len(subscriptions) < 2:
-            return [self.decide(s, shared) for s in subscriptions]
-        m = shared.lows.shape[1]
-        if any(s.m != m for s in subscriptions):
-            return [self.decide(s, shared) for s in subscriptions]
-        sub_lows = np.array([s.lows for s in subscriptions])
-        sub_highs = np.array([s.highs for s in subscriptions])
-        covering = (
-            (shared.lows[np.newaxis, :, :] <= sub_lows[:, np.newaxis, :])
-            & (sub_highs[:, np.newaxis, :] <= shared.highs[np.newaxis, :, :])
-        ).all(axis=2)
-        covered = covering.any(axis=1)
-        first = covering.argmax(axis=1)
-        considered = len(shared)
-        decisions: List[ReductionDecision] = []
-        for position, subscription in enumerate(subscriptions):
-            if covered[position]:
-                decisions.append(
-                    ReductionDecision(
-                        subscription,
-                        forwarded=False,
-                        covered_by=(shared[int(first[position])].id,),
-                        candidates_considered=considered,
-                    )
-                )
-            else:
-                decisions.append(
-                    ReductionDecision(
-                        subscription,
-                        forwarded=True,
-                        candidates_considered=considered,
-                    )
-                )
-        return decisions
 
 
 class GroupStrategy(ReductionStrategy):
@@ -357,10 +268,9 @@ class GroupStrategy(ReductionStrategy):
     def decide(
         self,
         subscription: Subscription,
-        candidates: Sequence[Subscription],
+        candidates: Iterable[Subscription],
     ) -> ReductionDecision:
-        if not hasattr(candidates, "__len__"):
-            candidates = list(candidates)  # tolerate iterator inputs
+        candidates = _candidate_sequence(candidates)
         result = self.checker.check(subscription, candidates)
         if not result.covered:
             return ReductionDecision(
@@ -378,61 +288,6 @@ class GroupStrategy(ReductionStrategy):
             rspc_iterations=result.iterations_performed,
             result=result,
         )
-
-    def decide_batch(
-        self,
-        subscriptions: Sequence[Subscription],
-        candidates: Sequence[Subscription],
-    ) -> List[ReductionDecision]:
-        """Batched probabilistic covering over one shared snapshot.
-
-        The candidate set is snapshotted (and its bounds stacked) once;
-        :meth:`~repro.core.subsumption.SubsumptionChecker.check_batch`
-        answers every subscription against it in input order, so the
-        checker's random stream is consumed exactly as sequential
-        :meth:`decide` calls would consume it and every verdict (and its
-        MCS dependency set) is identical.
-        """
-        shared = as_candidate_set(candidates)
-        if len(shared) == 0:
-            # The checker's k == 0 fast path never consumes randomness or
-            # touches its cache, so constructing the verdicts here is
-            # byte-identical — and skips the whole batch pipeline.
-            return [
-                ReductionDecision(
-                    s,
-                    forwarded=True,
-                    candidates_considered=0,
-                    result=_empty_set_result(),
-                )
-                for s in subscriptions
-            ]
-        results = self.checker.check_batch(subscriptions, shared)
-        considered = len(shared)
-        decisions: List[ReductionDecision] = []
-        for subscription, result in zip(subscriptions, results):
-            if not result.covered:
-                decisions.append(
-                    ReductionDecision(
-                        subscription,
-                        forwarded=True,
-                        candidates_considered=considered,
-                        rspc_iterations=result.iterations_performed,
-                        result=result,
-                    )
-                )
-            else:
-                decisions.append(
-                    ReductionDecision(
-                        subscription,
-                        forwarded=False,
-                        covered_by=cover_dependencies(result, shared),
-                        candidates_considered=considered,
-                        rspc_iterations=result.iterations_performed,
-                        result=result,
-                    )
-                )
-        return decisions
 
 
 def cover_dependencies(
@@ -475,10 +330,9 @@ class MergingStrategy(ReductionStrategy):
     def decide(
         self,
         subscription: Subscription,
-        candidates: Sequence[Subscription],
+        candidates: Iterable[Subscription],
     ) -> ReductionDecision:
-        if not hasattr(candidates, "__len__"):
-            candidates = list(candidates)  # tolerate iterator inputs
+        candidates = _candidate_sequence(candidates)
         check = PairwiseCoverageChecker.check(subscription, candidates)
         if check.covered:
             return ReductionDecision(
@@ -488,22 +342,6 @@ class MergingStrategy(ReductionStrategy):
                 candidates_considered=len(candidates),
             )
         return self._merge_or_forward(subscription, candidates)
-
-    def decide_batch(
-        self,
-        subscriptions: Sequence[Subscription],
-        candidates: Sequence[Subscription],
-    ) -> List[ReductionDecision]:
-        shared = as_candidate_set(candidates)
-        if len(shared) == 0:
-            # No candidate can cover or merge with the newcomers: the
-            # sequential path would forward every one of them after a
-            # futile pair-wise scan and merge search.
-            return [
-                ReductionDecision(s, forwarded=True, candidates_considered=0)
-                for s in subscriptions
-            ]
-        return [self.decide(s, shared) for s in subscriptions]
 
     def _merge_or_forward(
         self,
@@ -555,10 +393,9 @@ class HybridStrategy(MergingStrategy):
     def decide(
         self,
         subscription: Subscription,
-        candidates: Sequence[Subscription],
+        candidates: Iterable[Subscription],
     ) -> ReductionDecision:
-        if not hasattr(candidates, "__len__"):
-            candidates = list(candidates)  # tolerate iterator inputs
+        candidates = _candidate_sequence(candidates)
         result = self.checker.check(subscription, candidates)
         if result.covered:
             return ReductionDecision(
@@ -573,27 +410,6 @@ class HybridStrategy(MergingStrategy):
         decision.rspc_iterations = result.iterations_performed
         decision.result = result
         return decision
-
-    def decide_batch(
-        self,
-        subscriptions: Sequence[Subscription],
-        candidates: Sequence[Subscription],
-    ) -> List[ReductionDecision]:
-        shared = as_candidate_set(candidates)
-        if len(shared) == 0:
-            # Same construction the sequential path would reach (group
-            # check returns the empty-set verdict, merge search finds no
-            # partner) without entering either.
-            return [
-                ReductionDecision(
-                    s,
-                    forwarded=True,
-                    candidates_considered=0,
-                    result=_empty_set_result(),
-                )
-                for s in subscriptions
-            ]
-        return [self.decide(s, shared) for s in subscriptions]
 
 
 # ----------------------------------------------------------------------

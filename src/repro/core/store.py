@@ -27,7 +27,7 @@ path (promote covered subscriptions when their coverer leaves) rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.arena import CandidateSet, SubscriptionArena
 from repro.core.policies import (
@@ -162,9 +162,9 @@ class SubscriptionStore:
         #: whether the arena mirrors the active pool (it opts out when a
         #: store mixes attribute counts, which only flooding allows)
         self._arena_ok = True
-        #: cached snapshot of the active candidate set (a plain tuple in
-        #: the mixed-schema degraded mode); dropped on every active-pool
-        #: mutation so checker verdict caches cannot go stale
+        #: snapshot of the active candidate set (a plain tuple in the
+        #: mixed-schema degraded mode), shared by the decisions between two
+        #: active-pool mutations; extended on an append, dropped otherwise
         self._selection: Optional[Sequence[Subscription]] = None
         #: identifiers of the synthetic merged bounding boxes currently
         #: stored (merging strategies only) — retracted once orphaned
@@ -240,10 +240,10 @@ class SubscriptionStore:
         After a pure append the snapshot is the previous one extended by
         a row (:meth:`_activate`); after any removal, demotion or merge it
         is rebuilt lazily by a single vectorised arena row gather.
-        Between mutations every reduction decision —
-        including the re-insertion storms of :meth:`remove_detailed` —
-        shares the same snapshot, and with it the checker's cached
-        deterministic verdicts.
+        Between mutations every reduction decision — including the
+        re-insertions of :meth:`remove_detailed` that end suppressed —
+        shares the same snapshot, and with it the stacked bounds and the
+        signed matrix.
 
         A store holding subscriptions that cannot share a snapshot
         (mixed schemas — possible only under flooding, which never
@@ -338,18 +338,6 @@ class SubscriptionStore:
             covered_by=decision.covered_by,
             result=decision.result,
         )
-
-    def add_batch(
-        self, subscriptions: Iterable[Subscription]
-    ) -> List[StoreDecision]:
-        """Insert many subscriptions in order, sharing candidate snapshots.
-
-        Behaviourally identical to calling :meth:`add` in a loop: runs of
-        suppressed insertions (which leave the active pool untouched)
-        reuse one arena snapshot and the checker's cached deterministic
-        verdicts; a forwarded/merged insertion re-snapshots.
-        """
-        return [self.add(subscription) for subscription in subscriptions]
 
     def _apply_merge(self, decision: ReductionDecision) -> StoreDecision:
         """Swap the absorbed active subscriptions for the merged box.

@@ -40,23 +40,14 @@ Candidates may be handed over as a plain sequence of subscriptions
 (snapshotted on entry) or as a
 :class:`~repro.core.arena.CandidateSet` snapshot, in which case the
 conflict table is built zero-copy from the snapshot's signed bound
-matrix and the verdict becomes cacheable: deterministic verdicts
-(pair-wise cover, polyhedron witness, empty MCS — the stages that consume
-no randomness) are memoised against the snapshot's fingerprint, so
-re-deciding an identical instance (the unsubscription re-check storms of
-the broker layer) costs a dictionary lookup.  Any add/remove produces a
-new snapshot with a fresh fingerprint, which is what invalidates the
-cache.  Probabilistic verdicts are only cached when
-``cache_probabilistic`` is set, because serving them from cache skips
-RSPC's random draws and therefore shifts the seeded guess stream of
-later checks.
+matrix.  Every call runs the pipeline: nothing is memoised, so each
+verdict is computed — and each RSPC draw consumed — in call order.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,29 +66,7 @@ from repro.model.subscriptions import Subscription
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import require_probability
 
-__all__ = ["SubsumptionChecker", "is_deterministic_result"]
-
-#: verdict methods produced without consuming the checker's random stream
-#: — serving them from cache cannot perturb later seeded draws
-_DETERMINISTIC_METHODS = frozenset(
-    {
-        DecisionMethod.EMPTY_CANDIDATE_SET,
-        DecisionMethod.PAIRWISE_COVER,
-        DecisionMethod.POLYHEDRON_WITNESS,
-        DecisionMethod.EMPTY_MCS,
-    }
-)
-
-
-def is_deterministic_result(result: Optional[SubsumptionResult]) -> bool:
-    """True when ``result`` was produced without consuming random draws.
-
-    Deterministic verdicts are the only ones safe to serve from a memo:
-    replaying a probabilistic verdict would skip its RSPC run and shift
-    every later seeded draw (and the iteration counters) off the
-    sequential reference sequence.
-    """
-    return result is None or result.method in _DETERMINISTIC_METHODS
+__all__ = ["SubsumptionChecker"]
 
 
 @dataclass
@@ -142,17 +111,6 @@ class SubsumptionChecker:
     rng:
         Seed or generator for the random guesses; each :meth:`check` call
         draws from this stream, so a seeded checker is fully reproducible.
-    cache_size:
-        Capacity of the verdict cache (0 disables it).  Only checks
-        against :class:`~repro.core.arena.CandidateSet` snapshots are
-        cacheable; entries are keyed on the tested subscription's
-        identity *and bounds* plus the snapshot fingerprint, so a stale
-        verdict can never be served after an add/remove.
-    cache_probabilistic:
-        Also cache RSPC-backed verdicts.  Off by default: a hit skips
-        the random draws the original check consumed, which changes the
-        seeded guess stream of subsequent checks (and therefore the
-        bit-exact reproducibility of recorded runs).
     """
 
     delta: float = 1e-6
@@ -160,8 +118,9 @@ class SubsumptionChecker:
     use_mcs: bool = True
     use_fast_decisions: bool = True
     rng: RandomSource = None
-    cache_size: int = 256
-    cache_probabilistic: bool = False
+
+    #: always 0 — read around every traced ``check`` by ``bench/layers.py``
+    cache_hits = cache_misses = 0
 
     def __post_init__(self) -> None:
         require_probability(self.delta, "delta")
@@ -169,53 +128,7 @@ class SubsumptionChecker:
             raise ValueError("delta must be strictly between 0 and 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
         self._rng = ensure_rng(self.rng)
-        self._cache: "OrderedDict" = OrderedDict()
-        #: cumulative cache accounting (reset with :meth:`clear_cache`)
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    # ------------------------------------------------------------------
-    # Verdict cache
-    # ------------------------------------------------------------------
-    def clear_cache(self) -> None:
-        """Drop every cached verdict and reset the hit/miss counters."""
-        self._cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def _cache_key(
-        self, subscription: Subscription, candidates: Sequence[Subscription]
-    ) -> Optional[tuple]:
-        if self.cache_size == 0 or not isinstance(candidates, CandidateSet):
-            return None
-        # The configuration fields participate in the key: the checker is a
-        # mutable dataclass and the ablation experiments toggle stages on a
-        # live instance — a verdict computed under one configuration must
-        # never answer for another.
-        return (
-            subscription.id,
-            subscription.lows.tobytes(),
-            subscription.highs.tobytes(),
-            candidates.fingerprint,
-            self.delta,
-            self.max_iterations,
-            self.use_mcs,
-            self.use_fast_decisions,
-            self.cache_probabilistic,
-        )
-
-    def _cache_store(self, key: Optional[tuple], result: SubsumptionResult) -> None:
-        if key is None:
-            return
-        if result.method not in _DETERMINISTIC_METHODS and not self.cache_probabilistic:
-            return
-        self._cache[key] = result
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
     # Shared stages 1 + 3 + 4
@@ -286,29 +199,18 @@ class SubsumptionChecker:
                 reduced_set_size=0,
             )
 
-        key = self._cache_key(subscription, candidates)
-        if key is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-
         table, rows = self._build_table(
             subscription, as_candidate_set(candidates), self.use_mcs
         )
         if table is None:
             # Nothing meets ``s`` — what MCS makes of k disjoint candidates.
-            result = SubsumptionResult(
+            return SubsumptionResult(
                 answer=Answer.NOT_COVERED,
                 method=DecisionMethod.EMPTY_MCS,
                 original_set_size=k,
                 reduced_set_size=0,
                 details={"screened_size": 0},
             )
-            self._cache_store(key, result)
-            return result
         details = {"screened_size": table.k}
 
         # --- Stage 2: fast deterministic decisions -------------------
@@ -316,7 +218,7 @@ class SubsumptionChecker:
             pairwise = detect_pairwise_cover(table)
             if pairwise is not None:
                 covering_row = pairwise.covering_row
-                result = SubsumptionResult(
+                return SubsumptionResult(
                     answer=Answer.COVERED,
                     method=DecisionMethod.PAIRWISE_COVER,
                     original_set_size=k,
@@ -326,19 +228,15 @@ class SubsumptionChecker:
                     ),
                     details=details,
                 )
-                self._cache_store(key, result)
-                return result
             witness = detect_polyhedron_witness(table)
             if witness is not None:
-                result = SubsumptionResult(
+                return SubsumptionResult(
                     answer=Answer.NOT_COVERED,
                     method=DecisionMethod.POLYHEDRON_WITNESS,
                     original_set_size=k,
                     reduced_set_size=k,
                     details=details,
                 )
-                self._cache_store(key, result)
-                return result
 
         # --- Stages 3 + 4: MCS reduction and error model --------------
         prepared = self._prepare(table, self.use_mcs)
@@ -346,15 +244,13 @@ class SubsumptionChecker:
         if reduction is not None:
             details["mcs_passes"] = reduction.iterations
         if prepared.mcs_empty:
-            result = SubsumptionResult(
+            return SubsumptionResult(
                 answer=Answer.NOT_COVERED,
                 method=DecisionMethod.EMPTY_MCS,
                 original_set_size=k,
                 reduced_set_size=0,
                 details=details,
             )
-            self._cache_store(key, result)
-            return result
 
         reduced_rows = prepared.reduced_rows
         reduced_candidates = (
@@ -390,7 +286,7 @@ class SubsumptionChecker:
             )
 
         if rspc.outcome is RSPCOutcome.WITNESS_FOUND:
-            result = SubsumptionResult(
+            return SubsumptionResult(
                 answer=Answer.NOT_COVERED,
                 method=DecisionMethod.POINT_WITNESS,
                 original_set_size=k,
@@ -402,10 +298,8 @@ class SubsumptionChecker:
                 truncated=rspc.truncated,
                 details=details,
             )
-            self._cache_store(key, result)
-            return result
 
-        result = SubsumptionResult(
+        return SubsumptionResult(
             answer=Answer.PROBABLY_COVERED,
             method=DecisionMethod.RSPC_EXHAUSTED,
             original_set_size=k,
@@ -417,26 +311,6 @@ class SubsumptionChecker:
             truncated=rspc.truncated,
             details=details,
         )
-        self._cache_store(key, result)
-        return result
-
-    # ------------------------------------------------------------------
-    # Batched entry point
-    # ------------------------------------------------------------------
-    def check_batch(
-        self,
-        subscriptions: Sequence[Subscription],
-        candidates: Sequence[Subscription],
-    ) -> List[SubsumptionResult]:
-        """Check many subscriptions against one shared candidate set.
-
-        The candidate bounds are stacked (or arena-gathered) once and
-        shared by every check in the batch; results are returned in
-        input order and are identical — draw for draw — to calling
-        :meth:`check` sequentially against the same candidate set.
-        """
-        shared = as_candidate_set(candidates)
-        return [self.check(subscription, shared) for subscription in subscriptions]
 
     # ------------------------------------------------------------------
     # Convenience wrappers

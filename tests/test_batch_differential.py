@@ -1,13 +1,13 @@
 """Seeded differential sweeps: the batch-native fast path vs scalar.
 
 Every batched stage of the broker pipeline must be observationally
-identical to its one-at-a-time ancestor: per-link covering decisions
-(``decide_batch`` vs ``decide``, field for field, with same-seeded
-checkers), and whole-run delivery (grouped ``publish_many`` bursts vs
-bursts of one, which is all ``publish`` is — report for report).  The sweep crosses all five reduction policies with
-three scenario shapes — t0-smoke, t1-churn and a scaled-down t2-burst —
-so the equivalence is pinned on realistic workload distributions, not
-just synthetic boxes.
+identical to its one-at-a-time ancestor: whole-run delivery (grouped
+``publish_many`` bursts vs bursts of one, which is all ``publish`` is —
+report for report), the chunked burst drain under the dedup window, and
+the batched route lookup.  The delivery sweep crosses all five reduction
+policies with three scenario shapes — t0-smoke, t1-churn and a
+scaled-down t2-burst — so the equivalence is pinned on realistic
+workload distributions, not just synthetic boxes.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import pytest
 
 from repro.broker import grid_topology
 from repro.broker.network import BrokerNetwork
-from repro.core.policies import make_strategy, strategy_names
-from repro.core.subsumption import SubsumptionChecker
 from repro.model import Publication, Schema, Subscription
 from repro.scenarios import catalog  # noqa: F401 - populates the registry
 from repro.scenarios.events import EventAction, compile_scenario
@@ -76,70 +74,6 @@ def _strip(obj):
     if isinstance(obj, list):
         return [_strip(v) for v in obj]
     return obj
-
-
-def _result_fields(result):
-    if result is None:
-        return None
-    witness = result.witness_point
-    return (
-        result.answer,
-        result.method,
-        result.original_set_size,
-        result.reduced_set_size,
-        result.rho_w,
-        result.theoretical_iterations,
-        result.iterations_performed,
-        result.error_bound,
-        None if witness is None else witness.tobytes(),
-        result.covering_row,
-        result.truncated,
-    )
-
-
-def assert_decisions_identical(scalar, batched):
-    assert len(scalar) == len(batched)
-    for a, b in zip(scalar, batched):
-        assert a.subscription.id == b.subscription.id
-        assert a.forwarded == b.forwarded
-        assert a.covered_by == b.covered_by
-        assert a.replaced == b.replaced
-        assert a.false_volume == b.false_volume
-        assert a.candidates_considered == b.candidates_considered
-        assert a.rspc_iterations == b.rspc_iterations
-        assert (a.merged is None) == (b.merged is None)
-        if a.merged is not None:
-            assert a.merged.same_box(b.merged)
-        assert _result_fields(a.result) == _result_fields(b.result)
-
-
-class TestDecideBatchSweep:
-    """decide_batch == decide, field for field, same-seeded checkers."""
-
-    @pytest.mark.parametrize("scenario", ("t0-smoke", "t1-churn", "t2-burst-scaled"))
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_batch_matches_sequential(self, scenario, policy):
-        subscriptions = _scenario_subscriptions(scenario)
-        assert len(subscriptions) >= 8, "scenario too small for the sweep"
-        half = len(subscriptions) // 2
-        candidates = subscriptions[:half][:12]
-        subjects = subscriptions[half:][:12]
-
-        def checker():
-            return SubsumptionChecker(
-                delta=1e-3, max_iterations=64, rng=SEED
-            )
-
-        scalar_strategy = make_strategy(policy, checker=checker())
-        batch_strategy = make_strategy(policy, checker=checker())
-        scalar = [
-            scalar_strategy.decide(s, list(candidates)) for s in subjects
-        ]
-        batched = batch_strategy.decide_batch(subjects, candidates)
-        assert_decisions_identical(scalar, batched)
-
-    def test_all_policies_swept(self):
-        assert set(POLICIES) == set(strategy_names())
 
 
 class TestPublishManySweep:

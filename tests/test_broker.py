@@ -5,6 +5,7 @@ import pytest
 from repro.broker.broker import Broker
 from repro.broker.messages import PublicationMessage, SubscriptionMessage
 from repro.broker.routing import RouteEntry, RoutingTable, SourceKind
+from repro.core.arena import CandidateSet
 from repro.core.store import CoveringPolicyName
 from repro.core.subsumption import SubsumptionChecker
 from repro.model import Publication, Schema, Subscription
@@ -155,6 +156,31 @@ class TestBrokerSubscriptionHandling:
         assert not decisions[0].forwarded
         assert decisions[0].rspc_iterations > 0
         assert outgoing == []
+
+    def test_unchanged_link_reuses_snapshot(self, schema, monkeypatch):
+        """Same advertisement set -> same snapshot object; one appended
+        advertisement -> the previous snapshot ``extended`` by a row."""
+        extended = []
+        extend = CandidateSet.extended
+
+        def spy(snapshot, subscription):
+            extended.append(subscription.id)
+            return extend(snapshot, subscription)
+
+        monkeypatch.setattr(CandidateSet, "extended", spy)
+        broker = Broker("B1", neighbors=("N",), policy="group")
+        broker.sent.setdefault("N", {})["wide"] = box(
+            schema, (0, 100), (0, 100), sid="wide"
+        )
+        first = broker._candidates_for("N")
+        assert broker._candidates_for("N") is first
+
+        broker.sent["N"]["narrow"] = box(schema, (0, 10), (0, 10), sid="narrow")
+        second = broker._candidates_for("N")
+        assert extended == ["narrow"]
+        assert second.ids == ("wide", "narrow")
+        assert first.ids == ("wide",)
+        assert broker._candidates_for("N") is second
 
 
 class TestBrokerPublicationHandling:

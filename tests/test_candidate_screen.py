@@ -120,7 +120,7 @@ def reference_check(
 def _checker(seed, **kwargs):
     kwargs.setdefault("delta", DELTA)
     kwargs.setdefault("max_iterations", MAX_ITERATIONS)
-    return SubsumptionChecker(rng=np.random.default_rng(seed), cache_size=0, **kwargs)
+    return SubsumptionChecker(rng=np.random.default_rng(seed), **kwargs)
 
 
 def assert_same_decision(result, reference, candidates, screened=True):

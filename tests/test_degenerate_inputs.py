@@ -1,11 +1,9 @@
 """Degenerate-input guards: empty bursts and empty candidate snapshots.
 
-The batch entry points are called from loops that naturally produce
-empty inputs (a publish phase of zero events, a freshly-started broker
-with no routing state).  Those calls must be cheap no-ops — no oracle
-round-trip, no kernel events, no checker invocations — and, where a
-value is returned, field-for-field identical to what the sequential
-path would have produced.
+Loops naturally produce empty inputs (a publish phase of zero events, a
+freshly-started broker with no routing state).  Those calls must be
+cheap no-ops: no oracle round-trip, no kernel events, no checker work
+past its ``k == 0`` return and no random draws.
 """
 
 from __future__ import annotations
@@ -72,8 +70,8 @@ class TestPublishManyEmpty:
         ) == metrics_before
 
 
-class TestDecideBatchEmptySnapshot:
-    """decide_batch against zero candidates: forwarded, checker untouched."""
+class TestDecideEmptySnapshot:
+    """``decide`` against zero candidates: forwarded, checker untouched."""
 
     @staticmethod
     def _strategy(policy: str, checker=None):
@@ -88,50 +86,59 @@ class TestDecideBatchEmptySnapshot:
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("snapshot", ("list", "candidate-set"))
-    def test_matches_sequential_field_for_field(self, policy, snapshot):
-        schema = _schema()
-        subjects = _subjects(schema)
-        candidates = [] if snapshot == "list" else CandidateSet([])
-        scalar_strategy = self._strategy(policy)
-        batch_strategy = self._strategy(policy)
-        scalar = [scalar_strategy.decide(s, []) for s in subjects]
-        batched = batch_strategy.decide_batch(subjects, candidates)
-        assert len(batched) == len(scalar)
-        for a, b in zip(scalar, batched):
-            assert b.subscription.id == a.subscription.id
-            assert b.forwarded is True
-            assert b.covered_by == a.covered_by
-            assert b.candidates_considered == a.candidates_considered == 0
-            assert b.rspc_iterations == a.rspc_iterations
-            assert (b.result is None) == (a.result is None)
-            if b.result is not None:
-                assert b.result.answer == a.result.answer
-                assert b.result.method == a.result.method
-                assert (
-                    b.result.iterations_performed
-                    == a.result.iterations_performed
-                )
+    def test_no_checker_calls(self, policy, snapshot):
+        """The checker returns at ``k == 0`` before building any table."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_no_checker_calls(self, policy):
         class ExplodingChecker(SubsumptionChecker):
-            def check(self, *args, **kwargs):
-                raise AssertionError("checker consulted on empty snapshot")
-
-            def check_batch(self, *args, **kwargs):
-                raise AssertionError("checker consulted on empty snapshot")
+            @staticmethod
+            def _build_table(*args, **kwargs):
+                raise AssertionError("checker went past its k == 0 return")
 
         strategy = self._strategy(
             policy,
             checker=ExplodingChecker(delta=1e-3, max_iterations=64, rng=SEED),
         )
-        subjects = _subjects(_schema())
-        decisions = strategy.decide_batch(subjects, [])
-        assert all(d.forwarded for d in decisions)
+        for subject in _subjects(_schema()):
+            candidates = [] if snapshot == "list" else CandidateSet([])
+            decision = strategy.decide(subject, candidates)
+            assert decision.forwarded
+            assert decision.candidates_considered == 0
+            assert decision.rspc_iterations == 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_empty_shapes_decide_field_for_field(self, policy):
+        """An empty list, tuple, iterator and snapshot decide alike."""
+        shapes = (list, tuple, iter, CandidateSet)
+        for subject in _subjects(_schema()):
+            decided = []
+            for shape in shapes:
+                decision = self._strategy(policy).decide(subject, shape([]))
+                result = decision.result
+                decided.append(
+                    (
+                        decision.subscription.id,
+                        decision.forwarded,
+                        decision.covered_by,
+                        decision.replaced,
+                        decision.merged,
+                        decision.false_volume,
+                        decision.candidates_considered,
+                        decision.rspc_iterations,
+                        None
+                        if result is None
+                        else (
+                            result.answer,
+                            result.method,
+                            result.iterations_performed,
+                        ),
+                    )
+                )
+            assert decided == decided[:1] * len(shapes)
+            assert decided[0][1] is True
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_randomness_not_consumed(self, policy):
-        """An empty-snapshot batch must not advance the RSPC stream."""
+        """Decisions against an empty set must not advance the RSPC stream."""
         schema = _schema()
         subjects = _subjects(schema)
         probe = Subscription.from_constraints(
@@ -145,7 +152,8 @@ class TestDecideBatchEmptySnapshot:
         ]
         reference = self._strategy(policy)
         exercised = self._strategy(policy)
-        exercised.decide_batch(subjects, [])
+        for subject in subjects:
+            exercised.decide(subject, [])
         after_empty = exercised.decide(probe, candidates)
         baseline = reference.decide(probe, candidates)
         assert after_empty.forwarded == baseline.forwarded

@@ -34,49 +34,3 @@ class TestStatelessCheck:
         assert not result.covered
         assert result.comparisons == 0
 
-
-class TestIncrementalMaintenance:
-    def test_covered_newcomer_not_added_to_active(self, schema):
-        checker = PairwiseCoverageChecker()
-        checker.add(box(schema, (0, 50), (0, 50), subscription_id="big"))
-        result = checker.add(box(schema, (10, 20), (10, 20), subscription_id="small"))
-        assert result.covered
-        assert [s.id for s in checker.active] == ["big"]
-        assert [s.id for s in checker.covered] == ["small"]
-        assert checker.active_count == 1
-        assert len(checker) == 2
-
-    def test_newcomer_demotes_covered_existing(self, schema):
-        checker = PairwiseCoverageChecker()
-        checker.add(box(schema, (10, 20), (10, 20), subscription_id="small"))
-        result = checker.add(box(schema, (0, 50), (0, 50), subscription_id="big"))
-        assert not result.covered
-        assert [s.id for s in checker.active] == ["big"]
-        assert [s.id for s in checker.covered] == ["small"]
-
-    def test_incomparable_subscriptions_all_stay_active(self, schema):
-        checker = PairwiseCoverageChecker()
-        checker.add(box(schema, (0, 20), (0, 20)))
-        checker.add(box(schema, (30, 50), (30, 50)))
-        checker.add(box(schema, (60, 80), (60, 80)))
-        assert checker.active_count == 3
-
-    def test_initial_iterable(self, schema):
-        subs = [box(schema, (0, 50), (0, 50)), box(schema, (10, 20), (10, 20))]
-        checker = PairwiseCoverageChecker(subs)
-        assert checker.active_count == 1
-
-    def test_remove(self, schema):
-        checker = PairwiseCoverageChecker()
-        checker.add(box(schema, (0, 50), (0, 50), subscription_id="a"))
-        checker.add(box(schema, (10, 20), (10, 20), subscription_id="b"))
-        assert checker.remove("b")
-        assert not checker.remove("missing")
-        assert len(checker) == 1
-
-    def test_comparison_counter_accumulates(self, schema):
-        checker = PairwiseCoverageChecker()
-        checker.add(box(schema, (0, 10), (0, 10)))
-        checker.add(box(schema, (20, 30), (20, 30)))
-        checker.add(box(schema, (40, 50), (40, 50)))
-        assert checker.comparisons > 0

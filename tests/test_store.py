@@ -57,6 +57,26 @@ class TestPairwisePolicy:
         assert store.active_count == 1
         assert store.cover_links["small"] == ("big",)
 
+    def test_active_and_covered_views_partition_the_store(self, schema):
+        store = SubscriptionStore(policy=CoveringPolicyName.PAIRWISE)
+        store.add(box(schema, (0, 50), (0, 50), sid="big"))
+        store.add(box(schema, (10, 20), (10, 20), sid="small"))
+        store.add(box(schema, (60, 80), (60, 80), sid="far"))
+        assert [s.id for s in store.active] == ["big", "far"]
+        assert [s.id for s in store.covered] == ["small"]
+        assert store.active_count == 2
+        assert store.total_count == 3
+
+    def test_incomparable_subscriptions_all_stay_active(self, schema):
+        store = SubscriptionStore(policy=CoveringPolicyName.PAIRWISE)
+        for low in (0, 30, 60):
+            decision = store.add(box(schema, (low, low + 20), (low, low + 20)))
+            assert decision.forwarded
+            assert decision.demoted == ()
+        assert store.active_count == 3
+        assert store.covered == ()
+        assert store.stats["suppressed"] == 0
+
 
 class TestGroupPolicy:
     def test_union_cover_detected(self, table3_subscription, table3_candidates):

@@ -10,9 +10,9 @@ over random and adversarial instances (degenerate point intervals,
 tiny discrete domains, conflicting candidate pairs, continuous domains)
 and compares everything.
 
-A second set of tests pins the verdict cache's safety property: a hit
-can never survive an invalidating arena (or store) mutation, and
-probabilistic verdicts are only memoised when explicitly requested.
+A second set of tests pins the candidate snapshots: a store or broker
+link hands every decision a snapshot equal to its current pool, shares
+it between mutations, and never aliases or touches an older one.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.core.arena import CandidateSet, SubscriptionArena, as_candidate_set
 from repro.core.conflict_table import ConflictTable, EntrySide
 from repro.core.mcs import minimized_cover_set
 from repro.core.pairwise import PairwiseCoverageChecker
-from repro.core.results import DecisionMethod
 from repro.core.store import SubscriptionStore
 from repro.core.subsumption import SubsumptionChecker
 from repro.model import (
@@ -118,6 +117,34 @@ def _instances():
     yield noncover.subscription, list(noncover.candidates)
 
 
+def _decision_fields(decision):
+    """A reduction decision as a comparable tuple, its checker result too."""
+    result = decision.result
+    merged = decision.merged
+    return (
+        decision.subscription.id,
+        decision.forwarded,
+        decision.covered_by,
+        decision.replaced,
+        decision.false_volume,
+        decision.candidates_considered,
+        decision.rspc_iterations,
+        None
+        if merged is None
+        else (merged.id, merged.lows.tolist(), merged.highs.tolist()),
+        None
+        if result is None
+        else (
+            result.answer,
+            result.method,
+            result.iterations_performed,
+            result.covering_row,
+            result.details.get("mcs_kept_rows"),
+            None if result.witness_point is None else result.witness_point.tolist(),
+        ),
+    )
+
+
 def _assert_results_identical(a, b):
     assert a.answer == b.answer
     assert a.method == b.method
@@ -146,10 +173,10 @@ class TestArenaPipelineDifferential:
     def test_arena_and_object_pipelines_identical(self):
         for subscription, candidates in _instances():
             object_checker = SubsumptionChecker(
-                delta=1e-4, max_iterations=64, rng=99, cache_size=0
+                delta=1e-4, max_iterations=64, rng=99
             )
             arena_checker = SubsumptionChecker(
-                delta=1e-4, max_iterations=64, rng=99, cache_size=0
+                delta=1e-4, max_iterations=64, rng=99
             )
             arena = SubscriptionArena()
             for candidate in candidates:
@@ -167,7 +194,6 @@ class TestArenaPipelineDifferential:
                         delta=1e-4,
                         max_iterations=32,
                         rng=7,
-                        cache_size=0,
                         use_mcs=use_mcs,
                         use_fast_decisions=use_fast,
                     )
@@ -182,37 +208,13 @@ class TestArenaPipelineDifferential:
     def test_theoretical_d_matches_check_stages(self):
         for subscription, candidates in _instances():
             for apply_mcs in (True, False, None):
-                a = SubsumptionChecker(delta=1e-5, cache_size=0).theoretical_d(
+                a = SubsumptionChecker(delta=1e-5).theoretical_d(
                     subscription, list(candidates), apply_mcs=apply_mcs
                 )
-                b = SubsumptionChecker(delta=1e-5, cache_size=0).theoretical_d(
+                b = SubsumptionChecker(delta=1e-5).theoretical_d(
                     subscription, CandidateSet(candidates), apply_mcs=apply_mcs
                 )
                 assert a == b
-
-    def test_check_batch_matches_sequential_checks(self):
-        rng = np.random.default_rng(42)
-        schema = Schema.uniform_integer(5, 0, 300)
-        candidates = [
-            random_subscription(schema, rng, width_fraction=(0.1, 0.6))
-            for _ in range(10)
-        ]
-        subjects = [
-            random_subscription(schema, rng, width_fraction=(0.2, 0.8))
-            for _ in range(8)
-        ]
-        sequential = SubsumptionChecker(
-            delta=1e-4, max_iterations=64, rng=5, cache_size=0
-        )
-        batched = SubsumptionChecker(
-            delta=1e-4, max_iterations=64, rng=5, cache_size=0
-        )
-        expected = [sequential.check(s, candidates) for s in subjects]
-        got = batched.check_batch(subjects, candidates)
-        assert len(got) == len(expected)
-        for a, b in zip(expected, got):
-            _assert_results_identical(a, b)
-
 
 class TestVectorisedStageDifferentials:
     """The matrix stage implementations vs their per-object references."""
@@ -271,7 +273,7 @@ class TestVectorisedStageDifferentials:
             snapshot.covering_rows_mask(foreign)
 
     def test_iterator_candidates_still_accepted(self):
-        from repro.core.policies import make_strategy
+        from repro.core.policies import make_strategy, strategy_names
 
         schema = Schema.uniform_integer(2, 0, 9)
         subscription = Subscription(schema, [2, 2], [5, 5])
@@ -281,9 +283,33 @@ class TestVectorisedStageDifferentials:
         assert checker.theoretical_d(
             subscription, iter([coverer])
         ) == checker.theoretical_d(subscription, [coverer])
-        for policy in ("group", "merging", "hybrid"):
-            decision = make_strategy(policy).decide(subscription, iter([coverer]))
-            assert not decision.forwarded
+
+        # Every strategy decides alike on a list, a tuple, an iterator and
+        # a snapshot of the same candidates: a single coverer, a union
+        # cover (RSPC runs; merging merges) and a disjoint set.
+        instances = (
+            [Subscription(schema, [8, 8], [9, 9]), coverer],
+            [
+                Subscription(schema, [0, 0], [9, 3]),
+                Subscription(schema, [0, 3], [9, 9]),
+            ],
+            [Subscription(schema, [6, 6], [9, 9])],
+        )
+        shapes = (list, tuple, iter, CandidateSet)
+        assert set(strategy_names()) == {
+            "none", "pairwise", "group", "merging", "hybrid"
+        }
+        for policy in strategy_names():
+            for candidates in instances:
+                decided = [
+                    _decision_fields(
+                        make_strategy(
+                            policy, checker=SubsumptionChecker(max_iterations=64, rng=1)
+                        ).decide(subscription, shape(candidates))
+                    )
+                    for shape in shapes
+                ]
+                assert decided == decided[:1] * len(shapes), policy
 
     def test_pairwise_check_vectorised_matches_scan(self):
         for subscription, candidates in _instances():
@@ -419,157 +445,6 @@ class TestSubscriptionArena:
         assert mixed.active_count == 3
 
 
-class TestVerdictCache:
-    @staticmethod
-    def _pairwise_covered_instance():
-        schema = Schema.uniform_integer(3, 0, 100)
-        subscription = Subscription(schema, [10, 10, 10], [20, 20, 20])
-        coverer = Subscription(schema, [0, 0, 0], [50, 50, 50])
-        return schema, subscription, coverer
-
-    def test_deterministic_verdict_is_cached(self):
-        _, subscription, coverer = self._pairwise_covered_instance()
-        checker = SubsumptionChecker()
-        snapshot = CandidateSet([coverer])
-        first = checker.check(subscription, snapshot)
-        second = checker.check(subscription, snapshot)
-        assert first.method is DecisionMethod.PAIRWISE_COVER
-        assert second is first
-        assert checker.cache_hits == 1
-
-    def test_plain_lists_are_never_cached(self):
-        _, subscription, coverer = self._pairwise_covered_instance()
-        checker = SubsumptionChecker()
-        checker.check(subscription, [coverer])
-        checker.check(subscription, [coverer])
-        assert checker.cache_hits == 0
-        assert checker.cache_misses == 0
-
-    def test_hit_never_survives_invalidating_add_or_remove(self):
-        schema, subscription, coverer = self._pairwise_covered_instance()
-        checker = SubsumptionChecker()
-        arena = SubscriptionArena()
-        arena.add(coverer)
-        snapshot = arena.select([coverer])
-        checker.check(subscription, snapshot)
-        assert checker.cache_misses == 1
-
-        # An add invalidates: the snapshot must be re-taken, and the new
-        # fingerprint cannot hit the stale entry.
-        other = Subscription(schema, [60, 60, 60], [90, 90, 90])
-        arena.add(other)
-        fresh = arena.select([coverer, other])
-        assert fresh.fingerprint != snapshot.fingerprint
-        checker.check(subscription, fresh)
-        assert checker.cache_hits == 0
-
-        # A remove invalidates just the same.
-        arena.remove(other.id)
-        after_remove = arena.select([coverer])
-        assert after_remove.fingerprint != snapshot.fingerprint
-        checker.check(subscription, after_remove)
-        assert checker.cache_hits == 0
-        assert checker.cache_misses == 3
-
-    def test_store_mutations_invalidate_cached_selection(self):
-        schema, _, coverer = self._pairwise_covered_instance()
-        store = SubscriptionStore(policy="pairwise")
-        store.add(coverer)
-        first = store.active_candidates()
-        assert store.active_candidates() is first  # stable between mutations
-        newcomer = Subscription(schema, [60, 60, 60], [95, 95, 95])
-        store.add(newcomer)
-        second = store.active_candidates()
-        assert second is not first
-        assert second.fingerprint != first.fingerprint
-        store.remove(newcomer.id)
-        third = store.active_candidates()
-        assert third.fingerprint != second.fingerprint
-
-    def test_changed_subscription_bounds_miss_despite_same_id(self):
-        schema, subscription, coverer = self._pairwise_covered_instance()
-        checker = SubsumptionChecker()
-        snapshot = CandidateSet([coverer])
-        checker.check(subscription, snapshot)
-        moved = Subscription(
-            schema, [90, 90, 90], [99, 99, 99], subscription_id=subscription.id
-        )
-        result = checker.check(moved, snapshot)
-        assert checker.cache_hits == 0
-        assert result.method is not DecisionMethod.PAIRWISE_COVER
-
-    def test_probabilistic_verdicts_cached_only_on_request(self):
-        schema = Schema.uniform_integer(2, 0, 50)
-        subscription = Subscription(schema, [0, 0], [40, 40])
-        candidates = [
-            Subscription(schema, [0, 0], [40, 20]),
-            Subscription(schema, [0, 15], [40, 40]),
-        ]
-        snapshot = CandidateSet(candidates)
-
-        default = SubsumptionChecker(delta=1e-3, max_iterations=50, rng=1)
-        first = default.check(subscription, snapshot)
-        assert not first.certain  # RSPC decided
-        default.check(subscription, snapshot)
-        assert default.cache_hits == 0
-
-        caching = SubsumptionChecker(
-            delta=1e-3, max_iterations=50, rng=1, cache_probabilistic=True
-        )
-        first = caching.check(subscription, snapshot)
-        second = caching.check(subscription, snapshot)
-        assert caching.cache_hits == 1
-        assert second is first
-
-    def test_reconfigured_checker_never_reuses_stale_verdicts(self):
-        _, subscription, coverer = self._pairwise_covered_instance()
-        checker = SubsumptionChecker(max_iterations=50, rng=3)
-        snapshot = CandidateSet([coverer])
-        first = checker.check(subscription, snapshot)
-        assert first.method is DecisionMethod.PAIRWISE_COVER
-        checker.use_fast_decisions = False  # ablation-style toggle
-        second = checker.check(subscription, snapshot)
-        assert checker.cache_hits == 0
-        assert second.method is not DecisionMethod.PAIRWISE_COVER
-
-    def test_disabling_cache_probabilistic_stops_serving_cached_rspc(self):
-        schema = Schema.uniform_integer(2, 0, 50)
-        subscription = Subscription(schema, [0, 0], [40, 40])
-        snapshot = CandidateSet(
-            [
-                Subscription(schema, [0, 0], [40, 20]),
-                Subscription(schema, [0, 15], [40, 40]),
-            ]
-        )
-        checker = SubsumptionChecker(
-            delta=1e-3, max_iterations=50, rng=1, cache_probabilistic=True
-        )
-        first = checker.check(subscription, snapshot)
-        assert not first.certain
-        checker.cache_probabilistic = False
-        checker.check(subscription, snapshot)
-        assert checker.cache_hits == 0  # RSPC re-ran under the new config
-
-    def test_cache_size_zero_disables_caching(self):
-        _, subscription, coverer = self._pairwise_covered_instance()
-        checker = SubsumptionChecker(cache_size=0)
-        snapshot = CandidateSet([coverer])
-        checker.check(subscription, snapshot)
-        checker.check(subscription, snapshot)
-        assert checker.cache_hits == 0
-
-    def test_lru_eviction_respects_capacity(self):
-        schema, subscription, coverer = self._pairwise_covered_instance()
-        checker = SubsumptionChecker(cache_size=2)
-        snapshots = [CandidateSet([coverer]) for _ in range(3)]
-        for snapshot in snapshots:
-            checker.check(subscription, snapshot)
-        assert len(checker._cache) == 2
-        # The oldest snapshot was evicted; re-checking it misses.
-        checker.check(subscription, snapshots[0])
-        assert checker.cache_hits == 0
-
-
 class TestStoreAndStrategyThreading:
     def test_store_reinsertion_storm_identical_to_object_semantics(self):
         """Unsubscribe re-check storms agree with a freshly rebuilt store."""
@@ -601,57 +476,23 @@ class TestStoreAndStrategyThreading:
             snapshot.lows, np.vstack([s.lows for s in store.active])
         )
 
-    def test_decide_batch_matches_sequential_decides(self):
-        from repro.core.policies import make_strategy
-
+    def test_store_mutations_invalidate_cached_selection(self):
         schema = Schema.uniform_integer(3, 0, 100)
-        rng = np.random.default_rng(3)
-        candidates = [
-            random_subscription(schema, rng, width_fraction=(0.2, 0.7))
-            for _ in range(8)
-        ]
-        subjects = [
-            random_subscription(schema, rng, width_fraction=(0.1, 0.9))
-            for _ in range(6)
-        ]
-        for policy in ("none", "pairwise", "merging"):
-            strategy_a = make_strategy(policy)
-            strategy_b = make_strategy(policy)
-            expected = [strategy_a.decide(s, list(candidates)) for s in subjects]
-            got = strategy_b.decide_batch(subjects, candidates)
-            for a, b in zip(expected, got):
-                assert a.forwarded == b.forwarded
-                assert a.covered_by == b.covered_by
-                assert a.candidates_considered == b.candidates_considered
-                assert (a.merged is None) == (b.merged is None)
-                if a.merged is not None:
-                    assert a.merged.same_box(b.merged)
-                    assert a.false_volume == b.false_volume
-
-    def test_store_add_batch_matches_sequential_adds(self):
-        schema = Schema.uniform_integer(3, 0, 100)
-        rng = np.random.default_rng(4)
-        subs = [
-            random_subscription(schema, rng, width_fraction=(0.1, 0.9))
-            for _ in range(20)
-        ]
-        sequential = SubscriptionStore(
-            policy="group",
-            checker=SubsumptionChecker(delta=1e-3, max_iterations=40, rng=6),
-        )
-        batched = SubscriptionStore(
-            policy="group",
-            checker=SubsumptionChecker(delta=1e-3, max_iterations=40, rng=6),
-        )
-        expected = [sequential.add(sub) for sub in subs]
-        got = batched.add_batch(subs)
-        for a, b in zip(expected, got):
-            assert a.forwarded == b.forwarded
-            assert a.covered_by == b.covered_by
-            assert tuple(d.id for d in a.demoted) == tuple(d.id for d in b.demoted)
-        assert [s.id for s in sequential.active] == [s.id for s in batched.active]
-        assert sequential.stats == batched.stats
-
+        coverer = Subscription(schema, [0, 0, 0], [50, 50, 50])
+        store = SubscriptionStore(policy="pairwise")
+        store.add(coverer)
+        first = store.active_candidates()
+        assert store.active_candidates() is first  # stable between mutations
+        newcomer = Subscription(schema, [60, 60, 60], [95, 95, 95])
+        store.add(newcomer)
+        second = store.active_candidates()
+        assert second is not first
+        assert second.ids == (coverer.id, newcomer.id)
+        assert first.ids == (coverer.id,)
+        store.remove(newcomer.id)
+        third = store.active_candidates()
+        assert third is not second
+        assert third.ids == (coverer.id,)
 
 # ----------------------------------------------------------------------
 # The signed attribute-major kernel (conflict thresholds, MCS, gaps)
@@ -949,7 +790,7 @@ class TestAppendOnlySnapshots:
             assert np.array_equal(grown.lows, fresh.lows)
             assert np.array_equal(grown.highs, fresh.highs)
             assert grown.schema is base.schema
-            assert grown.fingerprint not in (base.fingerprint, fresh.fingerprint)
+            assert not np.shares_memory(grown.lows, fresh.lows)
             # the previous snapshot is neither aliased nor touched
             _assert_snapshot_is(base, subs[:6])
             assert not np.shares_memory(grown.lows, base.lows)
@@ -1011,7 +852,8 @@ class TestAppendOnlySnapshots:
             if tuple(s.id for s in store.active) == ids_before:
                 assert after is before  # untouched pool, shared snapshot
             else:
-                assert after.fingerprint != before.fingerprint
+                assert after is not before
+                assert not np.shares_memory(after.lows, before.lows)
                 _assert_snapshot_is(before, before.subscriptions)  # left intact
                 extended_in_place += grown_eagerly
         expected = {"forwarded", "suppressed", "removed-active"}
@@ -1075,7 +917,7 @@ class TestAppendOnlySnapshots:
                 assert broker._candidates_for(neighbor) is snapshot
                 previous = cached.get(neighbor)
                 if previous is not None and snapshot is not previous:
-                    assert snapshot.fingerprint != previous.fingerprint
+                    assert not np.shares_memory(snapshot.lows, previous.lows)
                     _assert_snapshot_is(previous, previous.subscriptions)
                     extended += snapshot.ids[:-1] == previous.ids
         assert extended and max(decided_against) >= 2
