@@ -15,8 +15,8 @@ The package is organised in layers:
     baseline.
 
 ``repro.matching``
-    Publication-to-subscription matching engines (Algorithm 5) and the
-    multi-level cover index, plus classical baseline indexes.
+    The Algorithm 5 matching engine and the one signed-column matcher
+    behind every publication lookup.
 
 ``repro.broker``
     A distributed broker-overlay simulator with reverse-path forwarding and

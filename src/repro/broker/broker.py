@@ -107,10 +107,6 @@ class Broker:
     merge_budget:
         False-volume budget of the merging strategies (ignored by the
         covering-only ones).
-    matcher_backend:
-        Matcher backend of the routing table's forwarding lookup (one of
-        :data:`~repro.matching.backends.BACKEND_NAMES`); observable
-        routing behaviour is identical for every backend.
     dedup_window:
         Maximum number of recently seen publication identifiers kept for
         loop suppression.  Duplicates can only arrive while a publication
@@ -128,7 +124,6 @@ class Broker:
         neighbors: Sequence[str] = (),
         policy: CoveringPolicyName = CoveringPolicyName.GROUP,
         checker: Optional[SubsumptionChecker] = None,
-        matcher_backend: str = "linear",
         dedup_window: int = 4096,
         record_latencies: bool = False,
         merge_budget: float = DEFAULT_MERGE_BUDGET,
@@ -147,8 +142,7 @@ class Broker:
         )
         self.policy = self.strategy.name
         self.merge_budget = merge_budget
-        self.matcher_backend = matcher_backend
-        self.routing = RoutingTable(matcher_backend=matcher_backend)
+        self.routing = RoutingTable()
         self.dedup_window = dedup_window
         #: local subscribers attached to this broker
         self.local_subscribers: Set[str] = set()

@@ -18,8 +18,9 @@ the system: after each publication it knows exactly which subscribers a
 lossless system would have notified, so the notifications lost to erroneous
 probabilistic coverage decisions (the concern analysed in Section 5) are
 measured directly.  The oracle is keyed by subscription identifier and
-matches through a pluggable matcher backend, so unsubscribe storms cost
-O(1) bookkeeping per cancellation instead of an O(n) list rebuild.
+matches through a :class:`~repro.matching.matcher.Matcher`, so unsubscribe
+storms cost O(1) bookkeeping per cancellation instead of an O(n) list
+rebuild.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.broker.sim import EventKernel, LatencyModel, LognormalLatency, make_l
 from repro.core.policies import DEFAULT_MERGE_BUDGET, policy_value, resolve_policy
 from repro.core.store import CoveringPolicyName
 from repro.core.subsumption import SubsumptionChecker
-from repro.matching.backends import make_backend
+from repro.matching.matcher import Matcher, check_backend_label
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
 from repro.obs import probes as obs_probes
@@ -71,9 +72,12 @@ class BrokerNetwork:
         Seed or generator controlling every broker's random stream (and the
         latency model's, when it is stochastic).
     matcher_backend:
-        Matcher backend every broker's routing table — and the global
-        delivery oracle — uses for the forwarding lookup (one of
-        :data:`~repro.matching.backends.BACKEND_NAMES`).
+        A matcher-backend label (one of
+        :data:`~repro.matching.matcher.BACKEND_NAMES`).  It is validated
+        and selects nothing (every routing table and the oracle run the
+        one matcher); it is kept only because the benchmark harness and
+        recorded traces still pass it, and goes with ROADMAP item 4,
+        Half B.
     latency_model:
         Per-link hop latency model spec (see
         :func:`~repro.broker.sim.make_latency_model`): ``"zero"`` (the
@@ -127,7 +131,7 @@ class BrokerNetwork:
         self.merge_budget = merge_budget
         self.delta = delta
         self.max_iterations = max_iterations
-        self.matcher_backend = matcher_backend
+        check_backend_label(matcher_backend)
         self.dedup_window = dedup_window
         self._rng = ensure_rng(rng)
         if isinstance(latency_model, LatencyModel):
@@ -155,21 +159,20 @@ class BrokerNetwork:
         self.clients: Dict[str, str] = {}
         #: global oracle: subscription id -> (subscription, client, broker)
         self._all_subscriptions: Dict[str, Tuple[Subscription, str, str]] = {}
-        #: matcher backend answering the oracle's "who should be notified".
-        #: With ``shards=N`` the oracle's subscription set is partitioned
-        #: across N worker processes behind the same MatcherBackend
-        #: contract; the oracle is outside every random stream and its
-        #: sharded answers are merged back into global insertion order, so
-        #: metrics, deliveries and trace hashes are byte-identical at any
-        #: shard count (``shards=0`` keeps today's in-process backend).
+        #: matcher answering the oracle's "who should be notified".  With
+        #: ``shards=N`` the oracle's subscription set is partitioned across
+        #: N worker processes behind the same ``add``/``remove``/
+        #: ``match_batch`` surface; the oracle is outside every random
+        #: stream and its sharded answers are merged back into global
+        #: insertion order, so metrics, deliveries and trace hashes are
+        #: byte-identical at any shard count (``shards=0`` keeps the
+        #: in-process matcher).
         if shards:
             from repro.shard.engine import ShardedOracleBackend
 
-            self._oracle = ShardedOracleBackend(
-                shards, backend=matcher_backend, prefilter=shard_prefilter
-            )
+            self._oracle = ShardedOracleBackend(shards, prefilter=shard_prefilter)
         else:
-            self._oracle = make_backend(matcher_backend)
+            self._oracle = Matcher()
         self._edge_list: List[Tuple[str, str]] = []
 
         for left, right in edges:
@@ -190,7 +193,6 @@ class BrokerNetwork:
             broker_id,
             policy=self.policy,
             checker=checker,
-            matcher_backend=self.matcher_backend,
             dedup_window=self.dedup_window,
             record_latencies=self.metrics.track_latency,
             merge_budget=self.merge_budget,

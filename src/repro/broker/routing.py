@@ -7,11 +7,9 @@ of those paths (reverse path forwarding, Section 2).
 
 The forwarding-table lookup is one method,
 :meth:`RoutingTable.matching_entries_batch` — a single publication is a
-batch of one — delegated to the ``match_batch`` of a pluggable matcher
-backend (:mod:`repro.matching.backends`): for every backend the shared
-box-test kernel over signed bound columns, without any change in
-observable routing behaviour, since every backend yields the matching
-entries in insertion order.
+batch of one — answered by one :class:`~repro.matching.matcher.Matcher`
+``match_batch`` call: the shared box-test kernel over the table's signed
+bound columns, which yields the matching entries in insertion order.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.matching.backends import make_backend
+from repro.matching.matcher import Matcher
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
 
@@ -47,20 +45,11 @@ class RouteEntry:
 
 
 class RoutingTable:
-    """Mapping of subscription identifier to :class:`RouteEntry`.
+    """Mapping of subscription identifier to :class:`RouteEntry`."""
 
-    Parameters
-    ----------
-    matcher_backend:
-        Name of the matcher backend answering
-        :meth:`matching_entries` (one of
-        :data:`~repro.matching.backends.BACKEND_NAMES`).
-    """
-
-    def __init__(self, matcher_backend: str = "linear") -> None:
+    def __init__(self) -> None:
         self._entries: Dict[str, RouteEntry] = {}
-        self.matcher_backend = matcher_backend
-        self._index = make_backend(matcher_backend)
+        self._index = Matcher()
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -109,11 +98,9 @@ class RoutingTable:
         """Per-publication ``(matching entries, tests)`` for a whole burst.
 
         The table's one lookup: a single ``match_batch`` call of the
-        backend answers the entire burst.  Entries are returned in
-        insertion order regardless of the matcher backend, so reverse-path
-        forwarding decisions are backend-independent; ``tests`` is the
-        membership-test count the observability layer attributes per
-        broker.  ``values`` optionally passes the burst's points
+        matcher answers the entire burst.  Entries are returned in
+        insertion order; ``tests`` is the membership-test count the
+        observability layer attributes per broker.  ``values`` optionally passes the burst's points
         pre-stacked as a ``(len(publications), m)`` array.
         """
         entries = self._entries

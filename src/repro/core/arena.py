@@ -38,9 +38,9 @@ scanning along the contiguous one.  It is the checker's candidate screen
 (:meth:`SubsumptionChecker.check <repro.core.subsumption.SubsumptionChecker.check>`
 drops the candidates that cannot meet ``s`` before any table is built)
 and, over raw bounds with a publication as the degenerate box, every
-publication lookup — :func:`boxes_containing`, which the matcher
-backends, hence the brokers' routing tables and the network's delivery
-oracle, answer whole bursts with (:mod:`repro.matching.backends`).  The
+publication lookup — :func:`boxes_containing`, which the matcher, hence
+the engine, the brokers' routing tables and the network's delivery
+oracle, answer whole bursts with (:mod:`repro.matching.matcher`).  The
 snapshot's matrix is *snapped*: on a discrete attribute only the ticks
 inside a range exist, so lower bounds are rounded up and upper bounds
 down — on the signed layout one ``ceil`` — and every stage of the
@@ -102,7 +102,7 @@ def boxes_containing(signed: np.ndarray, points: np.ndarray) -> List[List[int]]:
     call and one ``nonzero`` per chunk of points, however many there are,
     each chunk's ``(2m, B', n)`` workspace within :data:`_CELL_BUDGET`.
     Column indices ascend within each list.  This is every publication
-    lookup of the program: the matcher backends' ``match_batch``, hence
+    lookup of the program: the matcher's ``match_batch``, hence
     the brokers' route lookup and the network's delivery oracle.
     """
     count = len(points)

@@ -111,8 +111,8 @@ class RemovalOutcome:
         When an active subscription leaves, the covered subscriptions that
         referenced it are re-run through :meth:`SubscriptionStore.add`;
         this records each re-insertion's :class:`StoreDecision` in order,
-        which is what lets the matching engine update its cover forest and
-        matcher indexes incrementally instead of rebuilding them.
+        which is what lets the matching engine update its matchers
+        incrementally instead of rebuilding them.
     promoted:
         The re-inserted subscriptions that returned to the active set.
     retracted:
@@ -427,7 +427,7 @@ class SubscriptionStore:
         """Like :meth:`remove`, but reporting the full :class:`RemovalOutcome`.
 
         The per-orphan re-insertion decisions let callers that mirror the
-        store (the matching engine's cover forest and matcher backends)
+        store (the matching engine's two matchers)
         apply the removal incrementally instead of rebuilding from the
         pools.
         """

@@ -2,10 +2,10 @@
 
 Each ``fig_*`` module defines the workload, the sweep and the measurement
 of one or more figures, returning :class:`~repro.experiments.series.ResultTable`
-objects that print the same rows/series the paper reports.  The
-``benchmarks/`` directory wraps these runners in pytest-benchmark targets;
-the ``paper_config()`` presets use the paper's full parameters while the
-default configs are sized for quick laptop runs.
+objects that print the same rows/series the paper reports (run them with
+``python -m repro.experiments``).  The ``paper_config()`` presets use the
+paper's full parameters while the default configs are sized for quick
+laptop runs.
 """
 
 from repro.experiments.config import (

@@ -3,41 +3,20 @@
 The centrepiece is :class:`MatchingEngine`, which implements Algorithm 5 of
 the paper: publications are matched against the *active* (uncovered)
 subscriptions first and the covered subscriptions are consulted only when
-an active subscription matched.  The optional multi-level cover index
-(:class:`CoverForest`) implements the optimisation sketched at the end of
-Section 4.4.
+an active subscription matched.
 
-Membership tests are delegated to pluggable matcher backends
-(:mod:`repro.matching.backends`): ``linear`` (the seed scan, kept as
-oracle), ``counting`` (Yan & Garcia-Molina counting algorithm) and
-``selectivity`` (Carzaniga & Wolf selectivity-ordered elimination), the
-latter two backed by incrementally maintained vectorised NumPy indexes
-(:class:`CountingIndex`, :class:`SelectivityIndex`).
+Every membership test of the program — the engine's two sets, the
+brokers' routing tables, the network's delivery oracle — is answered by
+one class, :class:`Matcher`: the subscriptions of one schema as
+incrementally kept signed bound columns, tested with the checker's own
+box-test kernel.
 """
 
-from repro.matching.backends import (
-    BACKEND_NAMES,
-    CountingBackend,
-    LinearBackend,
-    MatcherBackend,
-    SelectivityBackend,
-    make_backend,
-)
-from repro.matching.cover_index import CoverForest
-from repro.matching.counting_index import CountingIndex
 from repro.matching.engine import MatchingEngine, MatchResult
-from repro.matching.selectivity_index import SelectivityIndex
+from repro.matching.matcher import Matcher
 
 __all__ = [
-    "BACKEND_NAMES",
-    "CountingBackend",
-    "CoverForest",
-    "CountingIndex",
-    "LinearBackend",
-    "MatcherBackend",
+    "Matcher",
     "MatchingEngine",
     "MatchResult",
-    "SelectivityBackend",
-    "SelectivityIndex",
-    "make_backend",
 ]

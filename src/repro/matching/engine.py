@@ -3,40 +3,26 @@
 The engine answers "which subscriptions does publication ``p`` match, and
 which subscribers must be notified?".  Following Algorithm 5, the active
 (uncovered) subscriptions are checked first; only when at least one of them
-matches does the engine look at the covered subscriptions — either with a
-flat scan (the paper's base algorithm) or through the multi-level
-:class:`~repro.matching.cover_index.CoverForest` (the paper's
-optimisation).
+matches does the engine look at the covered subscriptions.
 
-Membership tests are not performed by the engine itself: they are
-delegated to a pluggable :class:`~repro.matching.backends.MatcherBackend`
-(one instance for the active set, one for the covered set), selected by
-name:
+Both sets live in a :class:`~repro.matching.matcher.Matcher` and are
+tested flat, in one vectorised pass each.  The gate is what makes this
+sound: a publication that matches a covered subscription matches one of
+its coverers — a single one under pair-wise covering, one of the union
+under group covering — and every coverer is active or itself covered, so
+skipping the covered set when no active subscription matched never loses
+a notification.  An answer is charged ``active_tests = len(active)`` and,
+behind the gate, ``covered_tests = len(covered)``.
 
-``linear``
-    The seed behaviour, kept as the oracle — a flat active scan plus
-    (with ``use_cover_forest``) the multi-level covered walk.
-``counting`` / ``selectivity``
-    Vectorised NumPy indexes; the covered set is tested with one flat
-    vectorised pass, gated — exactly as Algorithm 5 requires — on at
-    least one active subscription matching.
-
-Soundness of the multi-level structure: a covered subscription is attached
-below another subscription only when that parent *pair-wise covers* it, so
-pruning a non-matching subtree can never lose a notification.  Subscriptions
-covered only by a *union* of subscriptions (the group policy's new case)
-are kept in a flat bucket that is scanned whenever any active subscription
-matched — exactly the fallback behaviour of Algorithm 5 — because no single
-parent is guaranteed to dominate them.  The same gating argument makes the
-vectorised covered pass equivalent: a covered subscription can only match
-when its (transitive) coverers match, so every backend reports the same
-matched set.
+The multi-level cover index sketched at the end of Section 4.4 (walk
+only the covered subscriptions below the coverers that matched) is not
+kept: it charges fewer tests, but on the high-redundancy engine benchmark
+(``cycle-engine``) the flat vectorised pass replays 2.4-3x faster than
+the Python walk.
 
 Unsubscription is incremental: the store reports what it did
-(:class:`~repro.core.store.RemovalOutcome`) and the engine splices the
-cover forest around the departed subscription — children move to their
-grandparent or are re-rooted — instead of rebuilding the forest from the
-pools.
+(:class:`~repro.core.store.RemovalOutcome`) and the engine moves only the
+affected subscriptions between its two matchers.
 
 The engine owns a :class:`~repro.core.store.SubscriptionStore`, so it also
 exposes the subscribe/unsubscribe workflow used by the examples and by the
@@ -49,15 +35,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.policies import DEFAULT_MERGE_BUDGET
-from repro.core.store import (
-    CoveringPolicyName,
-    RemovalOutcome,
-    StoreDecision,
-    SubscriptionStore,
-)
+from repro.core.store import CoveringPolicyName, StoreDecision, SubscriptionStore
 from repro.core.subsumption import SubsumptionChecker
-from repro.matching.backends import make_backend
-from repro.matching.cover_index import CoverForest
+from repro.matching.matcher import Matcher, check_backend_label
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
 from repro.obs import probes as obs_probes
@@ -78,11 +58,10 @@ class MatchResult:
     subscribers:
         De-duplicated subscriber identifiers to notify.
     active_tests:
-        Membership tests performed against the active set.
+        Membership tests charged against the active set (its size).
     covered_tests:
-        Membership tests performed against covered subscriptions (0 when no
-        active subscription matched, by Algorithm 5).  Vectorised backends
-        charge one test per candidate row consulted.
+        Membership tests charged against the covered set: its size, or 0
+        when no active subscription matched (Algorithm 5).
     """
 
     publication: Publication
@@ -115,15 +94,12 @@ class MatchingEngine:
         ``pairwise`` / ``group`` / ``merging`` / ``hybrid``).
     checker:
         Group-subsumption checker used by the ``group`` policy.
-    use_cover_forest:
-        Whether pair-wise-covered subscriptions are organised in the
-        multi-level structure (Section 4.4 optimisation) instead of a flat
-        list.  Only meaningful for the ``linear`` backend; the vectorised
-        backends always test the covered set with one flat vectorised
-        pass.
     backend:
-        Matcher backend the membership tests are delegated to (one of
-        :data:`~repro.matching.backends.BACKEND_NAMES`).
+        A matcher-backend label (one of
+        :data:`~repro.matching.matcher.BACKEND_NAMES`).  It is validated
+        and selects nothing: it is kept only because the benchmark harness
+        and recorded traces still pass it, and goes with ROADMAP
+        item 4, Half B.
     merge_budget:
         False-volume budget of the merging strategies (ignored by the
         covering-only ones).
@@ -133,33 +109,17 @@ class MatchingEngine:
         self,
         policy: CoveringPolicyName = CoveringPolicyName.GROUP,
         checker: Optional[SubsumptionChecker] = None,
-        use_cover_forest: bool = True,
         backend: str = "linear",
         merge_budget: float = DEFAULT_MERGE_BUDGET,
     ):
+        check_backend_label(backend)
         self.store = SubscriptionStore(
             policy=policy, checker=checker, merge_budget=merge_budget
         )
-        self.backend = backend
-        self.use_cover_forest = use_cover_forest
-        #: the forest is worth maintaining only for the linear backend —
-        #: the vectorised covered pass replaces the multi-level walk.
-        #: Merging strategies swap active-set members around on insertion,
-        #: which the flat covered pass absorbs trivially; the forest adds
-        #: nothing there, so they always run flat.
-        self._use_forest = (
-            use_cover_forest
-            and backend == "linear"
-            and not self.store.strategy.merges
-        )
-        self._active_index = make_backend(backend)
-        #: only consulted (and therefore only maintained) when the covered
-        #: set is tested flat; the forest replaces it for linear+forest
-        self._covered_index = make_backend(backend)
+        self._active = Matcher()
+        self._covered = Matcher()
         #: identifiers of every stored subscription (O(1) duplicate guard)
         self._ids: set = set()
-        self._forest = CoverForest()
-        self._group_covered: List[Subscription] = []
         #: cumulative counters for the micro-benchmarks
         self.stats: Dict[str, int] = {
             "publications": 0,
@@ -181,7 +141,7 @@ class MatchingEngine:
 
         Raises :class:`ValueError` for an identifier the engine already
         holds — *before* any state is touched, so the store and the
-        matcher indexes can never diverge.
+        matchers can never diverge.
         """
         # The engine is used standalone (no owning network to hand it a
         # probe), so it looks the module-level probe up per call; with no
@@ -204,38 +164,36 @@ class MatchingEngine:
         decision = self.store.add(subscription)
         self._ids.add(subscription.id)
         self._apply_decision(decision)
-        if self._use_forest:
-            self._sync_forest(decision)
         return decision
 
     def _apply_decision(self, decision: StoreDecision, rejoining: bool = False) -> None:
-        """Mirror one store decision into the matcher indexes.
+        """Mirror one store decision into the two matchers.
 
         ``rejoining`` marks an unsubscription re-insertion: the
-        subscription currently sits in the covered index and must leave it
-        first (re-appending a re-covered one mirrors the store's ordering).
+        subscription currently sits in the covered matcher and must leave
+        it first (re-appending a re-covered one mirrors the store's
+        ordering).
         """
         subscription = decision.subscription
-        if rejoining and not self._use_forest:
-            self._covered_index.remove(subscription.id)
+        if rejoining:
+            self._covered.remove(subscription.id)
         if decision.merged is not None:
             # The merged bounding box replaces the absorbed actives; the
             # newcomer and the absorbed originals all become covered (the
             # merged box pair-wise covers each of them, so the Algorithm 5
             # gate stays sound).
-            self._active_index.add(decision.merged)
+            self._active.add(decision.merged)
             for replaced in decision.replaced:
-                self._active_index.remove(replaced.id)
-                self._covered_index.add(replaced)
-            self._covered_index.add(subscription)
+                self._active.remove(replaced.id)
+                self._covered.add(replaced)
+            self._covered.add(subscription)
         elif decision.forwarded:
-            self._active_index.add(subscription)
+            self._active.add(subscription)
             for demoted in decision.demoted:
-                self._active_index.remove(demoted.id)
-                if not self._use_forest:
-                    self._covered_index.add(demoted)
-        elif not self._use_forest:
-            self._covered_index.add(subscription)
+                self._active.remove(demoted.id)
+                self._covered.add(demoted)
+        else:
+            self._covered.add(subscription)
 
     def subscribe_all(
         self, subscriptions: Iterable[Subscription]
@@ -246,9 +204,8 @@ class MatchingEngine:
     def unsubscribe(self, subscription_id: str) -> Tuple[Subscription, ...]:
         """Remove a subscription; returns promoted covered subscriptions.
 
-        The removal is incremental end to end: the matcher indexes drop or
-        move only the affected subscriptions, and the cover forest is
-        spliced around the departed node instead of being rebuilt.
+        The removal is incremental: the matchers drop or move only the
+        affected subscriptions.
         """
         obs = obs_probes.ACTIVE
         if obs is None:
@@ -265,122 +222,17 @@ class MatchingEngine:
             return ()
         self._ids.discard(subscription_id)
         if outcome.was_active:
-            self._active_index.remove(subscription_id)
-        elif not self._use_forest:
-            self._covered_index.remove(subscription_id)
+            self._active.remove(subscription_id)
+        else:
+            self._covered.remove(subscription_id)
         for retracted in outcome.retracted:
             # An orphaned merged box left the store; it may sit in either
-            # index depending on whether it was itself absorbed.
-            self._active_index.remove(retracted.id)
-            if not self._use_forest:
-                self._covered_index.remove(retracted.id)
+            # matcher depending on whether it was itself absorbed.
+            self._active.remove(retracted.id)
+            self._covered.remove(retracted.id)
         for decision in outcome.reinsertions:
             self._apply_decision(decision, rejoining=True)
-        if self._use_forest:
-            self._forest_remove(outcome)
         return outcome.promoted
-
-    def _sync_forest(self, decision: StoreDecision) -> None:
-        subscription = decision.subscription
-        if decision.forwarded:
-            self._forest.add_root(subscription)
-            for demoted in decision.demoted:
-                # The newcomer pair-wise covers the demoted subscription, so
-                # re-rooting it (with its whole subtree) under the newcomer
-                # keeps the forest's covering invariant.
-                self._forest.reparent(demoted.id, subscription.id)
-            return
-        coverer_id = self._single_coverer(decision)
-        if coverer_id is not None and coverer_id in self._forest:
-            self._forest.add_covered(subscription, coverer_id)
-        else:
-            self._group_covered.append(subscription)
-
-    def _single_coverer(self, decision: StoreDecision) -> Optional[str]:
-        """Identifier of a subscription that pair-wise covers the newcomer."""
-        subscription = decision.subscription
-        for candidate_id in decision.covered_by:
-            candidate = self.store.find(candidate_id)
-            if candidate is not None and candidate.covers(subscription):
-                return candidate_id
-        return None
-
-    # ------------------------------------------------------------------
-    # Incremental forest maintenance on unsubscription
-    # ------------------------------------------------------------------
-    def _forest_remove(self, outcome: RemovalOutcome) -> None:
-        removed_id = outcome.subscription.id
-        if not outcome.was_active:
-            # A covered subscription left: splice its children onto its
-            # parent (covering is transitive) or drop it from the group
-            # bucket.  Covered nodes always have a parent, so nothing is
-            # ever promoted to root here.
-            if removed_id in self._forest:
-                self._forest.remove_splice(removed_id)
-            else:
-                self._drop_group(removed_id)
-            return
-        # An active root left.  Every forest child of a node carries its
-        # parent in its cover links, so each child of the departed root is
-        # one of the store's re-inserted orphans and is resettled below.
-        for decision in outcome.reinsertions:
-            self._resettle(decision)
-        # Defensive: if any child survived the resettling pass it must not
-        # masquerade as an active root — demote it (with its subtree) to
-        # the group bucket, which is always sound to scan.
-        for stray in self._forest.remove_splice(removed_id):
-            if stray.id in self._forest:
-                self._group_covered.extend(
-                    self._forest.extract_subtree(stray.id)
-                )
-
-    def _resettle(self, decision: StoreDecision) -> None:
-        """Re-home one orphan after its coverer left, mirroring the store.
-
-        The orphan may sit in the forest (with a whole subtree of its own)
-        or in the flat group bucket; the store's re-insertion decision says
-        where it belongs now.
-        """
-        subscription = decision.subscription
-        subscription_id = subscription.id
-        in_forest = subscription_id in self._forest
-        if decision.forwarded:
-            # Promoted to active: becomes a root, keeping its subtree.
-            if in_forest:
-                self._forest.reparent(subscription_id, None)
-            else:
-                self._drop_group(subscription_id)
-                self._forest.add_root(subscription)
-            for demoted in decision.demoted:
-                if demoted.id in self._forest:
-                    self._forest.reparent(demoted.id, subscription_id)
-            return
-        coverer_id = self._single_coverer(decision)
-        if coverer_id is not None and coverer_id in self._forest:
-            # Re-covered pair-wise: hang it (and its subtree) below the new
-            # coverer.  The coverer is an active root, never part of the
-            # orphan's own subtree, so no cycle can form.
-            if in_forest:
-                self._forest.reparent(subscription_id, coverer_id)
-            else:
-                self._drop_group(subscription_id)
-                self._forest.add_covered(subscription, coverer_id)
-            return
-        # Covered only by the union of the active set: the whole subtree
-        # loses its single-coverer chain and moves to the group bucket.
-        if in_forest:
-            self._group_covered.extend(
-                self._forest.extract_subtree(subscription_id)
-            )
-        elif all(s.id != subscription_id for s in self._group_covered):
-            self._group_covered.append(subscription)
-
-    def _drop_group(self, subscription_id: str) -> None:
-        self._group_covered = [
-            subscription
-            for subscription in self._group_covered
-            if subscription.id != subscription_id
-        ]
 
     # ------------------------------------------------------------------
     # Views
@@ -414,42 +266,12 @@ class MatchingEngine:
 
     def _match_impl(self, publication: Publication) -> MatchResult:
         self.stats["publications"] += 1
-        active_matched, active_tests = self._active_index.match_candidates(
-            publication
-        )
-        matched, covered_tests = self._match_covered(publication, active_matched)
+        matched, active_tests = self._active.match_candidates(publication)
+        covered_tests = 0
+        if matched:
+            covered, covered_tests = self._covered.match_candidates(publication)
+            matched.extend(covered)
         return self._build_result(publication, matched, active_tests, covered_tests)
-
-    def _match_covered(
-        self, publication: Publication, active_matched: List[Subscription]
-    ) -> Tuple[List[Subscription], int]:
-        """Extend the active matches with covered ones, per Algorithm 5.
-
-        The covered set is consulted only when an active subscription
-        matched — through the forest walk for the linear backend, or with
-        one flat (vectorised) pass otherwise.
-        """
-        matched = list(active_matched)
-        if not matched:
-            return matched, 0
-        if self._use_forest:
-            covered_tests = 0
-            below, tests = self._forest.match_below(
-                publication, [s.id for s in active_matched]
-            )
-            covered_tests += tests
-            matched.extend(below)
-            values = publication.values_list
-            for subscription in self._group_covered:
-                covered_tests += 1
-                if subscription.contains_values(values):
-                    matched.append(subscription)
-            return matched, covered_tests
-        covered_matched, covered_tests = self._covered_index.match_candidates(
-            publication
-        )
-        matched.extend(covered_matched)
-        return matched, covered_tests
 
     def _build_result(
         self,
@@ -486,9 +308,9 @@ class MatchingEngine:
         """Match a publication burst, amortising per-call matcher setup.
 
         Produces exactly the results (and statistics) of matching the
-        publications one by one, but vectorised backends evaluate the
-        whole burst against the active set in one pass, and the covered
-        set in one pass over the publications that had an active hit.
+        publications one by one, but evaluates the whole burst against the
+        active set in one pass, and the covered set in one pass over the
+        publications that had an active hit.
         """
         obs = obs_probes.ACTIVE
         if obs is None:
@@ -503,34 +325,20 @@ class MatchingEngine:
         self, publications: Sequence[Publication]
     ) -> List[MatchResult]:
         publications = list(publications)
-        active_results = self._active_index.match_batch(publications)
-        covered_results: Dict[int, Tuple[List[Subscription], int]] = {}
-        if not self._use_forest:
-            need = [
-                position
-                for position, (active_matched, _tests) in enumerate(active_results)
-                if active_matched
-            ]
-            if need:
-                batch = self._covered_index.match_batch(
-                    [publications[position] for position in need]
-                )
-                covered_results = dict(zip(need, batch))
+        active = self._active.match_batch(publications)
+        need = [position for position, (matched, _) in enumerate(active) if matched]
+        covered = dict(
+            zip(need, self._covered.match_batch([publications[i] for i in need]))
+        )
         results: List[MatchResult] = []
         for position, publication in enumerate(publications):
             self.stats["publications"] += 1
-            active_matched, active_tests = active_results[position]
-            if self._use_forest or not active_matched:
-                matched, covered_tests = self._match_covered(
-                    publication, active_matched
-                )
-            else:
-                matched = list(active_matched)
-                covered_matched, covered_tests = covered_results[position]
-                matched.extend(covered_matched)
+            matched, active_tests = active[position]
+            covered_tests = 0
+            if matched:
+                more, covered_tests = covered[position]
+                matched.extend(more)
             results.append(
-                self._build_result(
-                    publication, matched, active_tests, covered_tests
-                )
+                self._build_result(publication, matched, active_tests, covered_tests)
             )
         return results

@@ -17,7 +17,7 @@ A probe aggregates three things:
 * wall-clock *stage timers* with self-time attribution: nested stages
   subtract their children, so ``stage_totals`` sums to (almost exactly)
   the instrumented wall time and a ranked per-stage cost table falls
-  out of any run — the input of ``benchmarks/profile_network.py``.
+  out of any run — the input of ``bench/``'s per-layer rows.
 """
 
 from __future__ import annotations

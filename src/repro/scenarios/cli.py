@@ -6,14 +6,11 @@
     python -m repro.scenarios describe t1-churn       # spec + timeline
     python -m repro.scenarios run t1-churn --seed 7   # execute + report
     python -m repro.scenarios run t1-churn --seed 7 --trace run.jsonl
-    python -m repro.scenarios run t0-smoke --engine-backend selectivity
     python -m repro.scenarios replay run.jsonl        # byte-exact re-run
 
 ``run`` and ``replay`` print the same per-phase metric table; a replay of
 a recorded trace reproduces the original run's metrics exactly (wall
-times excepted).  ``--engine-backend`` selects the matcher backend
-(``linear``/``counting``/``selectivity``) the system under test matches
-publications with; ``--latency-model`` selects the simulation kernel's
+times excepted).  ``--latency-model`` selects the simulation kernel's
 per-link hop latency model (``zero``, ``fixed[:delay]``,
 ``lognormal[:mu,sigma]``); ``--policy`` selects the reduction strategy
 every broker applies (``none``/``pairwise``/``group``/``merging``/
@@ -40,7 +37,6 @@ from typing import List, Optional
 
 from repro.broker.sim import parse_latency_model
 from repro.core.policies import policy_value, strategy_names
-from repro.matching.backends import BACKEND_NAMES
 from repro.obs.probes import ObsProbe
 from repro.obs.spans import SpanRecorder, write_spans
 from repro.scenarios import catalog  # noqa: F401 - populates the registry
@@ -104,10 +100,6 @@ def _cmd_describe(arguments: argparse.Namespace) -> int:
 
 def _cmd_run(arguments: argparse.Namespace) -> int:
     spec = _get_spec(arguments.name)
-    if arguments.engine_backend:
-        # Fold the override into the spec so the trace (and its hash)
-        # records exactly what ran and a bare `replay` reproduces it.
-        spec = dataclasses.replace(spec, engine_backend=arguments.engine_backend)
     if arguments.latency_model:
         spec = dataclasses.replace(spec, latency_model=arguments.latency_model)
     if arguments.policy:
@@ -169,15 +161,11 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
     # Default to the backend the trace was recorded from, so a bare
     # `replay` reproduces the original run's metrics.
     backend = arguments.backend or compiled.recorded_backend or "network"
-    engine_backend = (
-        arguments.engine_backend or compiled.recorded_engine_backend
-    )
     latency_model = (
         arguments.latency_model or compiled.recorded_latency_model
     )
     runner = ScenarioRunner(
         backend=backend,
-        engine_backend=engine_backend,
         latency_model=latency_model,
         shards=arguments.shards,
         shard_prefilter=arguments.shard_prefilter,
@@ -255,13 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="drive the broker overlay (default) or a single matching engine",
     )
     run.add_argument(
-        "--engine-backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="matcher backend to match publications with "
-             "(default: the spec's engine_backend field)",
-    )
-    run.add_argument(
         "--latency-model",
         type=_latency_model,
         default=None,
@@ -312,13 +293,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=("network", "engine"),
         default=None,
         help="backend to replay against (default: the one the trace records)",
-    )
-    replay.add_argument(
-        "--engine-backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="matcher backend to replay with "
-             "(default: the one the trace records)",
     )
     replay.add_argument(
         "--latency-model",

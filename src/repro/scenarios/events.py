@@ -160,15 +160,13 @@ class ScenarioEvent:
 class CompiledScenario:
     """A spec materialised into a concrete, runnable event stream.
 
-    ``recorded_backend``, ``recorded_engine_backend`` and
-    ``recorded_latency_model`` are only set on scenarios loaded from a
-    trace whose header names the runner backend / matcher backend /
+    ``recorded_backend`` and ``recorded_latency_model`` are only set on
+    scenarios loaded from a trace whose header names the runner backend /
     latency model the original run used; they are advisory replay
     metadata, not part of the stream (and not part of the trace hash — the
     stream itself is backend-independent, and reports always display which
-    backends ran).  The matcher backend and latency model that *compile
-    into* the spec (``ScenarioSpec.engine_backend`` /
-    ``ScenarioSpec.latency_model``) are, by contrast, replay-binding and
+    backend ran).  The latency model that *compiles into* the spec
+    (``ScenarioSpec.latency_model``) is, by contrast, replay-binding and
     hashed with the rest of the spec.
     """
 
@@ -179,7 +177,6 @@ class CompiledScenario:
     clients: Dict[str, str]
     events: List[ScenarioEvent]
     recorded_backend: Optional[str] = None
-    recorded_engine_backend: Optional[str] = None
     recorded_latency_model: Optional[str] = None
 
     @property

@@ -23,7 +23,6 @@ from repro.broker.sim import parse_latency_model
 from repro.core.policies import policy_value
 from repro.core.store import CoveringPolicyName
 from repro.core.subsumption import SubsumptionChecker
-from repro.matching.backends import BACKEND_NAMES
 from repro.matching.engine import MatchingEngine
 from repro.obs import probes as obs_probes
 from repro.scenarios.events import (
@@ -206,10 +205,6 @@ class ScenarioRunner:
     backend:
         ``network`` (broker overlay, full metrics) or ``engine`` (single
         matching engine, hot-loop throughput).
-    engine_backend:
-        Matcher backend override (one of
-        :data:`~repro.matching.backends.BACKEND_NAMES`); when ``None``
-        the spec's ``engine_backend`` field decides.
     latency_model:
         Latency model override for the network backend's simulation
         kernel; when ``None`` the spec's ``latency_model`` field decides.
@@ -240,7 +235,6 @@ class ScenarioRunner:
         spec: Optional[ScenarioSpec] = None,
         seed: int = 0,
         backend: str = "network",
-        engine_backend: Optional[str] = None,
         latency_model: Optional[str] = None,
         obs=None,
         shards: int = 0,
@@ -248,11 +242,6 @@ class ScenarioRunner:
     ):
         if backend not in ("network", "engine"):
             raise ValueError(f"unknown backend {backend!r}")
-        if engine_backend is not None and engine_backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown engine backend {engine_backend!r}; expected one "
-                f"of {BACKEND_NAMES}"
-            )
         if latency_model is not None:
             parse_latency_model(latency_model)
         if shards < 0:
@@ -260,14 +249,10 @@ class ScenarioRunner:
         self.spec = spec
         self.seed = seed
         self.backend = backend
-        self.engine_backend = engine_backend
         self.latency_model = latency_model
         self.obs = obs
         self.shards = shards
         self.shard_prefilter = shard_prefilter
-
-    def _engine_backend_for(self, compiled: CompiledScenario) -> str:
-        return self.engine_backend or compiled.spec.engine_backend
 
     def _latency_model_for(self, compiled: CompiledScenario) -> str:
         return self.latency_model or compiled.spec.latency_model
@@ -302,7 +287,6 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
     def _run_network(self, compiled: CompiledScenario) -> ScenarioReport:
         spec = compiled.spec
-        engine_backend = self._engine_backend_for(compiled)
         latency_model = self._latency_model_for(compiled)
         network_rng = ensure_rng(derive_streams(compiled.seed)["network"])
         network = BrokerNetwork(
@@ -311,16 +295,13 @@ class ScenarioRunner:
             delta=spec.delta,
             max_iterations=spec.max_iterations,
             rng=network_rng,
-            matcher_backend=engine_backend,
             latency_model=latency_model,
             merge_budget=spec.merge_budget,
             shards=self.shards,
             shard_prefilter=self.shard_prefilter,
         )
         try:
-            return self._run_network_impl(
-                compiled, network, engine_backend, latency_model
-            )
+            return self._run_network_impl(compiled, network, latency_model)
         finally:
             network.close()
 
@@ -328,7 +309,6 @@ class ScenarioRunner:
         self,
         compiled: CompiledScenario,
         network: BrokerNetwork,
-        engine_backend: str,
         latency_model: str,
     ) -> ScenarioReport:
         spec = compiled.spec
@@ -404,7 +384,7 @@ class ScenarioRunner:
             event_count=compiled.event_count,
             trace_hash=compiled.trace_hash(),
             wall_time=wall_time,
-            engine_backend=engine_backend,
+            engine_backend=spec.engine_backend,
             latency_model=latency_model,
             phases=phases,
             totals=network.metrics.summary(),
@@ -415,14 +395,12 @@ class ScenarioRunner:
     # ------------------------------------------------------------------
     def _run_engine(self, compiled: CompiledScenario) -> ScenarioReport:
         spec = compiled.spec
-        engine_backend = self._engine_backend_for(compiled)
         if self.shards:
             from repro.shard.engine import ShardedMatchingEngine
 
             engine = ShardedMatchingEngine(
                 shards=self.shards,
                 policy=spec.policy,
-                backend=engine_backend,
                 delta=spec.delta,
                 max_iterations=spec.max_iterations,
                 merge_budget=spec.merge_budget,
@@ -430,7 +408,7 @@ class ScenarioRunner:
                 prefilter=self.shard_prefilter,
             )
             try:
-                return self._run_engine_impl(compiled, engine, engine_backend)
+                return self._run_engine_impl(compiled, engine)
             finally:
                 engine.close()
         checker = SubsumptionChecker(
@@ -441,14 +419,11 @@ class ScenarioRunner:
         engine = MatchingEngine(
             policy=spec.policy,
             checker=checker,
-            backend=engine_backend,
             merge_budget=spec.merge_budget,
         )
-        return self._run_engine_impl(compiled, engine, engine_backend)
+        return self._run_engine_impl(compiled, engine)
 
-    def _run_engine_impl(
-        self, compiled: CompiledScenario, engine, engine_backend: str
-    ) -> ScenarioReport:
+    def _run_engine_impl(self, compiled: CompiledScenario, engine) -> ScenarioReport:
         spec = compiled.spec
         #: the shard pool amortises its round-trips over publish runs —
         #: results are identical to one-at-a-time matching, and the
@@ -526,7 +501,7 @@ class ScenarioRunner:
             event_count=compiled.event_count,
             trace_hash=compiled.trace_hash(),
             wall_time=wall_time,
-            engine_backend=engine_backend,
+            engine_backend=spec.engine_backend,
             phases=phases,
             totals=totals,
         )

@@ -28,7 +28,7 @@ from repro.broker.topologies import (
 )
 from repro.core.policies import DEFAULT_MERGE_BUDGET, policy_value, resolve_policy
 from repro.core.store import CoveringPolicyName
-from repro.matching.backends import BACKEND_NAMES
+from repro.matching.matcher import check_backend_label
 from repro.utils.rng import RandomSource
 
 __all__ = ["PhaseKind", "PhaseSpec", "TopologySpec", "ScenarioSpec"]
@@ -230,7 +230,7 @@ class ScenarioSpec:
         Number of clients attached (round-robin) to the brokers.
     policy:
         Reduction strategy every broker applies (``none``, ``pairwise``,
-        ``group``, ``merging`` or ``hybrid``).  Like the matcher backend
+        ``group``, ``merging`` or ``hybrid``).  Like the latency model
         it is recorded in traces; the pre-existing values serialize
         exactly as they always did, so their trace hashes are unchanged.
     merge_budget:
@@ -243,18 +243,20 @@ class ScenarioSpec:
     max_iterations:
         RSPC guess cap per covering decision.
     engine_backend:
-        Matcher backend the system under test matches publications with
-        (one of :data:`~repro.matching.backends.BACKEND_NAMES`): the
-        matching engine's membership indexes on the ``engine`` runner
-        backend, every broker's routing-table lookup on the ``network``
-        one.  Recorded in traces so replays reproduce the original
-        metrics exactly.
+        A matcher-backend label (one of
+        :data:`~repro.matching.matcher.BACKEND_NAMES`).  It is validated,
+        folded into the trace hash when non-default, recorded in traces
+        and echoed in :class:`~repro.scenarios.runner.ScenarioReport`,
+        but it selects nothing: every run matches with the one
+        :class:`~repro.matching.matcher.Matcher`.  It is kept because the
+        benchmark's specs and recorded traces carry it, and goes with
+        ROADMAP item 4, Half B.
     latency_model:
         Per-link hop latency model of the broker network's simulation
         kernel (``"zero"``, ``"fixed[:delay]"`` or
         ``"lognormal[:mu,sigma]"`` — see
-        :func:`~repro.broker.sim.make_latency_model`).  Like the matcher
-        backend it is recorded in traces (and folded into the trace hash
+        :func:`~repro.broker.sim.make_latency_model`).  It is recorded in
+        traces (and folded into the trace hash
         when non-default) so replays reproduce the original run's timed
         metrics exactly.  Ignored by the ``engine`` runner backend.
     phases:
@@ -283,11 +285,7 @@ class ScenarioSpec:
         object.__setattr__(self, "policy", resolve_policy(self.policy))
         if self.merge_budget < 0:
             raise ValueError("merge_budget must be non-negative")
-        if self.engine_backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown engine backend {self.engine_backend!r}; expected "
-                f"one of {BACKEND_NAMES}"
-            )
+        check_backend_label(self.engine_backend)
         parse_latency_model(self.latency_model)  # validates, raises ValueError
         object.__setattr__(self, "workload_params", dict(self.workload_params))
         object.__setattr__(self, "phases", tuple(self.phases))

@@ -53,10 +53,9 @@ def write_trace(
 
     ``backend`` records which runner backend the run used, so a later
     replay can default to the same one (the event stream itself is
-    backend-agnostic).  The header also mirrors the spec's matcher
-    backend (``engine_backend``) so a replay reproduces the original
-    metrics — including the per-backend membership-test counters —
-    byte-exactly.
+    backend-agnostic).  The header also mirrors the spec's
+    ``engine_backend`` label, which selects nothing; it stays so that
+    traces keep their byte layout.
     """
     digest = compiled.trace_hash()
     header: Dict[str, Any] = {
@@ -137,7 +136,6 @@ def read_trace(
         clients=clients,
         events=events,
         recorded_backend=header.get("backend"),
-        recorded_engine_backend=header.get("engine_backend"),
         recorded_latency_model=header.get("latency_model"),
     )
     if verify:

@@ -1,8 +1,8 @@
 """Multi-process sharded execution of the subscription space.
 
 The package layers a coordinator/worker deployment *under* the existing
-seams — :class:`~repro.matching.backends.MatcherBackend` for the broker
-network's global delivery oracle, the
+seams — the :class:`~repro.matching.matcher.Matcher` surface for the
+broker network's global delivery oracle, the
 :class:`~repro.matching.engine.MatchingEngine` surface for the decision
 pool — so sharding is an execution-mode choice (``shards=N``), invisible
 to scenario specs, trace hashes and golden metrics (``shards=0`` runs
@@ -16,7 +16,7 @@ today's in-process path byte for byte).
   float64 bounds arrays placed in ``multiprocessing.shared_memory``, and
   the coordinator-side zero-copy views over them.
 * :mod:`repro.shard.worker` — the worker process: a full matching
-  engine (decision pool) or a bare matcher backend (delivery oracle)
+  engine (decision pool) or a bare matcher (delivery oracle)
   behind a pipe command loop, with busy-time accounting.
 * :mod:`repro.shard.coordinator` — process lifecycle, routing, the
   candidate pre-filter (per-shard bounds hulls, optionally a vectorised
@@ -25,9 +25,8 @@ today's in-process path byte for byte).
 * :mod:`repro.shard.engine` — the two façades:
   :class:`~repro.shard.engine.ShardedMatchingEngine` (drop-in for the
   scenario runner's engine backend) and
-  :class:`~repro.shard.engine.ShardedOracleBackend` (a
-  :class:`~repro.matching.backends.MatcherBackend` for the broker
-  network's oracle).
+  :class:`~repro.shard.engine.ShardedOracleBackend` (the matcher
+  surface for the broker network's oracle).
 """
 
 from repro.shard.coordinator import ShardCoordinator

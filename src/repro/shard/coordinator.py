@@ -108,10 +108,11 @@ class ShardCoordinator:
     shards:
         Worker count (≥ 1).
     mode:
-        ``"index"`` (bare matcher backend — the delivery-oracle shape) or
-        ``"engine"`` (full matching engine — the decision pool).
-    backend, policy, delta, max_iterations, merge_budget, seed:
-        Forwarded into each worker's engine/backend; ``seed`` feeds the
+        ``"index"`` (a bare :class:`~repro.matching.matcher.Matcher` — the
+        delivery-oracle shape) or ``"engine"`` (full matching engine — the
+        decision pool).
+    policy, delta, max_iterations, merge_budget, seed:
+        Forwarded into each worker's engine; ``seed`` feeds the
         fixed shard→seed mapping of the workers' checker streams.
     partitioner:
         ``"hash"`` (default), ``"range"``/``"range:ATTR"``, or any object
@@ -124,7 +125,6 @@ class ShardCoordinator:
         self,
         shards: int,
         mode: str = "index",
-        backend: str = "linear",
         policy: str = "group",
         delta: float = 0.001,
         max_iterations: int = 1000,
@@ -166,7 +166,6 @@ class ShardCoordinator:
                     {
                         "shard_index": index,
                         "mode": mode,
-                        "backend": backend,
                         "policy": policy,
                         "delta": delta,
                         "max_iterations": max_iterations,

@@ -10,12 +10,13 @@ Two consumers want sharded execution, through two different surfaces:
   policy on its slice of the subscription space with its own seeded
   checker stream;
 * the broker network's global delivery oracle is a
-  :class:`~repro.matching.backends.MatcherBackend` —
-  :class:`ShardedOracleBackend` implements that contract over an
-  ``index``-mode pool, merging per-shard matches back into global
-  insertion order (the coordinator's arrival sequence), so the oracle's
-  answers are *identical* to the unsharded backend's and the network's
-  metrics/trace hashes do not move at any worker count.
+  :class:`~repro.matching.matcher.Matcher` —
+  :class:`ShardedOracleBackend` implements its ``add``/``remove``/
+  ``match_candidates``/``match_batch`` surface over an ``index``-mode
+  pool, merging per-shard matches back into global insertion order (the
+  coordinator's arrival sequence), so the oracle's answers are
+  *identical* to the unsharded matcher's and the network's metrics/trace
+  hashes do not move at any worker count.
 
 Both own their :class:`~repro.shard.coordinator.ShardCoordinator` and
 must be ``close()``-d (or used as context managers) to reap the worker
@@ -28,7 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.matching.backends import MatchCandidates, MatcherBackend
+from repro.matching.matcher import MatchCandidates, check_backend_label
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
 from repro.shard.coordinator import ShardCoordinator
@@ -59,29 +60,21 @@ class _SubscriptionRef:
         return f"_SubscriptionRef(id={self.id!r})"
 
 
-class ShardedOracleBackend(MatcherBackend):
-    """A :class:`MatcherBackend` whose subscription set lives in shards.
+class ShardedOracleBackend:
+    """A :class:`~repro.matching.matcher.Matcher` whose subscriptions live
+    in shards.
 
-    Matching semantics are exactly the wrapped per-shard backends' —
-    pure membership, no covering, no randomness — so the answers equal
-    the unsharded backend's for any shard count; per-shard results are
-    merged back into global insertion order via the coordinator's
-    arrival sequence.
+    Matching semantics are exactly the per-shard matchers' — pure
+    membership, no covering, no randomness — so the answers equal the
+    unsharded matcher's for any shard count; per-shard results are merged
+    back into global insertion order via the coordinator's arrival
+    sequence.
     """
 
-    name = "sharded"
-
-    def __init__(
-        self,
-        shards: int,
-        backend: str = "linear",
-        partitioner: Any = "hash",
-        prefilter: str = "hull",
-    ):
+    def __init__(self, shards: int, partitioner: Any = "hash", prefilter: str = "hull"):
         self._coordinator = ShardCoordinator(
             shards,
             mode="index",
-            backend=backend,
             partitioner=partitioner,
             prefilter=prefilter,
         )
@@ -204,6 +197,11 @@ class ShardedMatchingEngine:
     the covered subscription, so Algorithm 5's gate re-finds it.
     Test/decision counters are partition-dependent by nature and are
     reported per shard.
+
+    ``backend`` is a matcher-backend label (one of
+    :data:`~repro.matching.matcher.BACKEND_NAMES`).  It is validated and
+    selects nothing: it is kept only because the benchmark harness still
+    passes it, and goes with ROADMAP item 4, Half B.
     """
 
     def __init__(
@@ -220,10 +218,10 @@ class ShardedMatchingEngine:
     ):
         from repro.core.policies import policy_value
 
+        check_backend_label(backend)
         self._coordinator = ShardCoordinator(
             shards,
             mode="engine",
-            backend=backend,
             policy=policy_value(policy),
             delta=delta,
             max_iterations=max_iterations,

@@ -5,12 +5,12 @@ two modes:
 
 ``engine``
     A full :class:`~repro.matching.engine.MatchingEngine` — store,
-    covering policy, probabilistic checker (seeded from the fixed
-    shard→seed mapping) and matcher backend.  This is the parallel
-    decision pool: ``decide``/``check`` work happens here.
+    covering policy and probabilistic checker (seeded from the fixed
+    shard→seed mapping).  This is the parallel decision pool:
+    ``decide``/``check`` work happens here.
 ``index``
-    A bare :class:`~repro.matching.backends.MatcherBackend` — pure
-    membership matching, no covering.  This shards the broker network's
+    A bare :class:`~repro.matching.matcher.Matcher` — pure membership
+    matching, no covering.  This shards the broker network's
     global delivery oracle, whose semantics must stay byte-identical to
     the unsharded run (no policy, no randomness).
 
@@ -50,8 +50,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.subsumption import SubsumptionChecker
-from repro.matching.backends import make_backend
 from repro.matching.engine import MatchingEngine
+from repro.matching.matcher import Matcher
 from repro.shard.partition import shard_seed
 from repro.shard.shm import SharedSubscriptionArena
 
@@ -114,11 +114,10 @@ class _ShardWorker:
             self.engine = MatchingEngine(
                 policy=config.get("policy", "group"),
                 checker=checker,
-                backend=config.get("backend", "linear"),
                 merge_budget=config.get("merge_budget", 0.1),
             )
         else:
-            self.index = make_backend(config.get("backend", "linear"))
+            self.index = Matcher()
         self.busy = 0.0
         self.pending_error: Optional[str] = None
         self._intern_schema = _SchemaInterner()

@@ -110,10 +110,8 @@ class TestDedupWindowBound:
 
 
 class TestOracleById:
-    def _network(self, backend="linear"):
-        network = BrokerNetwork(
-            line_topology(3), policy=CoveringPolicy.NONE, matcher_backend=backend
-        )
+    def _network(self):
+        network = BrokerNetwork(line_topology(3), policy=CoveringPolicy.NONE)
         network.attach_client("sub", "B1")
         network.attach_client("pub", "B3")
         return network
@@ -154,9 +152,8 @@ class TestOracleById:
         assert len(delivered) == 1
         assert network.metrics.missed == []
 
-    @pytest.mark.parametrize("backend", ["linear", "counting", "selectivity"])
-    def test_expected_notifications_agree_across_backends(self, schema, backend):
-        network = self._network(backend)
+    def test_expected_notifications_follow_unsubscription(self, schema):
+        network = self._network()
         bounds = [(0, 20), (10, 60), (40, 90), (70, 100)]
         for index, (lo, hi) in enumerate(bounds):
             network.subscribe("sub", self.box(schema, lo, hi, f"s{index}"))

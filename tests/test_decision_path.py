@@ -11,7 +11,11 @@ store's insertion and re-insertion — goes straight to the strategy's
   equal ``tests/data/decision_stream_hashes.json``.  The table was
   captured while a per-link decision memo and a checker verdict cache
   still stood in front of ``decide``; ``compute_hash_table`` regenerates
-  it, and should only be run for a deliberate stream change.
+  it, and should only be run for a deliberate stream change.  The eight
+  ``pairwise``/``group`` engine ``totals`` were re-pinned once, when the
+  engine's covered set went from a cover-forest walk to a flat pass
+  (``covered_tests`` moved; every ``decisions`` digest and every total
+  but ``covered_tests`` stayed equal).
 * the census that made those caches dead weight: on the same runs no
   broker decides the same ``(subscription id, bounds, link advertisement
   ids)`` twice, and no store the same ``(subscription id, bounds, active

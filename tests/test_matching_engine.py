@@ -48,9 +48,7 @@ class TestSubscribeWorkflow:
 class TestAlgorithm5:
     @pytest.fixture
     def engine(self, schema):
-        engine = MatchingEngine(
-            policy=CoveringPolicyName.PAIRWISE, use_cover_forest=True
-        )
+        engine = MatchingEngine(policy=CoveringPolicyName.PAIRWISE)
         engine.subscribe(box(schema, (0, 50), (0, 50), sid="big", subscriber="bob"))
         engine.subscribe(
             box(schema, (10, 20), (10, 20), sid="small", subscriber="amy")
@@ -65,7 +63,7 @@ class TestAlgorithm5:
         assert set(result.matched_ids) == {"big", "small"}
         assert set(result.subscribers) == {"bob", "amy"}
         assert result.active_tests == 2  # big + corner
-        assert result.covered_tests >= 1
+        assert result.covered_tests == 1  # small, behind the gate
 
     def test_no_active_match_skips_covered_set(self, engine, schema):
         result = engine.match(Publication.from_values(schema, {"x1": 55, "x2": 55}))
@@ -114,12 +112,7 @@ class TestEquivalenceAcrossConfigurations:
 
         engines = {
             "flood": MatchingEngine(policy=CoveringPolicyName.NONE),
-            "pairwise-flat": MatchingEngine(
-                policy=CoveringPolicyName.PAIRWISE, use_cover_forest=False
-            ),
-            "pairwise-forest": MatchingEngine(
-                policy=CoveringPolicyName.PAIRWISE, use_cover_forest=True
-            ),
+            "pairwise": MatchingEngine(policy=CoveringPolicyName.PAIRWISE),
             "group": MatchingEngine(
                 policy=CoveringPolicyName.GROUP,
                 checker=SubsumptionChecker(delta=1e-9, max_iterations=2000, rng=seed),
@@ -151,24 +144,3 @@ class TestEquivalenceAcrossConfigurations:
                     assert delivered == expected, name
         if total_expected:
             assert group_missed / total_expected <= 0.05
-
-    def test_forest_reduces_covered_tests(self, schema):
-        """The multi-level structure never does more covered-set work than
-        the flat fallback."""
-        rng = np.random.default_rng(3)
-        flat = MatchingEngine(policy=CoveringPolicyName.PAIRWISE, use_cover_forest=False)
-        forest = MatchingEngine(policy=CoveringPolicyName.PAIRWISE, use_cover_forest=True)
-        subscriptions = [
-            random_subscription(schema, rng, width_fraction=(0.2, 0.7))
-            for _ in range(60)
-        ]
-        for subscription in subscriptions:
-            flat.subscribe(subscription.replace(subscription_id=f"{subscription.id}-flat"))
-            forest.subscribe(
-                subscription.replace(subscription_id=f"{subscription.id}-forest")
-            )
-        publications = [random_publication(schema, rng) for _ in range(40)]
-        for publication in publications:
-            flat.match(publication)
-            forest.match(publication)
-        assert forest.stats["covered_tests"] <= flat.stats["covered_tests"]

@@ -1,13 +1,9 @@
 """The publication path: one kernel, one handler, one scheduling pass.
 
 Wall-clock-free pins of what the publication path promises after it moved
-onto the signed layout:
+onto the signed layout (the matcher itself — every route lookup and the
+delivery oracle — is swept against a linear scan in ``test_matcher.py``):
 
-* every backend's ``match_batch`` — hence every route lookup and the
-  delivery oracle — equals the linear *scan* and equals the linear
-  backend's previous batched implementation, kept here as
-  :func:`_reference_match_batch` (candidates, order, tests charged), under
-  one workspace budget;
 * :meth:`Broker.handle_publication_batch` of N messages equals N calls of
   :meth:`Broker.handle_publication`, field for field, obs off and on;
 * :meth:`EventKernel.schedule_many` leaves the kernel exactly as
@@ -28,16 +24,7 @@ from repro.broker.messages import PublicationMessage, SubscriptionMessage
 from repro.broker.network import BrokerNetwork
 from repro.broker.sim import EventKernel
 from repro.core import arena
-from repro.matching.backends import BACKEND_NAMES, LinearBackend, make_backend
-from repro.model import (
-    CategoricalDomain,
-    ContinuousDomain,
-    IntegerDomain,
-    Publication,
-    Schema,
-    Subscription,
-)
-from repro.model.errors import ValidationError
+from repro.model import Publication, Schema, Subscription
 from repro.obs.probes import ObsProbe
 from repro.obs.spans import SpanRecorder
 
@@ -45,267 +32,7 @@ POLICIES = ("none", "pairwise", "group", "merging", "hybrid")
 
 
 # ----------------------------------------------------------------------
-# (i) match_batch: the shared kernel vs the scan vs the old batched path
-# ----------------------------------------------------------------------
-def _reference_match_batch(backend: LinearBackend, publications, values=None):
-    """``LinearBackend.match_batch`` as it was before the shared kernel.
-
-    A fresh ``(k, m)`` re-stack, the two-sided ``(B, k, m)`` broadcast and
-    one ``nonzero`` per publication; mixed-arity sets go to the scan.
-    """
-    subscriptions = tuple(backend._subscriptions.values())
-    if not subscriptions or len({s.m for s in subscriptions}) != 1:
-        return [backend.match_candidates(p) for p in publications]
-    lows = np.array([s.lows for s in subscriptions])
-    highs = np.array([s.highs for s in subscriptions])
-    if values is None:
-        values = np.array([p.values for p in publications])
-    points = values[:, np.newaxis, :]
-    hit_matrix = ((lows <= points) & (points <= highs)).all(axis=2)
-    return [
-        ([subscriptions[i] for i in np.nonzero(row)[0]], len(subscriptions))
-        for row in hit_matrix
-    ]
-
-
-def _ids(results):
-    return [([s.id for s in matched], tests) for matched, tests in results]
-
-
-SCHEMAS = {
-    "discrete": Schema.uniform_integer(3, 0, 200),
-    "continuous": Schema(
-        [
-            ("u", ContinuousDomain(-np.inf, np.inf)),
-            ("v", ContinuousDomain(0.0, np.inf)),
-        ],
-        name="unbounded",
-    ),
-    "mixed": Schema(
-        [
-            ("n", IntegerDomain(-5, 5)),
-            ("x", ContinuousDomain(0.0, 1.0)),
-            ("c", CategoricalDomain(["a", "b", "c"])),
-        ],
-        name="mixed",
-    ),
-}
-
-
-def _finite_bounds(schema):
-    lows, highs = schema.full_bounds()
-    return (
-        np.where(np.isfinite(lows), lows, -1e6),
-        np.where(np.isfinite(highs), highs, 1e6),
-    )
-
-
-def _subscriptions(schema, rng, count, prefix="s"):
-    """Random boxes; some reach a domain edge (``±inf`` where the domain is
-    unbounded), some are single points, and every fifth repeats the
-    bounds of the box before it under a new identifier."""
-    lows, highs = schema.full_bounds()
-    finite_lows, finite_highs = _finite_bounds(schema)
-    discrete = schema.vectors.signed_discrete
-    made = []
-    for index in range(count):
-        if index % 5 == 4:
-            twin = made[-1]
-            made.append(
-                Subscription(
-                    schema, twin.lows, twin.highs, subscription_id=f"{prefix}{index}"
-                )
-            )
-            continue
-        a = rng.uniform(finite_lows, finite_highs)
-        b = rng.uniform(finite_lows, finite_highs)
-        if discrete is not False:
-            a, b = np.round(a), np.round(b)
-        box_lows, box_highs = np.minimum(a, b), np.maximum(a, b)
-        for j in range(schema.m):
-            roll = rng.random()
-            if roll < 0.15:
-                box_lows[j] = lows[j]
-            elif roll < 0.3:
-                box_highs[j] = highs[j]
-            elif roll < 0.4:
-                box_highs[j] = box_lows[j]
-        made.append(
-            Subscription(schema, box_lows, box_highs, subscription_id=f"{prefix}{index}")
-        )
-    return made
-
-
-def _publications(schema, rng, count, subscriptions):
-    """Random points, points exactly on stored bounds, and NaN coordinates."""
-    finite_lows, finite_highs = _finite_bounds(schema)
-    lows, highs = schema.full_bounds()
-    made = []
-    for index in range(count):
-        roll = index % 7
-        if roll == 5 and subscriptions:
-            # exactly on the lower or the upper corner of a stored box
-            box = subscriptions[int(rng.integers(len(subscriptions)))]
-            values = np.where(rng.random(schema.m) < 0.5, box.lows, box.highs)
-        elif roll == 6:
-            values = rng.uniform(finite_lows, finite_highs)
-            values[int(rng.integers(schema.m))] = np.nan
-        else:
-            values = np.clip(rng.uniform(finite_lows, finite_highs), lows, highs)
-        made.append(Publication(schema, values, publication_id=f"p{index}"))
-    return made
-
-
-def _filled_backends(schema, rng, k, churned):
-    """The three backends holding the same ``k`` subscriptions.
-
-    ``churned`` tables got there through twice as many adds, removals
-    that tombstone and compact the columns, and a few late re-adds.
-    """
-    backends = {name: make_backend(name) for name in BACKEND_NAMES}
-    if not churned:
-        for subscription in _subscriptions(schema, rng, k):
-            for backend in backends.values():
-                backend.add(subscription)
-        return backends
-    pool = _subscriptions(schema, rng, 2 * k + 4)
-    for subscription in pool:
-        for backend in backends.values():
-            backend.add(subscription)
-    late = min(3, k)
-    doomed = [s.id for s in pool[::2]] + [s.id for s in pool[1::2]]
-    for subscription_id in doomed[: len(pool) - k + late]:
-        for backend in backends.values():
-            assert backend.remove(subscription_id)
-    for subscription in _subscriptions(schema, rng, late, prefix="late"):
-        for backend in backends.values():
-            backend.add(subscription)
-    assert all(len(backend) == k for backend in backends.values())
-    return backends
-
-
-# an unbounded domain has no finite extent to normalise widths by: the
-# selectivity statistics of that attribute are NaN (it is evaluated last)
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("churned", (False, True), ids=("fresh", "churned"))
-@pytest.mark.parametrize("k", (0, 1, 7, 64, 300))
-@pytest.mark.parametrize("family", sorted(SCHEMAS))
-def test_match_batch_equals_scan_and_reference(family, k, churned):
-    schema = SCHEMAS[family]
-    rng = np.random.default_rng([k, churned, len(family)])
-    backends = _filled_backends(schema, rng, k, churned)
-    linear = backends["linear"]
-    stored = list(linear._subscriptions.values())
-    for burst in (1, 2, 65, 5000):
-        publications = _publications(schema, rng, burst, stored)
-        reference = _ids(_reference_match_batch(linear, publications))
-        sample = range(burst) if burst <= 65 else range(0, burst, 125)
-        scanned = {i: _ids([linear.match_candidates(publications[i])])[0] for i in sample}
-        stacked = np.array([p.values for p in publications])
-        for name, backend in backends.items():
-            batch = _ids(backend.match_batch(publications))
-            assert batch == reference, (name, burst)
-            assert all(batch[i] == scanned[i] for i in sample), (name, burst)
-            assert _ids(backend.match_batch(publications, stacked)) == reference
-    if k and family != "continuous":
-        assert any(matched for matched, _tests in reference)
-
-
-def test_churned_tables_crossed_tombstones_and_compaction():
-    """The sweep's churned tables really exercise both column states."""
-    schema = SCHEMAS["discrete"]
-    linear = _filled_backends(schema, np.random.default_rng(1), 64, True)["linear"]
-    columns = linear._columns
-    assert columns._dead > 0 and columns._size < 2 * 64 + 4
-    assert np.isnan(columns._signed[:, : columns._size]).any()
-    assert [s.id for s in columns._subscriptions if s is not None] == list(
-        linear._subscriptions
-    )
-
-
-def test_linear_backend_never_restacks_between_mutations():
-    schema = SCHEMAS["discrete"]
-    rng = np.random.default_rng(3)
-    backend = LinearBackend()
-    for subscription in _subscriptions(schema, rng, 20):
-        backend.add(subscription)
-    matrix = backend._columns._signed
-    publications = _publications(schema, rng, 4, [])
-    for subscription in _subscriptions(schema, rng, 6, prefix="t"):
-        backend.add(subscription)
-        backend.match_batch(publications)
-        backend.remove(subscription.id)
-        backend.match_batch(publications)
-    assert backend._columns._signed is matrix
-
-
-def test_mixed_arity_table_answers_like_the_scan():
-    wide, narrow = SCHEMAS["discrete"], Schema.uniform_integer(2, 0, 200)
-    rng = np.random.default_rng(4)
-    backend = LinearBackend()
-    for subscription in _subscriptions(wide, rng, 9):
-        backend.add(subscription)
-    odd = _subscriptions(narrow, rng, 1, prefix="odd")[0]
-    backend.add(odd)
-    publications = _publications(wide, rng, 12, [])
-    # every lookup of a mixed table trips the scan's shape validation
-    with pytest.raises(ValidationError):
-        backend.match_candidates(publications[0])
-    with pytest.raises(ValidationError):
-        backend.match_batch(publications)
-    # the odd one gone, the scan answers again (the columns stay away
-    # until the backend has been empty once)
-    backend.remove(odd.id)
-    assert backend._columns is None
-    expected = _ids([backend.match_candidates(p) for p in publications])
-    assert _ids(backend.match_batch(publications)) == expected
-    assert _ids(_reference_match_batch(backend, publications)) == expected
-    for subscription_id in list(backend._subscriptions):
-        backend.remove(subscription_id)
-    backend.add(odd)
-    assert backend._columns is not None and backend._columns.m == narrow.m
-    # a burst of the wrong arity goes to the scan, which rejects it
-    with pytest.raises(ValidationError):
-        backend.match_batch(publications[:2])
-
-
-def test_one_budget_bounds_every_batched_workspace(monkeypatch):
-    """Satellite: the linear backend and the oracle got a cell budget."""
-    schema = SCHEMAS["discrete"]
-    rng = np.random.default_rng(6)
-    backends = _filled_backends(schema, rng, 20, True)
-    publications = _publications(
-        schema, rng, 90, list(backends["linear"]._subscriptions.values())
-    )
-    expected = {name: _ids(b.match_batch(publications)) for name, b in backends.items()}
-
-    network = BrokerNetwork(grid_topology(2, 2), policy="none", rng=0)
-    network.attach_client("c", "B1")
-    for subscription in backends["linear"]._subscriptions.values():
-        network.subscribe("c", subscription)
-    oracle = network._expected_notifications(publications)
-
-    budget = 600
-    largest = [0]
-    kernel = arena.boxes_meeting
-
-    def watched(signed, limit):
-        assert limit.ndim == 2
-        largest[0] = max(largest[0], signed.size * limit.shape[1])
-        return kernel(signed, limit)
-
-    monkeypatch.setattr(arena, "_CELL_BUDGET", budget)
-    monkeypatch.setattr(arena, "boxes_meeting", watched)
-    for name, backend in backends.items():
-        assert _ids(backend.match_batch(publications)) == expected[name]
-    assert network._expected_notifications(publications) == oracle
-    # the (2m, B', n) boolean temporary: never above the budget, and the
-    # chunks were not degenerate singletons either
-    assert budget // 2 < largest[0] <= budget
-
-
-# ----------------------------------------------------------------------
-# (ii) the handler: a batch of N equals N scalar calls
+# (i) the handler: a batch of N equals N scalar calls
 # ----------------------------------------------------------------------
 GRID_SCHEMA = Schema.uniform_integer(2, 0, 100)
 
@@ -524,7 +251,7 @@ def test_publish_and_publish_batch_are_bursts(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# (iii) schedule_many vs one schedule per message
+# (ii) schedule_many vs one schedule per message
 # ----------------------------------------------------------------------
 def _kernel(model, batch_size, obs=None):
     kernel = EventKernel(
@@ -630,7 +357,7 @@ def test_schedule_many_falls_back_while_an_egress_buffer_is_held():
 
 
 # ----------------------------------------------------------------------
-# (iv) NumPy calls per handled batch do not grow with the batch
+# (iii) NumPy calls per handled batch do not grow with the batch
 # ----------------------------------------------------------------------
 def test_numpy_calls_per_handled_batch_are_constant(monkeypatch):
     """The regression this path removes, pinned without a clock: one
@@ -649,25 +376,20 @@ def test_numpy_calls_per_handled_batch_are_constant(monkeypatch):
     monkeypatch.setattr(np, "nonzero", counted_nonzero)
     monkeypatch.setattr(arena, "boxes_meeting", counted_kernel)
     seen = {}
-    for backend in BACKEND_NAMES:
-        for count in (4, 400):
-            network = BrokerNetwork(
-                TOPOLOGIES["tree"](), policy="group", rng=11, matcher_backend=backend
+    for count in (4, 400):
+        network = BrokerNetwork(TOPOLOGIES["tree"](), policy="group", rng=11)
+        network.attach_client("c", "B1")
+        rng = np.random.default_rng(12)
+        for index in range(30):
+            low = rng.integers(0, 70, 2)
+            network.subscribe(
+                "c",
+                Subscription(GRID_SCHEMA, low, low + 25, subscription_id=f"s{index}"),
             )
-            network.attach_client("c", "B1")
-            rng = np.random.default_rng(12)
-            for index in range(30):
-                low = rng.integers(0, 70, 2)
-                network.subscribe(
-                    "c",
-                    Subscription(
-                        GRID_SCHEMA, low, low + 25, subscription_id=f"s{index}"
-                    ),
-                )
-            broker = network.brokers["B1"]
-            messages = _handler_messages(broker, count, np.random.default_rng(2))
-            calls.clear()
-            outgoing = broker.handle_publication_batch(messages)
-            assert len(outgoing) == count and broker.delivered
-            seen[backend, count] = dict(calls)
-        assert seen[backend, 4] == seen[backend, 400] == {"nonzero": 1, "kernel": 1}
+        broker = network.brokers["B1"]
+        messages = _handler_messages(broker, count, np.random.default_rng(2))
+        calls.clear()
+        outgoing = broker.handle_publication_batch(messages)
+        assert len(outgoing) == count and broker.delivered
+        seen[count] = dict(calls)
+    assert seen[4] == seen[400] == {"nonzero": 1, "kernel": 1}

@@ -179,13 +179,13 @@ class TestPartitionerStability:
 
 
 class TestShardedOracleParity:
-    """The sharded delivery oracle agrees with the in-process backend."""
+    """The sharded delivery oracle agrees with the in-process matcher."""
 
-    def test_match_parity_with_linear_backend(self):
-        from repro.matching.backends import make_backend
+    def test_match_parity_with_the_matcher(self):
+        from repro.matching.matcher import Matcher
 
         spec, compiled = _compiled("t0-smoke", "none")
-        reference = make_backend("linear")
+        reference = Matcher()
         sharded = ShardedOracleBackend(shards=3)
         try:
             for event in compiled.events:
