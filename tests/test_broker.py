@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.broker.broker` and the routing table."""
 
+import numpy as np
 import pytest
 
 from repro.broker.broker import Broker
@@ -9,6 +10,7 @@ from repro.core.arena import CandidateSet
 from repro.core.store import CoveringPolicyName
 from repro.core.subsumption import SubsumptionChecker
 from repro.model import Publication, Schema, Subscription
+from repro.workloads.generators import random_publication, random_subscription
 
 
 @pytest.fixture
@@ -51,6 +53,36 @@ class TestRoutingTable:
         assert [e.subscription.id for e in table.matching_entries(publication)] == ["near"]
         assert len(table.subscriptions()) == 2
         assert len(table.entries()) == 2
+
+    def test_matching_entries_follow_churn(self, schema):
+        """Under adds, removals and re-adds (a re-added id goes to the end),
+        lookups return the live entries holding the point, in table order,
+        each charged one test per live entry."""
+        rng = np.random.default_rng(8)
+        table = RoutingTable()
+
+        def entry(index, source):
+            subscription = random_subscription(schema, rng).replace(
+                subscription_id=f"s{index}"
+            )
+            return RouteEntry(subscription, SourceKind.NEIGHBOR, source, origin=source)
+
+        for index in range(50):
+            assert table.add(entry(index, "B2"))
+        for index in range(0, 50, 3):
+            assert table.remove(f"s{index}").source_id == "B2"
+        for index in range(0, 50, 6):
+            assert table.add(entry(index, "B3"))
+        publications = [random_publication(schema, rng) for _ in range(30)]
+        expected = [
+            ([e for e in table if e.subscription.matches(p)], len(table))
+            for p in publications
+        ]
+        assert table.matching_entries_batch(publications) == expected
+        assert [table.matching_entries(p) for p in publications] == [
+            matched for matched, _tests in expected
+        ]
+        assert any(e.source_id == "B3" for matched, _ in expected for e in matched)
 
 
 class TestBrokerSubscriptionHandling:

@@ -110,8 +110,10 @@ class TestDedupWindowBound:
 
 
 class TestOracleById:
-    def _network(self):
-        network = BrokerNetwork(line_topology(3), policy=CoveringPolicy.NONE)
+    def _network(self, label="linear"):
+        network = BrokerNetwork(
+            line_topology(3), policy=CoveringPolicy.NONE, matcher_backend=label
+        )
         network.attach_client("sub", "B1")
         network.attach_client("pub", "B3")
         return network
@@ -152,8 +154,10 @@ class TestOracleById:
         assert len(delivered) == 1
         assert network.metrics.missed == []
 
-    def test_expected_notifications_follow_unsubscription(self, schema):
-        network = self._network()
+    # the labels still accepted by the network select nothing
+    @pytest.mark.parametrize("label", ["linear", "counting", "selectivity"])
+    def test_expected_notifications_follow_unsubscription(self, schema, label):
+        network = self._network(label)
         bounds = [(0, 20), (10, 60), (40, 90), (70, 100)]
         for index, (lo, hi) in enumerate(bounds):
             network.subscribe("sub", self.box(schema, lo, hi, f"s{index}"))

@@ -5,16 +5,21 @@ the engine's active and covered sets, every broker's routing table and
 the network's delivery oracle.  Its reference here is :func:`scan`, a
 plain loop over the live subscriptions in insertion order.
 
-* the edge sweep: discrete, continuous (``±inf``) and mixed schemas;
-  fresh tables and churned ones (tombstoned and compacted columns);
+* the edge sweep: discrete, continuous (``±inf``), mixed, one-attribute
+  and six-attribute schemas; fresh tables and churned ones (tombstoned
+  and compacted columns);
   bursts of 1, 2, 65 and 5000 publications, pre-stacked ``values`` on and
   off; every answer — candidates, their order, the tests charged — equal
   to the scan;
 * the storage contract: one NaN-filled signed matrix grown, tombstoned
   and compacted in place, one schema per matcher, one workspace budget;
-* the engine under churn, all five policies: the matched set equals a
-  brute-force scan of the store whenever an active subscription matched,
-  and nothing (``covered_tests == 0``) otherwise;
+* lookups by hand through ``match_candidates``, ``match_batch`` and
+  ``match_batch`` on pre-stacked values;
+* the engine under churn, all five policies, on uniform boxes and two
+  scenario workloads: the matched set equals a brute-force scan of the
+  store whenever an active subscription matched, and nothing
+  (``covered_tests == 0``) otherwise; mass unsubscription keeps the two
+  matchers equal to the store's pools;
 * the matcher-backend labels that stay for recorded traces: validated,
   recorded and echoed, selecting nothing.
 """
@@ -44,6 +49,7 @@ from repro.scenarios import (
     ScenarioSpec,
     compile_scenario,
     get_scenario,
+    make_workload,
     read_trace,
     write_trace,
 )
@@ -82,6 +88,8 @@ SCHEMAS = {
         ],
         name="mixed",
     ),
+    "scalar": Schema([("t", ContinuousDomain(0.0, 1.0))], name="scalar"),
+    "wide": Schema.uniform_integer(6, 0, 50),
 }
 
 
@@ -218,7 +226,7 @@ def test_grow_remove_compact_keeps_the_matrix_honest(seed):
         pool = iter(_subscriptions(schema, rng, 400))
         grown = compacted = 0
         for step in range(260):
-            if (step // 40) % 2 == 0 or not live or rng.random() < 0.2:
+            if (step // 40) % 2 == 0 or not live or rng.random() < 0.1:
                 subscription = next(pool)
                 capacity = matcher._signed.shape[1]
                 matcher.add(subscription)
@@ -243,7 +251,7 @@ def test_grow_remove_compact_keeps_the_matrix_honest(seed):
             expected = _ids([scan(list(live.values()), p) for p in publications])
             assert _ids(matcher.match_candidates(p) for p in publications) == expected
             assert _ids(matcher.match_batch(publications)) == expected
-        assert grown >= 3 and compacted >= 2
+        assert grown >= 3 and compacted >= 3
 
 
 def test_churned_tables_crossed_tombstones_and_compaction():
@@ -268,6 +276,134 @@ def test_never_restacks_between_mutations():
         matcher.remove(subscription.id)
         matcher.match_batch(publications)
     assert matcher._signed is matrix
+
+
+@pytest.mark.parametrize("family", sorted(SCHEMAS))
+def test_tombstones_then_compaction(family):
+    """Removing every other one of 64 subscriptions compacts the columns
+    exactly when the tombstones reach the live count, and the survivors
+    keep their insertion order."""
+    schema = SCHEMAS[family]
+    rng = np.random.default_rng([2, schema.m])
+    matcher = Matcher()
+    subscriptions = _subscriptions(schema, rng, 64)
+    for subscription in subscriptions:
+        matcher.add(subscription)
+    for i in range(0, 64, 2):
+        assert matcher._dead == i // 2
+        assert matcher.remove(subscriptions[i].id)
+    assert len(matcher) == 32 and matcher._dead == 0 and matcher._size == 32
+    survivors = subscriptions[1::2]
+    assert [s.id for s in matcher._subscriptions] == [s.id for s in survivors]
+    publications = _publications(schema, rng, 30, survivors)
+    expected = _ids([scan(survivors, p) for p in publications])
+    assert _ids(matcher.match_candidates(p) for p in publications) == expected
+    assert _ids(matcher.match_batch(publications)) == expected
+
+
+@pytest.mark.parametrize("family", sorted(SCHEMAS))
+def test_match_batch_chunked(family, monkeypatch):
+    """A one-cell budget makes every point its own kernel chunk."""
+    schema = SCHEMAS[family]
+    rng = np.random.default_rng([4, schema.m])
+    matcher, live = _filled(schema, rng, 20, True)
+    stored = list(live.values())
+    publications = _publications(schema, rng, 10, stored)
+    expected = _ids([scan(stored, p) for p in publications])
+    monkeypatch.setattr(arena, "_CELL_BUDGET", 1)
+    calls = [0]
+    kernel = arena.boxes_meeting
+
+    def counted(signed, limit):
+        calls[0] += limit.ndim == 2
+        return kernel(signed, limit)
+
+    monkeypatch.setattr(arena, "boxes_meeting", counted)
+    assert _ids(matcher.match_batch(publications)) == expected
+    assert calls[0] == len(publications)
+
+
+# ----------------------------------------------------------------------
+# Lookups by hand, through each entry point
+# ----------------------------------------------------------------------
+def _lookup(matcher, publications, via):
+    if via == "candidates":
+        return [matcher.match_candidates(p) for p in publications]
+    if via == "batch":
+        return matcher.match_batch(publications)
+    return matcher.match_batch(publications, np.array([p.values for p in publications]))
+
+
+@pytest.mark.parametrize("via", ("candidates", "batch", "stacked"))
+class TestLookup:
+    @pytest.fixture
+    def schema(self):
+        return Schema.uniform_integer(3, 0, 100)
+
+    @pytest.fixture
+    def matcher(self, schema):
+        matcher = Matcher()
+        for subscription in (
+            Subscription.from_constraints(
+                schema, {"x1": (0, 50), "x2": (0, 50)}, subscription_id="a"
+            ),
+            Subscription.from_constraints(
+                schema, {"x1": (40, 90), "x3": (10, 20)}, subscription_id="b"
+            ),
+            Subscription.from_constraints(schema, {}, subscription_id="everything"),
+        ):
+            matcher.add(subscription)
+        return matcher
+
+    def test_match_results(self, via, schema, matcher):
+        publication = Publication.from_values(schema, {"x1": 45, "x2": 10, "x3": 15})
+        assert _ids(_lookup(matcher, [publication], via)) == [
+            (["a", "b", "everything"], 3)
+        ]
+
+    def test_match_empty_matcher(self, via, schema):
+        publication = Publication.from_values(schema, {"x1": 1, "x2": 1, "x3": 1})
+        assert _lookup(Matcher(), [publication], via) == [([], 0)]
+
+    def test_no_match(self, via, schema, matcher):
+        matcher.remove("everything")
+        publication = Publication.from_values(schema, {"x1": 99, "x2": 99, "x3": 99})
+        assert _lookup(matcher, [publication], via) == [([], 2)]
+
+    def test_remove(self, via, schema, matcher):
+        assert matcher.remove("a")
+        assert not matcher.remove("missing")
+        publication = Publication.from_values(schema, {"x1": 45, "x2": 10, "x3": 15})
+        assert _ids(_lookup(matcher, [publication], via)) == [(["b", "everything"], 2)]
+        assert len(matcher) == 2
+
+    def test_tests_charged_count_live_subscriptions_only(self, via, schema, matcher):
+        """Tombstoned columns are still scanned but never charged."""
+        for index in range(5):
+            matcher.add(Subscription.whole_space(schema, subscription_id=f"w{index}"))
+        for index in range(0, 5, 2):
+            matcher.remove(f"w{index}")
+        assert matcher._dead == 3 and matcher._size == 8
+        publication = Publication.from_values(schema, {"x1": 99, "x2": 99, "x3": 99})
+        assert _ids(_lookup(matcher, [publication], via)) == [
+            (["everything", "w1", "w3"], 5)
+        ]
+
+    def test_agreement_with_bruteforce(self, via, schema):
+        rng = np.random.default_rng(11)
+        subscriptions = [
+            random_subscription(schema, rng).replace(subscription_id=f"s{i}")
+            for i in range(50)
+        ]
+        matcher = Matcher()
+        for subscription in subscriptions:
+            matcher.add(subscription)
+        publications = [random_publication(schema, rng) for _ in range(50)]
+        expected = [
+            ([s.id for s in subscriptions if s.matches(p)], 50) for p in publications
+        ]
+        assert _ids(_lookup(matcher, publications, via)) == expected
+        assert any(matched for matched, _tests in expected)
 
 
 # ----------------------------------------------------------------------
@@ -359,24 +495,38 @@ def _engine(policy):
     return MatchingEngine(policy=policy, checker=checker)
 
 
+def _stream(workload, rng):
+    """``(new subscription, new publication)`` makers for a churn loop:
+    uniform random boxes, or a scenario workload adapter."""
+    if workload == "uniform":
+        schema = Schema.uniform_integer(3, 0, 200)
+        return (
+            lambda: random_subscription(schema, rng, width_fraction=(0.2, 0.7)),
+            lambda: random_publication(schema, rng),
+        )
+    adapter = make_workload(workload, {}, np.random.default_rng(len(workload)))
+    return adapter.subscription, adapter.publication
+
+
+@pytest.mark.parametrize("workload", ("uniform", "bike-rental", "grid"))
 @pytest.mark.parametrize("policy", POLICIES)
-def test_engine_gate_under_churn(policy):
+def test_engine_gate_under_churn(policy, workload):
     """Per publication: the matched set is a brute-force scan of the
     store's pools when an active subscription matched, and empty with
     ``covered_tests == 0`` otherwise; ``match_batch`` equals ``match``
     field for field; the lossless policies notify exactly the live
     subscribers."""
-    schema = Schema.uniform_integer(3, 0, 200)
     rng = np.random.default_rng(len(policy))
+    new_subscription, new_publication = _stream(workload, rng)
     single, batched = _engine(policy), _engine(policy)
     live = {}
     gated = opened = 0
     for step in range(240):
         roll = rng.random()
         if roll < 0.45 or not live:
-            subscription = random_subscription(
-                schema, rng, width_fraction=(0.2, 0.7)
-            ).replace(subscription_id=f"s{step:03d}", subscriber=f"c{step % 9}")
+            subscription = new_subscription().replace(
+                subscription_id=f"s{step:03d}", subscriber=f"c{step % 9}"
+            )
             for engine in (single, batched):
                 engine.subscribe(subscription)
             live[subscription.id] = subscription
@@ -386,9 +536,7 @@ def test_engine_gate_under_churn(policy):
             for engine in (single, batched):
                 engine.unsubscribe(victim)
         else:
-            publications = [
-                random_publication(schema, rng) for _ in range(int(rng.integers(1, 9)))
-            ]
+            publications = [new_publication() for _ in range(int(rng.integers(1, 9)))]
             one_by_one = [single.match(p) for p in publications]
             together = batched.match_batch(publications)
             active = single.active_subscriptions
@@ -422,6 +570,83 @@ def test_engine_gate_under_churn(policy):
         assert single.stats["covered_tests"] > 0
 
 
+def _mirrors_the_store(engine):
+    """The two matchers hold exactly the store's active and covered pools."""
+    return set(engine._active._rows) == {
+        s.id for s in engine.active_subscriptions
+    } and set(engine._covered._rows) == {s.id for s in engine.covered_subscriptions}
+
+
+@pytest.mark.parametrize("policy", ("none", "pairwise", "merging"))
+def test_unsubscribe_keeps_matching_lossless(policy):
+    """Unsubscribing most of a redundant set moves subscriptions between
+    the two matchers, which stay equal to the store's pools; the lossless
+    policies keep notifying exactly the live subscribers throughout."""
+    schema = Schema.uniform_integer(3, 0, 200)
+    rng = np.random.default_rng(12)
+    engine = _engine(policy)
+    live = {}
+    for index in range(150):
+        subscription = random_subscription(
+            schema, rng, width_fraction=(0.2, 0.7)
+        ).replace(subscription_id=f"s{index}", subscriber=f"c{index % 11}")
+        engine.subscribe(subscription)
+        live[subscription.id] = subscription
+    assert _mirrors_the_store(engine)
+    merged = len(engine) - len(live)
+    order = list(live)
+    rng.shuffle(order)
+    promoted = 0
+    for victim in order[:120]:
+        promoted += len(engine.unsubscribe(victim))
+        del live[victim]
+        assert _mirrors_the_store(engine)
+        if len(live) % 10 == 0:
+            for _ in range(5):
+                publication = random_publication(schema, rng)
+                expected = {
+                    s.subscriber for s in scan(list(live.values()), publication)[0]
+                }
+                assert set(engine.match(publication).subscribers) == expected
+    stored = engine.active_subscriptions + engine.covered_subscriptions
+    assert {s.id for s in stored if s.subscriber is not None} == set(live)
+    # pair-wise covering promotes orphans; merging retracts the merged
+    # boxes whose last member left, from whichever matcher holds them
+    if policy == "pairwise":
+        assert promoted > 0
+    if policy == "merging":
+        assert 0 < len(stored) - len(live) < merged
+
+
+@pytest.mark.parametrize("label", BACKEND_NAMES)
+def test_engine_match_batch_equals_sequential(label):
+    """Under any label the engine answers like the unlabelled one, and its
+    ``match_batch`` equals ``match`` field for field."""
+    schema = Schema.uniform_integer(3, 0, 200)
+    rng = np.random.default_rng(3)
+    subscriptions = [
+        random_subscription(schema, rng).replace(
+            subscription_id=f"s{i}", subscriber=f"c{i % 5}"
+        )
+        for i in range(60)
+    ]
+    publications = [random_publication(schema, rng) for _ in range(40)]
+    sequential = MatchingEngine(policy="pairwise", backend=label)
+    batched = MatchingEngine(policy="pairwise", backend=label)
+    unlabelled = MatchingEngine(policy="pairwise")
+    for engine in (sequential, batched, unlabelled):
+        engine.subscribe_all(subscriptions)
+
+    def fields(r):
+        return r.matched_ids, r.subscribers, r.active_tests, r.covered_tests
+
+    expected = [fields(unlabelled.match(p)) for p in publications]
+    assert [fields(sequential.match(p)) for p in publications] == expected
+    assert [fields(r) for r in batched.match_batch(publications)] == expected
+    assert sequential.stats == batched.stats == unlabelled.stats
+    assert any(matched for matched, *_rest in expected)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_duplicate_subscribe_rejected_before_mutation(policy):
     """A duplicate id must fail loudly and leave no state behind."""
@@ -443,18 +668,26 @@ def test_duplicate_subscribe_rejected_before_mutation(policy):
 # ----------------------------------------------------------------------
 # Matcher-backend labels: validated, recorded, echoed; they select nothing
 # ----------------------------------------------------------------------
-def test_labels_are_validated_everywhere():
-    for name in BACKEND_NAMES:
-        MatchingEngine(backend=name)
-        BrokerNetwork(grid_topology(1, 2), matcher_backend=name).close()
+LABELLED = {
+    "engine": lambda name: MatchingEngine(backend=name),
+    "network": lambda name: BrokerNetwork(
+        grid_topology(1, 2), matcher_backend=name
+    ).close(),
+    "sharded": lambda name: ShardedMatchingEngine(shards=1, backend=name),
+    "spec": lambda name: dataclasses.replace(
+        get_scenario("t0-smoke"), engine_backend=name
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LABELLED))
+def test_labels_are_validated_everywhere(entry):
+    build = LABELLED[entry]
+    if entry != "sharded":  # a valid label would start a worker process
+        for name in BACKEND_NAMES:
+            build(name)
     with pytest.raises(ValueError):
-        MatchingEngine(backend="quantum")
-    with pytest.raises(ValueError):
-        BrokerNetwork(grid_topology(1, 2), matcher_backend="quantum")
-    with pytest.raises(ValueError):
-        ShardedMatchingEngine(shards=1, backend="quantum")  # before any spawn
-    with pytest.raises(ValueError):
-        dataclasses.replace(get_scenario("t0-smoke"), engine_backend="quantum")
+        build("quantum")  # the sharded engine rejects it before any spawn
 
 
 @pytest.mark.parametrize("runner_backend", ("network", "engine"))
@@ -476,20 +709,32 @@ def test_every_label_runs_the_same_matcher(runner_backend):
         assert report.to_dict()["engine_backend"] == name
 
 
-def test_label_serialization_and_trace_hash():
-    """Specs predating the backend seam keep their serialization; a
-    non-default label is kept in the spec and in its trace hash."""
-    base = get_scenario("t0-smoke")
-    payload = base.to_dict()
+def test_default_label_keeps_pre_seam_serialization():
+    """Specs (and so trace hashes) predating the backend seam are
+    unaffected: the default label is omitted from ``to_dict``."""
+    payload = get_scenario("t0-smoke").to_dict()
     assert "engine_backend" not in payload
     assert ScenarioSpec.from_dict(payload).engine_backend == "linear"
-    spec = dataclasses.replace(base, engine_backend="counting")
+
+
+@pytest.mark.parametrize("label", ("counting", "selectivity"))
+def test_spec_round_trip_preserves_the_label(label):
+    spec = dataclasses.replace(get_scenario("t0-smoke"), engine_backend=label)
     clone = ScenarioSpec.from_dict(spec.to_dict())
-    assert clone.engine_backend == "counting" and clone.to_dict() == spec.to_dict()
-    assert (
-        compile_scenario(base, seed=11).trace_hash()
-        != compile_scenario(spec, seed=11).trace_hash()
-    )
+    assert clone.engine_backend == label and clone.to_dict() == spec.to_dict()
+    assert clone.to_dict()["engine_backend"] == label
+
+
+def test_label_changes_trace_hash():
+    base = get_scenario("t0-smoke")
+    hashes = {
+        compile_scenario(
+            dataclasses.replace(base, engine_backend=name), seed=11
+        ).trace_hash()
+        for name in BACKEND_NAMES
+    }
+    assert len(hashes) == len(BACKEND_NAMES)
+    assert compile_scenario(base, seed=11).trace_hash() in hashes
 
 
 def test_traces_recorded_with_a_label_still_replay(tmp_path, capsys):
