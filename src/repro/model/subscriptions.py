@@ -40,6 +40,32 @@ def _next_subscription_id() -> str:
     return f"sub-{next(_id_counter):06d}"
 
 
+def _clip_to_domain(schema: Schema, lows: np.ndarray, highs: np.ndarray) -> None:
+    """Clip ``(m,)`` or ``(n, m)`` bounds to the domain in place, raising
+    unless every row is a non-empty box that meets the domain.
+
+    The error is the one the first bad row raises on its own: an empty
+    constraint before one outside the domain, naming the offending
+    attributes.
+    """
+    empty = lows > highs
+    lows_full, highs_full = schema.full_bounds()
+    # Clip to the domain so that measures and samples stay well defined.
+    np.maximum(lows, lows_full, out=lows)
+    np.minimum(highs, highs_full, out=highs)
+    # clipping never mends an empty constraint, so this holds every bad row
+    outside = (lows > highs).reshape(-1, schema.m)
+    if outside.any():
+        row = outside.any(axis=1).argmax()
+        bad = empty.reshape(-1, schema.m)[row]
+        message = "empty constraint on attributes"
+        if not bad.any():
+            bad = outside[row]
+            message = "constraints outside the attribute domain on"
+        names = [name for name, flag in zip(schema.names, bad) if flag]
+        raise ValidationError(f"{message}: {names}")
+
+
 class Subscription:
     """An axis-aligned hyper-rectangle over a schema's attribute space.
 
@@ -88,26 +114,7 @@ class Subscription:
             raise ValidationError(
                 f"bounds must have shape ({schema.m},); got {lows_arr.shape} and {highs_arr.shape}"
             )
-        if np.any(lows_arr > highs_arr):
-            bad = [
-                schema.names[j]
-                for j in range(schema.m)
-                if lows_arr[j] > highs_arr[j]
-            ]
-            raise ValidationError(f"empty constraint on attributes: {bad}")
-        lows_full, highs_full = schema.full_bounds()
-        # Clip to the domain so that measures and samples stay well defined.
-        np.maximum(lows_arr, lows_full, out=lows_arr)
-        np.minimum(highs_arr, highs_full, out=highs_arr)
-        if np.any(lows_arr > highs_arr):
-            bad = [
-                schema.names[j]
-                for j in range(schema.m)
-                if lows_arr[j] > highs_arr[j]
-            ]
-            raise ValidationError(
-                f"constraints outside the attribute domain on: {bad}"
-            )
+        _clip_to_domain(schema, lows_arr, highs_arr)
         lows_arr.setflags(write=False)
         highs_arr.setflags(write=False)
         self.schema = schema
@@ -182,6 +189,57 @@ class Subscription:
         """The subscription matching every publication of the schema."""
         lows, highs = schema.full_bounds()
         return cls(schema, lows, highs, subscription_id, subscriber)
+
+    @classmethod
+    def from_matrix(
+        cls,
+        schema: Schema,
+        lows: Sequence[Sequence[float]],
+        highs: Sequence[Sequence[float]],
+    ) -> List["Subscription"]:
+        """One subscription per row of two encoded ``(n, m)`` bound matrices.
+
+        Equal, subscription for subscription, to calling the constructor on
+        each pair of rows — same clipped bounds, identifiers (autogenerated
+        in row order), read-only flags and :class:`ValidationError` (naming
+        the first bad row's attributes) — but each matrix is copied and
+        checked against the domain once, and every :attr:`lows` /
+        :attr:`highs` is a read-only row view of that one copy.
+        """
+        lows_matrix = np.array(lows, dtype=float)
+        highs_matrix = np.array(highs, dtype=float)
+        if (
+            lows_matrix.ndim != 2
+            or highs_matrix.ndim != 2
+            or len(lows_matrix) != len(highs_matrix)
+        ):
+            raise ValidationError(
+                f"bounds must be two (n, {schema.m}) matrices; "
+                f"got {lows_matrix.shape} and {highs_matrix.shape}"
+            )
+        if lows_matrix.shape[1] != schema.m or highs_matrix.shape[1] != schema.m:
+            raise ValidationError(
+                f"bounds must have shape ({schema.m},); "
+                f"got {lows_matrix.shape[1:]} and {highs_matrix.shape[1:]}"
+            )
+        _clip_to_domain(schema, lows_matrix, highs_matrix)
+        lows_matrix.setflags(write=False)
+        highs_matrix.setflags(write=False)
+        subscriptions = []
+        for low_row, high_row in zip(lows_matrix, highs_matrix):
+            subscription = cls.__new__(cls)
+            subscription.schema = schema
+            subscription.lows = low_row
+            subscription.highs = high_row
+            subscription.id = _next_subscription_id()
+            subscription.subscriber = None
+            subscription.metadata = {}
+            subscription._size = None
+            subscription._bounds_list = None
+            subscription._sampling_plan = None
+            subscription._signed_box = None
+            subscriptions.append(subscription)
+        return subscriptions
 
     # ------------------------------------------------------------------
     # Introspection

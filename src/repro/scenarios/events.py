@@ -282,6 +282,7 @@ class _PaperFigureWorkload:
         self._match_probability = match_probability
         self._scenario_kwargs = dict(scenario_kwargs)
         self._pool: List[Subscription] = []
+        self._next = 0
         self._base: Optional[Subscription] = None
         self._whole_space = Subscription.whole_space(schema)
 
@@ -292,13 +293,15 @@ class _PaperFigureWorkload:
         )
         self._base = instance.subscription
         self._pool = [instance.subscription, *instance.candidates]
+        self._next = 0
 
     def subscription(
         self, subscriber: Optional[str] = None, subscription_id: Optional[str] = None
     ) -> Subscription:
-        if not self._pool:
+        if self._next == len(self._pool):
             self._refill()
-        return self._pool.pop(0).replace(
+        self._next += 1
+        return self._pool[self._next - 1].replace(
             subscription_id=subscription_id, subscriber=subscriber
         )
 
