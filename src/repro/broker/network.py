@@ -97,17 +97,9 @@ class BrokerNetwork:
         :func:`repro.obs.probes.install`; when none is installed
         (the default) the network runs the exact pre-observability code
         path and its metrics/trace hashes are byte-identical to it.
-    shards:
-        Worker-process count for the global delivery oracle.  ``0`` (the
-        default) keeps the in-process oracle; ``N ≥ 1`` partitions the
-        oracle's subscription space across ``N`` shard workers with
-        shared-memory arenas — semantics (and therefore every metric and
-        trace hash) are unchanged at any count.  Call :meth:`close` when
-        done to reap the workers.
-    shard_prefilter:
-        Candidate pre-filter of the sharded oracle (one of
-        :data:`~repro.shard.coordinator.PREFILTER_NAMES`); ignored when
-        ``shards=0``.
+
+    The network runs in one process; only the engine backend's decision
+    pool shards (:mod:`repro.shard`).
     """
 
     def __init__(
@@ -123,8 +115,6 @@ class BrokerNetwork:
         dedup_window: int = 4096,
         merge_budget: float = DEFAULT_MERGE_BUDGET,
         obs=None,
-        shards: int = 0,
-        shard_prefilter: str = "hull",
     ):
         self._obs = obs if obs is not None else obs_probes.active()
         self.policy = resolve_policy(policy)
@@ -159,20 +149,8 @@ class BrokerNetwork:
         self.clients: Dict[str, str] = {}
         #: global oracle: subscription id -> (subscription, client, broker)
         self._all_subscriptions: Dict[str, Tuple[Subscription, str, str]] = {}
-        #: matcher answering the oracle's "who should be notified".  With
-        #: ``shards=N`` the oracle's subscription set is partitioned across
-        #: N worker processes behind the same ``add``/``remove``/
-        #: ``match_batch`` surface; the oracle is outside every random
-        #: stream and its sharded answers are merged back into global
-        #: insertion order, so metrics, deliveries and trace hashes are
-        #: byte-identical at any shard count (``shards=0`` keeps the
-        #: in-process matcher).
-        if shards:
-            from repro.shard.engine import ShardedOracleBackend
-
-            self._oracle = ShardedOracleBackend(shards, prefilter=shard_prefilter)
-        else:
-            self._oracle = Matcher()
+        #: matcher answering the oracle's "who should be notified"
+        self._oracle = Matcher()
         self._edge_list: List[Tuple[str, str]] = []
 
         for left, right in edges:
@@ -592,14 +570,11 @@ class BrokerNetwork:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release backend resources (shard worker processes); idempotent.
+        """A no-op: the network holds no process or OS resource.
 
-        A no-op for the in-process oracle, so callers can close every
+        Kept so that callers written for closable backends can close a
         network unconditionally.
         """
-        closer = getattr(self._oracle, "close", None)
-        if closer is not None:
-            closer()
 
     def __enter__(self) -> "BrokerNetwork":
         return self

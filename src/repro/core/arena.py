@@ -418,25 +418,8 @@ class SubscriptionArena:
 
     def _allocate(self, m: int) -> None:
         self._m = int(m)
-        self._lows, self._highs = self._new_arrays(self._capacity, self._m)
-
-    # ------------------------------------------------------------------
-    # Storage hooks (overridden by shared-memory-backed subclasses)
-    # ------------------------------------------------------------------
-    def _new_arrays(self, capacity: int, m: int):
-        """Allocate a ``(capacity, m)`` lows/highs array pair.
-
-        Subclasses override this to place the backing storage elsewhere
-        (e.g. ``multiprocessing.shared_memory``); growth and compaction
-        then work unchanged against whatever arrays it returns.
-        """
-        return (
-            np.empty((capacity, m), dtype=float),
-            np.empty((capacity, m), dtype=float),
-        )
-
-    def _retire_arrays(self, lows: np.ndarray, highs: np.ndarray) -> None:
-        """Release a superseded array pair after a grow (default: GC)."""
+        self._lows = np.empty((self._capacity, self._m), dtype=float)
+        self._highs = np.empty((self._capacity, self._m), dtype=float)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -522,14 +505,13 @@ class SubscriptionArena:
 
     def _grow(self) -> None:
         new_capacity = self._capacity * 2
-        lows, highs = self._new_arrays(new_capacity, self._m)
+        lows = np.empty((new_capacity, self._m), dtype=float)
+        highs = np.empty((new_capacity, self._m), dtype=float)
         lows[: self._capacity] = self._lows
         highs[: self._capacity] = self._highs
-        old_lows, old_highs = self._lows, self._highs
         self._lows = lows
         self._highs = highs
         self._capacity = new_capacity
-        self._retire_arrays(old_lows, old_highs)
 
     def remove(self, subscription_id: str) -> int:
         """Release the row of ``subscription_id`` back to the free-list."""

@@ -1,8 +1,8 @@
 """The matcher: one set of subscriptions as signed columns.
 
 Every publication lookup of the program goes through :class:`Matcher`:
-the matching engine's active and covered sets, every broker's routing
-table, the network's delivery oracle and the shard workers' index mode.
+the matching engine's active and covered sets (in-process or in a shard
+worker), every broker's routing table and the network's delivery oracle.
 
 The subscriptions are kept in the checker's layout — *signed,
 attribute-major*, shape ``(2m, capacity)``, one column per subscription

@@ -44,7 +44,6 @@ from repro.scenarios.events import compile_scenario
 from repro.scenarios.registry import REGISTRY
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.trace import TraceError, read_trace, write_trace
-from repro.shard.coordinator import PREFILTER_NAMES as SHARD_PREFILTER_NAMES
 from repro.utils.tables import render_table
 
 __all__ = ["main"]
@@ -106,24 +105,23 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
         spec = dataclasses.replace(spec, policy=arguments.policy)
     if arguments.merge_budget is not None:
         spec = dataclasses.replace(spec, merge_budget=arguments.merge_budget)
-    compiled = compile_scenario(spec, arguments.seed)
-    if arguments.trace:
-        digest = write_trace(arguments.trace, compiled, backend=arguments.backend)
-        print(f"[trace written to {arguments.trace} ({digest[:12]}…)]",
-              file=sys.stderr)
     recorder = None
     obs = None
     if arguments.obs_spans:
         recorder = SpanRecorder()
         obs = ObsProbe(spans=recorder)
-    runner = ScenarioRunner(
+    runner = _runner(
         spec,
         seed=arguments.seed,
         backend=arguments.backend,
         obs=obs,
         shards=arguments.shards,
-        shard_prefilter=arguments.shard_prefilter,
     )
+    compiled = compile_scenario(spec, arguments.seed)
+    if arguments.trace:
+        digest = write_trace(arguments.trace, compiled, backend=arguments.backend)
+        print(f"[trace written to {arguments.trace} ({digest[:12]}…)]",
+              file=sys.stderr)
     report = runner.run(compiled)
     if recorder is not None:
         count = write_spans(arguments.obs_spans, recorder)
@@ -164,11 +162,10 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
     latency_model = (
         arguments.latency_model or compiled.recorded_latency_model
     )
-    runner = ScenarioRunner(
+    runner = _runner(
         backend=backend,
         latency_model=latency_model,
         shards=arguments.shards,
-        shard_prefilter=arguments.shard_prefilter,
     )
     report = runner.run(compiled)
     if arguments.json:
@@ -178,31 +175,30 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shared ``--shards``/``--shard-prefilter`` flags of run and replay.
+def _runner(*args, **kwargs) -> ScenarioRunner:
+    """Build the runner, turning a rejected configuration into exit 2."""
+    try:
+        return ScenarioRunner(*args, **kwargs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
-    Sharding is an execution-mode choice, not part of the spec: traces
-    and their hashes never record it, so a trace recorded single-process
-    replays sharded (and vice versa) with identical metrics for the
-    network backend.
+
+def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
+    """The ``--shards`` flag of run and replay.
+
+    Sharding is a deployment choice, not part of the spec: traces and
+    their hashes never record it, so a trace recorded single-process
+    replays sharded (and vice versa).
     """
     parser.add_argument(
         "--shards",
         type=int,
         default=0,
         metavar="N",
-        help="run with N shard worker processes (0 = single-process, "
-             "the default; network backend: shards the delivery oracle, "
-             "semantics unchanged; engine backend: parallel per-shard "
-             "decision pool)",
-    )
-    parser.add_argument(
-        "--shard-prefilter",
-        choices=SHARD_PREFILTER_NAMES,
-        default="hull",
-        help="candidate pre-filter of the shard coordinator "
-             "(default: hull; 'rows' screens against the workers' "
-             "shared-memory arenas zero-copy)",
+        help="run the engine backend's decision pool in N shard worker "
+             "processes (0 = single-process, the default; the network "
+             "backend rejects N > 0)",
     )
 
 

@@ -216,18 +216,13 @@ class ScenarioRunner:
         engine's per-call lookup — observe through it.  ``None`` (the
         default) leaves whatever probe state the process already has.
     shards:
-        Multi-process execution (``0``, the default, is today's
-        single-process path, byte for byte).  An execution-mode choice,
-        deliberately *not* part of the spec: traces and their hashes do
-        not record it.  For the network backend it shards the global
-        delivery oracle (semantics unchanged at any count); for the
-        engine backend it runs a pool of per-shard engines whose checker
-        streams derive from the fixed shard→seed mapping, and groups
-        consecutive publish events into batched dispatches.
-    shard_prefilter:
-        Candidate pre-filter of the shard coordinator (one of
-        :data:`~repro.shard.coordinator.PREFILTER_NAMES`); ignored when
-        ``shards=0``.
+        Multi-process execution of the engine backend (``0``, the
+        default, is today's single-process path, byte for byte): a pool
+        of per-shard engines whose checker streams derive from the fixed
+        shard→seed mapping, fed consecutive publish events as batched
+        dispatches.  A deployment choice, deliberately *not* part of the
+        spec: traces and their hashes do not record it.  The network
+        backend runs in one process and rejects ``shards > 0``.
     """
 
     def __init__(
@@ -238,7 +233,6 @@ class ScenarioRunner:
         latency_model: Optional[str] = None,
         obs=None,
         shards: int = 0,
-        shard_prefilter: str = "hull",
     ):
         if backend not in ("network", "engine"):
             raise ValueError(f"unknown backend {backend!r}")
@@ -246,13 +240,17 @@ class ScenarioRunner:
             parse_latency_model(latency_model)
         if shards < 0:
             raise ValueError("shards must be >= 0")
+        if shards and backend == "network":
+            raise ValueError(
+                "shards > 0 needs the engine backend; the network backend "
+                "runs in one process"
+            )
         self.spec = spec
         self.seed = seed
         self.backend = backend
         self.latency_model = latency_model
         self.obs = obs
         self.shards = shards
-        self.shard_prefilter = shard_prefilter
 
     def _latency_model_for(self, compiled: CompiledScenario) -> str:
         return self.latency_model or compiled.spec.latency_model
@@ -297,21 +295,7 @@ class ScenarioRunner:
             rng=network_rng,
             latency_model=latency_model,
             merge_budget=spec.merge_budget,
-            shards=self.shards,
-            shard_prefilter=self.shard_prefilter,
         )
-        try:
-            return self._run_network_impl(compiled, network, latency_model)
-        finally:
-            network.close()
-
-    def _run_network_impl(
-        self,
-        compiled: CompiledScenario,
-        network: BrokerNetwork,
-        latency_model: str,
-    ) -> ScenarioReport:
-        spec = compiled.spec
         for client, broker in compiled.clients.items():
             network.attach_client(client, broker)
 
@@ -405,7 +389,6 @@ class ScenarioRunner:
                 max_iterations=spec.max_iterations,
                 merge_budget=spec.merge_budget,
                 seed=compiled.seed,
-                prefilter=self.shard_prefilter,
             )
             try:
                 return self._run_engine_impl(compiled, engine)

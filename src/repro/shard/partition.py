@@ -13,8 +13,8 @@ same worker count must send every subscription to the same shard.
     on a single shard.
 ``range`` / ``range:ATTR``
     Equal-width buckets over one attribute's domain (the subscription's
-    interval midpoint decides).  Localises spatially clustered workloads
-    so the coordinator's bounds-hull pre-filter can prune whole shards.
+    interval midpoint decides).  Keeps spatially clustered subscriptions,
+    and with them their covering candidates, on one shard.
 
 The shard→seed mapping feeds each worker's probabilistic checker its own
 :class:`numpy.random.SeedSequence`, derived from the scenario seed and

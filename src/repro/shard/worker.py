@@ -1,23 +1,10 @@
 """Shard worker process: one slice of the subscription space.
 
-A worker owns every subscription its partitioner assigns to it, in one of
-two modes:
-
-``engine``
-    A full :class:`~repro.matching.engine.MatchingEngine` — store,
-    covering policy and probabilistic checker (seeded from the fixed
-    shard→seed mapping).  This is the parallel decision pool:
-    ``decide``/``check`` work happens here.
-``index``
-    A bare :class:`~repro.matching.matcher.Matcher` — pure membership
-    matching, no covering.  This shards the broker network's
-    global delivery oracle, whose semantics must stay byte-identical to
-    the unsharded run (no policy, no randomness).
-
-Either way the worker mirrors its subscriptions' bounds into a
-:class:`~repro.shard.shm.SharedSubscriptionArena`, so the coordinator can
-pre-filter publications against this shard's rows without any data moving
-over the pipe.
+A worker owns every subscription its partitioner assigns to it in a
+full :class:`~repro.matching.engine.MatchingEngine` — store, covering
+policy and probabilistic checker (seeded from the fixed shard→seed
+mapping).  This is the parallel decision pool: ``decide``/``check`` work
+happens here.
 
 The command loop is deliberately tiny — five message kinds over one
 duplex pipe:
@@ -26,19 +13,16 @@ duplex pipe:
     Fire-and-forget subscription mutations, each ``("sub", subscription)``
     or ``("unsub", id)``.  Errors are parked and surfaced by the next
     synchronous command, so a routing burst costs no round-trips.
-``("match", publications)`` → ``("ok", payload, meta)``
-    Match a burst.  ``payload`` is one entry per publication:
-    ``(refs, tests)`` in index mode (``refs`` = ``(id, subscriber)``
-    pairs, insertion order) or ``(subscribers, n_matched, active_tests,
-    covered_tests)`` in engine mode.
-``("sync",)`` / ``("stats",)`` → ``("ok", ..., meta)``
+``("match", publications)`` → ``("ok", payload, busy)``
+    Match a burst.  ``payload`` is one ``(subscribers, n_matched,
+    active_tests, covered_tests)`` entry per publication.
+``("sync",)`` / ``("stats",)`` → ``("ok", ..., busy)``
     Drain the op stream (surfacing any parked error) / report counters.
-``("shutdown",)`` → ``("bye", None, meta)``
-    Release the shared segments and exit.
+``("shutdown",)`` → ``("bye", None, busy)``
+    Exit.
 
-Every reply's ``meta`` carries the worker's cumulative busy seconds (the
-per-shard load measure the benchmarks attribute critical paths with), the
-current arena spec/row count, and the subscription count.
+Every reply carries the worker's cumulative busy seconds, the per-shard
+load measure the benchmarks attribute critical paths with.
 """
 
 from __future__ import annotations
@@ -51,9 +35,7 @@ import numpy as np
 
 from repro.core.subsumption import SubsumptionChecker
 from repro.matching.engine import MatchingEngine
-from repro.matching.matcher import Matcher
 from repro.shard.partition import shard_seed
-from repro.shard.shm import SharedSubscriptionArena
 
 __all__ = ["worker_main"]
 
@@ -94,111 +76,56 @@ class _ShardWorker:
 
     def __init__(self, config: Dict[str, Any]):
         self.shard_index = int(config["shard_index"])
-        self.mode = config.get("mode", "index")
-        if self.mode not in ("engine", "index"):
-            raise ValueError(f"unknown shard worker mode {self.mode!r}")
-        self.mirror = SharedSubscriptionArena(
-            capacity=int(config.get("arena_capacity", 1024)),
-            name_prefix=config.get("shm_prefix"),
+        checker = SubsumptionChecker(
+            delta=config.get("delta", 0.001),
+            max_iterations=config.get("max_iterations", 1000),
+            rng=np.random.default_rng(
+                shard_seed(config.get("seed", 0), self.shard_index)
+            ),
         )
-        self.engine: Optional[MatchingEngine] = None
-        self.index = None
-        if self.mode == "engine":
-            checker = SubsumptionChecker(
-                delta=config.get("delta", 0.001),
-                max_iterations=config.get("max_iterations", 1000),
-                rng=np.random.default_rng(
-                    shard_seed(config.get("seed", 0), self.shard_index)
-                ),
-            )
-            self.engine = MatchingEngine(
-                policy=config.get("policy", "group"),
-                checker=checker,
-                merge_budget=config.get("merge_budget", 0.1),
-            )
-        else:
-            self.index = Matcher()
+        self.engine = MatchingEngine(
+            policy=config.get("policy", "group"),
+            checker=checker,
+            merge_budget=config.get("merge_budget", 0.1),
+        )
         self.busy = 0.0
         self.pending_error: Optional[str] = None
         self._intern_schema = _SchemaInterner()
 
-    # ------------------------------------------------------------------
-    # Mutations (fire-and-forget)
-    # ------------------------------------------------------------------
     def apply_ops(self, operations: List[Tuple[str, Any]]) -> None:
         for kind, payload in operations:
             if kind == "sub":
                 payload.schema = self._intern_schema(payload.schema)
-                if self.engine is not None:
-                    self.engine.subscribe(payload)
-                else:
-                    self.index.add(payload)
-                self.mirror.add(payload)
+                self.engine.subscribe(payload)
             elif kind == "unsub":
-                if self.engine is not None:
-                    self.engine.unsubscribe(payload)
-                else:
-                    self.index.remove(payload)
-                self.mirror.discard(payload)
+                self.engine.unsubscribe(payload)
             else:
                 raise ValueError(f"unknown shard op {kind!r}")
 
-    # ------------------------------------------------------------------
-    # Matching
-    # ------------------------------------------------------------------
     def match(self, publications) -> List[Tuple]:
         for publication in publications:
             publication.schema = self._intern_schema(publication.schema)
-        if self.engine is not None:
-            return [
-                (
-                    result.subscribers,
-                    len(result.matched),
-                    result.active_tests,
-                    result.covered_tests,
-                )
-                for result in self.engine.match_batch(publications)
-            ]
         return [
             (
-                [(s.id, s.subscriber) for s in matched],
-                tests,
+                result.subscribers,
+                len(result.matched),
+                result.active_tests,
+                result.covered_tests,
             )
-            for matched, tests in self.index.match_batch(publications)
+            for result in self.engine.match_batch(publications)
         ]
 
-    # ------------------------------------------------------------------
-    # Introspection / teardown
-    # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "shard": self.shard_index,
-            "mode": self.mode,
-            "busy_seconds": self.busy,
-            "subscriptions": len(self),
-            "arena_compactions": self.mirror.compactions,
-            "arena_moved_rows": self.mirror.moved_rows,
-        }
-        if self.engine is not None:
-            payload["engine"] = dict(self.engine.stats)
-            payload["store"] = dict(self.engine.store.stats)
-        return payload
-
-    def meta(self) -> Dict[str, Any]:
+        arena = self.engine.arena
         return {
-            "busy": self.busy,
-            "arena": self.mirror.spec(),
-            "rows": self.mirror.next_row,
-            "count": len(self),
+            "shard": self.shard_index,
+            "busy_seconds": self.busy,
+            "subscriptions": len(self.engine),
+            "arena_compactions": arena.compactions,
+            "arena_moved_rows": arena.moved_rows,
+            "engine": dict(self.engine.stats),
+            "store": dict(self.engine.store.stats),
         }
-
-    def __len__(self) -> int:
-        if self.engine is not None:
-            return len(self.engine)
-        return len(self.index)
-
-    def close(self) -> None:
-        self.mirror.close()
 
 
 def worker_main(conn, config: Dict[str, Any]) -> None:
@@ -228,7 +155,7 @@ def worker_main(conn, config: Dict[str, Any]) -> None:
                 continue
             if command == "shutdown":
                 worker.busy += time.perf_counter() - started
-                conn.send(("bye", None, worker.meta()))
+                conn.send(("bye", None, worker.busy))
                 break
             try:
                 if worker.pending_error is not None:
@@ -246,10 +173,9 @@ def worker_main(conn, config: Dict[str, Any]) -> None:
                     raise ValueError(f"unknown shard command {command!r}")
             except Exception:
                 worker.busy += time.perf_counter() - started
-                conn.send(("err", traceback.format_exc(), worker.meta()))
+                conn.send(("err", traceback.format_exc(), worker.busy))
                 continue
             worker.busy += time.perf_counter() - started
-            conn.send(("ok", payload, worker.meta()))
+            conn.send(("ok", payload, worker.busy))
     finally:
-        worker.close()
         conn.close()

@@ -1,70 +1,47 @@
-"""Sharding is an execution mode, not a semantic one.
+"""The sharded decision pool: same deliveries, defined failures, no leaks.
 
-A sharded run must be indistinguishable from the single-process run in
-everything the repository treats as ground truth: delivery sets, network
-metrics, and the golden trace hashes.  These sweeps pin that equivalence
-(shards=0 vs 2 vs 4, across all five reduction policies on two scenario
-shapes), plus the fixed shard→seed mapping and partitioner stability the
-determinism story depends on — a silent change to either would reshuffle
-every per-shard RSPC stream while the tests above kept passing on the
-network oracle (which consumes no randomness).
+Sharding is one deployment choice — :class:`ShardedMatchingEngine` over
+engine-mode workers — and must not change what gets delivered to whom
+under the deterministic policies, at any shard count, through
+subscription ramps, unsubscription storms and publication bursts.  The
+fixed shard→seed mapping and partitioner stability are pinned by golden
+values, because a silent change to either would reshuffle every
+per-shard RSPC stream while all-equal assertions kept passing.
+
+The pool's failure semantics are defined here too: a failing command
+leaves no stale reply in any pipe, a dead worker surfaces as a
+``RuntimeError`` naming its shard, ``close()`` always reaps every worker,
+and a pool never starts multiprocessing's resource tracker.  The network
+backend runs in one process and rejects ``shards > 0`` up front.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.model import Schema, Subscription
+import repro
+from repro.model import Publication, Schema, Subscription
 from repro.scenarios import catalog  # noqa: F401 - populates the registry
+from repro.scenarios.cli import main as scenarios_main
 from repro.scenarios.events import EventAction, compile_scenario
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import ScenarioRunner
-from repro.shard.engine import ShardedMatchingEngine, ShardedOracleBackend
+from repro.shard.coordinator import ShardCoordinator
+from repro.shard.engine import ShardedMatchingEngine
 from repro.shard.partition import HashPartitioner, RangePartitioner, shard_seed
 
-POLICIES = ("none", "pairwise", "group", "merging", "hybrid")
-
 SEED = 7
-
-#: keys stripped from report comparisons (wall-clock dependent)
-VOLATILE = {"wall_time", "events_per_second"}
-
-
-def _strip(obj):
-    if isinstance(obj, dict):
-        return {k: _strip(v) for k, v in obj.items() if k not in VOLATILE}
-    if isinstance(obj, list):
-        return [_strip(v) for v in obj]
-    return obj
 
 
 def _compiled(name: str, policy: str):
     spec = dataclasses.replace(get_scenario(name), policy=policy)
     return spec, compile_scenario(spec, SEED)
-
-
-def _run(spec, compiled, shards: int):
-    return ScenarioRunner(
-        spec, seed=SEED, backend="network", shards=shards
-    ).run(compiled)
-
-
-class TestNetworkDifferential:
-    """shards=0 vs 2 vs 4: byte-identical reports on the network backend."""
-
-    @pytest.mark.parametrize("scenario", ("t0-smoke", "t1-churn"))
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_sharded_reports_identical(self, scenario, policy):
-        spec, compiled = _compiled(scenario, policy)
-        baseline = _run(spec, compiled, shards=0)
-        for shards in (2, 4):
-            sharded = _run(spec, compiled, shards=shards)
-            assert sharded.trace_hash == baseline.trace_hash, (
-                f"{scenario}/{policy}: trace hash diverged at shards={shards}"
-            )
-            assert _strip(sharded.to_dict()) == _strip(baseline.to_dict())
 
 
 class TestEngineNotificationInvariance:
@@ -75,9 +52,10 @@ class TestEngineNotificationInvariance:
     not change for the deterministic policies.
     """
 
+    @pytest.mark.parametrize("scenario", ("t0-smoke", "t1-churn"))
     @pytest.mark.parametrize("policy", ("none", "pairwise"))
-    def test_notifications_equal_across_shard_counts(self, policy):
-        spec, compiled = _compiled("t0-smoke", policy)
+    def test_notifications_equal_across_shard_counts(self, scenario, policy):
+        spec, compiled = _compiled(scenario, policy)
 
         def deliveries(shards: int):
             engine = ShardedMatchingEngine(
@@ -103,10 +81,68 @@ class TestEngineNotificationInvariance:
                 engine.close()
 
         baseline_stream, baseline_total = deliveries(1)
+        assert baseline_total > 0
         for shards in (2, 4):
             stream, total = deliveries(shards)
             assert stream == baseline_stream
             assert total == baseline_total
+
+
+class TestPoolParity:
+    """The pool answers every publication as one in-process engine does."""
+
+    def test_match_agrees_with_the_engine(self):
+        from repro.matching.engine import MatchingEngine
+
+        _, compiled = _compiled("t0-smoke", "none")
+        reference = MatchingEngine(policy="none")
+        publications = 0
+        with ShardedMatchingEngine(shards=3, policy="none", seed=SEED) as pool:
+            for event in compiled.events:
+                if event.action is EventAction.SUBSCRIBE:
+                    reference.subscribe(event.subscription)
+                    pool.subscribe(event.subscription)
+                elif event.action is EventAction.UNSUBSCRIBE:
+                    reference.unsubscribe(event.subscription_id)
+                    pool.unsubscribe(event.subscription_id)
+                else:
+                    expected = reference.match(event.publication)
+                    result = pool.match(event.publication)
+                    assert sorted(result.subscribers) == sorted(expected.subscribers)
+                    assert result.matched_count == len(expected.matched)
+                    # nothing is covered under "none": every live
+                    # subscription is tested once, on its own shard
+                    assert result.active_tests == expected.active_tests
+                    assert result.covered_tests == expected.covered_tests == 0
+                    publications += 1
+            assert len(pool) == len(reference)
+        assert publications > 0
+
+    def test_match_batch_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        import repro.shard.engine as engine_module
+
+        _, compiled = _compiled("t0-smoke", "none")
+        with ShardedMatchingEngine(shards=2, policy="none", seed=SEED) as pool:
+            for event in compiled.events:
+                if event.action is EventAction.SUBSCRIBE:
+                    pool.subscribe(event.subscription)
+            publications = [
+                event.publication
+                for event in compiled.events
+                if event.action is EventAction.PUBLISH
+            ][:20]
+            one_by_one = [pool.match(p) for p in publications]
+            monkeypatch.setattr(engine_module, "_MATCH_CHUNK", 3)
+            chunked = pool.match_batch(publications)
+            assert [r.publication for r in chunked] == publications
+            assert [
+                (r.subscribers, r.matched_count, r.active_tests) for r in chunked
+            ] == [
+                (r.subscribers, r.matched_count, r.active_tests)
+                for r in one_by_one
+            ]
+            assert pool.stats["publications"] == 2 * len(publications)
+        assert any(r.matched_count for r in one_by_one)
 
 
 class TestShardSeedStability:
@@ -178,32 +214,179 @@ class TestPartitionerStability:
         assert partitioner.shard_of(high) == 3
 
 
-class TestShardedOracleParity:
-    """The sharded delivery oracle agrees with the in-process matcher."""
+# ----------------------------------------------------------------------
+# Failure semantics and teardown
+# ----------------------------------------------------------------------
+class _ByPrefix:
+    """Places ``a*`` subscriptions on shard 0 and the rest on shard 1."""
 
-    def test_match_parity_with_the_matcher(self):
-        from repro.matching.matcher import Matcher
+    def shard_of(self, subscription: Subscription) -> int:
+        return 0 if subscription.id.startswith("a") else 1
 
-        spec, compiled = _compiled("t0-smoke", "none")
-        reference = Matcher()
-        sharded = ShardedOracleBackend(shards=3)
+
+SCHEMA = Schema.uniform_integer(2, 0, 100)
+
+
+def _subscription(subscription_id: str, schema: Schema = SCHEMA) -> Subscription:
+    return Subscription.from_constraints(
+        schema,
+        {"x1": (0, 50)},
+        subscription_id=subscription_id,
+        subscriber=f"c-{subscription_id}",
+    )
+
+
+PUBLICATION = Publication.from_values(SCHEMA, {"x1": 10, "x2": 10})
+
+
+def _pool(**kwargs) -> ShardedMatchingEngine:
+    engine = ShardedMatchingEngine(
+        shards=2, policy="none", partitioner=_ByPrefix(), **kwargs
+    )
+    engine.subscribe(_subscription("a1"))
+    engine.subscribe(_subscription("b1"))
+    return engine
+
+
+def _no_children_left() -> bool:
+    return multiprocessing.active_children() == []
+
+
+class TestWorkerErrors:
+    def test_a_failed_command_leaves_no_stale_reply(self):
+        coordinator = ShardCoordinator(2, partitioner=_ByPrefix())
         try:
-            for event in compiled.events:
-                if event.action is EventAction.SUBSCRIBE:
-                    reference.add(event.subscription)
-                    sharded.add(event.subscription)
-                elif event.action is EventAction.UNSUBSCRIBE:
-                    reference.remove(event.subscription_id)
-                    sharded.remove(event.subscription_id)
-                else:
-                    ref_matched, _ = reference.match_candidates(
-                        event.publication
-                    )
-                    shard_matched, _ = sharded.match_candidates(
-                        event.publication
-                    )
-                    assert [
-                        (s.id, s.subscriber) for s in shard_matched
-                    ] == [(s.id, s.subscriber) for s in ref_matched]
+            coordinator.route_subscribe(_subscription("a1"))
+            coordinator.route_subscribe(
+                _subscription("a2", Schema.uniform_integer(3, 0, 100))
+            )
+            coordinator.route_subscribe(_subscription("b1"))
+            with pytest.raises(RuntimeError, match="shard worker 0 failed"):
+                coordinator.match([PUBLICATION])
+            coordinator.sync()
+            stats = coordinator.stats()
+            assert [type(entry) for entry in stats] == [dict, dict]
+            assert [entry["shard"] for entry in stats] == [0, 1]
+            assert stats[1]["subscriptions"] == 1
+            (reply,) = coordinator.match([PUBLICATION])[1:]
+            assert reply[0][:2] == (("c-b1",), 1)
         finally:
-            sharded.close()
+            coordinator.close()
+        assert _no_children_left()
+
+    @pytest.mark.parametrize("dead", (0, 1))
+    def test_a_dead_worker_is_named_by_every_call(self, dead):
+        engine = _pool()
+        try:
+            engine.sync()
+            process = engine.coordinator._processes[dead]
+            process.kill()
+            process.join(timeout=10)
+            assert not process.is_alive()
+            live_pipe = engine.coordinator._conns[1 - dead]
+            message = f"shard worker {dead} died"
+            for call in (
+                lambda: engine.match(PUBLICATION),
+                engine.sync,
+                engine.worker_stats,
+            ):
+                with pytest.raises(RuntimeError, match=message):
+                    call()
+                # the live shard's reply was read, not left for the next call
+                assert not live_pipe.poll(0.2)
+        finally:
+            engine.close()
+        assert _no_children_left()
+
+
+class TestPoolSurface:
+    def test_worker_stats_carry_the_keys_the_benchmarks_read(self):
+        with _pool() as engine:
+            engine.match(PUBLICATION)
+            stats = engine.worker_stats()
+        assert [entry["shard"] for entry in stats] == [0, 1]
+        for entry in stats:
+            assert entry["subscriptions"] == 1
+            assert entry["busy_seconds"] > 0
+            assert entry["store"]["added"] == entry["store"]["forwarded"] == 1
+            assert entry["arena_compactions"] >= 0
+            assert entry["arena_moved_rows"] >= 0
+            assert entry["engine"]["publications"] == 1
+        assert _no_children_left()
+
+    def test_empty_shards_are_not_consulted(self):
+        with ShardCoordinator(2, policy="none", partitioner=_ByPrefix()) as pool:
+            assert pool.match([PUBLICATION]) == []
+            pool.route_subscribe(_subscription("a1"))
+            pool.route_subscribe(_subscription("b1"))
+            pool.route_unsubscribe("b1")
+            (reply,) = pool.match([PUBLICATION, PUBLICATION])
+            assert [entry[:2] for entry in reply] == [(("c-a1",), 1)] * 2
+            assert [entry["engine"]["publications"] for entry in pool.stats()] == [
+                2,
+                0,
+            ]
+        assert _no_children_left()
+
+
+class TestTeardown:
+    def test_a_closed_pool_leaves_no_child_process(self):
+        with _pool() as engine:
+            result = engine.match(PUBLICATION)
+            assert sorted(result.subscribers) == ["c-a1", "c-b1"]
+            engine.unsubscribe("b1")
+            assert [w["subscriptions"] for w in engine.worker_stats()] == [1, 0]
+        assert _no_children_left()
+
+    def test_a_pool_never_starts_the_resource_tracker(self):
+        # in a fresh interpreter: another test of this session may have
+        # started the tracker for reasons of its own
+        script = (
+            "from multiprocessing import resource_tracker\n"
+            "from repro.model import Publication, Schema, Subscription\n"
+            "from repro.shard.engine import ShardedMatchingEngine\n"
+            "schema = Schema.uniform_integer(2, 0, 100)\n"
+            "with ShardedMatchingEngine(shards=2, policy='group') as engine:\n"
+            "    for i in range(8):\n"
+            "        engine.subscribe(Subscription.from_constraints(\n"
+            "            schema, {'x1': (0, 50 + i)}, subscription_id=f's{i}',\n"
+            "            subscriber=f'c{i}'))\n"
+            "    engine.unsubscribe('s0')\n"
+            "    p = Publication.from_values(schema, {'x1': 10, 'x2': 10})\n"
+            "    assert len(engine.match(p).subscribers) == 7\n"
+            "    engine.sync()\n"
+            "print(resource_tracker._resource_tracker._pid)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["None"]
+
+
+class TestNetworkRejectsShards:
+    def test_runner_rejects_shards_on_the_network_backend(self):
+        with pytest.raises(ValueError, match="engine backend"):
+            ScenarioRunner(backend="network", shards=2)
+        assert _no_children_left()
+
+    def test_run_and_replay_exit_nonzero(self, capsys, tmp_path):
+        trace = str(tmp_path / "t0.jsonl")
+        assert scenarios_main(
+            ["run", "t0-smoke", "--seed", "7", "--shards", "2", "--trace", trace]
+        ) == 2
+        assert "engine backend" in capsys.readouterr().err
+        assert not os.path.exists(trace)
+        assert scenarios_main(["run", "t0-smoke", "--seed", "7", "--trace", trace]) == 0
+        capsys.readouterr()
+        assert scenarios_main(["replay", trace, "--shards", "2"]) == 2
+        assert "engine backend" in capsys.readouterr().err
+        assert _no_children_left()
