@@ -10,18 +10,27 @@ Brokers implement the behaviour described in Section 2 of the paper:
   matching subscription, or delivered to the local subscriber that issued
   it (reverse path forwarding);
 * the per-link reduction decision is pluggable
-  (:mod:`repro.core.policies`): ``none`` (always forward), ``pairwise``
-  (classical single-subscription covering), ``group`` (the paper's
-  probabilistic union covering), ``merging`` (advertise merged bounding
-  boxes upstream — smaller routing state, false-positive traffic and
-  deliveries) or ``hybrid`` (cover first, merge the residue).
+  (:mod:`repro.core.policies`); under the merging strategies local
+  delivery also runs through merged filters, whose extra notifications
+  are counted as false positives.
+
+Covering state lives in one place: each link is a
+:class:`~repro.core.store.SubscriptionStore` (:attr:`Broker.links`) — what
+is advertised to that neighbour, what is withheld from it and on whose
+account, and what each merged box sent there stands for.  The broker
+keeps routing, messages and delivery, and turns store outcomes into
+messages: a forwarded decision is an advertisement; a merge is the box,
+then the retractions of what it replaces (links are FIFO, so the
+neighbour never re-advertises in between); an advertised subscription or
+a box whose last member left is retracted, then the entries withheld on
+it are re-decided.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.broker.messages import (
     Message,
@@ -31,14 +40,14 @@ from repro.broker.messages import (
     UnsubscriptionMessage,
 )
 from repro.broker.routing import RouteEntry, RoutingTable, SourceKind
-from repro.core.arena import CandidateSet
 from repro.core.merging import cheapest_merge
 from repro.core.policies import (
     DEFAULT_MERGE_BUDGET,
+    ReductionDecision,
     ReductionStrategy,
     make_strategy,
 )
-from repro.core.store import CoveringPolicyName
+from repro.core.store import CoveringPolicyName, StoreDecision, SubscriptionStore
 from repro.core.subsumption import SubsumptionChecker
 from repro.model.subscriptions import Subscription
 
@@ -46,35 +55,22 @@ __all__ = ["Broker", "SubscriptionDecision"]
 
 
 @dataclass
-class SubscriptionDecision:
-    """Reduction decision for one subscription toward one neighbour.
+class SubscriptionDecision(ReductionDecision):
+    """A reduction decision for one subscription toward one neighbour.
 
-    Covering-based routing decides *per link* whether a subscription still
-    has to be forwarded: the candidate set is exactly the set of
-    subscriptions this broker has previously forwarded to that neighbour
-    (what the neighbour already knows from us), which reproduces the
-    Figure 1 walkthrough where ``B4`` forwards ``s2`` to ``B3`` but not to
-    ``B5``/``B7``.
+    Covering is decided *per link*, against what this broker has advertised
+    to that neighbour — the Figure 1 walkthrough, where ``B4`` forwards
+    ``s2`` to ``B3`` but not to ``B5``/``B7``.  The checker's ``result`` is
+    not kept.
     """
 
-    broker: str
-    subscription_id: str
-    neighbor: str
-    forwarded: bool
-    candidates_considered: int
-    rspc_iterations: int = 0
-    #: identifiers of the previously forwarded subscriptions the decision
-    #: relied on to suppress forwarding (the single coverer under
-    #: ``pairwise``, the MCS minimized cover set under ``group``); empty
-    #: when the subscription was forwarded
-    covered_by: Tuple[str, ...] = ()
-    #: the bounding box advertised instead of the subscription, when the
-    #: strategy replaced it (and ``replaced``) with a merge
-    merged: Optional[Subscription] = None
-    #: previously forwarded advertisement ids the merged box absorbs
-    replaced: Tuple[str, ...] = ()
-    #: over-approximated volume introduced by the merge (0 otherwise)
-    false_volume: float = 0.0
+    broker: str = ""
+    neighbor: str = ""
+
+    @property
+    def subscription_id(self) -> str:
+        """Identifier of the decided subscription."""
+        return self.subscription.id
 
 
 @dataclass
@@ -103,19 +99,17 @@ class Broker:
         instance.
     checker:
         Group-subsumption checker used by the probabilistic strategies
-        (one per broker so each has an independent random stream).
+        (one per broker so each has an independent random stream; every
+        link consults it, in decision order).
     merge_budget:
         False-volume budget of the merging strategies (ignored by the
         covering-only ones).
     dedup_window:
         Maximum number of recently seen publication identifiers kept for
-        loop suppression.  Duplicates can only arrive while a publication
-        is still in flight (each broker forwards it at most once), and the
-        network caps every timed drain at ``dedup_window`` concurrent
-        publications, so no identifier is ever evicted before its last
-        in-flight duplicate arrives; the bounded window therefore keeps
-        memory flat over unbounded publication streams without changing
-        delivery behaviour.
+        loop suppression.  The network caps every drain at
+        ``dedup_window`` publications in flight, so no identifier is
+        evicted before its last duplicate arrives: memory stays flat and
+        delivery is unchanged.
     """
 
     def __init__(
@@ -135,7 +129,6 @@ class Broker:
         #: default) keeps every handler on the pre-observability path
         self._obs = obs
         self.id = broker_id
-        self.neighbors: List[str] = list(neighbors)
         self._checker = checker or SubsumptionChecker()
         self.strategy: ReductionStrategy = make_strategy(
             policy, checker=self._checker, merge_budget=merge_budget
@@ -146,20 +139,11 @@ class Broker:
         self.dedup_window = dedup_window
         #: local subscribers attached to this broker
         self.local_subscribers: Set[str] = set()
-        #: per-neighbour record of the subscriptions forwarded to it
-        self.sent: Dict[str, Dict[str, "object"]] = {}
-        #: per-neighbour candidate-set snapshot (contiguous bounds shared
-        #: by consecutive covering decisions against an unchanged link)
-        self._link_candidates: Dict[str, CandidateSet] = {}
-        #: per-neighbour record of the subscriptions *withheld* from it:
-        #: neighbour -> suppressed subscription id -> identifiers of the
-        #: forwarded subscriptions whose coverage justified the suppression
-        #: (the re-advertisement dependencies of the unsubscription path)
-        self.suppressed: Dict[str, Dict[str, Set[str]]] = {}
-        #: per-neighbour membership of merged advertisements: neighbour ->
-        #: merged advertisement id -> original subscription ids the merged
-        #: bounding box represents on that link
-        self.merge_members: Dict[str, Dict[str, Set[str]]] = {}
+        #: neighbour -> the link's covering state; every link shares the
+        #: broker's one strategy (and so its checker)
+        self.links: Dict[str, SubscriptionStore] = {}
+        for neighbor in neighbors:
+            self.connect(neighbor)
         #: merged delivery groups over the local subscriptions (merging
         #: strategies only — models the broker matching one coarse filter
         #: per group and leaving the final cut to client-side filtering)
@@ -201,100 +185,94 @@ class Broker:
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
+    @property
+    def neighbors(self) -> List[str]:
+        """Identifiers of the directly connected brokers, in link order."""
+        return list(self.links)
+
     def connect(self, neighbor_id: str) -> None:
         """Add a neighbouring broker."""
-        if neighbor_id != self.id and neighbor_id not in self.neighbors:
-            self.neighbors.append(neighbor_id)
+        if neighbor_id != self.id and neighbor_id not in self.links:
+            self.links[neighbor_id] = SubscriptionStore(self.strategy)
 
     def attach_subscriber(self, subscriber_id: str) -> None:
         """Register a local client."""
         self.local_subscribers.add(subscriber_id)
 
     # ------------------------------------------------------------------
-    # Covering decision
+    # Covering decisions, as messages
     # ------------------------------------------------------------------
-    def _candidates_for(self, neighbor: str) -> CandidateSet:
-        """Snapshot of the advertisements already sent to ``neighbor``.
-
-        The snapshot (candidate order, stacked bounds, signed matrix) is
-        reused as long as the link's advertisement set is unchanged — one
-        cheap id-tuple comparison per decision replaces re-stacking the
-        candidate bounds, e.g. for every subscription a departure
-        re-checks against the same link.  Any membership change yields a
-        new snapshot: the previous one extended by a row when exactly one
-        advertisement was appended, a full re-stack otherwise.
-        """
-        sent_here = self.sent.get(neighbor)
-        cached = self._link_candidates.get(neighbor)
-        if not sent_here:
-            if cached is not None and not len(cached):
-                return cached
-            snapshot = CandidateSet(())
-        else:
-            ids = tuple(sent_here)
-            if cached is not None and cached.ids == ids:
-                return cached
-            if cached is not None and cached.ids == ids[:-1]:
-                snapshot = cached.extended(sent_here[ids[-1]])
-            else:
-                snapshot = CandidateSet(list(sent_here.values()))
-        self._link_candidates[neighbor] = snapshot
-        return snapshot
-
-    def _coverage_decision(
-        self, subscription, neighbor: str, message: Optional[Message] = None
-    ) -> SubscriptionDecision:
-        """Decide what to do with ``subscription`` toward ``neighbor``.
-
-        The candidate set is the set of advertisements already forwarded
-        to that neighbour; the verdict (forward / suppress / replace with
-        a merged bounding box) comes from the broker's pluggable
-        reduction strategy.
-        """
+    def _on_link(self, call, argument):
+        """Run a link-store call that may decide, in ``broker.decision``."""
         obs = self._obs
-        if obs is not None:
-            obs.stage_push("broker.decision")
-            try:
-                decision = self.strategy.decide(
-                    subscription, self._candidates_for(neighbor)
-                )
-            finally:
-                obs.stage_pop()
-            if obs.spans is not None and message is not None and message.trace_id:
-                if decision.merged is not None:
-                    status = "merged"
-                elif decision.forwarded:
-                    status = "forwarded"
-                else:
-                    status = "suppressed"
-                obs.spans.record(
-                    message.trace_id,
-                    "subscription",
-                    "decision",
-                    message.delivered_at,
-                    broker=self.id,
-                    link=f"{self.id}->{neighbor}",
-                    status=status,
-                    subscription_id=subscription.id,
-                    candidates=decision.candidates_considered,
-                    rspc_iterations=decision.rspc_iterations,
-                )
-        else:
-            decision = self.strategy.decide(
-                subscription, self._candidates_for(neighbor)
-            )
-        return SubscriptionDecision(
-            broker=self.id,
-            subscription_id=subscription.id,
-            neighbor=neighbor,
-            forwarded=decision.forwarded,
-            candidates_considered=decision.candidates_considered,
-            rspc_iterations=decision.rspc_iterations,
-            covered_by=decision.covered_by,
-            merged=decision.merged,
-            replaced=decision.replaced,
-            false_volume=decision.false_volume,
+        if obs is None:
+            return call(argument)
+        obs.stage_push("broker.decision")
+        try:
+            return call(argument)
+        finally:
+            obs.stage_pop()
+
+    def _hop(
+        self,
+        message: Message,
+        neighbor: str,
+        payload: Union[Subscription, str],
+        origin: str,
+    ) -> Message:
+        """The advertisement of a subscription, or the retraction of an id,
+        toward ``neighbor`` one hop on from ``message``."""
+        fields = dict(
+            sender=self.id,
+            recipient=neighbor,
+            hops=message.hops + 1,
+            origin=origin,
+            injected_at=message.injected_at,
+            sent_at=message.delivered_at,
+            trace_id=message.trace_id,
         )
+        if isinstance(payload, str):
+            return UnsubscriptionMessage(subscription_id=payload, **fields)
+        return SubscriptionMessage(subscription=payload, **fields)
+
+    def _announce(
+        self, decision: StoreDecision, neighbor: str, message: Message
+    ) -> List[Message]:
+        """Record one link decision and return the messages it sends."""
+        subscription = decision.subscription
+        self.decisions.append(
+            SubscriptionDecision(
+                **{**vars(decision), "result": None}, broker=self.id, neighbor=neighbor
+            )
+        )
+        obs = self._obs
+        if obs is not None and obs.spans is not None and message.trace_id:
+            obs.spans.record(
+                message.trace_id,
+                "subscription",
+                "decision",
+                message.delivered_at,
+                broker=self.id,
+                link=f"{self.id}->{neighbor}",
+                status=(
+                    "merged" if decision.merged is not None
+                    else "forwarded" if decision.forwarded
+                    else "suppressed"
+                ),
+                subscription_id=subscription.id,
+                candidates=decision.candidates_considered,
+                rspc_iterations=decision.rspc_iterations,
+            )
+        if decision.merged is not None:
+            return [self._hop(message, neighbor, decision.merged, self.id)] + [
+                self._hop(message, neighbor, replaced_id, self.id)
+                for replaced_id in decision.replaced
+            ]
+        if decision.forwarded:
+            # an advertisement carries the origin of its route entry
+            origin = self.routing.get(subscription.id).origin or self.id
+            return [self._hop(message, neighbor, subscription, origin)]
+        return []
 
     # ------------------------------------------------------------------
     # Message handling
@@ -305,133 +283,49 @@ class Broker:
         """Process a subscription message.
 
         The subscription is always recorded in the routing table (so local
-        delivery and reverse paths keep working); it is then forwarded to
-        every neighbour except the sender, unless the per-link covering
-        decision suppresses it.  Returns the outgoing messages and the
-        per-link decisions taken.
+        delivery and reverse paths keep working); it is then decided on
+        every link except the sender's.  Returns the outgoing messages and
+        the per-link decisions taken.
         """
         subscription = message.subscription
         if subscription.id in self.routing:
             return [], []
 
-        if message.sender is None:
-            source = RouteEntry(
-                subscription=subscription,
-                source_kind=SourceKind.LOCAL,
-                source_id=subscription.subscriber or "anonymous",
-                origin=self.id,
-            )
-        else:
-            source = RouteEntry(
-                subscription=subscription,
-                source_kind=SourceKind.NEIGHBOR,
-                source_id=message.sender,
-                origin=message.origin,
-            )
+        local = message.sender is None
+        source = RouteEntry(
+            subscription=subscription,
+            source_kind=SourceKind.LOCAL if local else SourceKind.NEIGHBOR,
+            source_id=(
+                subscription.subscriber or "anonymous" if local else message.sender
+            ),
+            origin=self.id if local else message.origin,
+        )
         self.routing.add(source)
-        if source.source_kind is SourceKind.LOCAL and self.strategy.merges:
+        if local and self.strategy.merges:
             self._local_group_add(source)
 
+        first = len(self.decisions)
         outgoing: List[Message] = []
-        decisions: List[SubscriptionDecision] = []
-        for neighbor in self.neighbors:
+        for neighbor, link in self.links.items():
             if neighbor == message.sender:
                 continue
-            decision = self._coverage_decision(subscription, neighbor, message)
-            decisions.append(decision)
-            self.decisions.append(decision)
-            if decision.merged is not None:
-                outgoing.extend(
-                    self._apply_merge_advertisement(decision, message)
-                )
-                continue
-            if not decision.forwarded:
-                self.suppressed.setdefault(neighbor, {})[subscription.id] = set(
-                    decision.covered_by
-                )
-                continue
-            self.sent.setdefault(neighbor, {})[subscription.id] = subscription
-            outgoing.append(
-                SubscriptionMessage(
-                    sender=self.id,
-                    recipient=neighbor,
-                    hops=message.hops + 1,
-                    subscription=subscription,
-                    origin=message.origin or self.id,
-                    injected_at=message.injected_at,
-                    sent_at=message.delivered_at,
-                    trace_id=message.trace_id,
-                )
-            )
-        return outgoing, decisions
-
-    def _apply_merge_advertisement(
-        self, decision: SubscriptionDecision, message: Message
-    ) -> List[Message]:
-        """Replace per-link advertisements with the decision's merged box.
-
-        The merged advertisement is sent *before* the retractions of the
-        advertisements it absorbs (links are FIFO), so the upstream broker
-        never re-advertises the suppressed subscriptions in between.
-        Suppressions that were justified by a replaced advertisement are
-        rewritten to depend on the merged box — it covers everything the
-        replaced advertisement covered.
-        """
-        neighbor = decision.neighbor
-        merged = decision.merged
-        sent_here = self.sent.setdefault(neighbor, {})
-        members_here = self.merge_members.setdefault(neighbor, {})
-        member_set: Set[str] = {decision.subscription_id}
-        outgoing: List[Message] = [
-            SubscriptionMessage(
-                sender=self.id,
-                recipient=neighbor,
-                hops=message.hops + 1,
-                subscription=merged,
-                origin=self.id,
-                injected_at=message.injected_at,
-                sent_at=message.delivered_at,
-                trace_id=message.trace_id,
-            )
-        ]
-        for replaced_id in decision.replaced:
-            sent_here.pop(replaced_id, None)
-            member_set |= members_here.pop(replaced_id, {replaced_id})
-            outgoing.append(
-                UnsubscriptionMessage(
-                    sender=self.id,
-                    recipient=neighbor,
-                    hops=message.hops + 1,
-                    subscription_id=replaced_id,
-                    origin=self.id,
-                    injected_at=message.injected_at,
-                    sent_at=message.delivered_at,
-                    trace_id=message.trace_id,
-                )
-            )
-        sent_here[merged.id] = merged
-        members_here[merged.id] = member_set
-        replaced_ids = set(decision.replaced)
-        for covers in self.suppressed.get(neighbor, {}).values():
-            if covers & replaced_ids:
-                covers -= replaced_ids
-                covers.add(merged.id)
-        return outgoing
+            decision = self._on_link(link.add, subscription)
+            outgoing.extend(self._announce(decision, neighbor, message))
+        return outgoing, self.decisions[first:]
 
     def handle_unsubscription(
         self, message: UnsubscriptionMessage
     ) -> Tuple[List[Message], List[SubscriptionDecision]]:
         """Process an unsubscription, returning outgoing messages + decisions.
 
-        Beyond cancelling the route on every link it was forwarded to, the
-        departure of a subscription can *uncover* subscriptions whose
-        forwarding it previously suppressed: those are re-checked against
-        the link's remaining forwarded set and re-advertised when no longer
-        covered, so downstream brokers regain the reverse path.  (Without
-        this, a covered subscription's route is silently lost forever the
-        moment its coverer unsubscribes.)  The re-check decisions are
-        returned so the network accounts for them like any other covering
-        decision.
+        Beyond retracting the subscription on every link it was advertised
+        on, its departure can *uncover* subscriptions withheld on its
+        account: each link store re-decides them against what it still
+        advertises, and the ones no longer covered are re-advertised, so
+        downstream brokers regain the reverse path.  (Without this, a
+        covered subscription's route is silently lost forever the moment
+        its coverer unsubscribes.)  The re-decisions are returned so the
+        network accounts for them like any other covering decision.
         """
         uid = message.subscription_id
         entry = self.routing.remove(uid)
@@ -439,129 +333,25 @@ class Broker:
             return [], []
         if entry.source_kind is SourceKind.LOCAL and self.strategy.merges:
             self._local_group_remove(uid)
+        first = len(self.decisions)
         outgoing: List[Message] = []
-        decisions: List[SubscriptionDecision] = []
-        for neighbor in self.neighbors:
+        for neighbor, link in self.links.items():
             if neighbor == message.sender:
+                # On a cyclic overlay the retraction can come from a link
+                # the subscription was decided on.  What is advertised
+                # there stays; an entry withheld there is dropped, since it
+                # must never be re-decided once its route has gone.
+                if uid in link.cover_links:
+                    link.remove(uid)
                 continue
-            # The departing subscription no longer needs re-advertising.
-            self.suppressed.get(neighbor, {}).pop(uid, None)
-            forwarded_here = self.sent.get(neighbor, {}).pop(uid, None)
-            if forwarded_here is None:
-                # The neighbour never learnt the subscription directly —
-                # but it may ride inside a merged advertisement, whose
-                # membership must shrink (and, once empty, be retracted).
-                more_out, more_decisions = self._shrink_merged_membership(
-                    neighbor, uid, message
-                )
-                outgoing.extend(more_out)
-                decisions.extend(more_decisions)
-                continue
-            outgoing.append(
-                UnsubscriptionMessage(
-                    sender=self.id,
-                    recipient=neighbor,
-                    hops=message.hops + 1,
-                    subscription_id=uid,
-                    origin=message.origin,
-                    injected_at=message.injected_at,
-                    sent_at=message.delivered_at,
-                    trace_id=message.trace_id,
-                )
-            )
-            more_out, more_decisions = self._readvertise_dependents(
-                neighbor, uid, message
-            )
-            outgoing.extend(more_out)
-            decisions.extend(more_decisions)
-        return outgoing, decisions
-
-    def _readvertise_dependents(
-        self, neighbor: str, departed_id: str, message: Message
-    ) -> Tuple[List[Message], List[SubscriptionDecision]]:
-        """Re-check subscriptions whose suppression relied on ``departed_id``.
-
-        Each dependent is run through a fresh reduction decision against
-        the link's remaining advertisements and re-advertised (directly or
-        inside a new merged box) when no longer covered, so downstream
-        brokers regain the reverse path.
-        """
-        suppressed_here = self.suppressed.get(neighbor, {})
-        dependents = [
-            sid for sid, covers in suppressed_here.items() if departed_id in covers
-        ]
-        outgoing: List[Message] = []
-        decisions: List[SubscriptionDecision] = []
-        for sid in dependents:
-            del suppressed_here[sid]
-            dependent = self.routing.get(sid)
-            if dependent is None:
-                continue
-            decision = self._coverage_decision(
-                dependent.subscription, neighbor, message
-            )
-            decisions.append(decision)
-            self.decisions.append(decision)
-            if decision.merged is not None:
-                outgoing.extend(
-                    self._apply_merge_advertisement(decision, message)
-                )
-                continue
-            if not decision.forwarded:
-                suppressed_here[sid] = set(decision.covered_by)
-                continue
-            self.sent.setdefault(neighbor, {})[sid] = dependent.subscription
-            outgoing.append(
-                SubscriptionMessage(
-                    sender=self.id,
-                    recipient=neighbor,
-                    hops=message.hops + 1,
-                    subscription=dependent.subscription,
-                    origin=dependent.origin or self.id,
-                    injected_at=message.injected_at,
-                    sent_at=message.delivered_at,
-                    trace_id=message.trace_id,
-                )
-            )
-        return outgoing, decisions
-
-    def _shrink_merged_membership(
-        self, neighbor: str, uid: str, message: Message
-    ) -> Tuple[List[Message], List[SubscriptionDecision]]:
-        """Drop ``uid`` from the merged advertisement representing it.
-
-        While other members remain, the (over-approximating) merged box
-        stays advertised — retracting or re-tightening it would cost a
-        message per departure, and coverage of the remaining members still
-        holds.  When the last member leaves, the merged advertisement is
-        retracted and suppressions that depended on it are re-checked.
-        """
-        members_here = self.merge_members.get(neighbor, {})
-        for merged_id, member_set in members_here.items():
-            if uid not in member_set:
-                continue
-            member_set.discard(uid)
-            if member_set:
-                return [], []
-            del members_here[merged_id]
-            self.sent.get(neighbor, {}).pop(merged_id, None)
-            outgoing: List[Message] = [
-                UnsubscriptionMessage(
-                    sender=self.id,
-                    recipient=neighbor,
-                    hops=message.hops + 1,
-                    subscription_id=merged_id,
-                    origin=message.origin,
-                    injected_at=message.injected_at,
-                    sent_at=message.delivered_at,
-                    trace_id=message.trace_id,
-                )
-            ]
-            more_out, decisions = self._readvertise_dependents(
-                neighbor, merged_id, message
-            )
-            return outgoing + more_out, decisions
-        return [], []
+            outcome = self._on_link(link.remove_detailed, uid)
+            if outcome.was_active:
+                outgoing.append(self._hop(message, neighbor, uid, message.origin))
+            for box in outcome.retracted:
+                outgoing.append(self._hop(message, neighbor, box.id, message.origin))
+            for decision in outcome.reinsertions:
+                outgoing.extend(self._announce(decision, neighbor, message))
+        return outgoing, self.decisions[first:]
 
     def handle_publication(self, message: PublicationMessage) -> List[Message]:
         """Process one publication: :meth:`handle_publication_batch` of one."""
@@ -572,19 +362,15 @@ class Broker:
     ) -> List[List[Message]]:
         """Process publications delivered at one instant, in order.
 
-        The one publication handler.  Forwarding follows the reverse path
-        of every matching subscription: a publication is sent to each
-        neighbour from which at least one matching subscription was
-        received (at most once per neighbour, in routing-table order) and
-        delivered to each matching local subscriber.  The batch travels
-        the stack as a unit — one bounded-window dedup sweep, one
-        :meth:`~repro.broker.routing.RoutingTable.matching_entries_batch`
-        lookup for the fresh publications (``values`` optionally carries
-        the batch's points pre-stacked as a ``(B, m)`` array), then one
-        pass that delivers, picks the targets and builds the forwarded
-        copies — and returns one outgoing-message list per input message
-        (empty for deduplicated members) so the caller can restore any
-        global scheduling order.
+        The one publication handler.  A publication is sent to each
+        neighbour from which a matching subscription was received (once
+        per neighbour, in routing-table order) and delivered to each
+        matching local subscriber.  The batch travels as a unit: one dedup
+        sweep, one routing-table lookup for the fresh publications
+        (``values`` optionally carries their points as a ``(B, m)``
+        array), one delivering and forwarding pass.  Returns one
+        outgoing-message list per input message (empty for duplicates), so
+        the caller can restore any global scheduling order.
         """
         obs = self._obs
         spans = obs.spans if obs is not None else None
@@ -669,26 +455,24 @@ class Broker:
                     # when its own subscription does not match (client-side
                     # filtering) — those extra notifications are the
                     # merge's false positives.
-                    delivered_any = self._deliver_merged_local(
-                        message.publication, message
-                    )
+                    delivered_any = self._deliver_merged_local(message)
                 if sender is not None and not delivered_any and not targets:
                     # A neighbour routed the publication here although
                     # nothing matches: dead-end traffic attracted by an
                     # over-approximating (merged) advertisement.
                     self.dead_letter_publications += 1
                 if spans is not None and message.trace_id:
-                    if targets:
-                        status = "forwarded"
-                    else:
-                        status = "delivered" if delivered_any else "dead-end"
                     spans.record(
                         message.trace_id,
                         "publication",
                         "match",
                         message.delivered_at,
                         broker=self.id,
-                        status=status,
+                        status=(
+                            "forwarded" if targets
+                            else "delivered" if delivered_any
+                            else "dead-end"
+                        ),
                         local=int(delivered_any),
                         forwards=len(targets),
                     )
@@ -740,10 +524,9 @@ class Broker:
                 hops=message.hops,
             )
 
-    def _deliver_merged_local(
-        self, publication, message: PublicationMessage
-    ) -> bool:
+    def _deliver_merged_local(self, message: PublicationMessage) -> bool:
         """Deliver through the merged local filters; returns whether any fired."""
+        publication = message.publication
         delivered = False
         for group in self._local_groups:
             if not group.filter.matches(publication):

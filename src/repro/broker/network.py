@@ -228,10 +228,11 @@ class BrokerNetwork:
         if subscription.subscriber is None:
             subscription = subscription.replace(subscriber=client_id)
         if subscription.id not in self._all_subscriptions:
+            # the oracle rejects a foreign schema before anything is recorded
+            self._oracle.add(subscription)
             self._all_subscriptions[subscription.id] = (
                 subscription, client_id, broker_id
             )
-            self._oracle.add(subscription)
         message = SubscriptionMessage(
             sender=None,
             recipient=broker_id,

@@ -12,20 +12,18 @@ This module keeps the bounds resident instead:
 
 * :class:`SubscriptionArena` — an incrementally maintained pair of
   ``(capacity, m)`` float64 arrays (lows/highs) with an id→row map and a
-  free-list, owned by :class:`~repro.core.store.SubscriptionStore` (and
-  exposed through :class:`~repro.matching.engine.MatchingEngine`).
+  free-list, owned by :class:`~repro.core.store.SubscriptionStore` (the
+  matching engine's, and each broker link's).
   Adding or removing a subscription touches one row; a candidate set
   becomes a row-index gather instead of an object loop.
 * :class:`CandidateSet` — an immutable snapshot of one candidate set:
   a ``Sequence[Subscription]`` (so every existing strategy/checker API
   keeps working) that also carries the stacked bounds.  Arena-backed
   snapshots gather their rows in a single vectorised fancy-index; plain
-  snapshots (e.g. a broker link's advertisement set) stack lazily, once,
-  instead of on every decision.  A snapshot never changes: an add or
-  remove makes a new one (:meth:`CandidateSet.extended` for an append),
-  and its owner reuses the old one only while the set is unchanged — a
-  store until its next active-pool mutation, a broker link while its
-  advertisement ``ids`` still match.
+  snapshots stack lazily, once, instead of on every decision.  A snapshot
+  never changes: an add or remove makes a new one
+  (:meth:`CandidateSet.extended` for an append), and its store reuses the
+  old one only until its next active-pool mutation.
 
 The signed layout.  Besides the row-major ``(k, m)`` pair, a snapshot
 carries — built on first use, handed on by :meth:`CandidateSet.extended`
@@ -297,20 +295,6 @@ class CandidateSet(Sequence):
                 "subscriptions belong to different schemas "
                 f"({subscription.schema.name!r} vs {self.schema.name!r})"
             )
-
-    def covered_rows_mask(self, subscription: Subscription) -> np.ndarray:
-        """Boolean mask of candidates pair-wise covered *by* ``subscription``.
-
-        One broadcast containment test — the vectorised form of
-        ``subscription.covers(candidate)`` per row (including its schema
-        validation); shared by the store's demotion pass and anything
-        else that asks "whom does the newcomer dominate?".
-        """
-        self._check_same_schema(subscription)
-        return np.all(
-            (subscription.lows <= self.lows) & (self.highs <= subscription.highs),
-            axis=1,
-        )
 
     def covering_rows_mask(self, subscription: Subscription) -> np.ndarray:
         """Boolean mask of candidates that pair-wise cover ``subscription``.

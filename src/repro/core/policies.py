@@ -1,11 +1,10 @@
 """The pluggable subscription-reduction strategy layer.
 
 Every place the system decides "does this subscription still have to be
-propagated, given what the receiver already knows?" — the
-:class:`~repro.core.store.SubscriptionStore`, each broker's per-link
-covering decision and the matching engine's covered-membership
-bookkeeping — used to branch on the covering policy locally.  This module
-lifts that decision behind one seam:
+propagated, given what the receiver already knows?" is a
+:class:`~repro.core.store.SubscriptionStore` — the matching engine's, and
+one per broker link.  The store keeps the covering state and applies
+verdicts; this module makes the verdict, behind one seam:
 
 * :class:`ReductionDecision` — the *shape* of a reduction verdict:
   forwarded, suppressed-by (with the covering dependency set), or
@@ -16,7 +15,7 @@ lifts that decision behind one seam:
   ``decide(subscription, candidates) -> ReductionDecision``;
 * a registry (:func:`register_strategy`, :func:`make_strategy`,
   :data:`STRATEGY_NAMES`) so a new reduction policy is a one-file
-  addition instead of an edit to store, broker and engine.
+  addition.
 
 Five strategies ship with the repository:
 
@@ -160,8 +159,7 @@ def _candidate_sequence(
 
     An iterator is drained into a tuple; anything with a length — a list,
     a tuple, a :class:`~repro.core.arena.CandidateSet` — is returned as it
-    is.  Nothing is snapshotted here: the store's mixed-schema flooding
-    mode hands ``none`` a plain tuple that no snapshot could hold.
+    is.  Nothing is snapshotted here.
     """
     return candidates if hasattr(candidates, "__len__") else tuple(candidates)
 
@@ -169,22 +167,17 @@ def _candidate_sequence(
 class ReductionStrategy:
     """Base class/protocol of a pluggable reduction strategy.
 
-    Subclasses implement :meth:`decide` and set three class attributes:
+    Subclasses implement :meth:`decide` and set two class attributes:
 
     ``name``
         The :class:`ReductionPolicyName` the strategy implements.
-    ``demotes_on_forward``
-        Whether a forwarded newcomer demotes existing candidates it
-        pair-wise covers (the covering strategies keep their candidate
-        sets minimal this way; flooding and pure merging do not).
     ``merges``
-        Whether the strategy may emit replaced-by-merged decisions (used
-        by stores/brokers to decide whether merge bookkeeping — member
-        tracking, false-positive accounting — is needed at all).
+        Whether the strategy may emit replaced-by-merged decisions (read
+        by brokers, which then deliver locally through merged groups, and
+        by the store's ``propagated_count``).
     """
 
     name: ReductionPolicyName
-    demotes_on_forward: bool = False
     merges: bool = False
 
     def decide(
@@ -194,8 +187,8 @@ class ReductionStrategy:
     ) -> ReductionDecision:
         """Decide the fate of ``subscription`` against ``candidates``.
 
-        The one decision entry point: stores, brokers and engines call it
-        once per decision, with nothing in front of it.  ``candidates``
+        The one decision entry point: a store calls it once per decision,
+        with nothing in front of it.  ``candidates``
         may be any iterable (see :func:`_candidate_sequence`).
         """
         raise NotImplementedError
@@ -225,7 +218,6 @@ class PairwiseStrategy(ReductionStrategy):
     """Classical single-subscription covering."""
 
     name = ReductionPolicyName.PAIRWISE
-    demotes_on_forward = True
 
     def decide(
         self,
@@ -260,7 +252,6 @@ class GroupStrategy(ReductionStrategy):
     """
 
     name = ReductionPolicyName.GROUP
-    demotes_on_forward = True
 
     def __init__(self, checker: Optional[SubsumptionChecker] = None):
         self.checker = checker or SubsumptionChecker()
@@ -379,7 +370,6 @@ class HybridStrategy(MergingStrategy):
     """
 
     name = ReductionPolicyName.HYBRID
-    demotes_on_forward = True
     merges = True
 
     def __init__(

@@ -1,33 +1,46 @@
-"""Subscription-set maintenance under a covering policy.
+"""The covering-state machine: one subscription set under a reduction strategy.
 
-A broker (or a standalone matching server) keeps two subscription pools:
+Every place the system decides "does this subscription still have to be
+propagated, given what the receiver already knows?" keeps its state in a
+:class:`SubscriptionStore`: a matching engine holds one over its
+subscriptions, and a broker holds one per neighbour (the link's
+advertisements).  The store answers three questions:
 
-* the **active** set — subscriptions that are *not* covered by the rest and
-  therefore must be forwarded to neighbours and matched first;
-* the **covered** set — subscriptions declared redundant for forwarding but
-  still needed locally for notification delivery (Algorithm 5 falls back to
-  them only when an active subscription matched).
+* **What is advertised?**  The *active* pool — subscriptions forwarded as
+  they are, and merged bounding boxes.  It is the candidate set of every
+  decision, kept as contiguous bounds in a
+  :class:`~repro.core.arena.SubscriptionArena`.
+* **What is withheld, and on whose account?**  A suppressed subscription
+  is *withheld* on account of the advertisements named in
+  :attr:`~SubscriptionStore.cover_links` (the single coverer under
+  ``pairwise``, the MCS minimized cover set under ``group``).
+* **What does a merged box stand for?**  Its *members*
+  (:attr:`~SubscriptionStore.members`): the subscriptions it replaced.
 
-:class:`SubscriptionStore` maintains the two pools incrementally under a
-pluggable :class:`~repro.core.policies.ReductionStrategy` (``none``,
-``pairwise``, ``group``, ``merging``, ``hybrid``, or any strategy
-registered with :func:`~repro.core.policies.register_strategy`).  All
-policy branching lives in :mod:`repro.core.policies`; the store only
-*applies* decisions: forwarded subscriptions join the active pool,
-suppressed ones the covered pool, and replaced-by-merged decisions swap
-the absorbed active subscriptions for the merged bounding box (the
-absorbed originals stay in the covered pool so notification delivery
-remains exact).
+Withheld entries and members together form the *covered* pool — stored,
+matched behind the Algorithm 5 gate, but not advertised.  The rules:
 
-The store also records which subscription(s) covered each demoted entry,
-which the matching engine's multi-level optimisation and the unsubscription
-path (promote covered subscriptions when their coverer leaves) rely on.
+* A decision comes from the pluggable
+  :class:`~repro.core.policies.ReductionStrategy` against the active pool;
+  a forwarded subscription is advertised, a suppressed one withheld, and
+  a merge advertises the box in place of the replaced advertisements.  A
+  replaced original becomes a member; a replaced box is dropped and its
+  members move to the new box.  Withheld entries that named a replaced
+  advertisement are re-pointed at the new box.
+* A newcomer never demotes what is already advertised: a broker link
+  could not un-advertise it without extra retractions.
+* When an advertised subscription leaves, the entries withheld on it are
+  re-decided, in the order they were withheld.  When a member leaves its
+  box shrinks; with its last member the box is retracted and the entries
+  withheld on it are re-decided.  A withheld entry leaves quietly.
+* A store holds one schema; a subscription of another is rejected before
+  any state changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.arena import CandidateSet, SubscriptionArena
 from repro.core.policies import (
@@ -37,9 +50,9 @@ from repro.core.policies import (
     ReductionStrategy,
     make_strategy,
 )
-from repro.core.results import SubsumptionResult
 from repro.core.subsumption import SubsumptionChecker
 from repro.model.errors import ValidationError
+from repro.model.schema import Schema
 from repro.model.subscriptions import Subscription
 
 __all__ = [
@@ -53,46 +66,9 @@ __all__ = [
 #: reduction-strategy layer owns the definition now
 CoveringPolicyName = ReductionPolicyName
 
-
-@dataclass
-class StoreDecision:
-    """What happened when a subscription was added to the store.
-
-    Attributes
-    ----------
-    subscription:
-        The subscription that was added.
-    forwarded:
-        Whether the subscription joined the active set (and should be
-        propagated to neighbours).
-    covered_by:
-        Identifiers of the subscriptions that cover it (for pair-wise: the
-        single coverer; for group: the MCS minimized cover set; for a
-        merge: the merged box's identifier).
-    demoted:
-        Active subscriptions demoted to covered because the newcomer covers
-        them pair-wise.
-    result:
-        The full group-subsumption result when the probabilistic checker
-        ran.
-    merged:
-        The synthetic bounding-box subscription that joined the active set
-        in the newcomer's place (merging strategies only).
-    replaced:
-        Active subscriptions absorbed by the merge (they moved to the
-        covered pool, covered by ``merged``).
-    false_volume:
-        Measure of the over-approximated region the merge introduced.
-    """
-
-    subscription: Subscription
-    forwarded: bool
-    covered_by: Tuple[str, ...] = ()
-    demoted: Tuple[Subscription, ...] = ()
-    result: Optional[SubsumptionResult] = None
-    merged: Optional[Subscription] = None
-    replaced: Tuple[Subscription, ...] = ()
-    false_volume: float = 0.0
+#: what :meth:`SubscriptionStore.add` reports: the strategy's verdict, which
+#: the store applied as it is (``replaced`` holds advertisement ids)
+StoreDecision = ReductionDecision
 
 
 @dataclass
@@ -105,39 +81,38 @@ class RemovalOutcome:
         The removed subscription, or ``None`` when the identifier was
         unknown.
     was_active:
-        Whether it was removed from the active set (``False``: it was a
-        covered subscription, or unknown).
+        Whether it was advertised (``False``: it was withheld, a member
+        of a merged box, or unknown).
     reinsertions:
-        When an active subscription leaves, the covered subscriptions that
-        referenced it are re-run through :meth:`SubscriptionStore.add`;
-        this records each re-insertion's :class:`StoreDecision` in order,
-        which is what lets the matching engine update its matchers
-        incrementally instead of rebuilding them.
-    promoted:
-        The re-inserted subscriptions that returned to the active set.
+        The re-decisions of the entries that were withheld on the departed
+        advertisement (or on the retracted box), in order — what lets the
+        owner mirror the removal incrementally.
     retracted:
-        Synthetic merged bounding boxes dropped because the departing
-        subscription was their last remaining member (merging strategies
-        only) — mirrored out of the matcher indexes by the engine.
+        The merged box retracted because its last member left.
     """
 
     subscription: Optional[Subscription]
     was_active: bool = False
     reinsertions: Tuple[StoreDecision, ...] = ()
-    promoted: Tuple[Subscription, ...] = ()
     retracted: Tuple[Subscription, ...] = ()
+
+    @property
+    def promoted(self) -> Tuple[Subscription, ...]:
+        """The re-decided subscriptions that are advertised now."""
+        return tuple(d.subscription for d in self.reinsertions if d.forwarded)
 
 
 class SubscriptionStore:
-    """Active/covered subscription pools under a reduction strategy.
+    """Advertised, withheld and merged-member state under one strategy.
 
     Parameters
     ----------
     policy:
-        Reduction-strategy name (or an already constructed
-        :class:`~repro.core.policies.ReductionStrategy` instance).
+        Reduction-strategy name, or an already constructed
+        :class:`~repro.core.policies.ReductionStrategy` instance (which
+        several stores may share — a broker's links do).
     checker:
-        Group-subsumption checker used by the probabilistic strategies.
+        Group-subsumption checker for a strategy built here by name.
     merge_budget:
         False-volume budget of the merging strategies (ignored by the
         covering-only ones).
@@ -149,34 +124,30 @@ class SubscriptionStore:
         checker: Optional[SubsumptionChecker] = None,
         merge_budget: float = DEFAULT_MERGE_BUDGET,
     ):
-        self._checker = checker or SubsumptionChecker()
         self.strategy: ReductionStrategy = make_strategy(
-            policy, checker=self._checker, merge_budget=merge_budget
+            policy, checker=checker, merge_budget=merge_budget
         )
         self.policy = self.strategy.name
-        self._active: List[Subscription] = []
-        self._covered: List[Subscription] = []
-        #: contiguous bounds of the *active* pool — the candidate set of
-        #: every reduction decision — maintained incrementally
-        self.arena = SubscriptionArena()
-        #: whether the arena mirrors the active pool (it opts out when a
-        #: store mixes attribute counts, which only flooding allows)
-        self._arena_ok = True
-        #: snapshot of the active candidate set (a plain tuple in the
-        #: mixed-schema degraded mode), shared by the decisions between two
-        #: active-pool mutations; extended on an append, dropped otherwise
-        self._selection: Optional[Sequence[Subscription]] = None
-        #: identifiers of the synthetic merged bounding boxes currently
-        #: stored (merging strategies only) — retracted once orphaned
-        self._merged_ids: set = set()
-        #: covered-subscription id -> ids of the subscriptions covering it
+        #: the schema of the first subscription added, fixed from then on
+        self.schema: Optional[Schema] = None
+        #: advertised subscriptions and merged boxes, in advertisement order
+        self._active: Dict[str, Subscription] = {}
+        #: stored subscriptions that are not advertised (withheld or members)
+        self._covered: Dict[str, Subscription] = {}
+        #: withheld id -> ids of the advertisements it is withheld on
         self.cover_links: Dict[str, Tuple[str, ...]] = {}
+        #: merged box id -> ids of the subscriptions the box stands for
+        self.members: Dict[str, Set[str]] = {}
+        #: contiguous bounds of the active pool, maintained incrementally
+        self.arena = SubscriptionArena()
+        #: snapshot of the active pool shared by the decisions between two
+        #: active-pool mutations; extended on an append, dropped otherwise
+        self._selection: Optional[CandidateSet] = None
         #: cumulative statistics for the experiments
         self.stats: Dict[str, float] = {
             "added": 0,
             "forwarded": 0,
             "suppressed": 0,
-            "demoted": 0,
             "rspc_iterations": 0,
             "removed": 0,
             "promoted": 0,
@@ -184,31 +155,18 @@ class SubscriptionStore:
             "false_volume": 0.0,
         }
 
-    @property
-    def checker(self) -> SubsumptionChecker:
-        """The group-subsumption checker backing the reduction strategy."""
-        return self._checker
-
-    @checker.setter
-    def checker(self, value: SubsumptionChecker) -> None:
-        # Keep the strategy in sync, so swapping the store's checker swaps
-        # the one actually consulted.
-        self._checker = value
-        if hasattr(self.strategy, "checker"):
-            self.strategy.checker = value
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     @property
     def active(self) -> Tuple[Subscription, ...]:
-        """Subscriptions currently active (to be forwarded/matched first)."""
-        return tuple(self._active)
+        """Advertised subscriptions and merged boxes, in order."""
+        return tuple(self._active.values())
 
     @property
     def covered(self) -> Tuple[Subscription, ...]:
-        """Subscriptions declared redundant for forwarding."""
-        return tuple(self._covered)
+        """Stored subscriptions that are not advertised, in order."""
+        return tuple(self._covered.values())
 
     @property
     def active_count(self) -> int:
@@ -217,7 +175,7 @@ class SubscriptionStore:
 
     @property
     def total_count(self) -> int:
-        """Total number of stored subscriptions."""
+        """Total number of stored subscriptions (merged boxes included)."""
         return len(self._active) + len(self._covered)
 
     @property
@@ -234,68 +192,47 @@ class SubscriptionStore:
             return self.active_count
         return int(self.stats["forwarded"])
 
-    def active_candidates(self) -> Sequence[Subscription]:
+    def active_candidates(self) -> CandidateSet:
         """Snapshot of the active pool as a contiguous candidate set.
 
         After a pure append the snapshot is the previous one extended by
-        a row (:meth:`_activate`); after any removal, demotion or merge it
-        is rebuilt lazily by a single vectorised arena row gather.
-        Between mutations every reduction decision — including the
-        re-insertions of :meth:`remove_detailed` that end suppressed —
-        shares the same snapshot, and with it the stacked bounds and the
-        signed matrix.
-
-        A store holding subscriptions that cannot share a snapshot
-        (mixed schemas — possible only under flooding, which never
-        inspects bounds) degrades to a plain tuple, exactly the shape
-        the strategies historically received.
+        a row (:meth:`_advertise`); after any removal or merge it is
+        rebuilt lazily by a single vectorised arena row gather.  Between
+        mutations every decision — re-decisions that end withheld
+        included — shares the same snapshot, and with it the stacked
+        bounds and the signed matrix.
         """
         if self._selection is None:
-            if self._arena_ok:
-                try:
-                    self._selection = self.arena.select(self._active)
-                except ValidationError:
-                    self._arena_ok = False
-            if not self._arena_ok:
-                self._selection = tuple(self._active)
+            self._selection = self.arena.select(self._active.values())
         return self._selection
 
-    # ------------------------------------------------------------------
-    # Arena bookkeeping
-    # ------------------------------------------------------------------
-    def _activate(self, subscription: Subscription) -> None:
-        """Record an active-pool insertion (an append) in the arena.
-
-        When the current snapshot is still valid — nothing was removed,
-        demoted or merged away since it was taken — the new one is that
-        snapshot plus one row; otherwise it is re-gathered on demand.
-        """
-        previous, self._selection = self._selection, None
-        if not self._arena_ok:
-            return
-        try:
-            self.arena.add(subscription)
-            if isinstance(previous, CandidateSet):
-                self._selection = previous.extended(subscription)
-        except ValidationError:
-            # Mixed schemas or attribute counts (possible only under
-            # flooding, which never inspects bounds) — fall back to plain
-            # snapshots.
-            self._arena_ok = False
-
-    def _deactivate(self, subscription_id: str) -> None:
-        """Record an active-pool removal in the arena."""
-        self._selection = None
-        if self._arena_ok:
-            self.arena.discard(subscription_id)
-
     def find(self, subscription_id: str) -> Optional[Subscription]:
-        """Look up a stored subscription by identifier."""
-        for bucket in (self._active, self._covered):
-            for subscription in bucket:
-                if subscription.id == subscription_id:
-                    return subscription
-        return None
+        """Look up a stored subscription (or merged box) by identifier."""
+        found = self._active.get(subscription_id)
+        return found if found is not None else self._covered.get(subscription_id)
+
+    def __len__(self) -> int:
+        return self.total_count
+
+    def __contains__(self, subscription_id: object) -> bool:
+        return subscription_id in self._active or subscription_id in self._covered
+
+    # ------------------------------------------------------------------
+    # The active pool
+    # ------------------------------------------------------------------
+    def _advertise(self, subscription: Subscription) -> None:
+        """Append to the active pool, extending a still-valid snapshot."""
+        self._active[subscription.id] = subscription
+        self.arena.add(subscription)
+        previous, self._selection = self._selection, None
+        if previous is not None:
+            self._selection = previous.extended(subscription)
+
+    def _retract(self, subscription_id: str) -> Subscription:
+        """Drop an advertisement from the active pool."""
+        self._selection = None
+        self.arena.remove(subscription_id)
+        return self._active.pop(subscription_id)
 
     # ------------------------------------------------------------------
     # Mutations
@@ -303,249 +240,106 @@ class SubscriptionStore:
     def add(self, subscription: Subscription) -> StoreDecision:
         """Insert a subscription and decide whether it must be forwarded.
 
-        The verdict comes from the store's reduction strategy; this method
-        only applies it to the pools and the cover links.
+        Raises :class:`~repro.model.errors.ValidationError` for a
+        subscription of another schema than the store's, before any
+        state changes.
         """
+        schema = subscription.schema
+        if self.schema is None:
+            self.schema = schema
+        elif schema is not self.schema and schema != self.schema:
+            raise ValidationError("subscription schema does not match the store's")
         self.stats["added"] += 1
+        return self._decide(subscription)
+
+    def _decide(self, subscription: Subscription) -> StoreDecision:
+        """Ask the strategy about ``subscription`` and apply its verdict."""
         decision = self.strategy.decide(subscription, self.active_candidates())
         self.stats["rspc_iterations"] += decision.rspc_iterations
-
         if decision.merged is not None:
-            return self._apply_merge(decision)
-
-        if decision.forwarded:
-            demoted = (
-                self._demote_covered_by(subscription)
-                if self.strategy.demotes_on_forward
-                else ()
-            )
-            self._active.append(subscription)
-            self._activate(subscription)
+            self._merge(decision)
+        elif decision.forwarded:
+            self._advertise(subscription)
             self.stats["forwarded"] += 1
-            return StoreDecision(
-                subscription,
-                forwarded=True,
-                demoted=demoted,
-                result=decision.result,
-            )
+        else:
+            self._covered[subscription.id] = subscription
+            self.cover_links[subscription.id] = decision.covered_by
+            self.stats["suppressed"] += 1
+        return decision
 
-        self._covered.append(subscription)
-        self.cover_links[subscription.id] = decision.covered_by
-        self.stats["suppressed"] += 1
-        return StoreDecision(
-            subscription,
-            forwarded=False,
-            covered_by=decision.covered_by,
-            result=decision.result,
-        )
-
-    def _apply_merge(self, decision: ReductionDecision) -> StoreDecision:
-        """Swap the absorbed active subscriptions for the merged box.
-
-        The absorbed originals (and the newcomer) move to the covered pool
-        — the merged box pair-wise covers each of them, so notification
-        delivery stays exact — while only the merged bounding box remains
-        active (and would be propagated by an owning broker).
-        """
-        subscription = decision.subscription
-        merged = decision.merged
-        replaced_ids = set(decision.replaced)
-        replaced: List[Subscription] = []
-        remaining: List[Subscription] = []
-        for existing in self._active:
-            if existing.id in replaced_ids:
-                replaced.append(existing)
-                self._covered.append(existing)
-                self.cover_links[existing.id] = (merged.id,)
-                self._deactivate(existing.id)
-            else:
-                remaining.append(existing)
-        self._active = remaining
-        self._covered.append(subscription)
-        self.cover_links[subscription.id] = (merged.id,)
-        self._active.append(merged)
-        self._activate(merged)
-        self._merged_ids.add(merged.id)
+    def _merge(self, decision: ReductionDecision) -> None:
+        """Advertise the merged box in place of the replaced advertisements."""
+        box = decision.merged
+        members = {decision.subscription.id}
+        for replaced_id in decision.replaced:
+            original = self._retract(replaced_id)
+            absorbed = self.members.pop(replaced_id, None)
+            if absorbed is None:  # an original becomes a member
+                self._covered[replaced_id] = original
+                members.add(replaced_id)
+            else:  # a box is dropped; its members move to the new one
+                members |= absorbed
+        self._covered[decision.subscription.id] = decision.subscription
+        self._advertise(box)
+        self.members[box.id] = members
+        replaced = set(decision.replaced)
+        for sid, links in self.cover_links.items():
+            if not replaced.isdisjoint(links):
+                self.cover_links[sid] = tuple(
+                    dict.fromkeys(box.id if id_ in replaced else id_ for id_ in links)
+                )
         self.stats["suppressed"] += 1
         self.stats["merges"] += 1
         self.stats["false_volume"] += decision.false_volume
-        return StoreDecision(
-            subscription,
-            forwarded=False,
-            covered_by=(merged.id,),
-            result=decision.result,
-            merged=merged,
-            replaced=tuple(replaced),
-            false_volume=decision.false_volume,
-        )
-
-    def _demote_covered_by(
-        self, newcomer: Subscription
-    ) -> Tuple[Subscription, ...]:
-        """Demote active subscriptions pair-wise covered by ``newcomer``.
-
-        One vectorised containment test over the active snapshot replaces
-        the per-subscription ``covers`` scan.
-        """
-        selection = self.active_candidates()
-        if not len(selection):
-            return ()
-        if isinstance(selection, CandidateSet):
-            covered_mask = selection.covered_rows_mask(newcomer)
-            if not covered_mask.any():
-                return ()
-        else:  # degraded (mixed-schema) mode: the historical scalar scan
-            covered_mask = [newcomer.covers(existing) for existing in self._active]
-            if not any(covered_mask):
-                return ()
-        demoted: List[Subscription] = []
-        remaining: List[Subscription] = []
-        for index, existing in enumerate(self._active):
-            if covered_mask[index]:
-                demoted.append(existing)
-                self._covered.append(existing)
-                self.cover_links[existing.id] = (newcomer.id,)
-                self._deactivate(existing.id)
-            else:
-                remaining.append(existing)
-        self._active = remaining
-        self.stats["demoted"] += len(demoted)
-        return tuple(demoted)
 
     def remove(self, subscription_id: str) -> Tuple[Subscription, ...]:
-        """Remove a subscription (unsubscription).
+        """Remove a subscription (unsubscription); returns the promoted ones.
 
-        When an *active* subscription leaves, covered subscriptions whose
-        cover links referenced it are re-inserted through :meth:`add` so
-        that those which are no longer covered get promoted (and would be
-        forwarded by the owning broker) — the promotion mechanism described
-        in Section 5.  Returns the promoted subscriptions.
+        The entries withheld on a departing advertisement are re-decided,
+        and those no longer covered are advertised — the promotion
+        mechanism described in Section 5.
         """
         return self.remove_detailed(subscription_id).promoted
 
     def remove_detailed(self, subscription_id: str) -> RemovalOutcome:
-        """Like :meth:`remove`, but reporting the full :class:`RemovalOutcome`.
-
-        The per-orphan re-insertion decisions let callers that mirror the
-        store (the matching engine's two matchers)
-        apply the removal incrementally instead of rebuilding from the
-        pools.
-        """
-        removed: Optional[Subscription] = None
-        for index, subscription in enumerate(self._active):
-            if subscription.id == subscription_id:
-                del self._active[index]
-                self._deactivate(subscription_id)
-                removed = subscription
-                break
+        """Like :meth:`remove`, but reporting the full :class:`RemovalOutcome`."""
+        if subscription_id in self._active:
+            removed = self._retract(subscription_id)
+            self.stats["removed"] += 1
+            return RemovalOutcome(
+                removed, was_active=True, reinsertions=self._redecide(subscription_id)
+            )
+        removed = self._covered.pop(subscription_id, None)
         if removed is None:
-            for index, subscription in enumerate(self._covered):
-                if subscription.id == subscription_id:
-                    del self._covered[index]
-                    links = self.cover_links.pop(subscription_id, ())
-                    if self.strategy.merges and links:
-                        self._reroute_dangling_links(subscription_id, links)
-                    self.stats["removed"] += 1
-                    return RemovalOutcome(
-                        subscription,
-                        was_active=False,
-                        retracted=self._retract_orphaned_merges(links),
-                    )
             return RemovalOutcome(None)
-
         self.stats["removed"] += 1
-        # Promote covered subscriptions that referenced the departed coverer.
-        orphans = [
-            subscription
-            for subscription in self._covered
-            if subscription_id in self.cover_links.get(subscription.id, ())
-        ]
-        reinsertions: List[StoreDecision] = []
-        promoted: List[Subscription] = []
-        for orphan in orphans:
-            self._covered.remove(orphan)
-            self.cover_links.pop(orphan.id, None)
-            decision = self.add(orphan)
-            self.stats["added"] -= 1  # re-insertion is not a new arrival
-            reinsertions.append(decision)
-            if decision.forwarded:
-                promoted.append(orphan)
-                self.stats["promoted"] += 1
+        if self.cover_links.pop(subscription_id, None) is not None:
+            return RemovalOutcome(removed)
+        box_id = next(
+            box_id
+            for box_id, members in self.members.items()
+            if subscription_id in members
+        )
+        members = self.members[box_id]
+        members.discard(subscription_id)
+        if members:
+            return RemovalOutcome(removed)
+        del self.members[box_id]
         return RemovalOutcome(
             removed,
-            was_active=True,
-            reinsertions=tuple(reinsertions),
-            promoted=tuple(promoted),
+            retracted=(self._retract(box_id),),
+            reinsertions=self._redecide(box_id),
         )
 
-    def _reroute_dangling_links(
-        self, departed_id: str, replacements: Sequence[str]
-    ) -> None:
-        """Substitute a departed coverer with its own coverers.
-
-        Under the merging strategies a covered subscription can cover
-        others (it may have been an active coverer before being absorbed
-        into a merged box).  When it unsubscribes, dependents that named
-        it are re-pointed at *its* coverers — transitively sound, since
-        each coverer contains the departed subscription — so the merged
-        box cannot be retracted while it still represents them.
-        """
-        for sid, links in self.cover_links.items():
-            if departed_id not in links:
-                continue
-            self.cover_links[sid] = tuple(
-                dict.fromkeys(
-                    replacement
-                    for link in links
-                    for replacement in (
-                        replacements if link == departed_id else (link,)
-                    )
-                )
-            )
-
-    def _retract_orphaned_merges(
-        self, coverer_ids: Sequence[str]
-    ) -> Tuple[Subscription, ...]:
-        """Drop synthetic merged boxes whose last member just departed.
-
-        A merged bounding box only exists to represent its members; once
-        no covered subscription links to it any more it is retracted (the
-        broker layer does the same per link).  A retracted box that was
-        itself absorbed into a bigger merge may orphan that one in turn,
-        so the check cascades.
-        """
-        if not self._merged_ids:
-            return ()
-        retracted: List[Subscription] = []
-        pending = [cid for cid in coverer_ids if cid in self._merged_ids]
-        while pending:
-            merged_id = pending.pop()
-            if merged_id not in self._merged_ids:
-                continue
-            if any(
-                merged_id in links for links in self.cover_links.values()
-            ):
-                continue  # still represents someone
-            for pool in (self._active, self._covered):
-                for index, subscription in enumerate(pool):
-                    if subscription.id == merged_id:
-                        del pool[index]
-                        if pool is self._active:
-                            self._deactivate(merged_id)
-                        self._merged_ids.discard(merged_id)
-                        retracted.append(subscription)
-                        links = self.cover_links.pop(merged_id, ())
-                        pending.extend(
-                            cid for cid in links if cid in self._merged_ids
-                        )
-                        break
-                else:
-                    continue
-                break
-        return tuple(retracted)
-
-    def __len__(self) -> int:
-        return self.total_count
-
-    def __contains__(self, subscription_id: object) -> bool:
-        return isinstance(subscription_id, str) and self.find(subscription_id) is not None
+    def _redecide(self, departed_id: str) -> Tuple[StoreDecision, ...]:
+        """Re-decide, in order, the entries withheld on ``departed_id``."""
+        dependents = [
+            sid for sid, links in self.cover_links.items() if departed_id in links
+        ]
+        decisions = []
+        for sid in dependents:
+            del self.cover_links[sid]
+            decision = self._decide(self._covered.pop(sid))
+            self.stats["promoted"] += decision.forwarded
+            decisions.append(decision)
+        return tuple(decisions)

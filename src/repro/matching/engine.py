@@ -7,12 +7,14 @@ matches does the engine look at the covered subscriptions.
 
 Both sets live in a :class:`~repro.matching.matcher.Matcher` and are
 tested flat, in one vectorised pass each.  The gate is what makes this
-sound: a publication that matches a covered subscription matches one of
-its coverers — a single one under pair-wise covering, one of the union
-under group covering — and every coverer is active or itself covered, so
-skipping the covered set when no active subscription matched never loses
-a notification.  An answer is charged ``active_tests = len(active)`` and,
-behind the gate, ``covered_tests = len(covered)``.
+sound: the store keeps every withheld subscription's coverers and every
+merged member's box active (:mod:`repro.core.store`), and a publication
+that matches a covered subscription matches one of them — a single one
+under pair-wise covering, one of the union under group covering, the box
+of a member — so skipping the covered set when no active subscription
+matched never loses a notification.  An answer is charged
+``active_tests = len(active)`` and, behind the gate,
+``covered_tests = len(covered)``.
 
 The multi-level cover index sketched at the end of Section 4.4 (walk
 only the covered subscriptions below the coverers that matched) is not
@@ -24,9 +26,10 @@ Unsubscription is incremental: the store reports what it did
 (:class:`~repro.core.store.RemovalOutcome`) and the engine moves only the
 affected subscriptions between its two matchers.
 
-The engine owns a :class:`~repro.core.store.SubscriptionStore`, so it also
-exposes the subscribe/unsubscribe workflow used by the examples and by the
-broker simulator's local-client handling.
+The engine owns a :class:`~repro.core.store.SubscriptionStore` — the
+covering-state machine a broker keeps per link — so it also exposes the
+subscribe/unsubscribe workflow used by the examples and by the scenario
+runner's engine backend.
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ class MatchingEngine:
         )
         self._active = Matcher()
         self._covered = Matcher()
-        #: identifiers of every stored subscription (O(1) duplicate guard)
+        #: identifiers of the registered subscriptions (merged boxes are
+        #: the store's, not a client's)
         self._ids: set = set()
         #: cumulative counters for the micro-benchmarks
         self.stats: Dict[str, int] = {
@@ -139,9 +143,11 @@ class MatchingEngine:
     def subscribe(self, subscription: Subscription) -> StoreDecision:
         """Register a subscription, returning the store's decision.
 
-        Raises :class:`ValueError` for an identifier the engine already
-        holds — *before* any state is touched, so the store and the
-        matchers can never diverge.
+        Raises :class:`ValueError` for an identifier the store already
+        holds (a merged box's included), and
+        :class:`~repro.model.errors.ValidationError` for a subscription of
+        another schema — *before* any state is touched, so the store and
+        the matchers can never diverge.
         """
         # The engine is used standalone (no owning network to hand it a
         # probe), so it looks the module-level probe up per call; with no
@@ -157,7 +163,9 @@ class MatchingEngine:
             obs.stage_pop()
 
     def _subscribe_impl(self, subscription: Subscription) -> StoreDecision:
-        if subscription.id in self._ids:
+        # The store holds merged boxes too; it rejects a foreign schema
+        # itself, before any state changes.
+        if subscription.id in self.store:
             raise ValueError(
                 f"subscription {subscription.id!r} is already registered"
             )
@@ -166,32 +174,23 @@ class MatchingEngine:
         self._apply_decision(decision)
         return decision
 
-    def _apply_decision(self, decision: StoreDecision, rejoining: bool = False) -> None:
-        """Mirror one store decision into the two matchers.
-
-        ``rejoining`` marks an unsubscription re-insertion: the
-        subscription currently sits in the covered matcher and must leave
-        it first (re-appending a re-covered one mirrors the store's
-        ordering).
-        """
+    def _apply_decision(self, decision: StoreDecision) -> None:
+        """Mirror one store decision into the two matchers."""
         subscription = decision.subscription
-        if rejoining:
-            self._covered.remove(subscription.id)
         if decision.merged is not None:
-            # The merged bounding box replaces the absorbed actives; the
-            # newcomer and the absorbed originals all become covered (the
-            # merged box pair-wise covers each of them, so the Algorithm 5
-            # gate stays sound).
+            # The box is advertised in place of the replaced advertisements:
+            # a replaced original joins the newcomer among the box's members
+            # (covered — the box covers each of them, so the Algorithm 5
+            # gate stays sound), a replaced box is dropped.
             self._active.add(decision.merged)
-            for replaced in decision.replaced:
-                self._active.remove(replaced.id)
-                self._covered.add(replaced)
+            for replaced_id in decision.replaced:
+                self._active.remove(replaced_id)
+                replaced = self.store.find(replaced_id)
+                if replaced is not None:
+                    self._covered.add(replaced)
             self._covered.add(subscription)
         elif decision.forwarded:
             self._active.add(subscription)
-            for demoted in decision.demoted:
-                self._active.remove(demoted.id)
-                self._covered.add(demoted)
         else:
             self._covered.add(subscription)
 
@@ -205,7 +204,8 @@ class MatchingEngine:
         """Remove a subscription; returns promoted covered subscriptions.
 
         The removal is incremental: the matchers drop or move only the
-        affected subscriptions.
+        affected subscriptions.  An identifier the engine never registered
+        (a merged box's included) returns ``()`` and touches nothing.
         """
         obs = obs_probes.ACTIVE
         if obs is None:
@@ -217,21 +217,22 @@ class MatchingEngine:
             obs.stage_pop()
 
     def _unsubscribe_impl(self, subscription_id: str) -> Tuple[Subscription, ...]:
-        outcome = self.store.remove_detailed(subscription_id)
-        if outcome.subscription is None:
+        # Merged-box ids live in the store but were never registered.
+        if subscription_id not in self._ids:
             return ()
         self._ids.discard(subscription_id)
+        outcome = self.store.remove_detailed(subscription_id)
         if outcome.was_active:
             self._active.remove(subscription_id)
         else:
             self._covered.remove(subscription_id)
-        for retracted in outcome.retracted:
-            # An orphaned merged box left the store; it may sit in either
-            # matcher depending on whether it was itself absorbed.
-            self._active.remove(retracted.id)
-            self._covered.remove(retracted.id)
+        for box in outcome.retracted:
+            self._active.remove(box.id)
         for decision in outcome.reinsertions:
-            self._apply_decision(decision, rejoining=True)
+            # a re-decided subscription leaves the covered matcher first;
+            # re-appending a re-covered one mirrors the store's order
+            self._covered.remove(decision.subscription.id)
+            self._apply_decision(decision)
         return outcome.promoted
 
     # ------------------------------------------------------------------

@@ -201,18 +201,20 @@ class TestBrokerSubscriptionHandling:
 
         monkeypatch.setattr(CandidateSet, "extended", spy)
         broker = Broker("B1", neighbors=("N",), policy="group")
-        broker.sent.setdefault("N", {})["wide"] = box(
-            schema, (0, 100), (0, 100), sid="wide"
-        )
-        first = broker._candidates_for("N")
-        assert broker._candidates_for("N") is first
+        link = broker.links["N"]
+        link.add(box(schema, (0, 50), (0, 100), sid="left"))
+        first = link.active_candidates()
+        # a covered newcomer leaves the advertisements, and the snapshot, as
+        # they are
+        link.add(box(schema, (0, 10), (0, 10), sid="narrow"))
+        assert link.active_candidates() is first
 
-        broker.sent["N"]["narrow"] = box(schema, (0, 10), (0, 10), sid="narrow")
-        second = broker._candidates_for("N")
-        assert extended == ["narrow"]
-        assert second.ids == ("wide", "narrow")
-        assert first.ids == ("wide",)
-        assert broker._candidates_for("N") is second
+        link.add(box(schema, (60, 100), (0, 100), sid="right"))
+        second = link.active_candidates()
+        assert extended == ["left", "right"]
+        assert second.ids == ("left", "right")
+        assert first.ids == ("left",)
+        assert link.active_candidates() is second
 
 
 class TestBrokerPublicationHandling:

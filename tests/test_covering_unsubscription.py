@@ -86,9 +86,9 @@ class TestIssueRepro:
         network.subscribe("sub-wide", box(schema, (0, 60), (0, 60), sid="s1"))
         network.subscribe("sub-narrow", box(schema, (10, 20), (10, 20), sid="s2"))
         broker = network.brokers["B1"]
-        assert any("s2" in per_link for per_link in broker.suppressed.values())
+        assert any("s2" in link.cover_links for link in broker.links.values())
         network.unsubscribe("sub-narrow", "s2")
-        assert not any("s2" in per_link for per_link in broker.suppressed.values())
+        assert not any("s2" in link for link in broker.links.values())
         # s1's departure now has nothing to re-advertise and loses no mail.
         network.unsubscribe("sub-wide", "s1")
         publication = Publication.from_values(schema, {"x1": 15, "x2": 15})
@@ -212,5 +212,5 @@ class TestUnsubscribeStorms:
         _churn(network, schema, np.random.default_rng(3))
         assert network.total_routing_entries() == 0
         for broker in network.brokers.values():
-            assert all(not entries for entries in broker.sent.values())
-            assert all(not entries for entries in broker.suppressed.values())
+            assert all(len(link) == 0 for link in broker.links.values())
+            assert all(not link.cover_links for link in broker.links.values())

@@ -101,32 +101,20 @@ def _bounds(subscription) -> Tuple[bytes, bytes]:
     return subscription.lows.tobytes(), subscription.highs.tobytes()
 
 
-def _log_link_decisions(broker, keys: List[Tuple]) -> None:
-    """Log ``(link, subscription id, bounds, link advertisement ids)`` of
-    every per-link decision ``broker`` takes into ``keys``."""
-    decide = broker._coverage_decision
+def _log_decisions(store, keys: List[Tuple], prefix=(), rows=None) -> None:
+    """Log ``(*prefix, subscription id, bounds, advertised ids)`` of every
+    decision ``store`` takes into ``keys``, and the decision into ``rows``."""
+    decide = store._decide
 
-    def recorded(subscription, neighbor, message=None):
-        advertised = tuple(broker.sent.get(neighbor, ()))
-        keys.append((neighbor, subscription.id, *_bounds(subscription), advertised))
-        return decide(subscription, neighbor, message)
-
-    broker._coverage_decision = recorded
-
-
-def _log_store_decisions(strategy, keys: List[Tuple], rows: List[Dict]) -> None:
-    """Log ``(subscription id, bounds, active ids)`` of every decision a
-    store's ``strategy`` takes into ``keys``, and the decision into ``rows``."""
-    decide = strategy.decide
-
-    def recorded(subscription, candidates):
-        ids = tuple(candidate.id for candidate in candidates)
-        keys.append((subscription.id, *_bounds(subscription), ids))
-        decision = decide(subscription, candidates)
-        rows.append(_decision_row(decision, subscription=subscription.id))
+    def recorded(subscription):
+        advertised = tuple(store._active)
+        keys.append((*prefix, subscription.id, *_bounds(subscription), advertised))
+        decision = decide(subscription)
+        if rows is not None:
+            rows.append(_decision_row(decision, subscription=subscription.id))
         return decision
 
-    strategy.decide = recorded
+    store._decide = recorded
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,7 +137,9 @@ def run(scenario: str, policy: str, backend: str) -> Dict:
             def network(*args, **kwargs):
                 built.append(network_class(*args, **kwargs))
                 for broker in built[-1].brokers.values():
-                    _log_link_decisions(broker, census.setdefault(broker.id, []))
+                    for neighbor, link in broker.links.items():
+                        keys = census.setdefault(broker.id, [])
+                        _log_decisions(link, keys, prefix=(neighbor,))
                 return built[-1]
 
             patch.setattr(runner_module, "BrokerNetwork", network)
@@ -158,8 +148,8 @@ def run(scenario: str, policy: str, backend: str) -> Dict:
 
             def engine(*args, **kwargs):
                 built.append(engine_class(*args, **kwargs))
-                _log_store_decisions(
-                    built[-1].store.strategy, census.setdefault("store", []), store_rows
+                _log_decisions(
+                    built[-1].store, census.setdefault("store", []), rows=store_rows
                 )
                 return built[-1]
 

@@ -7,6 +7,7 @@ from repro.core.store import CoveringPolicyName
 from repro.core.subsumption import SubsumptionChecker
 from repro.matching.engine import MatchingEngine
 from repro.model import Publication, Schema, Subscription
+from repro.model.errors import ValidationError
 from repro.workloads.generators import random_publication, random_subscription
 
 
@@ -43,6 +44,50 @@ class TestSubscribeWorkflow:
         promoted = engine.unsubscribe("big")
         assert [s.id for s in promoted] == ["small"]
         assert [s.id for s in engine.active_subscriptions] == ["small"]
+
+
+class TestRejectedRequestsTouchNothing:
+    def test_foreign_schema_rejected_before_any_state_changes(self, schema):
+        engine = MatchingEngine(policy="none")
+        engine.subscribe(box(schema, (0, 10), (0, 10), sid="a2"))
+        other = Schema.uniform_integer(3, 0, 100)
+        with pytest.raises(ValidationError):
+            engine.subscribe(
+                Subscription(other, [0, 0, 0], [5, 5, 5], subscription_id="a3")
+            )
+        assert len(engine) == 1
+        assert "a3" not in engine.store
+        assert engine.unsubscribe("a3") == ()
+
+    @pytest.fixture
+    def merged(self, schema):
+        engine = MatchingEngine(policy="merging", merge_budget=1.0)
+        engine.subscribe(box(schema, (0, 10), (0, 10), sid="a", subscriber="A"))
+        engine.subscribe(box(schema, (10, 20), (0, 10), sid="b", subscriber="B"))
+        assert [s.id for s in engine.active_subscriptions] == ["a|b"]
+        return engine
+
+    def _state(self, engine):
+        return (
+            engine.active_subscriptions,
+            engine.covered_subscriptions,
+            dict(engine.store.stats),
+            dict(engine.store.cover_links),
+        )
+
+    def test_unsubscribing_a_merged_box_id_touches_nothing(self, merged):
+        before = self._state(merged)
+        assert merged.unsubscribe("a|b") == ()
+        assert self._state(merged) == before
+
+    def test_subscribing_a_merged_box_id_is_rejected(self, merged, schema):
+        before = self._state(merged)
+        with pytest.raises(ValueError, match="already registered"):
+            merged.subscribe(box(schema, (50, 60), (50, 60), sid="a|b"))
+        assert self._state(merged) == before
+        merged.unsubscribe("a")
+        merged.unsubscribe("b")
+        assert len(merged) == 0
 
 
 class TestAlgorithm5:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.broker import BrokerNetwork, CoveringPolicy, line_topology
 from repro.model import Publication, Schema, Subscription
+from repro.model.errors import ValidationError
 from repro.workloads.generators import publication_inside
 
 
@@ -170,6 +171,19 @@ class TestUnsubscription:
         network.unsubscribe("sub", "gone")
         assert network.total_routing_entries() == 0
         assert network.metrics.unsubscription_messages > 0
+
+
+class TestForeignSchema:
+    def test_rejected_subscription_is_not_recorded(self, schema):
+        network = BrokerNetwork(line_topology(2), policy=CoveringPolicy.NONE)
+        network.attach_client("sub", "B1")
+        network.subscribe("sub", box(schema, (0, 10), (0, 10), sid="a2"))
+        other = Schema.uniform_integer(3, 0, 100)
+        foreign = Subscription(other, [0, 0, 0], [5, 5, 5], subscription_id="a3")
+        with pytest.raises(ValidationError):
+            network.subscribe("sub", foreign)
+        assert "a3" not in network._all_subscriptions
+        assert network.total_routing_entries() == 2
 
 
 class TestMetricsSummary:

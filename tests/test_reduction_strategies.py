@@ -247,8 +247,8 @@ class TestMinimizedCoverDependencies:
                 origin="B1",
             )
         )
-        deps = broker.suppressed["B2"]["s"]
-        assert deps == {"s1", "s2"}
+        deps = broker.links["B2"].cover_links["s"]
+        assert set(deps) == {"s1", "s2"}
         # The departure of the inessential candidate must not trigger a
         # re-check of ``s`` (pre-refactor it depended on every candidate).
         checks_before = len(broker.decisions)
@@ -259,7 +259,7 @@ class TestMinimizedCoverDependencies:
         )
         assert decisions == []
         assert len(broker.decisions) == checks_before
-        assert "s" in broker.suppressed["B2"]
+        assert "s" in broker.links["B2"].cover_links
 
     def test_essential_departure_still_readvertises(
         self, schema_2d, table3_subscription, table7_candidates
@@ -467,18 +467,22 @@ class TestEngineMerging:
     def test_suppressed_sub_survives_its_coverers_merge_and_departure(
         self, schema, policy
     ):
-        """Cover links must follow an absorbed coverer onto the merged box.
+        """Cover links follow an absorbed coverer onto the merged box.
 
-        ``X`` is suppressed by ``A``; ``A`` is later absorbed into ``A|B``.
-        When both merge members unsubscribe, the merged box must stay (it
-        still represents ``X``), and ``X`` must keep matching.
+        ``X`` is withheld on ``A``; ``A`` is later absorbed into ``A|B``,
+        and ``X``'s cover link is re-pointed at the box.  The box stands
+        for its members ``A`` and ``B`` only — ``X`` is withheld on it, not
+        a member — so when both members unsubscribe the box is retracted
+        and ``X`` is re-decided: advertised by itself, it keeps matching.
         """
         engine = MatchingEngine(policy=policy, merge_budget=1.0)
         engine.subscribe(box(schema, (0, 50), (0, 50), sid="A", subscriber="a"))
         engine.subscribe(box(schema, (10, 20), (10, 20), sid="X", subscriber="x"))
         engine.subscribe(box(schema, (60, 80), (60, 80), sid="B", subscriber="b"))
         engine.unsubscribe("A")
+        assert engine.store.cover_links["X"] == ("A|B",)
         engine.unsubscribe("B")
+        assert [s.id for s in engine.active_subscriptions] == ["X"]
         result = engine.match(point(schema, 15, 15))
         assert "x" in result.subscribers
         # Once X leaves too, the merged box finally goes.

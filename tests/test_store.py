@@ -48,14 +48,16 @@ class TestPairwisePolicy:
         assert decision.forwarded  # the baseline cannot see the union cover
         assert store.active_count == 3
 
-    def test_newcomer_demotes_existing(self, schema):
+    def test_newcomer_never_demotes(self, schema):
+        """A covering newcomer leaves what is advertised alone: a broker
+        link could not un-advertise it without extra retractions."""
         store = SubscriptionStore(policy=CoveringPolicyName.PAIRWISE)
         store.add(box(schema, (10, 20), (10, 20), sid="small"))
         decision = store.add(box(schema, (0, 50), (0, 50), sid="big"))
         assert decision.forwarded
-        assert [s.id for s in decision.demoted] == ["small"]
-        assert store.active_count == 1
-        assert store.cover_links["small"] == ("big",)
+        assert [s.id for s in store.active] == ["small", "big"]
+        assert store.cover_links == {}
+        assert "demoted" not in store.stats
 
     def test_active_and_covered_views_partition_the_store(self, schema):
         store = SubscriptionStore(policy=CoveringPolicyName.PAIRWISE)
@@ -72,7 +74,6 @@ class TestPairwisePolicy:
         for low in (0, 30, 60):
             decision = store.add(box(schema, (low, low + 20), (low, low + 20)))
             assert decision.forwarded
-            assert decision.demoted == ()
         assert store.active_count == 3
         assert store.covered == ()
         assert store.stats["suppressed"] == 0

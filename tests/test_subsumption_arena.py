@@ -268,8 +268,6 @@ class TestVectorisedStageDifferentials:
         with pytest.raises(ValidationError):
             PairwiseCoverageChecker.check(foreign, snapshot)
         with pytest.raises(ValidationError):
-            snapshot.covered_rows_mask(foreign)
-        with pytest.raises(ValidationError):
             snapshot.covering_rows_mask(foreign)
 
     def test_iterator_candidates_still_accepted(self):
@@ -428,21 +426,23 @@ class TestSubscriptionArena:
         assert table.k == 0
         assert table.candidate_lows.shape == (0, 3)
 
-    def test_store_degrades_gracefully_on_mixed_schemas_under_flooding(self):
+    def test_store_rejects_a_foreign_schema_before_touching_its_pools(self):
         first = Schema.uniform_integer(2, 0, 9)
         second = Schema.uniform_integer(3, 0, 9)
         third = Schema.uniform_integer(2, 0, 5)  # same m as first, new schema
         store = SubscriptionStore(policy="none")
         store.add(Subscription(first, [0, 0], [5, 5]))
-        store.add(Subscription(second, [0, 0, 0], [5, 5, 5]))
-        store.add(Subscription(third, [0, 0], [5, 5]))
-        assert store.active_count == 3  # flooding forwards everything
-        # Same-m mixed schemas (arena accepts rows, snapshot refuses):
-        mixed = SubscriptionStore(policy="none")
-        mixed.add(Subscription(first, [0, 0], [5, 5]))
-        mixed.add(Subscription(third, [1, 1], [4, 4]))
-        mixed.add(Subscription(first, [2, 2], [3, 3]))
-        assert mixed.active_count == 3
+        snapshot = store.active_candidates()
+        for foreign in (
+            Subscription(second, [0, 0, 0], [5, 5, 5]),
+            Subscription(third, [0, 0], [5, 5]),
+        ):
+            with pytest.raises(ValidationError):
+                store.add(foreign)
+            assert foreign.id not in store
+        assert store.active_count == len(store.arena) == 1
+        assert store.stats["added"] == 1
+        assert store.active_candidates() is snapshot
 
 
 class TestStoreAndStrategyThreading:
@@ -832,7 +832,7 @@ class TestAppendOnlySnapshots:
                 outcomes.add("removed-active" if outcome.was_active else "removed")
                 outcomes.update("promoted" for _ in outcome.promoted)
             else:
-                # wide boxes demote, narrow ones get suppressed or merged
+                # wide boxes cover, narrow ones get suppressed or merged
                 width = (0.5, 1.0) if step % 7 == 0 else (0.05, 0.5)
                 sub = random_subscription(schema, rng, width_fraction=width)
                 decision = store.add(sub)
@@ -841,8 +841,6 @@ class TestAppendOnlySnapshots:
                     outcomes.add("merged")
                 elif not decision.forwarded:
                     outcomes.add("suppressed")
-                elif decision.demoted:
-                    outcomes.add("demoting")
                 else:
                     outcomes.add("forwarded")
             grown_eagerly = store._selection is not None
@@ -858,7 +856,7 @@ class TestAppendOnlySnapshots:
                 extended_in_place += grown_eagerly
         expected = {"forwarded", "suppressed", "removed-active"}
         expected |= (
-            {"merged"} if policy in ("merging", "hybrid") else {"demoting", "promoted"}
+            {"merged"} if policy in ("merging", "hybrid") else {"promoted"}
         )
         assert expected <= outcomes, outcomes
         assert extended_in_place  # the append path really ran
@@ -884,7 +882,7 @@ class TestAppendOnlySnapshots:
             # at decision time the snapshot is one link's advertisement
             # set, in advertisement order, with matching bounds
             assert any(
-                candidates.ids == tuple(sent) for sent in broker.sent.values()
+                candidates.ids == tuple(link._active) for link in broker.links.values()
             ) or not len(candidates)
             _assert_snapshot_is(candidates, candidates.subscriptions)
             decided_against.append(len(candidates))
@@ -894,7 +892,7 @@ class TestAppendOnlySnapshots:
         live = []
         extended = 0
         for step in range(140):
-            cached = dict(broker._link_candidates)
+            cached = {n: link._selection for n, link in broker.links.items()}
             if live and rng.random() < 0.3:
                 victim = live.pop(int(rng.integers(0, len(live))))
                 broker.handle_unsubscription(
@@ -911,11 +909,11 @@ class TestAppendOnlySnapshots:
                         sender=None, recipient="B", subscription=sub, origin="B"
                     )
                 )
-            for neighbor in broker.neighbors:
-                snapshot = broker._candidates_for(neighbor)
-                _assert_snapshot_is(snapshot, broker.sent.get(neighbor, {}).values())
-                assert broker._candidates_for(neighbor) is snapshot
-                previous = cached.get(neighbor)
+            for neighbor, link in broker.links.items():
+                snapshot = link.active_candidates()
+                _assert_snapshot_is(snapshot, link.active)
+                assert link.active_candidates() is snapshot
+                previous = cached[neighbor]
                 if previous is not None and snapshot is not previous:
                     assert not np.shares_memory(snapshot.lows, previous.lows)
                     _assert_snapshot_is(previous, previous.subscriptions)
