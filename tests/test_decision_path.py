@@ -15,7 +15,16 @@ store's insertion and re-insertion — goes straight to the strategy's
   ``pairwise``/``group`` engine ``totals`` were re-pinned once, when the
   engine's covered set went from a cover-forest walk to a flat pass
   (``covered_tests`` moved; every ``decisions`` digest and every total
-  but ``covered_tests`` stayed equal).
+  but ``covered_tests`` stayed equal).  The engine rows were re-pinned a
+  second time when every broker link became a store and the store took
+  over the link rules: no demotion, and a merge drops an absorbed box and
+  moves its members to the new one.  All 20 ``network`` rows and the four
+  ``none/engine`` ``decisions`` digests stayed equal; 12 engine
+  ``decisions`` digests moved (every ``pairwise``/``group`` row, where the
+  parent demoted 3-99 times per run, and the ``t1-churn`` and
+  ``t2-merge-stress`` ``merging``/``hybrid`` rows, where unsubscriptions
+  reached merged members), and all 20 engine ``totals`` (the store stats
+  lost their ``demoted`` key).
 * the census that made those caches dead weight: on the same runs no
   broker decides the same ``(subscription id, bounds, link advertisement
   ids)`` twice, and no store the same ``(subscription id, bounds, active
