@@ -188,8 +188,8 @@ class ReductionStrategy:
         """Decide the fate of ``subscription`` against ``candidates``.
 
         The one decision entry point: a store calls it once per decision,
-        with nothing in front of it.  ``candidates``
-        may be any iterable (see :func:`_candidate_sequence`).
+        with nothing in front of it.  ``candidates`` may be any iterable
+        (see :func:`_candidate_sequence`).
         """
         raise NotImplementedError
 

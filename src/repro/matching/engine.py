@@ -121,9 +121,6 @@ class MatchingEngine:
         )
         self._active = Matcher()
         self._covered = Matcher()
-        #: identifiers of the registered subscriptions (merged boxes are
-        #: the store's, not a client's)
-        self._ids: set = set()
         #: cumulative counters for the micro-benchmarks
         self.stats: Dict[str, int] = {
             "publications": 0,
@@ -170,7 +167,6 @@ class MatchingEngine:
                 f"subscription {subscription.id!r} is already registered"
             )
         decision = self.store.add(subscription)
-        self._ids.add(subscription.id)
         self._apply_decision(decision)
         return decision
 
@@ -217,10 +213,9 @@ class MatchingEngine:
             obs.stage_pop()
 
     def _unsubscribe_impl(self, subscription_id: str) -> Tuple[Subscription, ...]:
-        # Merged-box ids live in the store but were never registered.
-        if subscription_id not in self._ids:
+        # merged boxes live in the store, but no client registered them
+        if subscription_id not in self.store or subscription_id in self.store.members:
             return ()
-        self._ids.discard(subscription_id)
         outcome = self.store.remove_detailed(subscription_id)
         if outcome.was_active:
             self._active.remove(subscription_id)
