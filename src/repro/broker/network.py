@@ -18,7 +18,7 @@ the system: after each publication it knows exactly which subscribers a
 lossless system would have notified, so the notifications lost to erroneous
 probabilistic coverage decisions (the concern analysed in Section 5) are
 measured directly.  The oracle is keyed by subscription identifier and
-matches through a :class:`~repro.matching.matcher.Matcher`, so unsubscribe
+matches through a :class:`~repro.core.arena.Matcher`, so unsubscribe
 storms cost O(1) bookkeeping per cancellation instead of an O(n) list
 rebuild.
 """
@@ -38,10 +38,11 @@ from repro.broker.messages import (
 )
 from repro.broker.metrics import MetricsSnapshot, NetworkMetrics
 from repro.broker.sim import EventKernel, LatencyModel, LognormalLatency, make_latency_model
+from repro.core.arena import Matcher
 from repro.core.policies import DEFAULT_MERGE_BUDGET, policy_value, resolve_policy
 from repro.core.store import CoveringPolicyName
 from repro.core.subsumption import SubsumptionChecker
-from repro.matching.matcher import Matcher, check_backend_label
+from repro.matching.matcher import check_backend_label
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
 from repro.obs import probes as obs_probes

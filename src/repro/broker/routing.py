@@ -7,7 +7,7 @@ of those paths (reverse path forwarding, Section 2).
 
 The forwarding-table lookup is one method,
 :meth:`RoutingTable.matching_entries_batch` — a single publication is a
-batch of one — answered by one :class:`~repro.matching.matcher.Matcher`
+batch of one — answered by one :class:`~repro.core.arena.Matcher`
 ``match_batch`` call: the shared box-test kernel over the table's signed
 bound columns, which yields the matching entries in insertion order.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.matching.matcher import Matcher
+from repro.core.arena import Matcher
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
 

@@ -15,11 +15,14 @@
 * :class:`SubsumptionChecker` — the full pipeline used by applications.
 * :class:`SubscriptionStore` — maintains active/covered subscription sets
   under a configurable covering policy.
+* :class:`Matcher` and :class:`CandidateSet` — subscription bounds as
+  signed columns: a store's two pools (and every publication lookup), and
+  the immutable candidate snapshots the checker reads.
 * :func:`exact_group_cover` — an exact (exponential-time) oracle used for
   ground truth in tests and false-negative accounting.
 """
 
-from repro.core.arena import CandidateSet, SubscriptionArena, as_candidate_set
+from repro.core.arena import CandidateSet, Matcher, as_candidate_set
 from repro.core.conflict_table import ConflictTable, EntryRef, EntrySide
 from repro.core.decisions import (
     FastDecision,
@@ -77,6 +80,7 @@ __all__ = [
     "FastDecisionKind",
     "GreedyMerger",
     "MCSResult",
+    "Matcher",
     "MergeResult",
     "PairwiseCoverageChecker",
     "PairwiseResult",
@@ -90,7 +94,6 @@ __all__ = [
     "make_strategy",
     "register_strategy",
     "strategy_names",
-    "SubscriptionArena",
     "SubscriptionStore",
     "SubsumptionChecker",
     "as_candidate_set",

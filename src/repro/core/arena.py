@@ -1,73 +1,81 @@
-"""Contiguous subscription-bounds storage — the subsumption arena.
+"""Subscription bounds as signed columns: the matcher and candidate snapshots.
 
-The probabilistic pipeline (conflict table, MCS, ``rho_w`` estimation,
-RSPC) is pure bounds arithmetic: every stage consumes the candidates'
-``(k, m)`` lower/upper bound matrices, never the subscription objects
-themselves.  Historically each :meth:`SubsumptionChecker.check` call
-re-materialised those matrices with ``np.vstack`` over a Python list —
-an O(m·k) Python-loop cost paid per check, thousands of times per
-scenario over largely overlapping candidate sets.
+Every stage of the probabilistic pipeline (conflict table, MCS, ``rho_w``
+estimation, RSPC) and every publication lookup is bounds arithmetic, and
+all of it reads one layout: *signed, attribute-major*, shape ``(2m, n)``,
+one column per subscription with its lower bounds on top of its
+**negated** upper bounds.  On that layout "does this box meet that one"
+is a single comparison against the other box's upper end,
+:func:`boxes_meeting`, reducing along the short axis and scanning along
+the contiguous one; a publication is the degenerate box ``low == high``
+(:func:`boxes_containing`).  IEEE negation is exact, so every bound reads
+back bit for bit.
 
-This module keeps the bounds resident instead:
+This module keeps those columns:
 
-* :class:`SubscriptionArena` — an incrementally maintained pair of
-  ``(capacity, m)`` float64 arrays (lows/highs) with an id→row map and a
-  free-list, owned by :class:`~repro.core.store.SubscriptionStore` (the
-  matching engine's, and each broker link's).
-  Adding or removing a subscription touches one row; a candidate set
-  becomes a row-index gather instead of an object loop.
-* :class:`CandidateSet` — an immutable snapshot of one candidate set:
-  a ``Sequence[Subscription]`` (so every existing strategy/checker API
-  keeps working) that also carries the stacked bounds.  Arena-backed
-  snapshots gather their rows in a single vectorised fancy-index; plain
-  snapshots stack lazily, once, instead of on every decision.  A snapshot
-  never changes: an add or remove makes a new one
-  (:meth:`CandidateSet.extended` for an append), and its store reuses the
-  old one only until its next active-pool mutation.
+* :class:`Matcher` — one insertion-ordered set of subscriptions of one
+  schema, kept incrementally as *raw* signed columns.  It answers every
+  publication lookup (the matching engine, in-process or in a shard
+  worker, every broker's routing table and the network's delivery
+  oracle), and a :class:`~repro.core.store.SubscriptionStore`'s active
+  and covered pools are two matchers — so each pool's bounds exist once,
+  whoever reads them.
+* :class:`CandidateSet` — an immutable snapshot of one candidate set: a
+  ``Sequence[Subscription]`` (so every strategy/checker API keeps
+  working) that also carries the candidates' raw signed columns
+  (:attr:`CandidateSet.raw`) and their snapped twin
+  (:attr:`CandidateSet.signed`).  A store's snapshot is a copy of its
+  active matcher's live columns (:meth:`Matcher.candidates`); no later
+  add, remove or compaction changes it.  An append makes a new snapshot
+  (:meth:`CandidateSet.extended`), and a store reuses one only until its
+  next active-pool mutation.
 
-The signed layout.  Besides the row-major ``(k, m)`` pair, a snapshot
-carries — built on first use, handed on by :meth:`CandidateSet.extended`
-— the conflict table's own matrix: *signed, attribute-major*, shape
-``(2m, k)``, candidate lower bounds on top of **negated** upper bounds,
-one column per candidate (:attr:`CandidateSet.signed`).  On that layout
-"does this box meet that one" is a single comparison against the other
-box's upper end, :func:`boxes_meeting`, reducing along the short axis and
-scanning along the contiguous one.  It is the checker's candidate screen
+The snapped twin.  On a discrete attribute only the ticks inside a range
+exist, so lower bounds are rounded up and upper bounds down — on the
+signed layout one ``ceil`` — and every stage of the checker reads
+tick-exact bounds (:func:`signed_box` is the same for the tested
+subscription).  It is the checker's candidate screen
 (:meth:`SubsumptionChecker.check <repro.core.subsumption.SubsumptionChecker.check>`
 drops the candidates that cannot meet ``s`` before any table is built)
-and, over raw bounds with a publication as the degenerate box, every
-publication lookup — :func:`boxes_containing`, which the matcher, hence
-the engine, the brokers' routing tables and the network's delivery
-oracle, answer whole bursts with (:mod:`repro.matching.matcher`).  The
-snapshot's matrix is *snapped*: on a discrete attribute only the ticks
-inside a range exist, so lower bounds are rounded up and upper bounds
-down — on the signed layout one ``ceil`` — and every stage of the
-pipeline reads tick-exact bounds (:func:`signed_box` is the same for the
-tested subscription).
+and the conflict table's own matrix.  The matcher keeps bounds raw: its
+contract is :meth:`Subscription.contains_values`.
+
+A matcher's maintenance never rebuilds the storage: ``add`` fills the
+next column of a geometrically grown matrix and ``remove`` tombstones its
+column with NaN, which no comparison passes (as is every column never
+used).  Tombstones are compacted away, preserving insertion order, once
+they rival the live columns, so a match is one pass over at most
+``2 x live`` columns.  Candidates come back in insertion order, and each
+answer is charged ``tests = len(matcher)``: one logical membership test
+per stored subscription, what a flat scan would do.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.model.errors import ValidationError
+from repro.model.publications import Publication
+from repro.model.schema import Schema
 from repro.model.subscriptions import Subscription
 
 __all__ = [
-    "SubscriptionArena",
     "CandidateSet",
+    "MatchCandidates",
+    "Matcher",
     "as_candidate_set",
     "boxes_containing",
     "boxes_meeting",
     "signed_box",
 ]
 
-#: free-list size below which compaction never triggers — small stores
-#: churn through the free-list for free, only sustained deletion at scale
-#: should pay for row moves
-_COMPACT_MIN_FREE = 64
+#: matching subscriptions (insertion order) plus the tests charged for them
+MatchCandidates = Tuple[List[Subscription], int]
+
+#: smallest matcher capacity allocated (and smallest tombstone debt compacted)
+_MIN_CAPACITY = 8
 
 
 def boxes_meeting(signed: np.ndarray, limit: np.ndarray) -> np.ndarray:
@@ -100,7 +108,7 @@ def boxes_containing(signed: np.ndarray, points: np.ndarray) -> List[List[int]]:
     call and one ``nonzero`` per chunk of points, however many there are,
     each chunk's ``(2m, B', n)`` workspace within :data:`_CELL_BUDGET`.
     Column indices ascend within each list.  This is every publication
-    lookup of the program: the matcher's ``match_batch``, hence
+    lookup of the program: :meth:`Matcher.match_batch`, hence
     the brokers' route lookup and the network's delivery oracle.
     """
     count = len(points)
@@ -131,6 +139,21 @@ def _snap_inwards(signed: np.ndarray, schema) -> None:
         np.ceil(signed, out=signed, where=where)
 
 
+def _raw_column(subscription: Subscription) -> np.ndarray:
+    """``subscription``'s raw signed column: lows on top of negated highs."""
+    return np.concatenate((subscription.lows, -subscription.highs))
+
+
+def _appended(columns: Optional[np.ndarray], column: np.ndarray):
+    """``columns`` plus ``column`` on the right, read-only; ``None`` (not
+    built yet) stays ``None``."""
+    if columns is None:
+        return None
+    grown = np.concatenate((columns, column[:, np.newaxis]), axis=1)
+    grown.setflags(write=False)
+    return grown
+
+
 def signed_box(subscription: Subscription) -> np.ndarray:
     """``subscription``'s two ends on the signed axes, snapped: ``(low, high)``.
 
@@ -159,29 +182,30 @@ def signed_box(subscription: Subscription) -> np.ndarray:
 
 
 class CandidateSet(Sequence):
-    """Immutable snapshot of a candidate set with contiguous bounds.
+    """Immutable snapshot of a candidate set with its bounds as columns.
 
     Behaves as a ``Sequence[Subscription]`` (iteration, indexing,
     ``len``) so it is a drop-in replacement for the candidate lists the
     reduction strategies and checkers historically received, while
-    exposing the stacked ``(k, m)`` bounds the vectorised pipeline
-    stages consume directly.
+    carrying the raw signed ``(2m, k)`` bounds (:attr:`raw`) and their
+    snapped twin (:attr:`signed`) the vectorised pipeline stages consume
+    directly.
 
     Parameters
     ----------
     subscriptions:
         The candidate subscriptions, in decision order.
-    lows, highs:
-        Pre-gathered bounds (e.g. an arena row gather).  When omitted
-        they are stacked lazily on first access — once per snapshot, not
-        once per check.
+    raw:
+        Their raw signed bounds, already gathered (a matcher's live
+        columns, :meth:`Matcher.candidates`); the snapshot owns the array
+        from then on.  When omitted they are stacked lazily on first
+        access — once per snapshot, not once per check.
     """
 
     __slots__ = (
         "subscriptions",
         "schema",
-        "_lows",
-        "_highs",
+        "_raw",
         "_signed",
         "_ids",
     )
@@ -189,8 +213,7 @@ class CandidateSet(Sequence):
     def __init__(
         self,
         subscriptions: Sequence[Subscription],
-        lows: Optional[np.ndarray] = None,
-        highs: Optional[np.ndarray] = None,
+        raw: Optional[np.ndarray] = None,
     ):
         self.subscriptions: Tuple[Subscription, ...] = tuple(subscriptions)
         if self.subscriptions:
@@ -207,8 +230,9 @@ class CandidateSet(Sequence):
         else:
             schema = None
         self.schema = schema
-        self._lows = lows
-        self._highs = highs
+        if raw is not None:
+            raw.setflags(write=False)
+        self._raw = raw
         self._signed: Optional[np.ndarray] = None
         self._ids: Optional[Tuple[str, ...]] = None
 
@@ -216,7 +240,7 @@ class CandidateSet(Sequence):
         """Snapshot of "these candidates, then ``subscription``".
 
         The append-only counterpart of re-snapshotting: one block copy of
-        the stacked bounds plus one row (and of the signed matrix plus one
+        the raw columns plus one column (and of the snapped twin plus one
         column, once built), instead of a per-candidate gather and schema
         scan.  The result is a new snapshot with its own arrays, and this
         one is left untouched.
@@ -227,20 +251,8 @@ class CandidateSet(Sequence):
         snapshot = CandidateSet.__new__(CandidateSet)
         snapshot.subscriptions = self.subscriptions + (subscription,)
         snapshot.schema = self.schema
-        if self._lows is None:
-            snapshot._lows = snapshot._highs = None  # still lazily stacked
-        else:
-            snapshot._lows = np.concatenate((self._lows, subscription.lows[np.newaxis]))
-            snapshot._highs = np.concatenate(
-                (self._highs, subscription.highs[np.newaxis])
-            )
-        if self._signed is None:
-            snapshot._signed = None
-        else:
-            snapshot._signed = np.concatenate(
-                (self._signed, signed_box(subscription)[0][:, np.newaxis]), axis=1
-            )
-            snapshot._signed.setflags(write=False)
+        snapshot._raw = _appended(self._raw, _raw_column(subscription))
+        snapshot._signed = _appended(self._signed, signed_box(subscription)[0])
         snapshot._ids = None if self._ids is None else self._ids + (subscription.id,)
         return snapshot
 
@@ -248,23 +260,37 @@ class CandidateSet(Sequence):
     # The signed layout
     # ------------------------------------------------------------------
     @property
+    def raw(self) -> np.ndarray:
+        """Raw signed attribute-major bounds, shape ``(2m, k)``, read-only.
+
+        Rows ``0..m-1`` hold the candidates' lower bounds and rows
+        ``m..2m-1`` their negated upper bounds, exactly as given.
+        """
+        raw = self._raw
+        if raw is None:
+            m = 0 if self.schema is None else self.schema.m
+            raw = np.empty((2 * m, len(self.subscriptions)), dtype=float)
+            if self.subscriptions:
+                raw[:m] = np.array([s.lows for s in self.subscriptions]).T
+                np.negative(
+                    np.array([s.highs for s in self.subscriptions]).T, out=raw[m:]
+                )
+            raw.setflags(write=False)
+            self._raw = raw
+        return raw
+
+    @property
     def signed(self) -> np.ndarray:
         """Snapped signed attribute-major bounds, shape ``(2m, k)``, read-only.
 
-        Rows ``0..m-1`` hold the candidates' lower bounds, rows
-        ``m..2m-1`` their negated upper bounds, both rounded inwards to a
-        tick on discrete attributes (see the module docstring).  Built on
-        first access and shared, zero-copy, by every conflict table over
-        this snapshot.
+        :attr:`raw` rounded inwards to a tick on discrete attributes (see
+        the module docstring).  Built on first access and shared,
+        zero-copy, by every conflict table over this snapshot.
         """
         signed = self._signed
         if signed is None:
-            lows, highs = self.lows, self.highs
-            k, m = lows.shape
-            signed = np.empty((2 * m, k), dtype=float)
-            signed[:m] = lows.T
-            np.negative(highs.T, out=signed[m:])
-            if k:
+            signed = self.raw.copy()
+            if signed.shape[1]:
                 _snap_inwards(signed, self.schema)
             signed.setflags(write=False)
             self._signed = signed
@@ -281,9 +307,6 @@ class CandidateSet(Sequence):
         self._check_same_schema(subscription)
         return boxes_meeting(self.signed, signed_box(subscription)[1])
 
-    # ------------------------------------------------------------------
-    # Vectorised containment
-    # ------------------------------------------------------------------
     def _check_same_schema(self, subscription: Subscription) -> None:
         """Schema validation mirroring ``Subscription.covers`` (identity first)."""
         if (
@@ -299,41 +322,13 @@ class CandidateSet(Sequence):
     def covering_rows_mask(self, subscription: Subscription) -> np.ndarray:
         """Boolean mask of candidates that pair-wise cover ``subscription``.
 
-        The vectorised form of ``candidate.covers(subscription)`` per row
-        (the classical covering test of the pair-wise strategies),
-        including its schema validation.
+        The vectorised form of ``candidate.covers(subscription)`` per
+        column (the classical covering test of the pair-wise strategies),
+        including its schema validation: ``low_c <= low`` and ``-high_c <=
+        -high`` on every attribute, one ``<=`` on the raw columns.
         """
         self._check_same_schema(subscription)
-        return np.all(
-            (self.lows <= subscription.lows) & (subscription.highs <= self.highs),
-            axis=1,
-        )
-
-    # ------------------------------------------------------------------
-    # Bounds
-    # ------------------------------------------------------------------
-    def _stack(self) -> None:
-        if self.subscriptions:
-            self._lows = np.array([s.lows for s in self.subscriptions])
-            self._highs = np.array([s.highs for s in self.subscriptions])
-        else:
-            m = 0 if self.schema is None else self.schema.m
-            self._lows = np.empty((0, m), dtype=float)
-            self._highs = np.empty((0, m), dtype=float)
-
-    @property
-    def lows(self) -> np.ndarray:
-        """Stacked per-candidate lower bounds, shape ``(k, m)``."""
-        if self._lows is None:
-            self._stack()
-        return self._lows
-
-    @property
-    def highs(self) -> np.ndarray:
-        """Stacked per-candidate upper bounds, shape ``(k, m)``."""
-        if self._highs is None:
-            self._stack()
-        return self._highs
+        return (self.raw <= _raw_column(subscription)[:, np.newaxis]).all(axis=0)
 
     @property
     def ids(self) -> Tuple[str, ...]:
@@ -365,204 +360,165 @@ def as_candidate_set(candidates: Sequence[Subscription]) -> CandidateSet:
     return CandidateSet(candidates)
 
 
-class SubscriptionArena:
-    """Incrementally maintained contiguous bounds arrays.
+class Matcher:
+    """Insertion-ordered subscriptions of one schema as raw signed columns.
 
-    Rows are allocated on :meth:`add`, recycled through a free-list on
-    :meth:`remove`, and the backing arrays double in capacity when full
-    (amortised O(1) per insertion).  ``version`` increases on every
-    mutation; snapshots taken through :meth:`select` copy the selected
-    rows out, so they stay valid — and immutable — across later arena
-    mutations.
-
-    Sustained deletion compacts lazily: once the free-list holds at least
-    ``_COMPACT_MIN_FREE`` rows *and* outnumbers the live rows, the live
-    tail rows are moved down into the free slots.  The pass is O(dead +
-    moved), touches the id↔row maps only for the rows it actually moves
-    (never a full rebuild), and keeps the live rows densely packed in
-    ``[0, next_row)`` — which is what lets churn at millions of rows
-    proceed without stalls, and lets zero-copy consumers scan a bounded
-    prefix instead of the whole capacity.
+    A matcher is bound to the schema of its first subscription; a
+    subscription or publication of any other schema is rejected with
+    :class:`~repro.model.errors.ValidationError`.
     """
 
-    def __init__(self, m: Optional[int] = None, capacity: int = 32):
-        self._m = m
-        self._capacity = max(int(capacity), 1)
-        self._lows: Optional[np.ndarray] = None
-        self._highs: Optional[np.ndarray] = None
-        if m is not None:
-            self._allocate(m)
-        self._row_of: dict = {}
-        self._id_at: dict = {}
-        self._free: List[int] = []
-        self._next_row = 0
-        self._version = 0
-        self._compactions = 0
-        self._moved_rows = 0
+    def __init__(self) -> None:
+        #: the schema of the first subscription stored, fixed from then on
+        self.schema: Optional[Schema] = None
+        #: signed bounds, one column per row in use; NaN marks a tombstone
+        self._signed = np.empty((0, 0))
+        #: rows in use, tombstones included
+        self._size = 0
+        self._dead = 0
+        self._subscriptions: List[Optional[Subscription]] = []
+        self._rows: Dict[str, int] = {}
+        #: compaction passes so far, and the live columns they relocated
+        self.compactions = 0
+        self.moved_rows = 0
 
-    def _allocate(self, m: int) -> None:
-        self._m = int(m)
-        self._lows = np.empty((self._capacity, self._m), dtype=float)
-        self._highs = np.empty((self._capacity, self._m), dtype=float)
+    def _check_schema(self, schema: Schema, what: str) -> None:
+        if schema is not self.schema and schema != self.schema:
+            raise ValidationError(f"{what} schema does not match the matcher's")
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Maintenance
     # ------------------------------------------------------------------
-    @property
-    def m(self) -> Optional[int]:
-        """Number of attributes per row (``None`` until the first add)."""
-        return self._m
-
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter (bumped by every add/remove)."""
-        return self._version
-
-    @property
-    def capacity(self) -> int:
-        """Currently allocated number of rows."""
-        return self._capacity if self._lows is not None else 0
-
-    @property
-    def next_row(self) -> int:
-        """One past the highest row ever handed out (live rows ⊆ ``[0, next_row)``)."""
-        return self._next_row
-
-    @property
-    def compactions(self) -> int:
-        """Number of compaction passes performed so far."""
-        return self._compactions
-
-    @property
-    def moved_rows(self) -> int:
-        """Total rows relocated by compaction (the O(moved) work measure)."""
-        return self._moved_rows
-
-    @property
-    def lows(self) -> Optional[np.ndarray]:
-        """The backing lower-bound array (``(capacity, m)``; live rows only are meaningful)."""
-        return self._lows
-
-    @property
-    def highs(self) -> Optional[np.ndarray]:
-        """The backing upper-bound array."""
-        return self._highs
-
-    def __len__(self) -> int:
-        return len(self._row_of)
-
-    def __contains__(self, subscription_id: object) -> bool:
-        return subscription_id in self._row_of
-
-    def row_of(self, subscription_id: str) -> int:
-        """Arena row currently holding ``subscription_id``."""
-        return self._row_of[subscription_id]
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def add(self, subscription: Subscription) -> int:
-        """Copy a subscription's bounds into the arena; returns its row."""
-        if self._lows is None:
-            self._allocate(subscription.m)
-        elif subscription.m != self._m:
+    def add(self, subscription: Subscription) -> None:
+        """Store a subscription (fills one column; never rebuilds)."""
+        if subscription.id in self._rows:
             raise ValidationError(
-                f"arena holds {self._m}-attribute rows; got {subscription.m}"
+                f"subscription {subscription.id!r} is already indexed"
             )
-        if subscription.id in self._row_of:
-            raise ValidationError(
-                f"subscription {subscription.id!r} is already in the arena"
-            )
-        if self._free:
-            row = self._free.pop()
+        if self.schema is None:
+            self.schema = subscription.schema
+            self._signed = np.empty((2 * subscription.m, 0))
         else:
-            if self._next_row == self._capacity:
-                self._grow()
-            row = self._next_row
-            self._next_row += 1
-        self._lows[row] = subscription.lows
-        self._highs[row] = subscription.highs
-        self._row_of[subscription.id] = row
-        self._id_at[row] = subscription.id
-        self._version += 1
-        return row
+            self._check_schema(subscription.schema, "subscription")
+        row = self._size
+        if row == self._signed.shape[1]:
+            self._resize(max(_MIN_CAPACITY, 2 * row), slice(0, row))
+        m = subscription.m
+        self._signed[:m, row] = subscription.lows
+        np.negative(subscription.highs, out=self._signed[m:, row])
+        self._subscriptions.append(subscription)
+        self._rows[subscription.id] = row
+        self._size += 1
 
-    def _grow(self) -> None:
-        new_capacity = self._capacity * 2
-        lows = np.empty((new_capacity, self._m), dtype=float)
-        highs = np.empty((new_capacity, self._m), dtype=float)
-        lows[: self._capacity] = self._lows
-        highs[: self._capacity] = self._highs
-        self._lows = lows
-        self._highs = highs
-        self._capacity = new_capacity
-
-    def remove(self, subscription_id: str) -> int:
-        """Release the row of ``subscription_id`` back to the free-list."""
-        row = self._row_of.pop(subscription_id)
-        del self._id_at[row]
-        self._free.append(row)
-        self._version += 1
-        if (
-            len(self._free) >= _COMPACT_MIN_FREE
-            and len(self._free) >= len(self._row_of)
-        ):
+    def remove(self, subscription_id: str) -> Optional[Subscription]:
+        """Drop a subscription (tombstones its column) and return it;
+        ``None`` if unknown."""
+        row = self._rows.pop(subscription_id, None)
+        if row is None:
+            return None
+        subscription = self._subscriptions[row]
+        self._signed[:, row] = np.nan
+        self._subscriptions[row] = None
+        self._dead += 1
+        if self._dead >= _MIN_CAPACITY and 2 * self._dead >= self._size:
             self._compact()
-        return row
+        return subscription
+
+    def _resize(self, capacity: int, keep) -> None:
+        """Move the ``keep`` columns to the front of a fresh NaN matrix."""
+        signed = np.full((self._signed.shape[0], capacity), np.nan)
+        kept = self._signed[:, keep]
+        signed[:, : kept.shape[1]] = kept
+        self._signed = signed
+
+    def _live(self) -> List[int]:
+        return [i for i, s in enumerate(self._subscriptions) if s is not None]
 
     def _compact(self) -> None:
-        """Pack the live rows into ``[0, live)``; O(dead + moved).
-
-        Only the rows moved down out of the tail touch the id↔row maps —
-        entries of unmoved rows are left exactly as they were (no eager
-        rebuild), which the regression test pins.
-        """
-        live = len(self._row_of)
-        dest_slots = sorted(row for row in self._free if row < live)
-        if dest_slots:
-            src_rows = sorted(
-                (row for row in self._id_at if row >= live), reverse=True
-            )
-            for dest, src in zip(dest_slots, src_rows):
-                subscription_id = self._id_at.pop(src)
-                self._lows[dest] = self._lows[src]
-                self._highs[dest] = self._highs[src]
-                self._row_of[subscription_id] = dest
-                self._id_at[dest] = subscription_id
-            self._moved_rows += len(dest_slots)
-        self._free.clear()
-        self._next_row = live
-        self._compactions += 1
-        self._version += 1
-
-    def discard(self, subscription_id: str) -> Optional[int]:
-        """Like :meth:`remove`, but a no-op for unknown identifiers."""
-        if subscription_id not in self._row_of:
-            return None
-        return self.remove(subscription_id)
+        """Drop tombstoned columns, preserving the insertion order of the rest."""
+        keep = self._live()
+        self._resize(max(_MIN_CAPACITY, len(keep)), keep)
+        self.compactions += 1
+        self.moved_rows += sum(new != old for new, old in enumerate(keep))
+        self._subscriptions = [self._subscriptions[i] for i in keep]
+        self._rows = {s.id: i for i, s in enumerate(self._subscriptions)}
+        self._size = len(keep)
+        self._dead = 0
 
     # ------------------------------------------------------------------
-    # Snapshots
+    # Views
     # ------------------------------------------------------------------
-    def select(self, subscriptions: Sequence[Subscription]) -> CandidateSet:
-        """Snapshot a candidate set in one vectorised row gather.
+    def get(self, subscription_id: str) -> Optional[Subscription]:
+        """The stored subscription with this identifier, or ``None``."""
+        row = self._rows.get(subscription_id)
+        return None if row is None else self._subscriptions[row]
 
-        The subscriptions must all be resident in the arena; their order
-        defines the snapshot's candidate order (and therefore the row
-        indices of verdicts computed against it).
+    def candidates(self) -> CandidateSet:
+        """Snapshot of the live subscriptions, in insertion order.
+
+        Its bounds are a gathered copy of the live columns: a later add,
+        remove or compaction writes into this matcher's matrix, never
+        into a snapshot.
         """
-        subscriptions = tuple(subscriptions)
-        if not subscriptions or self._lows is None:
-            return CandidateSet(subscriptions)
-        rows = np.fromiter(
-            (self._row_of[s.id] for s in subscriptions),
-            dtype=np.intp,
-            count=len(subscriptions),
+        keep = self._live()
+        return CandidateSet(
+            [self._subscriptions[i] for i in keep], self._signed.take(keep, axis=1)
         )
-        return CandidateSet(subscriptions, self._lows[rows], self._highs[rows])
 
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"SubscriptionArena(n={len(self._row_of)}, m={self._m}, "
-            f"capacity={self.capacity}, version={self._version})"
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __contains__(self, subscription_id: object) -> bool:
+        return subscription_id in self._rows
+
+    def __iter__(self) -> Iterator[Subscription]:
+        """The live subscriptions, in insertion order."""
+        return (s for s in self._subscriptions if s is not None)
+
+    # ------------------------------------------------------------------
+    # Matching
+    # ------------------------------------------------------------------
+    def match_candidates(self, publication: Publication) -> MatchCandidates:
+        """``(subscriptions holding publication, tests charged)``.
+
+        One point needs no split: the kernel on a 1-D limit, at a third of
+        the batched routine's fixed cost (the engine matches its
+        publications one at a time).
+        """
+        tests = len(self._rows)
+        if not tests:
+            return [], 0
+        self._check_schema(publication.schema, "publication")
+        values = publication.values
+        hits = boxes_meeting(
+            self._signed[:, : self._size], np.concatenate((values, -values))
         )
+        subscriptions = self._subscriptions
+        return [subscriptions[i] for i in hits.nonzero()[0].tolist()], tests
+
+    def match_batch(
+        self,
+        publications: Sequence[Publication],
+        values: Optional[np.ndarray] = None,
+    ) -> List[MatchCandidates]:
+        """:meth:`match_candidates` of every publication, in one kernel call
+        per chunk (:func:`boxes_containing`).
+
+        ``values`` optionally carries the publications' points pre-stacked
+        as a ``(len(publications), m)`` array (e.g. a publication batch
+        message's structure-of-arrays view), so they are not restacked.
+        """
+        tests = len(self._rows)
+        if not tests or not len(publications):
+            return [([], 0) for _ in publications]
+        schema = self.schema
+        for publication in publications:
+            if publication.schema is not schema:
+                self._check_schema(publication.schema, "publication")
+        if values is None:
+            values = np.array([p.values for p in publications])
+        subscriptions = self._subscriptions
+        return [
+            ([subscriptions[column] for column in columns], tests)
+            for columns in boxes_containing(self._signed[:, : self._size], values)
+        ]

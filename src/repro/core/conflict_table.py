@@ -29,7 +29,7 @@ LOW copy and a HIGH copy, and every reduction over the candidates runs
 along the contiguous ``k`` axis.  IEEE negation is exact,
 ``-x - 1.0 == -(x + 1.0)``, ``min(-a, -b) == -max(a, b)`` and
 ``nextafter`` mirrors exactly, so each cell is bit-identical to the
-two-sided formulation (pinned against the scalar oracles by
+two-sided formulation (pinned against per-attribute scalar oracles by
 ``tests/test_subsumption_arena.py``).
 
 ``Q`` is not built here: it *is* the candidate snapshot's
@@ -42,7 +42,7 @@ bounds down), because only the ticks inside a range exist there: a bound
 of ``4.7`` on an integer axis admits exactly the points ``5, 6, …``, and
 treating it as the tick ``4.7`` would call entries defined — and
 conflicts present — that no point of the domain can witness.  Everything
-below, the scalar oracles and :meth:`ConflictTable.entry_region`
+below, the scalar gap fallback and :meth:`ConflictTable.entry_region`
 included, therefore reads integer-valued bounds on discrete axes.
 """
 
@@ -435,83 +435,6 @@ class ConflictTable:
             return np.zeros(0, dtype=int)
         return conflict_free_entries(opposing, threshold).sum(axis=0)
 
-    def _conflict_free_counts_scalar(
-        self, rows: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Per-attribute reference implementation of ``fc_i`` (Definition 5).
-
-        Kept as the differential oracle for the matrix implementation
-        above; both must agree exactly on every instance.
-        """
-        active = (
-            np.arange(self.k, dtype=int)
-            if rows is None
-            else np.asarray(rows, dtype=int)
-        )
-        n = len(active)
-        counts = np.zeros(n, dtype=int)
-        if n == 0:
-            return counts
-
-        candidate_lows = self.candidate_lows
-        candidate_highs = self.candidate_highs
-
-        for attribute in range(self.m):
-            low_mask = self.defined_low[active, attribute]
-            high_mask = self.defined_high[active, attribute]
-            low_positions = np.nonzero(low_mask)[0]
-            high_positions = np.nonzero(high_mask)[0]
-
-            low_bounds = candidate_lows[active[low_positions], attribute]
-            high_bounds = candidate_highs[active[high_positions], attribute]
-
-            # A LOW entry (negation ``x < A``) conflicts with a HIGH entry
-            # (negation ``x > B``) of another row iff ``s`` has no point
-            # strictly between ``B`` and ``A``.  The condition is monotone in
-            # ``B`` (larger ``B`` => more likely conflict) so only the largest
-            # *other-row* ``B`` matters — and symmetrically only the smallest
-            # other-row ``A`` matters for HIGH entries.
-            discrete = bool(self._discrete[attribute])
-            s_low, s_high = self._own_interval(attribute)
-
-            if low_positions.size:
-                other_max_b = self._exclusive_extreme(
-                    high_positions, high_bounds, low_positions, use_max=True
-                )
-                a = low_bounds
-                has_other = np.isfinite(other_max_b)
-                if discrete:
-                    highest = np.minimum(a - 1.0, s_high)
-                    lowest = np.maximum(other_max_b + 1.0, s_low)
-                    conflict = has_other & (highest < lowest)
-                else:
-                    highest = np.minimum(a, s_high)
-                    lowest = np.maximum(other_max_b, s_low)
-                    conflict = has_other & ~self._open_slice_met(
-                        other_max_b, lowest, highest, a
-                    )
-                np.add.at(counts, low_positions, (~conflict).astype(int))
-
-            if high_positions.size:
-                other_min_a = self._exclusive_extreme(
-                    low_positions, low_bounds, high_positions, use_max=False
-                )
-                b = high_bounds
-                has_other = np.isfinite(other_min_a)
-                if discrete:
-                    highest = np.minimum(other_min_a - 1.0, s_high)
-                    lowest = np.maximum(b + 1.0, s_low)
-                    conflict = has_other & (highest < lowest)
-                else:
-                    highest = np.minimum(other_min_a, s_high)
-                    lowest = np.maximum(b, s_low)
-                    conflict = has_other & ~self._open_slice_met(
-                        b, lowest, highest, other_min_a
-                    )
-                np.add.at(counts, high_positions, (~conflict).astype(int))
-
-        return counts
-
     @staticmethod
     def _open_slice_met(below, lowest, highest, above):
         """Whether the closed range ``[lowest, highest]`` of ``s`` holds a
@@ -524,37 +447,6 @@ class ConflictTable:
         return (highest > lowest) | (
             (highest == lowest) & (below < lowest) & (highest < above)
         )
-
-    @staticmethod
-    def _exclusive_extreme(
-        source_positions: np.ndarray,
-        source_bounds: np.ndarray,
-        target_positions: np.ndarray,
-        use_max: bool,
-    ) -> np.ndarray:
-        """Per-target extreme of the source bounds excluding the same row.
-
-        For each target position, return the max (or min) of the source
-        bounds over source entries belonging to *other* rows; ``±inf``
-        signals "no other-row source entry exists".
-        """
-        fill = -math.inf if use_max else math.inf
-        result = np.full(len(target_positions), fill, dtype=float)
-        if source_positions.size == 0:
-            return result
-        order = np.argsort(source_bounds)
-        if use_max:
-            best_pos = source_positions[order[-1]]
-            best = source_bounds[order[-1]]
-            second = source_bounds[order[-2]] if source_positions.size > 1 else fill
-        else:
-            best_pos = source_positions[order[0]]
-            best = source_bounds[order[0]]
-            second = source_bounds[order[1]] if source_positions.size > 1 else fill
-        result[:] = best
-        same = target_positions == best_pos
-        result[same] = second
-        return result
 
     # ------------------------------------------------------------------
     # rho_w support (Algorithm 2)

@@ -8,8 +8,7 @@ advertisements).  The store answers three questions:
 
 * **What is advertised?**  The *active* pool — subscriptions forwarded as
   they are, and merged bounding boxes.  It is the candidate set of every
-  decision, kept as contiguous bounds in a
-  :class:`~repro.core.arena.SubscriptionArena`.
+  decision.
 * **What is withheld, and on whose account?**  A suppressed subscription
   is *withheld* on account of the advertisements named in
   :attr:`~SubscriptionStore.cover_links` (the single coverer under
@@ -18,7 +17,12 @@ advertisements).  The store answers three questions:
   (:attr:`~SubscriptionStore.members`): the subscriptions it replaced.
 
 Withheld entries and members together form the *covered* pool — stored,
-matched behind the Algorithm 5 gate, but not advertised.  The rules:
+matched behind the Algorithm 5 gate, but not advertised.  Each pool is a
+:class:`~repro.core.arena.Matcher` (:attr:`~SubscriptionStore.active_pool`,
+:attr:`~SubscriptionStore.covered_pool`): insertion order is pool order,
+the active pool's live columns are what every decision's snapshot copies,
+and the matching engine matches publications against the two pools
+directly, so each pool's bounds are held once.  The rules:
 
 * A decision comes from the pluggable
   :class:`~repro.core.policies.ReductionStrategy` against the active pool;
@@ -33,8 +37,10 @@ matched behind the Algorithm 5 gate, but not advertised.  The rules:
   re-decided, in the order they were withheld.  When a member leaves its
   box shrinks; with its last member the box is retracted and the entries
   withheld on it are re-decided.  A withheld entry leaves quietly.
-* A store holds one schema; a subscription of another is rejected before
-  any state changes.
+* A store holds one schema and each subscription identifier once; a
+  subscription of another schema, or with the identifier of a stored
+  subscription, is rejected before any state changes.  (A merged box's
+  name is not reserved: see :meth:`SubscriptionStore.add`.)
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from repro.core.arena import CandidateSet, SubscriptionArena
+from repro.core.arena import CandidateSet, Matcher
 from repro.core.policies import (
     DEFAULT_MERGE_BUDGET,
     ReductionDecision,
@@ -131,15 +137,13 @@ class SubscriptionStore:
         #: the schema of the first subscription added, fixed from then on
         self.schema: Optional[Schema] = None
         #: advertised subscriptions and merged boxes, in advertisement order
-        self._active: Dict[str, Subscription] = {}
+        self.active_pool = Matcher()
         #: stored subscriptions that are not advertised (withheld or members)
-        self._covered: Dict[str, Subscription] = {}
+        self.covered_pool = Matcher()
         #: withheld id -> ids of the advertisements it is withheld on
         self.cover_links: Dict[str, Tuple[str, ...]] = {}
         #: merged box id -> ids of the subscriptions the box stands for
         self.members: Dict[str, Set[str]] = {}
-        #: contiguous bounds of the active pool, maintained incrementally
-        self.arena = SubscriptionArena()
         #: snapshot of the active pool shared by the decisions between two
         #: active-pool mutations; extended on an append, dropped otherwise
         self._selection: Optional[CandidateSet] = None
@@ -161,22 +165,22 @@ class SubscriptionStore:
     @property
     def active(self) -> Tuple[Subscription, ...]:
         """Advertised subscriptions and merged boxes, in order."""
-        return tuple(self._active.values())
+        return tuple(self.active_pool)
 
     @property
     def covered(self) -> Tuple[Subscription, ...]:
         """Stored subscriptions that are not advertised, in order."""
-        return tuple(self._covered.values())
+        return tuple(self.covered_pool)
 
     @property
     def active_count(self) -> int:
         """Size of the active set."""
-        return len(self._active)
+        return len(self.active_pool)
 
     @property
     def total_count(self) -> int:
         """Total number of stored subscriptions (merged boxes included)."""
-        return len(self._active) + len(self._covered)
+        return len(self.active_pool) + len(self.covered_pool)
 
     @property
     def propagated_count(self) -> int:
@@ -196,34 +200,38 @@ class SubscriptionStore:
         """Snapshot of the active pool as a contiguous candidate set.
 
         After a pure append the snapshot is the previous one extended by
-        a row (:meth:`_advertise`); after any removal or merge it is
-        rebuilt lazily by a single vectorised arena row gather.  Between
-        mutations every decision — re-decisions that end withheld
-        included — shares the same snapshot, and with it the stacked
-        bounds and the signed matrix.
+        a column (:meth:`_advertise`); after any removal or merge it is
+        rebuilt lazily as a copy of the active matcher's live columns
+        (:meth:`Matcher.candidates <repro.core.arena.Matcher.candidates>`).
+        Between mutations every decision — re-decisions that end withheld
+        included — shares the same snapshot, and with it the raw and the
+        snapped signed matrix.
         """
         if self._selection is None:
-            self._selection = self.arena.select(self._active.values())
+            self._selection = self.active_pool.candidates()
         return self._selection
 
     def find(self, subscription_id: str) -> Optional[Subscription]:
         """Look up a stored subscription (or merged box) by identifier."""
-        found = self._active.get(subscription_id)
-        return found if found is not None else self._covered.get(subscription_id)
+        found = self.active_pool.get(subscription_id)
+        if found is None:
+            found = self.covered_pool.get(subscription_id)
+        return found
 
     def __len__(self) -> int:
         return self.total_count
 
     def __contains__(self, subscription_id: object) -> bool:
-        return subscription_id in self._active or subscription_id in self._covered
+        return (
+            subscription_id in self.active_pool or subscription_id in self.covered_pool
+        )
 
     # ------------------------------------------------------------------
     # The active pool
     # ------------------------------------------------------------------
     def _advertise(self, subscription: Subscription) -> None:
         """Append to the active pool, extending a still-valid snapshot."""
-        self._active[subscription.id] = subscription
-        self.arena.add(subscription)
+        self.active_pool.add(subscription)
         previous, self._selection = self._selection, None
         if previous is not None:
             self._selection = previous.extended(subscription)
@@ -231,8 +239,7 @@ class SubscriptionStore:
     def _retract(self, subscription_id: str) -> Subscription:
         """Drop an advertisement from the active pool."""
         self._selection = None
-        self.arena.remove(subscription_id)
-        return self._active.pop(subscription_id)
+        return self.active_pool.remove(subscription_id)
 
     # ------------------------------------------------------------------
     # Mutations
@@ -240,10 +247,18 @@ class SubscriptionStore:
     def add(self, subscription: Subscription) -> StoreDecision:
         """Insert a subscription and decide whether it must be forwarded.
 
-        Raises :class:`~repro.model.errors.ValidationError` for a
-        subscription of another schema than the store's, before any
-        state changes.
+        Raises :class:`ValueError` for the identifier of a subscription
+        the store already holds and
+        :class:`~repro.model.errors.ValidationError` for a subscription of
+        another schema than the store's, both before any state changes.
+        A merged box is named after its members, so a broker link can
+        receive another broker's box under the name of one of its own;
+        that one is decided like any other subscription.
         """
+        if subscription.id in self and subscription.id not in self.members:
+            raise ValueError(
+                f"subscription {subscription.id!r} is already registered"
+            )
         schema = subscription.schema
         if self.schema is None:
             self.schema = schema
@@ -262,7 +277,7 @@ class SubscriptionStore:
             self._advertise(subscription)
             self.stats["forwarded"] += 1
         else:
-            self._covered[subscription.id] = subscription
+            self.covered_pool.add(subscription)
             self.cover_links[subscription.id] = decision.covered_by
             self.stats["suppressed"] += 1
         return decision
@@ -275,11 +290,11 @@ class SubscriptionStore:
             original = self._retract(replaced_id)
             absorbed = self.members.pop(replaced_id, None)
             if absorbed is None:  # an original becomes a member
-                self._covered[replaced_id] = original
+                self.covered_pool.add(original)
                 members.add(replaced_id)
             else:  # a box is dropped; its members move to the new one
                 members |= absorbed
-        self._covered[decision.subscription.id] = decision.subscription
+        self.covered_pool.add(decision.subscription)
         self._advertise(box)
         self.members[box.id] = members
         replaced = set(decision.replaced)
@@ -303,13 +318,13 @@ class SubscriptionStore:
 
     def remove_detailed(self, subscription_id: str) -> RemovalOutcome:
         """Like :meth:`remove`, but reporting the full :class:`RemovalOutcome`."""
-        if subscription_id in self._active:
+        if subscription_id in self.active_pool:
             removed = self._retract(subscription_id)
             self.stats["removed"] += 1
             return RemovalOutcome(
                 removed, was_active=True, reinsertions=self._redecide(subscription_id)
             )
-        removed = self._covered.pop(subscription_id, None)
+        removed = self.covered_pool.remove(subscription_id)
         if removed is None:
             return RemovalOutcome(None)
         self.stats["removed"] += 1
@@ -339,7 +354,7 @@ class SubscriptionStore:
         decisions = []
         for sid in dependents:
             del self.cover_links[sid]
-            decision = self._decide(self._covered.pop(sid))
+            decision = self._decide(self.covered_pool.remove(sid))
             self.stats["promoted"] += decision.forwarded
             decisions.append(decision)
         return tuple(decisions)

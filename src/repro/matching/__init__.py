@@ -5,18 +5,16 @@ the paper: publications are matched against the *active* (uncovered)
 subscriptions first and the covered subscriptions are consulted only when
 an active subscription matched.
 
-Every membership test of the program — the engine's two sets, the
+Every membership test of the program — the engine's two pools, the
 brokers' routing tables, the network's delivery oracle — is answered by
-one class, :class:`Matcher`: the subscriptions of one schema as
-incrementally kept signed bound columns, tested with the checker's own
-box-test kernel.
+one class, :class:`repro.core.arena.Matcher`: the subscriptions of one
+schema as incrementally kept signed bound columns, tested with the
+checker's own box-test kernel.
 """
 
 from repro.matching.engine import MatchingEngine, MatchResult
-from repro.matching.matcher import Matcher
 
 __all__ = [
-    "Matcher",
     "MatchingEngine",
     "MatchResult",
 ]

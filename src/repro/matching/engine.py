@@ -5,14 +5,15 @@ which subscribers must be notified?".  Following Algorithm 5, the active
 (uncovered) subscriptions are checked first; only when at least one of them
 matches does the engine look at the covered subscriptions.
 
-Both sets live in a :class:`~repro.matching.matcher.Matcher` and are
-tested flat, in one vectorised pass each.  The gate is what makes this
-sound: the store keeps every withheld subscription's coverers and every
-merged member's box active (:mod:`repro.core.store`), and a publication
-that matches a covered subscription matches one of them — a single one
-under pair-wise covering, one of the union under group covering, the box
-of a member — so skipping the covered set when no active subscription
-matched never loses a notification.  An answer is charged
+The two sets are the engine's store's own pools — two
+:class:`~repro.core.arena.Matcher` objects — and are tested flat, in one
+vectorised pass each.  The gate is what makes this sound: the store
+keeps every withheld subscription's coverers and every merged member's
+box active (:mod:`repro.core.store`), and a publication that matches a
+covered subscription matches one of them — a single one under pair-wise
+covering, one of the union under group covering, the box of a member —
+so skipping the covered set when no active subscription matched never
+loses a notification.  An answer is charged
 ``active_tests = len(active)`` and, behind the gate,
 ``covered_tests = len(covered)``.
 
@@ -22,25 +23,23 @@ kept: it charges fewer tests, but on the high-redundancy engine benchmark
 (``cycle-engine``) the flat vectorised pass replays 2.4-3x faster than
 the Python walk.
 
-Unsubscription is incremental: the store reports what it did
-(:class:`~repro.core.store.RemovalOutcome`) and the engine moves only the
-affected subscriptions between its two matchers.
-
 The engine owns a :class:`~repro.core.store.SubscriptionStore` — the
-covering-state machine a broker keeps per link — so it also exposes the
-subscribe/unsubscribe workflow used by the examples and by the scenario
-runner's engine backend.
+covering-state machine a broker keeps per link — and keeps no copy of
+it: a subscription or an unsubscription is the store's to apply, and the
+next publication is matched against the pools as the store left them.
+It exposes the subscribe/unsubscribe workflow used by the examples and by
+the scenario runner's engine backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import DEFAULT_MERGE_BUDGET
 from repro.core.store import CoveringPolicyName, StoreDecision, SubscriptionStore
 from repro.core.subsumption import SubsumptionChecker
-from repro.matching.matcher import Matcher, check_backend_label
+from repro.matching.matcher import check_backend_label
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
 from repro.obs import probes as obs_probes
@@ -119,8 +118,6 @@ class MatchingEngine:
         self.store = SubscriptionStore(
             policy=policy, checker=checker, merge_budget=merge_budget
         )
-        self._active = Matcher()
-        self._covered = Matcher()
         #: cumulative counters for the micro-benchmarks
         self.stats: Dict[str, int] = {
             "publications": 0,
@@ -131,8 +128,9 @@ class MatchingEngine:
 
     @property
     def arena(self):
-        """The store's subscription arena (contiguous active-set bounds)."""
-        return self.store.arena
+        """The store's active pool, read for its ``compactions`` and
+        ``moved_rows`` counters."""
+        return self.store.active_pool
 
     # ------------------------------------------------------------------
     # Subscription management
@@ -143,8 +141,7 @@ class MatchingEngine:
         Raises :class:`ValueError` for an identifier the store already
         holds (a merged box's included), and
         :class:`~repro.model.errors.ValidationError` for a subscription of
-        another schema — *before* any state is touched, so the store and
-        the matchers can never diverge.
+        another schema, before any state changes.
         """
         # The engine is used standalone (no owning network to hand it a
         # probe), so it looks the module-level probe up per call; with no
@@ -160,48 +157,19 @@ class MatchingEngine:
             obs.stage_pop()
 
     def _subscribe_impl(self, subscription: Subscription) -> StoreDecision:
-        # The store holds merged boxes too; it rejects a foreign schema
-        # itself, before any state changes.
-        if subscription.id in self.store:
+        # merged boxes live in the store, but no client registered them;
+        # the store rejects every other held id and a foreign schema
+        if subscription.id in self.store.members:
             raise ValueError(
                 f"subscription {subscription.id!r} is already registered"
             )
-        decision = self.store.add(subscription)
-        self._apply_decision(decision)
-        return decision
-
-    def _apply_decision(self, decision: StoreDecision) -> None:
-        """Mirror one store decision into the two matchers."""
-        subscription = decision.subscription
-        if decision.merged is not None:
-            # The box is advertised in place of the replaced advertisements:
-            # a replaced original joins the newcomer among the box's members
-            # (covered — the box covers each of them, so the Algorithm 5
-            # gate stays sound), a replaced box is dropped.
-            self._active.add(decision.merged)
-            for replaced_id in decision.replaced:
-                self._active.remove(replaced_id)
-                replaced = self.store.find(replaced_id)
-                if replaced is not None:
-                    self._covered.add(replaced)
-            self._covered.add(subscription)
-        elif decision.forwarded:
-            self._active.add(subscription)
-        else:
-            self._covered.add(subscription)
-
-    def subscribe_all(
-        self, subscriptions: Iterable[Subscription]
-    ) -> List[StoreDecision]:
-        """Register many subscriptions in order."""
-        return [self.subscribe(subscription) for subscription in subscriptions]
+        return self.store.add(subscription)
 
     def unsubscribe(self, subscription_id: str) -> Tuple[Subscription, ...]:
         """Remove a subscription; returns promoted covered subscriptions.
 
-        The removal is incremental: the matchers drop or move only the
-        affected subscriptions.  An identifier the engine never registered
-        (a merged box's included) returns ``()`` and touches nothing.
+        An identifier the engine never registered (a merged box's
+        included) returns ``()`` and touches nothing.
         """
         obs = obs_probes.ACTIVE
         if obs is None:
@@ -216,19 +184,7 @@ class MatchingEngine:
         # merged boxes live in the store, but no client registered them
         if subscription_id not in self.store or subscription_id in self.store.members:
             return ()
-        outcome = self.store.remove_detailed(subscription_id)
-        if outcome.was_active:
-            self._active.remove(subscription_id)
-        else:
-            self._covered.remove(subscription_id)
-        for box in outcome.retracted:
-            self._active.remove(box.id)
-        for decision in outcome.reinsertions:
-            # a re-decided subscription leaves the covered matcher first;
-            # re-appending a re-covered one mirrors the store's order
-            self._covered.remove(decision.subscription.id)
-            self._apply_decision(decision)
-        return outcome.promoted
+        return self.store.remove(subscription_id)
 
     # ------------------------------------------------------------------
     # Views
@@ -262,10 +218,11 @@ class MatchingEngine:
 
     def _match_impl(self, publication: Publication) -> MatchResult:
         self.stats["publications"] += 1
-        matched, active_tests = self._active.match_candidates(publication)
+        store = self.store
+        matched, active_tests = store.active_pool.match_candidates(publication)
         covered_tests = 0
         if matched:
-            covered, covered_tests = self._covered.match_candidates(publication)
+            covered, covered_tests = store.covered_pool.match_candidates(publication)
             matched.extend(covered)
         return self._build_result(publication, matched, active_tests, covered_tests)
 
@@ -294,10 +251,6 @@ class MatchingEngine:
             covered_tests=covered_tests,
         )
 
-    def match_all(self, publications: Iterable[Publication]) -> List[MatchResult]:
-        """Match a stream of publications."""
-        return [self.match(publication) for publication in publications]
-
     def match_batch(
         self, publications: Sequence[Publication]
     ) -> List[MatchResult]:
@@ -321,10 +274,11 @@ class MatchingEngine:
         self, publications: Sequence[Publication]
     ) -> List[MatchResult]:
         publications = list(publications)
-        active = self._active.match_batch(publications)
+        store = self.store
+        active = store.active_pool.match_batch(publications)
         need = [position for position, (matched, _) in enumerate(active) if matched]
         covered = dict(
-            zip(need, self._covered.match_batch([publications[i] for i in need]))
+            zip(need, store.covered_pool.match_batch([publications[i] for i in need]))
         )
         results: List[MatchResult] = []
         for position, publication in enumerate(publications):

@@ -248,7 +248,7 @@ class ScenarioSpec:
         folded into the trace hash when non-default, recorded in traces
         and echoed in :class:`~repro.scenarios.runner.ScenarioReport`,
         but it selects nothing: every run matches with the one
-        :class:`~repro.matching.matcher.Matcher`.  It is kept because the
+        :class:`~repro.core.arena.Matcher`.  It is kept because the
         benchmark's specs and recorded traces carry it, and goes with
         ROADMAP item 4, Half B.
     latency_model:

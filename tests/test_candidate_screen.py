@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arena import CandidateSet, SubscriptionArena, boxes_meeting
+from repro.core.arena import CandidateSet, Matcher, boxes_meeting
 from repro.core.conflict_table import ConflictTable
 from repro.core.decisions import detect_pairwise_cover, detect_polyhedron_witness
 from repro.core.error_model import required_iterations
@@ -444,7 +444,6 @@ class TestScreenIsMcsPassOneHoisted:
         ]
         table = ConflictTable(subject, sides)
         assert table.conflict_free_counts().tolist() == [1, 1]
-        assert table._conflict_free_counts_scalar().tolist() == [1, 1]
         result = assert_screen_is_neutral(subject, sides)
         assert result.method is DecisionMethod.EMPTY_MCS
         assert result.iterations_performed == 0
@@ -569,9 +568,9 @@ class TestCallerFacingContract:
     def test_list_arena_and_snapshot_inputs_agree(self):
         for seed in range(12):
             subject, candidates = self._instance(seed, fractional=seed % 2)
-            arena = SubscriptionArena()
+            matcher = Matcher()
             for candidate in candidates:
-                arena.add(candidate)
+                matcher.add(candidate)
             grown = CandidateSet(candidates[:-1])
             grown.signed  # built, so ``extended`` has a matrix to carry over
             inputs = {
@@ -579,7 +578,7 @@ class TestCallerFacingContract:
                 "tuple": tuple(candidates),
                 "iterator": iter(candidates),
                 "snapshot": CandidateSet(candidates),
-                "arena": arena.select(candidates),
+                "matcher": matcher.candidates(),
                 "extended": grown.extended(candidates[-1]),
                 "extended lazily": CandidateSet(candidates[:-1]).extended(
                     candidates[-1]

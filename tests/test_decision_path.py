@@ -116,7 +116,7 @@ def _log_decisions(store, keys: List[Tuple], prefix=(), rows=None) -> None:
     decide = store._decide
 
     def recorded(subscription):
-        advertised = tuple(store._active)
+        advertised = tuple(s.id for s in store.active)
         keys.append((*prefix, subscription.id, *_bounds(subscription), advertised))
         decision = decide(subscription)
         if rows is not None:

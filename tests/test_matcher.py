@@ -1,8 +1,8 @@
 """The one matcher against a linear scan, and the engine's Algorithm 5 gate.
 
-:class:`~repro.matching.matcher.Matcher` answers every publication lookup:
-the engine's active and covered sets, every broker's routing table and
-the network's delivery oracle.  Its reference here is :func:`scan`, a
+:class:`~repro.core.arena.Matcher` answers every publication lookup:
+the engine's active and covered sets (its store's two pools), every
+broker's routing table and the network's delivery oracle.  Its reference here is :func:`scan`, a
 plain loop over the live subscriptions in insertion order.
 
 * the edge sweep: discrete, continuous (``±inf``), mixed, one-attribute
@@ -12,14 +12,15 @@ plain loop over the live subscriptions in insertion order.
   off; every answer — candidates, their order, the tests charged — equal
   to the scan;
 * the storage contract: one NaN-filled signed matrix grown, tombstoned
-  and compacted in place, one schema per matcher, one workspace budget;
+  and compacted in place (counted in ``compactions``/``moved_rows``), one
+  schema per matcher, one workspace budget;
 * lookups by hand through ``match_candidates``, ``match_batch`` and
   ``match_batch`` on pre-stacked values;
 * the engine under churn, all five policies, on uniform boxes and two
   scenario workloads: the matched set equals a brute-force scan of the
   store whenever an active subscription matched, and nothing
-  (``covered_tests == 0``) otherwise; mass unsubscription keeps the two
-  matchers equal to the store's pools;
+  (``covered_tests == 0``) otherwise; mass unsubscription stays
+  lossless;
 * the matcher-backend labels that stay for recorded traces: validated,
   recorded and echoed, selecting nothing.
 """
@@ -32,9 +33,10 @@ import pytest
 from repro.broker import grid_topology
 from repro.broker.network import BrokerNetwork
 from repro.core import arena
+from repro.core.arena import Matcher
 from repro.core.subsumption import SubsumptionChecker
 from repro.matching.engine import MatchingEngine
-from repro.matching.matcher import BACKEND_NAMES, Matcher
+from repro.matching.matcher import BACKEND_NAMES
 from repro.model import (
     CategoricalDomain,
     ContinuousDomain,
@@ -293,12 +295,32 @@ def test_tombstones_then_compaction(family):
         assert matcher._dead == i // 2
         assert matcher.remove(subscriptions[i].id)
     assert len(matcher) == 32 and matcher._dead == 0 and matcher._size == 32
+    assert (matcher.compactions, matcher.moved_rows) == (1, 32)
     survivors = subscriptions[1::2]
     assert [s.id for s in matcher._subscriptions] == [s.id for s in survivors]
     publications = _publications(schema, rng, 30, survivors)
     expected = _ids([scan(survivors, p) for p in publications])
     assert _ids(matcher.match_candidates(p) for p in publications) == expected
     assert _ids(matcher.match_batch(publications)) == expected
+
+
+def test_compaction_counts_the_columns_it_moves():
+    """Compaction fires once tombstones reach the live columns, and
+    ``moved_rows`` counts only the survivors that changed column."""
+    schema = SCHEMAS["discrete"]
+    subscriptions = _subscriptions(schema, np.random.default_rng(5), 64)
+    for doomed, moved in ((subscriptions[32:], 0), (subscriptions[:32], 32)):
+        matcher = Matcher()
+        for subscription in subscriptions:
+            matcher.add(subscription)
+        for subscription in doomed[:-1]:
+            matcher.remove(subscription.id)
+        assert matcher.compactions == 0
+        matcher.remove(doomed[-1].id)
+        assert (matcher.compactions, matcher.moved_rows, matcher._size) == (1, moved, 32)
+        survivors = [s.id for s in subscriptions if s not in doomed]
+        assert [s.id for s in matcher] == survivors
+        assert matcher.candidates().ids == tuple(survivors)
 
 
 @pytest.mark.parametrize("family", sorted(SCHEMAS))
@@ -570,18 +592,11 @@ def test_engine_gate_under_churn(policy, workload):
         assert single.stats["covered_tests"] > 0
 
 
-def _mirrors_the_store(engine):
-    """The two matchers hold exactly the store's active and covered pools."""
-    return set(engine._active._rows) == {
-        s.id for s in engine.active_subscriptions
-    } and set(engine._covered._rows) == {s.id for s in engine.covered_subscriptions}
-
-
 @pytest.mark.parametrize("policy", ("none", "pairwise", "merging"))
 def test_unsubscribe_keeps_matching_lossless(policy):
     """Unsubscribing most of a redundant set moves subscriptions between
-    the two matchers, which stay equal to the store's pools; the lossless
-    policies keep notifying exactly the live subscribers throughout."""
+    the store's two pools; the lossless policies keep notifying exactly
+    the live subscribers throughout."""
     schema = Schema.uniform_integer(3, 0, 200)
     rng = np.random.default_rng(12)
     engine = _engine(policy)
@@ -592,7 +607,6 @@ def test_unsubscribe_keeps_matching_lossless(policy):
         ).replace(subscription_id=f"s{index}", subscriber=f"c{index % 11}")
         engine.subscribe(subscription)
         live[subscription.id] = subscription
-    assert _mirrors_the_store(engine)
     merged = len(engine) - len(live)
     order = list(live)
     rng.shuffle(order)
@@ -600,7 +614,6 @@ def test_unsubscribe_keeps_matching_lossless(policy):
     for victim in order[:120]:
         promoted += len(engine.unsubscribe(victim))
         del live[victim]
-        assert _mirrors_the_store(engine)
         if len(live) % 10 == 0:
             for _ in range(5):
                 publication = random_publication(schema, rng)
@@ -611,7 +624,7 @@ def test_unsubscribe_keeps_matching_lossless(policy):
     stored = engine.active_subscriptions + engine.covered_subscriptions
     assert {s.id for s in stored if s.subscriber is not None} == set(live)
     # pair-wise covering promotes orphans; merging retracts the merged
-    # boxes whose last member left, from whichever matcher holds them
+    # boxes whose last member left
     if policy == "pairwise":
         assert promoted > 0
     if policy == "merging":
@@ -635,7 +648,8 @@ def test_engine_match_batch_equals_sequential(label):
     batched = MatchingEngine(policy="pairwise", backend=label)
     unlabelled = MatchingEngine(policy="pairwise")
     for engine in (sequential, batched, unlabelled):
-        engine.subscribe_all(subscriptions)
+        for subscription in subscriptions:
+            engine.subscribe(subscription)
 
     def fields(r):
         return r.matched_ids, r.subscribers, r.active_tests, r.covered_tests

@@ -30,7 +30,8 @@ class TestSubscribeWorkflow:
             policy=CoveringPolicyName.GROUP,
             checker=SubsumptionChecker(delta=1e-6, rng=0),
         )
-        engine.subscribe_all(table3_candidates)
+        for candidate in table3_candidates:
+            engine.subscribe(candidate)
         decision = engine.subscribe(table3_subscription)
         assert not decision.forwarded
         assert len(engine.active_subscriptions) == 2
@@ -129,13 +130,11 @@ class TestAlgorithm5:
         assert engine.stats["active_tests"] > 0
 
     def test_match_all(self, engine, schema):
-        results = engine.match_all(
-            [
-                Publication.from_values(schema, {"x1": 15, "x2": 15}),
-                Publication.from_values(schema, {"x1": 70, "x2": 70}),
-            ]
-        )
-        assert len(results) == 2
+        results = [
+            engine.match(Publication.from_values(schema, {"x1": x, "x2": x}))
+            for x in (15, 70)
+        ]
+        assert [set(r.matched_ids) for r in results] == [{"big", "small"}, {"corner"}]
 
 
 class TestEquivalenceAcrossConfigurations:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.arena import CandidateSet
 from repro.core.store import CoveringPolicyName, SubscriptionStore
 from repro.core.subsumption import SubsumptionChecker
 from repro.model import Schema, Subscription
@@ -162,3 +163,25 @@ class TestRemoval:
         assert store.find("a").id == "a"
         assert store.find("zzz") is None
         assert 42 not in store
+
+
+class TestDuplicateIdentifiers:
+    """An identifier the store holds is rejected before any state changes."""
+
+    @pytest.mark.parametrize("policy", ["none", "pairwise", "group", "merging", "hybrid"])
+    def test_a_held_id_is_rejected(self, policy):
+        schema = Schema.uniform_integer(2, 0, 7)
+        store = SubscriptionStore(policy=policy, checker=SubsumptionChecker(rng=0))
+        first = Subscription(schema, [0, 0], [5, 5], subscription_id="a")
+        store.add(first)
+        snapshot = store.active_candidates()
+        stats = dict(store.stats)
+        with pytest.raises(ValueError, match="already registered"):
+            store.add(Subscription(schema, [3, 3], [7, 7], subscription_id="a"))
+        assert store.find("a") is first
+        assert (store.active, store.covered) == ((first,), ())
+        assert store.stats == stats
+        assert store.active_candidates() is snapshot
+        assert snapshot.raw.tolist() == CandidateSet([first]).raw.tolist()
+        store.remove("a")
+        assert len(store) == 0

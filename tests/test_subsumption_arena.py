@@ -12,13 +12,15 @@ and compares everything.
 
 A second set of tests pins the candidate snapshots: a store or broker
 link hands every decision a snapshot equal to its current pool, shares
-it between mutations, and never aliases or touches an older one.
+it between mutations, and never aliases or touches an older one — a
+snapshot's bounds are a copy of the active matcher's live columns, so
+neither a removal's NaN tombstone nor a compaction reaches it.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.arena import CandidateSet, SubscriptionArena, as_candidate_set
+from repro.core.arena import CandidateSet, Matcher, as_candidate_set
 from repro.core.conflict_table import ConflictTable, EntrySide
 from repro.core.mcs import minimized_cover_set
 from repro.core.pairwise import PairwiseCoverageChecker
@@ -117,6 +119,96 @@ def _instances():
     yield noncover.subscription, list(noncover.candidates)
 
 
+# ----------------------------------------------------------------------
+# The per-attribute reference for ``fc_i`` (Definition 5)
+# ----------------------------------------------------------------------
+def _exclusive_extreme(source_positions, source_bounds, target_positions, use_max):
+    """Per-target extreme of the source bounds excluding the same row.
+
+    For each target position, return the max (or min) of the source
+    bounds over source entries belonging to *other* rows; ``±inf``
+    signals "no other-row source entry exists".
+    """
+    fill = -np.inf if use_max else np.inf
+    result = np.full(len(target_positions), fill, dtype=float)
+    if source_positions.size == 0:
+        return result
+    order = np.argsort(source_bounds)
+    if use_max:
+        best_pos = source_positions[order[-1]]
+        best = source_bounds[order[-1]]
+        second = source_bounds[order[-2]] if source_positions.size > 1 else fill
+    else:
+        best_pos = source_positions[order[0]]
+        best = source_bounds[order[0]]
+        second = source_bounds[order[1]] if source_positions.size > 1 else fill
+    result[:] = best
+    same = target_positions == best_pos
+    result[same] = second
+    return result
+
+
+def conflict_free_counts_scalar(table, rows=None):
+    """Per-attribute reference implementation of ``fc_i`` (Definition 5).
+
+    The differential oracle of :meth:`ConflictTable.conflict_free_counts`;
+    both must agree exactly on every instance.  A LOW entry (negation
+    ``x < A``) conflicts with a HIGH entry (negation ``x > B``) of another
+    row iff ``s`` has no point strictly between ``B`` and ``A``.  The
+    condition is monotone in ``B`` (larger ``B`` => more likely conflict),
+    so only the largest *other-row* ``B`` matters — and symmetrically only
+    the smallest other-row ``A`` matters for HIGH entries.
+    """
+    active = (
+        np.arange(table.k, dtype=int) if rows is None else np.asarray(rows, dtype=int)
+    )
+    counts = np.zeros(len(active), dtype=int)
+    if not len(active):
+        return counts
+    candidate_lows, candidate_highs = table.candidate_lows, table.candidate_highs
+    open_slice_met = ConflictTable._open_slice_met
+    for attribute in range(table.m):
+        low_positions = np.nonzero(table.defined_low[active, attribute])[0]
+        high_positions = np.nonzero(table.defined_high[active, attribute])[0]
+        low_bounds = candidate_lows[active[low_positions], attribute]
+        high_bounds = candidate_highs[active[high_positions], attribute]
+        discrete = bool(table.schema.vectors.discrete[attribute])
+        s_low, s_high = table._own_interval(attribute)
+
+        if low_positions.size:
+            other_max_b = _exclusive_extreme(
+                high_positions, high_bounds, low_positions, use_max=True
+            )
+            a = low_bounds
+            has_other = np.isfinite(other_max_b)
+            if discrete:
+                highest = np.minimum(a - 1.0, s_high)
+                lowest = np.maximum(other_max_b + 1.0, s_low)
+                conflict = has_other & (highest < lowest)
+            else:
+                highest = np.minimum(a, s_high)
+                lowest = np.maximum(other_max_b, s_low)
+                conflict = has_other & ~open_slice_met(other_max_b, lowest, highest, a)
+            np.add.at(counts, low_positions, (~conflict).astype(int))
+
+        if high_positions.size:
+            other_min_a = _exclusive_extreme(
+                low_positions, low_bounds, high_positions, use_max=False
+            )
+            b = high_bounds
+            has_other = np.isfinite(other_min_a)
+            if discrete:
+                highest = np.minimum(other_min_a - 1.0, s_high)
+                lowest = np.maximum(b + 1.0, s_low)
+                conflict = has_other & (highest < lowest)
+            else:
+                highest = np.minimum(other_min_a, s_high)
+                lowest = np.maximum(b, s_low)
+                conflict = has_other & ~open_slice_met(b, lowest, highest, other_min_a)
+            np.add.at(counts, high_positions, (~conflict).astype(int))
+    return counts
+
+
 def _decision_fields(decision):
     """A reduction decision as a comparable tuple, its checker result too."""
     result = decision.result
@@ -178,10 +270,10 @@ class TestArenaPipelineDifferential:
             arena_checker = SubsumptionChecker(
                 delta=1e-4, max_iterations=64, rng=99
             )
-            arena = SubscriptionArena()
+            matcher = Matcher()
             for candidate in candidates:
-                arena.add(candidate)
-            snapshot = arena.select(candidates)
+                matcher.add(candidate)
+            snapshot = matcher.candidates()
             object_result = object_checker.check(subscription, list(candidates))
             arena_result = arena_checker.check(subscription, snapshot)
             _assert_results_identical(object_result, arena_result)
@@ -232,7 +324,7 @@ class TestVectorisedStageDifferentials:
                 )
             for rows in subsets:
                 fast = table.conflict_free_counts(rows)
-                slow = table._conflict_free_counts_scalar(rows)
+                slow = conflict_free_counts_scalar(table, rows)
                 assert fast.tolist() == slow.tolist()
 
     def test_minimum_gap_measures_matches_scalar(self):
@@ -331,61 +423,7 @@ class TestVectorisedStageDifferentials:
                 ) == subscription.contains_point(publication.values)
 
 
-class TestSubscriptionArena:
-    def test_add_select_remove_roundtrip(self):
-        schema = Schema.uniform_integer(4, 0, 50)
-        rng = np.random.default_rng(0)
-        subs = [random_subscription(schema, rng) for _ in range(6)]
-        arena = SubscriptionArena()
-        for sub in subs:
-            arena.add(sub)
-        snapshot = arena.select(subs)
-        assert snapshot.ids == tuple(s.id for s in subs)
-        assert np.array_equal(snapshot.lows, np.vstack([s.lows for s in subs]))
-        assert np.array_equal(snapshot.highs, np.vstack([s.highs for s in subs]))
-        # removal recycles rows through the free-list
-        row = arena.row_of(subs[2].id)
-        arena.remove(subs[2].id)
-        replacement = random_subscription(schema, rng)
-        assert arena.add(replacement) == row
-        reordered = [subs[4], subs[0], replacement]
-        snapshot2 = arena.select(reordered)
-        assert np.array_equal(
-            snapshot2.lows, np.vstack([s.lows for s in reordered])
-        )
-
-    def test_version_bumps_on_every_mutation(self):
-        schema = Schema.uniform_integer(2, 0, 9)
-        arena = SubscriptionArena()
-        v0 = arena.version
-        sub = Subscription(schema, [1, 1], [5, 5])
-        arena.add(sub)
-        assert arena.version == v0 + 1
-        arena.remove(sub.id)
-        assert arena.version == v0 + 2
-
-    def test_snapshot_survives_later_mutations(self):
-        schema = Schema.uniform_integer(2, 0, 9)
-        arena = SubscriptionArena()
-        a = Subscription(schema, [1, 1], [5, 5])
-        arena.add(a)
-        snapshot = arena.select([a])
-        lows_before = snapshot.lows.copy()
-        for i in range(100):  # force several capacity doublings
-            arena.add(Subscription(schema, [0, 0], [9, 9], subscription_id=f"g{i}"))
-        assert np.array_equal(snapshot.lows, lows_before)
-
-    def test_duplicate_and_mismatched_adds_rejected(self):
-        schema = Schema.uniform_integer(2, 0, 9)
-        other = Schema.uniform_integer(3, 0, 9)
-        arena = SubscriptionArena()
-        sub = Subscription(schema, [1, 1], [5, 5])
-        arena.add(sub)
-        with pytest.raises(ValidationError):
-            arena.add(sub)
-        with pytest.raises(ValidationError):
-            arena.add(Subscription(other, [0, 0, 0], [1, 1, 1]))
-
+class TestSnapshotContract:
     def test_as_candidate_set_passthrough(self):
         snapshot = CandidateSet(())
         assert as_candidate_set(snapshot) is snapshot
@@ -440,7 +478,7 @@ class TestSubscriptionArena:
             with pytest.raises(ValidationError):
                 store.add(foreign)
             assert foreign.id not in store
-        assert store.active_count == len(store.arena) == 1
+        assert store.active_count == 1
         assert store.stats["added"] == 1
         assert store.active_candidates() is snapshot
 
@@ -464,17 +502,12 @@ class TestStoreAndStrategyThreading:
         for sub in list(store.active)[:5]:
             store.remove_detailed(sub.id)
         # Every surviving subscription is in exactly one pool, and the
-        # arena mirrors the active pool exactly.
+        # snapshot holds the active pool's bounds exactly.
         active_ids = {s.id for s in store.active}
         covered_ids = {s.id for s in store.covered}
         assert not (active_ids & covered_ids)
-        assert len(store.arena) == len(active_ids)
-        for sub in store.active:
-            assert sub.id in store.arena
-        snapshot = store.active_candidates()
-        assert np.array_equal(
-            snapshot.lows, np.vstack([s.lows for s in store.active])
-        )
+        assert len(active_ids) + len(covered_ids) == 30 - 5
+        _assert_snapshot_is(store.active_candidates(), store.active)
 
     def test_store_mutations_invalidate_cached_selection(self):
         schema = Schema.uniform_integer(3, 0, 100)
@@ -512,7 +545,7 @@ def _reference_fixed_point(table):
         passes += 1
         if not active:
             break
-        fc = table._conflict_free_counts_scalar(active)
+        fc = conflict_free_counts_scalar(table, active)
         drop = [
             fc[i] >= 1 or table.t(row) >= len(active)
             for i, row in enumerate(active)
@@ -635,7 +668,7 @@ class TestSignedKernel:
         rng = np.random.default_rng(17)
         subscription, candidates = _random_instance(schema, rng, 6)
         table = ConflictTable(subscription, candidates)
-        in_order = table._conflict_free_counts_scalar().tolist()
+        in_order = conflict_free_counts_scalar(table).tolist()
         assert len(set(in_order)) > 1  # order is observable
         for rows in ([5, 4, 3, 2, 1, 0], [2, 0, 1, 5, 3, 4]):
             assert table.conflict_free_counts(rows).tolist() == [
@@ -644,7 +677,7 @@ class TestSignedKernel:
         for rows in ([5, 4, 3, 2, 1, 0], [4, 1], [1, 4], [3]):
             assert (
                 table.conflict_free_counts(rows).tolist()
-                == table._conflict_free_counts_scalar(rows).tolist()
+                == conflict_free_counts_scalar(table, rows).tolist()
             )
         assert table.conflict_free_counts().tolist() == in_order
         assert table.conflict_free_counts([]).tolist() == []
@@ -670,12 +703,26 @@ class TestSignedKernel:
         for rows in (None, [0], [1], [1, 0], [2, 0, 1]):
             assert (
                 table.conflict_free_counts(rows).tolist()
-                == table._conflict_free_counts_scalar(rows).tolist()
+                == conflict_free_counts_scalar(table, rows).tolist()
             )
         # the tick 3 is not above 6: the sliver's entry conflicts with
         # ``other``'s, and alone it has nothing to conflict with
         assert table.conflict_free_counts([0]).tolist() == [1]
         assert table.conflict_free_counts([0, 1]).tolist()[0] == 0
+
+    def test_single_point_continuous_axis_between_two_candidates(self):
+        """Two candidates either side of a single-point continuous range
+        each own a conflict-free entry: the point lies strictly between
+        them."""
+        schema = _continuous_schema()
+        subject = Subscription(schema, [5.0] + [0.0] * 4, [5.0] + [10.0] * 4)
+        sides = [
+            Subscription(schema, [6.0] + [0.0] * 4, [7.0] + [10.0] * 4),
+            Subscription(schema, [1.0] + [0.0] * 4, [2.0] + [10.0] * 4),
+        ]
+        table = ConflictTable(subject, sides)
+        assert table.conflict_free_counts().tolist() == [1, 1]
+        assert conflict_free_counts_scalar(table).tolist() == [1, 1]
 
     def test_tie_at_a_column_extreme(self):
         """Two rows share the largest HIGH bound: each faces the other's."""
@@ -688,7 +735,7 @@ class TestSignedKernel:
         for rows in (None, [0, 2], [1, 2], [2], [0, 1]):
             assert (
                 table.conflict_free_counts(rows).tolist()
-                == table._conflict_free_counts_scalar(rows).tolist()
+                == conflict_free_counts_scalar(table, rows).tolist()
             )
         kept, removed, passes, _ = _reference_fixed_point(table)
         result = minimized_cover_set(table)
@@ -722,7 +769,7 @@ class TestSignedKernel:
         rows = [Subscription(schema, [10.0, 0.0], [50.0, 30.0]) for _ in range(3)]
         lows = np.array([[10.0, -inf], [-inf, 20.0], [12.5, 0.0]])
         highs = np.array([[inf, 30.0], [25.0, inf], [40.0, 44.5]])
-        snapshot = CandidateSet(rows, lows, highs)
+        snapshot = CandidateSet(rows, np.concatenate((lows, -highs), axis=1).T)
         tables.append(ConflictTable(bounded, snapshot))
         # the fractional bounds reach the table as ticks, the infinite
         # ones as they are
@@ -740,7 +787,7 @@ class TestSignedKernel:
             for subset in (None, [0, 1], [2, 0]):
                 assert (
                     table.conflict_free_counts(subset).tolist()
-                    == table._conflict_free_counts_scalar(subset).tolist()
+                    == conflict_free_counts_scalar(table, subset).tolist()
                 )
                 assert (
                     table.minimum_gap_measures(subset).tolist()
@@ -758,6 +805,11 @@ class TestSignedKernel:
 # ----------------------------------------------------------------------
 # Append-only candidate snapshots
 # ----------------------------------------------------------------------
+def _raw_columns(subscriptions):
+    """The raw signed ``(2m, k)`` bounds of ``subscriptions``, by hand."""
+    return np.array([np.concatenate((s.lows, -s.highs)) for s in subscriptions]).T
+
+
 def _assert_snapshot_is(snapshot, subscriptions):
     """``snapshot`` equals a from-scratch rebuild over ``subscriptions``."""
     subscriptions = list(subscriptions)
@@ -765,9 +817,9 @@ def _assert_snapshot_is(snapshot, subscriptions):
     assert all(a is b for a, b in zip(snapshot, subscriptions))
     assert snapshot.ids == tuple(s.id for s in subscriptions)
     if subscriptions:
-        assert np.array_equal(snapshot.lows, np.vstack([s.lows for s in subscriptions]))
+        assert np.array_equal(snapshot.raw, _raw_columns(subscriptions))
         assert np.array_equal(
-            snapshot.highs, np.vstack([s.highs for s in subscriptions])
+            snapshot.signed, CandidateSet(subscriptions).signed
         )
 
 
@@ -776,30 +828,29 @@ class TestAppendOnlySnapshots:
         schema = Schema.uniform_integer(4, 0, 50)
         rng = np.random.default_rng(5)
         subs = [random_subscription(schema, rng) for _ in range(7)]
-        arena = SubscriptionArena()
-        for sub in subs:
-            arena.add(sub)
-        for base in (arena.select(subs[:6]), CandidateSet(subs[:6])):
-            lazily_stacked = base._lows is None
+        matcher = Matcher()
+        for sub in subs[:6]:
+            matcher.add(sub)
+        for base in (matcher.candidates(), CandidateSet(subs[:6])):
+            lazily_stacked = base._raw is None
             if not lazily_stacked:
-                lows_before, highs_before = base.lows.copy(), base.highs.copy()
+                raw_before = base.raw.copy()
             grown = base.extended(subs[6])
             _assert_snapshot_is(grown, subs)
-            fresh = arena.select(subs)
+            matcher.add(subs[6])
+            fresh = matcher.candidates()
+            matcher.remove(subs[6].id)
             assert grown.ids == fresh.ids
-            assert np.array_equal(grown.lows, fresh.lows)
-            assert np.array_equal(grown.highs, fresh.highs)
+            assert np.array_equal(grown.raw, fresh.raw)
             assert grown.schema is base.schema
-            assert not np.shares_memory(grown.lows, fresh.lows)
+            assert not np.shares_memory(grown.raw, fresh.raw)
             # the previous snapshot is neither aliased nor touched
             _assert_snapshot_is(base, subs[:6])
-            assert not np.shares_memory(grown.lows, base.lows)
-            assert not np.shares_memory(grown.highs, base.highs)
+            assert not np.shares_memory(grown.raw, base.raw)
             if not lazily_stacked:
-                assert np.array_equal(base.lows, lows_before)
-                assert np.array_equal(base.highs, highs_before)
-            grown.lows[0, 0] += 1.0  # writing to the copy cannot leak back
-            assert base.lows[0, 0] == subs[0].lows[0]
+                assert np.array_equal(base.raw, raw_before)
+            # nobody can write to either
+            assert not grown.raw.flags.writeable and not base.raw.flags.writeable
 
     def test_extended_from_empty_and_across_schemas(self):
         schema = Schema.uniform_integer(2, 0, 9)
@@ -810,6 +861,32 @@ class TestAppendOnlySnapshots:
         assert grown.schema is schema
         with pytest.raises(ValidationError):
             grown.extended(Subscription(other, [0, 0], [5, 5]))
+
+    def test_served_snapshots_are_copies(self):
+        """A removal writes NaN into the active matcher's column and a
+        compaction moves its columns; no snapshot served before either
+        changes — the one served with no tombstone in the matrix included."""
+        schema = Schema.uniform_integer(3, 0, 60)
+        rng = np.random.default_rng(31)
+        store = SubscriptionStore(policy="none")
+        subs = [random_subscription(schema, rng) for _ in range(32)]
+        for sub in subs:
+            store.add(sub)
+        pool = store.active_pool
+        served = []
+        for sub in subs[:24]:
+            block = store._selection is None and not pool._dead
+            snapshot = store.active_candidates()
+            bounds = (snapshot.raw.tobytes(), snapshot.signed.tobytes())
+            served.append((snapshot, block, bounds))
+            store.remove(sub.id)
+        # compactions at the 16th and the 24th removal (tombstones == live)
+        assert pool.compactions == 2
+        assert sum(block for _, block, _ in served) == 1
+        for snapshot, _, bounds in served:
+            assert (snapshot.raw.tobytes(), snapshot.signed.tobytes()) == bounds
+            assert not np.isnan(snapshot.raw).any()
+            _assert_snapshot_is(snapshot, snapshot.subscriptions)
 
     @pytest.mark.parametrize("policy", ["pairwise", "group", "merging", "hybrid"])
     def test_store_never_serves_a_stale_snapshot(self, policy):
@@ -846,12 +923,11 @@ class TestAppendOnlySnapshots:
             grown_eagerly = store._selection is not None
             after = store.active_candidates()
             _assert_snapshot_is(after, store.active)
-            assert len(store.arena) == store.active_count
             if tuple(s.id for s in store.active) == ids_before:
                 assert after is before  # untouched pool, shared snapshot
             else:
                 assert after is not before
-                assert not np.shares_memory(after.lows, before.lows)
+                assert not np.shares_memory(after.raw, before.raw)
                 _assert_snapshot_is(before, before.subscriptions)  # left intact
                 extended_in_place += grown_eagerly
         expected = {"forwarded", "suppressed", "removed-active"}
@@ -882,7 +958,8 @@ class TestAppendOnlySnapshots:
             # at decision time the snapshot is one link's advertisement
             # set, in advertisement order, with matching bounds
             assert any(
-                candidates.ids == tuple(link._active) for link in broker.links.values()
+                candidates.ids == tuple(s.id for s in link.active)
+                for link in broker.links.values()
             ) or not len(candidates)
             _assert_snapshot_is(candidates, candidates.subscriptions)
             decided_against.append(len(candidates))
@@ -915,7 +992,7 @@ class TestAppendOnlySnapshots:
                 assert link.active_candidates() is snapshot
                 previous = cached[neighbor]
                 if previous is not None and snapshot is not previous:
-                    assert not np.shares_memory(snapshot.lows, previous.lows)
+                    assert not np.shares_memory(snapshot.raw, previous.raw)
                     _assert_snapshot_is(previous, previous.subscriptions)
                     extended += snapshot.ids[:-1] == previous.ids
         assert extended and max(decided_against) >= 2
