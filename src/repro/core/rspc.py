@@ -23,6 +23,20 @@ state saved before the group and re-draws only the batches a one-batch-
 at-a-time loop would have drawn.  Every later check sees the stream
 position it always saw; the cap bounds what a rollback can re-draw and
 the size of the group buffers.
+
+Only the bounds a guess can fail (:func:`_candidate_blocks`).  Definition 2
+calls a conflict-table entry ``T_i^j`` *undefined* when ``s ∧ ¬s_i^j`` is
+unsatisfiable: every point of ``s`` already satisfies that bound, so "is
+the guess inside ``s_i``?" needs only the row's ``t_i`` defined entries —
+about 1.6 of 30 per row on the Section-6 families.  One comparison against
+``s``'s snapped signed box per run marks the bounds some guess can fail;
+each block of candidates keeps only the axes one of its members needs,
+and a block that needs none contains all of ``s``.  A bound is skipped
+only when every guess the sampling plan can draw satisfies it, so upper
+bounds on continuous axes are always tested.  The first uncovered index
+is unchanged, and with it the draws, the rollback and every counter; on
+``checker-families`` RSPC time fell by about half and ``events_per_s``
+rose by about 39 % (README, "The RSPC guess kernel").
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.arena import as_candidate_set
+from repro.core.arena import as_candidate_set, signed_box
 from repro.core.error_model import (
     compute_required_iterations,
     effective_error,
@@ -109,23 +123,47 @@ _GROUP_CAP = 16
 #: candidates per membership-test block (see :func:`_first_uncovered`)
 _CANDIDATE_BLOCK = 8
 
-def _candidate_blocks(signed: np.ndarray) -> list:
-    """Split the signed ``(2m, r)`` bounds into membership-test blocks.
+
+def _candidate_blocks(subscription: Subscription, signed: np.ndarray) -> list:
+    """Split the signed ``(2m, r)`` bounds into membership-test blocks,
+    keeping only the bounds a guess can fail.
 
     "Is the point inside ANY candidate?" is order-independent, so the
     candidates are tested in blocks sorted by (heuristic) volume: the
     widest candidates absorb most guesses in the first block or two, and
     the remaining blocks only ever see the few points still uncovered.
-    Each block is a ``(2m, block, 1)`` slice of the reordered matrix.
+    Candidates that fit in one block are not sorted.
+
+    A bound every guess satisfies is an *undefined* conflict-table entry
+    (Definition 2) and is skipped: one on a discrete axis at or below
+    ``s``'s snapped bound (guesses are integers inside the snapped box),
+    or a lower bound on a continuous axis at or below ``s``'s (a draw
+    ``a + (b - a) * u`` is never below ``a``).  Upper bounds on continuous
+    axes are always kept: no rounding argument shows the draw stays
+    ``<= b``.  Each block is ``(axes, bounds)``: the signed axes at least
+    one member needs, and the members' ``(len(axes), block, 1)`` bounds
+    on them.  A block with no axes contains every point of ``s``.
     """
-    m = signed.shape[0] // 2
-    with np.errstate(all="ignore"):
-        volume = np.prod(1.0 - signed[m:] - signed[:m], axis=0)
-    ordered = signed[:, np.argsort(-volume), np.newaxis]
-    return [
-        ordered[:, start : start + _CANDIDATE_BLOCK]
-        for start in range(0, signed.shape[1], _CANDIDATE_BLOCK)
-    ]
+    m, k = signed.shape[0] // 2, signed.shape[1]
+    if k > _CANDIDATE_BLOCK:
+        with np.errstate(all="ignore"):
+            volume = np.multiply.reduce(1.0 - signed[m:] - signed[:m], axis=0)
+        signed = signed[:, (-volume).argsort()]
+    # a negation, so that a NaN bound stays needed (and fails every guess)
+    needed = ~(signed <= signed_box(subscription)[0][:, np.newaxis])
+    vectors = subscription.schema.vectors
+    # continuous upper bounds stay needed (``True``: every axis discrete)
+    if vectors.signed_discrete is not True:
+        needed[m:][~vectors.discrete] = True
+    starts = np.arange(0, k, _CANDIDATE_BLOCK)
+    # one reduction for every block: the axes at least one member needs
+    block_needs = np.logical_or.reduceat(needed, starts, axis=1).T
+    blocks = []
+    for start, needs in zip(starts.tolist(), block_needs):
+        axes = needs.nonzero()[0]
+        bounds = signed[axes, start : start + _CANDIDATE_BLOCK, np.newaxis]
+        blocks.append((axes, bounds))
+    return blocks
 
 
 def _first_uncovered(points: np.ndarray, blocks: list) -> int:
@@ -134,16 +172,19 @@ def _first_uncovered(points: np.ndarray, blocks: list) -> int:
     ``points`` is attribute-major ``(m, n)``.  Mirrored onto the signed
     axes (``p`` on top of ``-p``) a point is inside a candidate iff it is
     ``>=`` the candidate's signed column on all ``2m`` axes — one
-    comparison per block.  Each block only sees the points no earlier
-    block contained, and the scan stops as soon as none is left.
+    comparison per block, on the block's axes only.  Each block only
+    sees the points no earlier block contained, and the scan stops as
+    soon as none is left.
     """
     m, count = points.shape
     mirrored = np.empty((2 * m, count), dtype=float)
     mirrored[:m] = points
     np.negative(points, out=mirrored[m:])
     remaining = np.arange(count)
-    for block in blocks:
-        outside = ~(mirrored[:, np.newaxis, :] >= block).all(axis=0).any(axis=0)
+    for axes, bounds in blocks:
+        if not axes.size:
+            return -1
+        outside = ~(mirrored[axes, np.newaxis, :] >= bounds).all(axis=0).any(axis=0)
         remaining = remaining[outside]
         if remaining.size == 0:
             return -1
@@ -172,7 +213,7 @@ def _guess_witness(
     batches are drawn again, so no later check can tell how far this one
     drew ahead.
     """
-    blocks = _candidate_blocks(signed)
+    blocks = _candidate_blocks(subscription, signed)
     bit_generator = rng.bit_generator
     performed = 0
     group = 1
@@ -236,7 +277,19 @@ def run_rspc(
     -------
     RSPCResult
         The verdict plus all accounting needed by the experiments.
+
+    Raises
+    ------
+    ValueError
+        When ``bounds`` does not have shape ``(2m, len(candidates))``.
     """
+    if bounds is not None:
+        expected = (2 * subscription.m, len(candidates))
+        if np.shape(bounds) != expected:
+            raise ValueError(
+                f"bounds must have shape {expected} to describe the "
+                f"candidates; got {np.shape(bounds)}"
+            )
     generator = ensure_rng(rng)
 
     if not candidates:

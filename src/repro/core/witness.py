@@ -11,7 +11,9 @@ subscription ``s`` is *not* covered by the set ``S``:
 
 This module provides
 
-* :func:`find_point_witness` — the membership test used by RSPC,
+* :func:`find_point_witness` — Algorithm 1's guess loop one point at a
+  time, the scalar reference for RSPC (:mod:`repro.core.rspc` runs the
+  batched kernel, which tests only the bounds a guess can fail),
 * :func:`find_polyhedron_witness_greedy` — the greedy construction from the
   proof of Corollary 3,
 * :func:`estimate_smallest_witness` / :func:`compute_point_witness_probability`
@@ -69,8 +71,9 @@ def find_point_witness(
 
     Returns ``(witness, trials_used)`` where ``witness`` is ``None`` when no
     witness was found within ``max_trials`` guesses.  This is the raw loop
-    of Algorithm 1; the full RSPC wrapper in :mod:`repro.core.rspc` adds
-    bookkeeping and the error model.
+    of Algorithm 1, one guess at a time against every bound of every
+    candidate — the scalar reference; :func:`repro.core.rspc.run_rspc`
+    runs the batched kernel and adds bookkeeping and the error model.
     """
     for trial in range(1, max_trials + 1):
         point = subscription.sample_point(rng)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.exact import exact_group_cover, exact_witness_point, uncovered_region
-from repro.model import ContinuousDomain, Schema, Subscription
+from repro.core.results import Answer
+from repro.core.subsumption import SubsumptionChecker
+from repro.model import Attribute, ContinuousDomain, IntegerDomain, Schema, Subscription
+from repro.workloads.scenarios import ScenarioName, generate_scenario
 
 
 class TestPaperExamples:
@@ -107,11 +110,46 @@ class TestGeneralBehaviour:
         assert exact_group_cover(s, [left]) is False
 
 
+#: small schemas for the family slice: all-integer, and mixed with two
+#: continuous attributes (one of them narrow)
+FAMILY_SCHEMAS = {
+    "integer": Schema.uniform_integer(3, 0, 60, prefix="x", name="small-integer"),
+    "mixed": Schema(
+        [
+            Attribute("a", IntegerDomain(0, 60)),
+            Attribute("b", ContinuousDomain(0.0, 50.0)),
+            Attribute("c", IntegerDomain(-20, 20)),
+            Attribute("d", ContinuousDomain(-1.0, 1.0)),
+        ],
+        name="small-mixed",
+    ),
+}
+
+
+def _fractional(subscription, rng, inwards):
+    """``subscription`` with fractional bounds on its discrete attributes.
+
+    Every discrete bound moves outwards by less than a tick, which leaves
+    the ticks inside unchanged.  With ``inwards``, an attribute wide
+    enough to keep a tick moves both bounds inwards instead half the
+    time, which drops its end ticks.
+    """
+    discrete = subscription.schema.vectors.discrete
+    lows, highs = subscription.lows.copy(), subscription.highs.copy()
+    shift = rng.uniform(0.1, 0.9, size=(2, len(lows)))
+    if inwards:
+        sign = np.where(highs - lows >= 2.0, rng.choice((-1.0, 1.0), len(lows)), 1.0)
+    else:
+        sign = np.ones(len(lows))
+    lows[discrete] -= (sign * shift[0])[discrete]
+    highs[discrete] += (sign * shift[1])[discrete]
+    return Subscription(subscription.schema, lows, highs)
+
+
 class TestAgreementWithRSPC:
     @pytest.mark.parametrize("seed", range(8))
     def test_rspc_no_answers_agree_with_oracle(self, seed, schema_small):
         """Whenever the probabilistic pipeline answers NO, the oracle agrees."""
-        from repro.core.subsumption import SubsumptionChecker
         from repro.workloads.generators import (
             random_subscription,
             random_subscription_intersecting,
@@ -128,3 +166,34 @@ class TestAgreementWithRSPC:
         truth = exact_group_cover(s, candidates)
         if not result.covered:
             assert truth is False
+
+    @pytest.mark.parametrize("kind", sorted(FAMILY_SCHEMAS))
+    @pytest.mark.parametrize("name", list(ScenarioName))
+    def test_families_have_no_false_not_covered(self, kind, name):
+        """The five Section-6 families at k <= 10, m <= 4 with fractional
+        discrete bounds: no ``NOT_COVERED`` verdict is a false one."""
+        schema = FAMILY_SCHEMAS[kind]
+        answers = set()
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(4, 11))
+            extra = {}
+            if name is ScenarioName.EXTREME_NON_COVER:
+                extra["gap_fraction"] = 0.05
+            instance = generate_scenario(name, schema, k, rng=rng, **extra)
+            s = _fractional(instance.subscription, rng, inwards=False)
+            candidates = [
+                _fractional(c, rng, inwards=True) for c in instance.candidates
+            ]
+            checker = SubsumptionChecker(delta=1e-4, max_iterations=2000, rng=seed)
+            result = checker.check(s, candidates)
+            answers.add(result.answer)
+            if result.answer is Answer.NOT_COVERED:
+                # against the oracle on the full set: ``witness_point`` is
+                # only a witness against the minimized one
+                assert exact_group_cover(s, candidates) is False
+        if name not in (
+            ScenarioName.PAIRWISE_COVERING,
+            ScenarioName.REDUNDANT_COVERING,
+        ):
+            assert Answer.NOT_COVERED in answers

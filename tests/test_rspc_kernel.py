@@ -20,6 +20,7 @@ from repro.core.rspc import (
     _CANDIDATE_BLOCK,
     _GROUP_CAP,
     RSPCOutcome,
+    _candidate_blocks,
     _guess_witness,
     run_rspc,
 )
@@ -85,6 +86,18 @@ def _reference_guess_witness(subscription, cand_lows, cand_highs, rng, allowed):
         first = int(covered.argmin())
         return points[first], performed + first + 1
     return None, performed
+
+
+def _reference_on_signed(subscription, signed, rng, allowed):
+    """The reference with ``_guess_witness``'s signature, to patch it in."""
+    m = signed.shape[0] // 2
+    return _reference_guess_witness(
+        subscription,
+        np.ascontiguousarray(signed[:m].T),
+        np.ascontiguousarray(-signed[m:].T),
+        rng,
+        allowed,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -415,18 +428,7 @@ class TestDrawAheadIsInvisible:
             return [checker.check(subscription, candidates) for candidates in instances]
 
         new = decide()
-
-        def reference(subscription, signed, rng, allowed):
-            m = signed.shape[0] // 2
-            return _reference_guess_witness(
-                subscription,
-                np.ascontiguousarray(signed[:m].T),
-                np.ascontiguousarray(-signed[m:].T),
-                rng,
-                allowed,
-            )
-
-        monkeypatch.setattr(rspc_module, "_guess_witness", reference)
+        monkeypatch.setattr(rspc_module, "_guess_witness", _reference_on_signed)
         old = decide()
         assert [r.method for r in new] == [r.method for r in old]
         assert [r.iterations_performed for r in new] == [
@@ -451,3 +453,229 @@ class TestRunRspcBounds:
         assert plain.outcome is fed.outcome is RSPCOutcome.WITNESS_FOUND
         assert plain.iterations_performed == fed.iterations_performed
         assert np.array_equal(plain.witness_point, fed.witness_point)
+
+    @pytest.mark.parametrize("cut", ("candidate column", "signed axis"))
+    def test_bounds_not_describing_the_candidates_raise(self, cut):
+        """Both columns cover ``s``; trusting one alone would say "not
+        covered", and three of four axes fail to broadcast."""
+        schema = Schema.uniform_integer(2, 0, 9)
+        s = Subscription(schema, [0, 0], [9, 9])
+        candidates = [
+            Subscription(schema, [0, 0], [4, 9]),
+            Subscription(schema, [5, 0], [9, 9]),
+        ]
+        full = _signed(candidates)[2]
+        bad = full[:, :1] if cut == "candidate column" else full[:3]
+        trusted = run_rspc(s, candidates, rho_w=0.5, rng=1)
+        assert trusted.outcome is RSPCOutcome.EXHAUSTED
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="bounds must have shape"):
+            run_rspc(s, candidates, rho_w=0.5, rng=rng, bounds=bad)
+        assert _states_equal(rng.bit_generator.state, state)
+
+
+# ----------------------------------------------------------------------
+# The skip rule: the kernel tests a guess only against the bounds some
+# guess can fail (the defined conflict-table entries, bar continuous
+# upper bounds); the reference above still tests every bound
+# ----------------------------------------------------------------------
+def _two_groups(kind, hole, seed):
+    """16 boxes in two volume blocks that need different signed axes.
+
+    The wider eight slice attribute 2 and stop ``hole`` short of the top
+    of attribute 1; the narrower eight slice attribute 3 and stop at the
+    middle of attribute 4.  Together they hold all of ``s`` but the
+    guesses in the top slab of attribute 1 *and* the upper half of
+    attribute 4.  No box cuts the lower bound of attribute 1.
+    """
+    rng = np.random.default_rng(seed)
+    schema = SCHEMAS[kind]
+    edges = np.linspace(0.0, SPAN, 9)
+    out = []
+    for cut in (1, 2):
+        for i in range(8):
+            lows = [-5.0] * M
+            highs = [SPAN + 5.0] * M
+            if cut == 1:
+                highs[0] = SPAN - hole if hole else SPAN + 5.0
+            else:
+                highs[3] = SPAN / 2
+            lows[cut] = math.floor(edges[i]) - float(rng.integers(0, 3))
+            highs[cut] = math.ceil(edges[i + 1]) + float(rng.integers(0, 40))
+            out.append(Subscription(schema, lows, highs))
+    return [out[i] for i in rng.permutation(len(out))]
+
+
+def _block_axes(subscription, candidates):
+    return [
+        set(axes.tolist())
+        for axes, _ in _candidate_blocks(subscription, _signed(candidates)[2])
+    ]
+
+
+def _outcomes_match_reference(subscription, candidates, budgets, seed):
+    """Run kernel and reference over ``budgets``; the witnesses found."""
+    found = []
+    for allowed in budgets:
+        seed += 1
+        expected, got, old_rng, new_rng = _run_both(
+            subscription, candidates, allowed, seed, burn=seed % 2
+        )
+        _assert_same(expected, got, old_rng, new_rng)
+        found.append(got[0] is not None)
+    return found
+
+
+class TestSkipRule:
+    @pytest.mark.parametrize("kind", ("discrete", "mixed", "continuous"))
+    def test_blocks_with_different_axis_sets(self, kind):
+        subscription = _subscription(kind)
+        found = []
+        for seed, hole in enumerate((NEVER, RARE, COMMON, 4 * COMMON)):
+            candidates = _two_groups(kind, hole, seed)
+            first, second = _block_axes(subscription, candidates)
+            assert first != second
+            # no member of either block needs the lower bound of x1
+            assert 0 not in first | second
+            found += _outcomes_match_reference(
+                subscription, candidates, BUDGETS, 100 * seed
+            )
+        assert any(found) and not all(found)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_candidate_containing_s(self, kind):
+        subscription = _subscription(kind)
+        container = Subscription(SCHEMAS[kind], [-5.0] * M, [SPAN + 5.0] * M)
+        for k, hole in ((1, NEVER), (9, RARE), (20, COMMON)):
+            candidates = _candidates(kind, k, hole, seed=k)
+            candidates.insert(k // 2, container)
+            if kind == "discrete":
+                # it needs no axis: its block holds every guess
+                assert set() in _block_axes(subscription, [container])
+            found = _outcomes_match_reference(subscription, candidates, BUDGETS, k)
+            assert not any(found)
+
+    @pytest.mark.parametrize("kind", ("discrete", "mixed"))
+    def test_candidate_containing_s_exhausts_the_budget(self, kind, monkeypatch):
+        from repro.core import rspc as rspc_module
+
+        subscription = _subscription(kind)
+        container = Subscription(SCHEMAS[kind], [-5.0] * M, [SPAN + 5.0] * M)
+        candidates = _candidates(kind, 9, COMMON, seed=9) + [container]
+
+        def run_direct():
+            rng = np.random.default_rng(21)
+            result = run_rspc(
+                subscription, candidates, rho_w=0.001, rng=rng, max_iterations=3000
+            )
+            return result, rng.bit_generator.state
+
+        def run_checker():
+            rng = np.random.default_rng(21)
+            # without MCS, which would keep the container alone
+            checker = SubsumptionChecker(
+                delta=1e-6,
+                max_iterations=3000,
+                use_mcs=False,
+                use_fast_decisions=False,
+                rng=rng,
+            )
+            result = checker.check(subscription, candidates)
+            return result, rng.bit_generator.state
+
+        new = (run_direct(), run_checker())
+        monkeypatch.setattr(rspc_module, "_guess_witness", _reference_on_signed)
+        old = (run_direct(), run_checker())
+        (direct, direct_state), (checked, checked_state) = new
+        assert direct.outcome is RSPCOutcome.EXHAUSTED
+        assert direct.iterations_performed == direct.iterations_allowed == 3000
+        assert checked.method.value == "rspc_exhausted"
+        assert checked.iterations_performed == 3000
+        assert _states_equal(direct_state, old[0][1])
+        assert _states_equal(checked_state, old[1][1])
+        assert old[1][0].iterations_performed == 3000
+
+    @pytest.mark.parametrize("kind", ("discrete", "mixed"))
+    def test_fractional_discrete_bounds_fed_raw(self, kind):
+        """Raw (unsnapped) fractional bounds on the discrete attributes,
+        some just inside and some just outside ``s``'s ticks."""
+        schema = SCHEMAS[kind]
+        # attribute 4 is discrete in both schemas and narrow: ticks 0..30
+        subscription = Subscription(schema, [0.5, 0, 0.25, 0], [SPAN, SPAN, SPAN, 30.6])
+        rng = np.random.default_rng(4)
+        found = []
+        for k in (5, 9, 17):
+            candidates = []
+            for c in _candidates(kind, k, NEVER, seed=k):
+                lows, highs = c.lows.copy(), c.highs.copy()
+                lows[0] = 0.5 + rng.choice((-0.4, -0.2, 0.0, 0.3))
+                lows[3] = rng.choice((-0.6, -0.2, 0.2, 0.6))
+                highs[3] = 30 + rng.choice((-0.6, -0.2, 0.2, 0.6, 0.9))
+                candidates.append(Subscription(schema, lows, highs))
+            found += _outcomes_match_reference(
+                subscription, candidates, (1, 256, 1000, 10_000), k
+            )
+            raw = _signed(candidates)[2]
+            plain = run_rspc(subscription, candidates, rho_w=0.001, rng=k)
+            fed = run_rspc(subscription, candidates, rho_w=0.001, rng=k, bounds=raw)
+            assert plain.outcome is fed.outcome
+            assert plain.iterations_performed == fed.iterations_performed
+            if plain.witness_point is not None:
+                assert np.array_equal(plain.witness_point, fed.witness_point)
+        assert any(found) and not all(found)
+
+    def test_only_continuous_upper_bounds_defined(self):
+        """Boxes wider than ``s`` everywhere except the upper bounds of
+        the continuous attributes, which are kept though some equal
+        ``s``'s own."""
+        subscription = _subscription("mixed")
+        schema = SCHEMAS["mixed"]
+        found = []
+        for seed, hole in enumerate((COMMON, 5 * COMMON)):
+            tops = (
+                (SPAN - hole, SPAN + 5.0),
+                (SPAN + 5.0, SPAN - hole),
+                (SPAN, SPAN - hole),
+            )
+            candidates = [
+                Subscription(schema, [-5.0] * M, [SPAN + 5.0, *top, SPAN + 5.0])
+                for top in tops
+            ]
+            for axes in _block_axes(subscription, candidates):
+                assert axes == {M + 1, M + 2}
+            found += _outcomes_match_reference(
+                subscription, candidates, BUDGETS, 10 * seed
+            )
+            # the same with a box equal to ``s`` on the continuous tops
+            candidates.append(
+                Subscription(schema, [-5.0] * M, [SPAN + 5.0, SPAN, SPAN, SPAN + 5.0])
+            )
+            assert not any(
+                _outcomes_match_reference(subscription, candidates, BUDGETS, seed)
+            )
+        assert any(found) and not all(found)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bounds_equal_to_s(self, kind):
+        """Candidates clipped to ``s``: every bound they do not cut equals
+        ``s``'s own, and one candidate is ``s`` itself."""
+        subscription = _subscription(kind)
+        found = []
+        for k, hole in ((1, NEVER), (9, RARE), (12, COMMON)):
+            candidates = [
+                Subscription(
+                    SCHEMAS[kind],
+                    np.maximum(c.lows, subscription.lows),
+                    np.minimum(c.highs, subscription.highs),
+                )
+                for c in _candidates(kind, k, hole, seed=k)
+            ]
+            found += _outcomes_match_reference(subscription, candidates, BUDGETS, k)
+            itself = Subscription(SCHEMAS[kind], subscription.lows, subscription.highs)
+            assert not any(
+                _outcomes_match_reference(
+                    subscription, candidates + [itself], BUDGETS, 2 * k
+                )
+            )
+        assert any(found) and not all(found)
