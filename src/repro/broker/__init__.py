@@ -18,7 +18,6 @@ from repro.broker.chain import ChainModel, simulate_chain_delivery
 from repro.broker.messages import (
     Message,
     NotificationRecord,
-    PublicationBatchMessage,
     PublicationMessage,
     SubscriptionMessage,
     UnsubscriptionMessage,
@@ -57,7 +56,6 @@ __all__ = [
     "MetricsSnapshot",
     "NetworkMetrics",
     "NotificationRecord",
-    "PublicationBatchMessage",
     "PublicationMessage",
     "SubscriptionMessage",
     "UnsubscriptionMessage",

@@ -358,7 +358,7 @@ class Broker:
         return self.handle_publication_batch((message,))[0]
 
     def handle_publication_batch(
-        self, messages: Sequence[PublicationMessage], values=None
+        self, messages: Sequence[PublicationMessage]
     ) -> List[List[Message]]:
         """Process publications delivered at one instant, in order.
 
@@ -366,9 +366,8 @@ class Broker:
         neighbour from which a matching subscription was received (once
         per neighbour, in routing-table order) and delivered to each
         matching local subscriber.  The batch travels as a unit: one dedup
-        sweep, one routing-table lookup for the fresh publications
-        (``values`` optionally carries their points as a ``(B, m)``
-        array), one delivering and forwarding pass.  Returns one
+        sweep, one routing-table lookup for the fresh publications, one
+        delivering and forwarding pass.  Returns one
         outgoing-message list per input message (empty for duplicates), so
         the caller can restore any global scheduling order.
         """
@@ -407,14 +406,12 @@ class Broker:
         outgoing: List[List[Message]] = [[] for _ in messages]
         if not fresh:
             return outgoing
-        if len(fresh) != len(messages) and values is not None:
-            values = values[fresh]
 
         if obs is not None:
             obs.stage_push("broker.route_lookup")
         try:
             lookups = self.routing.matching_entries_batch(
-                [messages[position].publication for position in fresh], values
+                [messages[position].publication for position in fresh]
             )
         finally:
             if obs is not None:

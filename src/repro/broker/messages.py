@@ -1,17 +1,16 @@
 """Messages exchanged between brokers.
 
 The simulator is message-driven: every subscription, unsubscription and
-publication travels as a message between neighbouring brokers, and every
-message hop is counted by :class:`~repro.broker.metrics.NetworkMetrics`,
+publication travels as its own message between neighbouring brokers (one
+:class:`PublicationMessage` per publication per hop), and every message
+hop is counted by :class:`~repro.broker.metrics.NetworkMetrics`,
 which is how the traffic results of the evaluation are produced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
@@ -21,7 +20,6 @@ __all__ = [
     "SubscriptionMessage",
     "UnsubscriptionMessage",
     "PublicationMessage",
-    "PublicationBatchMessage",
     "NotificationRecord",
 ]
 
@@ -64,11 +62,6 @@ class Message:
     delivered_at: float = 0.0
     trace_id: str = ""
 
-    @property
-    def hop_latency(self) -> float:
-        """Virtual time this hop spent on the link."""
-        return self.delivered_at - self.sent_at
-
 
 @dataclass
 class SubscriptionMessage(Message):
@@ -94,33 +87,6 @@ class PublicationMessage(Message):
     publication: Publication = None  # type: ignore[assignment]
     #: broker where the publication entered the network
     origin: str = ""
-
-
-@dataclass
-class PublicationBatchMessage(Message):
-    """Several publications coalesced into one hop on the same link.
-
-    Produced by the simulation kernel's egress batching: a broker that
-    emits multiple publications toward the same neighbour within a batch
-    window pays one message hop (and one sampled link latency) for the
-    whole group.  The recipient unpacks and processes the contained
-    publication messages in their original emission order.
-    """
-
-    messages: List[PublicationMessage] = field(default_factory=list)
-
-    def values_matrix(self) -> Optional[np.ndarray]:
-        """The batch's publication points as one ``(B, m)`` array.
-
-        The structure-of-arrays view consumed by the batched matchers —
-        built once per batch hop and ``None`` when the contained
-        publications do not share one attribute count (the scalar
-        handlers cover that case).
-        """
-        points = [message.publication.values for message in self.messages]
-        if not points or any(p.shape != points[0].shape for p in points):
-            return None
-        return np.array(points)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = ["MetricsSnapshot", "NetworkMetrics"]
 _BOOKKEEPING_FIELDS = (
     "delivery_latency_count",
     "queue_depth_high_water",
-    "batched_publications",
     "missed_count",
 )
 
@@ -104,8 +103,6 @@ class MetricsSnapshot:
     delivery_latency_count: int = 0
     #: kernel queue-depth high-water mark at snapshot time
     queue_depth_high_water: int = 0
-    #: publications that travelled inside an egress batch so far
-    batched_publications: int = 0
     #: exact count of missed (expected but undelivered) notifications so
     #: far — bookkeeping; under merging the raw counter difference would
     #: let false positives mask genuine misses
@@ -170,8 +167,8 @@ class NetworkMetrics:
     unsubscription_messages:
         Broker-to-broker unsubscription message hops.
     publication_messages:
-        Broker-to-broker publication message hops (an egress batch counts
-        as one hop however many publications it carries).
+        Broker-to-broker publication message hops (one per publication per
+        link crossed).
     notifications:
         Notifications delivered to local subscribers.
     expected_notifications:
@@ -201,9 +198,6 @@ class NetworkMetrics:
     dead_letter_publications:
         Publications a neighbour routed to a broker where nothing matched
         (dead-end traffic attracted by merged advertisements).
-    batched_publications:
-        Publications that travelled inside an egress batch (0 unless the
-        kernel's ``batch_size`` > 1).
     delivery_latencies:
         Virtual-time end-to-end latency of every delivered notification,
         in delivery order (all 0.0 under the zero latency model).
@@ -229,7 +223,6 @@ class NetworkMetrics:
         "merged_advertisements",
         "merge_false_volume",
         "dead_letter_publications",
-        "batched_publications",
     )
     #: registry-backed levels (``network.<name>`` Gauge instruments)
     _GAUGE_FIELDS = (
@@ -321,7 +314,6 @@ class NetworkMetrics:
             dead_letter_publications=self.dead_letter_publications,
             delivery_latency_count=len(self.delivery_latencies),
             queue_depth_high_water=self.queue_depth_high_water,
-            batched_publications=self.batched_publications,
             missed_count=len(self.missed),
         )
 
@@ -329,8 +321,8 @@ class NetworkMetrics:
         """Counter deltas since ``earlier`` (see :meth:`MetricsSnapshot.diff`).
 
         When latency tracking is active the interval's delivery-latency
-        percentiles, the kernel queue high-water mark and the batched
-        publication delta are included as well.  Note that
+        percentiles and the kernel queue high-water mark are included as
+        well.  Note that
         ``queue_depth_high_water`` is the high-water of the *current phase
         interval* (since the owning network's last ``mark_phase``), not of
         the span back to ``earlier``: interval maxima are only tracked at
@@ -345,9 +337,6 @@ class NetworkMetrics:
                 )
             )
             delta["queue_depth_high_water"] = self.phase_queue_depth_high_water
-        batched = self.batched_publications - earlier.batched_publications
-        if batched:
-            delta["batched_publications"] = batched
         return delta
 
     def latency_histogram(
@@ -375,8 +364,6 @@ class NetworkMetrics:
         if self.track_latency:
             summary.update(_latency_stats(self.delivery_latencies))
             summary["queue_depth_high_water"] = self.queue_depth_high_water
-        if self.batched_publications:
-            summary["batched_publications"] = self.batched_publications
         if self.merged_advertisements:
             summary["merged_advertisements"] = self.merged_advertisements
             summary["merge_false_volume"] = round(self.merge_false_volume, 6)

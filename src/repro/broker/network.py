@@ -8,8 +8,9 @@ experiments.
 
 Every client operation injects one message and runs the kernel to
 quiescence, so the external API stays synchronous while the internal
-message schedule is fully timed: per-link latencies, FIFO link ordering
-and optional egress batching all happen inside the drain.  With the
+message schedule is fully timed: per-link latencies and FIFO link
+ordering both happen inside the drain.  Every publication travels one
+:class:`~repro.broker.messages.PublicationMessage` per hop.  With the
 default ``zero`` latency model the kernel degenerates to the seed's
 synchronous FIFO pump, byte for byte.
 
@@ -25,13 +26,12 @@ rebuild.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.broker.broker import Broker
 from repro.broker.messages import (
     Message,
     NotificationRecord,
-    PublicationBatchMessage,
     PublicationMessage,
     SubscriptionMessage,
     UnsubscriptionMessage,
@@ -86,9 +86,6 @@ class BrokerNetwork:
         ``"lognormal[:mu,sigma]"``.  With a non-default model the metrics
         additionally track per-notification delivery latency and kernel
         queue depth.
-    batch_size:
-        Egress publication batching factor of the kernel (``1`` disables
-        batching).
     dedup_window:
         Per-broker bound on the publication-id dedup memory.
     obs:
@@ -112,7 +109,6 @@ class BrokerNetwork:
         rng: RandomSource = None,
         matcher_backend: str = "linear",
         latency_model: str = "zero",
-        batch_size: int = 1,
         dedup_window: int = 4096,
         merge_budget: float = DEFAULT_MERGE_BUDGET,
         obs=None,
@@ -135,7 +131,7 @@ class BrokerNetwork:
             if isinstance(model, LognormalLatency):
                 model.reseed(spawn_rngs(self._rng, 1)[0])
         self.latency_model: LatencyModel = model
-        self.kernel = EventKernel(model, batch_size=batch_size, obs=self._obs)
+        self.kernel = EventKernel(model, obs=self._obs)
         self.brokers: Dict[str, Broker] = {}
         # With a probe attached, the network's counters live in the
         # probe's instrument registry — one registry is then the single
@@ -224,11 +220,28 @@ class BrokerNetwork:
     def subscribe(
         self, client_id: str, subscription: Subscription
     ) -> None:
-        """Issue a subscription on behalf of an attached client."""
+        """Issue a subscription on behalf of an attached client.
+
+        Raises :class:`ValueError`, before any state changes, when the
+        identifier is live under another client or another box: brokers
+        would keep the first, unseen by the oracle's loss count.
+        Re-issuing a live subscription unchanged is a no-op for the oracle.
+        """
         broker_id = self._broker_of(client_id)
         if subscription.subscriber is None:
             subscription = subscription.replace(subscriber=client_id)
-        if subscription.id not in self._all_subscriptions:
+        live = self._all_subscriptions.get(subscription.id)
+        if live is not None:
+            registered, registered_client, _ = live
+            if (
+                registered_client != client_id
+                or registered.schema != subscription.schema
+                or not registered.same_box(subscription)
+            ):
+                raise ValueError(
+                    f"subscription {subscription.id!r} is already registered"
+                )
+        else:
             # the oracle rejects a foreign schema before anything is recorded
             self._oracle.add(subscription)
             self._all_subscriptions[subscription.id] = (
@@ -263,14 +276,6 @@ class BrokerNetwork:
         """
         return self.publish_many(((client_id, publication),))
 
-    def publish_batch(
-        self, client_id: str, publications: Sequence[Publication]
-    ) -> List[NotificationRecord]:
-        """Publish one client's burst: :meth:`publish_many` for one client."""
-        return self.publish_many(
-            [(client_id, publication) for publication in publications]
-        )
-
     def publish_many(
         self, operations: Sequence[Tuple[str, Publication]]
     ) -> List[NotificationRecord]:
@@ -281,12 +286,7 @@ class BrokerNetwork:
         injected at a single virtual instant and drained in chunks of at
         most ``dedup_window`` publications, and the grouped drain hands
         same-instant same-broker publications to the broker handler
-        together.  Brokers forwarding a burst toward a common neighbour
-        coalesce it into shared
-        :class:`~repro.broker.messages.PublicationBatchMessage` hops when
-        the kernel's ``batch_size`` allows (a burst of 100 publications
-        crossing one link costs ``ceil(100/batch_size)`` message hops
-        instead of 100).  The chunking matters on cyclic topologies: the
+        together.  The chunking matters on cyclic topologies: the
         dedup memory is what stops a broker re-processing a publication
         arriving over a second path, and bounding the in-flight set per
         drain below the window guarantees no id is evicted while its
@@ -493,19 +493,6 @@ class BrokerNetwork:
                 if obs is not None:
                     obs.stage_pop()
                 self._account_decisions(decisions)
-            elif isinstance(message, PublicationBatchMessage):
-                # One hop (and one latency sample) for the whole batch.
-                metrics.publication_messages += 1
-                metrics.batched_publications += len(message.messages)
-                for inner in message.messages:
-                    inner.delivered_at = message.delivered_at
-                outgoing = [
-                    out
-                    for outs in self._handle_publications(
-                        broker, message.messages, message.values_matrix()
-                    )
-                    for out in outs
-                ]
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown message type {type(message)!r}")
             if outgoing:
@@ -516,14 +503,14 @@ class BrokerNetwork:
         )
 
     def _handle_publications(
-        self, broker: Broker, messages: Sequence[PublicationMessage], values=None
+        self, broker: Broker, messages: Sequence[PublicationMessage]
     ) -> List[List[Message]]:
         """One broker's share of a delivery generation, through its handler."""
         obs = self._obs
         dead_before = broker.dead_letter_publications
         if obs is not None:
             obs.stage_push("network.handle_publication")
-        outgoing = broker.handle_publication_batch(messages, values)
+        outgoing = broker.handle_publication_batch(messages)
         if obs is not None:
             obs.stage_pop()
         self.metrics.dead_letter_publications += (

@@ -93,20 +93,19 @@ class RoutingTable:
         return self.matching_entries_batch((publication,))[0][0]
 
     def matching_entries_batch(
-        self, publications: Sequence[Publication], values=None
+        self, publications: Sequence[Publication]
     ) -> List[Tuple[List[RouteEntry], int]]:
         """Per-publication ``(matching entries, tests)`` for a whole burst.
 
         The table's one lookup: a single ``match_batch`` call of the
         matcher answers the entire burst.  Entries are returned in
         insertion order; ``tests`` is the membership-test count the
-        observability layer attributes per broker.  ``values`` optionally passes the burst's points
-        pre-stacked as a ``(len(publications), m)`` array.
+        observability layer attributes per broker.
         """
         entries = self._entries
         return [
             ([entries[subscription.id] for subscription in matched], tests)
-            for matched, tests in self._index.match_batch(publications, values)
+            for matched, tests in self._index.match_batch(publications)
         ]
 
     def __len__(self) -> int:

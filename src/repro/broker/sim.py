@@ -2,7 +2,7 @@
 
 The seed simulator pumped messages through a synchronous, untimed FIFO
 ``deque`` — every hop was instantaneous and the network had no notion of
-time, so latency, queueing and batching were inexpressible.  This module
+time, so latency and queueing were inexpressible.  This module
 replaces that pump with a discrete-event kernel:
 
 * :class:`EventKernel` keeps a priority queue of timestamped message
@@ -15,12 +15,6 @@ replaces that pump with a discrete-event kernel:
   FIFO): a sampled latency that would reorder a link is clamped to the
   link's previous delivery time, which models a FIFO channel rather than
   independent datagrams;
-* optional *egress batching*: publications a broker emits toward the same
-  neighbour are coalesced into one
-  :class:`~repro.broker.messages.PublicationBatchMessage` hop once
-  ``batch_size`` of them accumulate (partial batches flush when a
-  non-publication message needs the link, preserving FIFO causality, or
-  when the kernel drains);
 * messages are scheduled in runs (:meth:`EventKernel.schedule_many` — a
   handler's whole output, a burst's whole injection) and same-instant
   publication hops are popped in runs (:meth:`EventKernel.drain_grouped`),
@@ -44,11 +38,10 @@ scenario specs, trace headers and the CLI::
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-import numpy as np
-
-from repro.broker.messages import Message, PublicationBatchMessage, PublicationMessage
+from repro.broker.messages import Message, PublicationMessage
 from repro.utils.rng import RandomSource, ensure_rng
 
 __all__ = [
@@ -108,8 +101,8 @@ class FixedLatency(LatencyModel):
     name = "fixed"
 
     def __init__(self, delay: float = 1.0):
-        if delay < 0:
-            raise ValueError("fixed latency must be non-negative")
+        if not math.isfinite(delay) or delay < 0:
+            raise ValueError("fixed latency must be finite and non-negative")
         self.delay = float(delay)
         self.spec = f"fixed:{self.delay:g}"
 
@@ -127,6 +120,8 @@ class LognormalLatency(LatencyModel):
     name = "lognormal"
 
     def __init__(self, mu: float = 0.0, sigma: float = 0.25, rng: RandomSource = None):
+        if not (math.isfinite(mu) and math.isfinite(sigma)):
+            raise ValueError("lognormal parameters must be finite")
         if sigma < 0:
             raise ValueError("lognormal sigma must be non-negative")
         self.mu = float(mu)
@@ -164,6 +159,8 @@ def parse_latency_model(spec: str) -> Tuple[str, Tuple[float, ...]]:
         params = tuple(float(part) for part in raw_params.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed latency model spec {spec!r}") from exc
+    if not all(math.isfinite(param) for param in params):
+        raise ValueError(f"latency model parameters must be finite in {spec!r}")
     limits = {"fixed": 1, "lognormal": 2}
     if len(params) > limits[name]:
         raise ValueError(
@@ -200,10 +197,6 @@ class EventKernel:
     latency_model:
         Hop-latency distribution applied to every broker-to-broker link
         (client injections are instantaneous).
-    batch_size:
-        Egress batching factor: publications bound for the same link are
-        coalesced into one batch hop once this many accumulate.  ``1``
-        (the default) disables batching.
     obs:
         Optional :class:`~repro.obs.probes.ObsProbe`; when attached the
         kernel times its scheduling work and emits ``enqueued`` spans
@@ -214,13 +207,9 @@ class EventKernel:
     def __init__(
         self,
         latency_model: Optional[LatencyModel] = None,
-        batch_size: int = 1,
         obs=None,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
         self.latency_model = latency_model or ZeroLatency()
-        self.batch_size = batch_size
         self._obs = obs
         #: current virtual time (time of the last delivered event)
         self.now = 0.0
@@ -228,8 +217,6 @@ class EventKernel:
         self._sequence = 0
         #: per directed link: virtual time of the latest scheduled delivery
         self._link_clock: Dict[Link, float] = {}
-        #: per directed link: publications awaiting a full batch
-        self._egress: Dict[Link, List[PublicationMessage]] = {}
         #: total events scheduled over the kernel's lifetime
         self.scheduled = 0
         #: deepest the pending-event queue ever got (lifetime high-water)
@@ -247,32 +234,9 @@ class EventKernel:
         Local injections (``sender is None``) are delivered at the current
         virtual time; broker-to-broker hops are delayed by the latency
         model, clamped so deliveries on one directed link keep their send
-        order (FIFO links).  Publications are diverted through the egress
-        buffer when batching is on.
+        order (FIFO links).  This is :meth:`schedule_many` of one message.
         """
-        obs = self._obs
-        if obs is not None:
-            obs.stage_push("kernel.schedule")
-        try:
-            if (
-                self.batch_size > 1
-                and message.sender is not None
-                and isinstance(message, PublicationMessage)
-            ):
-                link = (message.sender, message.recipient)
-                pending = self._egress.setdefault(link, [])
-                pending.append(message)
-                if len(pending) >= self.batch_size:
-                    self._flush_link(link)
-                return
-            if message.sender is not None:
-                # A control message must not overtake publications already
-                # buffered for this link.
-                self._flush_link((message.sender, message.recipient))
-            self._push((message,))
-        finally:
-            if obs is not None:
-                obs.stage_pop()
+        self.schedule_many((message,))
 
     def schedule_many(self, messages: Iterable[Message]) -> None:
         """:meth:`schedule` every message, in order, as one scheduling run.
@@ -281,14 +245,8 @@ class EventKernel:
         :attr:`scheduled` and both high-water marks exactly as scheduling
         one by one would, for one ``kernel.schedule`` stage entry instead
         of one per message.  ``messages`` is consumed lazily, each message
-        taken only when its turn to be pushed has come.  With egress
-        batching on (or a buffer still holding publications) every message
-        goes through :meth:`schedule`.
+        taken only when its turn to be pushed has come.
         """
-        if self.batch_size > 1 or self._egress:
-            for message in messages:
-                self.schedule(message)
-            return
         obs = self._obs
         if obs is not None:
             obs.stage_push("kernel.schedule")
@@ -303,9 +261,9 @@ class EventKernel:
         heap = self._heap
         link_clock = self._link_clock
         sample = self.latency_model.sample
-        # Never schedule behind the virtual clock: a message can sit in an
-        # egress buffer while unrelated traffic advances time, so its
-        # recorded sent_at may be stale by the time the batch flushes.
+        # Never schedule behind the virtual clock: a caller may hand the
+        # kernel a hop stamped before the clock last advanced, and a
+        # delivery in the past would rewind it.
         now = self.now
         obs = self._obs
         sequence = self._sequence
@@ -339,54 +297,24 @@ class EventKernel:
         """Start a fresh per-phase queue-depth high-water interval."""
         self.phase_queue_depth_high_water = len(self._heap)
 
-    def _flush_link(self, link: Link) -> None:
-        pending = self._egress.pop(link, None)
-        if not pending:
-            return
-        if len(pending) == 1:
-            self._push(pending)
-            return
-        first = pending[0]
-        self._push(
-            (
-                PublicationBatchMessage(
-                    sender=first.sender,
-                    recipient=first.recipient,
-                    hops=first.hops,
-                    injected_at=first.injected_at,
-                    sent_at=first.sent_at,
-                    trace_id=first.trace_id,
-                    messages=pending,
-                ),
-            )
-        )
-
-    def _flush_all(self) -> None:
-        for link in sorted(self._egress):
-            self._flush_link(link)
-
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of deliveries currently queued (egress buffers included)."""
-        return len(self._heap) + sum(len(p) for p in self._egress.values())
+        """Number of deliveries currently queued."""
+        return len(self._heap)
 
     def drain(self) -> Iterator[Message]:
         """Deliver queued messages in timestamp order until quiescence.
 
         The caller processes each yielded message and schedules whatever
         it triggers before the next one is popped — the standard
-        discrete-event loop.  Partial egress batches are flushed once the
-        timed queue empties, so no publication is ever stranded.
+        discrete-event loop.
         """
-        while True:
-            if not self._heap:
-                if not self._egress:
-                    return
-                self._flush_all()
-            deliver_at, _, message = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            deliver_at, _, message = heapq.heappop(heap)
             self.now = deliver_at
             yield message
 
@@ -412,11 +340,7 @@ class EventKernel:
         """
         heap = self._heap
         group_enabled = self.latency_model.name == "zero"
-        while True:
-            if not heap:
-                if not self._egress:
-                    return
-                self._flush_all()
+        while heap:
             deliver_at, _, message = heapq.heappop(heap)
             self.now = deliver_at
             if type(message) is not PublicationMessage:

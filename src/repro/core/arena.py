@@ -496,17 +496,9 @@ class Matcher:
         subscriptions = self._subscriptions
         return [subscriptions[i] for i in hits.nonzero()[0].tolist()], tests
 
-    def match_batch(
-        self,
-        publications: Sequence[Publication],
-        values: Optional[np.ndarray] = None,
-    ) -> List[MatchCandidates]:
+    def match_batch(self, publications: Sequence[Publication]) -> List[MatchCandidates]:
         """:meth:`match_candidates` of every publication, in one kernel call
         per chunk (:func:`boxes_containing`).
-
-        ``values`` optionally carries the publications' points pre-stacked
-        as a ``(len(publications), m)`` array (e.g. a publication batch
-        message's structure-of-arrays view), so they are not restacked.
         """
         tests = len(self._rows)
         if not tests or not len(publications):
@@ -515,8 +507,7 @@ class Matcher:
         for publication in publications:
             if publication.schema is not schema:
                 self._check_schema(publication.schema, "publication")
-        if values is None:
-            values = np.array([p.values for p in publications])
+        values = np.array([p.values for p in publications])
         subscriptions = self._subscriptions
         return [
             ([subscriptions[column] for column in columns], tests)

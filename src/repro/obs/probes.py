@@ -45,7 +45,6 @@ _MESSAGE_KINDS = {
     "SubscriptionMessage": "subscription",
     "UnsubscriptionMessage": "unsubscription",
     "PublicationMessage": "publication",
-    "PublicationBatchMessage": "publication",
 }
 
 

@@ -84,7 +84,7 @@ class TestDedupWindowBound:
             Broker("B1", dedup_window=0)
 
     def test_burst_larger_than_window_safe_on_cyclic_topology(self, schema):
-        """publish_batch chunks its drains at the dedup window, so even a
+        """publish_many chunks its drains at the dedup window, so even a
         burst far larger than the window cannot evict an id while its
         duplicate is still in flight around a cycle (no double delivery)."""
         from repro.broker import grid_topology
@@ -101,7 +101,7 @@ class TestDedupWindowBound:
             )
             for index in range(20)
         ]
-        delivered = network.publish_batch("pub", burst)
+        delivered = network.publish_many([("pub", p) for p in burst])
         assert len(delivered) == 20  # exactly once each, no duplicates
         assert network.metrics.notifications == 20
         assert network.metrics.expected_notifications == 20
@@ -152,6 +152,46 @@ class TestOracleById:
             "pub", Publication.from_values(schema, {"x1": 10, "x2": 10})
         )
         assert len(delivered) == 1
+        assert network.metrics.missed == []
+
+    @staticmethod
+    def _pair(policy):
+        network = BrokerNetwork(line_topology(2), policy=policy, rng=0)
+        network.attach_client("a", "B1")
+        network.attach_client("b", "B2")
+        return network
+
+    @staticmethod
+    def _x1(schema, lo, hi):
+        return Subscription.from_constraints(
+            schema, {"x1": (lo, hi)}, subscription_id="s1"
+        )
+
+    @pytest.mark.parametrize("policy", ["none", "pairwise", "group"])
+    @pytest.mark.parametrize(
+        "client, bounds",
+        [("b", (5, 9)), ("b", (0, 4)), ("a", (5, 9))],
+        ids=["other-client-other-box", "other-client", "other-box"],
+    )
+    def test_live_id_reused_for_another_subscription_rejected(
+        self, schema, policy, client, bounds
+    ):
+        """Brokers keep the first ``s1``; accepting the second would drop
+        it silently and leave the oracle unaware of the loss."""
+        network = self._pair(policy)
+        first = self._x1(schema, 0, 4)
+        network.subscribe("a", first)
+        before = network.metrics.summary()
+        with pytest.raises(ValueError, match="'s1' is already registered"):
+            network.subscribe(client, self._x1(schema, *bounds))
+        assert network.metrics.summary() == before
+        registered, owner, broker_id = network._all_subscriptions["s1"]
+        assert (owner, broker_id) == ("a", "B1") and registered.same_box(first)
+        assert len(network._oracle) == 1
+        delivered = network.publish(
+            "b", Publication.from_values(schema, {"x1": 2, "x2": 7})
+        )
+        assert [(r.subscriber, r.subscription_id) for r in delivered] == [("a", "s1")]
         assert network.metrics.missed == []
 
     # the labels still accepted by the network select nothing

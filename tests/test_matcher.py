@@ -8,14 +8,12 @@ plain loop over the live subscriptions in insertion order.
 * the edge sweep: discrete, continuous (``±inf``), mixed, one-attribute
   and six-attribute schemas; fresh tables and churned ones (tombstoned
   and compacted columns);
-  bursts of 1, 2, 65 and 5000 publications, pre-stacked ``values`` on and
-  off; every answer — candidates, their order, the tests charged — equal
+  bursts of 1, 2, 65 and 5000 publications; every answer — candidates, their order, the tests charged — equal
   to the scan;
 * the storage contract: one NaN-filled signed matrix grown, tombstoned
   and compacted in place (counted in ``compactions``/``moved_rows``), one
   schema per matcher, one workspace budget;
-* lookups by hand through ``match_candidates``, ``match_batch`` and
-  ``match_batch`` on pre-stacked values;
+* lookups by hand through ``match_candidates`` and ``match_batch``;
 * the engine under churn, all five policies, on uniform boxes and two
   scenario workloads: the matched set equals a brute-force scan of the
   store whenever an active subscription matched, and nothing
@@ -207,9 +205,7 @@ def test_matcher_equals_the_scan(family, k, churned):
     for burst in (1, 2, 65, 5000):
         publications = _publications(schema, rng, burst, stored)
         expected = _ids([scan(stored, p) for p in publications])
-        stacked = np.array([p.values for p in publications])
         assert _ids(matcher.match_batch(publications)) == expected, burst
-        assert _ids(matcher.match_batch(publications, stacked)) == expected, burst
         sample = range(burst) if burst <= 65 else range(0, burst, 125)
         for i in sample:
             assert _ids([matcher.match_candidates(publications[i])])[0] == expected[i]
@@ -351,12 +347,10 @@ def test_match_batch_chunked(family, monkeypatch):
 def _lookup(matcher, publications, via):
     if via == "candidates":
         return [matcher.match_candidates(p) for p in publications]
-    if via == "batch":
-        return matcher.match_batch(publications)
-    return matcher.match_batch(publications, np.array([p.values for p in publications]))
+    return matcher.match_batch(publications)
 
 
-@pytest.mark.parametrize("via", ("candidates", "batch", "stacked"))
+@pytest.mark.parametrize("via", ("candidates", "batch"))
 class TestLookup:
     @pytest.fixture
     def schema(self):
@@ -472,8 +466,6 @@ def test_one_schema_per_matcher():
             matcher.match_candidates(foreign)
         with pytest.raises(ValidationError):
             matcher.match_batch([inside, foreign])
-        with pytest.raises(ValidationError):
-            matcher.match_batch([foreign], np.zeros((1, wide.m)))
     assert "odd" not in matcher
 
 

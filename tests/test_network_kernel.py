@@ -1,7 +1,7 @@
 """Tests for the virtual-time event-driven network kernel.
 
 Covers the :mod:`repro.broker.sim` primitives (latency models, scheduler,
-per-link FIFO, egress batching), the metrics they feed
+per-link FIFO), the metrics they feed
 (delivery-latency percentiles, queue-depth high-water marks, histogram)
 and the scenario-layer threading (spec field, trace header, replay
 round-trip, CLI flag).
@@ -67,6 +67,13 @@ class TestLatencyModelParsing:
             "fixed:-1",
             "lognormal:1,2,3",
             "lognormal:0,-1",
+            "fixed:nan",
+            "fixed:inf",
+            "fixed:-inf",
+            "lognormal:nan",
+            "lognormal:0,nan",
+            "lognormal:inf,0.5",
+            "lognormal:0,inf",
         ],
     )
     def test_malformed_specs_rejected(self, bad):
@@ -86,6 +93,15 @@ class TestLatencyModelParsing:
             FixedLatency(-1.0)
         with pytest.raises(ValueError):
             LognormalLatency(sigma=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            FixedLatency(value)
+        with pytest.raises(ValueError, match="finite"):
+            LognormalLatency(mu=value)
+        with pytest.raises(ValueError, match="finite"):
+            LognormalLatency(sigma=value)
 
 
 class TestVirtualClock:
@@ -198,89 +214,37 @@ class TestKernelOrdering:
         list(kernel.drain())
         assert kernel.pending == 0
 
-    def test_batch_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            EventKernel(ZeroLatency(), batch_size=0)
-
-    def test_stale_egress_buffer_never_rewinds_the_clock(self):
-        """A partial batch flushed long after buffering must not deliver
-        in the past (regression: the flush used the first message's stale
-        ``sent_at``, rewinding ``kernel.now``)."""
-        kernel = EventKernel(FixedLatency(0.1), batch_size=2)
-        # Buffer one publication on A->B at t=0 (batch stays partial).
-        kernel.schedule(self._message("A", "B", "early"))
-        assert kernel.pending == 1
-        # Unrelated traffic advances the clock far past the buffering time.
-        slow = self._message("A", "C", "slow")
-        slow.sent_at = 10.0
-        kernel.schedule(slow)
-        times = []
-        for message in kernel.drain():
-            times.append(kernel.now)
-        assert times == sorted(times), "virtual clock went backwards"
-        assert kernel.now >= 10.1
+    def test_stale_sent_at_never_rewinds_the_clock(self):
+        """A hop stamped before the clock last advanced is delivered from
+        the current virtual time, never in the past."""
+        kernel = EventKernel(FixedLatency(0.1))
+        late = self._message("A", "C", "late")
+        late.sent_at = 10.0
+        kernel.schedule(late)
+        list(kernel.drain())
+        assert kernel.now == pytest.approx(10.1)
+        stale = self._message("A", "B", "stale")
+        assert stale.sent_at < kernel.now
+        kernel.schedule(stale)
+        assert stale.delivered_at == pytest.approx(10.2)
+        list(kernel.drain())
+        assert kernel.now == pytest.approx(10.2)
 
 
-class TestEgressBatching:
-    def _delivering_network(self, batch_size):
-        network = make_network(size=2, batch_size=batch_size)
-        return network
-
-    def _burst(self, schema, count):
-        return [
+class TestPublicationHops:
+    def test_unbatched_network_is_unchanged(self, schema):
+        """A burst crossing one link costs one hop per publication."""
+        network = make_network(size=2)
+        network.subscribe("sub", whole_space(schema))
+        burst = [
             Publication.from_values(
                 schema, {"x1": 1, "x2": 1}, publication_id=f"p{index}"
             )
-            for index in range(count)
+            for index in range(6)
         ]
-
-    def test_batches_collapse_message_hops(self, schema):
-        network = self._delivering_network(batch_size=3)
-        network.subscribe("sub", whole_space(schema))
-        delivered = network.publish_batch("pub", self._burst(schema, 6))
-        assert len(delivered) == 6
-        assert network.metrics.missed == []
-        # 6 publications crossed the single link in 2 batch hops.
-        assert network.metrics.publication_messages == 2
-        assert network.metrics.batched_publications == 6
-        assert "batched_publications" in network.metrics.summary()
-
-    def test_partial_batches_flush_at_drain(self, schema):
-        network = self._delivering_network(batch_size=3)
-        network.subscribe("sub", whole_space(schema))
-        delivered = network.publish_batch("pub", self._burst(schema, 7))
-        assert len(delivered) == 7
-        # Two full batches plus a flushed single (not batched).
-        assert network.metrics.publication_messages == 3
-        assert network.metrics.batched_publications == 6
-
-    def test_unbatched_network_is_unchanged(self, schema):
-        network = self._delivering_network(batch_size=1)
-        network.subscribe("sub", whole_space(schema))
-        delivered = network.publish_batch("pub", self._burst(schema, 6))
+        delivered = network.publish_many([("pub", p) for p in burst])
         assert len(delivered) == 6
         assert network.metrics.publication_messages == 6
-        assert network.metrics.batched_publications == 0
-        assert "batched_publications" not in network.metrics.summary()
-
-    def test_batching_equals_sequential_delivery(self, schema):
-        batched = self._delivering_network(batch_size=4)
-        sequential = self._delivering_network(batch_size=1)
-        for network in (batched, sequential):
-            network.subscribe("sub", whole_space(schema))
-        burst = self._burst(schema, 10)
-        records_batched = batched.publish_batch("pub", burst)
-        records_sequential = [
-            record
-            for publication in burst
-            for record in sequential.publish("pub", publication)
-        ]
-        assert records_batched == records_sequential
-        assert batched.metrics.notifications == sequential.metrics.notifications
-        assert (
-            batched.metrics.publication_messages
-            < sequential.metrics.publication_messages
-        )
 
 
 class TestLatencyMetrics:
@@ -434,3 +398,15 @@ class TestScenarioThreading:
     def test_cli_rejects_bad_latency_model(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["run", "t0-smoke", "--latency-model", "warp"])
+
+    @pytest.mark.parametrize("bad", ["fixed:nan", "fixed:inf", "lognormal:0,nan"])
+    def test_non_finite_latency_model_rejected_before_a_run(self, bad, capsys):
+        spec = get_scenario("t0-smoke")
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(spec, latency_model=bad)
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioRunner(spec, seed=7, latency_model=bad)
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["run", "t0-smoke", "--seed", "7", "--latency-model", bad])
+        assert exited.value.code == 2
+        assert "finite" in capsys.readouterr().err

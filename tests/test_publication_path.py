@@ -134,7 +134,7 @@ def _broker_state(broker):
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 @pytest.mark.parametrize("policy", POLICIES)
 def test_handler_batch_equals_scalar_calls(policy, topology, observed):
-    for count, stacked in ((1, False), (2, True), (17, False), (17, True)):
+    for count in (1, 2, 17):
         probes = [
             ObsProbe(spans=SpanRecorder()) if observed else None for _ in range(2)
         ]
@@ -151,11 +151,9 @@ def test_handler_batch_equals_scalar_calls(policy, topology, observed):
             one, other = batched.brokers[broker_id], scalar.brokers[broker_id]
             one.record_latencies = other.record_latencies = True
             rng = np.random.default_rng([count, len(broker_id)])
-            messages = _handler_messages(one, count, rng)
-            values = (
-                np.array([m.publication.values for m in messages]) if stacked else None
+            together = one.handle_publication_batch(
+                _handler_messages(one, count, rng)
             )
-            together = one.handle_publication_batch(messages, values)
             rng = np.random.default_rng([count, len(broker_id)])
             apart = [
                 other.handle_publication(message)
@@ -220,8 +218,8 @@ def test_burst_equals_singles_on_a_cyclic_overlay_with_spans(policy):
     assert multiset(one_probe) == multiset(other_probe)
 
 
-def test_publish_and_publish_batch_are_bursts(monkeypatch):
-    """Satellite: all three entry points share the one oracle call."""
+def test_publish_and_publish_many_are_bursts(monkeypatch):
+    """Both entry points share the one oracle call."""
     network = _overlay("group", "tree", obs=ObsProbe())
     calls = []
     oracle_batch = network._oracle.match_batch
@@ -233,30 +231,84 @@ def test_publish_and_publish_batch_are_bursts(monkeypatch):
     monkeypatch.setattr(
         network._oracle,
         "match_batch",
-        lambda publications, values=None: calls.append(len(publications))
-        or oracle_batch(publications, values),
+        lambda publications: calls.append(len(publications))
+        or oracle_batch(publications),
     )
     rng = np.random.default_rng(5)
     publications = [
         Publication(GRID_SCHEMA, rng.integers(0, 101, 2)) for _ in range(9)
     ]
     network.publish("c0", publications[0])
-    network.publish_batch("c1", publications[1:5])
+    network.publish_many([("c1", p) for p in publications[1:5]])
     network.publish_many([("c2", p) for p in publications[5:]])
-    assert network.publish_batch("c1", []) == []
+    assert network.publish_many([]) == []
     assert calls == [1, 4, 4]
     stage_calls = network._obs.stage_calls
     assert stage_calls["network.oracle"] == stage_calls["network.collect"] == 3
     assert network.metrics.missed_notifications == 0
 
 
+@pytest.mark.parametrize("model", ("fixed:0.5", "lognormal:0.0,0.5"))
+@pytest.mark.parametrize("policy", POLICIES)
+def test_timed_burst_delivers_what_singles_deliver(policy, model):
+    """Under a timed latency model a ``publish_many`` burst delivers, and
+    misses, exactly what one ``publish`` per operation does.  Hop counts
+    are not compared: the lognormal stream is drawn in another order, so
+    the duplicate hops a cycle carries differ."""
+    rng = np.random.default_rng(31)
+    operations = [
+        (
+            f"c{int(rng.integers(9))}",
+            Publication(GRID_SCHEMA, rng.integers(0, 101, 2), publication_id=f"p{i}"),
+        )
+        for i in range(40)
+    ]
+    outcomes = []
+    for burst in (True, False):
+        network = BrokerNetwork(
+            grid_topology(3, 3),
+            policy=policy,
+            rng=11,
+            latency_model=model,
+            dedup_window=4,
+        )
+        for index, broker_id in enumerate(network.broker_ids):
+            network.attach_client(f"c{index}", broker_id)
+        subscriptions = np.random.default_rng(12)
+        for index in range(36):
+            low = subscriptions.integers(0, 70, 2)
+            high = np.minimum(low + subscriptions.integers(5, 45, 2), 100)
+            network.subscribe(
+                f"c{index % 9}",
+                Subscription(GRID_SCHEMA, low, high, subscription_id=f"s{index}"),
+            )
+        if burst:
+            network.publish_many(operations)
+        else:
+            for client, publication in operations:
+                network.publish(client, publication)
+        metrics = network.metrics
+        outcomes.append(
+            (
+                Counter(
+                    (r.subscriber, r.subscription_id, r.publication_id)
+                    for r in metrics.delivered
+                ),
+                metrics.notifications,
+                metrics.expected_notifications,
+                metrics.missed_notifications,
+                metrics.false_positive_notifications,
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] > 0
+
+
 # ----------------------------------------------------------------------
 # (ii) schedule_many vs one schedule per message
 # ----------------------------------------------------------------------
-def _kernel(model, batch_size, obs=None):
-    kernel = EventKernel(
-        make_latency_model(model, rng=5), batch_size=batch_size, obs=obs
-    )
+def _kernel(model, obs=None):
+    kernel = EventKernel(make_latency_model(model, rng=5), obs=obs)
     # something already queued, the clock already advanced
     publication = Publication(GRID_SCHEMA, [1, 1], publication_id="early")
     for sender in ("B1", "B2", None):
@@ -296,8 +348,6 @@ def _scheduled_messages():
 
 def _kernel_state(kernel, messages):
     def label(message):
-        if hasattr(message, "messages"):
-            return tuple(label(inner) for inner in message.messages)
         for index, candidate in enumerate(messages):
             if candidate is message:
                 return index
@@ -310,20 +360,15 @@ def _kernel_state(kernel, messages):
         "high_water": kernel.queue_depth_high_water,
         "phase_high_water": kernel.phase_queue_depth_high_water,
         "link_clock": dict(kernel._link_clock),
-        "egress": {
-            link: [label(m) for m in pending]
-            for link, pending in kernel._egress.items()
-        },
         "delivered_at": [m.delivered_at for m in messages],
         "now": kernel.now,
     }
 
 
-@pytest.mark.parametrize("batch_size", (1, 4))
 @pytest.mark.parametrize("model", ("zero", "fixed:2", "lognormal:0.0,0.5"))
-def test_schedule_many_equals_one_schedule_each(model, batch_size):
+def test_schedule_many_equals_one_schedule_each(model):
     probes = [ObsProbe(spans=SpanRecorder()) for _ in range(2)]
-    bulk, single = (_kernel(model, batch_size, probe) for probe in probes)
+    bulk, single = (_kernel(model, probe) for probe in probes)
     together, apart = _scheduled_messages(), _scheduled_messages()
     bulk.schedule_many(iter(together))  # consumed once, lazily
     for message in apart:
@@ -331,29 +376,13 @@ def test_schedule_many_equals_one_schedule_each(model, batch_size):
     assert _kernel_state(bulk, together) == _kernel_state(single, apart)
     assert len(bulk._heap) > 10
     assert _span_fields(probes[0].spans) == _span_fields(probes[1].spans)
-    # one stage entry per scheduling run, unless egress batching diverts
-    # every message through ``schedule``
-    extra = probes[0].stage_calls["kernel.schedule"] - 3
-    assert extra == (1 if batch_size == 1 else len(together))
+    # one stage entry per scheduling run
+    assert probes[0].stage_calls["kernel.schedule"] - 3 == 1
     assert probes[1].stage_calls["kernel.schedule"] - 3 == len(apart)
     # and the two kernels drain identically
     assert [
         _kernel_state(bulk, together)["heap"] for _ in bulk.drain_grouped()
     ] == [_kernel_state(single, apart)["heap"] for _ in single.drain_grouped()]
-
-
-def test_schedule_many_falls_back_while_an_egress_buffer_is_held():
-    bulk, single = (_kernel("zero", 4) for _ in range(2))
-    for kernel in (bulk, single):
-        for message in _scheduled_messages()[:3]:
-            kernel.schedule(message)
-        kernel.batch_size = 1  # lowered mid-run: buffers are still held
-        assert kernel._egress
-    together, apart = _scheduled_messages(), _scheduled_messages()
-    bulk.schedule_many(together)
-    for message in apart:
-        single.schedule(message)
-    assert _kernel_state(bulk, together) == _kernel_state(single, apart)
 
 
 # ----------------------------------------------------------------------
