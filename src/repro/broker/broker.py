@@ -50,6 +50,8 @@ from repro.core.policies import (
 from repro.core.store import CoveringPolicyName, StoreDecision, SubscriptionStore
 from repro.core.subsumption import SubsumptionChecker
 from repro.model.subscriptions import Subscription
+from repro.obs import probes as obs_probes
+from repro.obs.probes import stage
 
 __all__ = ["Broker", "SubscriptionDecision"]
 
@@ -121,13 +123,9 @@ class Broker:
         dedup_window: int = 4096,
         record_latencies: bool = False,
         merge_budget: float = DEFAULT_MERGE_BUDGET,
-        obs=None,
     ):
         if dedup_window < 1:
             raise ValueError("dedup_window must be positive")
-        #: optional :class:`~repro.obs.probes.ObsProbe`; ``None`` (the
-        #: default) keeps every handler on the pre-observability path
-        self._obs = obs
         self.id = broker_id
         self._checker = checker or SubsumptionChecker()
         self.strategy: ReductionStrategy = make_strategy(
@@ -202,16 +200,10 @@ class Broker:
     # ------------------------------------------------------------------
     # Covering decisions, as messages
     # ------------------------------------------------------------------
+    @stage("broker.decision")
     def _on_link(self, call, argument):
         """Run a link-store call that may decide, in ``broker.decision``."""
-        obs = self._obs
-        if obs is None:
-            return call(argument)
-        obs.stage_push("broker.decision")
-        try:
-            return call(argument)
-        finally:
-            obs.stage_pop()
+        return call(argument)
 
     def _hop(
         self,
@@ -245,7 +237,7 @@ class Broker:
                 **{**vars(decision), "result": None}, broker=self.id, neighbor=neighbor
             )
         )
-        obs = self._obs
+        obs = obs_probes.ACTIVE
         if obs is not None and obs.spans is not None and message.trace_id:
             obs.spans.record(
                 message.trace_id,
@@ -371,23 +363,20 @@ class Broker:
         outgoing-message list per input message (empty for duplicates), so
         the caller can restore any global scheduling order.
         """
-        obs = self._obs
+        obs = obs_probes.ACTIVE
         spans = obs.spans if obs is not None else None
 
-        if obs is not None:
-            obs.stage_push("broker.dedup")
-        seen = self._seen_publications
-        window = self.dedup_window
-        fresh: List[int] = []
-        for position, message in enumerate(messages):
-            publication_id = message.publication.id
-            if publication_id not in seen:
-                seen[publication_id] = None
-                while len(seen) > window:
-                    seen.popitem(last=False)
-                fresh.append(position)
-        if obs is not None:
-            obs.stage_pop()
+        with stage("broker.dedup"):
+            seen = self._seen_publications
+            window = self.dedup_window
+            fresh: List[int] = []
+            for position, message in enumerate(messages):
+                publication_id = message.publication.id
+                if publication_id not in seen:
+                    seen[publication_id] = None
+                    while len(seen) > window:
+                        seen.popitem(last=False)
+                    fresh.append(position)
         if spans is not None:
             fresh_positions = set(fresh)
             for position, message in enumerate(messages):
@@ -407,15 +396,10 @@ class Broker:
         if not fresh:
             return outgoing
 
-        if obs is not None:
-            obs.stage_push("broker.route_lookup")
-        try:
+        with stage("broker.route_lookup"):
             lookups = self.routing.matching_entries_batch(
                 [messages[position].publication for position in fresh]
             )
-        finally:
-            if obs is not None:
-                obs.stage_pop()
         if spans is not None:
             for position, (matching, route_tests) in zip(fresh, lookups):
                 message = messages[position]
@@ -430,10 +414,8 @@ class Broker:
                         tests=route_tests,
                     )
 
-        if obs is not None:
-            obs.stage_push("broker.match_forward")
-        merges = self.strategy.merges
-        try:
+        with stage("broker.match_forward"):
+            merges = self.strategy.merges
             for position, (matching, _tests) in zip(fresh, lookups):
                 message = messages[position]
                 sender = message.sender
@@ -487,9 +469,6 @@ class Broker:
                         )
                         for target in targets
                     ]
-        finally:
-            if obs is not None:
-                obs.stage_pop()
         return outgoing
 
     def _deliver(self, entry: RouteEntry, message: PublicationMessage) -> None:
@@ -506,7 +485,7 @@ class Broker:
             self.delivered_latencies.append(
                 message.delivered_at - message.injected_at
             )
-        obs = self._obs
+        obs = obs_probes.ACTIVE
         if obs is not None and obs.spans is not None and message.trace_id:
             obs.spans.record(
                 message.trace_id,

@@ -26,6 +26,7 @@ rebuild.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.broker.broker import Broker
@@ -46,6 +47,7 @@ from repro.matching.matcher import check_backend_label
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
 from repro.obs import probes as obs_probes
+from repro.obs.probes import stage
 from repro.utils.rng import RandomSource, ensure_rng, spawn_rngs
 
 __all__ = ["BrokerNetwork"]
@@ -88,13 +90,12 @@ class BrokerNetwork:
         queue depth.
     dedup_window:
         Per-broker bound on the publication-id dedup memory.
-    obs:
-        Optional :class:`~repro.obs.probes.ObsProbe` observing this
-        network (stage timers, causal spans, instrument registry).
-        Defaults to the module-level probe installed via
-        :func:`repro.obs.probes.install`; when none is installed
-        (the default) the network runs the exact pre-observability code
-        path and its metrics/trace hashes are byte-identical to it.
+
+    The network, its kernel and its brokers are observed by whatever
+    :class:`~repro.obs.probes.ObsProbe` is installed while they run
+    (stage timers, causal spans); with none installed they run the exact
+    pre-observability code path.  A network built under a probe keeps
+    its counters in that probe's instrument registry.
 
     The network runs in one process; only the engine backend's decision
     pool shards (:mod:`repro.shard`).
@@ -111,9 +112,7 @@ class BrokerNetwork:
         latency_model: str = "zero",
         dedup_window: int = 4096,
         merge_budget: float = DEFAULT_MERGE_BUDGET,
-        obs=None,
     ):
-        self._obs = obs if obs is not None else obs_probes.active()
         self.policy = resolve_policy(policy)
         self.merge_budget = merge_budget
         self.delta = delta
@@ -131,14 +130,15 @@ class BrokerNetwork:
             if isinstance(model, LognormalLatency):
                 model.reseed(spawn_rngs(self._rng, 1)[0])
         self.latency_model: LatencyModel = model
-        self.kernel = EventKernel(model, obs=self._obs)
+        self.kernel = EventKernel(model)
         self.brokers: Dict[str, Broker] = {}
-        # With a probe attached, the network's counters live in the
-        # probe's instrument registry — one registry is then the single
-        # source of truth for every metric of the run.
+        # Built under a probe, the network's counters live in the probe's
+        # instrument registry — one registry is then the single source of
+        # truth for every metric of the run.
+        obs = obs_probes.ACTIVE
         self.metrics = NetworkMetrics(
             track_latency=model.name != "zero",
-            registry=self._obs.registry if self._obs is not None else None,
+            registry=obs.registry if obs is not None else None,
         )
         #: ``(phase name, metrics snapshot at phase start)`` marks, in order
         self.phase_marks: List[Tuple[str, MetricsSnapshot]] = []
@@ -171,7 +171,6 @@ class BrokerNetwork:
             dedup_window=self.dedup_window,
             record_latencies=self.metrics.track_latency,
             merge_budget=self.merge_budget,
-            obs=self._obs,
         )
         self.brokers[broker_id] = broker
         return broker
@@ -311,14 +310,9 @@ class BrokerNetwork:
                     origin=broker_id,
                 )
             )
-        obs = self._obs
-        if obs is not None:
-            obs.stage_push("network.oracle")
         expected = self._expected_notifications(
             [message.publication for message in messages]
         )
-        if obs is not None:
-            obs.stage_pop()
         self.metrics.expected_notifications += len(expected)
 
         delivered_before = {
@@ -331,21 +325,8 @@ class BrokerNetwork:
             self._drain()
         return self._collect_deliveries(expected, delivered_before)
 
+    @stage("network.collect")
     def _collect_deliveries(
-        self,
-        expected: List[NotificationRecord],
-        delivered_before: Dict[str, int],
-    ) -> List[NotificationRecord]:
-        obs = self._obs
-        if obs is not None:
-            obs.stage_push("network.collect")
-        try:
-            return self._collect_deliveries_impl(expected, delivered_before)
-        finally:
-            if obs is not None:
-                obs.stage_pop()
-
-    def _collect_deliveries_impl(
         self,
         expected: List[NotificationRecord],
         delivered_before: Dict[str, int],
@@ -390,6 +371,7 @@ class BrokerNetwork:
             raise KeyError(f"client {client_id!r} is not attached to any broker")
         return broker_id
 
+    @stage("network.oracle")
     def _expected_notifications(
         self, publications: Sequence[Publication]
     ) -> List[NotificationRecord]:
@@ -424,7 +406,7 @@ class BrokerNetwork:
         ``injected`` span still directly precedes its ``enqueued`` one.
         """
         now = self.kernel.now
-        obs = self._obs
+        obs = obs_probes.ACTIVE
         for message in messages:
             message.injected_at = now
             message.sent_at = now
@@ -434,7 +416,7 @@ class BrokerNetwork:
 
     def _drain(self) -> None:
         kernel = self.kernel
-        obs = self._obs
+        obs = obs_probes.ACTIVE
         metrics = self.metrics
         for message in kernel.drain_grouped():
             if type(message) is list:
@@ -478,20 +460,14 @@ class BrokerNetwork:
             if isinstance(message, SubscriptionMessage):
                 if message.sender is not None:
                     metrics.subscription_messages += 1
-                if obs is not None:
-                    obs.stage_push("network.handle_subscription")
-                outgoing, decisions = broker.handle_subscription(message)
-                if obs is not None:
-                    obs.stage_pop()
+                with stage("network.handle_subscription"):
+                    outgoing, decisions = broker.handle_subscription(message)
                 self._account_decisions(decisions)
             elif isinstance(message, UnsubscriptionMessage):
                 if message.sender is not None:
                     metrics.unsubscription_messages += 1
-                if obs is not None:
-                    obs.stage_push("network.handle_unsubscription")
-                outgoing, decisions = broker.handle_unsubscription(message)
-                if obs is not None:
-                    obs.stage_pop()
+                with stage("network.handle_unsubscription"):
+                    outgoing, decisions = broker.handle_unsubscription(message)
                 self._account_decisions(decisions)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown message type {type(message)!r}")
@@ -501,18 +477,20 @@ class BrokerNetwork:
         metrics.phase_queue_depth_high_water = (
             kernel.phase_queue_depth_high_water
         )
+        if not math.isfinite(kernel.now):
+            # every later latency would be ``inf - inf``: a NaN report
+            raise OverflowError(
+                "the virtual clock overflowed under latency model "
+                f"{self.latency_model.spec!r}"
+            )
 
     def _handle_publications(
         self, broker: Broker, messages: Sequence[PublicationMessage]
     ) -> List[List[Message]]:
         """One broker's share of a delivery generation, through its handler."""
-        obs = self._obs
         dead_before = broker.dead_letter_publications
-        if obs is not None:
-            obs.stage_push("network.handle_publication")
-        outgoing = broker.handle_publication_batch(messages)
-        if obs is not None:
-            obs.stage_pop()
+        with stage("network.handle_publication"):
+            outgoing = broker.handle_publication_batch(messages)
         self.metrics.dead_letter_publications += (
             broker.dead_letter_publications - dead_before
         )

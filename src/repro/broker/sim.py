@@ -42,6 +42,8 @@ import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.broker.messages import Message, PublicationMessage
+from repro.obs import probes as obs_probes
+from repro.obs.probes import stage
 from repro.utils.rng import RandomSource, ensure_rng
 
 __all__ = [
@@ -197,20 +199,14 @@ class EventKernel:
     latency_model:
         Hop-latency distribution applied to every broker-to-broker link
         (client injections are instantaneous).
-    obs:
-        Optional :class:`~repro.obs.probes.ObsProbe`; when attached the
-        kernel times its scheduling work and emits ``enqueued`` spans
-        with queue depths.  ``None`` (the default) keeps the kernel on
-        the exact pre-observability code path.
+
+    Under an installed :class:`~repro.obs.probes.ObsProbe` the kernel
+    times its scheduling work as ``kernel.schedule`` and emits
+    ``enqueued`` spans with queue depths.
     """
 
-    def __init__(
-        self,
-        latency_model: Optional[LatencyModel] = None,
-        obs=None,
-    ):
+    def __init__(self, latency_model: Optional[LatencyModel] = None):
         self.latency_model = latency_model or ZeroLatency()
-        self._obs = obs
         #: current virtual time (time of the last delivered event)
         self.now = 0.0
         self._heap: List[Tuple[float, int, Message]] = []
@@ -238,6 +234,7 @@ class EventKernel:
         """
         self.schedule_many((message,))
 
+    @stage("kernel.schedule")
     def schedule_many(self, messages: Iterable[Message]) -> None:
         """:meth:`schedule` every message, in order, as one scheduling run.
 
@@ -247,17 +244,6 @@ class EventKernel:
         of one per message.  ``messages`` is consumed lazily, each message
         taken only when its turn to be pushed has come.
         """
-        obs = self._obs
-        if obs is not None:
-            obs.stage_push("kernel.schedule")
-        try:
-            self._push(messages)
-        finally:
-            if obs is not None:
-                obs.stage_pop()
-
-    def _push(self, messages: Iterable[Message]) -> None:
-        """Time-stamp ``messages`` and push them onto the heap, in order."""
         heap = self._heap
         link_clock = self._link_clock
         sample = self.latency_model.sample
@@ -265,7 +251,7 @@ class EventKernel:
         # kernel a hop stamped before the clock last advanced, and a
         # delivery in the past would rewind it.
         now = self.now
-        obs = self._obs
+        obs = obs_probes.ACTIVE
         sequence = self._sequence
         try:
             for message in messages:

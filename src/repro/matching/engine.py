@@ -42,7 +42,7 @@ from repro.core.subsumption import SubsumptionChecker
 from repro.matching.matcher import check_backend_label
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
-from repro.obs import probes as obs_probes
+from repro.obs.probes import stage
 
 __all__ = ["MatchResult", "MatchingEngine"]
 
@@ -135,6 +135,7 @@ class MatchingEngine:
     # ------------------------------------------------------------------
     # Subscription management
     # ------------------------------------------------------------------
+    @stage("engine.subscribe")
     def subscribe(self, subscription: Subscription) -> StoreDecision:
         """Register a subscription, returning the store's decision.
 
@@ -143,20 +144,6 @@ class MatchingEngine:
         :class:`~repro.model.errors.ValidationError` for a subscription of
         another schema, before any state changes.
         """
-        # The engine is used standalone (no owning network to hand it a
-        # probe), so it looks the module-level probe up per call; with no
-        # probe installed this is a single attribute read plus an
-        # ``is None`` test on top of the original code path.
-        obs = obs_probes.ACTIVE
-        if obs is None:
-            return self._subscribe_impl(subscription)
-        obs.stage_push("engine.subscribe")
-        try:
-            return self._subscribe_impl(subscription)
-        finally:
-            obs.stage_pop()
-
-    def _subscribe_impl(self, subscription: Subscription) -> StoreDecision:
         # merged boxes live in the store, but no client registered them;
         # the store rejects every other held id and a foreign schema
         if subscription.id in self.store.members:
@@ -165,22 +152,13 @@ class MatchingEngine:
             )
         return self.store.add(subscription)
 
+    @stage("engine.unsubscribe")
     def unsubscribe(self, subscription_id: str) -> Tuple[Subscription, ...]:
         """Remove a subscription; returns promoted covered subscriptions.
 
         An identifier the engine never registered (a merged box's
         included) returns ``()`` and touches nothing.
         """
-        obs = obs_probes.ACTIVE
-        if obs is None:
-            return self._unsubscribe_impl(subscription_id)
-        obs.stage_push("engine.unsubscribe")
-        try:
-            return self._unsubscribe_impl(subscription_id)
-        finally:
-            obs.stage_pop()
-
-    def _unsubscribe_impl(self, subscription_id: str) -> Tuple[Subscription, ...]:
         # merged boxes live in the store, but no client registered them
         if subscription_id not in self.store or subscription_id in self.store.members:
             return ()
@@ -205,18 +183,9 @@ class MatchingEngine:
     # ------------------------------------------------------------------
     # Matching (Algorithm 5)
     # ------------------------------------------------------------------
+    @stage("engine.match")
     def match(self, publication: Publication) -> MatchResult:
         """Match a publication following Algorithm 5."""
-        obs = obs_probes.ACTIVE
-        if obs is None:
-            return self._match_impl(publication)
-        obs.stage_push("engine.match")
-        try:
-            return self._match_impl(publication)
-        finally:
-            obs.stage_pop()
-
-    def _match_impl(self, publication: Publication) -> MatchResult:
         self.stats["publications"] += 1
         store = self.store
         matched, active_tests = store.active_pool.match_candidates(publication)
@@ -251,6 +220,7 @@ class MatchingEngine:
             covered_tests=covered_tests,
         )
 
+    @stage("engine.match_batch")
     def match_batch(
         self, publications: Sequence[Publication]
     ) -> List[MatchResult]:
@@ -261,18 +231,6 @@ class MatchingEngine:
         active set in one pass, and the covered set in one pass over the
         publications that had an active hit.
         """
-        obs = obs_probes.ACTIVE
-        if obs is None:
-            return self._match_batch_impl(publications)
-        obs.stage_push("engine.match_batch")
-        try:
-            return self._match_batch_impl(publications)
-        finally:
-            obs.stage_pop()
-
-    def _match_batch_impl(
-        self, publications: Sequence[Publication]
-    ) -> List[MatchResult]:
         publications = list(publications)
         store = self.store
         active = store.active_pool.match_batch(publications)

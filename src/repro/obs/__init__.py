@@ -10,10 +10,11 @@ network and the matching engine:
   subscription carries a trace id and emits a span per lifecycle stage
   (injected → enqueued → link-transit → dedup → route-lookup → match →
   deliver), timestamped with the kernel's virtual clock;
-* :mod:`repro.obs.probes` — the zero-overhead gate: a module-level
-  enable flag plus no-op stubs, so with observability disabled (the
-  default) every component behaves — metric- and trace-hash
-  byte-identically — exactly as it did before the subsystem existed;
+* :mod:`repro.obs.probes` — the zero-overhead gate: the one installed
+  probe every layer reads when it runs, and the ``stage`` helper that
+  times every stage, so with observability disabled (the default) every
+  component behaves — metric- and trace-hash byte-identically — exactly
+  as it did before the subsystem existed;
 * :mod:`repro.obs.report` — per-broker / per-link / per-stage tables
   over exported span files (the ``repro-obs report`` CLI).
 

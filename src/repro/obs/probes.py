@@ -2,11 +2,12 @@
 
 The module-level :data:`ACTIVE` slot holds the currently installed
 :class:`ObsProbe`, or ``None`` — the default — when observability is
-off.  Instrumented components capture the active probe once (at
-construction, or per call for module-level hot paths) and guard every
-hook with a single ``is None`` test, so the disabled system runs the
-exact pre-instrumentation code path: all metrics and trace hashes stay
-byte-identical to a system without this package.
+off.  There is no other probe source: every instrumented layer reads
+:data:`ACTIVE` when it runs and guards each hook with a single
+``is None`` test, so a probe observes whatever runs while it is
+installed, and the disabled system runs the exact pre-instrumentation
+code path: all metrics and trace hashes stay byte-identical to a system
+without this package.  Stages are timed through :class:`stage` only.
 
 A probe aggregates three things:
 
@@ -22,6 +23,7 @@ A probe aggregates three things:
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
@@ -37,6 +39,7 @@ __all__ = [
     "enabled",
     "install",
     "is_enabled",
+    "stage",
 ]
 
 #: message class name -> trace kind (kept here so the probe layer never
@@ -81,15 +84,6 @@ class ObsProbe:
         self.stage_calls[name] = self.stage_calls.get(name, 0) + 1
         if self._stack:
             self._stack[-1][2] += duration
-
-    @contextmanager
-    def stage(self, name: str):
-        """Context-manager form of :meth:`stage_push`/:meth:`stage_pop`."""
-        self.stage_push(name)
-        try:
-            yield
-        finally:
-            self.stage_pop()
 
     def stage_totals(self) -> List[Tuple[str, float, int]]:
         """``(stage, self-time seconds, calls)`` ranked by cost."""
@@ -186,6 +180,46 @@ class ObsProbe:
 
 #: the installed probe (``None`` = observability disabled, the default)
 ACTIVE: Optional[ObsProbe] = None
+
+
+class stage:
+    """Time a block (``with stage(name):``) or every call of a function
+    (``@stage(name)``) as ``name`` on the probe installed at entry.
+
+    The stage is popped however the code exits, so a raising body is
+    still counted and leaves no stage open.  With no probe installed
+    the code runs as it would without the helper.
+    """
+
+    __slots__ = ("name", "_probe")
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        probe = self._probe = ACTIVE
+        if probe is not None:
+            probe.stage_push(self.name)
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if self._probe is not None:
+            self._probe.stage_pop()
+
+    def __call__(self, function):
+        name = self.name
+
+        @functools.wraps(function)
+        def staged(*args, **kwargs):
+            probe = ACTIVE
+            if probe is None:
+                return function(*args, **kwargs)
+            probe.stage_push(name)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                probe.stage_pop()
+
+        return staged
 
 
 def install(probe: Optional[ObsProbe] = None) -> ObsProbe:

@@ -42,7 +42,7 @@ from repro.obs.spans import SpanRecorder, write_spans
 from repro.scenarios import catalog  # noqa: F401 - populates the registry
 from repro.scenarios.events import compile_scenario
 from repro.scenarios.registry import REGISTRY
-from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.runner import ScenarioReport, ScenarioRunner
 from repro.scenarios.trace import TraceError, read_trace, write_trace
 from repro.utils.tables import render_table
 
@@ -122,7 +122,7 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
         digest = write_trace(arguments.trace, compiled, backend=arguments.backend)
         print(f"[trace written to {arguments.trace} ({digest[:12]}…)]",
               file=sys.stderr)
-    report = runner.run(compiled)
+    report = _execute(runner, compiled)
     if recorder is not None:
         count = write_spans(arguments.obs_spans, recorder)
         print(
@@ -167,7 +167,7 @@ def _cmd_replay(arguments: argparse.Namespace) -> int:
         latency_model=latency_model,
         shards=arguments.shards,
     )
-    report = runner.run(compiled)
+    report = _execute(runner, compiled)
     if arguments.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -180,6 +180,15 @@ def _runner(*args, **kwargs) -> ScenarioRunner:
     try:
         return ScenarioRunner(*args, **kwargs)
     except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _execute(runner: ScenarioRunner, compiled) -> ScenarioReport:
+    """Run the scenario, turning a virtual-clock overflow into exit 2."""
+    try:
+        return runner.run(compiled)
+    except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

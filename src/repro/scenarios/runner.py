@@ -210,11 +210,10 @@ class ScenarioRunner:
         kernel; when ``None`` the spec's ``latency_model`` field decides.
     obs:
         Optional :class:`~repro.obs.probes.ObsProbe`.  When given, it is
-        installed as the module-level active probe for the duration of
-        :meth:`run` (the previous probe is restored afterwards), so both
-        backends — the network's construction-time capture and the
-        engine's per-call lookup — observe through it.  ``None`` (the
-        default) leaves whatever probe state the process already has.
+        installed for the duration of :meth:`run` (the previous probe is
+        restored afterwards), and a probe observes whatever runs while it
+        is installed.  ``None`` (the default) leaves whatever probe state
+        the process already has.  Shard workers are never observed.
     shards:
         Multi-process execution of the engine backend (``0``, the
         default, is today's single-process path, byte for byte): a pool

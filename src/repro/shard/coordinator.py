@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
 from repro.obs import probes as obs_probes
+from repro.obs.probes import stage
 from repro.shard.partition import make_partitioner
 from repro.shard.worker import worker_main
 
@@ -227,24 +228,13 @@ class ShardCoordinator:
         publications = list(publications)
         if not publications:
             return []
-        obs = obs_probes.ACTIVE
-        if obs is not None:
-            obs.stage_push("shard.dispatch")
-        targets = [shard for shard in range(self.shards) if self._live[shard]]
-        try:
+        with stage("shard.dispatch"):
+            targets = [shard for shard in range(self.shards) if self._live[shard]]
             reached, errors = self._dispatch(targets, ("match", publications))
             for shard in reached:
                 self._instrument("shard.match_pubs", shard, len(publications))
-        finally:
-            if obs is not None:
-                obs.stage_pop()
-        if obs is not None:
-            obs.stage_push("shard.collect")
-        try:
+        with stage("shard.collect"):
             payloads = self._collect(reached, errors)
-        finally:
-            if obs is not None:
-                obs.stage_pop()
         return [payloads[shard] for shard in targets]
 
     def sync(self) -> None:

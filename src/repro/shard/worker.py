@@ -23,6 +23,10 @@ duplex pipe:
 
 Every reply carries the worker's cumulative busy seconds, the per-shard
 load measure the benchmarks attribute critical paths with.
+
+Workers are never observed: a probe installed when the pool forks would
+time the worker's engine into a copy no one reads, so the worker
+uninstalls it before its loop.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import numpy as np
 
 from repro.core.subsumption import SubsumptionChecker
 from repro.matching.engine import MatchingEngine
+from repro.obs import probes as obs_probes
 from repro.shard.partition import shard_seed
 
 __all__ = ["worker_main"]
@@ -136,6 +141,7 @@ def worker_main(conn, config: Dict[str, Any]) -> None:
     process silently (op-stream errors are parked until the next
     synchronous command, per the fire-and-forget contract).
     """
+    obs_probes.disable()
     worker = _ShardWorker(config)
     try:
         while True:

@@ -410,3 +410,29 @@ class TestScenarioThreading:
             cli_main(["run", "t0-smoke", "--seed", "7", "--latency-model", bad])
         assert exited.value.code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["fixed:1e308", "lognormal:1000,0"])
+    def test_finite_parameters_that_overflow_the_clock_fail_the_run(
+        self, model, capsys, tmp_path
+    ):
+        # Finite parameters can still drive the virtual clock to inf, and
+        # every later latency would be inf - inf: a NaN report.
+        spec = get_scenario("t0-smoke")
+        with pytest.raises(OverflowError, match=model.split(":")[0]):
+            ScenarioRunner(spec, seed=7, latency_model=model).run()
+        assert cli_main(["run", "t0-smoke", "--seed", "7", "--latency-model", model]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the virtual clock overflowed")
+        assert "NaN" not in captured.out
+        trace_path = tmp_path / "t0.jsonl"
+        assert cli_main(["run", "t0-smoke", "--seed", "7", "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["replay", str(trace_path), "--latency-model", model]) == 2
+        assert "overflowed" in capsys.readouterr().err
+
+    def test_a_large_finite_clock_still_reports(self, capsys):
+        assert cli_main(
+            ["run", "t0-smoke", "--seed", "7", "--latency-model", "fixed:1e306", "--json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["totals"]["delivery_latency_max"] > 0

@@ -22,7 +22,9 @@ import pytest
 from repro.broker.metrics import _latency_stats, NetworkMetrics
 from repro.broker.network import BrokerNetwork
 from repro.obs.instruments import Histogram, InstrumentRegistry
-from repro.obs.probes import ObsProbe, active, disable, enabled, install
+from repro.model import Publication, Schema, Subscription
+from repro.model.errors import ValidationError
+from repro.obs.probes import ObsProbe, active, disable, enabled, install, stage
 from repro.obs.report import chain_status, render_report, summarize
 from repro.obs.spans import SpanRecorder, read_spans, write_spans
 from repro.scenarios import catalog  # noqa: F401 - populates the registry
@@ -159,6 +161,55 @@ class TestProbes:
         probe.flush_stages_to_registry()
         assert probe.registry.get("obs.stage_calls", stage="inner").value == 1
 
+    def test_stage_helper_times_blocks_and_calls(self):
+        @stage("decorated")
+        def double(value):
+            return 2 * value
+
+        with stage("block"):  # no probe installed: nothing to time
+            assert double(4) == 8
+        assert double.__name__ == "double"
+        probe = ObsProbe()
+        with enabled(probe):
+            with stage("block"):
+                double(1)
+                double(2)
+        assert probe.stage_calls == {"block": 1, "decorated": 2}
+        assert probe._stack == []
+
+    def test_stage_helper_pops_however_the_body_exits(self):
+        @stage("decorated")
+        def fail():
+            raise KeyError("boom")
+
+        probe = ObsProbe()
+        with enabled(probe):
+            with pytest.raises(KeyError):
+                with stage("block"):
+                    fail()
+        assert probe.stage_calls == {"block": 1, "decorated": 1}
+        assert probe._stack == []
+
+    def test_a_raising_oracle_leaves_no_stage_open(self):
+        probe = ObsProbe()
+        with enabled(probe):
+            network = BrokerNetwork([("B1", "B2")])
+            network.attach_client("c1", "B1")
+            network.attach_client("c2", "B2")
+            narrow = Schema.uniform_integer(2, 0, 10)
+            network.subscribe(
+                "c2", Subscription(narrow, [0, 0], [10, 10], subscription_id="s")
+            )
+            wide = Schema.uniform_integer(3, 0, 10)
+            with pytest.raises(ValidationError):
+                network.publish("c1", Publication(wide, [1, 1, 1]))
+            assert probe._stack == []
+            assert probe.stage_calls["network.oracle"] == 1
+            network.publish("c1", Publication(narrow, [1, 1]))
+        assert probe._stack == []
+        assert probe.stage_calls["network.oracle"] == 2
+        assert probe.stage_calls["network.collect"] == 1
+
     def test_metrics_share_probe_registry(self):
         probe = ObsProbe()
         with enabled(probe):
@@ -167,6 +218,79 @@ class TestProbes:
         assert (
             probe.registry.get("network.notifications").value == 3
         )
+
+
+# ----------------------------------------------------------------------
+# Per-stage call counts: the per-layer ``*_calls`` rows of ``bench/``
+# ----------------------------------------------------------------------
+#: ``probe.stage_calls`` of one observed seed-7 run per
+#: ``(scenario, backend, shards)``
+STAGE_CALLS = {
+    ("t0-smoke", "network", 0): {
+        "broker.decision": 36,
+        "broker.dedup": 13,
+        "broker.match_forward": 13,
+        "broker.route_lookup": 13,
+        "kernel.schedule": 60,
+        "network.collect": 2,
+        "network.handle_publication": 13,
+        "network.handle_subscription": 36,
+        "network.handle_unsubscription": 18,
+        "network.oracle": 2,
+    },
+    ("t1-churn", "network", 0): {
+        "broker.decision": 1076,
+        "broker.dedup": 296,
+        "broker.match_forward": 250,
+        "broker.route_lookup": 250,
+        "kernel.schedule": 851,
+        "network.collect": 39,
+        "network.handle_publication": 296,
+        "network.handle_subscription": 693,
+        "network.handle_unsubscription": 279,
+        "network.oracle": 39,
+    },
+    ("t0-merging", "network", 0): {
+        "broker.decision": 37,
+        "broker.dedup": 14,
+        "broker.match_forward": 14,
+        "broker.route_lookup": 14,
+        "kernel.schedule": 54,
+        "network.collect": 2,
+        "network.handle_publication": 14,
+        "network.handle_subscription": 36,
+        "network.handle_unsubscription": 20,
+        "network.oracle": 2,
+    },
+    ("t0-latency", "network", 0): {
+        "broker.decision": 36,
+        "broker.dedup": 47,
+        "broker.match_forward": 47,
+        "broker.route_lookup": 47,
+        "kernel.schedule": 99,
+        "network.collect": 30,
+        "network.handle_publication": 47,
+        "network.handle_subscription": 36,
+        "network.handle_unsubscription": 18,
+        "network.oracle": 30,
+    },
+    ("t0-smoke", "engine", 0): {
+        "engine.match": 30,
+        "engine.subscribe": 12,
+        "engine.unsubscribe": 6,
+    },
+    ("t1-churn", "engine", 2): {"shard.collect": 39, "shard.dispatch": 39},
+}
+
+
+@pytest.mark.parametrize("scenario, backend, shards", sorted(STAGE_CALLS))
+def test_stage_calls_are_pinned(scenario, backend, shards):
+    probe = ObsProbe()
+    ScenarioRunner(
+        get_scenario(scenario), seed=7, backend=backend, obs=probe, shards=shards
+    ).run()
+    assert probe.stage_calls == STAGE_CALLS[scenario, backend, shards]
+    assert probe._stack == []
 
 
 # ----------------------------------------------------------------------

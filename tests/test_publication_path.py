@@ -14,6 +14,7 @@ delivery oracle — is swept against a linear scan in ``test_matcher.py``):
 
 from __future__ import annotations
 
+import contextlib
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.broker.network import BrokerNetwork
 from repro.broker.sim import EventKernel
 from repro.core import arena
 from repro.model import Publication, Schema, Subscription
-from repro.obs.probes import ObsProbe
+from repro.obs.probes import ObsProbe, enabled
 from repro.obs.spans import SpanRecorder
 
 POLICIES = ("none", "pairwise", "group", "merging", "hybrid")
@@ -42,27 +43,33 @@ TOPOLOGIES = {
 }
 
 
-def _overlay(policy, topology, obs=None, dedup_window=4096):
-    """A seeded overlay with subscriptions spread over every broker."""
-    network = BrokerNetwork(
-        TOPOLOGIES[topology](),
-        policy=policy,
-        rng=11,
-        dedup_window=dedup_window,
-        obs=obs,
-    )
-    rng = np.random.default_rng(12)
-    for index, broker_id in enumerate(network.broker_ids):
-        network.attach_client(f"c{index}", broker_id)
-    for index in range(36):
-        low = rng.integers(5, 70, 2)  # nothing ever reaches the origin
-        high = low + rng.integers(5, 45, 2)
-        network.subscribe(
-            f"c{index % len(network.brokers)}",
-            Subscription(
-                GRID_SCHEMA, low, np.minimum(high, 100), subscription_id=f"s{index}"
-            ),
+def _observed(probe):
+    """``probe`` installed for a block; no probe at all when ``None``."""
+    return enabled(probe) if probe is not None else contextlib.nullcontext()
+
+
+def _overlay(policy, topology, probe=None, dedup_window=4096):
+    """A seeded overlay with subscriptions spread over every broker,
+    built and subscribed under ``probe``."""
+    with _observed(probe):
+        network = BrokerNetwork(
+            TOPOLOGIES[topology](),
+            policy=policy,
+            rng=11,
+            dedup_window=dedup_window,
         )
+        rng = np.random.default_rng(12)
+        for index, broker_id in enumerate(network.broker_ids):
+            network.attach_client(f"c{index}", broker_id)
+        for index in range(36):
+            low = rng.integers(5, 70, 2)  # nothing ever reaches the origin
+            high = low + rng.integers(5, 45, 2)
+            network.subscribe(
+                f"c{index % len(network.brokers)}",
+                Subscription(
+                    GRID_SCHEMA, low, np.minimum(high, 100), subscription_id=f"s{index}"
+                ),
+            )
     return network
 
 
@@ -141,7 +148,7 @@ def test_handler_batch_equals_scalar_calls(policy, topology, observed):
         # a window of 5 is overrun inside the 17-message batches, so the
         # eviction order (and the re-processing it allows) is compared too
         batched, scalar = (
-            _overlay(policy, topology, obs=probe, dedup_window=5) for probe in probes
+            _overlay(policy, topology, probe, dedup_window=5) for probe in probes
         )
         if observed:
             for probe in probes:
@@ -151,14 +158,16 @@ def test_handler_batch_equals_scalar_calls(policy, topology, observed):
             one, other = batched.brokers[broker_id], scalar.brokers[broker_id]
             one.record_latencies = other.record_latencies = True
             rng = np.random.default_rng([count, len(broker_id)])
-            together = one.handle_publication_batch(
-                _handler_messages(one, count, rng)
-            )
+            with _observed(probes[0]):
+                together = one.handle_publication_batch(
+                    _handler_messages(one, count, rng)
+                )
             rng = np.random.default_rng([count, len(broker_id)])
-            apart = [
-                other.handle_publication(message)
-                for message in _handler_messages(other, count, rng)
-            ]
+            with _observed(probes[1]):
+                apart = [
+                    other.handle_publication(message)
+                    for message in _handler_messages(other, count, rng)
+                ]
             assert [[_message_fields(m) for m in outs] for outs in together] == [
                 [_message_fields(m) for m in outs] for outs in apart
             ]
@@ -190,13 +199,14 @@ def test_burst_equals_singles_on_a_cyclic_overlay_with_spans(policy):
     networks = []
     for burst in (True, False):
         probe = ObsProbe(spans=SpanRecorder())
-        network = _overlay(policy, "cyclic", obs=probe, dedup_window=8)
+        network = _overlay(policy, "cyclic", probe, dedup_window=8)
         del probe.spans.spans[:]
-        if burst:
-            network.publish_many(operations)
-        else:
-            for client, publication in operations:
-                network.publish(client, publication)
+        with enabled(probe):
+            if burst:
+                network.publish_many(operations)
+            else:
+                for client, publication in operations:
+                    network.publish(client, publication)
         networks.append((network, probe))
     (one, one_probe), (other, other_probe) = networks
     for broker_id in one.broker_ids:
@@ -220,7 +230,8 @@ def test_burst_equals_singles_on_a_cyclic_overlay_with_spans(policy):
 
 def test_publish_and_publish_many_are_bursts(monkeypatch):
     """Both entry points share the one oracle call."""
-    network = _overlay("group", "tree", obs=ObsProbe())
+    probe = ObsProbe()
+    network = _overlay("group", "tree", probe)
     calls = []
     oracle_batch = network._oracle.match_batch
     monkeypatch.setattr(
@@ -238,12 +249,13 @@ def test_publish_and_publish_many_are_bursts(monkeypatch):
     publications = [
         Publication(GRID_SCHEMA, rng.integers(0, 101, 2)) for _ in range(9)
     ]
-    network.publish("c0", publications[0])
-    network.publish_many([("c1", p) for p in publications[1:5]])
-    network.publish_many([("c2", p) for p in publications[5:]])
-    assert network.publish_many([]) == []
+    with enabled(probe):
+        network.publish("c0", publications[0])
+        network.publish_many([("c1", p) for p in publications[1:5]])
+        network.publish_many([("c2", p) for p in publications[5:]])
+        assert network.publish_many([]) == []
     assert calls == [1, 4, 4]
-    stage_calls = network._obs.stage_calls
+    stage_calls = probe.stage_calls
     assert stage_calls["network.oracle"] == stage_calls["network.collect"] == 3
     assert network.metrics.missed_notifications == 0
 
@@ -307,16 +319,17 @@ def test_timed_burst_delivers_what_singles_deliver(policy, model):
 # ----------------------------------------------------------------------
 # (ii) schedule_many vs one schedule per message
 # ----------------------------------------------------------------------
-def _kernel(model, obs=None):
-    kernel = EventKernel(make_latency_model(model, rng=5), obs=obs)
+def _kernel(model, probe):
+    kernel = EventKernel(make_latency_model(model, rng=5))
     # something already queued, the clock already advanced
     publication = Publication(GRID_SCHEMA, [1, 1], publication_id="early")
-    for sender in ("B1", "B2", None):
-        kernel.schedule(
-            PublicationMessage(
-                sender=sender, recipient="B3", publication=publication, sent_at=0.25
+    with enabled(probe):
+        for sender in ("B1", "B2", None):
+            kernel.schedule(
+                PublicationMessage(
+                    sender=sender, recipient="B3", publication=publication, sent_at=0.25
+                )
             )
-        )
     next(kernel.drain_grouped())
     kernel.reset_phase_high_water()
     return kernel
@@ -370,9 +383,11 @@ def test_schedule_many_equals_one_schedule_each(model):
     probes = [ObsProbe(spans=SpanRecorder()) for _ in range(2)]
     bulk, single = (_kernel(model, probe) for probe in probes)
     together, apart = _scheduled_messages(), _scheduled_messages()
-    bulk.schedule_many(iter(together))  # consumed once, lazily
-    for message in apart:
-        single.schedule(message)
+    with enabled(probes[0]):
+        bulk.schedule_many(iter(together))  # consumed once, lazily
+    with enabled(probes[1]):
+        for message in apart:
+            single.schedule(message)
     assert _kernel_state(bulk, together) == _kernel_state(single, apart)
     assert len(bulk._heap) > 10
     assert _span_fields(probes[0].spans) == _span_fields(probes[1].spans)

@@ -27,6 +27,7 @@ import pytest
 
 import repro
 from repro.model import Publication, Schema, Subscription
+from repro.obs.probes import ObsProbe, enabled
 from repro.scenarios import catalog  # noqa: F401 - populates the registry
 from repro.scenarios.cli import main as scenarios_main
 from repro.scenarios.events import EventAction, compile_scenario
@@ -296,6 +297,34 @@ class TestWorkerErrors:
                 assert not live_pipe.poll(0.2)
         finally:
             engine.close()
+        assert _no_children_left()
+
+
+class _InstallerOnlyProbe(ObsProbe):
+    """A probe that fails any stage timed outside the installing process."""
+
+    def __init__(self):
+        super().__init__()
+        self.pid = os.getpid()
+
+    def stage_push(self, name: str) -> None:
+        assert os.getpid() == self.pid, (
+            f"worker timed {name} into an inherited probe"
+        )
+        super().stage_push(name)
+
+
+class TestWorkersAreNotObserved:
+    def test_a_probe_installed_at_fork_stays_in_the_parent(self):
+        probe = _InstallerOnlyProbe()
+        with enabled(probe):
+            engine = _pool()
+            try:
+                assert engine.match(PUBLICATION)
+                engine.sync()
+            finally:
+                engine.close()
+        assert probe.stage_calls == {"shard.dispatch": 1, "shard.collect": 1}
         assert _no_children_left()
 
 
