@@ -34,6 +34,7 @@ the scenario runner's engine backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import DEFAULT_MERGE_BUDGET
@@ -186,39 +187,15 @@ class MatchingEngine:
     @stage("engine.match")
     def match(self, publication: Publication) -> MatchResult:
         """Match a publication following Algorithm 5."""
-        self.stats["publications"] += 1
         store = self.store
         matched, active_tests = store.active_pool.match_candidates(publication)
         covered_tests = 0
         if matched:
             covered, covered_tests = store.covered_pool.match_candidates(publication)
             matched.extend(covered)
-        return self._build_result(publication, matched, active_tests, covered_tests)
-
-    def _build_result(
-        self,
-        publication: Publication,
-        matched: List[Subscription],
-        active_tests: int,
-        covered_tests: int,
-    ) -> MatchResult:
-        subscribers = tuple(
-            dict.fromkeys(
-                subscription.subscriber
-                for subscription in matched
-                if subscription.subscriber is not None
-            )
-        )
-        self.stats["notifications"] += len(subscribers)
-        self.stats["active_tests"] += active_tests
-        self.stats["covered_tests"] += covered_tests
-        return MatchResult(
-            publication=publication,
-            matched=tuple(matched),
-            subscribers=subscribers,
-            active_tests=active_tests,
-            covered_tests=covered_tests,
-        )
+        result = _result(publication, matched, active_tests, covered_tests)
+        self._count([result])
+        return result
 
     @stage("engine.match_batch")
     def match_batch(
@@ -234,19 +211,42 @@ class MatchingEngine:
         publications = list(publications)
         store = self.store
         active = store.active_pool.match_batch(publications)
-        need = [position for position, (matched, _) in enumerate(active) if matched]
-        covered = dict(
-            zip(need, store.covered_pool.match_batch([publications[i] for i in need]))
+        covered = iter(
+            store.covered_pool.match_batch(
+                [p for p, (matched, _) in zip(publications, active) if matched]
+            )
         )
         results: List[MatchResult] = []
-        for position, publication in enumerate(publications):
-            self.stats["publications"] += 1
-            matched, active_tests = active[position]
+        for publication, (matched, active_tests) in zip(publications, active):
             covered_tests = 0
             if matched:
-                more, covered_tests = covered[position]
+                more, covered_tests = next(covered)
                 matched.extend(more)
-            results.append(
-                self._build_result(publication, matched, active_tests, covered_tests)
-            )
+            results.append(_result(publication, matched, active_tests, covered_tests))
+        self._count(results)
         return results
+
+    def _count(self, results: List[MatchResult]) -> None:
+        """Charge publications the pools accepted to :attr:`stats`."""
+        stats = self.stats
+        stats["publications"] += len(results)
+        stats["notifications"] += sum(len(r.subscribers) for r in results)
+        stats["active_tests"] += sum(r.active_tests for r in results)
+        stats["covered_tests"] += sum(r.covered_tests for r in results)
+
+
+_subscriber = attrgetter("subscriber")
+
+
+def _result(
+    publication: Publication,
+    matched: List[Subscription],
+    active_tests: int,
+    covered_tests: int,
+) -> MatchResult:
+    """One publication's answer; subscribers in first-match order."""
+    subscribers = dict.fromkeys(map(_subscriber, matched))
+    subscribers.pop(None, None)
+    return MatchResult(
+        publication, tuple(matched), tuple(subscribers), active_tests, covered_tests
+    )

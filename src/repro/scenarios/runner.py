@@ -7,21 +7,26 @@ against the network's global oracle) or a single
 :class:`~repro.matching.engine.MatchingEngine` (``backend="engine"`` — the
 hot-loop configuration used by the throughput benchmark).
 
-Per phase, the runner takes a metrics snapshot before and after the
-phase's events and reports the counter deltas, so a report reads as
-"what did the *storm* cost" rather than one blurred total.
+Both backends run through one phase loop: subscribe and unsubscribe
+events go one at a time, and each run of consecutive publish events is
+one burst (``publish_many`` on the network under the zero latency model,
+``match_batch`` on the engine).  A small driver per backend makes the
+calls and reads the counters.  Per phase, the runner takes a metrics
+snapshot before and after the phase's events and reports the counter
+deltas, so a report reads as "what did the *storm* cost" rather than one
+blurred total.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.broker.network import BrokerNetwork
 from repro.broker.sim import parse_latency_model
 from repro.core.policies import policy_value
-from repro.core.store import CoveringPolicyName
 from repro.core.subsumption import SubsumptionChecker
 from repro.matching.engine import MatchingEngine
 from repro.obs import probes as obs_probes
@@ -215,13 +220,13 @@ class ScenarioRunner:
         is installed.  ``None`` (the default) leaves whatever probe state
         the process already has.  Shard workers are never observed.
     shards:
-        Multi-process execution of the engine backend (``0``, the
-        default, is today's single-process path, byte for byte): a pool
-        of per-shard engines whose checker streams derive from the fixed
-        shard→seed mapping, fed consecutive publish events as batched
-        dispatches.  A deployment choice, deliberately *not* part of the
-        spec: traces and their hashes do not record it.  The network
-        backend runs in one process and rejects ``shards > 0``.
+        Multi-process execution of the engine backend.  ``0``, the
+        default, is one in-process :class:`MatchingEngine`; ``N > 0`` is
+        a pool of per-shard engines whose checker streams derive from the
+        fixed shard→seed mapping.  Either way each publish run is one
+        ``match_batch`` burst.  A deployment choice, deliberately *not*
+        part of the spec: traces and their hashes do not record it.  The
+        network backend runs in one process and rejects ``shards > 0``.
     """
 
     def __init__(
@@ -251,9 +256,6 @@ class ScenarioRunner:
         self.obs = obs
         self.shards = shards
 
-    def _latency_model_for(self, compiled: CompiledScenario) -> str:
-        return self.latency_model or compiled.spec.latency_model
-
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
@@ -276,216 +278,81 @@ class ScenarioRunner:
 
     def _dispatch(self, compiled: CompiledScenario) -> ScenarioReport:
         if self.backend == "network":
-            return self._run_network(compiled)
-        return self._run_engine(compiled)
+            driver = _NetworkDriver(compiled, self.latency_model)
+        elif self.shards:
+            driver = _ShardPoolDriver(compiled, self.shards)
+        else:
+            driver = _EngineDriver(compiled)
+        try:
+            return self._run_phases(compiled, driver)
+        finally:
+            driver.close()
 
     # ------------------------------------------------------------------
-    # Network backend
+    # The phase loop
     # ------------------------------------------------------------------
-    def _run_network(self, compiled: CompiledScenario) -> ScenarioReport:
+    def _run_phases(self, compiled: CompiledScenario, driver) -> ScenarioReport:
+        """Feed every phase's events to ``driver`` and report the deltas.
+
+        A publish run is one burst when the driver takes bursts.  A phase's
+        wall time includes reading its metrics, where the shard pool drains.
+        """
         spec = compiled.spec
-        latency_model = self._latency_model_for(compiled)
-        network_rng = ensure_rng(derive_streams(compiled.seed)["network"])
-        network = BrokerNetwork(
-            compiled.edges,
-            policy=spec.policy,
-            delta=spec.delta,
-            max_iterations=spec.max_iterations,
-            rng=network_rng,
-            latency_model=latency_model,
-            merge_budget=spec.merge_budget,
-        )
-        for client, broker in compiled.clients.items():
-            network.attach_client(client, broker)
-
         phases: List[PhaseReport] = []
         started = time.perf_counter()
         for phase_name, phase_events in self._grouped(compiled):
-            snapshot = network.mark_phase(phase_name)
+            mark = driver.mark_phase(phase_name)
             phase_started = time.perf_counter()
-            counts = {"subscribe": 0, "unsubscribe": 0, "publish": 0}
-            # Under the zero latency model the kernel is the seed's FIFO
-            # pump, so a run of consecutive publish events can be injected
-            # as one burst through the batch-native path without changing
-            # any observable outcome.  Timed models keep the
-            # one-at-a-time injection (burst injection would collapse the
-            # events onto a single virtual instant).
-            group_publishes = latency_model == "zero"
             total = len(phase_events)
             index = 0
             while index < total:
                 event = phase_events[index]
-                counts[event.action.value] += 1
+                index += 1
                 if event.action is EventAction.SUBSCRIBE:
-                    network.subscribe(event.client, event.subscription)
-                    index += 1
+                    driver.subscribe(event)
                 elif event.action is EventAction.UNSUBSCRIBE:
-                    network.unsubscribe(event.client, event.subscription_id)
-                    index += 1
+                    driver.unsubscribe(event)
                 else:
-                    run_end = index + 1
-                    if group_publishes:
-                        while (
-                            run_end < total
-                            and phase_events[run_end].action
-                            is EventAction.PUBLISH
-                        ):
-                            run_end += 1
-                    if run_end - index == 1:
-                        network.publish(event.client, event.publication)
-                    else:
-                        counts["publish"] += run_end - index - 1
-                        network.publish_many(
-                            [
-                                (e.client, e.publication)
-                                for e in phase_events[index:run_end]
-                            ]
-                        )
-                    index = run_end
+                    start = index - 1
+                    while (
+                        driver.bursts
+                        and index < total
+                        and phase_events[index].action is EventAction.PUBLISH
+                    ):
+                        index += 1
+                    driver.publish(phase_events[start:index])
+            metrics = driver.phase_metrics(mark)
+            phase_wall = time.perf_counter() - phase_started
+            counts = Counter(event.action for event in phase_events)
             phases.append(
                 PhaseReport(
                     name=phase_name,
                     kind=self._phase_kind(spec, phase_name),
-                    events=len(phase_events),
-                    subscribes=counts["subscribe"],
-                    unsubscribes=counts["unsubscribe"],
-                    publishes=counts["publish"],
-                    wall_time=time.perf_counter() - phase_started,
-                    metrics=network.metrics.diff(snapshot),
-                )
-            )
-        wall_time = time.perf_counter() - started
-
-        return ScenarioReport(
-            scenario=spec.name,
-            tier=spec.tier,
-            seed=compiled.seed,
-            backend="network",
-            policy=policy_value(spec.policy),
-            brokers=len(network.brokers),
-            clients=len(compiled.clients),
-            event_count=compiled.event_count,
-            trace_hash=compiled.trace_hash(),
-            wall_time=wall_time,
-            engine_backend=spec.engine_backend,
-            latency_model=latency_model,
-            phases=phases,
-            totals=network.metrics.summary(),
-        )
-
-    # ------------------------------------------------------------------
-    # Engine backend
-    # ------------------------------------------------------------------
-    def _run_engine(self, compiled: CompiledScenario) -> ScenarioReport:
-        spec = compiled.spec
-        if self.shards:
-            from repro.shard.engine import ShardedMatchingEngine
-
-            engine = ShardedMatchingEngine(
-                shards=self.shards,
-                policy=spec.policy,
-                delta=spec.delta,
-                max_iterations=spec.max_iterations,
-                merge_budget=spec.merge_budget,
-                seed=compiled.seed,
-            )
-            try:
-                return self._run_engine_impl(compiled, engine)
-            finally:
-                engine.close()
-        checker = SubsumptionChecker(
-            delta=spec.delta,
-            max_iterations=spec.max_iterations,
-            rng=ensure_rng(derive_streams(compiled.seed)["network"]),
-        )
-        engine = MatchingEngine(
-            policy=spec.policy,
-            checker=checker,
-            merge_budget=spec.merge_budget,
-        )
-        return self._run_engine_impl(compiled, engine)
-
-    def _run_engine_impl(self, compiled: CompiledScenario, engine) -> ScenarioReport:
-        spec = compiled.spec
-        #: the shard pool amortises its round-trips over publish runs —
-        #: results are identical to one-at-a-time matching, and the
-        #: single-process path keeps the exact seed loop
-        sharded = self.shards > 0
-
-        phases: List[PhaseReport] = []
-        started = time.perf_counter()
-        for phase_name, phase_events in self._grouped(compiled):
-            before = dict(engine.stats)
-            phase_started = time.perf_counter()
-            counts = {"subscribe": 0, "unsubscribe": 0, "publish": 0}
-            total = len(phase_events)
-            index = 0
-            while index < total:
-                event = phase_events[index]
-                counts[event.action.value] += 1
-                if event.action is EventAction.SUBSCRIBE:
-                    engine.subscribe(event.subscription)
-                    index += 1
-                elif event.action is EventAction.UNSUBSCRIBE:
-                    engine.unsubscribe(event.subscription_id)
-                    index += 1
-                else:
-                    run_end = index + 1
-                    if sharded:
-                        while (
-                            run_end < total
-                            and phase_events[run_end].action
-                            is EventAction.PUBLISH
-                        ):
-                            run_end += 1
-                    if run_end - index == 1:
-                        engine.match(event.publication)
-                    else:
-                        counts["publish"] += run_end - index - 1
-                        engine.match_batch(
-                            [e.publication for e in phase_events[index:run_end]]
-                        )
-                    index = run_end
-            if sharded:
-                # Routing is fire-and-forget; drain the shard pipes at
-                # the phase boundary so buffered decision work is charged
-                # to the phase that generated it (and deferred worker
-                # errors surface here, not phases later).
-                engine.sync()
-            metrics = {
-                key: engine.stats[key] - before[key] for key in engine.stats
-            }
-            metrics["subscriptions_total"] = len(engine)
-            phases.append(
-                PhaseReport(
-                    name=phase_name,
-                    kind=self._phase_kind(spec, phase_name),
-                    events=len(phase_events),
-                    subscribes=counts["subscribe"],
-                    unsubscribes=counts["unsubscribe"],
-                    publishes=counts["publish"],
-                    wall_time=time.perf_counter() - phase_started,
+                    events=total,
+                    subscribes=counts[EventAction.SUBSCRIBE],
+                    unsubscribes=counts[EventAction.UNSUBSCRIBE],
+                    publishes=counts[EventAction.PUBLISH],
+                    wall_time=phase_wall,
                     metrics=metrics,
                 )
             )
         wall_time = time.perf_counter() - started
 
-        totals: Dict[str, float] = dict(engine.stats)
-        totals["subscriptions_total"] = len(engine)
         return ScenarioReport(
             scenario=spec.name,
             tier=spec.tier,
             seed=compiled.seed,
-            backend="engine",
+            backend=self.backend,
             policy=policy_value(spec.policy),
-            brokers=0,
+            brokers=driver.brokers,
             clients=len(compiled.clients),
             event_count=compiled.event_count,
             trace_hash=compiled.trace_hash(),
             wall_time=wall_time,
             engine_backend=spec.engine_backend,
+            latency_model=driver.latency_model,
             phases=phases,
-            totals=totals,
+            totals=driver.totals(),
         )
 
     # ------------------------------------------------------------------
@@ -511,3 +378,125 @@ class ScenarioRunner:
             if phase.name == phase_name:
                 return phase.kind.value
         return "unknown"
+
+
+class _NetworkDriver:
+    """The broker overlay behind the phase loop.
+
+    Under the zero latency model the kernel is the seed's FIFO pump, so a
+    publish run is injected as one burst without changing any observable
+    outcome.  Timed models publish one at a time: a burst would collapse
+    its events onto a single virtual instant.
+    """
+
+    def __init__(self, compiled: CompiledScenario, latency_model: Optional[str]):
+        spec = compiled.spec
+        latency_model = latency_model or spec.latency_model
+        self.network = BrokerNetwork(
+            compiled.edges,
+            policy=spec.policy,
+            delta=spec.delta,
+            max_iterations=spec.max_iterations,
+            rng=ensure_rng(derive_streams(compiled.seed)["network"]),
+            latency_model=latency_model,
+            merge_budget=spec.merge_budget,
+        )
+        for client, broker in compiled.clients.items():
+            self.network.attach_client(client, broker)
+        self.latency_model = latency_model
+        self.bursts = latency_model == "zero"
+        self.brokers = len(self.network.brokers)
+
+    def subscribe(self, event) -> None:
+        self.network.subscribe(event.client, event.subscription)
+
+    def unsubscribe(self, event) -> None:
+        self.network.unsubscribe(event.client, event.subscription_id)
+
+    def publish(self, events) -> None:
+        self.network.publish_many([(e.client, e.publication) for e in events])
+
+    def mark_phase(self, name: str):
+        return self.network.mark_phase(name)
+
+    def phase_metrics(self, mark) -> Dict[str, float]:
+        return self.network.metrics.diff(mark)
+
+    def totals(self) -> Dict[str, float]:
+        return self.network.metrics.summary()
+
+    def close(self) -> None:
+        pass
+
+
+class _EngineDriver:
+    """One in-process matching engine behind the phase loop: every publish
+    run is one ``match_batch`` burst."""
+
+    latency_model = "zero"
+    bursts = True
+    brokers = 0
+
+    def __init__(self, compiled: CompiledScenario):
+        spec = compiled.spec
+        checker = SubsumptionChecker(
+            delta=spec.delta,
+            max_iterations=spec.max_iterations,
+            rng=ensure_rng(derive_streams(compiled.seed)["network"]),
+        )
+        self.engine = MatchingEngine(
+            policy=spec.policy, checker=checker, merge_budget=spec.merge_budget
+        )
+
+    def subscribe(self, event) -> None:
+        self.engine.subscribe(event.subscription)
+
+    def unsubscribe(self, event) -> None:
+        self.engine.unsubscribe(event.subscription_id)
+
+    def publish(self, events) -> None:
+        self.engine.match_batch([e.publication for e in events])
+
+    def mark_phase(self, name: str) -> Dict[str, int]:
+        return dict(self.engine.stats)
+
+    def phase_metrics(self, before: Dict[str, int]) -> Dict[str, float]:
+        # ``subscriptions_total`` is a level, not a delta: it has no mark
+        return {key: value - before.get(key, 0) for key, value in self.totals().items()}
+
+    def totals(self) -> Dict[str, float]:
+        totals: Dict[str, float] = dict(self.engine.stats)
+        totals["subscriptions_total"] = len(self.engine)
+        return totals
+
+    def close(self) -> None:
+        pass
+
+
+class _ShardPoolDriver(_EngineDriver):
+    """The shard pool behind the phase loop.
+
+    Routing is fire-and-forget, so a phase's metrics wait for the pipes to
+    drain: buffered decision work is charged to the phase that generated
+    it, and deferred worker errors surface there, not phases later.
+    """
+
+    def __init__(self, compiled: CompiledScenario, shards: int):
+        from repro.shard.engine import ShardedMatchingEngine
+
+        spec = compiled.spec
+        self.engine = ShardedMatchingEngine(
+            shards=shards,
+            policy=spec.policy,
+            delta=spec.delta,
+            max_iterations=spec.max_iterations,
+            merge_budget=spec.merge_budget,
+            seed=compiled.seed,
+        )
+
+    def phase_metrics(self, before: Dict[str, int]) -> Dict[str, float]:
+        self.engine.sync()
+        return super().phase_metrics(before)
+
+    def close(self) -> None:
+        self.engine.close()

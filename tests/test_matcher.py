@@ -489,16 +489,17 @@ def test_one_budget_bounds_every_batched_workspace(monkeypatch):
 
     def watched(signed, limit):
         assert limit.ndim == 2
-        largest[0] = max(largest[0], signed.size * limit.shape[1])
+        largest[0] = max(largest[0], signed.shape[1] * limit.shape[1])
         return kernel(signed, limit)
 
     monkeypatch.setattr(arena, "_CELL_BUDGET", budget)
     monkeypatch.setattr(arena, "boxes_meeting", watched)
     assert _ids(matcher.match_batch(publications)) == expected
     assert network._expected_notifications(publications) == oracle
-    # the (2m, B', n) boolean temporary: never above the budget, and the
-    # chunks were not degenerate singletons either
-    assert budget // 2 < largest[0] <= budget
+    # a chunk's (2m, B', n) test of every row at once, whether or not a
+    # large block's rows then run one by one: never above the budget, and
+    # the chunks were not degenerate singletons either
+    assert budget // 2 < 2 * schema.m * largest[0] <= budget
 
 
 # ----------------------------------------------------------------------

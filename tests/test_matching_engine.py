@@ -60,6 +60,21 @@ class TestRejectedRequestsTouchNothing:
         assert "a3" not in engine.store
         assert engine.unsubscribe("a3") == ()
 
+    @pytest.mark.parametrize("path", ["match", "match_batch"])
+    def test_foreign_schema_publication_is_not_counted(self, schema, path):
+        engine = MatchingEngine(policy="none")
+        engine.subscribe(box(schema, (0, 10), (0, 10), sid="a", subscriber="A"))
+        engine.match(Publication.from_values(schema, {"x1": 5, "x2": 5}))
+        before = dict(engine.stats)
+        other = Schema.uniform_integer(3, 0, 100)
+        foreign = Publication(other, [5, 5, 5])
+        with pytest.raises(ValidationError):
+            if path == "match":
+                engine.match(foreign)
+            else:
+                engine.match_batch([foreign])
+        assert engine.stats == before
+
     @pytest.fixture
     def merged(self, schema):
         engine = MatchingEngine(policy="merging", merge_budget=1.0)

@@ -275,9 +275,14 @@ STAGE_CALLS = {
         "network.oracle": 30,
     },
     ("t0-smoke", "engine", 0): {
-        "engine.match": 30,
+        "engine.match_batch": 2,
         "engine.subscribe": 12,
         "engine.unsubscribe": 6,
+    },
+    ("t2-burst", "engine", 0): {
+        "engine.match_batch": 57,
+        "engine.subscribe": 293,
+        "engine.unsubscribe": 113,
     },
     ("t1-churn", "engine", 2): {"shard.collect": 39, "shard.dispatch": 39},
 }

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro.core.subsumption import SubsumptionChecker
+from repro.matching.engine import MatchingEngine
 from repro.scenarios import (
     EventAction,
     ScenarioRunner,
@@ -14,7 +16,9 @@ from repro.scenarios import (
     write_trace,
 )
 from repro.scenarios.cli import main
+from repro.scenarios.events import derive_streams
 from repro.scenarios.trace import TraceError
+from repro.utils.rng import ensure_rng
 
 
 def _phase_metrics(report):
@@ -160,6 +164,118 @@ class TestEndToEnd:
         rendered = report.render()
         assert "t0-smoke" in rendered
         assert "TOTAL" in rendered
+
+
+POLICIES = ("none", "pairwise", "group", "merging", "hybrid")
+
+
+def _engine_for(compiled):
+    """The in-process engine the runner builds for ``compiled``."""
+    spec = compiled.spec
+    checker = SubsumptionChecker(
+        delta=spec.delta,
+        max_iterations=spec.max_iterations,
+        rng=ensure_rng(derive_streams(compiled.seed)["network"]),
+    )
+    return MatchingEngine(
+        policy=spec.policy, checker=checker, merge_budget=spec.merge_budget
+    )
+
+
+def _publish_runs(compiled):
+    """Event runs: subscribes and unsubscribes alone, each maximal run of
+    a phase's consecutive publishes together."""
+    runs = []
+    for event in compiled.events:
+        last = runs[-1][-1] if runs else None
+        if (
+            event.action is EventAction.PUBLISH
+            and last is not None
+            and last.action is EventAction.PUBLISH
+            and last.phase == event.phase
+        ):
+            runs[-1].append(event)
+        else:
+            runs.append([event])
+    return runs
+
+
+def _reference_report(compiled):
+    """Per-phase metrics and totals of one ``match`` call per publication."""
+    engine = _engine_for(compiled)
+    phases = {}
+    for name in compiled.spec.phase_names:
+        before = dict(engine.stats)
+        for event in (e for e in compiled.events if e.phase == name):
+            if event.action is EventAction.SUBSCRIBE:
+                engine.subscribe(event.subscription)
+            elif event.action is EventAction.UNSUBSCRIBE:
+                engine.unsubscribe(event.subscription_id)
+            else:
+                engine.match(event.publication)
+        metrics = {key: engine.stats[key] - before[key] for key in engine.stats}
+        metrics["subscriptions_total"] = len(engine)
+        phases[name] = metrics
+    totals = dict(engine.stats)
+    totals["subscriptions_total"] = len(engine)
+    return phases, totals
+
+
+class TestEnginePublishBursts:
+    """The engine backend takes every publish run as one ``match_batch``
+    burst; nothing it reports may differ from one ``match`` per
+    publication."""
+
+    @pytest.mark.parametrize("scenario", ["t0-smoke", "t1-churn"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_runner_reports_what_one_match_per_publication_reports(
+        self, scenario, policy
+    ):
+        spec = dataclasses.replace(get_scenario(scenario), policy=policy)
+        compiled = compile_scenario(spec, seed=7)
+        report = ScenarioRunner(backend="engine").run(compiled)
+        phases, totals = _reference_report(compiled)
+        assert {p.name: p.metrics for p in report.phases} == phases
+        assert report.totals == totals
+        assert report.totals["publications"] > 0
+
+    @pytest.mark.parametrize("scenario", ["t0-smoke", "t1-churn"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_match_batch_equals_match_field_by_field(self, scenario, policy):
+        spec = dataclasses.replace(get_scenario(scenario), policy=policy)
+        compiled = compile_scenario(spec, seed=7)
+        engine = _engine_for(compiled)
+        longest = 0
+        for events in _publish_runs(compiled):
+            first = events[0]
+            if first.action is EventAction.SUBSCRIBE:
+                engine.subscribe(first.subscription)
+                continue
+            if first.action is EventAction.UNSUBSCRIBE:
+                engine.unsubscribe(first.subscription_id)
+                continue
+            burst = [event.publication for event in events]
+            longest = max(longest, len(burst))
+            before = dict(engine.stats)
+            batched = engine.match_batch(burst)
+            middle = dict(engine.stats)
+            single = [engine.match(publication) for publication in burst]
+            for key in before:
+                assert middle[key] - before[key] == engine.stats[key] - middle[key]
+            assert [_fields(result) for result in batched] == [
+                _fields(result) for result in single
+            ]
+        assert longest > 1
+
+
+def _fields(result):
+    return (
+        result.publication,
+        result.matched,
+        result.subscribers,
+        result.active_tests,
+        result.covered_tests,
+    )
 
 
 class TestCli:
