@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.utils.validation import require_probability
+from repro.utils.validation import require_delta, require_probability
 
 __all__ = [
     "error_probability",
@@ -55,8 +55,7 @@ def required_iterations(delta: float, rho_w: float) -> float:
     values as large as ``10^60``, far beyond any practical iteration count.
     """
     require_probability(rho_w, "rho_w")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+    require_delta(delta)
     if rho_w <= 0.0:
         return math.inf
     if rho_w >= 1.0:

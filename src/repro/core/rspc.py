@@ -17,12 +17,15 @@ changes every verdict downstream.  How many batches are *in flight* is
 not: most guesses are spent confirming covers at the full budget, so
 after a batch without a witness the kernel draws and tests a
 geometrically growing group of batches (up to ``_GROUP_CAP``) in one
-fused ``Generator.integers`` call and one membership pass, and if a
-witness turns up before the end of a group it restores the generator
-state saved before the group and re-draws only the batches a one-batch-
-at-a-time loop would have drawn.  Every later check sees the stream
-position it always saw; the cap bounds what a rollback can re-draw and
-the size of the group buffers.
+fused draw and one membership pass.  The draw is
+:func:`~repro.utils.rng.integers_into`: the values and end state of one
+broadcast-bounds ``Generator.integers`` call, which on a ``PCG64`` it
+computes from one ``random_raw`` call by NumPy's own Lemire rule,
+vectorised.  If a witness turns up before the end of a group it restores
+the generator state saved before the group and re-draws only the batches
+a one-batch-at-a-time loop would have drawn.  Every later check sees the
+stream position it always saw; the cap bounds what a rollback can re-draw
+and the size of the group buffers.
 
 Only the bounds a guess can fail (:func:`_candidate_blocks`).  Definition 2
 calls a conflict-table entry ``T_i^j`` *undefined* when ``s ∧ ¬s_i^j`` is
@@ -55,6 +58,7 @@ from repro.core.error_model import (
 )
 from repro.model.subscriptions import Subscription
 from repro.utils.rng import RandomSource, ensure_rng
+from repro.utils.validation import require_delta, require_iteration_cap
 
 __all__ = ["RSPCOutcome", "RSPCResult", "run_rspc"]
 
@@ -281,8 +285,13 @@ def run_rspc(
     Raises
     ------
     ValueError
-        When ``bounds`` does not have shape ``(2m, len(candidates))``.
+        When ``delta`` is not in ``(0, 1)``, ``max_iterations`` is neither
+        ``None`` nor an ``int >= 1``, or ``bounds`` does not have shape
+        ``(2m, len(candidates))``.  Raised before any guess is drawn.
     """
+    require_delta(delta)
+    if max_iterations is not None:
+        require_iteration_cap(max_iterations)
     if bounds is not None:
         expected = (2 * subscription.m, len(candidates))
         if np.shape(bounds) != expected:

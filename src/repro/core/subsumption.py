@@ -64,7 +64,7 @@ from repro.core.rspc import RSPCOutcome, run_rspc
 from repro.core.witness import estimate_smallest_witness
 from repro.model.subscriptions import Subscription
 from repro.utils.rng import RandomSource, ensure_rng
-from repro.utils.validation import require_probability
+from repro.utils.validation import require_delta, require_iteration_cap
 
 __all__ = ["SubsumptionChecker"]
 
@@ -123,11 +123,8 @@ class SubsumptionChecker:
     cache_hits = cache_misses = 0
 
     def __post_init__(self) -> None:
-        require_probability(self.delta, "delta")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be strictly between 0 and 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        require_delta(self.delta)
+        require_iteration_cap(self.max_iterations)
         self._rng = ensure_rng(self.rng)
 
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.model.errors import DomainError, ValidationError
 from repro.model.intervals import Interval
 from repro.model.predicates import Predicate
 from repro.model.schema import Schema
+from repro.utils.rng import integers_into
 
 __all__ = ["Subscription"]
 
@@ -446,28 +447,26 @@ class Subscription:
         of every batch with its own scalar-bounds call, in batch then
         column order: ``Generator.integers`` with broadcast bounds fills
         its output in C order through the same bounded-integer routine as
-        the scalar call, so an all-discrete plan takes one call for the
-        whole group and a mixed plan one call per run of discrete columns
-        per batch (pinned by
-        ``tests/test_rspc_kernel.py::TestNumpyStreamProperty``).  RSPC
-        draws batches of 256 guesses; :meth:`sample_points` draws batches
-        of one.
+        the scalar call (pinned by
+        ``tests/test_rspc_kernel.py::TestNumpyStreamProperty``), so an
+        all-discrete plan takes one such draw for the whole group and a
+        mixed plan one per run of discrete columns per batch.  Each is a
+        :func:`~repro.utils.rng.integers_into` call, which gives that
+        call's values and end state, computing large draws on a ``PCG64``
+        from raw words.  RSPC draws batches of 256 guesses;
+        :meth:`sample_points` draws batches of one.
         """
         plan = self.sampling_plan()
         m = self.m
         points = np.empty((m, batches, size), dtype=float)
         kind, _, stop, a, b = plan[0]
         if kind == _DRAW_INTEGERS and stop == m:
-            points[...] = rng.integers(a, b, size=(batches, m, size)).transpose(
-                1, 0, 2
-            )
+            integers_into(rng, a, b, points)
             return points.reshape(m, batches * size)
         for batch in range(batches):
             for kind, start, stop, a, b in plan:
                 if kind == _DRAW_INTEGERS:
-                    points[start:stop, batch] = rng.integers(
-                        a, b, size=(stop - start, size)
-                    )
+                    integers_into(rng, a, b, points[start:stop, batch : batch + 1])
                 elif kind == _DRAW_UNIFORM:
                     points[start, batch] = rng.uniform(a, b, size=size)
                 else:
@@ -482,8 +481,10 @@ class Subscription:
         :meth:`AttributeDomain.sample` calls — so a run of ``count`` leaves
         ``rng`` where ``count`` runs of one do, with the same values
         (``tests/test_scenario_compile.py::TestSamplePoints``).  On an
-        all-discrete schema the whole run is one ``Generator.integers``
-        call of ``size=(count, m, 1)``.  The result is a fresh C-ordered
+        all-discrete schema the whole run is one
+        :func:`~repro.utils.rng.integers_into` draw of ``count`` batches
+        of one — ``Generator.integers``' own call below 4 096 words, so a
+        single point takes NumPy's path.  The result is a fresh C-ordered
         ``(count, m)`` matrix.
         """
         return np.ascontiguousarray(self.draw_batches(rng, count, 1).T)

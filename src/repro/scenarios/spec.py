@@ -30,6 +30,7 @@ from repro.core.policies import DEFAULT_MERGE_BUDGET, policy_value, resolve_poli
 from repro.core.store import CoveringPolicyName
 from repro.matching.matcher import check_backend_label
 from repro.utils.rng import RandomSource
+from repro.utils.validation import require_delta, require_iteration_cap
 
 __all__ = ["PhaseKind", "PhaseSpec", "TopologySpec", "ScenarioSpec"]
 
@@ -285,6 +286,8 @@ class ScenarioSpec:
         object.__setattr__(self, "policy", resolve_policy(self.policy))
         if self.merge_budget < 0:
             raise ValueError("merge_budget must be non-negative")
+        require_delta(self.delta)
+        require_iteration_cap(self.max_iterations)
         check_backend_label(self.engine_backend)
         parse_latency_model(self.latency_model)  # validates, raises ValueError
         object.__setattr__(self, "workload_params", dict(self.workload_params))

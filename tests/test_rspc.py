@@ -274,6 +274,36 @@ class TestBudget:
     def _run(self, table3_subscription, table3_candidates, **kwargs):
         return run_rspc(table3_subscription, table3_candidates, rng=0, **kwargs)
 
+    @pytest.mark.parametrize("candidates", ("table3", "none"))
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            *(
+                ({"max_iterations": cap}, "max_iterations must be an int >= 1")
+                for cap in (0, -5, 2.5, True, "7")
+            ),
+            *(
+                ({"delta": delta}, r"delta must be in \(0, 1\)")
+                for delta in (0.0, 1.0, float("nan"), "0.1")
+            ),
+        ],
+    )
+    def test_rejects_bad_settings_before_any_draw(
+        self, candidates, kwargs, message, table3_subscription, table3_candidates
+    ):
+        # a cap below one must not quietly run a guess
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            run_rspc(
+                table3_subscription,
+                table3_candidates if candidates == "table3" else [],
+                rho_w=0.3,
+                rng=rng,
+                **kwargs,
+            )
+        assert rng.bit_generator.state == state
+
     def test_infinite_theoretical_budget(
         self, allowed_seen, table3_subscription, table3_candidates
     ):

@@ -26,6 +26,8 @@ from repro.core.rspc import (
 )
 from repro.core.subsumption import SubsumptionChecker
 from repro.model import Attribute, ContinuousDomain, IntegerDomain, Schema, Subscription
+from repro.utils import rng as rng_module
+from repro.utils.rng import integers_into
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +275,112 @@ class TestNumpyStreamProperty:
         # and the streams stay together afterwards
         assert fused_rng.integers(0, 2**62) == scalar_rng.integers(0, 2**62)
         assert fused_rng.uniform() == scalar_rng.uniform()
+
+
+def _lemire_spy(monkeypatch):
+    """Record what each vectorised draw of ``integers_into`` returned
+    (``True``: it drew, ``False``: NumPy's call ran instead)."""
+    seen = []
+    lemire = rng_module._lemire_into
+
+    def spy(*args):
+        seen.append(lemire(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(rng_module, "_lemire_into", spy)
+    return seen
+
+
+class TestIntegersInto:
+    """``integers_into`` against the call it stands for:
+    ``Generator.integers(first, beyond, size=(G, m, B))`` transposed to
+    ``(m, G, B)`` — the values, the whole ``bit_generator.state``
+    (``has_uint32`` and ``uinteger`` included) and the draws after it."""
+
+    #: 1 draws no word, 2**21 is the widest vectorised range, 2**21 + 1
+    #: and 2**32 fall back to NumPy
+    SPANS = (1, 2, 10_000, 2**21 - 1, 2**21, 2**21 + 1, 2**32)
+    #: ``(G, B)``: 2 and 74 words stay below the crossover, 4 096 and
+    #: 6 144 (two and three drawing columns) do not
+    SIZES = ((1, 1), (1, 37), (8, 256))
+
+    @staticmethod
+    def _compare(bit_generator, seed, spans, batches, size, burn=0):
+        first = np.array([-7, 0, 12_345, -(2**40)][: len(spans)], dtype=np.int64)
+        first = first[:, np.newaxis]
+        beyond = first + np.array(spans, dtype=np.int64)[:, np.newaxis]
+        numpy_rng = np.random.Generator(bit_generator(seed))
+        helper_rng = np.random.Generator(bit_generator(seed))
+        for rng in (numpy_rng, helper_rng):
+            # an odd count leaves half a 64-bit word in the 32-bit buffer
+            rng.integers(0, 10, size=burn, dtype=np.uint32)
+        expected = numpy_rng.integers(
+            first, beyond, size=(batches, len(spans), size)
+        ).transpose(1, 0, 2)
+        out = np.empty((len(spans), batches, size))
+        integers_into(helper_rng, first, beyond, out)
+        assert np.array_equal(out, expected)
+        assert _states_equal(
+            helper_rng.bit_generator.state, numpy_rng.bit_generator.state
+        )
+        assert helper_rng.integers(0, 2**62) == numpy_rng.integers(0, 2**62)
+        assert helper_rng.uniform() == numpy_rng.uniform()
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("sizes", SIZES)
+    @pytest.mark.parametrize("burn", (0, 1, 3))
+    @pytest.mark.parametrize("span", SPANS)
+    @pytest.mark.parametrize("constant", (False, True), ids=("live", "constant"))
+    def test_equals_numpy(self, bit_generator, sizes, burn, span, constant):
+        # ``constant``: a one-value column between two that draw
+        spans = (span, 1, span) if constant else (span, span, span)
+        self._compare(bit_generator, 2006 + burn, spans, *sizes, burn=burn)
+
+    @pytest.mark.parametrize("burn", (0, 1))
+    def test_a_rejected_word_falls_back_to_numpy(self, burn, monkeypatch):
+        # the range most likely to reject a word (2**32 mod span is just
+        # below span): words 630, 1187 and 3056 of PCG64(0) are rejected
+        span = 2_096_129
+        words = np.random.PCG64(0).random_raw(1536).view(np.uint32).tolist()
+        threshold = (2**32 - span) % span
+        assert [i for i, u in enumerate(words) if u * span % 2**32 < threshold] == [
+            630,
+            1187,
+            3056,
+        ]
+        seen = _lemire_spy(monkeypatch)
+        self._compare(np.random.PCG64, 0, (span, span, span), 8, 256, burn=burn)
+        assert seen == [False]
+
+    def test_mixed_spans_beside_constant_columns(self):
+        for burn in (0, 1):
+            self._compare(np.random.PCG64, 7, (2, 1, 10_000, 2**21), 6, 256, burn)
+
+    @pytest.mark.parametrize("first", (2**53 - 2**21, 2**53 + 1, -(2**62) - 1))
+    def test_bounds_beyond_float_precision(self, first):
+        # ``2**53 + 1`` has no float64: the sum must round once, like NumPy's
+        first = np.full((3, 1), first, dtype=np.int64)
+        beyond = first + np.array([[3], [10_000], [2**21]])
+        numpy_rng, helper_rng = np.random.default_rng(5), np.random.default_rng(5)
+        expected = numpy_rng.integers(first, beyond, size=(8, 3, 256))
+        out = np.empty((3, 8, 256))
+        integers_into(helper_rng, first, beyond, out)
+        assert np.array_equal(out, expected.transpose(1, 0, 2))
+        assert _states_equal(
+            helper_rng.bit_generator.state, numpy_rng.bit_generator.state
+        )
+
+    def test_the_fast_path_runs_at_rspc_sizes(self, monkeypatch):
+        """A helper that always fell back would pass every case above."""
+        seen = _lemire_spy(monkeypatch)
+        subscription = Subscription(
+            _schema("discrete"), [0.0] * M, [9_999.0, 1.0, 255.0, 2.0**21 - 1]
+        )
+        rng = np.random.default_rng(3)
+        # groups of 4, 8 and _GROUP_CAP batches
+        for batches in (4, 8, _GROUP_CAP):
+            subscription.draw_batches(rng, batches, _BATCH_SIZE)
+        assert seen == [True, True, True]
 
 
 class TestKernelDifferential:

@@ -1,5 +1,6 @@
 """Tests for scenario specs, phases, topologies and metrics snapshots."""
 
+import numpy as np
 import pytest
 
 from repro.broker.metrics import MetricsSnapshot, NetworkMetrics
@@ -132,6 +133,30 @@ class TestScenarioSpec:
                     PhaseSpec("ramp", PhaseKind.PUBLISH_BURST, {"count": 1}),
                 ]
             )
+
+    @pytest.mark.parametrize("cap", (0, -3, 2.5, True, "7"))
+    def test_rejects_a_cap_that_is_not_an_int_of_at_least_one(self, cap):
+        # rejected at the boundary, not deep in a checker or a shard worker
+        # at run time, nor truncated (2.5); trace replay goes via from_dict
+        with pytest.raises(ValueError, match="max_iterations must be an int >= 1"):
+            self._spec(max_iterations=cap)
+        payload = self._spec().to_dict()
+        payload["max_iterations"] = cap
+        with pytest.raises(ValueError, match="max_iterations must be an int >= 1"):
+            ScenarioSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("delta", (0.0, 1.0, -0.5, 1.5, float("nan"), "0.1"))
+    def test_rejects_a_delta_outside_the_open_unit_interval(self, delta):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+            self._spec(delta=delta)
+        payload = self._spec().to_dict()
+        payload["delta"] = delta
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_accepts_an_integer_cap_of_any_integer_type(self):
+        assert self._spec(max_iterations=1).max_iterations == 1
+        assert self._spec(max_iterations=np.int64(7)).max_iterations == 7
 
 
 class TestMetricsSnapshot:

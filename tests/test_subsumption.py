@@ -16,15 +16,15 @@ def checker():
 
 
 class TestConfiguration:
-    def test_rejects_invalid_delta(self):
-        with pytest.raises(ValueError):
-            SubsumptionChecker(delta=0.0)
-        with pytest.raises(ValueError):
-            SubsumptionChecker(delta=1.5)
+    @pytest.mark.parametrize("delta", (0.0, 1.0, 1.5, float("nan"), "0.1"))
+    def test_rejects_invalid_delta(self, delta):
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+            SubsumptionChecker(delta=delta)
 
-    def test_rejects_invalid_max_iterations(self):
-        with pytest.raises(ValueError):
-            SubsumptionChecker(max_iterations=0)
+    @pytest.mark.parametrize("cap", (0, -3, 2.5, True, "7"))
+    def test_rejects_invalid_max_iterations(self, cap):
+        with pytest.raises(ValueError, match="max_iterations must be an int >= 1"):
+            SubsumptionChecker(max_iterations=cap)
 
 
 class TestVerdicts:
