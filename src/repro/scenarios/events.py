@@ -47,6 +47,14 @@ victims of a storm, in one broadcast-bounds ``Generator.integers`` call —
 the stream of that many scalar calls.  Pass 1 is a generator that pass 2
 consumes, so the schedule is never held whole: the two streams being
 independent is what lets the passes interleave in time.
+
+Two loops stay scalar, because each draw decides what the next one is: a
+steady-state phase rolls ``random()`` per operation, then picks a client
+or a victim, and a paper family rolls ``random()`` per publication to
+choose the box its point falls in.  Both draw through
+:func:`~repro.utils.rng.scalar_draws`, which gives NumPy's scalar values
+and end state and, on a ``PCG64``, computes them in plain Python from
+words read ahead.
 """
 
 from __future__ import annotations
@@ -55,9 +63,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +81,7 @@ from repro.model.serialization import (
 )
 from repro.model.subscriptions import Subscription
 from repro.scenarios.spec import PhaseKind, PhaseSpec, ScenarioSpec
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, scalar_draws
 from repro.workloads.bike_rental import BikeRentalWorkload
 from repro.workloads.comparison import ComparisonWorkload
 from repro.workloads.grid import GridWorkload
@@ -156,9 +165,13 @@ class ScenarioEvent:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledScenario:
     """A spec materialised into a concrete, runnable event stream.
+
+    Immutable: the events are a tuple, so :meth:`trace_hash` is computed
+    on its first call and then reused (never by :func:`compile_scenario`
+    itself, so compiling does not pay for it).
 
     ``recorded_backend`` and ``recorded_latency_model`` are only set on
     scenarios loaded from a trace whose header names the runner backend /
@@ -175,7 +188,7 @@ class CompiledScenario:
     schema: Schema
     edges: List[Tuple[str, str]]
     clients: Dict[str, str]
-    events: List[ScenarioEvent]
+    events: Tuple[ScenarioEvent, ...]
     recorded_backend: Optional[str] = None
     recorded_latency_model: Optional[str] = None
 
@@ -193,6 +206,10 @@ class CompiledScenario:
         part of a recorded trace changes the hash, not just editing event
         lines.
         """
+        return self._trace_hash
+
+    @cached_property
+    def _trace_hash(self) -> str:
         digest = hashlib.sha256()
         binding = {
             "seed": self.seed,
@@ -209,7 +226,7 @@ class CompiledScenario:
         return digest.hexdigest()
 
 
-def trace_hash(events: List[ScenarioEvent]) -> str:
+def trace_hash(events: Sequence[ScenarioEvent]) -> str:
     """SHA-256 over the canonical JSON serialization of the events."""
     digest = hashlib.sha256()
     for event in events:
@@ -263,7 +280,8 @@ class _PaperFigureWorkload:
     instance when the pool is exhausted) and publishes points that fall
     inside the current base subscription with probability
     ``match_probability`` (else uniformly in the space), so publications
-    actually exercise the covering-structured routing state.
+    actually exercise the covering-structured routing state.  The schema
+    is all-integer, so a point is one integer draw per attribute.
     """
 
     def __init__(
@@ -284,7 +302,9 @@ class _PaperFigureWorkload:
         self._pool: List[Subscription] = []
         self._next = 0
         self._base: Optional[Subscription] = None
-        self._whole_space = Subscription.whole_space(schema)
+        if not schema.vectors.discrete.all():
+            raise ValueError("the paper families need an all-integer schema")
+        self._everywhere = _integer_bounds(Subscription.whole_space(schema))
 
     def _refill(self) -> None:
         instance = generate_scenario(
@@ -307,22 +327,38 @@ class _PaperFigureWorkload:
 
     def publication_points(self, count: int) -> np.ndarray:
         """``count`` encoded points, one per row: each one ``random()`` draw
-        choosing the box, then one point of that box."""
+        choosing the box, then one ``integers`` draw per attribute of that
+        box — the stream of ``random()`` and ``sample_point`` per point,
+        drawn through :func:`~repro.utils.rng.scalar_draws`."""
         if self._base is None:
             self._refill()
-        rng = self._rng
-        points = np.empty((count, self.schema.m), dtype=float)
-        for point in points:
-            if rng.random() < self._match_probability:
-                point[:] = self._base.sample_point(rng)
-            else:
-                point[:] = self._whole_space.sample_point(rng)
-        return points
+        inside = _integer_bounds(self._base)
+        everywhere = self._everywhere
+        probability = self._match_probability
+        with scalar_draws(self._rng) as draws:
+            random, integer = draws.random, draws.integer
+            rows = [
+                [
+                    integer(first, span)
+                    for first, span in (
+                        inside if random() < probability else everywhere
+                    )
+                ]
+                for _ in range(count)
+            ]
+        return np.array(rows, dtype=float).reshape(count, self.schema.m)
 
     def publication(self, publisher: Optional[str] = None) -> Publication:
         return Publication(
             self.schema, self.publication_points(1)[0], publisher=publisher
         )
+
+
+def _integer_bounds(box: Subscription) -> List[Tuple[int, int]]:
+    """``(first, span)`` of each attribute of a box on an all-integer
+    schema, from its sampling plan (one integer step)."""
+    ((_, _, _, first, beyond),) = box.sampling_plan()
+    return list(zip(first.ravel().tolist(), (beyond - first).ravel().tolist()))
 
 
 #: workload names accepted by :func:`make_workload`
@@ -400,6 +436,20 @@ class _EventBuilder:
     # ------------------------------------------------------------------
     # Pass 1: the mix stream decides who does what, in which order
     # ------------------------------------------------------------------
+    def _subscribe(self, phase: str, client: str) -> _Operation:
+        self._subscription_count += 1
+        identifier = f"s{self._subscription_count:05d}"
+        self._live.append((identifier, client))
+        return phase, EventAction.SUBSCRIBE, client, identifier
+
+    def _publish(self, phase: str, client: str) -> _Operation:
+        self._publication_count += 1
+        return phase, EventAction.PUBLISH, client, f"p{self._publication_count:05d}"
+
+    def _unsubscribe(self, phase: str, position: int) -> _Operation:
+        identifier, client = self._live.pop(position)
+        return phase, EventAction.UNSUBSCRIBE, client, identifier
+
     def _pick_clients(self, count: int) -> List[str]:
         # one call for the run: the stream of ``count`` scalar picks
         picks = self.mix.integers(0, len(self.client_names), size=count)
@@ -407,15 +457,11 @@ class _EventBuilder:
 
     def _subscribes(self, phase: str, count: int) -> Iterator[_Operation]:
         for client in self._pick_clients(count):
-            self._subscription_count += 1
-            identifier = f"s{self._subscription_count:05d}"
-            self._live.append((identifier, client))
-            yield phase, EventAction.SUBSCRIBE, client, identifier
+            yield self._subscribe(phase, client)
 
     def _publishes(self, phase: str, count: int) -> Iterator[_Operation]:
         for client in self._pick_clients(count):
-            self._publication_count += 1
-            yield phase, EventAction.PUBLISH, client, f"p{self._publication_count:05d}"
+            yield self._publish(phase, client)
 
     def _unsubscribes(self, phase: str, count: int) -> Iterator[_Operation]:
         """Cancel ``count`` live subscriptions (at most all of them).
@@ -429,8 +475,36 @@ class _EventBuilder:
             return
         remaining = np.arange(len(self._live), len(self._live) - count, -1)
         for position in self.mix.integers(0, remaining).tolist():
-            identifier, client = self._live.pop(position)
-            yield phase, EventAction.UNSUBSCRIBE, client, identifier
+            yield self._unsubscribe(phase, position)
+
+    def _steady_state(
+        self, phase: str, params: Mapping[str, Any]
+    ) -> Iterator[_Operation]:
+        """A mix of ``ops`` operations, each a ``random()`` roll choosing
+        the action, then the client's or the victim's scalar ``integers``
+        draw, through :func:`~repro.utils.rng.scalar_draws`."""
+        weights = np.array(
+            [
+                float(params.get("publish_weight", 0.6)),
+                float(params.get("subscribe_weight", 0.3)),
+                float(params.get("unsubscribe_weight", 0.1)),
+            ]
+        )
+        weights = weights / weights.sum()
+        publish_below = float(weights[0])
+        subscribe_below = float(weights[0] + weights[1])
+        names = self.client_names
+        with scalar_draws(self.mix) as draws:
+            for _ in range(int(params.get("ops", 0))):
+                roll = draws.random()
+                if publish_below <= roll < subscribe_below:
+                    yield self._subscribe(phase, names[draws.integer(0, len(names))])
+                elif roll >= subscribe_below and self._live:
+                    yield self._unsubscribe(phase, draws.integer(0, len(self._live)))
+                else:
+                    # a publish; an unsubscribe with nothing live to cancel
+                    # keeps the op count by publishing
+                    yield self._publish(phase, names[draws.integer(0, len(names))])
 
     def _phase_operations(self, phase: PhaseSpec) -> Iterator[_Operation]:
         params = phase.params
@@ -448,27 +522,7 @@ class _EventBuilder:
             yield from self._subscribes(phase.name, int(params.get("subscriptions", 0)))
             yield from self._publishes(phase.name, int(params.get("publications", 0)))
         elif phase.kind is PhaseKind.STEADY_STATE:
-            weights = np.array(
-                [
-                    float(params.get("publish_weight", 0.6)),
-                    float(params.get("subscribe_weight", 0.3)),
-                    float(params.get("unsubscribe_weight", 0.1)),
-                ]
-            )
-            weights = weights / weights.sum()
-            publish_below = float(weights[0])
-            subscribe_below = float(weights[0] + weights[1])
-            for _ in range(int(params.get("ops", 0))):
-                roll = float(self.mix.random())
-                if roll < publish_below:
-                    yield from self._publishes(phase.name, 1)
-                elif roll < subscribe_below:
-                    yield from self._subscribes(phase.name, 1)
-                elif self._live:
-                    yield from self._unsubscribes(phase.name, 1)
-                else:
-                    # Nothing live to cancel; keep the op count by publishing.
-                    yield from self._publishes(phase.name, 1)
+            yield from self._steady_state(phase.name, params)
         else:  # pragma: no cover - PhaseSpec validates kinds
             raise ValueError(f"unknown phase kind {phase.kind!r}")
 
@@ -547,5 +601,5 @@ def compile_scenario(spec: ScenarioSpec, seed: int = 0) -> CompiledScenario:
         schema=workload.schema,
         edges=edges,
         clients=clients,
-        events=builder.events,
+        events=tuple(builder.events),
     )

@@ -15,6 +15,7 @@ every scenario run replayable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -97,10 +98,11 @@ class PhaseSpec:
                 f"parameters {sorted(unknown)}; allowed: {sorted(allowed)}"
             )
         for size in ("count", "ops", "subscriptions", "publications"):
-            if size in self.params and int(self.params[size]) < 0:
+            # negated so that NaN is rejected too
+            if size in self.params and not 0.0 <= float(self.params[size]) < math.inf:
                 raise ValueError(
-                    f"phase {self.name!r}: {size!r} must be non-negative, "
-                    f"got {self.params[size]!r}"
+                    f"phase {self.name!r}: {size!r} must be finite and "
+                    f"non-negative, got {self.params[size]!r}"
                 )
         if self.kind is PhaseKind.UNSUBSCRIBE_STORM:
             if ("fraction" in self.params) == ("count" in self.params):
@@ -120,10 +122,14 @@ class PhaseSpec:
                 float(self.params.get("subscribe_weight", 0.3)),
                 float(self.params.get("unsubscribe_weight", 0.1)),
             ]
-            if any(weight < 0 for weight in weights) or sum(weights) <= 0:
+            # negated so that NaN is rejected too
+            if not (
+                all(0.0 <= weight < math.inf for weight in weights)
+                and 0.0 < sum(weights) < math.inf
+            ):
                 raise ValueError(
                     f"phase {self.name!r}: steady-state weights must be "
-                    "non-negative with a positive sum"
+                    f"finite and non-negative with a positive sum, got {weights}"
                 )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -134,7 +134,7 @@ def read_trace(
         schema=schema,
         edges=edges,
         clients=clients,
-        events=events,
+        events=tuple(events),
         recorded_backend=header.get("backend"),
         recorded_latency_model=header.get("latency_model"),
     )

@@ -8,11 +8,19 @@ workload generators, the broker simulator) accepts either a seed or a
 from __future__ import annotations
 
 import sys
-from typing import List, Optional, Union
+from contextlib import contextmanager
+from operator import length_hint
+from typing import Iterator, List, Union
 
 import numpy as np
 
-__all__ = ["RandomSource", "ensure_rng", "integers_into", "spawn_rngs"]
+__all__ = [
+    "RandomSource",
+    "ensure_rng",
+    "integers_into",
+    "scalar_draws",
+    "spawn_rngs",
+]
 
 #: Anything that can act as a source of randomness.
 RandomSource = Union[None, int, np.random.Generator, np.random.SeedSequence]
@@ -66,6 +74,19 @@ _KERNEL_MIN_WORDS = 4096
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
+#: Words a scalar draw reads ahead of a ``PCG64`` at a time.  Converting
+#: words to Python integers costs some 25 ns a word in bulk, so a short
+#: run of draws must not read far ahead; at 64 words a read costs 2 us
+#: on a 2-core x86-64 VM, a word 33 ns, and a long run never holds its
+#: words whole.
+_CHUNK_WORDS = 64
+
+#: The value of a word's top 53 bits as a fraction of one.
+_DOUBLE_UNIT = 2.0**-53
+
+#: Spans Lemire's 32-bit rule serves; wider ones take NumPy's call.
+_HALF_SPAN = 1 << 32
+
 
 def integers_into(
     rng: np.random.Generator,
@@ -83,14 +104,13 @@ def integers_into(
     time: the value is ``(u * span) >> 32`` for the next word ``u``,
     unless ``(u * span) mod 2**32 < (2**32 - span) % span``, which
     rejects ``u`` and takes another word; a range of one value draws no
-    word.  On a ``PCG64`` the words are the low then the high half of
-    each ``random_raw`` word, after the half word ``has_uint32`` may hold
-    buffered, so a large draw is one ``random_raw`` call and array
-    arithmetic on the same words.  The call is NumPy's own when the
-    generator is not a ``PCG64``, the host is big-endian, a range exceeds
-    ``2**21`` values, a bound exceeds ``2**53`` in magnitude, the draw
-    takes fewer than ``_KERNEL_MIN_WORDS`` words, or a word is rejected
-    (the state is restored first).
+    word.  On a ``PCG64`` a large draw is one ``random_raw`` call
+    (:meth:`_Words.halves`) and array arithmetic on the same words.  The
+    call is NumPy's own when the generator is not a ``PCG64``, the host is
+    big-endian, a range exceeds ``2**21`` values, a bound exceeds
+    ``2**53`` in magnitude, the draw takes fewer than
+    ``_KERNEL_MIN_WORDS`` words, or a word is rejected (the state is
+    restored first).
     """
     m, batches, size = out.shape
     bit_generator = rng.bit_generator
@@ -121,23 +141,18 @@ def _lemire_into(bit_generator, first, beyond, out) -> bool:
         or max(map(abs, first.ravel().tolist())) > 1 << 53
     ):
         return False
-    saved = bit_generator.state
-    buffered = saved["has_uint32"]
-    fresh = words - buffered
-    raw = bit_generator.random_raw((fresh + 1) // 2)
-    stream = raw.view(np.uint32)
-    if buffered:
-        stream = np.concatenate((np.array([saved["uinteger"]], np.uint32), stream))
+    source = _Words(bit_generator)
+    u = source.halves(words)
     # the live columns take the words in the C order of (batches, m, size);
     # a one-value column gets word 0, which the rule maps to ``first``
-    u = stream[:words].reshape(batches, sum(live), size)
+    u = u.reshape(batches, sum(live), size)
     if not all(live):
         spread = np.zeros((batches, m, size), np.uint32)
         spread[:, live] = u
         u = spread
     threshold = ((1 << 32) - span) % span
     if (u * span.astype(np.uint32) < threshold.astype(np.uint32)).any():
-        bit_generator.state = saved
+        source.rewind()
         return False
     # float64 in place: ``u * span < 2**53``, so every step but the last
     # is exact, and the last rounds the exact sum once, as NumPy's int64
@@ -147,8 +162,165 @@ def _lemire_into(bit_generator, first, beyond, out) -> bool:
     values *= span * 2.0**-32
     np.floor(values, out=values)
     values += first.astype(float)
-    state = bit_generator.state
-    state["has_uint32"] = fresh % 2
-    state["uinteger"] = int(raw[-1]) >> 32
-    bit_generator.state = state
+    source.hand_back()
     return True
+
+
+class _Words:
+    """The 64-bit words of a ``PCG64``, read ahead and handed back.
+
+    The one place that knows how NumPy consumes a ``PCG64`` and how its
+    ``bit_generator.state`` records it.  A double or a 64-bit draw takes a
+    whole word.  A 32-bit draw takes the half word the state buffers
+    (``has_uint32`` set, the half in ``uinteger``) if there is one;
+    otherwise it takes the low half of the next word and buffers the high
+    half.  Taking the buffered half clears ``has_uint32`` but leaves
+    ``uinteger`` as it was.  ``has_uint32`` and ``uinteger`` here follow
+    the draws made from the words read ahead; :meth:`hand_back` leaves
+    the generator just past the words taken, with that buffer, which is
+    exactly where NumPy's own calls would leave it.
+    """
+
+    def __init__(self, bit_generator):
+        self._bit_generator = bit_generator
+        self.start()
+
+    def start(self) -> None:
+        """Start reading ahead from where the generator is now."""
+        self._saved = self._bit_generator.state
+        self.has_uint32 = self._saved["has_uint32"]
+        self.uinteger = self._saved["uinteger"]
+        #: words read from the generator, and those of them not taken
+        self._fetched = 0
+        self._unused = iter(())
+
+    def fetch(self, count: int) -> np.ndarray:
+        """Read ``count`` more words ahead (the generator moves past them)."""
+        raw = self._bit_generator.random_raw(count)
+        self._fetched += count
+        return raw
+
+    def word(self) -> int:
+        """Take the next word, reading :data:`_CHUNK_WORDS` ahead when the
+        words read so far are all taken."""
+        word = next(self._unused, None)
+        if word is None:
+            self._unused = iter(self.fetch(_CHUNK_WORDS).tolist())
+            word = next(self._unused)
+        return word
+
+    def half(self) -> int:
+        """Take the next 32-bit draw."""
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        word = self.word()
+        self.has_uint32 = 1
+        self.uinteger = word >> 32
+        return word & 0xFFFFFFFF
+
+    def halves(self, count: int) -> np.ndarray:
+        """Take the next ``count`` 32-bit draws at once, as a ``uint32``
+        array: a little-endian host's view of words read straight from
+        the generator, so no word read ahead may be left untaken."""
+        fresh = count - self.has_uint32
+        raw = self.fetch((fresh + 1) // 2)
+        stream = raw.view(np.uint32)
+        if self.has_uint32:
+            stream = np.concatenate((np.array([self.uinteger], np.uint32), stream))
+        self.has_uint32 = fresh % 2
+        if len(raw):
+            self.uinteger = int(raw[-1]) >> 32
+        return stream[:count]
+
+    def rewind(self) -> None:
+        """Put the generator back where it was; nothing is taken."""
+        self._bit_generator.state = self._saved
+
+    def hand_back(self) -> None:
+        """Leave the generator where NumPy's calls for the draws taken would."""
+        bit_generator = self._bit_generator
+        taken = self._fetched - length_hint(self._unused)
+        if taken != self._fetched:
+            bit_generator.state = self._saved
+            bit_generator.advance(taken)
+        state = bit_generator.state
+        state["has_uint32"] = self.has_uint32
+        state["uinteger"] = self.uinteger
+        bit_generator.state = state
+
+
+class _WordDraws(_Words):
+    """:func:`scalar_draws` on a ``PCG64``: NumPy's scalar values computed
+    in plain Python from words read ahead."""
+
+    def __init__(self, rng: np.random.Generator):
+        super().__init__(rng.bit_generator)
+        self._rng = rng
+
+    def random(self) -> float:
+        """``rng.random()``: a word's top 53 bits times ``2**-53``."""
+        return (self.word() >> 11) * _DOUBLE_UNIT
+
+    def integer(self, first: int, span: int) -> int:
+        """``int(rng.integers(first, first + span))``.
+
+        Lemire's rule on 32-bit draws: the value is ``first + (u * span >>
+        32)`` for the next draw ``u``, unless ``u * span mod 2**32`` falls
+        below ``(2**32 - span) % span``, which rejects ``u`` and takes
+        another.  A span of one takes no draw; a span outside ``(1,
+        2**32)`` is NumPy's own call.
+        """
+        if not 1 < span < _HALF_SPAN:
+            return first if span == 1 else self._numpy_integer(first, span)
+        product = self.half() * span
+        if product & 0xFFFFFFFF < span:
+            threshold = (_HALF_SPAN - span) % span
+            while product & 0xFFFFFFFF < threshold:
+                product = self.half() * span
+        return first + (product >> 32)
+
+    def _numpy_integer(self, first: int, span: int) -> int:
+        self.hand_back()
+        try:
+            return int(self._rng.integers(first, first + span))
+        finally:
+            # read ahead again from wherever NumPy's call left the generator
+            self.start()
+
+
+class _GeneratorDraws:
+    """:func:`scalar_draws` on any other bit generator: NumPy's calls."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.random = rng.random
+        self._integers = rng.integers
+
+    def integer(self, first: int, span: int) -> int:
+        """``int(rng.integers(first, first + span))``."""
+        return int(self._integers(first, first + span))
+
+
+@contextmanager
+def scalar_draws(
+    rng: np.random.Generator,
+) -> Iterator[Union[_WordDraws, _GeneratorDraws]]:
+    """Scalar draws from ``rng`` at the cost of plain Python arithmetic.
+
+    ``draws.random()`` is ``rng.random()`` and ``draws.integer(first,
+    span)`` is ``int(rng.integers(first, first + span))``: in any
+    interleaving, the same values, and on leaving the block (by an
+    exception too) the same generator state.  On a ``PCG64`` the values
+    are computed from words read ahead :data:`_CHUNK_WORDS` at a time, and
+    the generator is handed back just past the words the draws took; on
+    any other bit generator they are NumPy's calls.  ``rng`` must not be
+    drawn from directly inside the block.
+    """
+    if type(rng.bit_generator) is not np.random.PCG64:
+        yield _GeneratorDraws(rng)
+        return
+    draws = _WordDraws(rng)
+    try:
+        yield draws
+    finally:
+        draws.hand_back()

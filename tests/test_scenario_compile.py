@@ -12,7 +12,11 @@ contract is byte-identity:
   state;
 * bulk against scalar :class:`Publication` construction;
 * for each workload adapter, one run of N against N runs of one;
-* a call-count guard on the two shapes that made compilation slow.
+* the paper families' publications and the steady-state mix, drawn
+  through ``scalar_draws``, against the per-point and per-op NumPy loops
+  they replaced, kept here as the references, on four bit generators;
+* a call-count guard on the shapes that made compilation slow;
+* one trace-hash pass per compiled scenario.
 """
 
 import json
@@ -444,6 +448,128 @@ class TestRunsOfOne:
         assert builder.events == []
 
 
+def reference_paper_points(adapter, count):
+    """The loop ``_PaperFigureWorkload.publication_points`` used to be: per
+    point, one NumPy ``random()`` choosing the box, then ``sample_point``."""
+    if adapter._base is None:
+        adapter._refill()
+    rng = adapter._rng
+    whole_space = Subscription.whole_space(adapter.schema)
+    points = np.empty((count, adapter.schema.m), dtype=float)
+    for point in points:
+        if rng.random() < adapter._match_probability:
+            point[:] = adapter._base.sample_point(rng)
+        else:
+            point[:] = whole_space.sample_point(rng)
+    return points
+
+
+def _reference_builder_class():
+    from repro.scenarios.events import _EventBuilder
+
+    class ReferenceBuilder(_EventBuilder):
+        """Pass 1 with the steady-state loop it used to have: per op, one
+        NumPy ``random()`` roll, then a run of one."""
+
+        def _steady_state(self, phase, params):
+            weights = np.array(
+                [
+                    float(params.get("publish_weight", 0.6)),
+                    float(params.get("subscribe_weight", 0.3)),
+                    float(params.get("unsubscribe_weight", 0.1)),
+                ]
+            )
+            weights = weights / weights.sum()
+            publish_below = float(weights[0])
+            subscribe_below = float(weights[0] + weights[1])
+            for _ in range(int(params.get("ops", 0))):
+                roll = float(self.mix.random())
+                if roll < publish_below:
+                    yield from self._publishes(phase, 1)
+                elif roll < subscribe_below:
+                    yield from self._subscribes(phase, 1)
+                elif self._live:
+                    yield from self._unsubscribes(phase, 1)
+                else:
+                    yield from self._publishes(phase, 1)
+
+    return ReferenceBuilder
+
+
+class TestScalarDrawSites:
+    """The two loops that draw through ``scalar_draws`` against the NumPy
+    loops they replaced: values and generator state, with and without
+    half a word in the 32-bit buffer, on every bit generator (a
+    ``PCG64`` is drawn from its words, the others by NumPy's calls)."""
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("buffered", (0, 1))
+    @pytest.mark.parametrize(
+        "workload", ("paper-redundant", "paper-noncover", "paper-extreme")
+    )
+    def test_paper_publications_equal_the_per_point_loop(
+        self, workload, buffered, bit_generator
+    ):
+        params, _ = FAMILIES[workload]
+        rngs = [np.random.Generator(bit_generator(41)) for _ in range(2)]
+        adapters = [make_workload(workload, params, rng) for rng in rngs]
+        for rng in rngs:
+            rng.integers(0, 10, size=buffered, dtype=np.uint32)
+        # runs of several lengths, a new instance between two of them
+        for count in (1, 2, 0, 333, 40):
+            points = adapters[0].publication_points(count)
+            reference = reference_paper_points(adapters[1], count)
+            assert points.shape == (count, adapters[0].schema.m)
+            assert points.dtype == np.float64 and points.flags.c_contiguous
+            assert np.array_equal(points, reference)
+            assert states_equal(*(rng.bit_generator.state for rng in rngs))
+            if count == 333:
+                for adapter in adapters:
+                    for _ in range(len(adapter._pool) - adapter._next + 1):
+                        adapter.subscription()
+        assert adapters[0]._base.same_box(adapters[1]._base)
+
+    def test_paper_families_need_an_all_integer_schema(self):
+        from repro.scenarios.events import _PaperFigureWorkload
+        from repro.workloads.scenarios import ScenarioName
+
+        schema = Schema(
+            [
+                Attribute("a", IntegerDomain(0, 100)),
+                Attribute("b", ContinuousDomain(0.0, 1.0)),
+            ]
+        )
+        with pytest.raises(ValueError, match="all-integer"):
+            _PaperFigureWorkload(
+                ScenarioName.NON_COVER, schema, np.random.default_rng(0)
+            )
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("buffered", (0, 1))
+    @pytest.mark.parametrize("workload", ("grid", "paper-noncover"))
+    def test_steady_state_equals_the_per_op_loop(
+        self, workload, buffered, bit_generator
+    ):
+        from repro.scenarios.events import _EventBuilder
+
+        spec = family_spec(workload)
+        schedules, mixes = [], []
+        for builder_class in (_EventBuilder, _reference_builder_class()):
+            mix = np.random.Generator(bit_generator(43))
+            mix.integers(0, 10, size=buffered, dtype=np.uint32)
+            workload = make_workload(
+                spec.workload, spec.workload_params, np.random.default_rng(0)
+            )
+            builder = builder_class(spec, workload, mix)
+            schedules.append(list(builder.schedule()))
+            mixes.append(mix)
+        assert schedules[0] == schedules[1]
+        # the steady phases hold every action, and the fallback publish
+        steady = [op for op in schedules[0] if op[0] in ("steady", "idle")]
+        assert {op[1] for op in steady} == set(EventAction)
+        assert states_equal(mixes[0].bit_generator.state, mixes[1].bit_generator.state)
+
+
 def _reference_job_publication(workload, rng):
     """``GridWorkload.job_publication`` before jobs came from one box: each
     attribute its own scalar draw, decoded, then re-encoded by ``from_values``."""
@@ -522,7 +648,8 @@ class TestDecodeEncodeRoundTripGone:
 # (e) count guard: what made compilation slow does not come back
 # ----------------------------------------------------------------------
 class CountingGenerator(np.random.Generator):
-    """A generator that counts its ``integers`` calls (all instances)."""
+    """A generator that counts its ``integers``, ``random`` and ``uniform``
+    calls (all instances)."""
 
     calls = 0
 
@@ -530,11 +657,25 @@ class CountingGenerator(np.random.Generator):
         CountingGenerator.calls += 1
         return super().integers(*args, **kwargs)
 
+    def random(self, *args, **kwargs):
+        CountingGenerator.calls += 1
+        return super().random(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        CountingGenerator.calls += 1
+        return super().uniform(*args, **kwargs)
+
+
+def counting_rng(source):
+    assert isinstance(source, np.random.SeedSequence)
+    return CountingGenerator(np.random.PCG64(source))
+
 
 class TestCallCounts:
     """Checked against the mutations they guard: restoring per-publication
-    scalar draws makes the first test count thousands of calls, restoring
-    ``list(self._live)`` per victim fails the second."""
+    scalar draws makes the burst tests count thousands of calls, so does
+    restoring the per-op NumPy calls of the steady state, and restoring
+    ``list(self._live)`` per victim fails the storm test."""
 
     @staticmethod
     def _burst(count):
@@ -546,24 +687,85 @@ class TestCallCounts:
             phases=[PhaseSpec("burst", PhaseKind.PUBLISH_BURST, {"count": count})],
         )
 
-    def test_publish_burst_makes_a_constant_number_of_integers_calls(self, monkeypatch):
+    @staticmethod
+    def _compiled_calls(monkeypatch, spec, size):
+        """Generator calls of compiling ``spec`` on counting generators."""
         from repro.scenarios import events
 
-        def counting_rng(source):
-            assert isinstance(source, np.random.SeedSequence)
-            return CountingGenerator(np.random.PCG64(source))
-
         monkeypatch.setattr(events, "ensure_rng", counting_rng)
-        counts = []
-        for size in (1_000, 3_000):
-            monkeypatch.setattr(CountingGenerator, "calls", 0)
-            compiled = compile_scenario(self._burst(size), 4)
-            assert compiled.event_count == size
-            counts.append(CountingGenerator.calls)
+        monkeypatch.setattr(CountingGenerator, "calls", 0)
+        compiled = compile_scenario(spec, 4)
+        calls = CountingGenerator.calls
+        monkeypatch.undo()
+        assert compiled.event_count == size
+        # and the counting generators drew what the plain ones draw
+        assert compiled.trace_hash() == compile_scenario(spec, 4).trace_hash()
+        return calls
+
+    def test_publish_burst_makes_a_constant_number_of_integers_calls(
+        self, monkeypatch
+    ):
+        counts = [
+            self._compiled_calls(monkeypatch, self._burst(size), size)
+            for size in (1_000, 3_000)
+        ]
         # the tree's shape, the clients of the run, the points of the run
         assert counts[0] == counts[1] <= 8
-        monkeypatch.undo()
-        assert compiled.trace_hash() == compile_scenario(self._burst(3_000), 4).trace_hash()
+
+    def test_paper_family_burst_makes_a_constant_number_of_generator_calls(
+        self, monkeypatch
+    ):
+        def burst(count):
+            return ScenarioSpec(
+                name="guard-paper-burst",
+                workload="paper-redundant",
+                workload_params={"m": 8, "domain_size": 10_000, "k": 20},
+                topology=TopologySpec(kind="line", size=1),
+                clients=16,
+                phases=[PhaseSpec("burst", PhaseKind.PUBLISH_BURST, {"count": count})],
+            )
+
+        counts = [
+            self._compiled_calls(monkeypatch, burst(size), size)
+            for size in (1_000, 3_000)
+        ]
+        # one instance's draws, the clients of the run; a random() and a
+        # sample_point per publication made 3 000 more at the parent
+        assert counts[0] == counts[1] < 100
+
+    def test_steady_state_makes_a_constant_number_of_generator_calls(self):
+        from repro.scenarios.events import _EventBuilder
+
+        def steady(ops):
+            return ScenarioSpec(
+                name="guard-steady",
+                workload="grid",
+                clients=16,
+                phases=[
+                    PhaseSpec("ramp", PhaseKind.SUBSCRIBE_RAMP, {"count": 20}),
+                    PhaseSpec(
+                        "steady",
+                        PhaseKind.STEADY_STATE,
+                        {"ops": ops, "publish_weight": 0.5, "subscribe_weight": 0.3,
+                         "unsubscribe_weight": 0.2},
+                    ),
+                ],
+            )
+
+        counts = []
+        for ops in (1_000, 3_000):
+            spec = steady(ops)
+            workload = make_workload(spec.workload, {}, np.random.default_rng(0))
+            CountingGenerator.calls = 0
+            # pass 1 reads the mix stream only
+            mix = CountingGenerator(np.random.PCG64(4))
+            schedule = list(_EventBuilder(spec, workload, mix).schedule())
+            counts.append(CountingGenerator.calls)
+            assert len(schedule) == 20 + ops
+            assert {action for _, action, _, _ in schedule} == set(EventAction)
+        # the ramp's clients; a roll and a pick per op made 2 000 and 6 000
+        # more at the parent
+        assert counts[0] == counts[1] == 1
 
     def test_unsubscribe_never_copies_the_live_set(self, monkeypatch):
         from repro.scenarios import events
@@ -598,3 +800,36 @@ class TestCallCounts:
         # ``list`` call of 100+ ids for each of the 300 storm victims
         assert len(copied) < cancelled
         assert sum(size >= 100 for size in copied) <= 2
+
+
+# ----------------------------------------------------------------------
+# (f) a compiled scenario is hashed once
+# ----------------------------------------------------------------------
+class TestTraceHashOnce:
+    def test_compiled_scenarios_are_immutable(self):
+        import dataclasses
+
+        compiled = compile_scenario(family_spec("grid"), 2)
+        assert isinstance(compiled.events, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            compiled.events = ()
+
+    def test_the_hash_is_computed_on_the_first_call_only(self, monkeypatch):
+        from repro.scenarios import events
+
+        dumps = []
+        real_dumps = json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            dumps.append(1)
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(events.json, "dumps", counting_dumps)
+        compiled = compile_scenario(family_spec("grid"), 2)
+        # compiling does not hash
+        assert dumps == []
+        digest = compiled.trace_hash()
+        assert len(dumps) == compiled.event_count + 1
+        dumps.clear()
+        assert compiled.trace_hash() == digest
+        assert dumps == []

@@ -54,6 +54,42 @@ class TestPhaseSpec:
         with pytest.raises(ValueError, match=f"'sized'.*'{parameter}'.*non-negative"):
             PhaseSpec("sized", kind, {parameter: -1})
 
+    @pytest.mark.parametrize(
+        "kind, parameter",
+        [
+            (PhaseKind.SUBSCRIBE_RAMP, "count"),
+            (PhaseKind.PUBLISH_BURST, "count"),
+            (PhaseKind.UNSUBSCRIBE_STORM, "count"),
+            (PhaseKind.FLASH_CROWD, "subscriptions"),
+            (PhaseKind.FLASH_CROWD, "publications"),
+            (PhaseKind.STEADY_STATE, "ops"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sizes(self, kind, parameter, value):
+        # ``int(inf)`` raised OverflowError and ``int(nan)`` a ValueError
+        # that did not name the phase
+        with pytest.raises(ValueError, match=f"'sized'.*'{parameter}'.*finite"):
+            PhaseSpec("sized", kind, {parameter: value})
+
+    @pytest.mark.parametrize(
+        "weight", ["publish_weight", "subscribe_weight", "unsubscribe_weight"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_steady_state_rejects_non_finite_weights(self, weight, value):
+        # neither ``w < 0`` nor ``sum <= 0`` holds for NaN or an infinity:
+        # such a phase compiled to a timeline that ignored its weights
+        with pytest.raises(ValueError, match="'steady'.*finite"):
+            PhaseSpec("steady", PhaseKind.STEADY_STATE, {"ops": 50, weight: value})
+
+    def test_steady_state_rejects_weights_whose_sum_overflows(self):
+        with pytest.raises(ValueError, match="'steady'.*finite"):
+            PhaseSpec(
+                "steady",
+                PhaseKind.STEADY_STATE,
+                {"ops": 5, "publish_weight": 1e308, "subscribe_weight": 1e308},
+            )
+
     def test_boundary_sizes_round_trip(self):
         for phase in (
             PhaseSpec("none", PhaseKind.UNSUBSCRIBE_STORM, {"fraction": 0.0}),
@@ -120,6 +156,23 @@ class TestScenarioSpec:
             tags=("a", "b"),
         )
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"ops": 50, "publish_weight": float("nan")},
+            {"ops": 50, "unsubscribe_weight": float("inf")},
+            {"ops": float("inf")},
+            {"ops": float("nan")},
+        ],
+    )
+    def test_from_dict_rejects_non_finite_phase_parameters(self, params):
+        payload = self._spec().to_dict()
+        payload["phases"].append(
+            {"name": "mix", "kind": "steady_state", "params": params}
+        )
+        with pytest.raises(ValueError, match="phase 'mix'.*finite"):
+            ScenarioSpec.from_dict(payload)
 
     def test_rejects_empty_timeline(self):
         with pytest.raises(ValueError, match="no phases"):
