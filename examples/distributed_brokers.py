@@ -81,7 +81,7 @@ def main() -> None:
         print(f"  delivered to {record.subscriber} at {record.broker} "
               f"via {record.subscription_id}")
 
-    summary = network.metrics.summary()
+    summary = network.metrics.report()
     print("\nNetwork metrics:")
     for key, value in summary.items():
         print(f"  {key}: {value}")

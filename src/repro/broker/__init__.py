@@ -22,7 +22,7 @@ from repro.broker.messages import (
     SubscriptionMessage,
     UnsubscriptionMessage,
 )
-from repro.broker.metrics import MetricsSnapshot, NetworkMetrics
+from repro.broker.metrics import NetworkMetrics
 from repro.broker.network import BrokerNetwork
 from repro.broker.sim import (
     LATENCY_MODEL_NAMES,
@@ -53,7 +53,6 @@ __all__ = [
     "LatencyModel",
     "LognormalLatency",
     "Message",
-    "MetricsSnapshot",
     "NetworkMetrics",
     "NotificationRecord",
     "PublicationMessage",

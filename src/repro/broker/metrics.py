@@ -1,41 +1,71 @@
 """Network-wide traffic, delivery and latency metrics.
 
-Since the observability PR the counters of :class:`NetworkMetrics` are
-backed by :class:`~repro.obs.instruments.InstrumentRegistry` instruments:
-each counter is a registry :class:`~repro.obs.instruments.Counter`
-exposed through a generated property, so every ``metrics.notifications
-+= 1`` call site is unchanged while one registry becomes the single
-source of truth for the run's metrics (shared with the probe layer when
-a probe is attached, private otherwise).  The numeric values, snapshot
-semantics and summary dictionaries are byte-identical to the pre-registry
-dataclass.
+Every counter of a :class:`NetworkMetrics` is an
+:class:`~repro.obs.instruments.InstrumentRegistry` counter named
+``network.<name>``, one per name in :data:`COUNTERS`; the delivery
+latencies and the per-operation queue-depth high-water marks are
+registry histograms.  The network's hot sites add to the
+:class:`~repro.obs.instruments.Counter` objects in
+:attr:`NetworkMetrics.counters`.
+
+A report — one phase's metrics or a run's totals — is
+:meth:`NetworkMetrics.report` of one
+:meth:`~repro.obs.instruments.InstrumentRegistry.diff`: the diff from a
+phase's mark (a registry ``snapshot``), or from
+:attr:`NetworkMetrics.origin`, the snapshot taken when the metrics were
+built.  The registry is the probe's when the network is built under
+one, private otherwise; because totals are diffs too, a probe reused
+across runs adds nothing of one run to the next one's report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.broker.messages import NotificationRecord
 from repro.obs.instruments import InstrumentRegistry
 
-__all__ = ["MetricsSnapshot", "NetworkMetrics"]
+__all__ = ["COUNTERS", "NetworkMetrics"]
 
-#: snapshot fields that support interval bookkeeping but are not counter
-#: deltas — excluded from :meth:`MetricsSnapshot.diff` output so the
-#: per-phase metric dictionaries of latency-free runs are unchanged
-_BOOKKEEPING_FIELDS = (
-    "delivery_latency_count",
-    "queue_depth_high_water",
-    "missed_count",
+#: the network's counters, in report order (registry ``network.<name>``):
+#:
+#: * ``subscription_messages`` / ``unsubscription_messages`` /
+#:   ``publication_messages`` — broker-to-broker message hops;
+#: * ``notifications`` — deliveries to local subscribers;
+#:   ``expected_notifications`` — what a lossless system would deliver
+#:   (the global oracle's matching);
+#: * ``suppressed_subscriptions`` — per-link decisions that withheld a
+#:   (probably) covered subscription; ``subsumption_checks`` — every
+#:   per-link decision; ``rspc_iterations`` — the checker's random guesses;
+#: * ``false_positive_notifications`` — deliveries through a merged filter
+#:   the subscriber's own subscription does not match;
+#:   ``merged_advertisements`` — decisions that advertised a merged box,
+#:   ``merge_false_volume`` their over-approximated volume;
+#:   ``dead_letter_publications`` — publications routed to a broker where
+#:   nothing matched;
+#: * ``missed_notifications`` — expected notifications never delivered
+#:   (the false decisions).
+COUNTERS = (
+    "subscription_messages",
+    "unsubscription_messages",
+    "publication_messages",
+    "notifications",
+    "expected_notifications",
+    "suppressed_subscriptions",
+    "subsumption_checks",
+    "rspc_iterations",
+    "false_positive_notifications",
+    "merged_advertisements",
+    "merge_false_volume",
+    "dead_letter_publications",
+    "missed_notifications",
 )
 
-#: counters that only the merging strategies can move — reported in phase
-#: diffs and summaries only when non-zero, so the metric dictionaries of
-#: covering-policy runs are byte-identical to what they always were
-_REDUCTION_FIELDS = (
+#: counters only the merging strategies move — reported only when they
+#: moved, so the reports of covering-policy runs keep their keys
+_REDUCTION_COUNTERS = (
     "false_positive_notifications",
     "merged_advertisements",
     "merge_false_volume",
@@ -43,194 +73,36 @@ _REDUCTION_FIELDS = (
 )
 
 
-#: the stable shape every latency summary has — an empty sample reports
-#: all-zeros rather than silently dropping the keys, so downstream report
-#: consumers never have to guard against a missing percentile column
-_EMPTY_LATENCY_STATS = {
-    "delivery_latency_p50": 0.0,
-    "delivery_latency_p95": 0.0,
-    "delivery_latency_p99": 0.0,
-    "delivery_latency_mean": 0.0,
-    "delivery_latency_max": 0.0,
-}
+#: the keys of every latency summary — an empty sample reports all zeros
+#: rather than dropping them, so report consumers never miss a column
+_LATENCY_KEYS = (
+    "delivery_latency_p50",
+    "delivery_latency_p95",
+    "delivery_latency_p99",
+    "delivery_latency_mean",
+    "delivery_latency_max",
+)
 
 
 def _latency_stats(latencies: Sequence[float]) -> Dict[str, float]:
     """Percentile summary of a latency sample (all zeros when empty)."""
     if not len(latencies):
-        return dict(_EMPTY_LATENCY_STATS)
+        return dict.fromkeys(_LATENCY_KEYS, 0.0)
     array = np.asarray(latencies, dtype=float)
     p50, p95, p99 = np.percentile(array, (50.0, 95.0, 99.0))
-    return {
-        "delivery_latency_p50": round(float(p50), 6),
-        "delivery_latency_p95": round(float(p95), 6),
-        "delivery_latency_p99": round(float(p99), 6),
-        "delivery_latency_mean": round(float(array.mean()), 6),
-        "delivery_latency_max": round(float(array.max()), 6),
-    }
-
-
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """An immutable point-in-time copy of the :class:`NetworkMetrics` counters.
-
-    Snapshots make per-phase accounting trivial: take one before and one
-    after a workload phase and :meth:`diff` them — no manual field
-    arithmetic.  Derived quantities (missed notifications, delivery ratio)
-    are recomputed from the counter *deltas*, so a phase that delivered
-    everything it owed reports a delivery ratio of 1.0 even when earlier
-    phases lost notifications.
-    """
-
-    subscription_messages: int = 0
-    unsubscription_messages: int = 0
-    publication_messages: int = 0
-    notifications: int = 0
-    expected_notifications: int = 0
-    suppressed_subscriptions: int = 0
-    subsumption_checks: int = 0
-    rspc_iterations: int = 0
-    #: notifications delivered although the subscriber's own subscription
-    #: did not match (merged-filter client-side-filtering cost)
-    false_positive_notifications: int = 0
-    #: merged bounding boxes advertised in place of exact subscriptions
-    merged_advertisements: int = 0
-    #: total over-approximated volume introduced by those merges
-    merge_false_volume: float = 0.0
-    #: publications a neighbour routed to a broker where nothing matched
-    dead_letter_publications: int = 0
-    #: number of delivery latencies recorded so far (interval bookkeeping)
-    delivery_latency_count: int = 0
-    #: kernel queue-depth high-water mark at snapshot time
-    queue_depth_high_water: int = 0
-    #: exact count of missed (expected but undelivered) notifications so
-    #: far — bookkeeping; under merging the raw counter difference would
-    #: let false positives mask genuine misses
-    missed_count: int = 0
-
-    def diff(self, earlier: "MetricsSnapshot") -> Dict[str, float]:
-        """Counter deltas from ``earlier`` to this snapshot.
-
-        Returns a plain dictionary with one entry per counter plus the
-        derived ``missed_notifications`` and ``delivery_ratio`` of the
-        interval.  Bookkeeping fields (latency sample counts, queue
-        high-water marks) are omitted, and the merging-only counters
-        (false positives, merged advertisements, dead letters) appear
-        only when they moved; :meth:`NetworkMetrics.diff` layers the
-        latency statistics on top when latency tracking is active.
-        """
-        delta = {
-            spec.name: getattr(self, spec.name) - getattr(earlier, spec.name)
-            for spec in fields(self)
-        }
-        # The exact missed count comes from the oracle bookkeeping; the
-        # counter difference is the fallback for metrics maintained by
-        # hand.  Under merging the bookkeeping dominates (false positives
-        # inflate ``notifications`` and would mask genuine misses).
-        missed = max(
-            self.missed_count - earlier.missed_count,
-            (self.expected_notifications - earlier.expected_notifications)
-            - (self.notifications - earlier.notifications),
-            0,
-        )
-        for name in _BOOKKEEPING_FIELDS:
-            delta.pop(name, None)
-        for name in _REDUCTION_FIELDS:
-            if not delta.get(name):
-                delta.pop(name, None)
-        if "merge_false_volume" in delta:
-            delta["merge_false_volume"] = round(delta["merge_false_volume"], 6)
-        expected = delta["expected_notifications"]
-        delta["missed_notifications"] = missed
-        delta["delivery_ratio"] = (
-            1.0 if expected == 0 else round((expected - missed) / expected, 6)
-        )
-        return delta
+    values = (p50, p95, p99, array.mean(), array.max())
+    return {key: round(float(value), 6) for key, value in zip(_LATENCY_KEYS, values)}
 
 
 class NetworkMetrics:
-    """Counters accumulated by a :class:`~repro.broker.network.BrokerNetwork`.
+    """The counters of a :class:`~repro.broker.network.BrokerNetwork`.
 
-    Every counter below lives in an
-    :class:`~repro.obs.instruments.InstrumentRegistry` (under
-    ``network.<counter name>``) and is exposed as a generated property,
-    so attribute reads/writes — including the pervasive ``+=`` call
-    sites — behave exactly as the former dataclass fields did.  Pass
-    ``registry`` to share the run's single registry with the
-    observability layer; by default each instance owns a private one.
-
-    Attributes
-    ----------
-    subscription_messages:
-        Broker-to-broker subscription message hops (the traffic the paper's
-        covering optimisations aim to reduce).
-    unsubscription_messages:
-        Broker-to-broker unsubscription message hops.
-    publication_messages:
-        Broker-to-broker publication message hops (one per publication per
-        link crossed).
-    notifications:
-        Notifications delivered to local subscribers.
-    expected_notifications:
-        Notifications a lossless (flooding) system would have delivered,
-        computed from the global-oracle matching of every publication
-        against every subscription in the system.
-    suppressed_subscriptions:
-        Per-link forwarding decisions where a broker withheld a subscription
-        because it was (probably) covered by what that neighbour already
-        knows.
-    subsumption_checks:
-        Number of per-link covering decisions taken by brokers (including
-        the re-advertisement re-checks run when a coverer unsubscribes).
-    rspc_iterations:
-        Total random guesses spent by the probabilistic checker across the
-        network.
-    false_positive_notifications:
-        Notifications delivered through a merged filter although the
-        subscriber's own subscription did not match the publication — the
-        imprecision cost of the merging reduction strategies (always 0
-        under the covering strategies).
-    merged_advertisements:
-        Per-link decisions that replaced exact advertisements with a
-        merged bounding box.
-    merge_false_volume:
-        Total over-approximated volume those merges introduced.
-    dead_letter_publications:
-        Publications a neighbour routed to a broker where nothing matched
-        (dead-end traffic attracted by merged advertisements).
-    delivery_latencies:
-        Virtual-time end-to-end latency of every delivered notification,
-        in delivery order (all 0.0 under the zero latency model).
-    queue_depth_high_water:
-        Deepest the kernel's pending-delivery queue ever got.
-    track_latency:
-        Whether latency statistics belong in summaries and phase diffs
-        (set by the network when a non-default latency model is active, so
-        latency-free runs keep their historical metric dictionaries).
+    Each name in :data:`COUNTERS` is also a read-only attribute: the
+    counter's value since the metrics were built.  ``track_latency``
+    (set by the network under a non-default latency model) adds the
+    delivery-latency percentiles and the kernel's queue-depth high-water
+    mark to every report.
     """
-
-    #: registry-backed counters (``network.<name>`` Counter instruments)
-    _COUNTER_FIELDS = (
-        "subscription_messages",
-        "unsubscription_messages",
-        "publication_messages",
-        "notifications",
-        "expected_notifications",
-        "suppressed_subscriptions",
-        "subsumption_checks",
-        "rspc_iterations",
-        "false_positive_notifications",
-        "merged_advertisements",
-        "merge_false_volume",
-        "dead_letter_publications",
-    )
-    #: registry-backed levels (``network.<name>`` Gauge instruments)
-    _GAUGE_FIELDS = (
-        "queue_depth_high_water",
-        # high-water mark of the current phase interval (reset at each
-        # :meth:`~repro.broker.network.BrokerNetwork.mark_phase`)
-        "phase_queue_depth_high_water",
-    )
 
     def __init__(
         self,
@@ -239,21 +111,16 @@ class NetworkMetrics:
     ):
         self.registry = registry if registry is not None else InstrumentRegistry()
         self.track_latency = track_latency
-        self._counters = {
-            name: self.registry.counter(f"network.{name}")
-            for name in self._COUNTER_FIELDS
+        self.counters = {
+            name: self.registry.counter(f"network.{name}") for name in COUNTERS
         }
-        self._gauges = {
-            name: self.registry.gauge(f"network.{name}")
-            for name in self._GAUGE_FIELDS
-        }
-        #: delivery-latency samples live in a registry histogram; the
-        #: :attr:`delivery_latencies` property exposes its raw sample
-        #: list, so in-order extends and index slicing keep working
-        self._latency_histogram = self.registry.histogram(
-            "network.delivery_latency"
-        )
-        self.delivered: List[NotificationRecord] = []
+        #: virtual-time latency of every delivered notification, in order
+        self.latencies = self.registry.histogram("network.delivery_latency")
+        #: the kernel's queue-depth high-water mark of every client operation
+        self.queue_depths = self.registry.histogram("network.queue_depth_high_water")
+        #: every report is a diff: totals are the diff since this snapshot
+        self.origin = self.registry.snapshot()
+        #: the expected notifications that were never delivered
         self.missed: List[NotificationRecord] = []
         #: delivered notifications whose subscription did not actually
         #: match the publication (merged-filter false positives)
@@ -262,14 +129,7 @@ class NetworkMetrics:
     @property
     def delivery_latencies(self) -> List[float]:
         """The delivery-latency sample list, in delivery order."""
-        return self._latency_histogram.samples
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"NetworkMetrics(notifications={self.notifications}, "
-            f"expected={self.expected_notifications}, "
-            f"track_latency={self.track_latency})"
-        )
+        return self.latencies.samples
 
     @property
     def delivery_ratio(self) -> float:
@@ -278,126 +138,57 @@ class NetworkMetrics:
         False-positive deliveries do not count toward the ratio, so a
         merging run cannot mask misses with spurious traffic.
         """
-        if self.expected_notifications == 0:
-            return 1.0
         owed = self.expected_notifications
-        return (owed - self.missed_notifications) / owed
+        return 1.0 if owed == 0 else (owed - self.missed_notifications) / owed
 
-    @property
-    def missed_notifications(self) -> int:
-        """Expected notifications that never reached their subscriber.
+    def report(self, delta: Optional[Mapping[str, float]] = None) -> Dict[str, float]:
+        """The report of a registry diff: one phase's metrics, or totals.
 
-        The oracle's missed list is exact; the counter difference is the
-        fallback for hand-maintained metrics (false positives inflate
-        ``notifications``, so under merging the list dominates).
+        ``delta`` is ``registry.diff(mark)``; ``None`` reports everything
+        since the metrics were built.  Beyond the counters it gives the
+        interval's ``delivery_ratio`` and, under latency tracking, its
+        latency percentiles and queue-depth high-water mark.
         """
-        return max(
-            len(self.missed),
-            self.expected_notifications - self.notifications,
-            0,
+        if delta is None:
+            delta = self.registry.diff(self.origin)
+        report = {name: delta[f"network.{name}"] for name in COUNTERS}
+        for name in _REDUCTION_COUNTERS:
+            if not report[name]:
+                del report[name]
+        if "merge_false_volume" in report:
+            report["merge_false_volume"] = round(report["merge_false_volume"], 6)
+        owed = report["expected_notifications"]
+        missed = report["missed_notifications"]
+        report["delivery_ratio"] = 1.0 if owed == 0 else round((owed - missed) / owed, 6)
+        if self.track_latency:
+            report.update(_latency_stats(_tail(self.latencies, delta)))
+            report["queue_depth_high_water"] = max(
+                _tail(self.queue_depths, delta), default=0
+            )
+        return report
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return (
+            f"NetworkMetrics(notifications={self.notifications}, "
+            f"expected={self.expected_notifications}, "
+            f"track_latency={self.track_latency})"
         )
 
-    def snapshot(self) -> MetricsSnapshot:
-        """An immutable copy of the current counters."""
-        return MetricsSnapshot(
-            subscription_messages=self.subscription_messages,
-            unsubscription_messages=self.unsubscription_messages,
-            publication_messages=self.publication_messages,
-            notifications=self.notifications,
-            expected_notifications=self.expected_notifications,
-            suppressed_subscriptions=self.suppressed_subscriptions,
-            subsumption_checks=self.subsumption_checks,
-            rspc_iterations=self.rspc_iterations,
-            false_positive_notifications=self.false_positive_notifications,
-            merged_advertisements=self.merged_advertisements,
-            merge_false_volume=self.merge_false_volume,
-            dead_letter_publications=self.dead_letter_publications,
-            delivery_latency_count=len(self.delivery_latencies),
-            queue_depth_high_water=self.queue_depth_high_water,
-            missed_count=len(self.missed),
-        )
 
-    def diff(self, earlier: MetricsSnapshot) -> Dict[str, float]:
-        """Counter deltas since ``earlier`` (see :meth:`MetricsSnapshot.diff`).
-
-        When latency tracking is active the interval's delivery-latency
-        percentiles and the kernel queue high-water mark are included as
-        well.  Note that
-        ``queue_depth_high_water`` is the high-water of the *current phase
-        interval* (since the owning network's last ``mark_phase``), not of
-        the span back to ``earlier``: interval maxima are only tracked at
-        phase granularity, and the runner always diffs against the latest
-        phase snapshot.  All other keys genuinely span ``earlier`` → now.
-        """
-        delta = self.snapshot().diff(earlier)
-        if self.track_latency:
-            delta.update(
-                _latency_stats(
-                    self.delivery_latencies[earlier.delivery_latency_count:]
-                )
-            )
-            delta["queue_depth_high_water"] = self.phase_queue_depth_high_water
-        return delta
-
-    def latency_histogram(
-        self, bins: int = 20
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Histogram of the delivery latencies: ``(counts, bin edges)``."""
-        if not self.delivery_latencies:
-            return np.zeros(bins, dtype=int), np.linspace(0.0, 1.0, bins + 1)
-        return np.histogram(np.asarray(self.delivery_latencies), bins=bins)
-
-    def summary(self) -> Dict[str, float]:
-        """Compact dictionary view used by the experiment reports."""
-        summary = {
-            "subscription_messages": self.subscription_messages,
-            "unsubscription_messages": self.unsubscription_messages,
-            "publication_messages": self.publication_messages,
-            "notifications": self.notifications,
-            "expected_notifications": self.expected_notifications,
-            "missed_notifications": self.missed_notifications,
-            "delivery_ratio": round(self.delivery_ratio, 6),
-            "suppressed_subscriptions": self.suppressed_subscriptions,
-            "subsumption_checks": self.subsumption_checks,
-            "rspc_iterations": self.rspc_iterations,
-        }
-        if self.track_latency:
-            summary.update(_latency_stats(self.delivery_latencies))
-            summary["queue_depth_high_water"] = self.queue_depth_high_water
-        if self.merged_advertisements:
-            summary["merged_advertisements"] = self.merged_advertisements
-            summary["merge_false_volume"] = round(self.merge_false_volume, 6)
-        if self.false_positive_notifications:
-            summary["false_positive_notifications"] = (
-                self.false_positive_notifications
-            )
-        if self.dead_letter_publications:
-            summary["dead_letter_publications"] = self.dead_letter_publications
-        return summary
+def _tail(histogram, delta: Mapping[str, float]) -> List[float]:
+    """The samples a registry diff counted for ``histogram``."""
+    samples = histogram.samples
+    return samples[len(samples) - delta[histogram.key]:]
 
 
-def _counter_property(name: str) -> property:
-    def _get(self: NetworkMetrics):
-        return self._counters[name].value
-
-    def _set(self: NetworkMetrics, value) -> None:
-        self._counters[name].value = value
-
-    return property(_get, _set, doc=f"Registry-backed counter ``network.{name}``.")
+def _reader(name: str) -> property:
+    key = f"network.{name}"
+    return property(
+        lambda self: self.counters[name].value - self.origin[key],
+        doc=f"``{key}`` since the metrics were built.",
+    )
 
 
-def _gauge_property(name: str) -> property:
-    def _get(self: NetworkMetrics):
-        return self._gauges[name].value
-
-    def _set(self: NetworkMetrics, value) -> None:
-        self._gauges[name].value = value
-
-    return property(_get, _set, doc=f"Registry-backed gauge ``network.{name}``.")
-
-
-for _name in NetworkMetrics._COUNTER_FIELDS:
-    setattr(NetworkMetrics, _name, _counter_property(_name))
-for _name in NetworkMetrics._GAUGE_FIELDS:
-    setattr(NetworkMetrics, _name, _gauge_property(_name))
+for _name in COUNTERS:
+    setattr(NetworkMetrics, _name, _reader(_name))
 del _name

@@ -37,7 +37,7 @@ from repro.broker.messages import (
     SubscriptionMessage,
     UnsubscriptionMessage,
 )
-from repro.broker.metrics import MetricsSnapshot, NetworkMetrics
+from repro.broker.metrics import NetworkMetrics
 from repro.broker.sim import EventKernel, LatencyModel, LognormalLatency, make_latency_model
 from repro.core.arena import Matcher
 from repro.core.policies import DEFAULT_MERGE_BUDGET, policy_value, resolve_policy
@@ -140,8 +140,6 @@ class BrokerNetwork:
             track_latency=model.name != "zero",
             registry=obs.registry if obs is not None else None,
         )
-        #: ``(phase name, metrics snapshot at phase start)`` marks, in order
-        self.phase_marks: List[Tuple[str, MetricsSnapshot]] = []
         #: client identifier -> broker identifier
         self.clients: Dict[str, str] = {}
         #: global oracle: subscription id -> (subscription, client, broker)
@@ -252,7 +250,7 @@ class BrokerNetwork:
             subscription=subscription,
             origin=broker_id,
         )
-        self._run(message)
+        self._run((message,))
 
     def unsubscribe(self, client_id: str, subscription_id: str) -> None:
         """Cancel a previously issued subscription."""
@@ -265,7 +263,7 @@ class BrokerNetwork:
             subscription_id=subscription_id,
             origin=broker_id,
         )
-        self._run(message)
+        self._run((message,))
 
     def publish(self, client_id: str, publication: Publication) -> List[NotificationRecord]:
         """Publish on behalf of an attached client: a burst of one.
@@ -313,16 +311,13 @@ class BrokerNetwork:
         expected = self._expected_notifications(
             [message.publication for message in messages]
         )
-        self.metrics.expected_notifications += len(expected)
+        self.metrics.counters["expected_notifications"].value += len(expected)
 
         delivered_before = {
             broker.id: len(broker.delivered) for broker in self.brokers.values()
         }
         for start in range(0, len(messages), self.dedup_window):
-            self.kernel.schedule_many(
-                self._injected(messages[start : start + self.dedup_window])
-            )
-            self._drain()
+            self._run(messages[start : start + self.dedup_window])
         return self._collect_deliveries(expected, delivered_before)
 
     @stage("network.collect")
@@ -331,17 +326,15 @@ class BrokerNetwork:
         expected: List[NotificationRecord],
         delivered_before: Dict[str, int],
     ) -> List[NotificationRecord]:
+        metrics = self.metrics
+        counters = metrics.counters
         delivered: List[NotificationRecord] = []
         for broker in self.brokers.values():
             start = delivered_before[broker.id]
-            new_records = broker.delivered[start:]
-            delivered.extend(new_records)
-            if self.metrics.track_latency:
-                self.metrics.delivery_latencies.extend(
-                    broker.delivered_latencies[start:]
-                )
-        self.metrics.notifications += len(delivered)
-        self.metrics.delivered.extend(delivered)
+            delivered.extend(broker.delivered[start:])
+            if metrics.track_latency:
+                metrics.delivery_latencies.extend(broker.delivered_latencies[start:])
+        counters["notifications"].value += len(delivered)
 
         delivered_keys = {
             (record.subscriber, record.subscription_id, record.publication_id)
@@ -351,18 +344,22 @@ class BrokerNetwork:
             (record.subscriber, record.subscription_id, record.publication_id)
             for record in expected
         }
-        for record in expected:
-            key = (record.subscriber, record.subscription_id, record.publication_id)
-            if key not in delivered_keys:
-                self.metrics.missed.append(record)
+        missed = [
+            record
+            for record in expected
+            if (record.subscriber, record.subscription_id, record.publication_id)
+            not in delivered_keys
+        ]
+        metrics.missed.extend(missed)
+        counters["missed_notifications"].value += len(missed)
         for record in delivered:
             key = (record.subscriber, record.subscription_id, record.publication_id)
             if key not in expected_keys:
                 # Delivered although no subscription asked for it: a
                 # merged-filter false positive (impossible under the
                 # covering strategies).
-                self.metrics.false_positives.append(record)
-                self.metrics.false_positive_notifications += 1
+                metrics.false_positives.append(record)
+                counters["false_positive_notifications"].value += 1
         return delivered
 
     def _broker_of(self, client_id: str) -> str:
@@ -395,9 +392,18 @@ class BrokerNetwork:
     # ------------------------------------------------------------------
     # Message pump (virtual-time event loop)
     # ------------------------------------------------------------------
-    def _run(self, initial: Message) -> None:
-        self.kernel.schedule_many(self._injected((initial,)))
+    def _run(self, messages: Sequence[Message]) -> None:
+        """Inject client messages and drain the kernel to quiescence.
+
+        Under latency tracking, the operation's queue-depth high-water
+        mark becomes one sample of ``metrics.queue_depths``.
+        """
+        kernel = self.kernel
+        kernel.reset_phase_high_water()
+        kernel.schedule_many(self._injected(messages))
         self._drain()
+        if self.metrics.track_latency:
+            self.metrics.queue_depths.observe(kernel.phase_queue_depth_high_water)
 
     def _injected(self, messages: Iterable[Message]) -> Iterator[Message]:
         """Stamp client operations as entering the network now.
@@ -417,7 +423,8 @@ class BrokerNetwork:
     def _drain(self) -> None:
         kernel = self.kernel
         obs = obs_probes.ACTIVE
-        metrics = self.metrics
+        counters = self.metrics.counters
+        publication_messages = counters["publication_messages"]
         for message in kernel.drain_grouped():
             if type(message) is list:
                 # Plain publication hops arrive as runs (one same-instant
@@ -442,7 +449,7 @@ class BrokerNetwork:
                     if obs is not None:
                         for inner in share:
                             obs.on_hop_delivered(inner)
-                    metrics.publication_messages += sum(
+                    publication_messages.value += sum(
                         inner.sender is not None for inner in share
                     )
                     share_outgoing = self._handle_publications(
@@ -459,13 +466,13 @@ class BrokerNetwork:
             broker = self.brokers[message.recipient]
             if isinstance(message, SubscriptionMessage):
                 if message.sender is not None:
-                    metrics.subscription_messages += 1
+                    counters["subscription_messages"].value += 1
                 with stage("network.handle_subscription"):
                     outgoing, decisions = broker.handle_subscription(message)
                 self._account_decisions(decisions)
             elif isinstance(message, UnsubscriptionMessage):
                 if message.sender is not None:
-                    metrics.unsubscription_messages += 1
+                    counters["unsubscription_messages"].value += 1
                 with stage("network.handle_unsubscription"):
                     outgoing, decisions = broker.handle_unsubscription(message)
                 self._account_decisions(decisions)
@@ -473,10 +480,6 @@ class BrokerNetwork:
                 raise TypeError(f"unknown message type {type(message)!r}")
             if outgoing:
                 kernel.schedule_many(outgoing)
-        metrics.queue_depth_high_water = kernel.queue_depth_high_water
-        metrics.phase_queue_depth_high_water = (
-            kernel.phase_queue_depth_high_water
-        )
         if not math.isfinite(kernel.now):
             # every later latency would be ``inf - inf``: a NaN report
             raise OverflowError(
@@ -491,36 +494,21 @@ class BrokerNetwork:
         dead_before = broker.dead_letter_publications
         with stage("network.handle_publication"):
             outgoing = broker.handle_publication_batch(messages)
-        self.metrics.dead_letter_publications += (
+        self.metrics.counters["dead_letter_publications"].value += (
             broker.dead_letter_publications - dead_before
         )
         return outgoing
 
     def _account_decisions(self, decisions) -> None:
+        counters = self.metrics.counters
         for decision in decisions:
-            self.metrics.subsumption_checks += 1
-            self.metrics.rspc_iterations += decision.rspc_iterations
+            counters["subsumption_checks"].value += 1
+            counters["rspc_iterations"].value += decision.rspc_iterations
             if decision.merged is not None:
-                self.metrics.merged_advertisements += 1
-                self.metrics.merge_false_volume += decision.false_volume
+                counters["merged_advertisements"].value += 1
+                counters["merge_false_volume"].value += decision.false_volume
             elif not decision.forwarded:
-                self.metrics.suppressed_subscriptions += 1
-
-    # ------------------------------------------------------------------
-    # Phase accounting
-    # ------------------------------------------------------------------
-    def mark_phase(self, name: str) -> MetricsSnapshot:
-        """Record the start of a named workload phase.
-
-        Returns the metrics snapshot taken at the mark, so callers can later
-        ``metrics.diff(snapshot)`` to obtain the phase's counter deltas.  The
-        marks are kept (in order) in :attr:`phase_marks` for introspection.
-        """
-        snapshot = self.metrics.snapshot()
-        self.phase_marks.append((name, snapshot))
-        self.kernel.reset_phase_high_water()
-        self.metrics.phase_queue_depth_high_water = 0
-        return snapshot
+                counters["suppressed_subscriptions"].value += 1
 
     # ------------------------------------------------------------------
     # Introspection

@@ -218,7 +218,7 @@ class EventKernel:
         #: deepest the pending-event queue ever got (lifetime high-water)
         self.queue_depth_high_water = 0
         #: high-water mark since the last :meth:`reset_phase_high_water`
-        #: (what per-phase metric diffs report)
+        #: (the network resets it at every client operation)
         self.phase_queue_depth_high_water = 0
 
     # ------------------------------------------------------------------
@@ -280,7 +280,7 @@ class EventKernel:
                 self.phase_queue_depth_high_water = depth
 
     def reset_phase_high_water(self) -> None:
-        """Start a fresh per-phase queue-depth high-water interval."""
+        """Start a fresh queue-depth high-water interval."""
         self.phase_queue_depth_high_water = len(self._heap)
 
     # ------------------------------------------------------------------

@@ -29,13 +29,20 @@ it: a subscription or an unsubscription is the store's to apply, and the
 next publication is matched against the pools as the store left them.
 It exposes the subscribe/unsubscribe workflow used by the examples and by
 the scenario runner's engine backend.
+
+Both this engine and the sharded pool (:mod:`repro.shard.engine`) count
+through one :class:`EngineCounters`: four registry counters charged by
+one function, and a gauge of the stored subscriptions.  The runner's
+reports are diffs of its registry; :attr:`MatchingEngine.stats` is a
+read-only view of the four counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.policies import DEFAULT_MERGE_BUDGET
 from repro.core.store import CoveringPolicyName, StoreDecision, SubscriptionStore
@@ -43,9 +50,53 @@ from repro.core.subsumption import SubsumptionChecker
 from repro.matching.matcher import check_backend_label
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
+from repro.obs.instruments import InstrumentRegistry
 from repro.obs.probes import stage
 
-__all__ = ["MatchResult", "MatchingEngine"]
+__all__ = ["ENGINE_COUNTERS", "EngineCounters", "MatchResult", "MatchingEngine"]
+
+#: an engine's counters (registry ``engine.<name>``), then its gauge
+ENGINE_COUNTERS = ("publications", "notifications", "active_tests", "covered_tests")
+
+
+class EngineCounters:
+    """The counters of an engine, in a registry of their own.
+
+    ``engine.<name>`` for each name in :data:`ENGINE_COUNTERS`, charged
+    by :meth:`count`, and the gauge ``engine.subscriptions_total``, the
+    number of stored subscriptions, which the engine sets.
+    """
+
+    def __init__(self) -> None:
+        self.registry = InstrumentRegistry()
+        self._counters = [
+            self.registry.counter(f"engine.{name}") for name in ENGINE_COUNTERS
+        ]
+        self.subscriptions = self.registry.gauge("engine.subscriptions_total")
+
+    def count(self, results) -> None:
+        """Charge matched publications (anything with ``subscribers``,
+        ``active_tests`` and ``covered_tests``)."""
+        publications, notifications, active_tests, covered_tests = self._counters
+        publications.value += len(results)
+        notifications.value += sum(len(r.subscribers) for r in results)
+        active_tests.value += sum(r.active_tests for r in results)
+        covered_tests.value += sum(r.covered_tests for r in results)
+
+    @property
+    def stats(self) -> Mapping[str, int]:
+        """The four counters, read-only."""
+        return MappingProxyType(
+            {name: counter.value for name, counter in zip(ENGINE_COUNTERS, self._counters)}
+        )
+
+    @staticmethod
+    def report(delta: Mapping[str, float]) -> Dict[str, float]:
+        """The report of a registry diff: one phase's metrics, or totals."""
+        return {
+            name: delta[f"engine.{name}"]
+            for name in ENGINE_COUNTERS + ("subscriptions_total",)
+        }
 
 
 @dataclass
@@ -119,13 +170,12 @@ class MatchingEngine:
         self.store = SubscriptionStore(
             policy=policy, checker=checker, merge_budget=merge_budget
         )
-        #: cumulative counters for the micro-benchmarks
-        self.stats: Dict[str, int] = {
-            "publications": 0,
-            "notifications": 0,
-            "active_tests": 0,
-            "covered_tests": 0,
-        }
+        self.counters = EngineCounters()
+
+    @property
+    def stats(self) -> Mapping[str, int]:
+        """The cumulative match counters, read-only."""
+        return self.counters.stats
 
     @property
     def arena(self):
@@ -147,11 +197,14 @@ class MatchingEngine:
         """
         # merged boxes live in the store, but no client registered them;
         # the store rejects every other held id and a foreign schema
-        if subscription.id in self.store.members:
+        store = self.store
+        if subscription.id in store.members:
             raise ValueError(
                 f"subscription {subscription.id!r} is already registered"
             )
-        return self.store.add(subscription)
+        decision = store.add(subscription)
+        self.counters.subscriptions.value = store.total_count
+        return decision
 
     @stage("engine.unsubscribe")
     def unsubscribe(self, subscription_id: str) -> Tuple[Subscription, ...]:
@@ -161,9 +214,12 @@ class MatchingEngine:
         included) returns ``()`` and touches nothing.
         """
         # merged boxes live in the store, but no client registered them
-        if subscription_id not in self.store or subscription_id in self.store.members:
+        store = self.store
+        if subscription_id not in store or subscription_id in store.members:
             return ()
-        return self.store.remove(subscription_id)
+        promoted = store.remove(subscription_id)
+        self.counters.subscriptions.value = store.total_count
+        return promoted
 
     # ------------------------------------------------------------------
     # Views
@@ -194,7 +250,7 @@ class MatchingEngine:
             covered, covered_tests = store.covered_pool.match_candidates(publication)
             matched.extend(covered)
         result = _result(publication, matched, active_tests, covered_tests)
-        self._count([result])
+        self.counters.count([result])
         return result
 
     @stage("engine.match_batch")
@@ -223,16 +279,8 @@ class MatchingEngine:
                 more, covered_tests = next(covered)
                 matched.extend(more)
             results.append(_result(publication, matched, active_tests, covered_tests))
-        self._count(results)
+        self.counters.count(results)
         return results
-
-    def _count(self, results: List[MatchResult]) -> None:
-        """Charge publications the pools accepted to :attr:`stats`."""
-        stats = self.stats
-        stats["publications"] += len(results)
-        stats["notifications"] += sum(len(r.subscribers) for r in results)
-        stats["active_tests"] += sum(r.active_tests for r in results)
-        stats["covered_tests"] += sum(r.covered_tests for r in results)
 
 
 _subscriber = attrgetter("subscriber")

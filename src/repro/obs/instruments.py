@@ -7,10 +7,8 @@ instrument kinds cover the system's needs:
 :class:`Counter`
     A monotonically *written* numeric cell (``inc``); brokers count
     message hops, suppressions and subsumption checks with these.  The
-    value is a plain attribute, so hot paths may also use ``+=`` through
-    an owning object's property (which is how
-    :class:`~repro.broker.metrics.NetworkMetrics` registers its counters
-    here without changing its call sites).
+    value is a plain attribute, so a hot path holding the counter adds
+    to ``counter.value`` directly.
 :class:`Gauge`
     A point-in-time level (``set`` / ``update_max``): kernel queue
     depths, arena sizes.
@@ -23,12 +21,13 @@ Instruments are keyed by ``(name, labels)`` where labels are free-form
 ``registry.counter("hops", link="B1->B2")`` and the same name with
 another link are distinct series.
 
-Snapshot/diff semantics mirror
-:class:`~repro.broker.metrics.MetricsSnapshot`: :meth:`snapshot` returns
-a plain ``{key: value}`` dictionary, and :meth:`diff` subtracts an
-earlier snapshot counter-wise — gauges report their current level,
-histograms their sample-count delta — so per-phase accounting works the
-same way it does for the network metrics.
+:meth:`InstrumentRegistry.snapshot` returns a plain ``{key: value}``
+dictionary (a mark), and :meth:`InstrumentRegistry.diff` subtracts a
+mark counter-wise — gauges report their current level, histograms their
+sample-count delta.  Every phase delta and every total of a scenario
+report is one such diff, turned into report keys by its backend
+(:meth:`~repro.broker.metrics.NetworkMetrics.report`,
+:meth:`~repro.matching.engine.EngineCounters.report`).
 """
 
 from __future__ import annotations
@@ -114,10 +113,9 @@ class Gauge:
 class Histogram:
     """An observation list with percentile summaries.
 
-    Samples are kept in observation order (a plain list), which is what
-    lets :class:`~repro.broker.metrics.NetworkMetrics` register its
-    delivery-latency series here while its per-phase diffing keeps
-    slicing by index.
+    Samples are kept in observation order (a plain list), so the
+    samples a :meth:`InstrumentRegistry.diff` counted are the list's
+    tail of that length.
     """
 
     __slots__ = ("name", "labels", "samples")
@@ -220,7 +218,7 @@ class InstrumentRegistry:
         return len(self._instruments)
 
     # ------------------------------------------------------------------
-    # Snapshot / diff (MetricsSnapshot-compatible semantics)
+    # Snapshot / diff
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
         """Flat ``{key: value}`` view of every instrument.
@@ -243,10 +241,8 @@ class InstrumentRegistry:
 
         Counter and histogram-count keys are subtracted; gauge keys
         report their *current* level (levels are not interval
-        quantities) — the same convention
-        :meth:`~repro.broker.metrics.MetricsSnapshot.diff` uses for its
-        bookkeeping fields.  Instruments created after ``earlier`` was
-        taken diff against zero.
+        quantities).  Instruments created after ``earlier`` was taken
+        diff against zero.
         """
         earlier = earlier or {}
         out: Dict[str, float] = {}

@@ -11,10 +11,12 @@ Both backends run through one phase loop: subscribe and unsubscribe
 events go one at a time, and each run of consecutive publish events is
 one burst (``publish_many`` on the network under the zero latency model,
 ``match_batch`` on the engine).  A small driver per backend makes the
-calls and reads the counters.  Per phase, the runner takes a metrics
-snapshot before and after the phase's events and reports the counter
-deltas, so a report reads as "what did the *storm* cost" rather than one
-blurred total.
+calls and names the :class:`~repro.obs.instruments.InstrumentRegistry`
+its counters live in and the function that turns a diff of it into the
+report's keys.  The loop snapshots that registry before each phase and
+reports ``registry.diff(mark)`` after it, so a report reads as "what did
+the *storm* cost" rather than one blurred total; the totals are the diff
+since the loop began.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.broker.network import BrokerNetwork
 from repro.broker.sim import parse_latency_model
 from repro.core.policies import policy_value
 from repro.core.subsumption import SubsumptionChecker
-from repro.matching.engine import MatchingEngine
+from repro.matching.engine import EngineCounters, MatchingEngine
 from repro.obs import probes as obs_probes
 from repro.scenarios.events import (
     CompiledScenario,
@@ -295,13 +297,16 @@ class ScenarioRunner:
         """Feed every phase's events to ``driver`` and report the deltas.
 
         A publish run is one burst when the driver takes bursts.  A phase's
-        wall time includes reading its metrics, where the shard pool drains.
+        wall time includes the driver's ``sync``, where the shard pool
+        drains, and reading its metrics.
         """
         spec = compiled.spec
+        registry = driver.registry
+        origin = registry.snapshot()
         phases: List[PhaseReport] = []
         started = time.perf_counter()
         for phase_name, phase_events in self._grouped(compiled):
-            mark = driver.mark_phase(phase_name)
+            mark = registry.snapshot()
             phase_started = time.perf_counter()
             total = len(phase_events)
             index = 0
@@ -321,7 +326,8 @@ class ScenarioRunner:
                     ):
                         index += 1
                     driver.publish(phase_events[start:index])
-            metrics = driver.phase_metrics(mark)
+            driver.sync()
+            metrics = driver.report(registry.diff(mark))
             phase_wall = time.perf_counter() - phase_started
             counts = Counter(event.action for event in phase_events)
             phases.append(
@@ -352,7 +358,7 @@ class ScenarioRunner:
             engine_backend=spec.engine_backend,
             latency_model=driver.latency_model,
             phases=phases,
-            totals=driver.totals(),
+            totals=driver.report(registry.diff(origin)),
         )
 
     # ------------------------------------------------------------------
@@ -406,6 +412,8 @@ class _NetworkDriver:
         self.latency_model = latency_model
         self.bursts = latency_model == "zero"
         self.brokers = len(self.network.brokers)
+        self.registry = self.network.metrics.registry
+        self.report = self.network.metrics.report
 
     def subscribe(self, event) -> None:
         self.network.subscribe(event.client, event.subscription)
@@ -416,14 +424,8 @@ class _NetworkDriver:
     def publish(self, events) -> None:
         self.network.publish_many([(e.client, e.publication) for e in events])
 
-    def mark_phase(self, name: str):
-        return self.network.mark_phase(name)
-
-    def phase_metrics(self, mark) -> Dict[str, float]:
-        return self.network.metrics.diff(mark)
-
-    def totals(self) -> Dict[str, float]:
-        return self.network.metrics.summary()
+    def sync(self) -> None:
+        pass
 
     def close(self) -> None:
         pass
@@ -436,6 +438,7 @@ class _EngineDriver:
     latency_model = "zero"
     bursts = True
     brokers = 0
+    report = staticmethod(EngineCounters.report)
 
     def __init__(self, compiled: CompiledScenario):
         spec = compiled.spec
@@ -448,6 +451,10 @@ class _EngineDriver:
             policy=spec.policy, checker=checker, merge_budget=spec.merge_budget
         )
 
+    @property
+    def registry(self):
+        return self.engine.counters.registry
+
     def subscribe(self, event) -> None:
         self.engine.subscribe(event.subscription)
 
@@ -457,17 +464,8 @@ class _EngineDriver:
     def publish(self, events) -> None:
         self.engine.match_batch([e.publication for e in events])
 
-    def mark_phase(self, name: str) -> Dict[str, int]:
-        return dict(self.engine.stats)
-
-    def phase_metrics(self, before: Dict[str, int]) -> Dict[str, float]:
-        # ``subscriptions_total`` is a level, not a delta: it has no mark
-        return {key: value - before.get(key, 0) for key, value in self.totals().items()}
-
-    def totals(self) -> Dict[str, float]:
-        totals: Dict[str, float] = dict(self.engine.stats)
-        totals["subscriptions_total"] = len(self.engine)
-        return totals
+    def sync(self) -> None:
+        pass
 
     def close(self) -> None:
         pass
@@ -494,9 +492,8 @@ class _ShardPoolDriver(_EngineDriver):
             seed=compiled.seed,
         )
 
-    def phase_metrics(self, before: Dict[str, int]) -> Dict[str, float]:
+    def sync(self) -> None:
         self.engine.sync()
-        return super().phase_metrics(before)
 
     def close(self) -> None:
         self.engine.close()

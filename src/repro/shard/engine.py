@@ -15,8 +15,9 @@ worker processes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
+from repro.matching.engine import EngineCounters
 from repro.matching.matcher import check_backend_label
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
@@ -107,12 +108,12 @@ class ShardedMatchingEngine:
             seed=seed,
             partitioner=partitioner,
         )
-        self.stats: Dict[str, int] = {
-            "publications": 0,
-            "notifications": 0,
-            "active_tests": 0,
-            "covered_tests": 0,
-        }
+        self.counters = EngineCounters()
+
+    @property
+    def stats(self) -> Mapping[str, int]:
+        """The cumulative match counters over every shard, read-only."""
+        return self.counters.stats
 
     @property
     def coordinator(self) -> ShardCoordinator:
@@ -128,10 +129,12 @@ class ShardedMatchingEngine:
     def subscribe(self, subscription: Subscription) -> None:
         """Route a subscription to its owning shard (fire-and-forget)."""
         self._coordinator.route_subscribe(subscription)
+        self.counters.subscriptions.value = len(self._coordinator)
 
     def unsubscribe(self, subscription_id: str) -> Tuple[Subscription, ...]:
         """Route a removal; promotions stay shard-local, so this is ``()``."""
         self._coordinator.route_unsubscribe(subscription_id)
+        self.counters.subscriptions.value = len(self._coordinator)
         return ()
 
     def __len__(self) -> int:
@@ -165,10 +168,6 @@ class ShardedMatchingEngine:
                     matched_count += shard_matched
                     active_tests += shard_active
                     covered_tests += shard_covered
-                self.stats["publications"] += 1
-                self.stats["notifications"] += len(subscribers)
-                self.stats["active_tests"] += active_tests
-                self.stats["covered_tests"] += covered_tests
                 results.append(
                     ShardedMatchResult(
                         publication,
@@ -178,6 +177,7 @@ class ShardedMatchingEngine:
                         covered_tests,
                     )
                 )
+        self.counters.count(results)
         return results
 
     # ------------------------------------------------------------------

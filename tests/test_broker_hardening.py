@@ -181,10 +181,10 @@ class TestOracleById:
         network = self._pair(policy)
         first = self._x1(schema, 0, 4)
         network.subscribe("a", first)
-        before = network.metrics.summary()
+        before = network.metrics.report()
         with pytest.raises(ValueError, match="'s1' is already registered"):
             network.subscribe(client, self._x1(schema, *bounds))
-        assert network.metrics.summary() == before
+        assert network.metrics.report() == before
         registered, owner, broker_id = network._all_subscriptions["s1"]
         assert (owner, broker_id) == ("a", "B1") and registered.same_box(first)
         assert len(network._oracle) == 1

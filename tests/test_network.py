@@ -195,7 +195,7 @@ class TestMetricsSummary:
         network.publish(
             "pub", Publication.from_values(schema, {"x1": 10, "x2": 10})
         )
-        summary = network.metrics.summary()
+        summary = network.metrics.report()
         assert summary["notifications"] == 1
         assert summary["expected_notifications"] == 1
         assert summary["delivery_ratio"] == 1.0

@@ -247,6 +247,11 @@ class TestPublicationHops:
         assert network.metrics.publication_messages == 6
 
 
+def _phase_report(network, mark):
+    """The network's report of everything counted since ``mark``."""
+    return network.metrics.report(network.metrics.registry.diff(mark))
+
+
 class TestLatencyMetrics:
     def test_latency_stats_only_reported_for_timed_models(self, schema):
         timed = make_network(latency_model="fixed:0.5")
@@ -256,18 +261,18 @@ class TestLatencyMetrics:
             network.publish(
                 "pub", Publication.from_values(schema, {"x1": 1, "x2": 1})
             )
-        assert "delivery_latency_p50" in timed.metrics.summary()
-        assert "queue_depth_high_water" in timed.metrics.summary()
-        assert "delivery_latency_p50" not in untimed.metrics.summary()
-        assert "queue_depth_high_water" not in untimed.metrics.summary()
+        assert "delivery_latency_p50" in timed.metrics.report()
+        assert "queue_depth_high_water" in timed.metrics.report()
+        assert "delivery_latency_p50" not in untimed.metrics.report()
+        assert "queue_depth_high_water" not in untimed.metrics.report()
 
     def test_phase_diff_reports_interval_percentiles(self, schema):
         network = make_network(latency_model="fixed:0.25")
         network.subscribe("sub", whole_space(schema))
         network.publish("pub", Publication.from_values(schema, {"x1": 1, "x2": 1}))
-        snapshot = network.mark_phase("late")
+        mark = network.metrics.registry.snapshot()
         network.publish("pub", Publication.from_values(schema, {"x1": 2, "x2": 2}))
-        delta = network.metrics.diff(snapshot)
+        delta = _phase_report(network, mark)
         assert delta["notifications"] == 1
         assert delta["delivery_latency_p50"] == pytest.approx(0.5)
         assert delta["queue_depth_high_water"] >= 1
@@ -275,7 +280,7 @@ class TestLatencyMetrics:
     def test_queue_high_water_is_per_phase_not_lifetime(self, schema):
         """A quiet phase must not inherit the busy phase's high-water mark."""
         network = make_network(latency_model="fixed:0.25")
-        network.mark_phase("busy")
+        busy = network.metrics.registry.snapshot()
         network.subscribe("sub", whole_space(schema))
         for index in range(5):
             network.publish(
@@ -284,15 +289,15 @@ class TestLatencyMetrics:
                     schema, {"x1": index, "x2": index}, publication_id=f"p{index}"
                 ),
             )
-        busy_mark = network.metrics.phase_queue_depth_high_water
+        busy_mark = _phase_report(network, busy)["queue_depth_high_water"]
         assert busy_mark >= 1
-        quiet_snapshot = network.mark_phase("quiet")
-        delta = network.metrics.diff(quiet_snapshot)
+        quiet = network.metrics.registry.snapshot()
+        delta = _phase_report(network, quiet)
         assert delta["queue_depth_high_water"] == 0
-        # The lifetime mark in the summary still remembers the busy phase.
-        assert network.metrics.summary()["queue_depth_high_water"] >= busy_mark
+        # The totals still remember the busy phase.
+        assert network.metrics.report()["queue_depth_high_water"] >= busy_mark
 
-    def test_histogram_covers_all_deliveries(self, schema):
+    def test_latency_samples_cover_all_deliveries(self, schema):
         network = make_network(latency_model="lognormal:0.0,0.5")
         network.subscribe("sub", whole_space(schema))
         for index in range(20):
@@ -302,17 +307,16 @@ class TestLatencyMetrics:
                     schema, {"x1": index, "x2": index}, publication_id=f"p{index}"
                 ),
             )
-        counts, edges = network.metrics.latency_histogram(bins=8)
-        assert counts.sum() == len(network.metrics.delivery_latencies) == 20
-        assert len(edges) == 9
+        metrics = network.metrics
+        assert len(metrics.delivery_latencies) == metrics.notifications == 20
 
     def test_zero_model_phase_metrics_keep_historical_keys(self, schema):
         """Latency keys must not leak into untimed runs (replay stability)."""
         network = make_network()
-        snapshot = network.mark_phase("all")
+        mark = network.metrics.registry.snapshot()
         network.subscribe("sub", whole_space(schema))
         network.publish("pub", Publication.from_values(schema, {"x1": 1, "x2": 1}))
-        delta = network.metrics.diff(snapshot)
+        delta = _phase_report(network, mark)
         assert set(delta) == {
             "subscription_messages",
             "unsubscription_messages",

@@ -214,10 +214,27 @@ class TestProbes:
         probe = ObsProbe()
         with enabled(probe):
             network = BrokerNetwork([("B1", "B2")])
-        network.metrics.notifications += 3
-        assert (
-            probe.registry.get("network.notifications").value == 3
-        )
+        network.metrics.counters["notifications"].inc(3)
+        assert probe.registry.get("network.notifications").value == 3
+        assert network.metrics.notifications == 3
+        with pytest.raises(AttributeError):
+            network.metrics.notifications = 0
+
+    def test_reused_probe_reports_each_run_alone(self):
+        # A network built under a probe counts in the probe's registry, so
+        # a second run under the same probe starts from the first run's
+        # counts; its report must not include them.
+        spec, compiled = _compiled("t0-smoke", "group")
+        baseline = ScenarioRunner(spec, seed=7, backend="network").run(compiled)
+        probe = ObsProbe()
+        for _ in range(2):
+            observed = ScenarioRunner(spec, seed=7, backend="network", obs=probe).run(
+                compiled
+            )
+            assert observed.totals == baseline.totals
+            assert [p.metrics for p in observed.phases] == [
+                p.metrics for p in baseline.phases
+            ]
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Tests for scenario specs, phases, topologies and metrics snapshots."""
+"""Tests for scenario specs, phases, topologies and metric reports."""
 
 import numpy as np
 import pytest
 
-from repro.broker.metrics import MetricsSnapshot, NetworkMetrics
-from repro.broker.network import BrokerNetwork
+from repro.broker.metrics import NetworkMetrics
 from repro.scenarios.spec import PhaseKind, PhaseSpec, ScenarioSpec, TopologySpec
 
 
@@ -212,39 +211,52 @@ class TestScenarioSpec:
         assert self._spec(max_iterations=np.int64(7)).max_iterations == 7
 
 
-class TestMetricsSnapshot:
-    def test_diff_reports_counter_deltas(self):
+def _count(metrics, **amounts):
+    for name, amount in amounts.items():
+        metrics.counters[name].inc(amount)
+
+
+class TestMetricsReport:
+    def test_report_of_a_diff_gives_counter_deltas(self):
         metrics = NetworkMetrics()
-        metrics.publication_messages = 3
-        metrics.notifications = 2
-        metrics.expected_notifications = 2
-        before = metrics.snapshot()
-        metrics.publication_messages = 10
-        metrics.notifications = 5
-        metrics.expected_notifications = 6
-        delta = metrics.diff(before)
+        _count(metrics, publication_messages=3, notifications=2, expected_notifications=2)
+        mark = metrics.registry.snapshot()
+        _count(
+            metrics,
+            publication_messages=7,
+            notifications=3,
+            expected_notifications=4,
+            missed_notifications=1,
+        )
+        delta = metrics.report(metrics.registry.diff(mark))
         assert delta["publication_messages"] == 7
         assert delta["notifications"] == 3
         assert delta["expected_notifications"] == 4
         assert delta["missed_notifications"] == 1
         assert delta["delivery_ratio"] == pytest.approx(0.75)
+        # with no diff given, the report covers everything since construction
+        assert metrics.report()["publication_messages"] == 10
 
-    def test_diff_with_nothing_expected_reports_full_delivery(self):
-        empty = MetricsSnapshot()
-        assert empty.diff(MetricsSnapshot())["delivery_ratio"] == 1.0
-
-    def test_snapshot_is_immutable_copy(self):
+    def test_report_with_nothing_expected_reports_full_delivery(self):
         metrics = NetworkMetrics()
-        snapshot = metrics.snapshot()
-        metrics.notifications = 99
-        assert snapshot.notifications == 0
-        with pytest.raises(AttributeError):
-            snapshot.notifications = 1
+        assert metrics.report()["delivery_ratio"] == 1.0
+        mark = metrics.registry.snapshot()
+        assert metrics.report(metrics.registry.diff(mark))["delivery_ratio"] == 1.0
 
-    def test_network_mark_phase_records_snapshots(self):
-        network = BrokerNetwork([("B1", "B2")])
-        first = network.mark_phase("ramp")
-        second = network.mark_phase("burst")
-        assert [name for name, _ in network.phase_marks] == ["ramp", "burst"]
-        assert network.phase_marks[0][1] is first
-        assert network.phase_marks[1][1] is second
+    def test_mark_is_unaffected_by_later_counting(self):
+        metrics = NetworkMetrics()
+        mark = metrics.registry.snapshot()
+        _count(metrics, notifications=99)
+        assert mark["network.notifications"] == 0
+        assert metrics.notifications == 99
+        with pytest.raises(AttributeError):
+            metrics.notifications = 1
+
+    def test_totals_exclude_what_a_shared_registry_counted_before(self):
+        first = NetworkMetrics()
+        _count(first, notifications=5, expected_notifications=5)
+        second = NetworkMetrics(registry=first.registry)
+        _count(second, notifications=2, expected_notifications=3, missed_notifications=1)
+        assert second.notifications == 2
+        assert second.report()["notifications"] == 2
+        assert second.report()["delivery_ratio"] == pytest.approx(0.666667)
