@@ -114,9 +114,9 @@ def boxes_containing(signed: np.ndarray, points: np.ndarray) -> List[List[int]]:
     block within one budget is tested on every row at once; a larger one
     (an engine publish burst) chunk by chunk through :func:`_surviving`.
     Column indices ascend within each list.  This is every publication
-    lookup of the program: :meth:`Matcher.match_batch`, hence the engine's
-    publish bursts, the brokers' route lookup and the network's delivery
-    oracle.
+    lookup of the program: :meth:`Matcher.match_values`, hence the engine's
+    publish bursts (in-process or in a shard worker), the brokers' route
+    lookup and the network's delivery oracle.
     """
     count = len(points)
     # C-ordered on purpose: concatenating the transposes would come out
@@ -533,17 +533,37 @@ class Matcher:
         return [subscriptions[i] for i in hits.nonzero()[0].tolist()], tests
 
     def match_batch(self, publications: Sequence[Publication]) -> List[MatchCandidates]:
-        """:meth:`match_candidates` of every publication, in one kernel call
-        per chunk (:func:`boxes_containing`).
+        """:meth:`match_candidates` of every publication: its schema check,
+        then :meth:`match_values` of the burst's value block.
         """
-        tests = len(self._rows)
-        if not tests or not len(publications):
-            return [([], 0) for _ in publications]
+        return self.match_values(self.value_block(publications))
+
+    def value_block(self, publications: Sequence[Publication]) -> np.ndarray:
+        """The ``(B, m)`` values of a burst, once every publication's schema
+        has passed :meth:`check_schema`; an empty matcher reads none
+        (``(B, 0)``)."""
+        if not self._rows:
+            return np.empty((len(publications), 0))
         schema = self.schema
         for publication in publications:
             if publication.schema is not schema:
                 self._check_schema(publication.schema, "publication")
-        values = np.array([p.values for p in publications])
+        return np.array([p.values for p in publications])
+
+    def check_schema(self, schema: Schema) -> None:
+        """Reject a publication schema other than the stored subscriptions'
+        with :class:`ValidationError`; an empty matcher takes any."""
+        if self._rows:
+            self._check_schema(schema, "publication")
+
+    def match_values(self, values: np.ndarray) -> List[MatchCandidates]:
+        """:meth:`match_candidates` of every row of a ``(B, m)`` block of
+        this matcher's schema, in one kernel call per chunk
+        (:func:`boxes_containing`).  The caller vouches for the schema.
+        """
+        tests = len(self._rows)
+        if not tests or not len(values):
+            return [([], 0) for _ in range(len(values))]
         subscriptions = self._subscriptions
         return [
             ([subscriptions[column] for column in columns], tests)

@@ -44,6 +44,8 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.policies import DEFAULT_MERGE_BUDGET
 from repro.core.store import CoveringPolicyName, StoreDecision, SubscriptionStore
 from repro.core.subsumption import SubsumptionChecker
@@ -265,13 +267,19 @@ class MatchingEngine:
         publications that had an active hit.
         """
         publications = list(publications)
+        values = self.store.active_pool.value_block(publications)
+        return self._match_rows(values, publications)
+
+    def _match_rows(
+        self, values: np.ndarray, publications: Sequence[Optional[Publication]]
+    ) -> List[MatchResult]:
+        """Algorithm 5 over a schema-checked ``(B, m)`` block, counted, for
+        :meth:`match_batch` and a shard worker; result ``i`` carries
+        ``publications[i]`` (``None`` in a worker, which gets only values)."""
         store = self.store
-        active = store.active_pool.match_batch(publications)
-        covered = iter(
-            store.covered_pool.match_batch(
-                [p for p, (matched, _) in zip(publications, active) if matched]
-            )
-        )
+        active = store.active_pool.match_values(values)
+        hits = [row for row, (matched, _) in enumerate(active) if matched]
+        covered = iter(store.covered_pool.match_values(values[hits]))
         results: List[MatchResult] = []
         for publication, (matched, active_tests) in zip(publications, active):
             covered_tests = 0

@@ -5,6 +5,12 @@ process each), routes subscription mutations to their owning shard in
 buffered fire-and-forget batches, and fans every publication burst out
 to each shard that holds at least one subscription.
 
+A burst crosses each pipe as ``("match", schema, values)``, one schema
+and one ``(B, m)`` float block (messages: :mod:`repro.shard.worker`);
+one mixing schemas raises ``ValidationError`` before any send.  Pickled
+``Publication`` objects cost ~50 ms and 630 KB per shard, and ~20 ms to
+unpickle, for one 5 000-publication burst on a 2-core VM.
+
 There is no candidate pre-filter: with hash partitioning every shard's
 bounds hull is close to the whole space, so a per-shard hull pruned
 4-98 of the 10 000 (shard, publication) dispatches of a
@@ -26,6 +32,9 @@ from __future__ import annotations
 import multiprocessing
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.model.errors import ValidationError
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
 from repro.obs import probes as obs_probes
@@ -223,14 +232,21 @@ class ShardCoordinator:
         Returns one reply list per consulted shard, each holding that
         worker's entry for every publication in ``publications`` — the
         façade merges them into per-publication results.  Shards without
-        subscriptions are skipped (they provably match nothing).
+        subscriptions are skipped (they provably match nothing).  A burst
+        whose publications do not share one schema raises
+        :class:`ValidationError` before anything is sent.
         """
         publications = list(publications)
         if not publications:
             return []
+        schema = publications[0].schema
+        for publication in publications:
+            if publication.schema is not schema and publication.schema != schema:
+                raise ValidationError("a match burst mixes publication schemas")
         with stage("shard.dispatch"):
+            message = ("match", schema, np.array([p.values for p in publications]))
             targets = [shard for shard in range(self.shards) if self._live[shard]]
-            reached, errors = self._dispatch(targets, ("match", publications))
+            reached, errors = self._dispatch(targets, message)
             for shard in reached:
                 self._instrument("shard.match_pubs", shard, len(publications))
         with stage("shard.collect"):

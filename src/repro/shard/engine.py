@@ -25,8 +25,9 @@ from repro.shard.coordinator import ShardCoordinator
 
 __all__ = ["ShardedMatchResult", "ShardedMatchingEngine"]
 
-#: publications dispatched per coordinator round-trip (bounds the pickled
-#: burst size; results are independent of the chunking)
+#: publications dispatched per coordinator round-trip (bounds the value
+#: block one pipe message carries, ``_MATCH_CHUNK x m`` floats; results are
+#: independent of the chunking)
 _MATCH_CHUNK = 4096
 
 

@@ -13,9 +13,10 @@ duplex pipe:
     Fire-and-forget subscription mutations, each ``("sub", subscription)``
     or ``("unsub", id)``.  Errors are parked and surfaced by the next
     synchronous command, so a routing burst costs no round-trips.
-``("match", publications)`` → ``("ok", payload, busy)``
-    Match a burst.  ``payload`` is one ``(subscribers, n_matched,
-    active_tests, covered_tests)`` entry per publication.
+``("match", schema, values)`` → ``("ok", payload, busy)``
+    Match a burst: its one schema, checked against the pools, and its
+    ``(B, m)`` value block.  ``payload`` is one ``(subscribers,
+    n_matched, active_tests, covered_tests)`` entry per row.
 ``("sync",)`` / ``("stats",)`` → ``("ok", ..., busy)``
     Drain the op stream (surfacing any parked error) / report counters.
 ``("shutdown",)`` → ``("bye", None, busy)``
@@ -107,9 +108,9 @@ class _ShardWorker:
             else:
                 raise ValueError(f"unknown shard op {kind!r}")
 
-    def match(self, publications) -> List[Tuple]:
-        for publication in publications:
-            publication.schema = self._intern_schema(publication.schema)
+    def match(self, schema, values: np.ndarray) -> List[Tuple]:
+        engine = self.engine
+        engine.store.active_pool.check_schema(self._intern_schema(schema))
         return [
             (
                 result.subscribers,
@@ -117,7 +118,7 @@ class _ShardWorker:
                 result.active_tests,
                 result.covered_tests,
             )
-            for result in self.engine.match_batch(publications)
+            for result in engine._match_rows(values, [None] * len(values))
         ]
 
     def stats(self) -> Dict[str, Any]:
@@ -170,7 +171,7 @@ def worker_main(conn, config: Dict[str, Any]) -> None:
                         f"deferred shard op failure:\n{error}"
                     )
                 if command == "match":
-                    payload = worker.match(message[1])
+                    payload = worker.match(*message[1:])
                 elif command == "sync":
                     payload = None
                 elif command == "stats":

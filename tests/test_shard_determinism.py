@@ -8,8 +8,12 @@ fixed shard→seed mapping and partitioner stability are pinned by golden
 values, because a silent change to either would reshuffle every
 per-shard RSPC stream while all-equal assertions kept passing.
 
+Each worker answers a burst, which crosses its pipe as one schema and
+one value block, exactly as an in-process engine holding its slice does.
+
 The pool's failure semantics are defined here too: a failing command
-leaves no stale reply in any pipe, a dead worker surfaces as a
+leaves no stale reply in any pipe, a burst mixing schemas is rejected
+before any send, a dead worker (also one killed mid-burst) surfaces as a
 ``RuntimeError`` naming its shard, ``close()`` always reaps every worker,
 and a pool never starts multiprocessing's resource tracker.  The network
 backend runs in one process and rejects ``shards > 0`` up front.
@@ -20,13 +24,18 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro
+from repro.core.subsumption import SubsumptionChecker
+from repro.matching.engine import MatchingEngine
 from repro.model import Publication, Schema, Subscription
+from repro.model.errors import ValidationError
 from repro.obs.probes import ObsProbe, enabled
 from repro.scenarios import catalog  # noqa: F401 - populates the registry
 from repro.scenarios.cli import main as scenarios_main
@@ -89,12 +98,114 @@ class TestEngineNotificationInvariance:
             assert total == baseline_total
 
 
+def _record_sends(monkeypatch):
+    """Spy on every message the coordinator sends; returns the list."""
+    sent = []
+    send = ShardCoordinator._send
+
+    def spy(self, shard, message):
+        sent.append(message)
+        send(self, shard, message)
+
+    monkeypatch.setattr(ShardCoordinator, "_send", spy)
+    return sent
+
+
+def _objects(message):
+    """Every leaf object of a (nested) pipe message."""
+    if isinstance(message, (tuple, list)):
+        for item in message:
+            yield from _objects(item)
+    else:
+        yield message
+
+
 class TestPoolParity:
     """The pool answers every publication as one in-process engine does."""
 
-    def test_match_agrees_with_the_engine(self):
-        from repro.matching.engine import MatchingEngine
+    @pytest.mark.parametrize(
+        "policy", ("none", "pairwise", "group", "merging", "hybrid")
+    )
+    def test_each_worker_answers_as_an_engine_on_its_slice(
+        self, policy, monkeypatch
+    ):
+        # a worker gets each burst as one value block, never as
+        # publication objects, and must answer exactly as an in-process
+        # engine with its seed and its routed subscriptions does
+        spec, compiled = _compiled("t1-churn", policy)
+        sent = _record_sends(monkeypatch)
+        with ShardCoordinator(
+            2,
+            policy=policy,
+            delta=spec.delta,
+            max_iterations=spec.max_iterations,
+            merge_budget=spec.merge_budget,
+            seed=SEED,
+        ) as pool:
+            references = [
+                MatchingEngine(
+                    policy=policy,
+                    checker=SubsumptionChecker(
+                        delta=spec.delta,
+                        max_iterations=spec.max_iterations,
+                        rng=np.random.default_rng(shard_seed(SEED, shard)),
+                    ),
+                    merge_budget=spec.merge_budget,
+                )
+                for shard in range(2)
+            ]
+            live = [0, 0]
+            burst = []
 
+            def match_burst():
+                replies = iter(pool.match(burst))
+                for shard, reference in enumerate(references):
+                    if live[shard]:
+                        assert next(replies) == [
+                            (
+                                r.subscribers,
+                                len(r.matched),
+                                r.active_tests,
+                                r.covered_tests,
+                            )
+                            for r in reference.match_batch(burst)
+                        ]
+                assert next(replies, None) is None
+                burst.clear()
+
+            for event in compiled.events:
+                if event.action is EventAction.PUBLISH:
+                    burst.append(event.publication)
+                    continue
+                if burst:
+                    match_burst()
+                if event.action is EventAction.SUBSCRIBE:
+                    shard = pool.route_subscribe(event.subscription)
+                    references[shard].subscribe(event.subscription)
+                    live[shard] += 1
+                else:
+                    shard = pool.route_unsubscribe(event.subscription_id)
+                    if shard is not None:
+                        references[shard].unsubscribe(event.subscription_id)
+                        live[shard] -= 1
+            if burst:
+                match_burst()
+            assert [entry["engine"] for entry in pool.stats()] == [
+                dict(reference.stats) for reference in references
+            ]
+        assert sum(r.stats["notifications"] for r in references) > 0
+        assert not any(
+            isinstance(leaf, Publication)
+            for message in sent
+            for leaf in _objects(message)
+        )
+        matches = [message for message in sent if message[0] == "match"]
+        assert matches
+        for _, schema, values in matches:
+            assert isinstance(schema, Schema)
+            assert isinstance(values, np.ndarray) and values.shape[1] == schema.m
+
+    def test_match_agrees_with_the_engine(self):
         _, compiled = _compiled("t0-smoke", "none")
         reference = MatchingEngine(policy="none")
         publications = 0
@@ -273,6 +384,57 @@ class TestWorkerErrors:
             assert reply[0][:2] == (("c-b1",), 1)
         finally:
             coordinator.close()
+        assert _no_children_left()
+
+    def test_a_mixed_schema_burst_is_rejected_before_any_send(self, monkeypatch):
+        other = Publication.from_values(
+            Schema.uniform_integer(3, 0, 100), {"x1": 10, "x2": 10, "x3": 10}
+        )
+        # an equal schema that is another object is one schema
+        twin = Publication.from_values(
+            Schema.uniform_integer(2, 0, 100), {"x1": 20, "x2": 20}
+        )
+        with _pool() as engine:
+            coordinator = engine.coordinator
+            coordinator.sync()
+            sent = _record_sends(monkeypatch)
+            with pytest.raises(ValidationError, match="mixes"):
+                coordinator.match([PUBLICATION, other])
+            assert sent == []
+            assert not any(conn.poll(0.2) for conn in coordinator._conns)
+            replies = coordinator.match([PUBLICATION, twin])
+            assert [[entry[:2] for entry in reply] for reply in replies] == [
+                [(("c-a1",), 1)] * 2,
+                [(("c-b1",), 1)] * 2,
+            ]
+            coordinator.sync()
+            assert not any(conn.poll(0.2) for conn in coordinator._conns)
+        assert _no_children_left()
+
+    @pytest.mark.parametrize("dead", (0, 1))
+    def test_a_worker_killed_mid_burst_is_named(self, dead, monkeypatch):
+        engine = _pool()
+        try:
+            engine.sync()
+            coordinator = engine.coordinator
+            process = coordinator._processes[dead]
+            # stopped, the worker cannot answer the burst before it dies
+            os.kill(process.pid, signal.SIGSTOP)
+            collect = ShardCoordinator._collect
+
+            def kill_then_collect(self, reached, errors):
+                process.kill()
+                process.join(timeout=10)
+                assert not process.is_alive()
+                return collect(self, reached, errors)
+
+            monkeypatch.setattr(ShardCoordinator, "_collect", kill_then_collect)
+            with pytest.raises(RuntimeError, match=f"shard worker {dead} died"):
+                engine.match(PUBLICATION)
+            # the live shard's reply was read, not left for the next call
+            assert not coordinator._conns[1 - dead].poll(0.2)
+        finally:
+            engine.close()
         assert _no_children_left()
 
     @pytest.mark.parametrize("dead", (0, 1))
