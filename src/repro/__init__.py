@@ -5,7 +5,7 @@ Middleware 2006).
 The package is organised in layers:
 
 ``repro.model``
-    The data model: attribute domains, intervals, predicates, subscriptions
+    The data model: attribute domains, intervals, subscriptions
     (axis-aligned hyper-rectangles) and publications (points).
 
 ``repro.core``

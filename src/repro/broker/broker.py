@@ -69,11 +69,6 @@ class SubscriptionDecision(ReductionDecision):
     broker: str = ""
     neighbor: str = ""
 
-    @property
-    def subscription_id(self) -> str:
-        """Identifier of the decided subscription."""
-        return self.subscription.id
-
 
 @dataclass
 class _LocalMergeGroup:
@@ -183,11 +178,6 @@ class Broker:
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    @property
-    def neighbors(self) -> List[str]:
-        """Identifiers of the directly connected brokers, in link order."""
-        return list(self.links)
-
     def connect(self, neighbor_id: str) -> None:
         """Add a neighbouring broker."""
         if neighbor_id != self.id and neighbor_id not in self.links:
@@ -344,10 +334,6 @@ class Broker:
             for decision in outcome.reinsertions:
                 outgoing.extend(self._announce(decision, neighbor, message))
         return outgoing, self.decisions[first:]
-
-    def handle_publication(self, message: PublicationMessage) -> List[Message]:
-        """Process one publication: :meth:`handle_publication_batch` of one."""
-        return self.handle_publication_batch((message,))[0]
 
     def handle_publication_batch(
         self, messages: Sequence[PublicationMessage]
@@ -570,6 +556,6 @@ class Broker:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
-            f"Broker({self.id!r}, neighbors={len(self.neighbors)}, "
+            f"Broker({self.id!r}, neighbors={len(self.links)}, "
             f"subscriptions={len(self.routing)})"
         )

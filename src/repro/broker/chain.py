@@ -21,7 +21,6 @@ validate the closed form and which the Eq. 2 benchmark sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.core.error_model import chain_delivery_probability, error_probability
 from repro.utils.rng import RandomSource, ensure_rng
@@ -107,10 +106,3 @@ class ChainModel:
         return simulate_chain_delivery(
             self.rho, self.per_decision_error, self.brokers, runs=runs, rng=rng
         )
-
-    def sweep_chain_lengths(self, lengths: List[int]) -> List[float]:
-        """Analytic delivery probability for several chain lengths."""
-        return [
-            chain_delivery_probability(self.rho, self.per_decision_error, length)
-            for length in lengths
-        ]

@@ -15,7 +15,11 @@ phase's mark (a registry ``snapshot``), or from
 :attr:`NetworkMetrics.origin`, the snapshot taken when the metrics were
 built.  The registry is the probe's when the network is built under
 one, private otherwise; because totals are diffs too, a probe reused
-across runs adds nothing of one run to the next one's report.
+across runs adds nothing of one run to the next one's report.  Each
+metrics object owns its instruments: the first one built on a registry
+takes the bare ``network.<name>`` keys, every later one the same names
+labelled ``network=<n>``, so two networks alive under one probe never
+count into each other.
 """
 
 from __future__ import annotations
@@ -111,13 +115,17 @@ class NetworkMetrics:
     ):
         self.registry = registry if registry is not None else InstrumentRegistry()
         self.track_latency = track_latency
+        labels = _unclaimed_labels(self.registry)
         self.counters = {
-            name: self.registry.counter(f"network.{name}") for name in COUNTERS
+            name: self.registry.counter(f"network.{name}", **labels)
+            for name in COUNTERS
         }
         #: virtual-time latency of every delivered notification, in order
-        self.latencies = self.registry.histogram("network.delivery_latency")
+        self.latencies = self.registry.histogram("network.delivery_latency", **labels)
         #: the kernel's queue-depth high-water mark of every client operation
-        self.queue_depths = self.registry.histogram("network.queue_depth_high_water")
+        self.queue_depths = self.registry.histogram(
+            "network.queue_depth_high_water", **labels
+        )
         #: every report is a diff: totals are the diff since this snapshot
         self.origin = self.registry.snapshot()
         #: the expected notifications that were never delivered
@@ -131,16 +139,6 @@ class NetworkMetrics:
         """The delivery-latency sample list, in delivery order."""
         return self.latencies.samples
 
-    @property
-    def delivery_ratio(self) -> float:
-        """Fraction of *owed* notifications delivered (1.0 when none owed).
-
-        False-positive deliveries do not count toward the ratio, so a
-        merging run cannot mask misses with spurious traffic.
-        """
-        owed = self.expected_notifications
-        return 1.0 if owed == 0 else (owed - self.missed_notifications) / owed
-
     def report(self, delta: Optional[Mapping[str, float]] = None) -> Dict[str, float]:
         """The report of a registry diff: one phase's metrics, or totals.
 
@@ -151,7 +149,7 @@ class NetworkMetrics:
         """
         if delta is None:
             delta = self.registry.diff(self.origin)
-        report = {name: delta[f"network.{name}"] for name in COUNTERS}
+        report = {name: delta[counter.key] for name, counter in self.counters.items()}
         for name in _REDUCTION_COUNTERS:
             if not report[name]:
                 del report[name]
@@ -175,6 +173,18 @@ class NetworkMetrics:
         )
 
 
+def _unclaimed_labels(registry: InstrumentRegistry) -> Dict[str, int]:
+    """No labels on a registry without network counters, else the first
+    ``network=<n>`` label no earlier metrics object holds."""
+    claimed = COUNTERS[0]
+    if registry.get(f"network.{claimed}") is None:
+        return {}
+    index = 1
+    while registry.get(f"network.{claimed}", network=index) is not None:
+        index += 1
+    return {"network": index}
+
+
 def _tail(histogram, delta: Mapping[str, float]) -> List[float]:
     """The samples a registry diff counted for ``histogram``."""
     samples = histogram.samples
@@ -182,11 +192,11 @@ def _tail(histogram, delta: Mapping[str, float]) -> List[float]:
 
 
 def _reader(name: str) -> property:
-    key = f"network.{name}"
-    return property(
-        lambda self: self.counters[name].value - self.origin[key],
-        doc=f"``{key}`` since the metrics were built.",
-    )
+    def read(self) -> float:
+        counter = self.counters[name]
+        return counter.value - self.origin[counter.key]
+
+    return property(read, doc=f"``network.{name}`` since the metrics were built.")
 
 
 for _name in COUNTERS:

@@ -146,7 +146,6 @@ class BrokerNetwork:
         self._all_subscriptions: Dict[str, Tuple[Subscription, str, str]] = {}
         #: matcher answering the oracle's "who should be notified"
         self._oracle = Matcher()
-        self._edge_list: List[Tuple[str, str]] = []
 
         for left, right in edges:
             self.add_link(left, right)
@@ -188,7 +187,6 @@ class BrokerNetwork:
         broker_right = self.add_broker(right)
         broker_left.connect(right)
         broker_right.connect(left)
-        self._edge_list.append((left, right))
 
     def attach_client(self, client_id: str, broker_id: str) -> None:
         """Attach a subscriber/publisher client to a broker."""
@@ -200,16 +198,6 @@ class BrokerNetwork:
     def broker_ids(self) -> List[str]:
         """Identifiers of every broker in the overlay."""
         return list(self.brokers.keys())
-
-    @property
-    def edges(self) -> List[Tuple[str, str]]:
-        """The logical links of the overlay."""
-        return list(self._edge_list)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time of the simulation kernel."""
-        return self.kernel.now
 
     # ------------------------------------------------------------------
     # Client operations
@@ -530,12 +518,6 @@ class BrokerNetwork:
         Kept so that callers written for closable backends can close a
         network unconditionally.
         """
-
-    def __enter__(self) -> "BrokerNetwork":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

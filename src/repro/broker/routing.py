@@ -76,22 +76,6 @@ class RoutingTable:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def subscriptions(self) -> List[Subscription]:
-        """Every subscription known to the broker."""
-        return [entry.subscription for entry in self._entries.values()]
-
-    def entries(self) -> List[RouteEntry]:
-        """Every routing entry."""
-        return list(self._entries.values())
-
-    def matching_entries(self, publication: Publication) -> List[RouteEntry]:
-        """Entries whose subscription matches ``publication``.
-
-        :meth:`matching_entries_batch` of one publication, without the
-        test count.
-        """
-        return self.matching_entries_batch((publication,))[0][0]
-
     def matching_entries_batch(
         self, publications: Sequence[Publication]
     ) -> List[Tuple[List[RouteEntry], int]]:

@@ -224,25 +224,19 @@ class EventKernel:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, message: Message) -> None:
-        """Enqueue a message for future delivery.
+    @stage("kernel.schedule")
+    def schedule_many(self, messages: Iterable[Message]) -> None:
+        """Enqueue every message, in order, as one scheduling run.
 
         Local injections (``sender is None``) are delivered at the current
         virtual time; broker-to-broker hops are delayed by the latency
         model, clamped so deliveries on one directed link keep their send
-        order (FIFO links).  This is :meth:`schedule_many` of one message.
-        """
-        self.schedule_many((message,))
-
-    @stage("kernel.schedule")
-    def schedule_many(self, messages: Iterable[Message]) -> None:
-        """:meth:`schedule` every message, in order, as one scheduling run.
-
-        Leaves the heap (sequence numbers included), the link clocks,
-        :attr:`scheduled` and both high-water marks exactly as scheduling
-        one by one would, for one ``kernel.schedule`` stage entry instead
-        of one per message.  ``messages`` is consumed lazily, each message
-        taken only when its turn to be pushed has come.
+        order (FIFO links).  Leaves the heap (sequence numbers included),
+        the link clocks, :attr:`scheduled` and both high-water marks
+        exactly as one run per message would, for one ``kernel.schedule``
+        stage entry instead of one per message.  ``messages`` is consumed
+        lazily, each message taken only when its turn to be pushed has
+        come.
         """
         heap = self._heap
         link_clock = self._link_clock
@@ -286,38 +280,22 @@ class EventKernel:
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Number of deliveries currently queued."""
-        return len(self._heap)
-
-    def drain(self) -> Iterator[Message]:
+    def drain_grouped(
+        self,
+    ) -> Iterator[Union[Message, List[PublicationMessage]]]:
         """Deliver queued messages in timestamp order until quiescence.
 
         The caller processes each yielded message and schedules whatever
         it triggers before the next one is popped — the standard
-        discrete-event loop.
-        """
-        heap = self._heap
-        while heap:
-            deliver_at, _, message = heapq.heappop(heap)
-            self.now = deliver_at
-            yield message
-
-    def drain_grouped(
-        self,
-    ) -> Iterator[Union[Message, List[PublicationMessage]]]:
-        """:meth:`drain`, but plain publication hops pop as runs.
-
-        Every plain publication hop is yielded inside a list.  Under the
-        zero latency model the list is the maximal run of consecutive
+        discrete-event loop — except that plain publication hops pop as
+        runs: every plain publication hop is yielded inside a list.  Under
+        the zero latency model the list is the maximal run of consecutive
         plain publication hops with one delivery time, in pop (sequence)
         order, so the consumer can process the whole delivery generation
-        batched per receiving broker.  The run is exactly the prefix
-        :meth:`drain` would have yielded one message at a time —
-        everything a run member schedules carries a later sequence number
-        at the same or a later time, so nothing can interleave into the
-        run — which makes the identity obligation the *consumer's*: it
+        batched per receiving broker.  The run is exactly the prefix a
+        one-message-at-a-time drain would have yielded — everything a run
+        member schedules carries a later sequence number at the same or a
+        later time, so nothing can interleave into the run — which makes the identity obligation the *consumer's*: it
         must keep per-recipient processing order and reschedule the run's
         outgoing messages in original run order (see
         :meth:`~repro.broker.network.BrokerNetwork._drain`).  Timed models
@@ -345,5 +323,5 @@ class EventKernel:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"EventKernel(model={self.latency_model.spec!r}, now={self.now:g}, "
-            f"pending={self.pending})"
+            f"pending={len(self._heap)})"
         )

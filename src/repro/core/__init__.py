@@ -29,7 +29,6 @@ from repro.core.decisions import (
     FastDecisionKind,
     detect_pairwise_cover,
     detect_polyhedron_witness,
-    try_fast_decisions,
 )
 from repro.core.error_model import (
     chain_delivery_probability,
@@ -40,10 +39,8 @@ from repro.core.error_model import (
 from repro.core.exact import exact_group_cover, uncovered_region
 from repro.core.mcs import MCSResult, minimized_cover_set
 from repro.core.merging import (
-    GreedyMerger,
     MergeResult,
     merge_pair,
-    perfect_merge_candidates,
 )
 from repro.core.pairwise import PairwiseCoverageChecker, PairwiseResult
 from repro.core.policies import (
@@ -78,7 +75,6 @@ __all__ = [
     "EntrySide",
     "FastDecision",
     "FastDecisionKind",
-    "GreedyMerger",
     "MCSResult",
     "Matcher",
     "MergeResult",
@@ -111,9 +107,7 @@ __all__ = [
     "find_polyhedron_witness_greedy",
     "merge_pair",
     "minimized_cover_set",
-    "perfect_merge_candidates",
     "required_iterations",
     "run_rspc",
-    "try_fast_decisions",
     "uncovered_region",
 ]

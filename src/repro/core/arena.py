@@ -242,7 +242,6 @@ class CandidateSet(Sequence):
         "schema",
         "_raw",
         "_signed",
-        "_ids",
     )
 
     def __init__(
@@ -269,7 +268,6 @@ class CandidateSet(Sequence):
             raw.setflags(write=False)
         self._raw = raw
         self._signed: Optional[np.ndarray] = None
-        self._ids: Optional[Tuple[str, ...]] = None
 
     def extended(self, subscription: Subscription) -> "CandidateSet":
         """Snapshot of "these candidates, then ``subscription``".
@@ -288,7 +286,6 @@ class CandidateSet(Sequence):
         snapshot.schema = self.schema
         snapshot._raw = _appended(self._raw, _raw_column(subscription))
         snapshot._signed = _appended(self._signed, signed_box(subscription)[0])
-        snapshot._ids = None if self._ids is None else self._ids + (subscription.id,)
         return snapshot
 
     # ------------------------------------------------------------------
@@ -364,13 +361,6 @@ class CandidateSet(Sequence):
         """
         self._check_same_schema(subscription)
         return (self.raw <= _raw_column(subscription)[:, np.newaxis]).all(axis=0)
-
-    @property
-    def ids(self) -> Tuple[str, ...]:
-        """Candidate identifiers, in decision order."""
-        if self._ids is None:
-            self._ids = tuple(s.id for s in self.subscriptions)
-        return self._ids
 
     # ------------------------------------------------------------------
     # Sequence protocol
@@ -483,11 +473,6 @@ class Matcher:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def get(self, subscription_id: str) -> Optional[Subscription]:
-        """The stored subscription with this identifier, or ``None``."""
-        row = self._rows.get(subscription_id)
-        return None if row is None else self._subscriptions[row]
-
     def candidates(self) -> CandidateSet:
         """Snapshot of the live subscriptions, in insertion order.
 

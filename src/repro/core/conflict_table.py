@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class EntryRef:
     row: int
     attribute: int
     side: EntrySide
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        tag = "<low" if self.side is EntrySide.LOW else ">high"
-        return f"T[{self.row}][x{self.attribute + 1}{tag}]"
 
 
 def conflict_free_entries(opposing: np.ndarray, threshold: np.ndarray) -> np.ndarray:
@@ -284,10 +280,6 @@ class ConflictTable:
             return bool(self.defined_low[row, attribute])
         return bool(self.defined_high[row, attribute])
 
-    def t(self, row: int) -> int:
-        """Number of defined entries in ``row`` (the paper's ``t_i``)."""
-        return int(self.row_defined_counts[row])
-
     def signed_bounds(self, rows: Optional[Sequence[int]] = None) -> np.ndarray:
         """The signed ``(2m, r)`` bound matrix of ``rows`` (default: all).
 
@@ -297,17 +289,6 @@ class ConflictTable:
         if rows is None:
             return self._signed
         return self._signed[:, np.asarray(rows, dtype=int)]
-
-    def entry_bound(self, row: int, attribute: int, side: EntrySide) -> float:
-        """The numeric bound appearing in the negated predicate.
-
-        ``LOW`` entries read ``x < bound`` and ``HIGH`` entries
-        ``x > bound``; on a discrete attribute the bound is the
-        candidate's first (last) tick.
-        """
-        if side is EntrySide.LOW:
-            return float(self._signed[attribute, row])
-        return float(-self._signed[self.m + attribute, row])
 
     def _own_interval(self, attribute: int) -> Tuple[float, float]:
         """``s``'s (snapped) range on ``attribute`` as ``(low, high)``."""
@@ -325,10 +306,11 @@ class ConflictTable:
         if not self.is_defined(row, attribute, side):
             return Interval.empty()
         s_interval = Interval(*self._own_interval(attribute))
-        bound = self.entry_bound(row, attribute, side)
         tick = 1.0 if self._discrete[attribute] else 0.0
         if side is EntrySide.LOW:
+            bound = float(self._signed[attribute, row])
             return s_interval.intersection(Interval(-math.inf, bound - tick))
+        bound = float(-self._signed[self.m + attribute, row])
         return s_interval.intersection(Interval(bound + tick, math.inf))
 
     def defined_entries(self, row: int) -> List[EntryRef]:
@@ -340,36 +322,6 @@ class ConflictTable:
             if self.defined_high[row, attribute]:
                 entries.append(EntryRef(row, attribute, EntrySide.HIGH))
         return entries
-
-    def iter_defined_entries(self) -> Iterator[EntryRef]:
-        """Iterate over every defined entry of the table."""
-        for row in range(self.k):
-            yield from self.defined_entries(row)
-
-    # ------------------------------------------------------------------
-    # Corollary 1 / Corollary 2 helpers
-    # ------------------------------------------------------------------
-    def row_all_undefined(self, row: int) -> bool:
-        """Corollary 1 premise: every entry of the row is undefined.
-
-        When true, ``s`` is covered by the row's candidate alone.
-        """
-        return self.t(row) == 0
-
-    def row_all_defined(self, row: int) -> bool:
-        """Corollary 2 premise: every entry of the row is defined.
-
-        When true, ``s`` strictly covers the candidate on every attribute.
-        """
-        return self.t(row) == 2 * self.m
-
-    def covering_rows(self) -> List[int]:
-        """Rows whose candidate individually covers ``s`` (Corollary 1)."""
-        return [row for row in range(self.k) if self.row_all_undefined(row)]
-
-    def covered_candidate_rows(self) -> List[int]:
-        """Rows whose candidate is strictly inside ``s`` (Corollary 2)."""
-        return [row for row in range(self.k) if self.row_all_defined(row)]
 
     # ------------------------------------------------------------------
     # Conflicts (Definition 5)
@@ -387,12 +339,15 @@ class ConflictTable:
             return False
         if first.side == second.side:
             return False
-        low_entry = first if first.side is EntrySide.LOW else second
-        high_entry = second if first.side is EntrySide.LOW else first
+        low_row, high_row = (
+            (first.row, second.row) if first.side is EntrySide.LOW
+            else (second.row, first.row)
+        )
+        attribute = first.attribute
         return self._low_high_conflict(
-            first.attribute,
-            self.entry_bound(low_entry.row, low_entry.attribute, EntrySide.LOW),
-            self.entry_bound(high_entry.row, high_entry.attribute, EntrySide.HIGH),
+            attribute,
+            float(self._signed[attribute, low_row]),
+            float(-self._signed[self.m + attribute, high_row]),
         )
 
     def _low_high_conflict(
@@ -407,33 +362,6 @@ class ConflictTable:
         lowest = max(high_bound, s_low)
         highest = min(low_bound, s_high)
         return not self._open_slice_met(high_bound, lowest, highest, low_bound)
-
-    def conflict_free_counts(self, rows: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Per-row count of conflict-free entries (the paper's ``fc_i``).
-
-        A defined entry is *conflict free* when it conflicts with no defined
-        entry of any other row (Proposition 3).  ``rows`` restricts the
-        computation to a subset of rows (used by MCS after removals); the
-        returned array is indexed positionally by that subset, in the
-        order given.
-
-        A LOW entry (negation ``x < A``) conflicts with a HIGH entry
-        (negation ``x > B``) of another row iff ``s`` has no point strictly
-        between ``B`` and ``A``.  The condition is monotone in ``B`` (larger
-        ``B`` => more likely conflict), so per attribute only the largest
-        *other-row* ``B`` matters — and symmetrically only the smallest
-        other-row ``A`` for HIGH entries, which on the signed layout is
-        the same statement about the mirrored axis
-        (:func:`conflict_free_entries`).
-        """
-        opposing, threshold = self._ensure_pass_cache()[:2]
-        if rows is not None:
-            active = np.asarray(rows, dtype=int)
-            opposing = opposing[:, active]
-            threshold = threshold[:, active]
-        if opposing.shape[1] == 0:
-            return np.zeros(0, dtype=int)
-        return conflict_free_entries(opposing, threshold).sum(axis=0)
 
     @staticmethod
     def _open_slice_met(below, lowest, highest, above):

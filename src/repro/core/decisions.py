@@ -29,7 +29,6 @@ __all__ = [
     "FastDecision",
     "detect_pairwise_cover",
     "detect_polyhedron_witness",
-    "try_fast_decisions",
 ]
 
 
@@ -98,11 +97,3 @@ def detect_polyhedron_witness(table: ConflictTable) -> Optional[FastDecision]:
             covered=False,
         )
     return None
-
-
-def try_fast_decisions(table: ConflictTable) -> Optional[FastDecision]:
-    """Apply the conflict-table-only fast decisions in the paper's order."""
-    decision = detect_pairwise_cover(table)
-    if decision is not None:
-        return decision
-    return detect_polyhedron_witness(table)

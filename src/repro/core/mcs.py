@@ -66,22 +66,6 @@ class MCSResult:
     iterations: int
     kept: Tuple[Subscription, ...]
 
-    @property
-    def reduced_size(self) -> int:
-        """Size of the non-reducible set ``S'``."""
-        return len(self.kept_rows)
-
-    @property
-    def removed_count(self) -> int:
-        """Number of candidates eliminated."""
-        return len(self.removed_rows)
-
-    def reduction_ratio(self, original_size: int) -> float:
-        """Fraction of the original set removed by the reduction."""
-        if original_size == 0:
-            return 0.0
-        return self.removed_count / original_size
-
 
 def minimized_cover_set(table: ConflictTable) -> MCSResult:
     """Run Algorithm 3 on a pre-built conflict table.

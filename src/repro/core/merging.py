@@ -8,25 +8,20 @@ publications that none of the inputs accepts, producing *false positives*
 (unrequested publications), whereas covering-based reduction — the paper's
 approach — never does.
 
-This module implements the classical greedy pair-merging strategy so the
-trade-off can be quantified next to the probabilistic group-subsumption
-approach:
+This module implements the pair merge the merging strategies apply
+(:mod:`repro.core.policies`), so the trade-off can be quantified next to
+the probabilistic group-subsumption approach:
 
 * :func:`merge_pair` — bounding-box merge of two subscriptions with the
   exact measure of the over-approximated volume;
-* :func:`perfect_merge_candidates` — pairs whose merge adds *no* false
-  volume (adjacent boxes differing in one attribute);
-* :class:`GreedyMerger` — maintains a subscription set under a configurable
-  false-volume budget, merging the cheapest pairs first.
+* :func:`cheapest_merge` — the candidate whose merge with a subscription
+  adds the least false volume, under a relative budget.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from repro.core.exact import uncovered_region
 from repro.model.subscriptions import Subscription
@@ -36,8 +31,6 @@ __all__ = [
     "merge_pair",
     "cheapest_merge",
     "false_positive_volume",
-    "perfect_merge_candidates",
-    "GreedyMerger",
 ]
 
 
@@ -60,11 +53,6 @@ class MergeResult:
     merged: Subscription
     false_volume: float
     relative_overhead: float
-
-    @property
-    def is_perfect(self) -> bool:
-        """Whether the merge introduces no false positives at all."""
-        return self.false_volume == 0.0
 
 
 def false_positive_volume(
@@ -113,81 +101,3 @@ def cheapest_merge(
     if best is None:
         return None
     return best[1], best[2]
-
-
-def perfect_merge_candidates(
-    subscriptions: Sequence[Subscription],
-) -> List[Tuple[int, int]]:
-    """Index pairs whose bounding-box merge adds no false volume.
-
-    These are the "at most one mismatching predicate" merges of the modified
-    BDD approach referenced in Section 7: boxes identical on all attributes
-    except one, where their ranges touch or overlap.
-    """
-    pairs: List[Tuple[int, int]] = []
-    for i, j in itertools.combinations(range(len(subscriptions)), 2):
-        if merge_pair(subscriptions[i], subscriptions[j]).is_perfect:
-            pairs.append((i, j))
-    return pairs
-
-
-class GreedyMerger:
-    """Greedy pair merging under a false-volume budget.
-
-    Parameters
-    ----------
-    max_relative_overhead:
-        Maximum acceptable ``false_volume / merged_size`` for a single
-        merge step (0 allows only perfect merges).
-    target_size:
-        Stop merging once the set is no larger than this (``None`` merges
-        as long as acceptable pairs exist).
-    """
-
-    def __init__(
-        self,
-        max_relative_overhead: float = 0.0,
-        target_size: Optional[int] = None,
-    ):
-        if max_relative_overhead < 0:
-            raise ValueError("max_relative_overhead must be non-negative")
-        self.max_relative_overhead = max_relative_overhead
-        self.target_size = target_size
-        #: total false volume introduced by the merges performed
-        self.total_false_volume = 0.0
-        #: number of merge steps performed
-        self.merges_performed = 0
-
-    def reduce(self, subscriptions: Iterable[Subscription]) -> List[Subscription]:
-        """Merge the set greedily and return the reduced subscription list.
-
-        At every step the pair with the smallest relative overhead is
-        merged, provided it stays within the configured budget; ties are
-        broken toward pairs producing the smallest merged box.
-        """
-        working: List[Subscription] = list(subscriptions)
-        while len(working) > 1:
-            if self.target_size is not None and len(working) <= self.target_size:
-                break
-            best: Optional[Tuple[float, float, int, int, MergeResult]] = None
-            for i, j in itertools.combinations(range(len(working)), 2):
-                outcome = merge_pair(working[i], working[j])
-                if outcome.relative_overhead > self.max_relative_overhead:
-                    continue
-                key = (outcome.relative_overhead, outcome.merged.size())
-                if best is None or key < (best[0], best[1]):
-                    best = (key[0], key[1], i, j, outcome)
-            if best is None:
-                break
-            _, _, i, j, outcome = best
-            self.total_false_volume += outcome.false_volume
-            self.merges_performed += 1
-            # Replace the two inputs by their merge (order preserved).
-            merged_list = [
-                subscription
-                for index, subscription in enumerate(working)
-                if index not in (i, j)
-            ]
-            merged_list.append(outcome.merged)
-            working = merged_list
-        return working

@@ -141,16 +141,6 @@ class ReductionDecision:
     rspc_iterations: int = 0
     result: Optional[SubsumptionResult] = None
 
-    @property
-    def suppressed(self) -> bool:
-        """Whether the subscription was suppressed without a merge."""
-        return not self.forwarded and self.merged is None
-
-    @property
-    def merge_performed(self) -> bool:
-        """Whether the decision replaced advertisements with a merged box."""
-        return self.merged is not None
-
 
 def _candidate_sequence(
     candidates: Iterable[Subscription],

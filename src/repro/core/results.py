@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -25,11 +25,6 @@ class Answer(str, Enum):
     def is_covered(self) -> bool:
         """Whether the answer treats ``s`` as covered (and thus redundant)."""
         return self in (Answer.COVERED, Answer.PROBABLY_COVERED)
-
-    @property
-    def is_certain(self) -> bool:
-        """Whether the answer carries deterministic certainty."""
-        return self in (Answer.COVERED, Answer.NOT_COVERED)
 
 
 class DecisionMethod(str, Enum):
@@ -109,40 +104,3 @@ class SubsumptionResult:
     def covered(self) -> bool:
         """Whether ``s`` is considered covered (deterministic or not)."""
         return self.answer.is_covered
-
-    @property
-    def certain(self) -> bool:
-        """Whether the verdict is deterministic."""
-        return self.answer.is_certain
-
-    @property
-    def is_probabilistic(self) -> bool:
-        """Whether the verdict may be wrong (probabilistic YES)."""
-        return self.answer is Answer.PROBABLY_COVERED
-
-    @property
-    def reduction_ratio(self) -> float:
-        """Fraction of candidates removed by the MCS reduction."""
-        if self.original_set_size == 0:
-            return 0.0
-        removed = self.original_set_size - self.reduced_set_size
-        return removed / self.original_set_size
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        parts = [
-            f"{self.answer.value}",
-            f"method={self.method.value}",
-            f"k={self.original_set_size}->{self.reduced_set_size}",
-            f"iterations={self.iterations_performed}",
-        ]
-        if self.rho_w is not None:
-            parts.append(f"rho_w={self.rho_w:.3g}")
-        if self.theoretical_iterations is not None:
-            parts.append(f"d={self.theoretical_iterations:.3g}")
-        if self.is_probabilistic:
-            parts.append(f"error<={self.error_bound:.3g}")
-        return " ".join(parts)
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.summary()

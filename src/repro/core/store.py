@@ -173,11 +173,6 @@ class SubscriptionStore:
         return tuple(self.covered_pool)
 
     @property
-    def active_count(self) -> int:
-        """Size of the active set."""
-        return len(self.active_pool)
-
-    @property
     def total_count(self) -> int:
         """Total number of stored subscriptions (merged boxes included)."""
         return len(self.active_pool) + len(self.covered_pool)
@@ -193,7 +188,7 @@ class SubscriptionStore:
         (the merged advertisements) is the honest state measure.
         """
         if self.strategy.merges:
-            return self.active_count
+            return len(self.active_pool)
         return int(self.stats["forwarded"])
 
     def active_candidates(self) -> CandidateSet:
@@ -210,16 +205,6 @@ class SubscriptionStore:
         if self._selection is None:
             self._selection = self.active_pool.candidates()
         return self._selection
-
-    def find(self, subscription_id: str) -> Optional[Subscription]:
-        """Look up a stored subscription (or merged box) by identifier."""
-        found = self.active_pool.get(subscription_id)
-        if found is None:
-            found = self.covered_pool.get(subscription_id)
-        return found
-
-    def __len__(self) -> int:
-        return self.total_count
 
     def __contains__(self, subscription_id: object) -> bool:
         return (

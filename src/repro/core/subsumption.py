@@ -312,14 +312,6 @@ class SubsumptionChecker:
     # ------------------------------------------------------------------
     # Convenience wrappers
     # ------------------------------------------------------------------
-    def is_covered(
-        self,
-        subscription: Subscription,
-        candidates: Sequence[Subscription],
-    ) -> bool:
-        """Boolean verdict (treating "probably covered" as covered)."""
-        return self.check(subscription, candidates).covered
-
     def theoretical_d(
         self,
         subscription: Subscription,

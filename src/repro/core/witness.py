@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.conflict_table import ConflictTable, EntryRef, EntrySide
+from repro.core.conflict_table import ConflictTable, EntryRef
 from repro.model.intervals import Interval
 from repro.model.subscriptions import Subscription
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping
 
 __all__ = ["Series", "ResultTable"]
 
@@ -25,12 +25,6 @@ class Series:
     def append(self, value: float) -> None:
         """Add the next y value."""
         self.values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 @dataclass
@@ -57,10 +51,6 @@ class ResultTable:
         self.x_values.append(float(x))
         for name, value in values.items():
             self.add_series(name).append(value)
-
-    def column(self, name: str) -> List[float]:
-        """Values of one series."""
-        return list(self.series[name].values)
 
     # ------------------------------------------------------------------
     # Rendering

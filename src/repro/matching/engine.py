@@ -126,19 +126,6 @@ class MatchResult:
     active_tests: int
     covered_tests: int
 
-    @property
-    def matched_ids(self) -> Tuple[str, ...]:
-        """Identifiers of the matched subscriptions."""
-        return tuple(subscription.id for subscription in self.matched)
-
-    @property
-    def total_tests(self) -> int:
-        """Total membership tests performed."""
-        return self.active_tests + self.covered_tests
-
-    def __bool__(self) -> bool:
-        return bool(self.matched)
-
 
 class MatchingEngine:
     """Subscription registry + Algorithm 5 matcher.

@@ -17,7 +17,6 @@ from repro.model.attributes import (
     IntegerDomain,
     TimestampDomain,
 )
-from repro.model.builders import SubscriptionBuilder
 from repro.model.errors import (
     DomainError,
     ModelError,
@@ -26,8 +25,7 @@ from repro.model.errors import (
     ValidationError,
 )
 from repro.model.intervals import Interval
-from repro.model.predicates import Operator, Predicate
-from repro.model.publications import ImprecisePublication, Publication
+from repro.model.publications import Publication
 from repro.model.schema import Schema
 from repro.model.serialization import (
     publication_from_dict,
@@ -35,9 +33,7 @@ from repro.model.serialization import (
     schema_from_dict,
     schema_to_dict,
     subscription_from_dict,
-    subscription_from_json,
     subscription_to_dict,
-    subscription_to_json,
 )
 from repro.model.subscriptions import Subscription
 
@@ -47,18 +43,14 @@ __all__ = [
     "CategoricalDomain",
     "ContinuousDomain",
     "DomainError",
-    "ImprecisePublication",
     "IntegerDomain",
     "Interval",
     "ModelError",
-    "Operator",
-    "Predicate",
     "Publication",
     "Schema",
     "SchemaError",
     "SerializationError",
     "Subscription",
-    "SubscriptionBuilder",
     "TimestampDomain",
     "ValidationError",
     "publication_from_dict",
@@ -66,7 +58,5 @@ __all__ = [
     "schema_from_dict",
     "schema_to_dict",
     "subscription_from_dict",
-    "subscription_from_json",
     "subscription_to_dict",
-    "subscription_to_json",
 ]

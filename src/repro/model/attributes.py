@@ -32,7 +32,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Sequence, Tuple, Union
 
 from repro.model.errors import DomainError
 from repro.model.intervals import Interval
@@ -74,11 +74,6 @@ class AttributeDomain(ABC):
         """Return the interval spanning the entire domain."""
         return Interval(self.lower_bound, self.upper_bound)
 
-    @property
-    def extent(self) -> float:
-        """Measure of the whole domain."""
-        return self.measure(self.full_interval())
-
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
@@ -98,14 +93,6 @@ class AttributeDomain(ABC):
                 f"interval [{low!r}, {high!r}] is empty after encoding"
             )
         return self.clip(interval)
-
-    def contains_value(self, value: Any) -> bool:
-        """Whether the external value belongs to the domain."""
-        try:
-            encoded = self.encode(value)
-        except DomainError:
-            return False
-        return self.lower_bound <= encoded <= self.upper_bound
 
     # ------------------------------------------------------------------
     # Geometry on the internal axis
@@ -194,11 +181,6 @@ class IntegerDomain(AttributeDomain):
     @property
     def upper_bound(self) -> float:
         return float(self.upper)
-
-    @property
-    def cardinality(self) -> int:
-        """Number of integer points in the domain."""
-        return self.upper - self.lower + 1
 
     def encode(self, value: Any) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -310,11 +292,6 @@ class CategoricalDomain(AttributeDomain):
         return self._values
 
     @property
-    def cardinality(self) -> int:
-        """Number of labels."""
-        return len(self._values)
-
-    @property
     def lower_bound(self) -> float:
         return 0.0
 
@@ -349,22 +326,6 @@ class CategoricalDomain(AttributeDomain):
         if snapped.is_empty:
             raise DomainError("cannot sample from an empty interval")
         return float(rng.integers(int(snapped.low), int(snapped.high) + 1))
-
-    def encode_members(self, members: Sequence[Any]) -> Interval:
-        """Encode a contiguous run of labels into an interval.
-
-        Raises :class:`DomainError` when the labels are not contiguous in the
-        domain order (the range-based model cannot express holes).
-        """
-        codes = sorted(self._codes[m] for m in members)
-        if not codes:
-            raise DomainError("cannot encode an empty member list")
-        for a, b in zip(codes, codes[1:]):
-            if b != a + 1:
-                raise DomainError(
-                    "categorical members must be contiguous in domain order"
-                )
-        return Interval(float(codes[0]), float(codes[-1]))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"type": "categorical", "values": list(self._values)}
@@ -414,11 +375,6 @@ class TimestampDomain(AttributeDomain):
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return int(dt.timestamp())
-
-    @property
-    def granularity_seconds(self) -> int:
-        """Tick size of the internal axis, in seconds."""
-        return self._granularity
 
     @property
     def lower_bound(self) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
 
 __all__ = ["Interval"]
 
@@ -46,34 +45,6 @@ class Interval:
         """Return the canonical empty interval."""
         return Interval(math.inf, -math.inf)
 
-    @staticmethod
-    def unbounded() -> "Interval":
-        """Return the interval covering the whole real line."""
-        return Interval(-math.inf, math.inf)
-
-    @staticmethod
-    def point(value: float) -> "Interval":
-        """Return the degenerate interval ``[value, value]``."""
-        return Interval(value, value)
-
-    @staticmethod
-    def hull(intervals: Iterable["Interval"]) -> "Interval":
-        """Return the smallest interval containing every non-empty input.
-
-        Returns the empty interval when all inputs are empty (or there are
-        no inputs at all).
-        """
-        low = math.inf
-        high = -math.inf
-        for interval in intervals:
-            if interval.is_empty:
-                continue
-            low = min(low, interval.low)
-            high = max(high, interval.high)
-        if low > high:
-            return Interval.empty()
-        return Interval(low, high)
-
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
@@ -88,46 +59,11 @@ class Interval:
         return self.low == self.high and not self.is_empty
 
     @property
-    def is_bounded(self) -> bool:
-        """Whether both endpoints are finite."""
-        return math.isfinite(self.low) and math.isfinite(self.high)
-
-    @property
     def span(self) -> float:
         """Length ``high - low`` (0 for points, ``-inf``-free for empties)."""
         if self.is_empty:
             return 0.0
         return self.high - self.low
-
-    def contains(self, value: float) -> bool:
-        """Whether ``value`` lies inside the closed interval."""
-        return self.low <= value <= self.high
-
-    def contains_interval(self, other: "Interval") -> bool:
-        """Whether ``other`` is entirely inside ``self``.
-
-        The empty interval is contained in everything.
-        """
-        if other.is_empty:
-            return True
-        if self.is_empty:
-            return False
-        return self.low <= other.low and other.high <= self.high
-
-    # ``covers`` is the publish/subscribe term for containment.
-    covers = contains_interval
-
-    def intersects(self, other: "Interval") -> bool:
-        """Whether the two intervals share at least one point."""
-        if self.is_empty or other.is_empty:
-            return False
-        return self.low <= other.high and other.low <= self.high
-
-    def overlaps_strictly(self, other: "Interval") -> bool:
-        """Whether the intersection has positive length."""
-        if self.is_empty or other.is_empty:
-            return False
-        return min(self.high, other.high) > max(self.low, other.low)
 
     # ------------------------------------------------------------------
     # Combinators
@@ -142,95 +78,11 @@ class Interval:
             return Interval.empty()
         return Interval(low, high)
 
-    def union_hull(self, other: "Interval") -> "Interval":
-        """Return the smallest interval containing both inputs."""
-        return Interval.hull((self, other))
-
     def clamp(self, low: float, high: float) -> "Interval":
         """Return the interval clipped to ``[low, high]``."""
         return self.intersection(Interval(low, high))
-
-    def shift(self, offset: float) -> "Interval":
-        """Return the interval translated by ``offset``."""
-        if self.is_empty:
-            return Interval.empty()
-        return Interval(self.low + offset, self.high + offset)
-
-    def expand(self, amount: float) -> "Interval":
-        """Return the interval grown by ``amount`` on each side."""
-        if self.is_empty:
-            return Interval.empty()
-        return Interval(self.low - amount, self.high + amount)
-
-    def split(self, value: float) -> Tuple["Interval", "Interval"]:
-        """Split at ``value`` into ``[low, value]`` and ``[value, high]``.
-
-        Parts that would be empty are returned as the canonical empty
-        interval.
-        """
-        if self.is_empty:
-            return Interval.empty(), Interval.empty()
-        left = Interval(self.low, min(self.high, value))
-        right = Interval(max(self.low, value), self.high)
-        if left.low > left.high:
-            left = Interval.empty()
-        if right.low > right.high:
-            right = Interval.empty()
-        return left, right
-
-    def difference(self, other: "Interval") -> Tuple["Interval", ...]:
-        """Return ``self`` minus ``other`` as a tuple of 0, 1 or 2 intervals.
-
-        The result treats intervals as subsets of the real line; callers on
-        discrete domains should re-snap endpoints through the domain.
-        """
-        if self.is_empty:
-            return ()
-        if other.is_empty or not self.intersects(other):
-            return (self,)
-        pieces = []
-        if self.low < other.low:
-            pieces.append(Interval(self.low, other.low))
-        if other.high < self.high:
-            pieces.append(Interval(other.high, self.high))
-        return tuple(pieces)
-
-    # ------------------------------------------------------------------
-    # Misc
-    # ------------------------------------------------------------------
-    @property
-    def midpoint(self) -> float:
-        """Midpoint of a bounded, non-empty interval."""
-        if self.is_empty:
-            raise ValueError("empty interval has no midpoint")
-        if not self.is_bounded:
-            raise ValueError("unbounded interval has no midpoint")
-        return (self.low + self.high) / 2.0
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return ``(low, high)``."""
-        return (self.low, self.high)
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.low
-        yield self.high
-
-    def __contains__(self, value: object) -> bool:
-        if isinstance(value, Interval):
-            return self.contains_interval(value)
-        if isinstance(value, (int, float)):
-            return self.contains(float(value))
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         if self.is_empty:
             return "Interval.empty()"
         return f"Interval({self.low!r}, {self.high!r})"
-
-    def pretty(self, precision: Optional[int] = None) -> str:
-        """Human-readable ``[low, high]`` string."""
-        if self.is_empty:
-            return "[]"
-        if precision is None:
-            return f"[{self.low:g}, {self.high:g}]"
-        return f"[{self.low:.{precision}f}, {self.high:.{precision}f}]"

@@ -1,23 +1,19 @@
 """Publications.
 
 A :class:`Publication` is a point in the attribute space (Definition 6).
-The paper also considers imprecise publications — convex polyhedra instead
-of points — to support approximate matching; :class:`ImprecisePublication`
-models those as boxes and reuses the subscription geometry.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.model.errors import ValidationError
 from repro.model.schema import Schema
-from repro.model.subscriptions import Subscription
 
-__all__ = ["Publication", "ImprecisePublication"]
+__all__ = ["Publication"]
 
 _id_counter = itertools.count(1)
 
@@ -155,15 +151,6 @@ class Publication:
         """Number of attributes."""
         return self.schema.m
 
-    def value(self, key: Union[str, int]) -> Any:
-        """Decoded value of one attribute (by name or index)."""
-        j = key if isinstance(key, int) else self.schema.index_of(key)
-        return self.schema.domain(j).decode(float(self.values[j]))
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Decoded ``{attribute: value}`` mapping."""
-        return self.schema.decode_point(self.values)
-
     @property
     def values_list(self) -> List[float]:
         """The encoded point as a plain float list (cached).
@@ -177,15 +164,6 @@ class Publication:
         if self._values_list is None:
             self._values_list = self.values.tolist()
         return self._values_list
-
-    def matched_by(self, subscription: Subscription) -> bool:
-        """Whether ``subscription`` matches this publication."""
-        return subscription.contains_point(self.values)
-
-    def describe(self) -> str:
-        """Human-readable single-line description."""
-        pairs = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
-        return f"Publication {self.id}: {pairs}"
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Publication({self.id!r})"
@@ -201,64 +179,3 @@ class Publication:
 
     def __hash__(self) -> int:
         return hash((self.id, self.values.tobytes()))
-
-
-class ImprecisePublication(Subscription):
-    """A publication with uncertainty: a box instead of a point.
-
-    The paper motivates these for environments with imprecise data sources
-    (sensor readings, approximate matching).  Because an imprecise
-    publication is geometrically identical to a subscription, the class
-    simply specialises :class:`Subscription` with publication semantics:
-    :meth:`matched_by` asks whether a subscription covers the whole
-    uncertainty box, and :meth:`possibly_matched_by` whether it intersects
-    it.
-    """
-
-    def __init__(
-        self,
-        schema: Schema,
-        lows: Sequence[float],
-        highs: Sequence[float],
-        publication_id: Optional[str] = None,
-        publisher: Optional[str] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-    ):
-        super().__init__(
-            schema,
-            lows,
-            highs,
-            subscription_id=publication_id or _next_publication_id(),
-            subscriber=publisher,
-            metadata=metadata,
-        )
-
-    @classmethod
-    def from_point(
-        cls,
-        publication: Publication,
-        uncertainty: Mapping[str, float],
-    ) -> "ImprecisePublication":
-        """Blow up a point publication by a per-attribute ± uncertainty."""
-        lows = publication.values.copy()
-        highs = publication.values.copy()
-        schema = publication.schema
-        domain_lows, domain_highs = schema.full_bounds()
-        for name, delta in uncertainty.items():
-            j = schema.index_of(name)
-            lows[j] = max(domain_lows[j], lows[j] - delta)
-            highs[j] = min(domain_highs[j], highs[j] + delta)
-        return cls(schema, lows, highs, publication_id=f"{publication.id}~")
-
-    @property
-    def publisher(self) -> Optional[str]:
-        """Identifier of the issuing publisher."""
-        return self.subscriber
-
-    def matched_by(self, subscription: Subscription) -> bool:
-        """Whether ``subscription`` certainly matches (covers the box)."""
-        return subscription.covers(self)
-
-    def possibly_matched_by(self, subscription: Subscription) -> bool:
-        """Whether ``subscription`` possibly matches (intersects the box)."""
-        return subscription.intersects(self)

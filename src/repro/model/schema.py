@@ -10,7 +10,7 @@ domains used for measuring and sampling.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -175,15 +175,6 @@ class Schema:
         """Domain of the attribute identified by ``key``."""
         return self.attribute(key).domain
 
-    def __len__(self) -> int:
-        return self.m
-
-    def __iter__(self) -> Iterator[Attribute]:
-        return iter(self._attributes)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._index
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -234,10 +225,6 @@ class Schema:
             bounds = self._full_bounds = (lows, highs)
         return bounds
 
-    def full_intervals(self) -> List[Interval]:
-        """Per-attribute domain intervals."""
-        return [a.full_interval() for a in self._attributes]
-
     def measure(self, lows: np.ndarray, highs: np.ndarray) -> float:
         """Measure (``I(.)``) of the box described by ``lows``/``highs``."""
         total = 1.0
@@ -259,17 +246,6 @@ class Schema:
         for j, attr in enumerate(self._attributes):
             point[j] = attr.domain.encode(values[attr.name])
         return point
-
-    def decode_point(self, point: Sequence[float]) -> Dict[str, Any]:
-        """Decode a point array back to a name→value mapping."""
-        if len(point) != self.m:
-            raise SchemaError(
-                f"point has {len(point)} coordinates, schema expects {self.m}"
-            )
-        return {
-            attr.name: attr.domain.decode(float(point[j]))
-            for j, attr in enumerate(self._attributes)
-        }
 
     def encode_constraints(
         self, constraints: Mapping[str, Any]

@@ -7,7 +7,6 @@ and allows workloads to be persisted and replayed.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict
 
 from repro.model.attributes import Attribute, domain_from_dict
@@ -21,8 +20,6 @@ __all__ = [
     "schema_from_dict",
     "subscription_to_dict",
     "subscription_from_dict",
-    "subscription_to_json",
-    "subscription_from_json",
     "publication_to_dict",
     "publication_from_dict",
 ]
@@ -73,20 +70,6 @@ def subscription_from_dict(payload: Dict[str, Any], schema: Schema) -> Subscript
         )
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"malformed subscription payload: {exc}") from exc
-
-
-def subscription_to_json(subscription: Subscription) -> str:
-    """Serialize a subscription to a JSON string."""
-    return json.dumps(subscription_to_dict(subscription), sort_keys=True)
-
-
-def subscription_from_json(payload: str, schema: Schema) -> Subscription:
-    """Deserialize a subscription from a JSON string."""
-    try:
-        data = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON: {exc}") from exc
-    return subscription_from_dict(data, schema)
 
 
 def publication_to_dict(publication: Publication) -> Dict[str, Any]:

@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import uuid
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.model.errors import DomainError, ValidationError
 from repro.model.intervals import Interval
-from repro.model.predicates import Predicate
 from repro.model.schema import Schema
 from repro.utils.rng import integers_into
 
@@ -154,33 +152,6 @@ class Subscription:
         return cls(schema, lows, highs, subscription_id, subscriber, metadata)
 
     @classmethod
-    def from_predicates(
-        cls,
-        schema: Schema,
-        predicates: Iterable[Predicate],
-        subscription_id: Optional[str] = None,
-        subscriber: Optional[str] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-    ) -> "Subscription":
-        """Build a subscription as a conjunction of :class:`Predicate`.
-
-        Predicates on the same attribute are intersected; an unsatisfiable
-        conjunction raises :class:`ValidationError`.
-        """
-        lows, highs = (bound.copy() for bound in schema.full_bounds())
-        for predicate in predicates:
-            j = schema.index_of(predicate.attribute)
-            interval = predicate.to_interval(schema.domain(j))
-            current = Interval(lows[j], highs[j]).intersection(interval)
-            if current.is_empty:
-                raise ValidationError(
-                    f"unsatisfiable conjunction on attribute {predicate.attribute!r}"
-                )
-            lows[j] = current.low
-            highs[j] = current.high
-        return cls(schema, lows, highs, subscription_id, subscriber, metadata)
-
-    @classmethod
     def whole_space(
         cls,
         schema: Schema,
@@ -267,13 +238,6 @@ class Subscription:
             self.lows[j] > domain.lower_bound or self.highs[j] < domain.upper_bound
         )
 
-    @property
-    def constrained_attributes(self) -> Tuple[str, ...]:
-        """Names of attributes with a non-trivial constraint."""
-        return tuple(
-            self.schema.names[j] for j in range(self.m) if self.constrains(j)
-        )
-
     def size(self) -> float:
         """The paper's ``I(s)``: number of points (or measure) inside.
 
@@ -333,31 +297,6 @@ class Subscription:
         self._check_same_schema(other)
         return bool(
             np.all(self.lows <= other.lows) and np.all(other.highs <= self.highs)
-        )
-
-    def is_covered_by(self, other: "Subscription") -> bool:
-        """Pair-wise covering test in the other direction: ``self ⊑ other``."""
-        return other.covers(self)
-
-    def intersects(self, other: "Subscription") -> bool:
-        """Whether the two hyper-rectangles share at least one point."""
-        self._check_same_schema(other)
-        return bool(
-            np.all(self.lows <= other.highs) and np.all(other.lows <= self.highs)
-        )
-
-    def intersection(self, other: "Subscription") -> Optional["Subscription"]:
-        """Intersection hyper-rectangle, or ``None`` when disjoint."""
-        self._check_same_schema(other)
-        lows = np.maximum(self.lows, other.lows)
-        highs = np.minimum(self.highs, other.highs)
-        if np.any(lows > highs):
-            return None
-        return Subscription(
-            self.schema,
-            lows,
-            highs,
-            subscription_id=f"{self.id}&{other.id}",
         )
 
     def union_hull(self, other: "Subscription") -> "Subscription":
@@ -553,7 +492,7 @@ class Subscription:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         parts = []
         for j in range(min(self.m, 4)):
-            parts.append(f"{self.schema.names[j]}={self.interval(j).pretty()}")
+            parts.append(f"{self.schema.names[j]}=[{self.lows[j]:g}, {self.highs[j]:g}]")
         suffix = ", ..." if self.m > 4 else ""
         return f"Subscription({self.id!r}, {', '.join(parts)}{suffix})"
 

@@ -28,7 +28,7 @@ from repro.obs.instruments import (
     Histogram,
     InstrumentRegistry,
 )
-from repro.obs.probes import ObsProbe, active, disable, install, is_enabled
+from repro.obs.probes import ObsProbe, disable, enabled
 from repro.obs.spans import Span, SpanRecorder, read_spans, write_spans
 
 __all__ = [
@@ -39,10 +39,8 @@ __all__ = [
     "ObsProbe",
     "Span",
     "SpanRecorder",
-    "active",
     "disable",
-    "install",
-    "is_enabled",
+    "enabled",
     "read_spans",
     "write_spans",
 ]

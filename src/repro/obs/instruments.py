@@ -10,7 +10,7 @@ instrument kinds cover the system's needs:
     value is a plain attribute, so a hot path holding the counter adds
     to ``counter.value`` directly.
 :class:`Gauge`
-    A point-in-time level (``set`` / ``update_max``): kernel queue
+    A point-in-time level (``set``): kernel queue
     depths, arena sizes.
 :class:`Histogram`
     A sample list (``observe``) with percentile summaries — used for
@@ -32,7 +32,7 @@ report is one such diff, turned into report keys by its backend
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -95,11 +95,6 @@ class Gauge:
     def set(self, value: float) -> None:
         """Overwrite the level."""
         self.value = value
-
-    def update_max(self, value: float) -> None:
-        """Raise the level to ``value`` when higher (high-water marks)."""
-        if value > self.value:
-            self.value = value
 
     @property
     def key(self) -> str:
@@ -211,12 +206,6 @@ class InstrumentRegistry:
         """Look an instrument up, or ``None`` when absent."""
         return self._instruments.get((name, _labels_of(labels)))
 
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._instruments.values())
-
-    def __len__(self) -> int:
-        return len(self._instruments)
-
     # ------------------------------------------------------------------
     # Snapshot / diff
     # ------------------------------------------------------------------
@@ -259,22 +248,5 @@ class InstrumentRegistry:
     # ------------------------------------------------------------------
     # Presentation
     # ------------------------------------------------------------------
-    def rows(self) -> List[Tuple[str, str, str]]:
-        """``(key, kind, rendered value)`` rows, sorted by key."""
-        rendered: List[Tuple[str, str, str]] = []
-        for instrument in self._instruments.values():
-            if instrument.kind == "histogram":
-                stats = instrument.summary()
-                value = (
-                    f"n={stats['count']:g} mean={stats['mean']:g} "
-                    f"p50={stats['p50']:g} p95={stats['p95']:g} "
-                    f"max={stats['max']:g}"
-                )
-            else:
-                value = f"{instrument.value:g}"
-            rendered.append((instrument.key, instrument.kind, value))
-        rendered.sort()
-        return rendered
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"InstrumentRegistry({len(self._instruments)} instruments)"

@@ -16,7 +16,7 @@ A probe aggregates three things:
 * an optional :class:`~repro.obs.spans.SpanRecorder` — hop-level causal
   spans (omit it to profile without paying span-object churn);
 * wall-clock *stage timers* with self-time attribution: nested stages
-  subtract their children, so ``stage_totals`` sums to (almost exactly)
+  subtract their children, so the self-times sum to (almost exactly)
   the instrumented wall time and a ranked per-stage cost table falls
   out of any run — the input of ``bench/``'s per-layer rows.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.obs.instruments import InstrumentRegistry
 from repro.obs.spans import SpanRecorder
@@ -34,11 +34,8 @@ from repro.obs.spans import SpanRecorder
 __all__ = [
     "ACTIVE",
     "ObsProbe",
-    "active",
     "disable",
     "enabled",
-    "install",
-    "is_enabled",
     "stage",
 ]
 
@@ -84,28 +81,6 @@ class ObsProbe:
         self.stage_calls[name] = self.stage_calls.get(name, 0) + 1
         if self._stack:
             self._stack[-1][2] += duration
-
-    def stage_totals(self) -> List[Tuple[str, float, int]]:
-        """``(stage, self-time seconds, calls)`` ranked by cost."""
-        rows = [
-            (name, self.stage_self[name], self.stage_calls.get(name, 0))
-            for name in self.stage_self
-        ]
-        rows.sort(key=lambda row: row[1], reverse=True)
-        return rows
-
-    def flush_stages_to_registry(self) -> None:
-        """Mirror the stage timers into the instrument registry.
-
-        Self-times land in ``obs.stage_seconds{stage=…}`` counters and
-        call counts in ``obs.stage_calls{stage=…}``, so one registry
-        snapshot carries the profiling data too.
-        """
-        for name, seconds in self.stage_self.items():
-            self.registry.counter("obs.stage_seconds", stage=name).value = seconds
-            self.registry.counter(
-                "obs.stage_calls", stage=name
-            ).value = self.stage_calls.get(name, 0)
 
     # ------------------------------------------------------------------
     # Span hooks (no-ops unless a recorder is attached)
@@ -222,29 +197,10 @@ class stage:
         return staged
 
 
-def install(probe: Optional[ObsProbe] = None) -> ObsProbe:
-    """Install (and return) the active probe; creates one when omitted."""
-    global ACTIVE
-    if probe is None:
-        probe = ObsProbe()
-    ACTIVE = probe
-    return probe
-
-
 def disable() -> None:
     """Remove the active probe (observability off again)."""
     global ACTIVE
     ACTIVE = None
-
-
-def active() -> Optional[ObsProbe]:
-    """The installed probe, or ``None`` when observability is off."""
-    return ACTIVE
-
-
-def is_enabled() -> bool:
-    """Whether a probe is currently installed."""
-    return ACTIVE is not None
 
 
 @contextmanager

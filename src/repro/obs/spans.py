@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "SPANS_KIND",
@@ -194,9 +194,6 @@ class SpanRecorder:
         for span in self.spans:
             grouped.setdefault(span.trace_id, []).append(span)
         return grouped
-
-    def __len__(self) -> int:
-        return len(self.spans)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -44,7 +44,6 @@ from repro.scenarios.registry import (
     ScenarioRegistry,
     get_scenario,
     register,
-    scenario_names,
 )
 from repro.scenarios.runner import PhaseReport, ScenarioReport, ScenarioRunner
 from repro.scenarios.spec import PhaseKind, PhaseSpec, ScenarioSpec, TopologySpec
@@ -70,7 +69,6 @@ __all__ = [
     "make_workload",
     "read_trace",
     "register",
-    "scenario_names",
     "trace_hash",
     "write_trace",
 ]

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["ScenarioRegistry", "REGISTRY", "register", "get_scenario", "scenario_names"]
+__all__ = ["ScenarioRegistry", "REGISTRY", "register", "get_scenario"]
 
 ScenarioFactory = Callable[[], ScenarioSpec]
 
@@ -80,12 +80,6 @@ class ScenarioRegistry:
         for name in self.names():
             yield name, self.get(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories
-
-    def __len__(self) -> int:
-        return len(self._factories)
-
 
 #: the process-wide default registry
 REGISTRY = ScenarioRegistry()
@@ -97,8 +91,3 @@ register = REGISTRY.register
 def get_scenario(name: str) -> ScenarioSpec:
     """Fetch a scenario spec from the default registry."""
     return REGISTRY.get(name)
-
-
-def scenario_names() -> List[str]:
-    """Names registered in the default registry."""
-    return REGISTRY.names()

@@ -106,18 +106,6 @@ class ScenarioReport:
             return 0.0
         return self.event_count / self.wall_time
 
-    def phase_metrics(self) -> List[Dict[str, Any]]:
-        """Per-phase metric deltas, wall-time excluded.
-
-        This is the replay-comparison view: two runs of the same compiled
-        scenario must agree on it exactly, while wall times naturally
-        differ.
-        """
-        return [
-            {"name": phase.name, "events": phase.events, "metrics": dict(phase.metrics)}
-            for phase in self.phases
-        ]
-
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to a plain dictionary (JSON-safe)."""
         return {

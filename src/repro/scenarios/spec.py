@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.broker.sim import parse_latency_model
 from repro.broker.topologies import (
@@ -312,11 +312,6 @@ class ScenarioSpec:
                     f"scenario {self.name!r} has duplicate phase {phase.name!r}"
                 )
             seen.add(phase.name)
-
-    @property
-    def phase_names(self) -> Tuple[str, ...]:
-        """The ordered phase labels of the timeline."""
-        return tuple(phase.name for phase in self.phases)
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to a plain dictionary (JSON-safe).

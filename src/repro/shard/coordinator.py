@@ -42,11 +42,22 @@ from repro.obs.probes import stage
 from repro.shard.partition import make_partitioner
 from repro.shard.worker import worker_main
 
-__all__ = ["ShardCoordinator"]
+__all__ = ["ShardCoordinator", "burst_schema"]
 
 #: ops buffered per shard before an eager flush (synchronous commands
 #: always flush first, so this only bounds memory, not staleness)
 _OPS_FLUSH_THRESHOLD = 2048
+
+
+def burst_schema(publications: Sequence[Publication]) -> Any:
+    """The one schema a non-empty burst shares; :class:`ValidationError`
+    when its publications mix schemas (an equal schema object counts as
+    the same one)."""
+    schema = publications[0].schema
+    for publication in publications:
+        if publication.schema is not schema and publication.schema != schema:
+            raise ValidationError("a match burst mixes publication schemas")
+    return schema
 
 
 class ShardCoordinator:
@@ -142,9 +153,6 @@ class ShardCoordinator:
     def __len__(self) -> int:
         return len(self._shard_of)
 
-    def __contains__(self, subscription_id: object) -> bool:
-        return subscription_id in self._shard_of
-
     def _buffer(self, shard: int, operation: Tuple[str, Any]) -> None:
         pending = self._pending_ops[shard]
         pending.append(operation)
@@ -239,10 +247,7 @@ class ShardCoordinator:
         publications = list(publications)
         if not publications:
             return []
-        schema = publications[0].schema
-        for publication in publications:
-            if publication.schema is not schema and publication.schema != schema:
-                raise ValidationError("a match burst mixes publication schemas")
+        schema = burst_schema(publications)
         with stage("shard.dispatch"):
             message = ("match", schema, np.array([p.values for p in publications]))
             targets = [shard for shard in range(self.shards) if self._live[shard]]

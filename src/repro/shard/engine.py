@@ -21,7 +21,7 @@ from repro.matching.engine import EngineCounters
 from repro.matching.matcher import check_backend_label
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
-from repro.shard.coordinator import ShardCoordinator
+from repro.shard.coordinator import ShardCoordinator, burst_schema
 
 __all__ = ["ShardedMatchResult", "ShardedMatchingEngine"]
 
@@ -60,9 +60,6 @@ class ShardedMatchResult:
         self.matched_count = matched_count
         self.active_tests = active_tests
         self.covered_tests = covered_tests
-
-    def __bool__(self) -> bool:
-        return bool(self.matched_count)
 
 
 class ShardedMatchingEngine:
@@ -151,6 +148,10 @@ class ShardedMatchingEngine:
         self, publications: Sequence[Publication]
     ) -> List[ShardedMatchResult]:
         publications = list(publications)
+        if publications:
+            # the whole burst, not chunk by chunk: nothing is sent for a
+            # burst that mixes schemas
+            burst_schema(publications)
         results: List[ShardedMatchResult] = []
         for start in range(0, len(publications), _MATCH_CHUNK):
             chunk = publications[start : start + _MATCH_CHUNK]

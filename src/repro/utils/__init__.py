@@ -1,20 +1,11 @@
-"""Small shared utilities: random number handling, validation, timing."""
+"""Small shared utilities: random number handling and validation."""
 
 from repro.utils.rng import RandomSource, ensure_rng, spawn_rngs
-from repro.utils.timing import Stopwatch
-from repro.utils.validation import (
-    require,
-    require_in_range,
-    require_positive,
-    require_probability,
-)
+from repro.utils.validation import require_positive, require_probability
 
 __all__ = [
     "RandomSource",
-    "Stopwatch",
     "ensure_rng",
-    "require",
-    "require_in_range",
     "require_positive",
     "require_probability",
     "spawn_rngs",

@@ -6,19 +6,11 @@ import numbers
 from typing import Any
 
 __all__ = [
-    "require",
     "require_delta",
     "require_iteration_cap",
     "require_positive",
     "require_probability",
-    "require_in_range",
 ]
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValueError` with ``message`` when ``condition`` fails."""
-    if not condition:
-        raise ValueError(message)
 
 
 def require_positive(value: float, name: str) -> None:
@@ -31,12 +23,6 @@ def require_probability(value: float, name: str) -> None:
     """Require ``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-
-
-def require_in_range(value: float, low: float, high: float, name: str) -> None:
-    """Require ``low <= value <= high``."""
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
 
 
 def require_delta(value: Any) -> None:

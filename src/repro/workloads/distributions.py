@@ -8,14 +8,12 @@ similar interests, and range sizes follow a normal distribution.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import require_positive
 
-__all__ = ["zipf_weights", "sample_zipf_ranks", "pareto_center", "normal_width"]
+__all__ = ["zipf_weights", "pareto_center", "normal_width"]
 
 
 def zipf_weights(count: int, skew: float = 2.0) -> np.ndarray:
@@ -28,18 +26,6 @@ def zipf_weights(count: int, skew: float = 2.0) -> np.ndarray:
     ranks = np.arange(1, count + 1, dtype=float)
     weights = 1.0 / np.power(ranks, skew)
     return weights / weights.sum()
-
-
-def sample_zipf_ranks(
-    count: int,
-    size: int,
-    skew: float = 2.0,
-    rng: RandomSource = None,
-) -> np.ndarray:
-    """Sample ``size`` ranks in ``[0, count)`` with Zipf(skew) popularity."""
-    generator = ensure_rng(rng)
-    weights = zipf_weights(count, skew)
-    return generator.choice(count, size=size, p=weights)
 
 
 def pareto_center(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.conflict_table import conflict_free_entries
 from repro.model import Schema, Subscription
 
 
@@ -88,3 +89,36 @@ def table7_candidates(schema_2d, table3_candidates):
         schema_2d, {"x1": (810, 890), "x2": (1004, 1005)}, subscription_id="s3"
     )
     return table3_candidates + [s3]
+
+
+# ----------------------------------------------------------------------
+# Conflict-table helpers
+# ----------------------------------------------------------------------
+def _conflict_free_counts(table, rows=None):
+    """Per-row count of conflict-free entries (the paper's ``fc_i``).
+
+    Read off the kernel MCS drops rows with
+    (:func:`repro.core.conflict_table.conflict_free_entries`); ``rows``
+    restricts the count to those rows, in the given order.
+    """
+    opposing, threshold = table._ensure_pass_cache()[:2]
+    if rows is not None:
+        active = np.asarray(rows, dtype=int)
+        opposing, threshold = opposing[:, active], threshold[:, active]
+    if opposing.shape[1] == 0:
+        return np.zeros(0, dtype=int)
+    return conflict_free_entries(opposing, threshold).sum(axis=0)
+
+
+@pytest.fixture(scope="session")
+def conflict_free_counts():
+    """``conflict_free_counts(table, rows=None)``: the paper's ``fc_i``."""
+    return _conflict_free_counts
+
+
+@pytest.fixture(scope="session")
+def defined_entries():
+    """``defined_entries(table)``: every defined entry, row by row."""
+    return lambda table: [
+        entry for row in range(table.k) for entry in table.defined_entries(row)
+    ]

@@ -144,6 +144,6 @@ class TestCompactionCorrectness:
         matcher.add(newcomer)
         assert matcher._rows[newcomer.id] == packed_end
         _assert_column_holds(matcher, newcomer)
-        assert matcher.candidates().ids == tuple(
+        assert tuple(s.id for s in matcher.candidates()) == tuple(
             s.id for s in subscriptions[100:] + [newcomer]
         )

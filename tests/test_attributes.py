@@ -22,8 +22,6 @@ class TestIntegerDomain:
         domain = IntegerDomain(1, 10)
         assert domain.lower_bound == 1.0
         assert domain.upper_bound == 10.0
-        assert domain.cardinality == 10
-        assert domain.extent == 10.0
 
     def test_invalid_bounds(self):
         with pytest.raises(DomainError):
@@ -63,12 +61,6 @@ class TestIntegerDomain:
         domain = IntegerDomain(0, 10)
         assert domain.snap(Interval(1.2, 3.8)) == Interval(2, 3)
         assert domain.snap(Interval(1.2, 1.4)).is_empty
-
-    def test_contains_value(self):
-        domain = IntegerDomain(0, 10)
-        assert domain.contains_value(5)
-        assert not domain.contains_value(11)
-        assert not domain.contains_value("abc")
 
     def test_roundtrip_dict(self):
         domain = IntegerDomain(3, 9)
@@ -120,7 +112,6 @@ class TestCategoricalDomain:
         domain = CategoricalDomain(["a", "b", "c"])
         assert domain.encode("b") == 1.0
         assert domain.decode(2.0) == "c"
-        assert domain.cardinality == 3
 
     def test_duplicate_values_rejected(self):
         with pytest.raises(DomainError):
@@ -141,15 +132,6 @@ class TestCategoricalDomain:
     def test_decode_out_of_range(self):
         with pytest.raises(DomainError):
             CategoricalDomain(["a", "b"]).decode(5)
-
-    def test_encode_members_contiguous(self):
-        domain = CategoricalDomain(["a", "b", "c", "d"])
-        assert domain.encode_members(["b", "c"]) == Interval(1, 2)
-
-    def test_encode_members_non_contiguous_rejected(self):
-        domain = CategoricalDomain(["a", "b", "c", "d"])
-        with pytest.raises(DomainError):
-            domain.encode_members(["a", "c"])
 
     def test_measure(self):
         domain = CategoricalDomain(["a", "b", "c", "d"])

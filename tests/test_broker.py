@@ -50,9 +50,9 @@ class TestRoutingTable:
             RouteEntry(box(schema, (50, 60), (50, 60), sid="far"), SourceKind.NEIGHBOR, "B2", "B2")
         )
         publication = Publication.from_values(schema, {"x1": 5, "x2": 5})
-        assert [e.subscription.id for e in table.matching_entries(publication)] == ["near"]
-        assert len(table.subscriptions()) == 2
-        assert len(table.entries()) == 2
+        ((matched, _tests),) = table.matching_entries_batch([publication])
+        assert [e.subscription.id for e in matched] == ["near"]
+        assert len(table) == 2
 
     def test_matching_entries_follow_churn(self, schema):
         """Under adds, removals and re-adds (a re-added id goes to the end),
@@ -79,9 +79,7 @@ class TestRoutingTable:
             for p in publications
         ]
         assert table.matching_entries_batch(publications) == expected
-        assert [table.matching_entries(p) for p in publications] == [
-            matched for matched, _tests in expected
-        ]
+        assert [table.matching_entries_batch([p])[0] for p in publications] == expected
         assert any(e.source_id == "B3" for matched, _ in expected for e in matched)
 
 
@@ -212,8 +210,8 @@ class TestBrokerSubscriptionHandling:
         link.add(box(schema, (60, 100), (0, 100), sid="right"))
         second = link.active_candidates()
         assert extended == ["left", "right"]
-        assert second.ids == ("left", "right")
-        assert first.ids == ("left",)
+        assert tuple(s.id for s in second) == ("left", "right")
+        assert tuple(s.id for s in first) == ("left",)
         assert link.active_candidates() is second
 
 
@@ -239,11 +237,10 @@ class TestBrokerPublicationHandling:
             )
         )
         publication = Publication.from_values(schema, {"x1": 5, "x2": 5})
-        outgoing = broker.handle_publication(
-            PublicationMessage(
-                sender="B1", recipient="B2", publication=publication, origin="B1"
-            )
+        message = PublicationMessage(
+            sender="B1", recipient="B2", publication=publication, origin="B1"
         )
+        (outgoing,) = broker.handle_publication_batch((message,))
         # Local delivery recorded, publication forwarded toward B3 only.
         assert len(broker.delivered) == 1
         assert broker.delivered[0].subscriber == "alice"
@@ -263,8 +260,8 @@ class TestBrokerPublicationHandling:
         message = PublicationMessage(
             sender=None, recipient="B1", publication=publication, origin="B1"
         )
-        first = broker.handle_publication(message)
-        second = broker.handle_publication(message)
+        (first,) = broker.handle_publication_batch((message,))
+        (second,) = broker.handle_publication_batch((message,))
         assert len(first) == 1
         assert second == []
 
@@ -279,11 +276,10 @@ class TestBrokerPublicationHandling:
             )
         )
         publication = Publication.from_values(schema, {"x1": 5, "x2": 5})
-        outgoing = broker.handle_publication(
-            PublicationMessage(
-                sender="B2", recipient="B1", publication=publication, origin="B2"
-            )
+        message = PublicationMessage(
+            sender="B2", recipient="B1", publication=publication, origin="B2"
         )
+        (outgoing,) = broker.handle_publication_batch((message,))
         assert outgoing == []
 
     def test_connect_and_attach(self):
@@ -291,6 +287,6 @@ class TestBrokerPublicationHandling:
         broker.connect("B2")
         broker.connect("B2")
         broker.connect("B1")
-        assert broker.neighbors == ["B2"]
+        assert list(broker.links) == ["B2"]
         broker.attach_subscriber("alice")
         assert "alice" in broker.local_subscribers

@@ -33,7 +33,7 @@ class TestDedupWindowBound:
                     schema, {"x1": 1, "x2": 1}, publication_id=f"p{index}"
                 ),
             )
-            broker.handle_publication(message)
+            broker.handle_publication_batch((message,))
             assert len(broker._seen_publications) <= 16
         assert len(broker._seen_publications) == 16
 
@@ -54,8 +54,8 @@ class TestDedupWindowBound:
         message = PublicationMessage(
             sender=None, recipient="B1", publication=publication
         )
-        broker.handle_publication(message)
-        broker.handle_publication(message)
+        broker.handle_publication_batch((message,))
+        broker.handle_publication_batch((message,))
         assert len(broker.delivered) == 1
 
     def test_network_threads_the_window_through(self, schema):
@@ -106,7 +106,7 @@ class TestDedupWindowBound:
         assert network.metrics.notifications == 20
         assert network.metrics.expected_notifications == 20
         assert network.metrics.missed == []
-        assert network.metrics.delivery_ratio == 1.0
+        assert network.metrics.report()["delivery_ratio"] == 1.0
 
 
 class TestOracleById:
@@ -224,4 +224,4 @@ class TestOracleById:
                 ),
             )
         assert network.metrics.missed == []
-        assert network.metrics.delivery_ratio == 1.0
+        assert network.metrics.report()["delivery_ratio"] == 1.0

@@ -413,7 +413,7 @@ class TestScreenIsMcsPassOneHoisted:
         assert result.covering_row == 1
         assert CandidateSet([subject]).meeting(around).tolist() == [True]
 
-    def test_degenerate_boxes(self):
+    def test_degenerate_boxes(self, conflict_free_counts):
         """``low == high``: single ticks and single points, on either side."""
         for name in SCHEMAS:
             schema = SCHEMAS[name]()
@@ -443,7 +443,7 @@ class TestScreenIsMcsPassOneHoisted:
             Subscription(schema, [1.0, 0.0, 0.0], [2.0, 10.0, 10.0]),
         ]
         table = ConflictTable(subject, sides)
-        assert table.conflict_free_counts().tolist() == [1, 1]
+        assert conflict_free_counts(table).tolist() == [1, 1]
         result = assert_screen_is_neutral(subject, sides)
         assert result.method is DecisionMethod.EMPTY_MCS
         assert result.iterations_performed == 0

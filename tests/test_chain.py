@@ -18,9 +18,11 @@ class TestChainModel:
         )
         assert model.delivery_probability() == pytest.approx(expected)
 
-    def test_sweep_chain_lengths_is_monotone(self):
-        model = ChainModel(rho=0.1, rho_w=0.05, d=100, brokers=1)
-        values = model.sweep_chain_lengths([1, 2, 4, 8, 16])
+    def test_delivery_probability_is_monotone_in_chain_length(self):
+        values = [
+            ChainModel(rho=0.1, rho_w=0.05, d=100, brokers=length).delivery_probability()
+            for length in (1, 2, 4, 8, 16)
+        ]
         assert values == sorted(values)
         assert values[0] == pytest.approx(0.1)
 

@@ -18,7 +18,7 @@ class TestConstruction:
     def test_empty_candidate_set(self, table3_subscription):
         table = ConflictTable(table3_subscription, [])
         assert table.k == 0
-        assert list(table.iter_defined_entries()) == []
+        assert table.row_defined_counts.tolist() == []
 
     def test_mismatched_schema_rejected(self, table3_subscription):
         other = Subscription.whole_space(Schema.uniform_integer(2, 0, 5, name="other"))
@@ -38,17 +38,15 @@ class TestConstruction:
         assert not table.is_defined(1, 0, EntrySide.HIGH)
         assert not table.is_defined(1, 1, EntrySide.LOW)
         assert not table.is_defined(1, 1, EntrySide.HIGH)
-        assert table.entry_bound(0, 0, EntrySide.HIGH) == 850.0
-        assert table.entry_bound(1, 0, EntrySide.LOW) == 840.0
 
     def test_entry_region_discrete_strictness(
         self, table3_subscription, table3_candidates
     ):
         table = ConflictTable(table3_subscription, table3_candidates)
         region_high = table.entry_region(0, 0, EntrySide.HIGH)
-        assert region_high.as_tuple() == (851.0, 870.0)
+        assert (region_high.low, region_high.high) == (851.0, 870.0)
         region_low = table.entry_region(1, 0, EntrySide.LOW)
-        assert region_low.as_tuple() == (830.0, 839.0)
+        assert (region_low.low, region_low.high) == (830.0, 839.0)
         assert table.entry_region(0, 1, EntrySide.LOW).is_empty
 
     def test_render_contains_undefined_cells(
@@ -68,8 +66,7 @@ class TestCorollaries:
             schema_2d, {"x1": (5, 25), "x2": (0, 30)}
         )
         table = ConflictTable(s, [coverer])
-        assert table.row_all_undefined(0)
-        assert table.covering_rows() == [0]
+        assert table.row_defined_counts.tolist() == [0]
 
     def test_row_all_defined_detects_contained_candidate(self, schema_2d):
         s = Subscription.from_constraints(schema_2d, {"x1": (0, 100), "x2": (0, 100)})
@@ -77,15 +74,16 @@ class TestCorollaries:
             schema_2d, {"x1": (40, 60), "x2": (40, 60)}
         )
         table = ConflictTable(s, [inside])
-        assert table.row_all_defined(0)
-        assert table.covered_candidate_rows() == [0]
+        assert table.row_defined_counts.tolist() == [2 * table.m]
 
-    def test_defined_entries_listing(self, table6_subscription, table6_candidates):
+    def test_defined_entries_listing(
+        self, table6_subscription, table6_candidates, defined_entries
+    ):
         table = ConflictTable(table6_subscription, table6_candidates)
         entries_row0 = table.defined_entries(0)
         assert EntryRef(0, 0, EntrySide.HIGH) in entries_row0
         assert all(entry.row == 0 for entry in entries_row0)
-        all_entries = list(table.iter_defined_entries())
+        all_entries = defined_entries(table)
         assert len(all_entries) == int(table.row_defined_counts.sum())
 
 
@@ -99,14 +97,14 @@ class TestConflicts:
         assert table.entries_conflict(second, first)
 
     def test_non_conflicting_when_gap_exists(
-        self, table6_subscription, table6_candidates
+        self, table6_subscription, table6_candidates, defined_entries
     ):
         """In the non-cover example s1's x1>850 and s2's x1<840 do conflict,
         but s2's x1>870 entry conflicts with nothing."""
         table = ConflictTable(table6_subscription, table6_candidates)
         gap_entry = EntryRef(1, 0, EntrySide.HIGH)
         assert table.is_defined(1, 0, EntrySide.HIGH)
-        other_entries = [e for e in table.iter_defined_entries() if e.row != 1]
+        other_entries = [e for e in defined_entries(table) if e.row != 1]
         assert not any(table.entries_conflict(gap_entry, e) for e in other_entries)
 
     def test_same_row_never_conflicts(self, table3_subscription, table3_candidates):
@@ -125,23 +123,25 @@ class TestConflicts:
         assert not table.entries_conflict(a, b)
 
     def test_conflict_free_counts_match_paper_table8(
-        self, table3_subscription, table7_candidates
+        self, table3_subscription, table7_candidates, conflict_free_counts
     ):
         """Table 8: s3's two x2 entries are conflict free, s1/s2's are not."""
         table = ConflictTable(table3_subscription, table7_candidates)
-        counts = table.conflict_free_counts()
+        counts = conflict_free_counts(table)
         assert counts.tolist() == [0, 0, 2]
 
     def test_conflict_free_counts_on_row_subset(
-        self, table3_subscription, table7_candidates
+        self, table3_subscription, table7_candidates, conflict_free_counts
     ):
         table = ConflictTable(table3_subscription, table7_candidates)
         # Considering only s1 and s3: s1's x1>850 entry no longer conflicts
         # with anything (s2 was the conflicting row), so it becomes free.
-        counts = table.conflict_free_counts([0, 2])
+        counts = conflict_free_counts(table, [0, 2])
         assert counts.tolist() == [1, 2]
 
-    def test_conflict_free_counts_against_bruteforce(self, schema_medium, rng):
+    def test_conflict_free_counts_against_bruteforce(
+        self, schema_medium, rng, conflict_free_counts, defined_entries
+    ):
         """The vectorised fc computation agrees with the O(k^2 m) definition."""
         from repro.workloads.generators import (
             random_subscription,
@@ -155,12 +155,12 @@ class TestConflicts:
                 for _ in range(8)
             ]
             table = ConflictTable(s, candidates)
-            counts = table.conflict_free_counts()
+            counts = conflict_free_counts(table)
             expected = np.zeros(table.k, dtype=int)
-            for entry in table.iter_defined_entries():
+            for entry in defined_entries(table):
                 others = [
                     other
-                    for other in table.iter_defined_entries()
+                    for other in defined_entries(table)
                     if other.row != entry.row
                 ]
                 if not any(table.entries_conflict(entry, other) for other in others):
@@ -186,7 +186,7 @@ class TestGapMeasures:
         gaps = table.minimum_gap_measures([0])
         assert gaps.tolist() == [20.0, 4.0]
 
-    def test_restrict(self, table3_subscription, table7_candidates):
+    def test_restrict(self, table3_subscription, table7_candidates, conflict_free_counts):
         """``rows`` builds the table over a subset, in the given order."""
         table = ConflictTable(table3_subscription, table7_candidates)
         for rows in ([0, 1], [2, 0], np.array([1])):
@@ -203,6 +203,6 @@ class TestGapMeasures:
                 == table.row_defined_counts[list(rows)].tolist()
             )
             assert (
-                restricted.conflict_free_counts().tolist()
-                == table.conflict_free_counts(list(rows)).tolist()
+                conflict_free_counts(restricted).tolist()
+                == conflict_free_counts(table, list(rows)).tolist()
             )

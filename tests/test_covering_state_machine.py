@@ -96,7 +96,7 @@ def assert_snapshot_is_fresh(store):
     """The store's active snapshot equals one built from its active pool
     (equal ids fix the shapes; the bytes are compared in C order)."""
     served, fresh = store.active_candidates(), CandidateSet(store.active)
-    assert served.ids == fresh.ids
+    assert tuple(s.id for s in served) == tuple(s.id for s in fresh)
     assert served.raw.tobytes() == fresh.raw.tobytes()
     assert served.signed.tobytes() == fresh.signed.tobytes()
 

@@ -170,7 +170,7 @@ def run(scenario: str, policy: str, backend: str) -> Dict:
             _decision_row(
                 decision,
                 broker=decision.broker,
-                subscription=decision.subscription_id,
+                subscription=decision.subscription.id,
                 neighbor=decision.neighbor,
             )
             for broker in system.brokers.values()

@@ -7,7 +7,6 @@ from repro.core.decisions import (
     FastDecisionKind,
     detect_pairwise_cover,
     detect_polyhedron_witness,
-    try_fast_decisions,
 )
 from repro.model import Schema, Subscription
 
@@ -93,18 +92,3 @@ class TestPolyhedronWitnessCondition:
                 fired += 1
                 assert exact_group_cover(s, candidates) is False
         assert fired > 0  # the scenario should trigger the condition sometimes
-
-
-class TestTryFastDecisions:
-    def test_prefers_pairwise_cover(self, schema_2d):
-        s = Subscription.from_constraints(schema_2d, {"x1": (10, 20), "x2": (10, 20)})
-        coverer = Subscription.from_constraints(schema_2d, {"x1": (0, 30), "x2": (0, 30)})
-        table = ConflictTable(s, [coverer])
-        decision = try_fast_decisions(table)
-        assert decision.kind is FastDecisionKind.PAIRWISE_COVER
-
-    def test_returns_none_when_undecidable(
-        self, table3_subscription, table3_candidates
-    ):
-        table = ConflictTable(table3_subscription, table3_candidates)
-        assert try_fast_decisions(table) is None

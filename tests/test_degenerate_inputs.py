@@ -63,7 +63,7 @@ class TestPublishManyEmpty:
         assert network.publish_many([]) == []
         assert network.kernel.scheduled == scheduled_before
         assert network.kernel.now == clock_before
-        assert network.kernel.pending == 0
+        assert not network.kernel._heap
         assert (
             network.metrics.publication_messages,
             network.metrics.notifications,

@@ -48,8 +48,8 @@ class TestRedundantCovering:
 
     def test_mcs_reduces_theoretical_d(self, results):
         fig7 = results["fig7"]
-        plain = fig7.column("m=5")
-        reduced = fig7.column("m=5;MCS")
+        plain = fig7.series["m=5"].values
+        reduced = fig7.series["m=5;MCS"].values
         assert all(r <= p + 1e-9 for p, r in zip(plain, reduced))
 
     def test_render_and_csv(self, results):
@@ -73,14 +73,14 @@ class TestNonCover:
 
     def test_actual_iterations_with_mcs_near_zero(self, results):
         fig10 = results["fig10"]
-        assert all(value <= 1.0 for value in fig10.column("m=5;MCS"))
+        assert all(value <= 1.0 for value in fig10.series["m=5;MCS"].values)
 
     def test_actual_iterations_far_below_theoretical(self, results):
         fig9 = results["fig9"]
         fig10 = results["fig10"]
         for label in ("m=5",):
-            theoretical_log = fig9.column(label)
-            actual = fig10.column(label)
+            theoretical_log = fig9.series[label].values
+            actual = fig10.series[label].values
             for log_d, iterations in zip(theoretical_log, actual):
                 if math.isfinite(log_d):
                     assert iterations <= 10 ** log_d
@@ -96,12 +96,12 @@ class TestExtremeNonCover:
 
     def test_iterations_decrease_with_gap(self, results):
         fig11 = results["fig11"]
-        series = fig11.column("error=0.001")
+        series = fig11.series["error=0.001"].values
         assert series[0] >= series[-1]
 
     def test_false_decisions_do_not_increase_with_gap(self, results):
         fig12 = results["fig12"]
-        series = fig12.column("error=0.001")
+        series = fig12.series["error=0.001"].values
         assert series[0] >= series[-1]
         assert all(value >= 0 for value in series)
 
@@ -144,11 +144,11 @@ class TestChain:
 
     def test_simulation_matches_analytic(self, results):
         table = results["eq2"]
-        analytic = table.column("rho=0.1 (analytic)")
-        simulated = table.column("rho=0.1 (simulated)")
+        analytic = table.series["rho=0.1 (analytic)"].values
+        simulated = table.series["rho=0.1 (simulated)"].values
         for a, s in zip(analytic, simulated):
             assert s == pytest.approx(a, abs=0.1)
 
     def test_delivery_probability_grows_with_chain_length(self, results):
-        values = results["eq2"].column("rho=0.1 (analytic)")
+        values = results["eq2"].series["rho=0.1 (analytic)"].values
         assert values == sorted(values)

@@ -988,7 +988,9 @@ class TestAvoidFullCover:
             assert candidate.same_box(expected)
             still_covering += candidate.covers(reference)
             assert not exact_group_cover(reference, [candidate])
-            assert candidate.intersects(reference)
+            assert np.all(candidate.lows <= reference.highs) and np.all(
+                reference.lows <= candidate.highs
+            )
         assert still_covering == 0
 
     def test_continuous_cut_too_small_for_the_bound(self):
@@ -1112,7 +1114,7 @@ class TestValidateInstance:
         broken = validate_instance(replace(gapped, candidates=gapped.candidates + [into_gap]))
         assert broken.failed == ("gap_clear",)
         outside = Subscription(schema, [0.0] * 3, [0.0] * 3)
-        if not outside.intersects(s):
+        if np.any(outside.highs < s.lows) or np.any(s.highs < outside.lows):
             broken = validate_instance(replace(gapped, candidates=gapped.candidates + [outside]))
             assert broken.failed == ("candidates_meet_s",)
         assert isinstance(broken, ValidationResult) and not broken.ok

@@ -110,7 +110,7 @@ class TestGridEndToEnd:
         metrics = network.metrics
         # Jobs reach (essentially) every fitting service.
         assert metrics.expected_notifications > 0
-        assert metrics.delivery_ratio >= 0.95
+        assert metrics.report()["delivery_ratio"] >= 0.95
         # The covering policy suppressed at least some forwarding decisions.
         assert metrics.suppressed_subscriptions > 0
         # Sanity: routing state is bounded by services times brokers.

@@ -1,9 +1,5 @@
 """Unit tests for :mod:`repro.model.intervals`."""
 
-import math
-
-import pytest
-
 from repro.model.intervals import Interval
 
 
@@ -20,67 +16,12 @@ class TestConstruction:
     def test_reversed_bounds_are_empty(self):
         assert Interval(5.0, 1.0).is_empty
 
-    def test_point_interval(self):
-        point = Interval.point(3.0)
-        assert point.is_point
-        assert point.contains(3.0)
-        assert not point.contains(3.5)
-
-    def test_unbounded_interval(self):
-        unbounded = Interval.unbounded()
-        assert unbounded.contains(1e300)
-        assert unbounded.contains(-1e300)
-        assert not unbounded.is_bounded
-
-    def test_hull_of_intervals(self):
-        hull = Interval.hull([Interval(0, 2), Interval(5, 7), Interval.empty()])
-        assert hull == Interval(0, 7)
-
-    def test_hull_of_empty_inputs(self):
-        assert Interval.hull([]).is_empty
-        assert Interval.hull([Interval.empty()]).is_empty
-
 
 class TestPredicates:
-    def test_contains_boundaries(self):
-        interval = Interval(10, 20)
-        assert interval.contains(10)
-        assert interval.contains(20)
-        assert not interval.contains(9.999)
-        assert not interval.contains(20.001)
-
-    def test_contains_interval(self):
-        outer = Interval(0, 10)
-        assert outer.contains_interval(Interval(2, 8))
-        assert outer.contains_interval(Interval(0, 10))
-        assert not outer.contains_interval(Interval(-1, 5))
-        assert not outer.contains_interval(Interval(5, 11))
-
-    def test_empty_contained_in_everything(self):
-        assert Interval(0, 1).contains_interval(Interval.empty())
-        assert not Interval.empty().contains_interval(Interval(0, 1))
-
-    def test_covers_alias(self):
-        assert Interval(0, 10).covers(Interval(1, 2))
-
-    def test_intersects(self):
-        assert Interval(0, 5).intersects(Interval(5, 10))
-        assert Interval(0, 5).intersects(Interval(3, 4))
-        assert not Interval(0, 5).intersects(Interval(6, 10))
-        assert not Interval(0, 5).intersects(Interval.empty())
-
-    def test_overlaps_strictly(self):
-        assert Interval(0, 5).overlaps_strictly(Interval(4, 10))
-        assert not Interval(0, 5).overlaps_strictly(Interval(5, 10))
-
     def test_span(self):
         assert Interval(2, 6).span == 4
-        assert Interval.point(2).span == 0
+        assert Interval(2, 2).span == 0
         assert Interval.empty().span == 0
-
-    def test_is_bounded(self):
-        assert Interval(0, 1).is_bounded
-        assert not Interval(0, math.inf).is_bounded
 
 
 class TestCombinators:
@@ -93,72 +34,12 @@ class TestCombinators:
     def test_intersection_with_empty(self):
         assert Interval(0, 2).intersection(Interval.empty()).is_empty
 
-    def test_union_hull(self):
-        assert Interval(0, 2).union_hull(Interval(5, 8)) == Interval(0, 8)
-
     def test_clamp(self):
         assert Interval(0, 10).clamp(3, 7) == Interval(3, 7)
         assert Interval(0, 10).clamp(20, 30).is_empty
 
-    def test_shift(self):
-        assert Interval(1, 2).shift(3) == Interval(4, 5)
-        assert Interval.empty().shift(3).is_empty
-
-    def test_expand(self):
-        assert Interval(5, 6).expand(2) == Interval(3, 8)
-
-    def test_split(self):
-        left, right = Interval(0, 10).split(4)
-        assert left == Interval(0, 4)
-        assert right == Interval(4, 10)
-
-    def test_split_outside_range(self):
-        left, right = Interval(0, 10).split(20)
-        assert left == Interval(0, 10)
-        assert right.is_empty
-
-    def test_difference_middle(self):
-        pieces = Interval(0, 10).difference(Interval(3, 7))
-        assert pieces == (Interval(0, 3), Interval(7, 10))
-
-    def test_difference_disjoint(self):
-        assert Interval(0, 10).difference(Interval(20, 30)) == (Interval(0, 10),)
-
-    def test_difference_containing(self):
-        assert Interval(3, 5).difference(Interval(0, 10)) == ()
-
-    def test_difference_of_empty(self):
-        assert Interval.empty().difference(Interval(0, 1)) == ()
-
 
 class TestMisc:
-    def test_midpoint(self):
-        assert Interval(0, 10).midpoint == 5.0
-
-    def test_midpoint_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            Interval.empty().midpoint
-
-    def test_midpoint_of_unbounded_raises(self):
-        with pytest.raises(ValueError):
-            Interval(0, math.inf).midpoint
-
-    def test_as_tuple_and_iter(self):
-        interval = Interval(1, 2)
-        assert interval.as_tuple() == (1, 2)
-        assert list(interval) == [1, 2]
-
-    def test_dunder_contains(self):
-        interval = Interval(0, 10)
-        assert 5 in interval
-        assert Interval(2, 3) in interval
-        assert "text" not in interval
-
-    def test_pretty(self):
-        assert Interval(1, 2).pretty() == "[1, 2]"
-        assert Interval.empty().pretty() == "[]"
-        assert Interval(1, 2).pretty(precision=1) == "[1.0, 2.0]"
-
     def test_hashable_and_equal(self):
         assert Interval(1, 2) == Interval(1.0, 2.0)
         assert len({Interval(1, 2), Interval(1, 2)}) == 1

@@ -316,7 +316,7 @@ def test_compaction_counts_the_columns_it_moves():
         assert (matcher.compactions, matcher.moved_rows, matcher._size) == (1, moved, 32)
         survivors = [s.id for s in subscriptions if s not in doomed]
         assert [s.id for s in matcher] == survivors
-        assert matcher.candidates().ids == tuple(survivors)
+        assert tuple(s.id for s in matcher.candidates()) == tuple(survivors)
 
 
 @pytest.mark.parametrize("family", sorted(SCHEMAS))
@@ -557,8 +557,8 @@ def test_engine_gate_under_churn(policy, workload):
             active = single.active_subscriptions
             stored = active + single.covered_subscriptions
             for publication, result, other in zip(publications, one_by_one, together):
-                assert (result.matched_ids, result.subscribers) == (
-                    other.matched_ids,
+                assert (result.matched, result.subscribers) == (
+                    other.matched,
                     other.subscribers,
                 )
                 assert (result.active_tests, result.covered_tests) == (
@@ -568,7 +568,7 @@ def test_engine_gate_under_churn(policy, workload):
                 assert result.active_tests == len(active)
                 if scan(active, publication)[0]:
                     opened += 1
-                    assert set(result.matched_ids) == {
+                    assert {s.id for s in result.matched} == {
                         s.id for s in scan(stored, publication)[0]
                     }
                     assert result.covered_tests == len(stored) - len(active)
@@ -645,7 +645,9 @@ def test_engine_match_batch_equals_sequential(label):
             engine.subscribe(subscription)
 
     def fields(r):
-        return r.matched_ids, r.subscribers, r.active_tests, r.covered_tests
+        return (
+            tuple(s.id for s in r.matched), r.subscribers, r.active_tests, r.covered_tests
+        )
 
     expected = [fields(unlabelled.match(p)) for p in publications]
     assert [fields(sequential.match(p)) for p in publications] == expected
@@ -669,7 +671,7 @@ def test_duplicate_subscribe_rejected_before_mutation(policy):
     engine.unsubscribe("dup")
     assert len(engine) == 0
     publication = Publication.from_values(schema, {"x1": 10, "x2": 10})
-    assert engine.match(publication).matched_ids == ()
+    assert engine.match(publication).matched == ()
 
 
 # ----------------------------------------------------------------------
@@ -710,7 +712,7 @@ def test_every_label_runs_the_same_matcher(runner_backend):
     }
     reference = reports["linear"]
     for name, report in reports.items():
-        assert report.phase_metrics() == reference.phase_metrics(), name
+        assert [(p.name, p.events, p.metrics) for p in report.phases] == [(p.name, p.events, p.metrics) for p in reference.phases], name
         assert report.totals == reference.totals, name
         assert report.engine_backend == name
         assert report.to_dict()["engine_backend"] == name
@@ -753,7 +755,7 @@ def test_traces_recorded_with_a_label_still_replay(tmp_path, capsys):
     assert loaded.spec.engine_backend == "selectivity"
     original = ScenarioRunner(backend="engine").run(compiled)
     replayed = ScenarioRunner(backend="engine").run(loaded)
-    assert replayed.phase_metrics() == original.phase_metrics()
+    assert [(p.name, p.events, p.metrics) for p in replayed.phases] == [(p.name, p.events, p.metrics) for p in original.phases]
     assert replayed.totals == original.totals
     assert replayed.trace_hash == original.trace_hash
     assert scenarios_main(["replay", str(path), "--json"]) == 0

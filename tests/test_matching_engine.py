@@ -121,20 +121,19 @@ class TestAlgorithm5:
 
     def test_match_inside_covered_subscription(self, engine, schema):
         result = engine.match(Publication.from_values(schema, {"x1": 15, "x2": 15}))
-        assert set(result.matched_ids) == {"big", "small"}
+        assert {s.id for s in result.matched} == {"big", "small"}
         assert set(result.subscribers) == {"bob", "amy"}
         assert result.active_tests == 2  # big + corner
         assert result.covered_tests == 1  # small, behind the gate
 
     def test_no_active_match_skips_covered_set(self, engine, schema):
         result = engine.match(Publication.from_values(schema, {"x1": 55, "x2": 55}))
-        assert not result
+        assert result.matched == ()
         assert result.covered_tests == 0
-        assert result.total_tests == result.active_tests
 
     def test_match_only_active(self, engine, schema):
         result = engine.match(Publication.from_values(schema, {"x1": 70, "x2": 70}))
-        assert set(result.matched_ids) == {"corner"}
+        assert {s.id for s in result.matched} == {"corner"}
         assert result.subscribers == ("cat",)
 
     def test_stats_accumulate(self, engine, schema):
@@ -149,7 +148,7 @@ class TestAlgorithm5:
             engine.match(Publication.from_values(schema, {"x1": x, "x2": x}))
             for x in (15, 70)
         ]
-        assert [set(r.matched_ids) for r in results] == [{"big", "small"}, {"corner"}]
+        assert [{s.id for s in r.matched} for r in results] == [{"big", "small"}, {"corner"}]
 
 
 class TestEquivalenceAcrossConfigurations:

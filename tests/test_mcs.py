@@ -23,17 +23,16 @@ class TestPaperExample:
         assert [c.id for c in result.kept] == ["s1", "s2"]
         removed_ids = {table7_candidates[row].id for row in result.removed_rows}
         assert removed_ids == {"s3"}
-        assert result.reduced_size == 2
-        assert result.removed_count == 1
-        assert result.reduction_ratio(3) == pytest.approx(1 / 3)
+        assert len(result.kept) == 2
+        assert len(result.removed_rows) == 1
 
     def test_table3_pair_is_irreducible(
         self, table3_subscription, table3_candidates
     ):
         table = ConflictTable(table3_subscription, table3_candidates)
         result = minimized_cover_set(table)
-        assert result.reduced_size == 2
-        assert result.removed_count == 0
+        assert len(result.kept) == 2
+        assert len(result.removed_rows) == 0
 
 
 class TestEliminationRules:
@@ -44,7 +43,7 @@ class TestEliminationRules:
         )
         table = ConflictTable(s, [far])
         result = minimized_cover_set(table)
-        assert result.reduced_size == 0
+        assert len(result.kept) == 0
 
     def test_ti_geq_k_rule(self, schema_2d):
         """With k=1 any candidate with at least one defined entry is removed."""
@@ -54,20 +53,20 @@ class TestEliminationRules:
         )
         table = ConflictTable(s, [partial])
         result = minimized_cover_set(table)
-        assert result.reduced_size == 0
+        assert len(result.kept) == 0
 
     def test_covering_candidate_never_removed(self, schema_2d):
         s = Subscription.from_constraints(schema_2d, {"x1": (10, 20), "x2": (10, 20)})
         coverer = Subscription.from_constraints(schema_2d, {"x1": (0, 30), "x2": (0, 30)})
         table = ConflictTable(s, [coverer])
         result = minimized_cover_set(table)
-        assert result.reduced_size == 1
+        assert len(result.kept) == 1
 
     def test_empty_table(self, table3_subscription):
         table = ConflictTable(table3_subscription, [])
         result = minimized_cover_set(table)
-        assert result.reduced_size == 0
-        assert result.removed_count == 0
+        assert len(result.kept) == 0
+        assert len(result.removed_rows) == 0
 
     def test_cascading_removal(self, schema_2d):
         """Removing one candidate can make another one removable."""

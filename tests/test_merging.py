@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.exact import exact_group_cover
-from repro.core.merging import (
-    GreedyMerger,
-    false_positive_volume,
-    merge_pair,
-    perfect_merge_candidates,
-)
+from repro.core.merging import false_positive_volume, merge_pair
 from repro.model import Schema, Subscription
 from repro.workloads.generators import random_subscription
 
@@ -30,7 +24,6 @@ class TestMergePair:
         left = box(schema, (0, 49), (0, 99))
         right = box(schema, (50, 99), (0, 99))
         outcome = merge_pair(left, right)
-        assert outcome.is_perfect
         assert outcome.false_volume == 0.0
         assert outcome.merged.covers(left) and outcome.merged.covers(right)
 
@@ -38,7 +31,7 @@ class TestMergePair:
         a = box(schema, (0, 9), (0, 9))
         b = box(schema, (90, 99), (90, 99))
         outcome = merge_pair(a, b)
-        assert not outcome.is_perfect
+        assert outcome.false_volume > 0.0
         assert outcome.false_volume == outcome.merged.size() - a.size() - b.size()
         assert 0.0 < outcome.relative_overhead < 1.0
 
@@ -47,7 +40,7 @@ class TestMergePair:
         inner = box(schema, (10, 20), (10, 20))
         outcome = merge_pair(outer, inner)
         assert outcome.merged.same_box(outer)
-        assert outcome.is_perfect
+        assert outcome.false_volume == 0.0
 
     def test_false_positive_volume_matches_oracle(self, schema):
         rng = np.random.default_rng(3)
@@ -62,72 +55,3 @@ class TestMergePair:
             )
             assert outcome.false_volume >= 0.0
 
-
-class TestPerfectCandidates:
-    def test_finds_only_touching_pairs(self, schema):
-        subscriptions = [
-            box(schema, (0, 49), (0, 49), sid="left"),
-            box(schema, (50, 99), (0, 49), sid="right"),
-            box(schema, (0, 9), (60, 99), sid="corner"),
-        ]
-        pairs = perfect_merge_candidates(subscriptions)
-        assert (0, 1) in pairs
-        assert (0, 2) not in pairs
-        assert (1, 2) not in pairs
-
-
-class TestGreedyMerger:
-    def test_zero_budget_only_perfect_merges(self, schema):
-        merger = GreedyMerger(max_relative_overhead=0.0)
-        subscriptions = [
-            box(schema, (0, 24), (0, 49)),
-            box(schema, (25, 49), (0, 49)),
-            box(schema, (50, 99), (0, 49)),
-            box(schema, (0, 5), (60, 99)),  # cannot merge without false volume
-        ]
-        reduced = merger.reduce(subscriptions)
-        assert len(reduced) == 2
-        assert merger.total_false_volume == 0.0
-        assert merger.merges_performed == 2
-        # The merged set still covers exactly the original subscriptions.
-        for original in subscriptions:
-            assert exact_group_cover(original, reduced)
-
-    def test_budget_allows_lossy_merges(self, schema):
-        merger = GreedyMerger(max_relative_overhead=1.0)
-        subscriptions = [
-            box(schema, (0, 9), (0, 9)),
-            box(schema, (20, 29), (20, 29)),
-            box(schema, (80, 89), (80, 89)),
-        ]
-        reduced = merger.reduce(subscriptions)
-        assert len(reduced) == 1
-        assert merger.total_false_volume > 0.0
-
-    def test_target_size_stops_early(self, schema):
-        merger = GreedyMerger(max_relative_overhead=1.0, target_size=2)
-        subscriptions = [box(schema, (i * 10, i * 10 + 9), (0, 99)) for i in range(4)]
-        reduced = merger.reduce(subscriptions)
-        assert len(reduced) == 2
-
-    def test_merged_set_never_loses_coverage(self, schema):
-        """Merging only over-approximates: everything the originals accepted
-        is still accepted (no false negatives, unlike covering errors)."""
-        rng = np.random.default_rng(9)
-        subscriptions = [
-            random_subscription(schema, rng, width_fraction=(0.1, 0.3))
-            for _ in range(8)
-        ]
-        merger = GreedyMerger(max_relative_overhead=0.5)
-        reduced = merger.reduce(subscriptions)
-        for original in subscriptions:
-            assert exact_group_cover(original, reduced)
-
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            GreedyMerger(max_relative_overhead=-0.1)
-
-    def test_single_subscription_untouched(self, schema):
-        merger = GreedyMerger()
-        only = [box(schema, (0, 10), (0, 10))]
-        assert merger.reduce(only) == only

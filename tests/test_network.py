@@ -34,12 +34,16 @@ def build_paper_figure1_network(policy, rng=0):
     return BrokerNetwork(edges, policy=policy, rng=rng)
 
 
+def _link_count(network):
+    return sum(len(broker.links) for broker in network.brokers.values()) // 2
+
+
 class TestTopologyConstruction:
     def test_brokers_created_on_demand(self, schema):
         network = BrokerNetwork([("A", "B"), ("B", "C")], policy=CoveringPolicy.NONE)
         assert set(network.broker_ids) == {"A", "B", "C"}
-        assert len(network.edges) == 2
-        assert network.brokers["B"].neighbors == ["A", "C"]
+        assert _link_count(network) == 2
+        assert list(network.brokers["B"].links) == ["A", "C"]
 
     def test_self_link_rejected(self):
         with pytest.raises(ValueError):
@@ -70,13 +74,14 @@ class TestFigure1Scenario:
         network.subscribe("S1", s1)
         messages_after_s1 = network.metrics.subscription_messages
         # s1 floods the whole tree: one message per link.
-        assert messages_after_s1 == len(network.edges)
+        assert messages_after_s1 == _link_count(network)
 
         network.subscribe("S2", s2)
         # s2 is covered at B4 (which already knows s1), so it does not reach
         # B5, B7, B8, B9: only B6->B4 and B4->B3, B3->B1, B3->B2 carry it.
-        assert network.metrics.subscription_messages - messages_after_s1 < len(
-            network.edges
+        assert (
+            network.metrics.subscription_messages - messages_after_s1
+            < _link_count(network)
         )
         assert network.metrics.suppressed_subscriptions >= 1
 
@@ -92,7 +97,7 @@ class TestFigure1Scenario:
         assert {record.subscriber for record in delivered} == {"S1"}
 
         assert network.metrics.missed_notifications == 0
-        assert network.metrics.delivery_ratio == 1.0
+        assert network.metrics.report()["delivery_ratio"] == 1.0
 
     def test_flooding_policy_propagates_everything(self, schema):
         network = build_paper_figure1_network(CoveringPolicy.NONE)

@@ -115,7 +115,7 @@ class TestEndToEndPolicies:
         if policy is CoveringPolicy.PAIRWISE:
             assert covered.metrics.missed_notifications == 0
         else:
-            assert covered.metrics.delivery_ratio >= 0.95
+            assert covered.metrics.report()["delivery_ratio"] >= 0.95
         # Covering can only reduce subscription traffic.
         assert (
             covered.metrics.subscription_messages

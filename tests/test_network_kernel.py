@@ -109,7 +109,7 @@ class TestVirtualClock:
         network = make_network()
         network.subscribe("sub", whole_space(schema))
         network.publish("pub", Publication.from_values(schema, {"x1": 1, "x2": 1}))
-        assert network.now == 0.0
+        assert network.kernel.now == 0.0
         # Untimed runs don't accumulate latency samples (flat memory).
         assert network.metrics.delivery_latencies == []
         assert all(
@@ -120,13 +120,13 @@ class TestVirtualClock:
     def test_fixed_model_charges_per_hop(self, schema):
         network = make_network(latency_model="fixed:0.5")
         network.subscribe("sub", whole_space(schema))
-        clock_after_subscribe = network.now
+        clock_after_subscribe = network.kernel.now
         # The subscription flooded two hops down the line.
         assert clock_after_subscribe == pytest.approx(1.0)
         network.publish("pub", Publication.from_values(schema, {"x1": 1, "x2": 1}))
         # The publication travelled B3 -> B2 -> B1: two hops at 0.5 each.
         assert network.metrics.delivery_latencies == [pytest.approx(1.0)]
-        assert network.now > clock_after_subscribe
+        assert network.kernel.now > clock_after_subscribe
 
     def test_shared_model_instance_is_not_reseeded(self, schema):
         """Adopting a caller-supplied model must not splice streams."""
@@ -176,6 +176,12 @@ class _ShrinkingLatency(LatencyModel):
         return value
 
 
+def _drain(kernel):
+    """Every delivered message, one at a time, publication runs flattened."""
+    for delivered in kernel.drain_grouped():
+        yield from delivered if isinstance(delivered, list) else (delivered,)
+
+
 class TestKernelOrdering:
     def _message(self, sender, recipient, tag):
         return PublicationMessage(
@@ -188,31 +194,31 @@ class TestKernelOrdering:
     def test_per_link_fifo_never_reorders(self):
         kernel = EventKernel(_ShrinkingLatency())
         for index in range(4):
-            kernel.schedule(self._message("A", "B", f"m{index}"))
-        order = [message.origin for message in kernel.drain()]
+            kernel.schedule_many((self._message("A", "B", f"m{index}"),))
+        order = [message.origin for message in _drain(kernel)]
         assert order == ["m0", "m1", "m2", "m3"]
         # Delivery times were clamped to the link clock, not reordered.
 
     def test_independent_links_may_interleave(self):
         kernel = EventKernel(_ShrinkingLatency())
-        kernel.schedule(self._message("A", "B", "slow"))   # latency 10
-        kernel.schedule(self._message("A", "C", "fast"))   # latency 6
-        order = [message.origin for message in kernel.drain()]
+        kernel.schedule_many((self._message("A", "B", "slow"),))   # latency 10
+        kernel.schedule_many((self._message("A", "C", "fast"),))   # latency 6
+        order = [message.origin for message in _drain(kernel)]
         assert order == ["fast", "slow"]
 
     def test_zero_model_is_global_fifo(self):
         kernel = EventKernel(ZeroLatency())
         for index in range(5):
-            kernel.schedule(self._message("A", "B", f"m{index}"))
-        assert [m.origin for m in kernel.drain()] == [f"m{index}" for index in range(5)]
+            kernel.schedule_many((self._message("A", "B", f"m{index}"),))
+        assert [m.origin for m in _drain(kernel)] == [f"m{index}" for index in range(5)]
 
     def test_queue_depth_high_water_tracked(self):
         kernel = EventKernel(ZeroLatency())
         for index in range(7):
-            kernel.schedule(self._message("A", "B", f"m{index}"))
+            kernel.schedule_many((self._message("A", "B", f"m{index}"),))
         assert kernel.queue_depth_high_water == 7
-        list(kernel.drain())
-        assert kernel.pending == 0
+        list(_drain(kernel))
+        assert not kernel._heap
 
     def test_stale_sent_at_never_rewinds_the_clock(self):
         """A hop stamped before the clock last advanced is delivered from
@@ -220,14 +226,14 @@ class TestKernelOrdering:
         kernel = EventKernel(FixedLatency(0.1))
         late = self._message("A", "C", "late")
         late.sent_at = 10.0
-        kernel.schedule(late)
-        list(kernel.drain())
+        kernel.schedule_many((late,))
+        list(_drain(kernel))
         assert kernel.now == pytest.approx(10.1)
         stale = self._message("A", "B", "stale")
         assert stale.sent_at < kernel.now
-        kernel.schedule(stale)
+        kernel.schedule_many((stale,))
         assert stale.delivered_at == pytest.approx(10.2)
-        list(kernel.drain())
+        list(_drain(kernel))
         assert kernel.now == pytest.approx(10.2)
 
 
@@ -367,7 +373,7 @@ class TestScenarioThreading:
         assert loaded.spec.latency_model == "lognormal:0.0,0.5"
         assert loaded.recorded_latency_model == "lognormal:0.0,0.5"
         replay = ScenarioRunner().run(loaded)
-        assert replay.phase_metrics() == report.phase_metrics()
+        assert [(p.name, p.events, p.metrics) for p in replay.phases] == [(p.name, p.events, p.metrics) for p in report.phases]
 
     def test_t0_latency_scenario_is_registered_and_timed(self):
         spec = get_scenario("t0-latency")

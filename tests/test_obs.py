@@ -24,7 +24,8 @@ from repro.broker.network import BrokerNetwork
 from repro.obs.instruments import Histogram, InstrumentRegistry
 from repro.model import Publication, Schema, Subscription
 from repro.model.errors import ValidationError
-from repro.obs.probes import ObsProbe, active, disable, enabled, install, stage
+from repro.obs import probes as obs_probes
+from repro.obs.probes import ObsProbe, enabled, stage
 from repro.obs.report import chain_status, render_report, summarize
 from repro.obs.spans import SpanRecorder, read_spans, write_spans
 from repro.scenarios import catalog  # noqa: F401 - populates the registry
@@ -78,21 +79,13 @@ class TestInstruments:
         a.inc(2)
         assert a.value == 3
         assert a.key == "hops{link=B1->B2}"
-        assert len(registry) == 2
+        assert len(registry.snapshot()) == 2
 
     def test_kind_clash_raises(self):
         registry = InstrumentRegistry()
         registry.counter("depth")
         with pytest.raises(TypeError):
             registry.gauge("depth")
-
-    def test_gauge_update_max(self):
-        gauge = InstrumentRegistry().gauge("queue")
-        gauge.update_max(5)
-        gauge.update_max(3)
-        assert gauge.value == 5
-        gauge.set(1)
-        assert gauge.value == 1
 
     def test_histogram_percentiles_and_empty(self):
         histogram = Histogram("lat")
@@ -127,23 +120,15 @@ class TestInstruments:
 # ----------------------------------------------------------------------
 class TestProbes:
     def test_disabled_by_default(self):
-        assert active() is None
-
-    def test_install_and_disable(self):
-        probe = install()
-        try:
-            assert active() is probe
-        finally:
-            disable()
-        assert active() is None
+        assert obs_probes.ACTIVE is None
 
     def test_enabled_restores_previous(self):
         outer = ObsProbe()
         with enabled(outer):
             with enabled() as inner:
-                assert active() is inner
-            assert active() is outer
-        assert active() is None
+                assert obs_probes.ACTIVE is inner
+            assert obs_probes.ACTIVE is outer
+        assert obs_probes.ACTIVE is None
 
     def test_stage_self_time_subtracts_children(self):
         probe = ObsProbe()
@@ -151,15 +136,12 @@ class TestProbes:
         probe.stage_push("inner")
         probe.stage_pop()
         probe.stage_pop()
-        totals = dict(
-            (stage, seconds) for stage, seconds, _ in probe.stage_totals()
-        )
+        totals = probe.stage_self
         assert set(totals) == {"outer", "inner"}
         # outer's self-time excludes inner's duration, so the two are
         # independent non-negative quantities
         assert totals["outer"] >= 0.0 and totals["inner"] >= 0.0
-        probe.flush_stages_to_registry()
-        assert probe.registry.get("obs.stage_calls", stage="inner").value == 1
+        assert probe.stage_calls["inner"] == 1
 
     def test_stage_helper_times_blocks_and_calls(self):
         @stage("decorated")
@@ -219,6 +201,22 @@ class TestProbes:
         assert network.metrics.notifications == 3
         with pytest.raises(AttributeError):
             network.metrics.notifications = 0
+
+    def test_two_live_networks_under_one_probe_count_apart(self):
+        probe = ObsProbe()
+        with enabled(probe):
+            first = BrokerNetwork([("B1", "B2")])
+            second = BrokerNetwork([("B1", "B2")])
+        mark = probe.registry.snapshot()
+        first.metrics.counters["notifications"].inc(2)
+        assert first.metrics.notifications == 2
+        assert second.metrics.notifications == 0
+        assert second.metrics.report()["notifications"] == 0
+        assert second.metrics.report(probe.registry.diff(mark))["notifications"] == 0
+        assert first.metrics.report(probe.registry.diff(mark))["notifications"] == 2
+        # the first network keeps the bare keys of a single-network run
+        assert probe.registry.get("network.notifications").value == 2
+        assert probe.registry.get("network.notifications", network=1).value == 0
 
     def test_reused_probe_reports_each_run_alone(self):
         # A network built under a probe counts in the probe's registry, so
@@ -351,7 +349,7 @@ class TestLatencyStats:
 class TestPreObsByteIdentity:
     @pytest.mark.parametrize("scenario,policy", GOLDENS)
     def test_trace_bytes_identical(self, tmp_path, scenario, policy):
-        assert active() is None, "another test leaked an installed probe"
+        assert obs_probes.ACTIVE is None, "another test leaked an installed probe"
         _, compiled = _compiled(scenario, policy)
         path = tmp_path / "trace.jsonl"
         write_trace(path, compiled, backend="network")
@@ -360,7 +358,7 @@ class TestPreObsByteIdentity:
 
     @pytest.mark.parametrize("scenario,policy", GOLDENS)
     def test_report_identical(self, scenario, policy):
-        assert active() is None, "another test leaked an installed probe"
+        assert obs_probes.ACTIVE is None, "another test leaked an installed probe"
         spec, compiled = _compiled(scenario, policy)
         report = ScenarioRunner(spec, seed=7, backend="network").run(compiled)
         golden = json.loads(

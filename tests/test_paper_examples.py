@@ -17,7 +17,7 @@ from repro.core import (
     exact_group_cover,
     minimized_cover_set,
 )
-from repro.model import Publication, Subscription, SubscriptionBuilder
+from repro.model import Publication, Subscription
 from repro.workloads.bike_rental import bike_rental_schema
 from repro.workloads.grid import grid_schema
 
@@ -29,25 +29,29 @@ class TestTable1BikeRental:
 
     @pytest.fixture
     def s1(self, schema):
-        return (
-            SubscriptionBuilder(schema, subscriber="weekend-rider")
-            .between("bID", 1000, 1999)
-            .equals("size", 19)
-            .equals("brand", "X")
-            .between("rpID", 820, 840)
-            .between("date", "2006-03-31T16:00:00", "2006-03-31T20:00:00")
-            .build()
+        return Subscription.from_constraints(
+            schema,
+            {
+                "bID": (1000, 1999),
+                "size": 19,
+                "brand": "X",
+                "rpID": (820, 840),
+                "date": ("2006-03-31T16:00:00", "2006-03-31T20:00:00"),
+            },
+            subscriber="weekend-rider",
         )
 
     @pytest.fixture
     def s2(self, schema):
-        return (
-            SubscriptionBuilder(schema, subscriber="lunch-break")
-            .between("bID", 1, 1999)
-            .between("size", 17, 19)
-            .between("rpID", 10, 12)
-            .between("date", "2006-03-31T12:00:00", "2006-03-31T14:00:00")
-            .build()
+        return Subscription.from_constraints(
+            schema,
+            {
+                "bID": (1, 1999),
+                "size": (17, 19),
+                "rpID": (10, 12),
+                "date": ("2006-03-31T12:00:00", "2006-03-31T14:00:00"),
+            },
+            subscriber="lunch-break",
         )
 
     @pytest.fixture
@@ -169,9 +173,11 @@ class TestTable6NonCover:
 
 
 class TestTable8ConflictFree:
-    def test_mcs_reduces_to_s1_s2(self, table3_subscription, table7_candidates):
+    def test_mcs_reduces_to_s1_s2(
+        self, table3_subscription, table7_candidates, conflict_free_counts
+    ):
         table = ConflictTable(table3_subscription, table7_candidates)
-        assert table.conflict_free_counts().tolist() == [0, 0, 2]
+        assert conflict_free_counts(table).tolist() == [0, 0, 2]
         reduction = minimized_cover_set(table)
         assert [c.id for c in reduction.kept] == ["s1", "s2"]
 

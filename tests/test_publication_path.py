@@ -4,10 +4,10 @@ Wall-clock-free pins of what the publication path promises after it moved
 onto the signed layout (the matcher itself — every route lookup and the
 delivery oracle — is swept against a linear scan in ``test_matcher.py``):
 
-* :meth:`Broker.handle_publication_batch` of N messages equals N calls of
-  :meth:`Broker.handle_publication`, field for field, obs off and on;
-* :meth:`EventKernel.schedule_many` leaves the kernel exactly as
-  scheduling one by one does;
+* :meth:`Broker.handle_publication_batch` of N messages equals N batches
+  of one, field for field, obs off and on;
+* :meth:`EventKernel.schedule_many` of N messages leaves the kernel exactly
+  as N scheduling runs of one do;
 * one handled batch costs the same number of NumPy calls whatever its
   size.
 """
@@ -76,7 +76,7 @@ def _overlay(policy, topology, probe=None, dedup_window=4096):
 def _handler_messages(broker, count, rng):
     """Local injections and neighbour hops, with repeated publication ids
     and, from a neighbour, points at the origin that match nothing."""
-    senders = [None] + list(broker.neighbors)
+    senders = [None] + list(broker.links)
     messages = []
     for index in range(count):
         repeat = index >= 3 and index % 4 == 3
@@ -84,7 +84,7 @@ def _handler_messages(broker, count, rng):
         values = np.random.default_rng([7, number]).integers(0, 101, 2)
         sender = senders[int(rng.integers(len(senders)))]
         if number % 8 == 2:
-            values, sender = np.zeros(2), broker.neighbors[0]
+            values, sender = np.zeros(2), list(broker.links)[0]
         messages.append(
             PublicationMessage(
                 sender=sender,
@@ -165,7 +165,7 @@ def test_handler_batch_equals_scalar_calls(policy, topology, observed):
             rng = np.random.default_rng([count, len(broker_id)])
             with _observed(probes[1]):
                 apart = [
-                    other.handle_publication(message)
+                    other.handle_publication_batch((message,))[0]
                     for message in _handler_messages(other, count, rng)
                 ]
             assert [[_message_fields(m) for m in outs] for outs in together] == [
@@ -318,7 +318,7 @@ def test_timed_burst_delivers_what_singles_deliver(policy, model):
 
 
 # ----------------------------------------------------------------------
-# (ii) schedule_many vs one schedule per message
+# (ii) schedule_many vs one scheduling run per message
 # ----------------------------------------------------------------------
 def _kernel(model, probe):
     kernel = EventKernel(make_latency_model(model, rng=5))
@@ -326,11 +326,10 @@ def _kernel(model, probe):
     publication = Publication(GRID_SCHEMA, [1, 1], publication_id="early")
     with enabled(probe):
         for sender in ("B1", "B2", None):
-            kernel.schedule(
-                PublicationMessage(
-                    sender=sender, recipient="B3", publication=publication, sent_at=0.25
-                )
+            message = PublicationMessage(
+                sender=sender, recipient="B3", publication=publication, sent_at=0.25
             )
+            kernel.schedule_many((message,))
     next(kernel.drain_grouped())
     kernel.reset_phase_high_water()
     return kernel
@@ -388,7 +387,7 @@ def test_schedule_many_equals_one_schedule_each(model):
         bulk.schedule_many(iter(together))  # consumed once, lazily
     with enabled(probes[1]):
         for message in apart:
-            single.schedule(message)
+            single.schedule_many((message,))
     assert _kernel_state(bulk, together) == _kernel_state(single, apart)
     assert len(bulk._heap) > 10
     assert _span_fields(probes[0].spans) == _span_fields(probes[1].spans)

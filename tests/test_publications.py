@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model import ImprecisePublication, Publication, Schema, Subscription
+from repro.model import Publication, Schema
 from repro.model.errors import ValidationError
 
 
@@ -11,25 +11,10 @@ def schema():
     return Schema.uniform_integer(3, 0, 100)
 
 
-@pytest.fixture
-def subscription(schema):
-    return Subscription.from_constraints(schema, {"x1": (10, 20), "x2": (30, 60)})
-
-
 class TestPublication:
     def test_from_values(self, schema):
         publication = Publication.from_values(schema, {"x1": 1, "x2": 2, "x3": 3})
         assert publication.values.tolist() == [1.0, 2.0, 3.0]
-
-    def test_value_lookup(self, schema):
-        publication = Publication.from_values(schema, {"x1": 1, "x2": 2, "x3": 3})
-        assert publication.value("x2") == 2
-        assert publication.value(0) == 1
-
-    def test_as_dict(self, schema):
-        payload = {"x1": 1, "x2": 2, "x3": 3}
-        publication = Publication.from_values(schema, payload)
-        assert publication.as_dict() == payload
 
     def test_wrong_arity_rejected(self, schema):
         with pytest.raises(ValidationError):
@@ -38,12 +23,6 @@ class TestPublication:
     def test_out_of_domain_rejected(self, schema):
         with pytest.raises(ValidationError):
             Publication(schema, [1.0, 2.0, 500.0])
-
-    def test_matched_by(self, schema, subscription):
-        inside = Publication.from_values(schema, {"x1": 15, "x2": 40, "x3": 0})
-        outside = Publication.from_values(schema, {"x1": 25, "x2": 40, "x3": 0})
-        assert inside.matched_by(subscription)
-        assert not outside.matched_by(subscription)
 
     def test_values_read_only(self, schema):
         publication = Publication.from_values(schema, {"x1": 1, "x2": 2, "x3": 3})
@@ -61,38 +40,3 @@ class TestPublication:
         assert a == b
         assert hash(a) == hash(b)
         assert a != "something else"
-
-    def test_describe(self, schema):
-        publication = Publication.from_values(schema, {"x1": 1, "x2": 2, "x3": 3})
-        assert "x1=1" in publication.describe()
-
-
-class TestImprecisePublication:
-    def test_from_point_expands_box(self, schema):
-        point = Publication.from_values(schema, {"x1": 50, "x2": 50, "x3": 50})
-        box = ImprecisePublication.from_point(point, {"x1": 5, "x2": 10})
-        assert box.interval("x1").as_tuple() == (45.0, 55.0)
-        assert box.interval("x2").as_tuple() == (40.0, 60.0)
-        assert box.interval("x3").as_tuple() == (50.0, 50.0)
-
-    def test_expansion_clipped_to_domain(self, schema):
-        point = Publication.from_values(schema, {"x1": 2, "x2": 99, "x3": 0})
-        box = ImprecisePublication.from_point(point, {"x1": 10, "x2": 10})
-        assert box.interval("x1").low == 0.0
-        assert box.interval("x2").high == 100.0
-
-    def test_certain_vs_possible_match(self, schema, subscription):
-        point = Publication.from_values(schema, {"x1": 19, "x2": 40, "x3": 0})
-        fuzzy = ImprecisePublication.from_point(point, {"x1": 5})
-        # The box [14, 24] sticks out of [10, 20]: only a possible match.
-        assert not fuzzy.matched_by(subscription)
-        assert fuzzy.possibly_matched_by(subscription)
-
-    def test_certain_match_inside(self, schema, subscription):
-        point = Publication.from_values(schema, {"x1": 15, "x2": 40, "x3": 0})
-        fuzzy = ImprecisePublication.from_point(point, {"x1": 2, "x2": 2})
-        assert fuzzy.matched_by(subscription)
-
-    def test_publisher_aliases_subscriber_slot(self, schema):
-        box = ImprecisePublication(schema, [0, 0, 0], [1, 1, 1], publisher="sensor-1")
-        assert box.publisher == "sensor-1"

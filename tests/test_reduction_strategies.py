@@ -105,7 +105,7 @@ class TestStrategyRegistry:
             store = SubscriptionStore(policy="always-forward-test")
             store.add(box(schema, (0, 10), (0, 10), sid="a"))
             store.add(box(schema, (0, 10), (0, 10), sid="b"))
-            assert store.active_count == 2
+            assert len(store.active_pool) == 2
             # The registered name flows through every layer: network,
             # spec round-trip and the runner.
             network = BrokerNetwork(
@@ -146,7 +146,7 @@ class TestMergingStrategy:
         decision = strategy.decide(
             box(schema, (10, 20), (10, 20), sid="small"), [big]
         )
-        assert decision.suppressed
+        assert not decision.forwarded and decision.merged is None
         assert decision.covered_by == ("big",)
         assert decision.merged is None
 
@@ -156,7 +156,7 @@ class TestMergingStrategy:
         decision = strategy.decide(
             box(schema, (10, 20), (0, 10), sid="right"), [left]
         )
-        assert decision.merge_performed
+        assert decision.merged is not None
         assert decision.replaced == ("left",)
         assert decision.false_volume == 0.0
         assert decision.merged.covers(left)
@@ -187,7 +187,7 @@ class TestMergingStrategy:
         decision = strategy.decide(
             box(schema, (10, 20), (10, 20), sid="small"), [big]
         )
-        assert decision.suppressed
+        assert not decision.forwarded and decision.merged is None
         assert decision.merged is None
 
     def test_hybrid_merges_the_residue(self, schema):
@@ -198,7 +198,7 @@ class TestMergingStrategy:
         decision = strategy.decide(
             box(schema, (10, 20), (0, 10), sid="right"), [left]
         )
-        assert decision.merge_performed
+        assert decision.merged is not None
         # The probabilistic check ran (and failed to cover) first.
         assert decision.result is not None
 
@@ -291,7 +291,7 @@ class TestMinimizedCoverDependencies:
             )
         )
         # The cover broke: ``s`` was re-checked and re-advertised.
-        assert any(d.subscription_id == "s" for d in decisions)
+        assert any(d.subscription.id == "s" for d in decisions)
         assert any(
             isinstance(m, SubscriptionMessage) and m.subscription.id == "s"
             for m in outgoing
@@ -444,7 +444,7 @@ class TestEngineMerging:
         for subscription in subscriptions:
             baseline.subscribe(subscription)
             merging.subscribe(subscription)
-        assert merging.store.active_count < baseline.store.active_count
+        assert len(merging.store.active_pool) < len(baseline.store.active_pool)
         for publication in publications:
             expected = baseline.match(publication).subscribers
             got = merging.match(publication).subscribers
@@ -460,7 +460,7 @@ class TestEngineMerging:
         engine.unsubscribe("b")
         # The orphaned merged box is retracted with its last member.
         assert len(engine) == 0
-        assert engine.store.active_count == 0
+        assert len(engine.store.active_pool) == 0
         assert engine.match(point(schema, 15, 5)).matched == ()
 
     @pytest.mark.parametrize("policy", ["merging", "hybrid"])
@@ -488,7 +488,7 @@ class TestEngineMerging:
         # Once X leaves too, the merged box finally goes.
         engine.unsubscribe("X")
         assert len(engine) == 0
-        assert engine.store.active_count == 0
+        assert len(engine.store.active_pool) == 0
 
     @pytest.mark.parametrize("policy", ["merging", "hybrid"])
     def test_engine_never_misses_under_churn(self, policy):
@@ -521,11 +521,11 @@ class TestEngineMerging:
                 box(schema, (index * 10, index * 10 + 10), (0, 10), sid=sid,
                     subscriber=sid.upper())
             )
-        assert engine.store.active_count == 1  # everything merged together
+        assert len(engine.store.active_pool) == 1  # everything merged together
         for sid in "abc":
             engine.unsubscribe(sid)
         assert len(engine) == 0
-        assert engine.store.active_count == 0
+        assert len(engine.store.active_pool) == 0
         assert engine.match(point(schema, 15, 5)).matched == ()
 
 
@@ -566,7 +566,7 @@ class TestStrategyThreading:
         path = tmp_path / "merging.jsonl"
         write_trace(path, compiled, backend="network")
         replayed = ScenarioRunner(backend="network").run(read_trace(path))
-        assert replayed.phase_metrics() == original.phase_metrics()
+        assert [(p.name, p.events, p.metrics) for p in replayed.phases] == [(p.name, p.events, p.metrics) for p in original.phases]
         assert replayed.policy == "merging"
 
     def test_cli_policy_override(self, capsys):

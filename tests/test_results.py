@@ -1,7 +1,6 @@
 """Unit tests for :mod:`repro.core.results`."""
 
 import numpy as np
-import pytest
 
 from repro.core.results import Answer, DecisionMethod, SubsumptionResult
 
@@ -11,11 +10,6 @@ class TestAnswer:
         assert Answer.COVERED.is_covered
         assert Answer.PROBABLY_COVERED.is_covered
         assert not Answer.NOT_COVERED.is_covered
-
-    def test_certainty_flags(self):
-        assert Answer.COVERED.is_certain
-        assert Answer.NOT_COVERED.is_certain
-        assert not Answer.PROBABLY_COVERED.is_certain
 
 
 class TestSubsumptionResult:
@@ -36,32 +30,6 @@ class TestSubsumptionResult:
     def test_views(self):
         result = self._result()
         assert result.covered
-        assert not result.certain
-        assert result.is_probabilistic
-        assert result.reduction_ratio == pytest.approx(0.6)
-
-    def test_reduction_ratio_empty_set(self):
-        result = self._result(original_set_size=0, reduced_set_size=0)
-        assert result.reduction_ratio == 0.0
-
-    def test_summary_mentions_error_for_probabilistic_answers(self):
-        text = self._result().summary()
-        assert "error<=" in text
-        assert "rho_w=" in text
-        assert "d=" in text
-
-    def test_summary_for_deterministic_answer(self):
-        result = self._result(
-            answer=Answer.COVERED,
-            method=DecisionMethod.PAIRWISE_COVER,
-            rho_w=None,
-            theoretical_iterations=None,
-            iterations_performed=0,
-        )
-        text = result.summary()
-        assert "covered" in text
-        assert "error<=" not in text
-        assert str(result) == text
 
     def test_witness_point_carried(self):
         witness = np.array([1.0, 2.0])
@@ -72,7 +40,6 @@ class TestSubsumptionResult:
             error_bound=0.0,
         )
         assert result.witness_point is witness
-        assert result.certain
         assert not result.covered
 
     def test_details_dictionary_defaults_empty(self):

@@ -313,7 +313,6 @@ class TestPublicationFromMatrix:
             assert one.metadata == other.metadata == {}
             assert one.schema is other.schema
             assert repr(one.values_list) == repr(other.values_list)
-            assert one.as_dict().keys() == other.as_dict().keys()
         # NaN-free rows are equal as publications, hash included
         assert bulk[:3] == scalar[:3]
         assert [hash(p) for p in bulk[:3]] == [hash(p) for p in scalar[:3]]
@@ -625,7 +624,6 @@ class TestDecodeEncodeRoundTripGone:
         for job in jobs:
             reference = _reference_job_publication(workload, reference_rng)
             assert np.array_equal(job.values, reference.values)
-            assert job.as_dict() == reference.as_dict()
         assert [job.publisher for job in jobs[38:42]] == ["j", "j", "job-1", "job-2"]
 
     def test_bike_announcements_unchanged(self):
@@ -640,7 +638,6 @@ class TestDecodeEncodeRoundTripGone:
         for announcement in announcements:
             reference = _reference_bike_publication(workload, reference_rng)
             assert np.array_equal(announcement.values, reference.values)
-            assert announcement.as_dict() == reference.as_dict()
         assert [a.publisher for a in announcements[39:41]] == ["r", "post-1"]
 
 

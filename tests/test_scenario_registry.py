@@ -9,7 +9,6 @@ from repro.scenarios import (
     ScenarioRunner,
     compile_scenario,
     get_scenario,
-    scenario_names,
 )
 from repro.scenarios.spec import PhaseKind, PhaseSpec, ScenarioSpec
 
@@ -25,7 +24,6 @@ class TestRegistry:
                 phases=[PhaseSpec("ramp", PhaseKind.SUBSCRIBE_RAMP, {"count": 1})],
             )
 
-        assert "tiny" in registry
         assert registry.names() == ["tiny"]
         spec = registry.get("tiny")
         assert spec.name == "tiny"
@@ -68,7 +66,7 @@ class TestRegistry:
 
 class TestCatalog:
     def test_canonical_tiers_are_registered(self):
-        names = scenario_names()
+        names = REGISTRY.names()
         assert len(names) >= 6
         for name in CANONICAL_TIERS:
             assert name in names
@@ -94,4 +92,4 @@ class TestCatalog:
         report = ScenarioRunner(spec, seed=11).run()
         assert report.scenario == "t0-smoke"
         assert report.event_count > 0
-        assert [phase.name for phase in report.phases] == list(spec.phase_names)
+        assert [phase.name for phase in report.phases] == [phase.name for phase in spec.phases]

@@ -138,7 +138,7 @@ class TestEndToEnd:
     def test_phase_reports_cover_the_whole_timeline(self):
         spec = get_scenario("t0-smoke")
         report = ScenarioRunner(spec, seed=2).run()
-        assert [phase.name for phase in report.phases] == list(spec.phase_names)
+        assert [phase.name for phase in report.phases] == [phase.name for phase in spec.phases]
         assert sum(phase.events for phase in report.phases) == report.event_count
         storm = next(p for p in report.phases if p.name == "storm")
         assert storm.unsubscribes > 0
@@ -204,7 +204,7 @@ def _reference_report(compiled):
     """Per-phase metrics and totals of one ``match`` call per publication."""
     engine = _engine_for(compiled)
     phases = {}
-    for name in compiled.spec.phase_names:
+    for name in [phase.name for phase in compiled.spec.phases]:
         before = dict(engine.stats)
         for event in (e for e in compiled.events if e.phase == name):
             if event.action is EventAction.SUBSCRIBE:

@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.model.schema`."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,12 +67,6 @@ class TestLookups:
         with pytest.raises(SchemaError):
             mixed_schema.attribute(1.5)
 
-    def test_contains_len_iter(self, mixed_schema):
-        assert "price" in mixed_schema
-        assert "missing" not in mixed_schema
-        assert len(mixed_schema) == 3
-        assert [a.name for a in mixed_schema] == ["price", "brand", "stock"]
-
     def test_equality_and_hash(self):
         a = Schema.uniform_integer(2, 0, 10)
         b = Schema.uniform_integer(2, 0, 10)
@@ -85,10 +81,6 @@ class TestGeometry:
         assert lows.tolist() == [0.0, 0.0, 0.0]
         assert highs.tolist() == [1000.0, 2.0, 50.0]
 
-    def test_full_intervals(self, mixed_schema):
-        intervals = mixed_schema.full_intervals()
-        assert intervals[0] == Interval(0, 1000)
-
     def test_measure(self, mixed_schema):
         lows = np.array([0.0, 0.0, 0.0])
         highs = np.array([9.0, 1.0, 4.0])
@@ -101,19 +93,13 @@ class TestGeometry:
 
 
 class TestEncoding:
-    def test_encode_decode_point(self, mixed_schema):
+    def test_encode_point(self, mixed_schema):
         point = mixed_schema.encode_point({"price": 100, "brand": "Y", "stock": 5})
         assert point.tolist() == [100.0, 1.0, 5.0]
-        decoded = mixed_schema.decode_point(point)
-        assert decoded == {"price": 100, "brand": "Y", "stock": 5}
 
     def test_encode_point_missing_attribute(self, mixed_schema):
         with pytest.raises(SchemaError):
             mixed_schema.encode_point({"price": 100})
-
-    def test_decode_point_wrong_length(self, mixed_schema):
-        with pytest.raises(SchemaError):
-            mixed_schema.decode_point([1.0, 2.0])
 
     def test_encode_constraints_defaults_to_full_range(self, mixed_schema):
         lows, highs = mixed_schema.encode_constraints({"price": (10, 20)})
@@ -185,11 +171,10 @@ class TestMemoisedFacts:
         encoded_lows, encoded_highs = mixed_schema.encode_constraints({"price": (10, 20)})
         assert (encoded_lows[0], encoded_highs[0]) == (10.0, 20.0)
         assert mixed_schema.full_bounds()[0][0] == 0.0
-        from repro.model import Predicate, Subscription
-        from repro.model.predicates import Operator
+        from repro.model import Interval, Subscription
 
-        narrowed = Subscription.from_predicates(
-            mixed_schema, [Predicate("stock", Operator.LE, 7)]
+        narrowed = Subscription.from_constraints(
+            mixed_schema, {"stock": Interval(-math.inf, 7)}
         )
         assert narrowed.highs.tolist() == [1000.0, 2.0, 7.0]
         assert Subscription.whole_space(mixed_schema).highs.tolist() == [1000.0, 2.0, 50.0]

@@ -1,7 +1,5 @@
 """Unit tests for :mod:`repro.model.serialization`."""
 
-import json
-
 import pytest
 
 from repro.model import (
@@ -13,9 +11,7 @@ from repro.model import (
     schema_from_dict,
     schema_to_dict,
     subscription_from_dict,
-    subscription_from_json,
     subscription_to_dict,
-    subscription_to_json,
 )
 from repro.model.errors import SerializationError
 from repro.workloads.bike_rental import bike_rental_schema
@@ -36,7 +32,7 @@ class TestSchemaSerialization:
         schema = bike_rental_schema()
         restored = schema_from_dict(schema_to_dict(schema))
         assert restored.names == schema.names
-        assert restored.domain("brand").cardinality == schema.domain("brand").cardinality
+        assert restored.domain("brand").values == schema.domain("brand").values
 
     def test_malformed_payload(self):
         with pytest.raises(SerializationError):
@@ -56,17 +52,6 @@ class TestSubscriptionSerialization:
         assert restored.id == subscription.id
         assert restored.subscriber == "alice"
         assert restored.metadata == {"tag": "demo"}
-
-    def test_roundtrip_json(self, schema):
-        subscription = Subscription.from_constraints(schema, {"x3": (7, 9)})
-        text = subscription_to_json(subscription)
-        json.loads(text)  # must be valid JSON
-        restored = subscription_from_json(text, schema)
-        assert restored.same_box(subscription)
-
-    def test_invalid_json(self, schema):
-        with pytest.raises(SerializationError):
-            subscription_from_json("{not json", schema)
 
     def test_malformed_dict(self, schema):
         with pytest.raises(SerializationError):

@@ -12,8 +12,7 @@ class TestSeries:
         series = Series("demo")
         series.append(1)
         series.append(2.5)
-        assert len(series) == 2
-        assert list(series) == [1.0, 2.5]
+        assert series.values == [1.0, 2.5]
 
 
 class TestResultTable:
@@ -26,8 +25,8 @@ class TestResultTable:
 
     def test_add_row_and_column(self, table):
         assert table.x_values == [10.0, 20.0]
-        assert table.column("a") == [1.0, 3.0]
-        assert table.column("b") == [2.0, 4.0]
+        assert table.series["a"].values == [1.0, 3.0]
+        assert table.series["b"].values == [2.0, 4.0]
 
     def test_add_series_idempotent(self, table):
         series = table.add_series("a")

@@ -411,6 +411,33 @@ class TestWorkerErrors:
             assert not any(conn.poll(0.2) for conn in coordinator._conns)
         assert _no_children_left()
 
+    def test_a_burst_mixing_schemas_across_chunks_sends_nothing(self, monkeypatch):
+        import repro.shard.engine as engine_module
+
+        other = Publication.from_values(
+            Schema.uniform_integer(3, 0, 100), {"x1": 10, "x2": 10, "x3": 10}
+        )
+        with _pool() as engine:
+            coordinator = engine.coordinator
+            engine.sync()
+            workers, facade = engine.worker_stats(), dict(engine.stats)
+            # one publication per chunk: the schemas differ only across chunks
+            monkeypatch.setattr(engine_module, "_MATCH_CHUNK", 1)
+            sent = _record_sends(monkeypatch)
+            with pytest.raises(ValidationError, match="mixes"):
+                engine.match_batch([PUBLICATION, other])
+            assert sent == []
+            assert not any(conn.poll(0.2) for conn in coordinator._conns)
+            assert dict(engine.stats) == facade
+            assert [
+                {k: v for k, v in entry.items() if k != "busy_seconds"}
+                for entry in engine.worker_stats()
+            ] == [
+                {k: v for k, v in entry.items() if k != "busy_seconds"}
+                for entry in workers
+            ]
+        assert _no_children_left()
+
     @pytest.mark.parametrize("dead", (0, 1))
     def test_a_worker_killed_mid_burst_is_named(self, dead, monkeypatch):
         engine = _pool()
@@ -482,7 +509,7 @@ class TestWorkersAreNotObserved:
         with enabled(probe):
             engine = _pool()
             try:
-                assert engine.match(PUBLICATION)
+                assert engine.match(PUBLICATION).matched_count
                 engine.sync()
             finally:
                 engine.close()

@@ -24,7 +24,7 @@ class TestNonePolicy:
         store = SubscriptionStore(policy=CoveringPolicyName.NONE)
         store.add(box(schema, (0, 50), (0, 50)))
         store.add(box(schema, (10, 20), (10, 20)))
-        assert store.active_count == 2
+        assert len(store.active_pool) == 2
         assert store.stats["forwarded"] == 2
         assert store.stats["suppressed"] == 0
 
@@ -36,7 +36,7 @@ class TestPairwisePolicy:
         decision = store.add(box(schema, (10, 20), (10, 20), sid="small"))
         assert not decision.forwarded
         assert decision.covered_by == ("big",)
-        assert store.active_count == 1
+        assert len(store.active_pool) == 1
         assert store.cover_links["small"] == ("big",)
 
     def test_union_cover_not_detected_by_pairwise(
@@ -47,7 +47,7 @@ class TestPairwisePolicy:
             store.add(candidate)
         decision = store.add(table3_subscription)
         assert decision.forwarded  # the baseline cannot see the union cover
-        assert store.active_count == 3
+        assert len(store.active_pool) == 3
 
     def test_newcomer_never_demotes(self, schema):
         """A covering newcomer leaves what is advertised alone: a broker
@@ -67,7 +67,7 @@ class TestPairwisePolicy:
         store.add(box(schema, (60, 80), (60, 80), sid="far"))
         assert [s.id for s in store.active] == ["big", "far"]
         assert [s.id for s in store.covered] == ["small"]
-        assert store.active_count == 2
+        assert len(store.active_pool) == 2
         assert store.total_count == 3
 
     def test_incomparable_subscriptions_all_stay_active(self, schema):
@@ -75,7 +75,7 @@ class TestPairwisePolicy:
         for low in (0, 30, 60):
             decision = store.add(box(schema, (low, low + 20), (low, low + 20)))
             assert decision.forwarded
-        assert store.active_count == 3
+        assert len(store.active_pool) == 3
         assert store.covered == ()
         assert store.stats["suppressed"] == 0
 
@@ -91,7 +91,7 @@ class TestGroupPolicy:
         decision = store.add(table3_subscription)
         assert not decision.forwarded
         assert set(decision.covered_by) == {"s1", "s2"}
-        assert store.active_count == 2
+        assert len(store.active_pool) == 2
         assert decision.result is not None
         assert decision.result.covered
 
@@ -135,8 +135,8 @@ class TestRemoval:
         store.add(box(schema, (10, 20), (10, 20), sid="small"))
         promoted = store.remove("big")
         assert [s.id for s in promoted] == ["small"]
-        assert store.active_count == 1
-        assert store.find("small") is not None
+        assert len(store.active_pool) == 1
+        assert "small" in store
         assert store.stats["promoted"] == 1
 
     def test_remove_active_keeps_still_covered_orphans_suppressed(self, schema):
@@ -149,19 +149,18 @@ class TestRemoval:
         promoted = store.remove(coverer)
         # The other large subscription still covers "small".
         assert promoted == ()
-        assert store.find("small") is not None
-        assert store.active_count == 1
+        assert "small" in store
+        assert len(store.active_pool) == 1
 
     def test_remove_unknown_id_is_noop(self, schema):
         store = SubscriptionStore()
         assert store.remove("ghost") == ()
 
-    def test_contains_and_find(self, schema):
+    def test_contains(self, schema):
         store = SubscriptionStore(policy=CoveringPolicyName.NONE)
         store.add(box(schema, (0, 10), (0, 10), sid="a"))
         assert "a" in store
-        assert store.find("a").id == "a"
-        assert store.find("zzz") is None
+        assert "zzz" not in store
         assert 42 not in store
 
 
@@ -178,10 +177,9 @@ class TestDuplicateIdentifiers:
         stats = dict(store.stats)
         with pytest.raises(ValueError, match="already registered"):
             store.add(Subscription(schema, [3, 3], [7, 7], subscription_id="a"))
-        assert store.find("a") is first
         assert (store.active, store.covered) == ((first,), ())
         assert store.stats == stats
         assert store.active_candidates() is snapshot
         assert snapshot.raw.tolist() == CandidateSet([first]).raw.tolist()
         store.remove("a")
-        assert len(store) == 0
+        assert store.total_count == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model import Predicate, Publication, Schema, Subscription
+from repro.model import Publication, Schema, Subscription
 from repro.model.errors import ValidationError
 from repro.model.intervals import Interval
 
@@ -44,20 +44,6 @@ class TestConstruction:
         subscription = Subscription.whole_space(schema)
         assert subscription.size() == 101.0**3
 
-    def test_from_predicates(self, schema):
-        subscription = Subscription.from_predicates(
-            schema,
-            [Predicate.ge("x1", 10), Predicate.le("x1", 20), Predicate.eq("x2", 5)],
-        )
-        assert subscription.interval("x1") == Interval(10, 20)
-        assert subscription.interval("x2") == Interval(5, 5)
-
-    def test_from_predicates_unsatisfiable(self, schema):
-        with pytest.raises(ValidationError):
-            Subscription.from_predicates(
-                schema, [Predicate.ge("x1", 50), Predicate.le("x1", 10)]
-            )
-
     def test_ids_are_unique_when_autogenerated(self, schema):
         a = Subscription.whole_space(schema)
         b = Subscription.whole_space(schema)
@@ -72,7 +58,6 @@ class TestIntrospection:
     def test_constrains(self, box):
         assert box.constrains("x1")
         assert not box.constrains("x3")
-        assert box.constrained_attributes == ("x1", "x2")
 
     def test_size_counts_integer_points(self, box):
         assert box.size() == 11 * 31 * 101
@@ -101,12 +86,11 @@ class TestGeometry:
         assert box.matches(inside)
         assert not box.matches(outside)
 
-    def test_covers_and_is_covered_by(self, schema, box):
+    def test_covers_smaller_box(self, schema, box):
         smaller = Subscription.from_constraints(
             schema, {"x1": (12, 18), "x2": (40, 50)}
         )
         assert box.covers(smaller)
-        assert smaller.is_covered_by(box)
         assert not smaller.covers(box)
 
     def test_covers_requires_all_attributes(self, schema, box):
@@ -117,19 +101,6 @@ class TestGeometry:
 
     def test_covers_is_reflexive(self, box):
         assert box.covers(box)
-
-    def test_intersects_and_intersection(self, schema, box):
-        other = Subscription.from_constraints(schema, {"x1": (15, 40), "x2": (50, 90)})
-        assert box.intersects(other)
-        overlap = box.intersection(other)
-        assert overlap is not None
-        assert overlap.interval("x1") == Interval(15, 20)
-        assert overlap.interval("x2") == Interval(50, 60)
-
-    def test_disjoint_intersection_is_none(self, schema, box):
-        other = Subscription.from_constraints(schema, {"x1": (50, 60)})
-        assert not box.intersects(other)
-        assert box.intersection(other) is None
 
     def test_union_hull(self, schema, box):
         other = Subscription.from_constraints(schema, {"x1": (50, 60), "x2": (0, 10)})

@@ -1,18 +1,10 @@
 """Unit tests for :mod:`repro.utils`."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Stopwatch
-from repro.utils.validation import (
-    require,
-    require_in_range,
-    require_positive,
-    require_probability,
-)
+from repro.utils.validation import require_positive, require_probability
 
 
 class TestRng:
@@ -51,11 +43,6 @@ class TestRng:
 
 
 class TestValidation:
-    def test_require(self):
-        require(True, "fine")
-        with pytest.raises(ValueError, match="broken"):
-            require(False, "broken")
-
     def test_require_positive(self):
         require_positive(1.0, "x")
         with pytest.raises(ValueError):
@@ -66,28 +53,3 @@ class TestValidation:
         require_probability(1.0, "p")
         with pytest.raises(ValueError):
             require_probability(1.01, "p")
-
-    def test_require_in_range(self):
-        require_in_range(5, 0, 10, "v")
-        with pytest.raises(ValueError):
-            require_in_range(11, 0, 10, "v")
-
-
-class TestStopwatch:
-    def test_context_manager(self):
-        with Stopwatch() as watch:
-            time.sleep(0.01)
-        assert watch.elapsed >= 0.005
-        assert not watch.running
-
-    def test_manual_start_stop(self):
-        watch = Stopwatch()
-        watch.start()
-        assert watch.running
-        assert watch.elapsed >= 0.0
-        elapsed = watch.stop()
-        assert elapsed == watch.elapsed
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()

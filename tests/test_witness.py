@@ -57,7 +57,10 @@ class TestPolyhedronWitness:
         assert box is not None
         # The witness box is contained in s and disjoint from every candidate.
         assert table6_subscription.covers(box)
-        assert not any(c.intersects(box) for c in table6_candidates)
+        assert all(
+            np.any(c.lows > box.highs) or np.any(box.lows > c.highs)
+            for c in table6_candidates
+        )
 
     def test_greedy_witness_absent_when_covered(
         self, table3_subscription, table3_candidates

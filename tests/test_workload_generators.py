@@ -7,7 +7,6 @@ from repro.model import Schema
 from repro.workloads.distributions import (
     normal_width,
     pareto_center,
-    sample_zipf_ranks,
     zipf_weights,
 )
 from repro.workloads.generators import (
@@ -27,6 +26,11 @@ def schema():
     return Schema.uniform_integer(4, 0, 1000)
 
 
+def _meets(a, b):
+    """Whether two boxes share a point."""
+    return bool(np.all(a.lows <= b.highs) and np.all(b.lows <= a.highs))
+
+
 class TestDistributions:
     def test_zipf_weights_sum_to_one_and_decrease(self):
         weights = zipf_weights(10, skew=2.0)
@@ -38,11 +42,6 @@ class TestDistributions:
             zipf_weights(0)
         with pytest.raises(ValueError):
             zipf_weights(5, skew=0)
-
-    def test_sample_zipf_ranks_prefers_small_ranks(self, rng):
-        ranks = sample_zipf_ranks(20, 2000, skew=2.0, rng=rng)
-        assert ranks.min() >= 0 and ranks.max() < 20
-        assert (ranks == 0).mean() > (ranks == 10).mean()
 
     def test_pareto_center_within_bounds(self, rng):
         for _ in range(200):
@@ -86,7 +85,7 @@ class TestRandomGenerators:
         reference = random_subscription(schema, rng)
         for _ in range(100):
             other = random_subscription_intersecting(reference, rng)
-            assert reference.intersects(other)
+            assert _meets(reference, other)
 
     def test_random_subscription_cover_probability_one(self, schema, rng):
         reference = random_subscription(schema, rng, width_fraction=(0.1, 0.2))
@@ -130,7 +129,7 @@ class TestSlabPartition:
         slabs = slab_partition(subscription, 4, attribute=1)
         for i, a in enumerate(slabs):
             for b in slabs[i + 1:]:
-                assert not a.intersects(b)
+                assert not _meets(a, b)
 
     def test_more_slabs_than_points(self, schema):
         from repro.model import Subscription
