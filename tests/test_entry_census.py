@@ -57,6 +57,10 @@ POLICIES = ("none", "pairwise", "group", "merging", "hybrid")
 SEED = "7"
 
 
+#: the marker of a function kept out of coverage on purpose (trivial reprs)
+_PRAGMA = "pragma: no cover"
+
+
 class Function(NamedTuple):
     """One ``def`` under ``src/``: its census key and its size."""
 
@@ -102,10 +106,6 @@ def function_defs() -> Dict[Tuple[str, int, str], Function]:
 
         visit(tree, "")
     return found
-
-
-#: the marker of a function kept out of coverage on purpose (trivial reprs)
-_PRAGMA = "pragma: no cover"
 
 
 def _is_stub(node: ast.AST) -> bool:
@@ -172,8 +172,9 @@ def fresh_imports() -> Iterator[None]:
     Import-time calls (the scenario and strategy registries' decorators)
     are part of what the entry points reach, so the census imports the
     package again under the recorder; the modules the rest of the test
-    session holds come back afterwards, as do the SIGTERM handler and
-    ``sys.argv`` that ``bench/run.py`` and the examples touch.
+    session holds come back afterwards, as do the SIGTERM handler,
+    ``sys.argv`` and ``sys.path`` that ``bench/run.py`` and the examples
+    touch.
     """
     ours = (str(SRC) + os.sep, str(BENCH) + os.sep, str(ROOT / "examples") + os.sep)
 
@@ -183,7 +184,7 @@ def fresh_imports() -> Iterator[None]:
     saved = {name: module for name, module in sys.modules.items() if owned(module)}
     for name in saved:
         del sys.modules[name]
-    handler, argv = signal.getsignal(signal.SIGTERM), sys.argv
+    handler, argv, path = signal.getsignal(signal.SIGTERM), sys.argv, sys.path[:]
     try:
         yield
     finally:
@@ -191,90 +192,56 @@ def fresh_imports() -> Iterator[None]:
             del sys.modules[name]
         sys.modules.update(saved)
         signal.signal(signal.SIGTERM, handler)
-        sys.argv = argv
+        sys.argv, sys.path[:] = argv, path
 
 
 # ----------------------------------------------------------------------
 # The entry points
 # ----------------------------------------------------------------------
-def _scenarios(*argv: str) -> None:
-    from repro.scenarios.cli import main
-
-    assert main(list(argv)) == 0, argv
-
-
-def _bench_main() -> Callable:
-    sys.path.insert(0, str(BENCH))
-    try:
-        module = runpy.run_path(str(BENCH / "run.py"), run_name="bench_run")
-    finally:
-        sys.path.remove(str(BENCH))
-    return module["main"]
+def _example(argv: List[str]) -> int:
+    sys.argv = argv
+    runpy.run_path(argv[0], run_name="__main__")
+    return 0
 
 
-def entry_points(scratch: Path) -> List[Tuple[str, Callable[[], None]]]:
-    """(label, thunk) for every entry point the census runs."""
+def entry_points(scratch: Path) -> List[Tuple[Callable[[List[str]], int], List[str]]]:
+    """(main, argv) of every entry point the census runs; each exits 0."""
     from repro.experiments.cli import main as experiments
     from repro.obs.cli import main as obs
+    from repro.scenarios.cli import main as scenarios
 
-    runs: List[Tuple[str, Callable[[], None]]] = []
-    for name in EXAMPLES:
-        path = str(ROOT / "examples" / f"{name}.py")
-
-        def example(path=path) -> None:
-            sys.argv = [path]
-            runpy.run_path(path, run_name="__main__")
-
-        runs.append((f"examples/{name}.py", example))
-    runs.append(("repro.experiments all", lambda: experiments(["all"])))
-    runs.append(("repro.experiments eq2 --csv",
-                 lambda: experiments(["eq2", "--csv", str(scratch / "csv")])))
-
+    sys.path.insert(0, str(BENCH))  # bench/run.py imports its sibling modules
+    bench = runpy.run_path(str(BENCH / "run.py"), run_name="bench_run")["main"]
+    trace, spans = str(scratch / "t0.jsonl"), str(scratch / "t0-spans.jsonl")
     tiers = ("t0-discovery", "t0-latency", "t0-merging", "t0-smoke", "t1-churn",
              "t1-flashcrowd", "t2-burst", "t2-merge-stress", "t2-paper-mix")
-    for tier in tiers:
-        for backend in ("network", "engine"):
-            runs.append((f"run {tier} --backend {backend}",
-                         lambda t=tier, b=backend: _scenarios(
-                             "run", t, "--seed", SEED, "--backend", b)))
-    for policy in POLICIES:
-        for extra in (("--backend", "network"), ("--backend", "engine"),
-                      ("--backend", "engine", "--shards", "2")):
-            runs.append((f"run t1-churn --policy {policy} {' '.join(extra)}",
-                         lambda p=policy, e=extra: _scenarios(
-                             "run", "t1-churn", "--seed", SEED, "--policy", p, *e)))
-
-    trace, spans = str(scratch / "t0.jsonl"), str(scratch / "t0-spans.jsonl")
-    metrics = str(scratch / "t0-metrics.json")
-    runs += [
-        ("run t0-smoke --trace --obs-spans --metrics-json", lambda: _scenarios(
-            "run", "t0-smoke", "--seed", SEED, "--trace", trace,
-            "--obs-spans", spans, "--metrics-json", metrics)),
-        ("replay", lambda: _scenarios("replay", trace)),
-        ("replay --json --backend engine --shards 2", lambda: _scenarios(
-            "replay", trace, "--json", "--backend", "engine", "--shards", "2")),
-        ("describe", lambda: _scenarios("describe", "t0-smoke")),
-        ("describe --json", lambda: _scenarios("describe", "t1-churn", "--json")),
-        ("list", lambda: _scenarios("list")),
-        ("run --json", lambda: _scenarios("run", "t0-smoke", "--seed", SEED, "--json")),
-        ("repro-obs report", lambda: obs(["report", spans])),
-        ("run t0-latency lognormal", lambda: _scenarios(
-            "run", "t0-latency", "--seed", SEED,
-            "--latency-model", "lognormal:0.0,0.5")),
+    backends = (["--backend", "network"], ["--backend", "engine"],
+                ["--backend", "engine", "--shards", "2"])
+    return [
+        *((_example, [str(ROOT / "examples" / f"{name}.py")]) for name in EXAMPLES),
+        (experiments, ["all"]),
+        (experiments, ["eq2", "--csv", str(scratch / "csv")]),
+        *((scenarios, ["run", tier, "--seed", SEED, *backend])
+          for tier in tiers for backend in backends[:2]),
+        *((scenarios, ["run", "t1-churn", "--seed", SEED, "--policy", policy, *backend])
+          for policy in POLICIES for backend in backends),
+        (scenarios, ["run", "t0-smoke", "--seed", SEED, "--trace", trace,
+                     "--obs-spans", spans, "--metrics-json", str(scratch / "m.json")]),
+        (scenarios, ["replay", trace]),
+        (scenarios, ["replay", trace, "--json", *backends[2]]),
+        (scenarios, ["describe", "t0-smoke"]),
+        (scenarios, ["describe", "t1-churn", "--json"]),
+        (scenarios, ["list"]),
+        (scenarios, ["run", "t0-smoke", "--seed", SEED, "--json"]),
+        (obs, ["report", spans]),
+        (scenarios, ["run", "t0-latency", "--seed", SEED,
+                     "--latency-model", "lognormal:0.0,0.5"]),
+        *((bench, ["--workload", workload, "--seed", "3", "--trace", traced,
+                   "--quick", "--passes", "1"])
+          for workload in ("churn-overlay", "burst-overlay", "cycle-engine",
+                           "cycle-sharded", "checker-families")
+          for traced in ("0", "1")),
     ]
-
-    bench = _bench_main()
-    for workload in ("churn-overlay", "burst-overlay", "cycle-engine",
-                     "cycle-sharded", "checker-families"):
-        for traced in ("0", "1"):
-            runs.append((f"bench {workload} --trace {traced}",
-                         lambda w=workload, t=traced: _run_bench(bench, w, t)))
-    return runs
-
-
-def _run_bench(bench: Callable, workload: str, traced: str) -> None:
-    assert bench(["--workload", workload, "--seed", "3", "--trace", traced,
-                  "--quick", "--passes", "1"]) == 0, workload
 
 
 def census(scratch: Path) -> Tuple[Dict[Tuple[str, int, str], Function], Set[str]]:
@@ -282,8 +249,8 @@ def census(scratch: Path) -> Tuple[Dict[Tuple[str, int, str], Function], Set[str
     defs = function_defs()
     with fresh_imports(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()), recording() as reached:
-        for _, run in entry_points(scratch):
-            run()
+        for main, argv in entry_points(scratch):
+            assert main(argv) == 0, argv
     unreached = {function.key for where, function in defs.items()
                  if where not in reached}
     return defs, unreached
