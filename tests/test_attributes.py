@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.model.attributes`."""
 
+import json
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -192,6 +194,20 @@ class TestTimestampDomain:
         assert restored.lower_bound == domain.lower_bound
         assert restored.upper_bound == domain.upper_bound
 
+    def test_roundtrip_dict_with_end_inside_a_bucket(self):
+        # to_dict writes bucket starts: 23:59:59 comes back as 23:59:00
+        domain = TimestampDomain("2006-03-31T00:00:00", "2006-03-31T23:59:59", 60)
+        restored = domain_from_dict(domain.to_dict())
+        assert restored == domain
+        assert hash(restored) == hash(domain)
+
+    def test_equality_ignores_seconds_inside_the_end_bucket(self):
+        a = TimestampDomain("2006-03-31T00:00:00", "2006-03-31T23:59:00", 60)
+        b = TimestampDomain("2006-03-31T00:00:00", "2006-03-31T23:59:59", 60)
+        later = TimestampDomain("2006-03-31T00:00:00", "2006-04-01T00:00:00", 60)
+        assert a == b and hash(a) == hash(b)
+        assert a != later
+
 
 class TestAttribute:
     def test_attribute_requires_name(self):
@@ -211,3 +227,70 @@ class TestAttribute:
     def test_domain_from_dict_unknown_type(self):
         with pytest.raises(DomainError):
             domain_from_dict({"type": "mystery"})
+
+
+DOMAINS = {
+    "integer": (IntegerDomain(3, 9), 7.0),
+    "integer-single-point": (IntegerDomain(4, 4), 1.0),
+    "continuous": (ContinuousDomain(-1.0, 1.0, resolution=1e-3), 2.0),
+    "categorical": (CategoricalDomain(["lo", "mid", "hi"]), 3.0),
+    "timestamp-hourly": (
+        TimestampDomain("2024-03-01T00:00:00", "2024-03-02T00:00:00", 3600),
+        25.0,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(DOMAINS))
+def domain_case(request):
+    return DOMAINS[request.param]
+
+
+class TestEveryDomain:
+    """Contracts every domain kind keeps, checked on each one."""
+
+    def test_json_roundtrip(self, domain_case):
+        domain, _ = domain_case
+        restored = domain_from_dict(json.loads(json.dumps(domain.to_dict())))
+        assert restored == domain
+        assert hash(restored) == hash(domain)
+
+    def test_full_interval_is_the_bounds(self, domain_case):
+        domain, _ = domain_case
+        full = domain.full_interval()
+        assert full == Interval(domain.lower_bound, domain.upper_bound)
+        assert domain.clip(Interval(-math.inf, math.inf)) == full
+
+    def test_bounds_are_representable(self, domain_case):
+        domain, _ = domain_case
+        assert domain.snap(domain.full_interval()) == domain.full_interval()
+
+    def test_measure_of_full_domain(self, domain_case):
+        domain, expected = domain_case
+        assert domain.measure(domain.full_interval()) == expected
+
+    def test_measure_outside_domain_is_zero(self, domain_case):
+        domain, _ = domain_case
+        above = Interval(domain.upper_bound + 1, domain.upper_bound + 5)
+        assert domain.measure(above) == 0.0
+
+    def test_bounds_decode_and_encode_back(self, domain_case):
+        domain, _ = domain_case
+        for bound in (domain.lower_bound, domain.upper_bound):
+            assert domain.encode(domain.decode(bound)) == bound
+
+    def test_samples_stay_in_domain(self, domain_case):
+        domain, _ = domain_case
+        full = domain.full_interval()
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            value = domain.sample(full, rng)
+            assert full.low <= value <= full.high
+            if domain.is_discrete:
+                assert float(value).is_integer()
+
+    def test_non_positive_gap_has_no_measure(self, domain_case):
+        domain, _ = domain_case
+        assert domain.gap_measure(0.0) == 0.0
+        assert domain.gap_measure(-1.0) == 0.0
+        assert domain.gap_measure(1.0) >= 1.0

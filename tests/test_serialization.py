@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.model.serialization`."""
 
+import json
+
 import pytest
 
 from repro.model import (
@@ -71,3 +73,39 @@ class TestPublicationSerialization:
     def test_malformed_dict(self, schema):
         with pytest.raises(SerializationError):
             publication_from_dict({"id": "p"}, schema)
+
+
+class TestJsonText:
+    """Payloads survive a trip through JSON text on every domain kind."""
+
+    @pytest.fixture
+    def mixed(self):
+        return bike_rental_schema()
+
+    def test_schema(self, mixed):
+        text = json.dumps(schema_to_dict(mixed))
+        assert schema_from_dict(json.loads(text)) == mixed
+
+    def test_subscription(self, mixed):
+        box = Subscription(
+            mixed,
+            [(lo + hi) // 2 for lo, hi in zip(*mixed.full_bounds())],
+            mixed.full_bounds()[1],
+            subscriber="s",
+            metadata={"tags": ["a", "b"]},
+        )
+        restored = subscription_from_dict(
+            json.loads(json.dumps(subscription_to_dict(box))), mixed
+        )
+        assert restored == box
+        assert restored.same_box(box)
+        assert restored.metadata == {"tags": ["a", "b"]}
+
+    def test_publication(self, mixed):
+        lows, _ = mixed.full_bounds()
+        publication = Publication(mixed, lows, publisher="p")
+        restored = publication_from_dict(
+            json.loads(json.dumps(publication_to_dict(publication))), mixed
+        )
+        assert restored == publication
+        assert restored.values.tolist() == lows.tolist()

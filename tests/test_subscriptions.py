@@ -150,3 +150,33 @@ class TestCopies:
             schema, {"x1": (1, 3)}, subscription_id="s"
         )
         assert a != "not a subscription"
+
+
+@pytest.mark.parametrize(
+    "point, expected",
+    [
+        ([15, 45, 50], True),
+        ([10, 30, 0], True),
+        ([20, 60, 100], True),
+        ([10, 60, 100], True),
+        ([9.999, 45, 50], False),
+        ([20.001, 45, 50], False),
+        ([15, 29, 50], False),
+        ([15, 61, 50], False),
+        ([float("nan"), 45, 50], False),
+    ],
+    ids=[
+        "inside",
+        "low-corner",
+        "high-corner",
+        "mixed-corner",
+        "below-x1",
+        "above-x1",
+        "below-x2",
+        "above-x2",
+        "nan",
+    ],
+)
+def test_contains_values_agrees_with_contains_point(box, point, expected):
+    assert box.contains_point(point) is expected
+    assert box.contains_values(point) is expected
