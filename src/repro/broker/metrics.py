@@ -11,14 +11,8 @@ registry histograms.  The network's hot sites add to the
 A report — one phase's metrics or a run's totals — is
 :meth:`NetworkMetrics.report` of one
 :meth:`~repro.obs.instruments.InstrumentRegistry.diff`: the diff from a
-phase's mark (a registry ``snapshot``), or from
-:attr:`NetworkMetrics.origin`, the snapshot taken when the metrics were
-built.  The registry is the probe's when the network is built under
-one, private otherwise; because totals are diffs too, a probe reused
-across runs adds nothing of one run to the next one's report.  Each
-metrics object owns its instruments: the first one built on a registry
-takes the bare ``network.<name>`` keys, every later one the same names
-labelled ``network=<n>``, so two networks alive under one probe never
+phase's mark (a registry ``snapshot``), or from zero for totals.  Each
+metrics object owns its registry, so two networks alive at once never
 count into each other.
 """
 
@@ -108,26 +102,16 @@ class NetworkMetrics:
     mark to every report.
     """
 
-    def __init__(
-        self,
-        track_latency: bool = False,
-        registry: Optional[InstrumentRegistry] = None,
-    ):
-        self.registry = registry if registry is not None else InstrumentRegistry()
+    def __init__(self, track_latency: bool = False):
+        self.registry = InstrumentRegistry()
         self.track_latency = track_latency
-        labels = _unclaimed_labels(self.registry)
         self.counters = {
-            name: self.registry.counter(f"network.{name}", **labels)
-            for name in COUNTERS
+            name: self.registry.counter(f"network.{name}") for name in COUNTERS
         }
         #: virtual-time latency of every delivered notification, in order
-        self.latencies = self.registry.histogram("network.delivery_latency", **labels)
+        self.latencies = self.registry.histogram("network.delivery_latency")
         #: the kernel's queue-depth high-water mark of every client operation
-        self.queue_depths = self.registry.histogram(
-            "network.queue_depth_high_water", **labels
-        )
-        #: every report is a diff: totals are the diff since this snapshot
-        self.origin = self.registry.snapshot()
+        self.queue_depths = self.registry.histogram("network.queue_depth_high_water")
         #: the expected notifications that were never delivered
         self.missed: List[NotificationRecord] = []
         #: delivered notifications whose subscription did not actually
@@ -148,8 +132,8 @@ class NetworkMetrics:
         latency percentiles and queue-depth high-water mark.
         """
         if delta is None:
-            delta = self.registry.diff(self.origin)
-        report = {name: delta[counter.key] for name, counter in self.counters.items()}
+            delta = self.registry.diff()
+        report = {name: delta[f"network.{name}"] for name in COUNTERS}
         for name in _REDUCTION_COUNTERS:
             if not report[name]:
                 del report[name]
@@ -173,18 +157,6 @@ class NetworkMetrics:
         )
 
 
-def _unclaimed_labels(registry: InstrumentRegistry) -> Dict[str, int]:
-    """No labels on a registry without network counters, else the first
-    ``network=<n>`` label no earlier metrics object holds."""
-    claimed = COUNTERS[0]
-    if registry.get(f"network.{claimed}") is None:
-        return {}
-    index = 1
-    while registry.get(f"network.{claimed}", network=index) is not None:
-        index += 1
-    return {"network": index}
-
-
 def _tail(histogram, delta: Mapping[str, float]) -> List[float]:
     """The samples a registry diff counted for ``histogram``."""
     samples = histogram.samples
@@ -192,11 +164,9 @@ def _tail(histogram, delta: Mapping[str, float]) -> List[float]:
 
 
 def _reader(name: str) -> property:
-    def read(self) -> float:
-        counter = self.counters[name]
-        return counter.value - self.origin[counter.key]
-
-    return property(read, doc=f"``network.{name}`` since the metrics were built.")
+    return property(
+        lambda self: self.counters[name].value, doc=f"``network.{name}``."
+    )
 
 
 for _name in COUNTERS:

@@ -94,8 +94,7 @@ class BrokerNetwork:
     The network, its kernel and its brokers are observed by whatever
     :class:`~repro.obs.probes.ObsProbe` is installed while they run
     (stage timers, causal spans); with none installed they run the exact
-    pre-observability code path.  A network built under a probe keeps
-    its counters in that probe's instrument registry.
+    pre-observability code path.
 
     The network runs in one process; only the engine backend's decision
     pool shards (:mod:`repro.shard`).
@@ -132,14 +131,7 @@ class BrokerNetwork:
         self.latency_model: LatencyModel = model
         self.kernel = EventKernel(model)
         self.brokers: Dict[str, Broker] = {}
-        # Built under a probe, the network's counters live in the probe's
-        # instrument registry — one registry is then the single source of
-        # truth for every metric of the run.
-        obs = obs_probes.ACTIVE
-        self.metrics = NetworkMetrics(
-            track_latency=model.name != "zero",
-            registry=obs.registry if obs is not None else None,
-        )
+        self.metrics = NetworkMetrics(track_latency=model.name != "zero")
         #: client identifier -> broker identifier
         self.clients: Dict[str, str] = {}
         #: global oracle: subscription id -> (subscription, client, broker)

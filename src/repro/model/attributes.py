@@ -418,18 +418,16 @@ class TimestampDomain(AttributeDomain):
             f"{self.decode(self.upper_bound).isoformat()}]"
         )
 
-    # Equal on the encoded axis: seconds inside the end bucket change no
-    # encoding, and ``to_dict`` writes only bucket starts.
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TimestampDomain)
+            and self._start == other._start
+            and self._end == other._end
             and self._granularity == other._granularity
-            and self.lower_bound == other.lower_bound
-            and self.upper_bound == other.upper_bound
         )
 
     def __hash__(self) -> int:
-        return hash(("timestamp", self.lower_bound, self.upper_bound, self._granularity))
+        return hash(("timestamp", self._start, self._end, self._granularity))
 
 
 @dataclass(frozen=True)

@@ -202,10 +202,6 @@ class InstrumentRegistry:
         """Get or create a histogram."""
         return self._get_or_create(Histogram, name, labels)
 
-    def get(self, name: str, **labels: Any):
-        """Look an instrument up, or ``None`` when absent."""
-        return self._instruments.get((name, _labels_of(labels)))
-
     # ------------------------------------------------------------------
     # Snapshot / diff
     # ------------------------------------------------------------------

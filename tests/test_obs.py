@@ -192,12 +192,14 @@ class TestProbes:
         assert probe.stage_calls["network.oracle"] == 2
         assert probe.stage_calls["network.collect"] == 1
 
-    def test_metrics_share_probe_registry(self):
+    def test_metrics_own_their_registry(self):
         probe = ObsProbe()
         with enabled(probe):
             network = BrokerNetwork([("B1", "B2")])
         network.metrics.counters["notifications"].inc(3)
-        assert probe.registry.get("network.notifications").value == 3
+        assert network.metrics.registry is not probe.registry
+        assert network.metrics.registry.snapshot()["network.notifications"] == 3
+        assert "network.notifications" not in probe.registry.snapshot()
         assert network.metrics.notifications == 3
         with pytest.raises(AttributeError):
             network.metrics.notifications = 0
@@ -207,21 +209,19 @@ class TestProbes:
         with enabled(probe):
             first = BrokerNetwork([("B1", "B2")])
             second = BrokerNetwork([("B1", "B2")])
-        mark = probe.registry.snapshot()
+        mark = second.metrics.registry.snapshot()
         first.metrics.counters["notifications"].inc(2)
         assert first.metrics.notifications == 2
         assert second.metrics.notifications == 0
         assert second.metrics.report()["notifications"] == 0
-        assert second.metrics.report(probe.registry.diff(mark))["notifications"] == 0
-        assert first.metrics.report(probe.registry.diff(mark))["notifications"] == 2
-        # the first network keeps the bare keys of a single-network run
-        assert probe.registry.get("network.notifications").value == 2
-        assert probe.registry.get("network.notifications", network=1).value == 0
+        assert second.metrics.report(second.metrics.registry.diff(mark))[
+            "notifications"
+        ] == 0
+        assert first.metrics.report()["notifications"] == 2
 
     def test_reused_probe_reports_each_run_alone(self):
-        # A network built under a probe counts in the probe's registry, so
-        # a second run under the same probe starts from the first run's
-        # counts; its report must not include them.
+        # A second run under the same probe must report nothing of the
+        # first run.
         spec, compiled = _compiled("t0-smoke", "group")
         baseline = ScenarioRunner(spec, seed=7, backend="network").run(compiled)
         probe = ObsProbe()
@@ -340,7 +340,7 @@ class TestLatencyStats:
         assert metrics.delivery_latencies == []
         metrics.delivery_latencies.extend([0.5, 1.5])
         assert metrics.delivery_latencies[1:] == [1.5]
-        assert metrics.registry.get("network.delivery_latency").count == 2
+        assert metrics.registry.snapshot()["network.delivery_latency"] == 2
 
 
 # ----------------------------------------------------------------------

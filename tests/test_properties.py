@@ -58,7 +58,30 @@ def box_sets(draw, min_size=1, max_size=6):
 # ----------------------------------------------------------------------
 # Interval / box geometry
 # ----------------------------------------------------------------------
+def _meet(a, b):
+    """The intersection box of ``a`` and ``b``, or ``None`` when empty."""
+    lows = np.maximum(a.lows, b.lows)
+    highs = np.minimum(a.highs, b.highs)
+    if np.any(lows > highs):
+        return None
+    return Subscription(SCHEMA, lows, highs)
+
+
 class TestGeometryProperties:
+    @_settings
+    @given(boxes(), boxes())
+    def test_intersection_is_contained_in_both(self, a, b):
+        overlap = _meet(a, b)
+        if overlap is not None:
+            assert a.covers(overlap)
+            assert b.covers(overlap)
+
+    @_settings
+    @given(boxes(), boxes())
+    def test_covers_iff_intersection_equals_smaller(self, a, b):
+        overlap = _meet(a, b)
+        assert a.covers(b) == (overlap is not None and overlap.same_box(b))
+
     @_settings
     @given(boxes(), boxes())
     def test_union_hull_covers_both(self, a, b):

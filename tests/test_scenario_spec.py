@@ -252,11 +252,12 @@ class TestMetricsReport:
         with pytest.raises(AttributeError):
             metrics.notifications = 1
 
-    def test_totals_exclude_what_a_shared_registry_counted_before(self):
+    def test_totals_count_only_this_metrics_object(self):
         first = NetworkMetrics()
         _count(first, notifications=5, expected_notifications=5)
-        second = NetworkMetrics(registry=first.registry)
+        second = NetworkMetrics()
         _count(second, notifications=2, expected_notifications=3, missed_notifications=1)
+        assert first.notifications == 5
         assert second.notifications == 2
         assert second.report()["notifications"] == 2
         assert second.report()["delivery_ratio"] == pytest.approx(0.666667)

@@ -82,6 +82,11 @@ class TestJsonText:
     def mixed(self):
         return bike_rental_schema()
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 17(e): TimestampDomain compares raw seconds, to_dict "
+        "writes bucket starts",
+    )
     def test_schema(self, mixed):
         text = json.dumps(schema_to_dict(mixed))
         assert schema_from_dict(json.loads(text)) == mixed
