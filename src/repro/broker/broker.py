@@ -326,7 +326,7 @@ class Broker:
                 if uid in link.cover_links:
                     link.remove(uid)
                 continue
-            outcome = self._on_link(link.remove_detailed, uid)
+            outcome = self._on_link(link.remove, uid)
             if outcome.was_active:
                 outgoing.append(self._hop(message, neighbor, uid, message.origin))
             for box in outcome.retracted:
@@ -402,25 +402,37 @@ class Broker:
 
         with stage("broker.match_forward"):
             merges = self.strategy.merges
+            broker = self.id
+            delivered = self.delivered
+            observed = self.record_latencies or spans is not None
+            # read once: looking an enum member up on its class costs some
+            # ten local reads (Python 3.11), and the loop below is per hit
+            local = SourceKind.LOCAL
             for position, (matching, _tests) in zip(fresh, lookups):
                 message = messages[position]
-                sender = message.sender
+                sender, pid = message.sender, message.publication.id
+                first = len(delivered)
                 targets: List[str] = []
-                delivered_any = False
                 for entry in matching:
-                    if entry.source_kind is SourceKind.LOCAL:
-                        if not merges:
-                            self._deliver(entry, message)
-                            delivered_any = True
-                    elif entry.source_id != sender and entry.source_id not in targets:
-                        targets.append(entry.source_id)
+                    if entry.source_kind is not local:
+                        if entry.source_id != sender and entry.source_id not in targets:
+                            targets.append(entry.source_id)
+                    elif not merges:
+                        delivered.append(
+                            NotificationRecord(
+                                broker, entry.source_id, entry.subscription.id, pid
+                            )
+                        )
                 if merges:
                     # Local delivery runs through the merged group filters:
                     # every member of a matching group is notified, even
                     # when its own subscription does not match (client-side
                     # filtering) — those extra notifications are the
                     # merge's false positives.
-                    delivered_any = self._deliver_merged_local(message)
+                    self._deliver_merged_local(message)
+                delivered_any = len(delivered) > first
+                if delivered_any and observed:
+                    self._observe_deliveries(first, message)
                 if sender is not None and not delivered_any and not targets:
                     # A neighbour routed the publication here although
                     # nothing matches: dead-end traffic attracted by an
@@ -432,7 +444,7 @@ class Broker:
                         "publication",
                         "match",
                         message.delivered_at,
-                        broker=self.id,
+                        broker=broker,
                         status=(
                             "forwarded" if targets
                             else "delivered" if delivered_any
@@ -442,63 +454,61 @@ class Broker:
                         forwards=len(targets),
                     )
                 if targets:
+                    hops, publication = message.hops + 1, message.publication
+                    origin, trace_id = message.origin or broker, message.trace_id
+                    injected_at, sent_at = message.injected_at, message.delivered_at
                     outgoing[position] = [
                         PublicationMessage(
-                            sender=self.id,
+                            sender=broker,
                             recipient=target,
-                            hops=message.hops + 1,
-                            publication=message.publication,
-                            origin=message.origin or self.id,
-                            injected_at=message.injected_at,
-                            sent_at=message.delivered_at,
-                            trace_id=message.trace_id,
+                            hops=hops,
+                            publication=publication,
+                            origin=origin,
+                            injected_at=injected_at,
+                            sent_at=sent_at,
+                            trace_id=trace_id,
                         )
                         for target in targets
                     ]
         return outgoing
 
-    def _deliver(self, entry: RouteEntry, message: PublicationMessage) -> None:
-        """Record one notification to a local subscriber."""
-        self.delivered.append(
-            NotificationRecord(
-                broker=self.id,
-                subscriber=entry.source_id,
-                subscription_id=entry.subscription.id,
-                publication_id=message.publication.id,
-            )
-        )
+    def _observe_deliveries(self, first: int, message: PublicationMessage) -> None:
+        """Latency samples and spans of ``message``'s ``delivered[first:]``."""
+        records = self.delivered[first:]
         if self.record_latencies:
-            self.delivered_latencies.append(
-                message.delivered_at - message.injected_at
+            self.delivered_latencies.extend(
+                [message.delivered_at - message.injected_at] * len(records)
             )
         obs = obs_probes.ACTIVE
         if obs is not None and obs.spans is not None and message.trace_id:
-            obs.spans.record(
-                message.trace_id,
-                "publication",
-                "deliver",
-                message.injected_at,
-                message.delivered_at,
-                broker=self.id,
-                subscriber=entry.source_id,
-                subscription_id=entry.subscription.id,
-                publication_id=message.publication.id,
-                hops=message.hops,
-            )
+            for record in records:
+                obs.spans.record(
+                    message.trace_id,
+                    "publication",
+                    "deliver",
+                    message.injected_at,
+                    message.delivered_at,
+                    broker=self.id,
+                    subscriber=record.subscriber,
+                    subscription_id=record.subscription_id,
+                    publication_id=record.publication_id,
+                    hops=message.hops,
+                )
 
-    def _deliver_merged_local(self, message: PublicationMessage) -> bool:
-        """Deliver through the merged local filters; returns whether any fired."""
+    def _deliver_merged_local(self, message: PublicationMessage) -> None:
+        """Deliver through the merged local filters."""
         publication = message.publication
-        delivered = False
         for group in self._local_groups:
             if not group.filter.matches(publication):
                 continue
             for entry in group.members:
-                self._deliver(entry, message)
-                delivered = True
+                self.delivered.append(
+                    NotificationRecord(
+                        self.id, entry.source_id, entry.subscription.id, publication.id
+                    )
+                )
                 if not entry.subscription.matches(publication):
                     self.false_positive_deliveries += 1
-        return delivered
 
     # ------------------------------------------------------------------
     # Merged local delivery groups

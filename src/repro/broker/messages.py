@@ -10,7 +10,7 @@ which is how the traffic results of the evaluation are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.model.publications import Publication
 from repro.model.subscriptions import Subscription
@@ -89,9 +89,9 @@ class PublicationMessage(Message):
     origin: str = ""
 
 
-@dataclass(frozen=True)
-class NotificationRecord:
-    """A notification delivered to a local subscriber."""
+class NotificationRecord(NamedTuple):
+    """A notification delivered to a local subscriber; ``record[1:]`` is
+    its delivery key (subscriber, subscription, publication)."""
 
     broker: str
     subscriber: str

@@ -23,6 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.broker.messages import NotificationRecord
+from repro.core.policies import DeltaAccount
 from repro.obs.instruments import InstrumentRegistry
 
 __all__ = ["COUNTERS", "NetworkMetrics"]
@@ -112,6 +113,8 @@ class NetworkMetrics:
         self.latencies = self.registry.histogram("network.delivery_latency")
         #: the kernel's queue-depth high-water mark of every client operation
         self.queue_depths = self.registry.histogram("network.queue_depth_high_water")
+        #: the error of every per-link decision (registry only, not reported)
+        self.deltas = DeltaAccount(self.registry, "network")
         #: the expected notifications that were never delivered
         self.missed: List[NotificationRecord] = []
         #: delivered notifications whose subscription did not actually

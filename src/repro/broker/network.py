@@ -136,7 +136,7 @@ class BrokerNetwork:
         self.clients: Dict[str, str] = {}
         #: global oracle: subscription id -> (subscription, client, broker)
         self._all_subscriptions: Dict[str, Tuple[Subscription, str, str]] = {}
-        #: matcher answering the oracle's "who should be notified"
+        #: matcher answering "who should be notified" with (broker, client, id)
         self._oracle = Matcher()
 
         for left, right in edges:
@@ -220,7 +220,7 @@ class BrokerNetwork:
                 )
         else:
             # the oracle rejects a foreign schema before anything is recorded
-            self._oracle.add(subscription)
+            self._oracle.add(subscription, (broker_id, client_id, subscription.id))
             self._all_subscriptions[subscription.id] = (
                 subscription, client_id, broker_id
             )
@@ -316,25 +316,13 @@ class BrokerNetwork:
                 metrics.delivery_latencies.extend(broker.delivered_latencies[start:])
         counters["notifications"].value += len(delivered)
 
-        delivered_keys = {
-            (record.subscriber, record.subscription_id, record.publication_id)
-            for record in delivered
-        }
-        expected_keys = {
-            (record.subscriber, record.subscription_id, record.publication_id)
-            for record in expected
-        }
-        missed = [
-            record
-            for record in expected
-            if (record.subscriber, record.subscription_id, record.publication_id)
-            not in delivered_keys
-        ]
+        delivered_keys = {record[1:] for record in delivered}
+        expected_keys = {record[1:] for record in expected}
+        missed = [record for record in expected if record[1:] not in delivered_keys]
         metrics.missed.extend(missed)
         counters["missed_notifications"].value += len(missed)
         for record in delivered:
-            key = (record.subscriber, record.subscription_id, record.publication_id)
-            if key not in expected_keys:
+            if record[1:] not in expected_keys:
                 # Delivered although no subscription asked for it: a
                 # merged-filter false positive (impossible under the
                 # covering strategies).
@@ -353,21 +341,13 @@ class BrokerNetwork:
         self, publications: Sequence[Publication]
     ) -> List[NotificationRecord]:
         """What a lossless system would deliver: one oracle ``match_batch``."""
-        expected: List[NotificationRecord] = []
-        for publication, (matched, _tests) in zip(
-            publications, self._oracle.match_batch(publications)
-        ):
-            for subscription in matched:
-                _, client_id, broker_id = self._all_subscriptions[subscription.id]
-                expected.append(
-                    NotificationRecord(
-                        broker=broker_id,
-                        subscriber=client_id,
-                        subscription_id=subscription.id,
-                        publication_id=publication.id,
-                    )
-                )
-        return expected
+        return [
+            NotificationRecord(broker, client, subscription_id, publication.id)
+            for publication, (matched, _tests) in zip(
+                publications, self._oracle.match_batch(publications)
+            )
+            for broker, client, subscription_id in matched
+        ]
 
     # ------------------------------------------------------------------
     # Message pump (virtual-time event loop)
@@ -480,6 +460,7 @@ class BrokerNetwork:
         return outgoing
 
     def _account_decisions(self, decisions) -> None:
+        self.metrics.deltas.count(decisions)
         counters = self.metrics.counters
         for decision in decisions:
             counters["subsumption_checks"].value += 1

@@ -9,7 +9,8 @@ The forwarding-table lookup is one method,
 :meth:`RoutingTable.matching_entries_batch` — a single publication is a
 batch of one — answered by one :class:`~repro.core.arena.Matcher`
 ``match_batch`` call: the shared box-test kernel over the table's signed
-bound columns, which yields the matching entries in insertion order.
+bound columns, which yields the matching entries (the columns'
+payloads) in insertion order.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class RoutingTable:
         if entry.subscription.id in self._entries:
             return False
         self._entries[entry.subscription.id] = entry
-        self._index.add(entry.subscription)
+        self._index.add(entry.subscription, entry)
         return True
 
     def remove(self, subscription_id: str) -> Optional[RouteEntry]:
@@ -86,11 +87,7 @@ class RoutingTable:
         insertion order; ``tests`` is the membership-test count the
         observability layer attributes per broker.
         """
-        entries = self._entries
-        return [
-            ([entries[subscription.id] for subscription in matched], tests)
-            for matched, tests in self._index.match_batch(publications)
-        ]
+        return self._index.match_batch(publications)
 
     def __len__(self) -> int:
         return len(self._entries)

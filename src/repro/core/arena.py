@@ -14,12 +14,12 @@ back bit for bit.
 This module keeps those columns:
 
 * :class:`Matcher` — one insertion-ordered set of subscriptions of one
-  schema, kept incrementally as *raw* signed columns.  It answers every
-  publication lookup (the matching engine, in-process or in a shard
-  worker, every broker's routing table and the network's delivery
-  oracle), and a :class:`~repro.core.store.SubscriptionStore`'s active
-  and covered pools are two matchers — so each pool's bounds exist once,
-  whoever reads them.
+  schema, kept incrementally as *raw* signed columns, each with a
+  *payload* its lookups gather (the subscription, a route entry, the
+  oracle's record fields).  It answers every publication lookup (the
+  engine, in-process or in a shard worker, every broker's routing table
+  and the network's delivery oracle), and a store's active and covered
+  pools are two matchers — so each pool's bounds exist once.
 * :class:`CandidateSet` — an immutable snapshot of one candidate set: a
   ``Sequence[Subscription]`` (so every strategy/checker API keeps
   working) that also carries the candidates' raw signed columns
@@ -45,14 +45,14 @@ next column of a geometrically grown matrix and ``remove`` tombstones its
 column with NaN, which no comparison passes (as is every column never
 used).  Tombstones are compacted away, preserving insertion order, once
 they rival the live columns, so a match is one pass over at most
-``2 x live`` columns.  Candidates come back in insertion order, and each
+``2 x live`` columns.  Payloads come back in insertion order, and each
 answer is charged ``tests = len(matcher)``: one logical membership test
 per stored subscription, what a flat scan would do.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,8 +71,8 @@ __all__ = [
     "signed_box",
 ]
 
-#: matching subscriptions (insertion order) plus the tests charged for them
-MatchCandidates = Tuple[List[Subscription], int]
+#: the payloads of the matching subscriptions (insertion order) plus tests
+MatchCandidates = Tuple[List[Any], int]
 
 #: smallest matcher capacity allocated (and smallest tombstone debt compacted)
 _MIN_CAPACITY = 8
@@ -103,39 +103,39 @@ _CELL_BUDGET = 4_000_000
 _SPARSE_SHARE = 0.125
 
 
-def boxes_containing(signed: np.ndarray, points: np.ndarray) -> List[List[int]]:
-    """For every row of ``points``, the columns of ``signed`` holding it.
+def boxes_containing(signed: np.ndarray, points: np.ndarray):
+    """The ``(point, column)`` pairs where a column of ``signed`` holds a
+    row of ``points``, as two flat arrays in row-major order.
 
     ``signed`` is a signed ``(2m, n)`` matrix of *raw* bounds and
     ``points`` a ``(B, m)`` block; a point is the box with ``low == high``,
     so the answer is :func:`boxes_meeting` against ``[v, -v]`` — one kernel
-    call and one ``nonzero`` per chunk of points, however many there are,
-    each chunk's ``(2m, B', n)`` workspace within :data:`_CELL_BUDGET`.  A
-    block within one budget is tested on every row at once; a larger one
-    (an engine publish burst) chunk by chunk through :func:`_surviving`.
-    Column indices ascend within each list.  This is every publication
-    lookup of the program: :meth:`Matcher.match_values`, hence the engine's
-    publish bursts (in-process or in a shard worker), the brokers' route
-    lookup and the network's delivery oracle.
+    call and one ``nonzero`` per chunk of points, however many there
+    are, each chunk's ``(2m, B', n)`` workspace within
+    :data:`_CELL_BUDGET`.  A block within one budget is tested on every row
+    at once; a larger one (an engine publish burst) chunk by chunk through
+    :func:`_surviving`.  Points ascend, and columns ascend within a point.
+    This is every publication lookup of the program:
+    :meth:`Matcher.match_values`, hence the engine's publish bursts
+    (in-process or in a shard worker), the brokers' route lookup and the
+    network's delivery oracle.
     """
     count = len(points)
     # C-ordered on purpose: concatenating the transposes would come out
     # Fortran-ordered, and the broadcast below is then 1.3-1.6x slower at
     # routing-table sizes
     limits = np.concatenate((points, -points), axis=1).T.copy()
-    hits: List[List[int]] = [[] for _ in range(count)]
     step = max(1, _CELL_BUDGET // max(signed.size, 1))
+    if count <= step:
+        mask = boxes_meeting(signed, limits)
+        # flat, then split: a 2-D ``nonzero`` pays per cell, ten times over
+        return np.divmod(np.nonzero(mask.ravel())[0], mask.shape[1])
+    pairs = []
     for start in range(0, count, step):
-        block = limits[:, start : start + step]
-        if count <= step:
-            mask = boxes_meeting(signed, block)
-            # flat, then split: a 2-D ``nonzero`` pays per cell, ten times over
-            which, columns = np.divmod(np.nonzero(mask.ravel())[0], mask.shape[1])
-        else:
-            which, columns = _surviving(signed, block)
-        for point, column in zip((which + start).tolist(), columns.tolist()):
-            hits[point].append(column)
-    return hits
+        which, columns = _surviving(signed, limits[:, start : start + step])
+        pairs.append((which + start, columns))
+    points_hit, columns = zip(*pairs)
+    return np.concatenate(points_hit), np.concatenate(columns)
 
 
 def _surviving(signed: np.ndarray, limits: np.ndarray):
@@ -402,6 +402,8 @@ class Matcher:
         self._size = 0
         self._dead = 0
         self._subscriptions: List[Optional[Subscription]] = []
+        #: what each column's lookups answer with (``None`` when unused)
+        self._payloads = np.empty(0, dtype=object)
         self._rows: Dict[str, int] = {}
         #: compaction passes so far, and the live columns they relocated
         self.compactions = 0
@@ -414,8 +416,9 @@ class Matcher:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def add(self, subscription: Subscription) -> None:
-        """Store a subscription (fills one column; never rebuilds)."""
+    def add(self, subscription: Subscription, payload: Any = None) -> None:
+        """Store a subscription (fills one column; never rebuilds); its
+        lookups answer with ``payload``, by default the subscription."""
         if subscription.id in self._rows:
             raise ValidationError(
                 f"subscription {subscription.id!r} is already indexed"
@@ -431,6 +434,7 @@ class Matcher:
         m = subscription.m
         self._signed[:m, row] = subscription.lows
         np.negative(subscription.highs, out=self._signed[m:, row])
+        self._payloads[row] = subscription if payload is None else payload
         self._subscriptions.append(subscription)
         self._rows[subscription.id] = row
         self._size += 1
@@ -444,17 +448,21 @@ class Matcher:
         subscription = self._subscriptions[row]
         self._signed[:, row] = np.nan
         self._subscriptions[row] = None
+        self._payloads[row] = None
         self._dead += 1
         if self._dead >= _MIN_CAPACITY and 2 * self._dead >= self._size:
             self._compact()
         return subscription
 
     def _resize(self, capacity: int, keep) -> None:
-        """Move the ``keep`` columns to the front of a fresh NaN matrix."""
+        """Move the ``keep`` columns (and payloads) to a fresh NaN matrix."""
         signed = np.full((self._signed.shape[0], capacity), np.nan)
         kept = self._signed[:, keep]
         signed[:, : kept.shape[1]] = kept
         self._signed = signed
+        payloads = np.empty(capacity, dtype=object)
+        payloads[: kept.shape[1]] = self._payloads[keep]
+        self._payloads = payloads
 
     def _live(self) -> List[int]:
         return [i for i, s in enumerate(self._subscriptions) if s is not None]
@@ -499,7 +507,7 @@ class Matcher:
     # Matching
     # ------------------------------------------------------------------
     def match_candidates(self, publication: Publication) -> MatchCandidates:
-        """``(subscriptions holding publication, tests charged)``.
+        """``(payloads of the subscriptions holding publication, tests)``.
 
         One point needs no split: the kernel on a 1-D limit, at a third of
         the batched routine's fixed cost.  :meth:`MatchingEngine.match
@@ -511,11 +519,9 @@ class Matcher:
             return [], 0
         self._check_schema(publication.schema, "publication")
         values = publication.values
-        hits = boxes_meeting(
-            self._signed[:, : self._size], np.concatenate((values, -values))
-        )
-        subscriptions = self._subscriptions
-        return [subscriptions[i] for i in hits.nonzero()[0].tolist()], tests
+        size = self._size
+        hits = boxes_meeting(self._signed[:, :size], np.concatenate((values, -values)))
+        return self._payloads[:size][hits].tolist(), tests
 
     def match_batch(self, publications: Sequence[Publication]) -> List[MatchCandidates]:
         """:meth:`match_candidates` of every publication: its schema check,
@@ -546,11 +552,13 @@ class Matcher:
         this matcher's schema, in one kernel call per chunk
         (:func:`boxes_containing`).  The caller vouches for the schema.
         """
+        count = len(values)
         tests = len(self._rows)
-        if not tests or not len(values):
-            return [([], 0) for _ in range(len(values))]
-        subscriptions = self._subscriptions
-        return [
-            ([subscriptions[column] for column in columns], tests)
-            for columns in boxes_containing(self._signed[:, : self._size], values)
-        ]
+        if not tests or not count:
+            return [([], 0) for _ in range(count)]
+        points, columns = boxes_containing(self._signed[:, : self._size], values)
+        # one gather for every hit, then a slice per row, cut at the
+        # running total of the hits per row
+        hits = self._payloads.take(columns).tolist()
+        ends = np.bincount(points, minlength=count).cumsum().tolist()
+        return [(hits[start:end], tests) for start, end in zip([0] + ends, ends)]

@@ -50,13 +50,14 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.core.merging import cheapest_merge
 from repro.core.pairwise import PairwiseCoverageChecker
-from repro.core.results import SubsumptionResult
+from repro.core.results import Answer, SubsumptionResult
 from repro.core.subsumption import SubsumptionChecker
 from repro.model.subscriptions import Subscription
 
 __all__ = [
     "ReductionPolicyName",
     "ReductionDecision",
+    "DeltaAccount",
     "ReductionStrategy",
     "NoneStrategy",
     "PairwiseStrategy",
@@ -129,6 +130,17 @@ class ReductionDecision:
     result:
         The full group-subsumption result when the probabilistic checker
         ran.
+    probably_covered:
+        Whether the suppression rests on a "probably covered" verdict.
+    truncated:
+        Whether that verdict's RSPC run stopped at the iteration cap, so
+        its error bound is weaker than the requested ``delta``.
+    effective_delta:
+        The verdict's residual error: a "probably covered" verdict's
+        ``error_bound``, 0 for a definite one.
+
+    The last three are copied from ``result``, so they outlive it (a
+    broker's decision log drops ``result``).
     """
 
     subscription: Subscription
@@ -140,6 +152,36 @@ class ReductionDecision:
     candidates_considered: int = 0
     rspc_iterations: int = 0
     result: Optional[SubsumptionResult] = None
+    probably_covered: bool = False
+    truncated: bool = False
+    effective_delta: float = 0.0
+
+
+class DeltaAccount:
+    """The registry instruments accounting the error of a decision stream.
+
+    ``<prefix>.truncated_decisions``, ``<prefix>.probably_covered`` and
+    ``<prefix>.effective_delta_sum`` are counters (the mean effective
+    delta is the sum over ``probably_covered``), and
+    ``<prefix>.effective_delta_max`` is a gauge of the worst one.  No
+    report reads them: they are read from the registry.
+    """
+
+    def __init__(self, registry, prefix: str):
+        self.truncated = registry.counter(f"{prefix}.truncated_decisions")
+        self.probable = registry.counter(f"{prefix}.probably_covered")
+        self.delta_sum = registry.counter(f"{prefix}.effective_delta_sum")
+        self.delta_max = registry.gauge(f"{prefix}.effective_delta_max")
+
+    def count(self, decisions: Iterable[ReductionDecision]) -> None:
+        """Charge every decision's verdict."""
+        for decision in decisions:
+            if decision.probably_covered:
+                self.truncated.value += decision.truncated
+                self.probable.value += 1
+                self.delta_sum.value += decision.effective_delta
+                if decision.effective_delta > self.delta_max.value:
+                    self.delta_max.value = decision.effective_delta
 
 
 def _candidate_sequence(
@@ -261,14 +303,26 @@ class GroupStrategy(ReductionStrategy):
                 rspc_iterations=result.iterations_performed,
                 result=result,
             )
-        return ReductionDecision(
-            subscription,
-            forwarded=False,
-            covered_by=cover_dependencies(result, candidates),
-            candidates_considered=len(candidates),
-            rspc_iterations=result.iterations_performed,
-            result=result,
-        )
+        return _suppressed(subscription, result, candidates)
+
+
+def _suppressed(
+    subscription: Subscription,
+    result: SubsumptionResult,
+    candidates: Sequence[Subscription],
+) -> ReductionDecision:
+    """The decision of a covered verdict, carrying its error accounting."""
+    return ReductionDecision(
+        subscription,
+        forwarded=False,
+        covered_by=cover_dependencies(result, candidates),
+        candidates_considered=len(candidates),
+        rspc_iterations=result.iterations_performed,
+        result=result,
+        probably_covered=result.answer is Answer.PROBABLY_COVERED,
+        truncated=result.truncated,
+        effective_delta=result.error_bound,
+    )
 
 
 def cover_dependencies(
@@ -378,14 +432,7 @@ class HybridStrategy(MergingStrategy):
         candidates = _candidate_sequence(candidates)
         result = self.checker.check(subscription, candidates)
         if result.covered:
-            return ReductionDecision(
-                subscription,
-                forwarded=False,
-                covered_by=cover_dependencies(result, candidates),
-                candidates_considered=len(candidates),
-                rspc_iterations=result.iterations_performed,
-                result=result,
-            )
+            return _suppressed(subscription, result, candidates)
         decision = self._merge_or_forward(subscription, candidates)
         decision.rspc_iterations = result.iterations_performed
         decision.result = result

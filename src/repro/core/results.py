@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
+
+from repro.model.subscriptions import Subscription
 
 __all__ = ["Answer", "DecisionMethod", "SubsumptionResult"]
 
@@ -82,6 +84,12 @@ class SubsumptionResult:
         i.e. the verdict's error bound is weaker than requested.
     details:
         Free-form extra diagnostics (timings, per-stage notes).
+    subscription, candidates:
+        For a "probably covered" verdict, the tested subscription and the
+        candidate sequence it was decided against (references, not
+        copies; a store's candidates are an immutable snapshot).  With
+        ``details["mcs_kept_rows"]`` an audit can re-decide the verdict
+        exactly.  ``None`` for every other verdict.
     """
 
     answer: Answer
@@ -96,6 +104,8 @@ class SubsumptionResult:
     covering_row: Optional[int] = None
     truncated: bool = False
     details: Dict[str, Any] = field(default_factory=dict)
+    subscription: Optional[Subscription] = None
+    candidates: Optional[Sequence[Subscription]] = None
 
     # ------------------------------------------------------------------
     # Convenience views

@@ -292,17 +292,13 @@ class SubscriptionStore:
         self.stats["merges"] += 1
         self.stats["false_volume"] += decision.false_volume
 
-    def remove(self, subscription_id: str) -> Tuple[Subscription, ...]:
-        """Remove a subscription (unsubscription); returns the promoted ones.
+    def remove(self, subscription_id: str) -> RemovalOutcome:
+        """Remove a subscription (unsubscription) and report the outcome.
 
         The entries withheld on a departing advertisement are re-decided,
         and those no longer covered are advertised — the promotion
-        mechanism described in Section 5.
+        mechanism described in Section 5 (:attr:`RemovalOutcome.promoted`).
         """
-        return self.remove_detailed(subscription_id).promoted
-
-    def remove_detailed(self, subscription_id: str) -> RemovalOutcome:
-        """Like :meth:`remove`, but reporting the full :class:`RemovalOutcome`."""
         if subscription_id in self.active_pool:
             removed = self._retract(subscription_id)
             self.stats["removed"] += 1

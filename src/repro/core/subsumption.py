@@ -307,6 +307,8 @@ class SubsumptionChecker:
             error_bound=rspc.error_bound,
             truncated=rspc.truncated,
             details=details,
+            subscription=subscription,
+            candidates=candidates,
         )
 
     # ------------------------------------------------------------------

@@ -46,7 +46,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.policies import DEFAULT_MERGE_BUDGET
+from repro.core.policies import DEFAULT_MERGE_BUDGET, DeltaAccount
 from repro.core.store import CoveringPolicyName, StoreDecision, SubscriptionStore
 from repro.core.subsumption import SubsumptionChecker
 from repro.matching.matcher import check_backend_label
@@ -160,6 +160,8 @@ class MatchingEngine:
             policy=policy, checker=checker, merge_budget=merge_budget
         )
         self.counters = EngineCounters()
+        #: the error of every decision (registry only, not reported)
+        self.deltas = DeltaAccount(self.counters.registry, "engine")
 
     @property
     def stats(self) -> Mapping[str, int]:
@@ -192,6 +194,7 @@ class MatchingEngine:
                 f"subscription {subscription.id!r} is already registered"
             )
         decision = store.add(subscription)
+        self.deltas.count((decision,))
         self.counters.subscriptions.value = store.total_count
         return decision
 
@@ -206,9 +209,10 @@ class MatchingEngine:
         store = self.store
         if subscription_id not in store or subscription_id in store.members:
             return ()
-        promoted = store.remove(subscription_id)
+        outcome = store.remove(subscription_id)
+        self.deltas.count(outcome.reinsertions)
         self.counters.subscriptions.value = store.total_count
-        return promoted
+        return outcome.promoted
 
     # ------------------------------------------------------------------
     # Views

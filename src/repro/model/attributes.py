@@ -418,16 +418,20 @@ class TimestampDomain(AttributeDomain):
             f"{self.decode(self.upper_bound).isoformat()}]"
         )
 
+    # equal on the encoded bounds, as ``to_dict`` writes them: seconds
+    # inside a bucket do not tell two domains apart
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TimestampDomain)
-            and self._start == other._start
-            and self._end == other._end
+            and self.lower_bound == other.lower_bound
+            and self.upper_bound == other.upper_bound
             and self._granularity == other._granularity
         )
 
     def __hash__(self) -> int:
-        return hash(("timestamp", self._start, self._end, self._granularity))
+        return hash(
+            ("timestamp", self.lower_bound, self.upper_bound, self._granularity)
+        )
 
 
 @dataclass(frozen=True)

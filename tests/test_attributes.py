@@ -194,11 +194,6 @@ class TestTimestampDomain:
         assert restored.lower_bound == domain.lower_bound
         assert restored.upper_bound == domain.upper_bound
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP 17(e): TimestampDomain compares raw seconds, to_dict "
-        "writes bucket starts",
-    )
     def test_roundtrip_dict_with_end_inside_a_bucket(self):
         # to_dict writes bucket starts: 23:59:59 comes back as 23:59:00
         domain = TimestampDomain("2006-03-31T00:00:00", "2006-03-31T23:59:59", 60)
@@ -206,11 +201,6 @@ class TestTimestampDomain:
         assert restored == domain
         assert hash(restored) == hash(domain)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP 17(e): TimestampDomain compares raw seconds, to_dict "
-        "writes bucket starts",
-    )
     def test_equality_ignores_seconds_inside_the_end_bucket(self):
         a = TimestampDomain("2006-03-31T00:00:00", "2006-03-31T23:59:00", 60)
         b = TimestampDomain("2006-03-31T00:00:00", "2006-03-31T23:59:59", 60)

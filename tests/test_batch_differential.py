@@ -212,10 +212,11 @@ class TestRouteLookupBatch:
         ]
         batch = table.matching_entries_batch(publications)
         for publication, (matched, tests) in zip(publications, batch):
-            # the reference is the backend's scan, not another batch
+            # the reference is the backend's one-point lookup, not another
+            # batch; both answer with the entries themselves
             expected, expected_tests = table._index.match_candidates(publication)
             assert [e.subscription.id for e in matched] == [
-                subscription.id for subscription in expected
+                entry.subscription.id for entry in expected
             ]
             assert table.matching_entries_batch([publication]) == [(matched, tests)]
             assert tests == expected_tests

@@ -13,6 +13,10 @@ plain loop over the live subscriptions in insertion order.
 * the storage contract: one NaN-filled signed matrix grown, tombstoned
   and compacted in place (counted in ``compactions``/``moved_rows``), one
   schema per matcher, one workspace budget;
+* payloads: every lookup answers with each column's caller object (the
+  subscription by default), through compaction, on the dense and the
+  chunked path, at B = 0 and 1, and ``boxes_containing``'s pairs come
+  row-major;
 * lookups by hand through ``match_candidates`` and ``match_batch``;
 * the engine under churn, all five policies, on uniform boxes and two
   scenario workloads: the matched set equals a brute-force scan of the
@@ -24,6 +28,7 @@ plain loop over the live subscriptions in insertion order.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -339,6 +344,115 @@ def test_match_batch_chunked(family, monkeypatch):
     monkeypatch.setattr(arena, "boxes_meeting", counted)
     assert _ids(matcher.match_batch(publications)) == expected
     assert calls[0] == len(publications)
+
+
+# ----------------------------------------------------------------------
+# Payloads: a lookup answers with each column's caller object
+# ----------------------------------------------------------------------
+class _Payload:
+    """A caller object other than the subscription, compared by identity."""
+
+    __slots__ = ("subscription_id",)
+
+    def __init__(self, subscription_id):
+        self.subscription_id = subscription_id
+
+
+def _assert_payloads(answers, expected):
+    """Per row: the same payload objects in the same order, equal tests."""
+    assert [tests for _, tests in answers] == [tests for _, tests in expected]
+    for (got, _), (want, _) in zip(answers, expected):
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("path", ("dense", "chunked"))
+@pytest.mark.parametrize("family", ("discrete", "mixed"))
+@pytest.mark.parametrize("seed", range(3))
+def test_payloads_follow_their_columns(seed, family, path, monkeypatch):
+    """Random add/remove runs that cross compaction: ``match_values``,
+    ``match_batch`` and ``match_candidates`` answer every row with exactly
+    ``[payload[c] for c in <the scan's columns>]``, at B = 0, 1 and 7, with
+    empty rows among them, on the dense path and on the chunked
+    ``_surviving`` path (a budget of one point per chunk)."""
+    schema = SCHEMAS[family]
+    surviving = [0]
+    kernel = arena._surviving
+
+    def counted(signed, limits):
+        surviving[0] += 1
+        return kernel(signed, limits)
+
+    monkeypatch.setattr(arena, "_surviving", counted)
+    if path == "chunked":
+        monkeypatch.setattr(arena, "_CELL_BUDGET", 1)
+    rng = np.random.default_rng([seed, schema.m, path == "chunked"])
+    matcher, live, payloads = Matcher(), {}, {}
+    pool = iter(_subscriptions(schema, rng, 300))
+    rows = Counter()
+    for step in range(200):
+        if (step // 30) % 2 == 0 or not live:
+            subscription = next(pool)
+            # every third column keeps the default payload: the subscription
+            payload = None if step % 3 == 0 else _Payload(subscription.id)
+            matcher.add(subscription, payload)
+            live[subscription.id] = subscription
+            payloads[subscription.id] = payload or subscription
+        else:
+            victim = list(live)[int(rng.integers(len(live)))]
+            assert matcher.remove(victim) is live.pop(victim)
+            del payloads[victim]
+        if step % 10:
+            continue
+        stored = list(live.values())
+        for burst in (0, 1, 7):
+            publications = _publications(schema, rng, burst, stored)
+            expected = []
+            for publication in publications:
+                matched, tests = scan(stored, publication)
+                expected.append(([payloads[s.id] for s in matched], tests))
+                rows[bool(matched)] += 1
+            values = np.array([p.values for p in publications]).reshape(burst, schema.m)
+            _assert_payloads(matcher.match_values(values), expected)
+            _assert_payloads(matcher.match_batch(publications), expected)
+            singles = [matcher.match_candidates(p) for p in publications]
+            _assert_payloads(singles, expected)
+    assert matcher.compactions >= 2
+    assert rows[True] and rows[False]
+    assert (surviving[0] > 0) is (path == "chunked")
+
+
+def test_payloads_of_the_empty_matcher():
+    schema = SCHEMAS["discrete"]
+    matcher = Matcher()
+    publication = Publication(schema, [1, 1, 1])
+    assert matcher.match_values(np.empty((3, 0))) == [([], 0)] * 3
+    assert matcher.match_values(np.empty((0, 0))) == []
+    assert matcher.match_batch([publication]) == [([], 0)]
+    assert matcher.match_candidates(publication) == ([], 0)
+    subscription = Subscription.whole_space(schema, subscription_id="all")
+    matcher.add(subscription, ("payload",))
+    assert matcher.match_batch([publication]) == [([("payload",)], 1)]
+    matcher.remove("all")
+    assert matcher.match_batch([publication]) == [([], 0)]
+
+
+def test_boxes_containing_is_row_major(monkeypatch):
+    """The flat ``(points, columns)`` pairs: points ascend, and columns
+    ascend within a point, on both paths."""
+    schema = SCHEMAS["discrete"]
+    rng = np.random.default_rng(8)
+    matcher, live = _filled(schema, rng, 40, False)
+    values = matcher.value_block(_publications(schema, rng, 30, list(live.values())))
+    signed = matcher._signed[:, : matcher._size]
+    mask = arena.boxes_meeting(signed, np.concatenate((values, -values), axis=1).T)
+    dense = arena.boxes_containing(signed, values)
+    for got, want in zip(dense, np.nonzero(mask)):
+        assert np.array_equal(got, want)
+    # seven points per chunk, so ``_surviving`` runs
+    monkeypatch.setattr(arena, "_CELL_BUDGET", 7 * signed.size)
+    for got, want in zip(arena.boxes_containing(signed, values), dense):
+        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,12 @@ delivery oracle — is swept against a linear scan in ``test_matcher.py``):
 * :meth:`EventKernel.schedule_many` of N messages leaves the kernel exactly
   as N scheduling runs of one do;
 * one handled batch costs the same number of NumPy calls whatever its
-  size.
+  size;
+* every lookup answers with the caller's own objects: route lookups with
+  the table's ``RouteEntry`` objects, the oracle with what its records
+  are built from; the expected, missed and false-positive notifications
+  equal a recomputation from the live subscriptions, and a
+  ``NotificationRecord`` keeps its value semantics.
 """
 
 from __future__ import annotations
@@ -21,10 +26,17 @@ import numpy as np
 import pytest
 
 from repro.broker import grid_topology, make_latency_model, random_tree_topology
-from repro.broker.messages import PublicationMessage, SubscriptionMessage
+from repro.broker.messages import (
+    NotificationRecord,
+    PublicationMessage,
+    SubscriptionMessage,
+)
 from repro.broker.network import BrokerNetwork
+from repro.broker.routing import RouteEntry, RoutingTable, SourceKind
 from repro.broker.sim import EventKernel
 from repro.core import arena
+from repro.core.results import Answer, DecisionMethod, SubsumptionResult
+from repro.core.subsumption import SubsumptionChecker
 from repro.model import Publication, Schema, Subscription
 from repro.obs.probes import ObsProbe, enabled
 from repro.obs.spans import SpanRecorder
@@ -437,3 +449,155 @@ def test_numpy_calls_per_handled_batch_are_constant(monkeypatch):
         assert len(outgoing) == count and broker.delivered
         seen[count] = dict(calls)
     assert seen[4] == seen[400] == {"nonzero": 1, "kernel": 1}
+
+
+# ----------------------------------------------------------------------
+# (iv) each lookup answers with the caller's own objects
+# ----------------------------------------------------------------------
+def _grid_boxes(rng, count):
+    boxes = []
+    for index in range(count):
+        low = rng.integers(0, 70, 2)
+        high = np.minimum(low + rng.integers(5, 45, 2), 100)
+        boxes.append(Subscription(GRID_SCHEMA, low, high, subscription_id=f"s{index}"))
+    return boxes
+
+
+def test_route_lookup_answers_with_the_route_entries_themselves():
+    """The very ``RouteEntry`` objects the id-mapped reference returns
+    (matched subscription -> ``entries[id]``), across removals that
+    compact the table's matcher."""
+    rng = np.random.default_rng(41)
+    table, entries = RoutingTable(), {}
+    for index, subscription in enumerate(_grid_boxes(rng, 60)):
+        kind = SourceKind.LOCAL if index % 3 == 0 else SourceKind.NEIGHBOR
+        entry = RouteEntry(subscription, kind, f"n{index % 4}", origin="B1")
+        assert table.add(entry)
+        entries[subscription.id] = entry
+    for index in range(0, 60, 2):
+        assert table.remove(f"s{index}") is entries.pop(f"s{index}")
+    assert table._index.compactions >= 1
+    publications = [
+        Publication(GRID_SCHEMA, rng.integers(0, 101, 2)) for _ in range(50)
+    ]
+    lookups = table.matching_entries_batch(publications)
+    hits = 0
+    for publication, (matched, tests) in zip(publications, lookups):
+        values = publication.values_list
+        reference = [
+            entries[entry.subscription.id]
+            for entry in entries.values()
+            if entry.subscription.contains_values(values)
+        ]
+        assert tests == len(entries) == 30
+        assert len(matched) == len(reference)
+        assert all(got is want for got, want in zip(matched, reference))
+        hits += len(matched)
+    assert hits > 0
+
+
+class _AlwaysCovered(SubsumptionChecker):
+    """Every subscription with a candidate is "probably covered": misses."""
+
+    def check(self, subscription, candidates):
+        if not len(candidates):
+            return super().check(subscription, candidates)
+        return SubsumptionResult(
+            answer=Answer.PROBABLY_COVERED,
+            method=DecisionMethod.RSPC_EXHAUSTED,
+            original_set_size=len(candidates),
+            reduced_set_size=len(candidates),
+            error_bound=1.0,
+        )
+
+
+def _key(record):
+    return (record.subscriber, record.subscription_id, record.publication_id)
+
+
+@pytest.mark.parametrize("policy", ("forced-miss", "merging"))
+def test_oracle_and_collection_equal_a_reference_recomputation(policy):
+    """``expected_notifications``, ``missed`` and ``false_positives`` equal
+    what a scan of the live subscriptions gives, burst by burst, on a run
+    that misses (a checker that covers everything) and on a merging run
+    with false positives; the oracle's matcher compacts in between."""
+    network = BrokerNetwork(
+        random_tree_topology(6, rng=1),
+        policy="group" if policy == "forced-miss" else "merging",
+        merge_budget=0.6,
+        rng=11,
+    )
+    if policy == "forced-miss":
+        for broker in network.brokers.values():
+            broker.checker = _AlwaysCovered()
+    for index, broker_id in enumerate(network.broker_ids):
+        network.attach_client(f"c{index}", broker_id)
+    rng = np.random.default_rng(43)
+    live = {}
+    for index, subscription in enumerate(_grid_boxes(rng, 40)):
+        client = f"c{index % len(network.brokers)}"
+        network.subscribe(client, subscription)
+        live[subscription.id] = (client, subscription)
+    expected_total, missed, false_positives = 0, [], []
+    for burst in range(3):
+        if burst == 1:
+            for index in range(0, 40, 2):
+                client, _ = live.pop(f"s{index}")
+                network.unsubscribe(client, f"s{index}")
+            assert network._oracle.compactions >= 1
+        operations = [
+            (
+                f"c{int(rng.integers(6))}",
+                Publication(
+                    GRID_SCHEMA, rng.integers(0, 101, 2), publication_id=f"p{burst}-{i}"
+                ),
+            )
+            for i in range(30)
+        ]
+        delivered = network.publish_many(operations)
+        expected = [
+            (network.clients[client], client, subscription.id, publication.id)
+            for _, publication in operations
+            for client, subscription in live.values()
+            if subscription.contains_values(publication.values_list)
+        ]
+        expected_total += len(expected)
+        delivered_keys = {_key(record) for record in delivered}
+        missed += [r for r in expected if tuple(r[1:]) not in delivered_keys]
+        expected_keys = {tuple(r[1:]) for r in expected}
+        false_positives += [r for r in delivered if _key(r) not in expected_keys]
+    metrics = network.metrics
+    assert metrics.expected_notifications == expected_total
+    assert metrics.missed == missed and metrics.missed_notifications == len(missed)
+    assert metrics.false_positives == false_positives
+    if policy == "forced-miss":
+        assert missed and not false_positives
+    else:
+        assert false_positives and not missed
+
+
+def test_notification_records_keep_value_semantics():
+    record = NotificationRecord("B1", "c", "s", "p")
+    assert NotificationRecord._fields == (
+        "broker",
+        "subscriber",
+        "subscription_id",
+        "publication_id",
+    )
+    assert (
+        record.broker,
+        record.subscriber,
+        record.subscription_id,
+        record.publication_id,
+    ) == ("B1", "c", "s", "p")
+    twin = NotificationRecord(
+        broker="B1", subscriber="c", subscription_id="s", publication_id="p"
+    )
+    assert record == twin and hash(record) == hash(twin) and len({record, twin}) == 1
+    # a named tuple: equal to the plain tuple of its values
+    values = ("B1", "c", "s", "p")
+    assert record == values and hash(record) == hash(values)
+    assert record[1:] == ("c", "s", "p")
+    assert record != NotificationRecord("B2", "c", "s", "p")
+    with pytest.raises(AttributeError):
+        record.broker = "B2"

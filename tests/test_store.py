@@ -124,7 +124,7 @@ class TestRemoval:
         store = SubscriptionStore(policy=CoveringPolicyName.PAIRWISE)
         store.add(box(schema, (0, 50), (0, 50), sid="big"))
         store.add(box(schema, (10, 20), (10, 20), sid="small"))
-        promoted = store.remove("small")
+        promoted = store.remove("small").promoted
         assert promoted == ()
         assert store.total_count == 1
         assert "small" not in store
@@ -133,7 +133,7 @@ class TestRemoval:
         store = SubscriptionStore(policy=CoveringPolicyName.PAIRWISE)
         store.add(box(schema, (0, 50), (0, 50), sid="big"))
         store.add(box(schema, (10, 20), (10, 20), sid="small"))
-        promoted = store.remove("big")
+        promoted = store.remove("big").promoted
         assert [s.id for s in promoted] == ["small"]
         assert len(store.active_pool) == 1
         assert "small" in store
@@ -146,7 +146,7 @@ class TestRemoval:
         store.add(box(schema, (0, 100), (0, 50), sid="wide"))
         store.add(box(schema, (10, 20), (10, 20), sid="small"))
         coverer = store.cover_links["small"][0]
-        promoted = store.remove(coverer)
+        promoted = store.remove(coverer).promoted
         # The other large subscription still covers "small".
         assert promoted == ()
         assert "small" in store
@@ -154,7 +154,7 @@ class TestRemoval:
 
     def test_remove_unknown_id_is_noop(self, schema):
         store = SubscriptionStore()
-        assert store.remove("ghost") == ()
+        assert store.remove("ghost").promoted == ()
 
     def test_contains(self, schema):
         store = SubscriptionStore(policy=CoveringPolicyName.NONE)

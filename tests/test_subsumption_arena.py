@@ -500,7 +500,7 @@ class TestStoreAndStrategyThreading:
             store.add(sub)
         # Storm: remove a prefix of the active set, forcing re-insertions.
         for sub in list(store.active)[:5]:
-            store.remove_detailed(sub.id)
+            store.remove(sub.id)
         # Every surviving subscription is in exactly one pool, and the
         # snapshot holds the active pool's bounds exactly.
         active_ids = {s.id for s in store.active}
@@ -905,7 +905,7 @@ class TestAppendOnlySnapshots:
             ids_before = tuple(s.id for s in store.active)
             if live and rng.random() < 0.3:
                 victim = live.pop(int(rng.integers(0, len(live))))
-                outcome = store.remove_detailed(victim)
+                outcome = store.remove(victim)
                 outcomes.add("removed-active" if outcome.was_active else "removed")
                 outcomes.update("promoted" for _ in outcome.promoted)
             else:
