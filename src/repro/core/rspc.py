@@ -17,15 +17,30 @@ changes every verdict downstream.  How many batches are *in flight* is
 not: most guesses are spent confirming covers at the full budget, so
 after a batch without a witness the kernel draws and tests a
 geometrically growing group of batches (up to ``_GROUP_CAP``) in one
-fused draw and one membership pass.  The draw is
-:func:`~repro.utils.rng.integers_into`: the values and end state of one
-broadcast-bounds ``Generator.integers`` call, which on a ``PCG64`` it
-computes from one ``random_raw`` call by NumPy's own Lemire rule,
-vectorised.  If a witness turns up before the end of a group it restores
-the generator state saved before the group and re-draws only the batches
-a one-batch-at-a-time loop would have drawn.  Every later check sees the
-stream position it always saw; the cap bounds what a rollback can re-draw
-and the size of the group buffers.
+fused draw and one membership pass.  Every later check sees the stream
+position it always saw; the cap bounds what a check can draw ahead and
+the size of the group buffers.
+
+Word space (:func:`_guess_in_words`).  A run of more than four batches on
+an all-discrete box drawn from a ``PCG64`` (``checker-families``) computes
+no guess but the witness.  NumPy draws a value from ``span`` integers as
+``first + (u * span >> 32)`` of a 32-bit word ``u`` (Lemire's rule),
+which grows with ``u``, so "guess >= bound" is "word >= threshold".  Once
+per run the candidates' signed bounds become exact uint32 thresholds
+(:func:`_word_thresholds`); each group's words come straight from the
+generator through the run's one reader
+(:func:`~repro.utils.rng.integer_words`) and are tested as words.  A
+witness before the group's last batch gives the later batches' words
+back, and the generator is handed back once, at the end of the run.
+Value space (:func:`_guess_in_values`) takes the rest: shorter runs,
+whose groups are too small to pay for the thresholds; a word Lemire's
+rule rejects (NumPy then takes another, so words and values part; the
+run starts over from its saved state); continuous or mixed boxes, other
+bit generators, and ranges of more than ``2**21`` values.  Its draw is
+:func:`~repro.utils.rng.integers_into`, the values and end state of one
+broadcast-bounds ``Generator.integers`` call; a witness before the end of
+a group restores the state saved before the group and re-draws only the
+batches a one-batch-at-a-time loop would have drawn.
 
 Only the bounds a guess can fail (:func:`_candidate_blocks`).  Definition 2
 calls a conflict-table entry ``T_i^j`` *undefined* when ``s ∧ ¬s_i^j`` is
@@ -37,16 +52,16 @@ each block of candidates keeps only the axes one of its members needs,
 and a block that needs none contains all of ``s``.  A bound is skipped
 only when every guess the sampling plan can draw satisfies it, so upper
 bounds on continuous axes are always tested.  The first uncovered index
-is unchanged, and with it the draws, the rollback and every counter; on
-``checker-families`` RSPC time fell by about half and ``events_per_s``
-rose by about 39 % (README, "The RSPC guess kernel").
+is unchanged, and with it the draws, the rollback and every counter
+(README, "The RSPC guess kernel", has the measurements).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +72,7 @@ from repro.core.error_model import (
     required_iterations,
 )
 from repro.model.subscriptions import Subscription
-from repro.utils.rng import RandomSource, ensure_rng
+from repro.utils.rng import RandomSource, ensure_rng, integer_words
 from repro.utils.validation import require_delta, require_iteration_cap
 
 __all__ = ["RSPCOutcome", "RSPCResult", "run_rspc"]
@@ -98,8 +113,9 @@ class RSPCResult:
         Residual error probability of a YES verdict after the performed
         guesses, ``(1 - rho_w)^iterations_performed``.
     truncated:
-        True when the budget was capped below the theoretical ``d`` so the
-        achieved error bound is weaker than requested.
+        True when the guesses were exhausted at a budget capped below the
+        theoretical ``d``, so the achieved error bound is weaker than
+        requested.  Never set on a witness, which is definite.
     """
 
     outcome: RSPCOutcome
@@ -127,8 +143,19 @@ _GROUP_CAP = 16
 #: candidates per membership-test block (see :func:`_first_uncovered`)
 _CANDIDATE_BLOCK = 8
 
+#: Most guesses a run keeps in value space.  A word run pays a fixed cost
+#: (the reader, a generator state round trip, the word thresholds) that
+#: only groups of several batches pay back, and a budget of at most four
+#: batches draws groups of one, two and one.  Measured in place: with
+#: every run in word space, ``churn-overlay`` and ``cycle-engine`` —
+#: budgets of at most 1 000 guesses, 1.2 to 2 groups a run — lost 3-10 %
+#: of ``events_per_s`` on a 2-core x86-64 VM.
+_WORD_MIN_GUESSES = 4 * _BATCH_SIZE
 
-def _candidate_blocks(subscription: Subscription, signed: np.ndarray) -> list:
+
+def _candidate_blocks(
+    subscription: Subscription, signed: np.ndarray, words=None
+) -> list:
     """Split the signed ``(2m, r)`` bounds into membership-test blocks,
     keeping only the bounds a guess can fail.
 
@@ -147,19 +174,31 @@ def _candidate_blocks(subscription: Subscription, signed: np.ndarray) -> list:
     ``<= b``.  Each block is ``(axes, bounds)``: the signed axes at least
     one member needs, and the members' ``(len(axes), block, 1)`` bounds
     on them.  A block with no axes contains every point of ``s``.
+
+    Given the run's word reader ``words`` the blocks are built for
+    guesses in word space (:func:`_word_thresholds`): the bounds are
+    uint32 thresholds on the signed axes of the columns that draw a word,
+    an entry is needed where its threshold is above 0, and the candidates
+    that hold no guess are left out.
     """
     m, k = signed.shape[0] // 2, signed.shape[1]
     if k > _CANDIDATE_BLOCK:
         with np.errstate(all="ignore"):
             volume = np.multiply.reduce(1.0 - signed[m:] - signed[:m], axis=0)
         signed = signed[:, (-volume).argsort()]
-    # a negation, so that a NaN bound stays needed (and fails every guess)
-    needed = ~(signed <= signed_box(subscription)[0][:, np.newaxis])
-    vectors = subscription.schema.vectors
-    # continuous upper bounds stay needed (``True``: every axis discrete)
-    if vectors.signed_discrete is not True:
-        needed[m:][~vectors.discrete] = True
-    starts = np.arange(0, k, _CANDIDATE_BLOCK)
+    if words is not None:
+        signed = _word_thresholds(signed, words)
+        needed = signed > 0
+    else:
+        # a negation, so that a NaN bound stays needed (and fails every guess)
+        needed = ~(signed <= signed_box(subscription)[0][:, np.newaxis])
+        vectors = subscription.schema.vectors
+        # continuous upper bounds stay needed (``True``: every axis discrete)
+        if vectors.signed_discrete is not True:
+            needed[m:][~vectors.discrete] = True
+    starts = np.arange(0, signed.shape[1], _CANDIDATE_BLOCK)
+    if not starts.size:
+        return []
     # one reduction for every block: the axes at least one member needs
     block_needs = np.logical_or.reduceat(needed, starts, axis=1).T
     blocks = []
@@ -170,20 +209,63 @@ def _candidate_blocks(subscription: Subscription, signed: np.ndarray) -> list:
     return blocks
 
 
-def _first_uncovered(points: np.ndarray, blocks: list) -> int:
-    """Index of the first column of ``points`` outside every candidate, or -1.
+def _word_thresholds(signed: np.ndarray, words) -> np.ndarray:
+    """The signed ``(2m, r)`` bounds as thresholds on the words behind
+    the guesses of the word reader ``words``
+    (:func:`~repro.utils.rng.integer_words`): ``(2l, r')`` uint32 over
+    its ``l`` live columns, without the ``r - r'`` candidates that hold
+    no guess.
 
-    ``points`` is attribute-major ``(m, n)``.  Mirrored onto the signed
-    axes (``p`` on top of ``-p``) a point is inside a candidate iff it is
-    ``>=`` the candidate's signed column on all ``2m`` axes — one
-    comparison per block, on the block's axes only.  Each block only
-    sees the points no earlier block contained, and the scan stops as
-    soon as none is left.
+    A column of ``span`` values from ``first`` to ``last`` maps a word
+    ``u`` to ``first + (u * span >> 32)``, which grows with ``u``.  So a
+    guess is ``>= low`` iff ``u >= ceil((ceil(low) - first) * 2**32 /
+    span)``, and ``<= high`` iff ``~u >= floor((last - floor(high)) *
+    2**32 / span)``, ``~u`` being ``2**32 - 1 - u`` (the mirrored axis).
+    Both are exact in float64: the integer numerator is divided once,
+    correctly rounded, and scaled by a power of two, and a quotient in
+    ``(0, 2**32)`` that is not an integer lies at least ``1 / span >=
+    2**-21`` from one, more than half its ulp.  A threshold at or below 0
+    is an undefined entry (every word passes it); a numerator of ``span``
+    or more — or a NaN bound — leaves the candidate no guess.
     """
-    m, count = points.shape
-    mirrored = np.empty((2 * m, count), dtype=float)
+    m = signed.shape[0] // 2
+    first, span = words.first[:, np.newaxis], words.span[:, np.newaxis]
+    # ``ceil(low) - first`` on top of ``last - floor(high)``, in spans
+    share = np.ceil(signed)
+    share[:m] -= first
+    share[:m] /= span
+    share[m:] += first + (span - 1)
+    share[m:] /= span
+    holds = (share < 1.0).all(axis=0)
+    if not words.live.all():
+        share = share[np.tile(words.live, 2)]
+    if not holds.all():
+        share = share[:, holds]
+    lows = len(share) // 2
+    share *= 2.0**32
+    np.ceil(share[:lows], out=share[:lows])
+    np.floor(share[lows:], out=share[lows:])
+    return np.maximum(share, 0.0, out=share).astype(np.uint32)
+
+
+def _first_uncovered(points: np.ndarray, blocks: list) -> int:
+    """Index of the first guess in ``points`` outside every candidate, or -1.
+
+    ``points`` is attribute-major, ``(m, n)`` or ``(m, batches, size)``
+    with the guesses in C order: float values, or uint32 words
+    (:func:`_word_thresholds`).  Mirrored onto the signed axes (``p`` on
+    top of ``-p``, or ``u`` on top of ``~u``) a point is inside a
+    candidate iff it is ``>=`` the candidate's signed column on all
+    ``2m`` axes — one comparison per block, on the block's axes only.
+    Each block only sees the points no earlier block contained, and the
+    scan stops as soon as none is left.
+    """
+    m, count = points.shape[0], math.prod(points.shape[1:])
+    mirrored = np.empty((2 * m, *points.shape[1:]), dtype=points.dtype)
     mirrored[:m] = points
-    np.negative(points, out=mirrored[m:])
+    flip = np.negative if points.dtype.kind == "f" else np.invert
+    flip(mirrored[:m], out=mirrored[m:])
+    mirrored = mirrored.reshape(2 * m, count)
     remaining = np.arange(count)
     for axes, bounds in blocks:
         if not axes.size:
@@ -212,13 +294,31 @@ def _guess_witness(
 
     Rollback invariant: on return the generator is in exactly the state
     that drawing one batch at a time and stopping at the batch holding the
-    witness leaves it in.  When the witness lands in batch ``j`` of a
-    group, the state saved before the group is restored and ``j + 1``
-    batches are drawn again, so no later check can tell how far this one
+    witness leaves it in, so no later check can tell how far this one
     drew ahead.
+
+    A run of more than ``_WORD_MIN_GUESSES`` guesses on an all-discrete
+    box whose draws :func:`~repro.utils.rng.integer_words` can read as
+    words guesses in word space (:func:`_guess_in_words`).  Every other
+    run, and one whose words meet a rejection, guesses in value space
+    (:func:`_guess_in_values`) from where the run started.
     """
-    blocks = _candidate_blocks(subscription, signed)
-    bit_generator = rng.bit_generator
+    if (
+        allowed > _WORD_MIN_GUESSES
+        and subscription.schema.vectors.signed_discrete is True
+    ):
+        ((_, _, _, first, beyond),) = subscription.sampling_plan()
+        words = integer_words(rng, first, beyond)
+        if words is not None:
+            found = _guess_in_words(subscription, signed, words, allowed)
+            if found is not None:
+                return found
+    return _guess_in_values(subscription, signed, rng, allowed)
+
+
+def _groups(allowed: int) -> Iterator[Tuple[int, int, int]]:
+    """The guess groups of a run of ``allowed`` guesses, as ``(performed,
+    batches, size)``; each one follows a group without a witness."""
     performed = 0
     group = 1
     while performed < allowed:
@@ -226,19 +326,62 @@ def _guess_witness(
         size = min(_BATCH_SIZE, left)
         # only full batches are grouped; a shorter last one goes alone
         batches = max(1, min(group, left // _BATCH_SIZE))
+        yield performed, batches, size
+        performed += batches * size
+        group = min(2 * group, _GROUP_CAP)
+
+
+def _guess_in_values(
+    subscription: Subscription,
+    signed: np.ndarray,
+    rng: np.random.Generator,
+    allowed: int,
+) -> tuple:
+    """:func:`_guess_witness` on drawn values.  When the witness lands in
+    batch ``j`` of a group, the state saved before the group is restored
+    and ``j + 1`` batches are drawn again."""
+    blocks = _candidate_blocks(subscription, signed)
+    bit_generator = rng.bit_generator
+    for performed, batches, size in _groups(allowed):
         state = bit_generator.state
         points = subscription.draw_batches(rng, batches, size)
         first = _first_uncovered(points, blocks)
-        if first < 0:
-            performed += batches * size
-            group = min(2 * group, _GROUP_CAP)
-            continue
-        drawn = first // size + 1
-        if drawn < batches:
-            bit_generator.state = state
-            subscription.draw_batches(rng, drawn, size)
-        return points[:, first].copy(), performed + first + 1
-    return None, performed
+        if first >= 0:
+            drawn = first // size + 1
+            if drawn < batches:
+                bit_generator.state = state
+                subscription.draw_batches(rng, drawn, size)
+            return points[:, first].copy(), performed + first + 1
+    return None, allowed
+
+
+def _guess_in_words(
+    subscription: Subscription, signed: np.ndarray, words, allowed: int
+) -> Optional[tuple]:
+    """:func:`_guess_witness` on the words behind the draws, read from the
+    run's one reader ``words``; ``None``, with the generator where the run
+    started, when a word is rejected.
+
+    Each group's words come straight from the generator
+    (:meth:`~repro.utils.rng._RangeWords.draw`) and are tested against
+    per-candidate word thresholds (:func:`_word_thresholds`), so no guess
+    is computed but the witness.  When it lands in batch ``j`` of a
+    group, the later batches' words are given back; the generator is
+    handed back once, just past the words of the batches drawn.
+    """
+    blocks = _candidate_blocks(subscription, signed, words)
+    for performed, batches, size in _groups(allowed):
+        u = words.draw(batches, size)
+        if u is None:
+            return None
+        found = _first_uncovered(u.transpose(1, 0, 2), blocks)
+        if found >= 0:
+            batch, column = divmod(found, size)
+            words.unread((batches - batch - 1) * u[0].size)
+            words.hand_back()
+            return words.values(u[batch, :, column]), performed + found + 1
+    words.hand_back()
+    return None, allowed
 
 
 def run_rspc(
@@ -275,7 +418,11 @@ def run_rspc(
         attribute-major layout (:meth:`ConflictTable.signed_bounds`):
         shape ``(2m, len(candidates))``, lower bounds on top of negated
         upper bounds — skips re-stacking the candidate objects.  Must
-        describe exactly ``candidates``.
+        describe exactly ``candidates``.  Snapped or raw bounds decide
+        alike: a guess is tested against each bound as a value, or, on
+        the word path, against the word threshold of its ``ceil``
+        (:func:`_word_thresholds`); a NaN column (a tombstone) holds no
+        guess either way.
 
     Returns
     -------
@@ -316,7 +463,6 @@ def run_rspc(
 
     theoretical = required_iterations(delta, rho_w)
     allowed = max(compute_required_iterations(delta, rho_w, max_iterations), 1)
-    truncated = allowed < theoretical
 
     if bounds is None:
         bounds = as_candidate_set(candidates).signed
@@ -333,7 +479,7 @@ def run_rspc(
             witness_point=witness,
             rho_w=rho_w,
             error_bound=0.0,
-            truncated=truncated,
+            truncated=False,
         )
 
     return RSPCResult(
@@ -345,5 +491,5 @@ def run_rspc(
         witness_point=None,
         rho_w=rho_w,
         error_bound=effective_error(rho_w, performed),
-        truncated=truncated,
+        truncated=allowed < theoretical,
     )

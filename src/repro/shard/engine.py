@@ -156,6 +156,9 @@ class ShardedMatchingEngine:
         for start in range(0, len(publications), _MATCH_CHUNK):
             chunk = publications[start : start + _MATCH_CHUNK]
             replies = self._coordinator.match(chunk)
+            # charged chunk by chunk: a later chunk's failure leaves the
+            # counters holding the publications the shards did match
+            done = len(results)
             for position, publication in enumerate(chunk):
                 subscribers: Dict[str, None] = {}
                 matched_count = 0
@@ -179,7 +182,7 @@ class ShardedMatchingEngine:
                         covered_tests,
                     )
                 )
-        self.counters.count(results)
+            self.counters.count(results[done:])
         return results
 
     # ------------------------------------------------------------------

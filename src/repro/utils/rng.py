@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from operator import length_hint
-from typing import Iterator, List, Union
+from operator import add, length_hint
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
 __all__ = [
     "RandomSource",
     "ensure_rng",
+    "integer_words",
     "integers_into",
     "scalar_draws",
     "spawn_rngs",
@@ -105,7 +106,7 @@ def integers_into(
     unless ``(u * span) mod 2**32 < (2**32 - span) % span``, which
     rejects ``u`` and takes another word; a range of one value draws no
     word.  On a ``PCG64`` a large draw is one ``random_raw`` call
-    (:meth:`_Words.halves`) and array arithmetic on the same words.  The
+    (:meth:`_RangeWords.draw`) and array arithmetic on the same words.  The
     call is NumPy's own when the generator is not a ``PCG64``, the host is
     big-endian, a range exceeds ``2**21`` values, a bound exceeds
     ``2**53`` in magnitude, the draw takes fewer than
@@ -128,42 +129,50 @@ def integers_into(
 def _lemire_into(bit_generator, first, beyond, out) -> bool:
     """The vectorised half of :func:`integers_into`; ``False``, with the
     generator state as it was, when NumPy's call must run instead."""
-    m, batches, size = out.shape
+    _, batches, size = out.shape
     span = beyond - first
-    spans = span.ravel().tolist()
-    live = [value > 1 for value in spans]
-    words = sum(live) * batches * size
-    if (
-        words < _KERNEL_MIN_WORDS
-        or min(spans) < 1
-        or max(spans) > _EXACT_SPAN
-        # ``float(first)`` must be exact for the float sum to round once
-        or max(map(abs, first.ravel().tolist())) > 1 << 53
-    ):
+    live = (span > 1).sum()
+    if live * batches * size < _KERNEL_MIN_WORDS or not _exact_ranges(span, first):
         return False
-    source = _Words(bit_generator)
-    u = source.halves(words)
-    # the live columns take the words in the C order of (batches, m, size);
-    # a one-value column gets word 0, which the rule maps to ``first``
-    u = u.reshape(batches, sum(live), size)
-    if not all(live):
-        spread = np.zeros((batches, m, size), np.uint32)
-        spread[:, live] = u
-        u = spread
-    threshold = ((1 << 32) - span) % span
-    if (u * span.astype(np.uint32) < threshold.astype(np.uint32)).any():
-        source.rewind()
+    source = _RangeWords(bit_generator, first, span)
+    u = source.draw(batches, size)
+    if u is None:
         return False
-    # float64 in place: ``u * span < 2**53``, so every step but the last
-    # is exact, and the last rounds the exact sum once, as NumPy's int64
-    # result does when it is stored as a float
-    values = out.transpose(1, 0, 2)
-    values[...] = u
-    values *= span * 2.0**-32
-    np.floor(values, out=values)
-    values += first.astype(float)
+    source.fill(u, out)
     source.hand_back()
     return True
+
+
+def _exact_ranges(span: np.ndarray, first: np.ndarray) -> bool:
+    """Whether the word arithmetic serves ranges of ``span`` values from
+    ``first`` exactly: each holds 1 to ``2**21`` values, and no bound
+    exceeds ``2**53`` in magnitude (so each is a float64, and a sum
+    rounds once)."""
+    spans = span.ravel().tolist()
+    firsts = first.ravel().tolist()
+    return (
+        min(spans) >= 1
+        and max(spans) <= _EXACT_SPAN
+        and min(firsts) >= -(1 << 53)
+        and max(map(add, firsts, spans)) <= 1 << 53
+    )
+
+
+def integer_words(
+    rng: np.random.Generator, first: np.ndarray, beyond: np.ndarray
+) -> Optional["_RangeWords"]:
+    """A reader of the words behind ``rng.integers(first, beyond, ...)``
+    draws (:class:`_RangeWords`), or ``None`` where the words cannot stand
+    for them: ``rng`` is not a ``PCG64``, the host is big-endian, or a
+    range is not one the word arithmetic serves exactly (1 to ``2**21``
+    values, bounds within ``2**53``).
+    """
+    bit_generator = rng.bit_generator
+    if _LITTLE_ENDIAN and type(bit_generator) is np.random.PCG64:
+        span = beyond - first
+        if _exact_ranges(span, first):
+            return _RangeWords(bit_generator, first, span)
+    return None
 
 
 class _Words:
@@ -190,9 +199,14 @@ class _Words:
         self._saved = self._bit_generator.state
         self.has_uint32 = self._saved["has_uint32"]
         self.uinteger = self._saved["uinteger"]
-        #: words read from the generator, and those of them not taken
+        #: words read from the generator, and those of them not taken:
+        #: read ahead by :meth:`word`, or given back by :meth:`unread`
         self._fetched = 0
         self._unused = iter(())
+        self._spare = 0
+        #: the last :meth:`halves` call: its count, the buffer before it
+        #: and the words it read
+        self._last = (0, 0, 0, None)
 
     def fetch(self, count: int) -> np.ndarray:
         """Read ``count`` more words ahead (the generator moves past them)."""
@@ -223,8 +237,11 @@ class _Words:
         """Take the next ``count`` 32-bit draws at once, as a ``uint32``
         array: a little-endian host's view of words read straight from
         the generator, so no word read ahead may be left untaken."""
+        if not count:
+            return np.empty(0, np.uint32)
         fresh = count - self.has_uint32
         raw = self.fetch((fresh + 1) // 2)
+        self._last = (count, self.has_uint32, self.uinteger, raw)
         stream = raw.view(np.uint32)
         if self.has_uint32:
             stream = np.concatenate((np.array([self.uinteger], np.uint32), stream))
@@ -233,6 +250,24 @@ class _Words:
             self.uinteger = int(raw[-1]) >> 32
         return stream[:count]
 
+    def unread(self, count: int) -> None:
+        """Give back the last ``count`` draws of the last :meth:`halves`
+        call: :meth:`hand_back` leaves the generator before them."""
+        if not count:
+            return
+        taken, buffered, uinteger, raw = self._last
+        fresh = taken - count - buffered
+        if fresh <= 0:
+            # at most the buffered half stays taken; no word read is
+            self.has_uint32 = -fresh
+            self.uinteger = uinteger
+            words = 0
+        else:
+            words = (fresh + 1) // 2
+            self.has_uint32 = fresh % 2
+            self.uinteger = int(raw[words - 1]) >> 32
+        self._spare += len(raw) - words
+
     def rewind(self) -> None:
         """Put the generator back where it was; nothing is taken."""
         self._bit_generator.state = self._saved
@@ -240,7 +275,7 @@ class _Words:
     def hand_back(self) -> None:
         """Leave the generator where NumPy's calls for the draws taken would."""
         bit_generator = self._bit_generator
-        taken = self._fetched - length_hint(self._unused)
+        taken = self._fetched - length_hint(self._unused) - self._spare
         if taken != self._fetched:
             bit_generator.state = self._saved
             bit_generator.advance(taken)
@@ -248,6 +283,67 @@ class _Words:
         state["has_uint32"] = self.has_uint32
         state["uinteger"] = self.uinteger
         bit_generator.state = state
+
+
+class _RangeWords(_Words):
+    """The words behind one run of draws from the int64 ``(m, 1)``
+    integer ranges of ``span`` values from ``first``.
+
+    A range of more than one value (a *live* one) takes a word per value,
+    a one-value range none.  The constants of NumPy's Lemire rule for
+    each range are computed once per run, here.
+    """
+
+    def __init__(self, bit_generator, first: np.ndarray, span: np.ndarray):
+        super().__init__(bit_generator)
+        self.first = first.ravel()
+        self.span = span.ravel()
+        self.live = self.span > 1
+        span = self.span[self.live][:, np.newaxis]
+        self._span = span.astype(np.uint32)
+        self._rejected_below = (((1 << 32) - span) % span).astype(np.uint32)
+
+    def draw(self, batches: int, size: int) -> Optional[np.ndarray]:
+        """The next ``integers(first, first + span, size=(batches, m,
+        size))`` draw in word space: the word behind each value, ``(batches, l,
+        size)`` uint32 over the ``l`` live ranges, in NumPy's C order.
+
+        Each value is ``first + (u * span >> 32)`` (:meth:`values`) unless
+        NumPy's rule rejects the word, ``u * span mod 2**32 < (2**32 -
+        span) % span``, and takes the next one.  The words then no longer
+        line up with the values: ``None``, with the generator rewound to
+        where the reader started.
+        """
+        live = len(self._span)
+        u = self.halves(live * batches * size).reshape(batches, live, size)
+        # uint32 products wrap around: the low 32 bits of ``u * span``
+        if (u * self._span < self._rejected_below).any():
+            self.rewind()
+            return None
+        return u
+
+    def fill(self, u: np.ndarray, out: np.ndarray) -> None:
+        """Fill the float ``(m, batches, size)`` block ``out`` with the
+        values the words ``u`` of :meth:`draw` stand for."""
+        values = out.transpose(1, 0, 2)
+        if self.live.all():
+            values[...] = u
+        else:
+            # a one-value range gets word 0, which the rule maps to ``first``
+            values[...] = 0
+            values[:, self.live] = u
+        # float64 in place: ``u * span < 2**53``, so every step but the last
+        # is exact, and the last rounds the exact sum once, as NumPy's int64
+        # result does when it is stored as a float
+        values *= self.span[:, np.newaxis] * 2.0**-32
+        np.floor(values, out=values)
+        values += self.first[:, np.newaxis].astype(float)
+
+    def values(self, u: np.ndarray) -> np.ndarray:
+        """The float64 point the words ``u`` of its live ranges stand for."""
+        point = np.empty((len(self.first), 1, 1))
+        self.fill(u.reshape(1, len(u), 1), point)
+        return point.ravel()
 
 
 class _WordDraws(_Words):

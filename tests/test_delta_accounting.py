@@ -28,6 +28,7 @@ from repro.broker.network import BrokerNetwork
 from repro.core.exact import exact_group_cover
 from repro.core.policies import DeltaAccount, GroupStrategy, HybridStrategy
 from repro.core.results import Answer, DecisionMethod
+from repro.core.rspc import RSPCOutcome, run_rspc
 from repro.core.store import SubscriptionStore
 from repro.core.subsumption import SubsumptionChecker
 from repro.matching.engine import MatchingEngine
@@ -121,13 +122,27 @@ def test_an_uncapped_probable_cover_is_counted_but_not_truncated():
 def test_definite_decisions_move_nothing(candidates, cap, method):
     decision = _decide(candidates, cap)
     assert decision.result.method is method
-    if cap == 60:
-        assert decision.result.truncated
+    # a witness is definite: the cap below ``d`` truncates nothing
+    assert not decision.result.truncated
     assert not decision.probably_covered and not decision.truncated
     assert decision.effective_delta == 0.0
     registry = InstrumentRegistry()
     DeltaAccount(registry, "x").count([decision])
     assert _values(registry, "x") == dict.fromkeys(NAMES, 0)
+
+
+def test_a_capped_witness_is_not_truncated():
+    """The pinwheel's hole is found within a cap of 60, below ``d``: a
+    definite verdict, so neither the result nor RSPC's own is truncated."""
+    checker = SubsumptionChecker(delta=1e-6, max_iterations=60, rng=0)
+    result = checker.check(WHOLE, PINWHEEL)
+    assert result.method is DecisionMethod.POINT_WITNESS
+    assert result.iterations_performed <= 60 < result.theoretical_iterations
+    assert not result.truncated
+    rspc = run_rspc(WHOLE, PINWHEEL, rho_w=1 / 9, rng=0, max_iterations=60)
+    assert rspc.outcome is RSPCOutcome.WITNESS_FOUND
+    assert rspc.iterations_allowed == 60 < rspc.theoretical_iterations
+    assert not rspc.truncated
 
 
 def _recount(decisions):

@@ -19,6 +19,7 @@ from repro.core.rspc import (
     _BATCH_SIZE,
     _CANDIDATE_BLOCK,
     _GROUP_CAP,
+    _WORD_MIN_GUESSES,
     RSPCOutcome,
     _candidate_blocks,
     _guess_witness,
@@ -787,3 +788,336 @@ class TestSkipRule:
                 )
             )
         assert any(found) and not all(found)
+
+
+# ----------------------------------------------------------------------
+# The word path: an all-discrete box drawn from a PCG64 guesses in word
+# space — each group's raw 32-bit words tested against per-candidate
+# uint32 thresholds — and falls back to value space from the run's
+# saved state when Lemire's rule rejects a word.  The reference above
+# is still the oracle.
+# ----------------------------------------------------------------------
+WIDE = Schema(
+    [Attribute(f"x{j + 1}", IntegerDomain(-(2**22), 2**22)) for j in range(M)],
+    name="wide",
+)
+
+
+def _word_runs(monkeypatch):
+    """Record what each word-space run returned (``None``: a rejected
+    word sent it to value space)."""
+    from repro.core import rspc as rspc_module
+
+    seen = []
+    guess = rspc_module._guess_in_words
+
+    def spy(*args):
+        seen.append(guess(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(rspc_module, "_guess_in_words", spy)
+    return seen
+
+
+def _slab_candidates(schema, span, k, hole, seed):
+    """``k`` boxes holding all of ``[0, span - 1]^M`` but a slab ``hole``
+    ticks wide at the top of attribute 1 (``_candidates`` on other ranges)."""
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(0.0, span, k + 1)
+    out = []
+    for i in range(k):
+        lows = [-5.0] * M
+        highs = [span + 5.0] * M
+        highs[0] = span - 1 - hole if hole else span + 5.0
+        lows[1] = math.floor(edges[i]) - float(rng.integers(0, 3))
+        highs[1] = math.ceil(edges[i + 1]) + float(rng.integers(0, 40))
+        out.append(Subscription(schema, lows, highs))
+    return [out[i] for i in rng.permutation(k)]
+
+
+def _rejected(words, span):
+    """How many of the 32-bit ``words`` Lemire's rule rejects for ``span``."""
+    words = words.astype(np.uint64)
+    return int(((words * span) % 2**32 < (2**32 - span) % span).sum())
+
+
+class TestWordPath:
+    def test_groups_grow_geometrically_in_word_space(self, monkeypatch):
+        from repro.utils.rng import _RangeWords
+
+        drawn = []
+        draw = _RangeWords.draw
+
+        def recording(self, batches, size):
+            drawn.append((batches, size))
+            return draw(self, batches, size)
+
+        monkeypatch.setattr(_RangeWords, "draw", recording)
+        runs = _word_runs(monkeypatch)
+        subscription = _subscription("discrete")
+        candidates = _candidates("discrete", 9, NEVER, seed=9)
+        # seed 1 draws no rejected word in 40 000 (seed 0 does, in group 6)
+        expected, got, old_rng, new_rng = _run_both(subscription, candidates, 10_000, 1)
+        _assert_same(expected, got, old_rng, new_rng)
+        assert runs == [(None, 10_000)]
+        assert drawn == [(g, _BATCH_SIZE) for g in (1, 2, 4, 8, 16, 8)] + [(1, 16)]
+
+    @pytest.mark.parametrize("burn", (0, 1, 3))
+    def test_a_rejected_word_restarts_the_run_in_value_space(self, burn, monkeypatch):
+        """x1 spans just under 2**21 with a Lemire threshold near the span:
+        about one of its words in 2 000 is rejected.  A run that drew no
+        rejected word finishes in word space; one that drew any restarts."""
+        span = 2_096_129
+        assert (2**32 - span) % span > 0.99 * span
+        subscription = Subscription(WIDE, [0] * M, [span - 1] + [SPAN] * (M - 1))
+        spans = [span] + [int(SPAN) + 1] * (M - 1)
+        candidates = _slab_candidates(WIDE, span, 9, 0, seed=4)
+        runs = _word_runs(monkeypatch)
+        outcomes = []
+        budgets = (1025, 1100, 1300, 1500, 1800, 2000, 2500, 3000)
+        for seed, allowed in enumerate(budgets):
+            expected, got, old_rng, new_rng = _run_both(
+                subscription, candidates, allowed, seed, burn=burn
+            )
+            _assert_same(expected, got, old_rng, new_rng)
+            assert got == (None, allowed) and len(runs) == seed + 1
+            # the words the run took, batch by batch and column by column
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 10, size=burn, dtype=np.uint32)
+            halves = rng.bit_generator.random_raw(M * allowed).view(np.uint32)
+            start, rejected = burn % 2, 0
+            for first in range(0, allowed, _BATCH_SIZE):
+                size = min(_BATCH_SIZE, allowed - first)
+                for column in spans:
+                    rejected += _rejected(halves[start : start + size], column)
+                    start += size
+            outcomes.append((rejected > 0, runs[-1] is None))
+        assert all(hit == fell_back for hit, fell_back in outcomes)
+        assert {hit for hit, _ in outcomes} == {False, True}
+
+    def test_runs_of_four_batches_or_fewer_stay_in_value_space(self, monkeypatch):
+        runs = _word_runs(monkeypatch)
+        subscription = _subscription("discrete")
+        candidates = _candidates("discrete", 9, NEVER, seed=9)
+        for allowed in (1, 256, _WORD_MIN_GUESSES, _WORD_MIN_GUESSES + 1):
+            expected, got, old_rng, new_rng = _run_both(
+                subscription, candidates, allowed, 2
+            )
+            _assert_same(expected, got, old_rng, new_rng)
+        assert _WORD_MIN_GUESSES == 4 * _BATCH_SIZE
+        assert runs == [(None, _WORD_MIN_GUESSES + 1)]
+
+    @pytest.mark.parametrize("burn", (0, 1))
+    def test_one_value_axes_draw_no_word(self, burn, monkeypatch):
+        runs = _word_runs(monkeypatch)
+        subscription = Subscription(
+            SCHEMAS["discrete"], [0, 7, 0, -3], [SPAN, 7, SPAN, -3]
+        )
+        base = _candidates("discrete", 9, RARE, seed=9)
+        found = []
+        for cut in (None, "below", "above", "tight"):
+            candidates = list(base)
+            if cut is not None:
+                # a box wide but on the one-value axis 2
+                lows, highs = [-5.0] * M, [SPAN + 5.0] * M
+                lows[1], highs[1] = {
+                    "below": (-10.0, 6.5),
+                    "above": (7.5, 20.0),
+                    "tight": (7.0, 7.0),
+                }[cut]
+                candidates.append(Subscription(SCHEMAS["discrete"], lows, highs))
+            for seed, allowed in enumerate(BUDGETS):
+                expected, got, old_rng, new_rng = _run_both(
+                    subscription, candidates, allowed, seed, burn=burn
+                )
+                _assert_same(expected, got, old_rng, new_rng)
+                found.append(got[0] is not None)
+            if cut == "tight":
+                assert not any(found[-len(BUDGETS) :])
+        assert runs and None not in runs
+        assert any(found) and not all(found)
+
+    @pytest.mark.parametrize("inside", (True, False))
+    def test_a_one_point_box(self, inside, monkeypatch):
+        """Every axis one-valued: the run draws no word at all."""
+        runs = _word_runs(monkeypatch)
+        subscription = Subscription(SCHEMAS["discrete"], [3, 7, 0, -3], [3, 7, 0, -3])
+        high = 3.0 if inside else 2.0
+        lows, highs = [0.0, 0.0, 0.0, -9.0], [high, 9.0, 9.0, 9.0]
+        candidates = [Subscription(SCHEMAS["discrete"], lows, highs)]
+        for burn in (0, 1):
+            expected, got, old_rng, new_rng = _run_both(
+                subscription, candidates, 2000, 5, burn=burn
+            )
+            _assert_same(expected, got, old_rng, new_rng)
+            assert got[1] == (2000 if inside else 1)
+        assert len(runs) == 2 and None not in runs
+
+    def test_witness_positions_in_word_space(self, monkeypatch):
+        """The witness in the first batch, mid-group (the later batches'
+        words given back), in a group's last batch, in a partial last
+        batch, or nowhere — every run finishing in word space."""
+        runs = _word_runs(monkeypatch)
+        subscription = _subscription("discrete")
+        candidates = _candidates("discrete", 9, RARE, seed=9)
+        landed = set()
+        short = 7 * _BATCH_SIZE + 100
+        for allowed, seeds in ((10_000, range(1, 80)), (short, range(200))):
+            for seed in seeds:
+                before = len(runs)
+                expected, got, old_rng, new_rng = _run_both(
+                    subscription, candidates, allowed, seed, burn=seed % 2
+                )
+                _assert_same(expected, got, old_rng, new_rng)
+                assert len(runs) == before + 1
+                if runs[-1] is None:
+                    continue
+                if got[0] is None:
+                    landed.add("none")
+                    continue
+                batch = (got[1] - 1) // _BATCH_SIZE
+                # groups: [0], [1, 2], [3..6], [7..14], ...; at the short
+                # budget [0], [1, 2], [3..6] and the partial batch 7
+                if batch == 0:
+                    landed.add("first batch")
+                elif got[1] > allowed // _BATCH_SIZE * _BATCH_SIZE:
+                    landed.add("partial last batch")
+                elif batch in (2, 6, 14):
+                    landed.add("last batch of a group")
+                else:
+                    landed.add("mid-group")
+        assert landed == {
+            "first batch",
+            "mid-group",
+            "last batch of a group",
+            "partial last batch",
+            "none",
+        }
+
+    @pytest.mark.parametrize("hole", (NEVER, COMMON))
+    def test_nan_columns_hold_no_guess(self, hole, monkeypatch):
+        runs = _word_runs(monkeypatch)
+        subscription = _subscription("discrete")
+        _, _, signed = _signed(_candidates("discrete", 12, hole, seed=12))
+        # a column that would hold all of ``s``, tombstoned
+        whole = np.array([-5.0] * M + [-(SPAN + 5.0)] * M)
+        tombstones = [whole.copy() for _ in range(3)]
+        tombstones[0][:] = np.nan
+        tombstones[1][2] = np.nan
+        tombstones[2][M + 1] = np.nan
+        for columns in (signed, np.full_like(signed, np.nan)):
+            fed = np.concatenate((columns, np.array(tombstones).T), axis=1)
+            for seed, allowed in enumerate(BUDGETS):
+                old_rng = np.random.default_rng(seed)
+                new_rng = np.random.default_rng(seed)
+                expected = _reference_on_signed(subscription, fed, old_rng, allowed)
+                got = _guess_witness(subscription, fed, new_rng, allowed)
+                _assert_same(expected, got, old_rng, new_rng)
+            # nothing holds a guess: the first one is a witness
+            assert columns is signed or got[1] == 1
+        assert runs and None not in runs
+
+    def test_raw_candidates_wholly_outside_s(self, monkeypatch):
+        from repro.core.rspc import _word_thresholds
+        from repro.utils.rng import integer_words
+
+        runs = _word_runs(monkeypatch)
+        subscription = _subscription("discrete")
+        outside = [
+            ([SPAN + 0.5, -5.0, -5.0, -5.0], [SPAN + 9.0] * M),  # above x1
+            ([-5.0] * M, [SPAN + 5.0, -0.5, SPAN + 5.0, SPAN + 5.0]),  # below x2
+            ([-5.0] * M, [SPAN + 5.0] * 3 + [-1e300]),  # far below x4
+            ([-5.0, -5.0, 1e300, -5.0], [SPAN + 5.0] * 2 + [np.inf, SPAN + 5.0]),
+        ]
+        rows = [(np.array(lows), np.array(highs)) for lows, highs in outside]
+        extra = np.array([np.concatenate((lows, -highs)) for lows, highs in rows]).T
+        for hole in (NEVER, RARE, COMMON):
+            _, _, signed = _signed(_candidates("discrete", 9, hole, seed=3))
+            fed = np.concatenate((extra[:, :2], signed, extra[:, 2:]), axis=1)
+            ((_, _, _, first, beyond),) = subscription.sampling_plan()
+            words = integer_words(np.random.default_rng(0), first, beyond)
+            assert _word_thresholds(fed, words).shape == (2 * M, signed.shape[1])
+            for seed, allowed in enumerate(BUDGETS):
+                old_rng = np.random.default_rng(seed)
+                new_rng = np.random.default_rng(seed)
+                expected = _reference_on_signed(subscription, fed, old_rng, allowed)
+                got = _guess_witness(subscription, fed, new_rng, allowed)
+                _assert_same(expected, got, old_rng, new_rng)
+        assert runs and None not in runs
+
+    @pytest.mark.parametrize("span, word_path", ((2**21, True), (2**21 + 1, False)))
+    def test_the_widest_span_the_word_path_takes(self, span, word_path, monkeypatch):
+        runs = _word_runs(monkeypatch)
+        lows, highs = [0.0] * M, [SPAN] * M
+        highs[2] = span - 1.0
+        subscription = Subscription(WIDE, lows, highs)
+        # three boxes stopping short of the top 3 000 ticks of x3
+        top = span - 3001.0
+        candidates = [
+            Subscription(WIDE, [-5.0, -5.0, low, -5.0], [SPAN, SPAN, high, SPAN])
+            for low, high in ((-5.0, span / 2), (-5.0, top), (span / 3, top))
+        ]
+        found = []
+        for seed, allowed in enumerate(BUDGETS):
+            expected, got, old_rng, new_rng = _run_both(
+                subscription, candidates, allowed, seed, burn=seed % 2
+            )
+            _assert_same(expected, got, old_rng, new_rng)
+            found.append(got[0] is not None)
+        assert bool(runs) is word_path
+        assert any(found) and not all(found)
+
+
+class TestWordThresholds:
+    """``_word_thresholds`` computes ``ceil(n * 2**32 / span)`` (a lower
+    bound ``n`` ticks above ``first``) and ``floor(n * 2**32 / span)`` (an
+    upper bound ``n`` ticks below ``last``) in float64; both must equal
+    integer floor division, and ``n = span`` must leave the box no guess."""
+
+    @staticmethod
+    def _thresholds(first, span, offsets, fraction=0.0):
+        from repro.core.rspc import _word_thresholds
+        from repro.utils.rng import integer_words
+
+        first_ = np.array([[first]], dtype=np.int64)
+        words = integer_words(np.random.default_rng(0), first_, first_ + span)
+        last = first + span - 1
+        offsets = np.asarray(offsets, dtype=np.int64)
+        # a fractional bound snaps to the same tick: ``ceil(low)``, ``floor(high)``
+        lows = np.vstack((first + offsets - fraction, np.full(len(offsets), -last)))
+        highs = np.vstack((np.full(len(offsets), first), -(last - offsets + fraction)))
+        return _word_thresholds(lows, words), _word_thresholds(highs, words)
+
+    @staticmethod
+    def _expected(span, offsets):
+        shifted = np.asarray(offsets, dtype=np.int64) << 32
+        # int64 floor division is exact here: ``offset << 32 < 2**53``
+        return -(-shifted // span), shifted // span
+
+    @pytest.mark.parametrize("span", (2, 3, 2**21 - 1, 2**21))
+    @pytest.mark.parametrize("first", (0, -7, 2**40 + 3))
+    def test_every_offset(self, span, first):
+        for fraction in (0.0, 0.5):
+            for start in range(0, span, 1 << 18):
+                offsets = np.arange(start, min(start + (1 << 18), span))
+                lows, highs = self._thresholds(first, span, offsets, fraction)
+                up, down = self._expected(span, offsets)
+                assert lows.dtype == highs.dtype == np.uint32
+                assert np.array_equal(lows[0], up)
+                assert np.array_equal(highs[1], down)
+                # the other bound is ``s``'s own: an undefined entry
+                assert not lows[1].any() and not highs[0].any()
+            # ``span`` ticks in, no tick is left
+            lows, highs = self._thresholds(first, span, [span, span + 1], fraction)
+            assert lows.shape == highs.shape == (2, 0)
+
+    def test_random_spans_and_offsets(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            span = int(rng.integers(2, 2**21 + 1))
+            first = int(rng.integers(-(2**45), 2**45))
+            offsets = rng.integers(0, span, size=256)
+            lows, highs = self._thresholds(first, span, offsets)
+            # against Python integers
+            assert lows[0].tolist() == [-(-(n << 32) // span) for n in offsets.tolist()]
+            assert highs[1].tolist() == [(n << 32) // span for n in offsets.tolist()]

@@ -438,6 +438,35 @@ class TestWorkerErrors:
             ]
         assert _no_children_left()
 
+    def test_a_later_chunk_failing_keeps_the_completed_chunks_charged(
+        self, monkeypatch
+    ):
+        import repro.shard.engine as engine_module
+
+        with _pool() as engine:
+            coordinator = engine.coordinator
+            engine.sync()
+            before = dict(engine.stats)
+            monkeypatch.setattr(engine_module, "_MATCH_CHUNK", 1)
+            match = coordinator.match
+            chunks = []
+
+            def second_chunk_fails(chunk):
+                chunks.append(chunk)
+                if len(chunks) == 2:
+                    raise RuntimeError("the second chunk failed")
+                return match(chunk)
+
+            monkeypatch.setattr(coordinator, "match", second_chunk_fails)
+            with pytest.raises(RuntimeError, match="the second chunk failed"):
+                engine.match_batch([PUBLICATION, PUBLICATION])
+            assert len(chunks) == 2
+            # the first chunk was matched by both shards: one publication,
+            # delivered to both subscribers
+            assert engine.stats["publications"] == before["publications"] + 1
+            assert engine.stats["notifications"] == before["notifications"] + 2
+        assert _no_children_left()
+
     @pytest.mark.parametrize("dead", (0, 1))
     def test_a_worker_killed_mid_burst_is_named(self, dead, monkeypatch):
         engine = _pool()
