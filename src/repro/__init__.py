@@ -41,7 +41,6 @@ The package is organised in layers:
 from repro.model import (
     AttributeDomain,
     CategoricalDomain,
-    ContinuousDomain,
     IntegerDomain,
     Interval,
     Publication,
@@ -67,7 +66,6 @@ __all__ = [
     "BrokerNetwork",
     "CategoricalDomain",
     "ConflictTable",
-    "ContinuousDomain",
     "CoveringPolicy",
     "IntegerDomain",
     "Interval",

@@ -30,9 +30,10 @@ This module keeps those columns:
   (:meth:`CandidateSet.extended`), and a store reuses one only until its
   next active-pool mutation.
 
-The snapped twin.  On a discrete attribute only the ticks inside a range
-exist, so lower bounds are rounded up and upper bounds down — on the
-signed layout one ``ceil`` — and every stage of the checker reads
+The snapped twin.  Every attribute domain is a finite ordered set of
+integer ticks, and only the ticks inside a range exist, so lower bounds
+are rounded up and upper bounds down — on the signed layout one ``ceil``,
+because ``ceil(-x) == -floor(x)`` — and every stage of the checker reads
 tick-exact bounds (:func:`signed_box` is the same for the tested
 subscription).  It is the checker's candidate screen
 (:meth:`SubsumptionChecker.check <repro.core.subsumption.SubsumptionChecker.check>`
@@ -162,18 +163,6 @@ def _surviving(signed: np.ndarray, limits: np.ndarray):
     return which, columns
 
 
-def _snap_inwards(signed: np.ndarray, schema) -> None:
-    """Round the discrete axes of a signed ``(2m, n)`` matrix up to a tick,
-    in place.
-
-    ``ceil`` of a lower bound and, because ``ceil(-x) == -floor(x)``,
-    ``floor`` of the upper bound negated below it.
-    """
-    where = schema.vectors.signed_discrete
-    if where is not False:
-        np.ceil(signed, out=signed, where=where)
-
-
 def _raw_column(subscription: Subscription) -> np.ndarray:
     """``subscription``'s raw signed column: lows on top of negated highs."""
     return np.concatenate((subscription.lows, -subscription.highs))
@@ -194,12 +183,11 @@ def signed_box(subscription: Subscription) -> np.ndarray:
 
     Row 0, ``low``, is the column the subscription contributes to a
     snapshot's :attr:`~CandidateSet.signed` matrix (``ceil`` of its lower
-    bounds on top of the negated ``floor`` of its upper bounds on discrete
-    axes, raw on continuous ones); row 1, ``high``, is the same box seen
-    from above — upper bounds on top of negated lower bounds — i.e. the
-    ``limit`` of :func:`boxes_meeting`.  One read-only ``(2, 2m)`` array,
-    memoised on the subscription (its bounds are immutable) like the RSPC
-    sampling plan.
+    bounds on top of the negated ``floor`` of its upper bounds); row 1,
+    ``high``, is the same box seen from above — upper bounds on top of
+    negated lower bounds — i.e. the ``limit`` of :func:`boxes_meeting`.
+    One read-only ``(2, 2m)`` array, memoised on the subscription (its
+    bounds are immutable) like the RSPC sampling plan.
     """
     box = subscription._signed_box
     if box is None:
@@ -208,7 +196,7 @@ def signed_box(subscription: Subscription) -> np.ndarray:
         low, high = box
         low[:m] = subscription.lows
         np.negative(subscription.highs, out=low[m:])
-        _snap_inwards(low[:, np.newaxis], subscription.schema)
+        np.ceil(low, out=low)
         np.negative(low[m:], out=high[:m])
         np.negative(low[:m], out=high[m:])
         box.setflags(write=False)
@@ -315,22 +303,20 @@ class CandidateSet(Sequence):
     def signed(self) -> np.ndarray:
         """Snapped signed attribute-major bounds, shape ``(2m, k)``, read-only.
 
-        :attr:`raw` rounded inwards to a tick on discrete attributes (see
-        the module docstring).  Built on first access and shared,
-        zero-copy, by every conflict table over this snapshot.
+        :attr:`raw` rounded inwards to a tick (see the module docstring).
+        Built on first access and shared, zero-copy, by every conflict
+        table over this snapshot.
         """
         signed = self._signed
         if signed is None:
-            signed = self.raw.copy()
-            if signed.shape[1]:
-                _snap_inwards(signed, self.schema)
+            signed = np.ceil(self.raw)
             signed.setflags(write=False)
             self._signed = signed
         return signed
 
     def meeting(self, subscription: Subscription) -> np.ndarray:
-        """Boolean ``(k,)`` mask of the candidates sharing a point with
-        ``subscription`` — on discrete attributes, a tick.
+        """Boolean ``(k,)`` mask of the candidates sharing a tick with
+        ``subscription``.
 
         A candidate outside the mask can take no part in covering
         ``subscription``; it is what the checker screens out before it

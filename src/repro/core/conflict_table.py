@@ -27,23 +27,23 @@ subscription's own bounds are mirrored the same way.  Every stage —
 cell measures — is then one LOW-side expression over ``Q`` instead of a
 LOW copy and a HIGH copy, and every reduction over the candidates runs
 along the contiguous ``k`` axis.  IEEE negation is exact,
-``-x - 1.0 == -(x + 1.0)``, ``min(-a, -b) == -max(a, b)`` and
-``nextafter`` mirrors exactly, so each cell is bit-identical to the
-two-sided formulation (pinned against per-attribute scalar oracles by
-``tests/test_subsumption_arena.py``).
+``-x - 1.0 == -(x + 1.0)`` and ``min(-a, -b) == -max(a, b)``, so each
+cell is bit-identical to the two-sided formulation (pinned against
+per-attribute scalar oracles by ``tests/test_subsumption_arena.py``).
 
 ``Q`` is not built here: it *is* the candidate snapshot's
 :attr:`~repro.core.arena.CandidateSet.signed` matrix — shared zero-copy
 when the table spans the whole snapshot, one column gather when it spans
 the ``rows`` the checker's candidate screen kept.  That matrix and the
 subscription's own ends (:func:`~repro.core.arena.signed_box`) arrive
-*snapped inwards* on discrete attributes (lower bounds rounded up, upper
-bounds down), because only the ticks inside a range exist there: a bound
-of ``4.7`` on an integer axis admits exactly the points ``5, 6, …``, and
-treating it as the tick ``4.7`` would call entries defined — and
-conflicts present — that no point of the domain can witness.  Everything
-below, the scalar gap fallback and :meth:`ConflictTable.entry_region`
-included, therefore reads integer-valued bounds on discrete axes.
+*snapped inwards* (lower bounds rounded up, upper bounds down), because
+every attribute domain is a finite ordered set of integer ticks and only
+the ticks inside a range exist: a bound of ``4.7`` on an integer axis
+admits exactly the points ``5, 6, …``, and treating it as the tick
+``4.7`` would call entries defined — and conflicts present — that no
+point of the domain can witness.  Everything below, the scalar gap
+reference and :meth:`ConflictTable.entry_region` included, therefore
+reads integer-valued bounds.
 """
 
 from __future__ import annotations
@@ -176,9 +176,6 @@ class ConflictTable:
         #: number of defined entries per row (the paper's ``t_i``)
         self.row_defined_counts = self._defined.sum(axis=0)
 
-        self._vectors = schema.vectors
-        self._discrete = self._vectors.discrete
-
         # Pass-invariant matrices for the MCS inner loop and the rho_w
         # estimator, built lazily on first use: tables resolved by the
         # fast deterministic decisions never pay for them.
@@ -204,24 +201,20 @@ class ConflictTable:
         defined, so ``q`` exceeds ``s``'s lower end) conflicts with the
         largest *other-candidate* defined bound ``B`` of the opposite side
         (``x > B``, defined, so ``B`` is below ``s``'s upper end ``p``) iff
-        no point of ``s`` lies strictly between ``B`` and ``q``:
+        no point of ``s`` lies strictly between ``B`` and ``q``.  Every
+        bound is a tick (see the module docstring), so the last tick of the
+        entry's slice is ``snapped = min(q-1, p)`` and the conflict is
+        ``B + 1 > snapped``, i.e. ``B > snapped - 1``.
 
-        * discrete axis (every bound a tick, see the module docstring): the
-          last tick of the entry's slice is ``snapped = min(q-1, p)`` and
-          the conflict is ``B + 1 > snapped``, i.e. ``B > snapped - 1``;
-        * continuous axis: the slice of the closed box ``s`` ends at
-          ``snapped = min(q, p)`` and the conflict is ``B >= snapped``,
-          which for floats is exactly ``B > nextafter(snapped, -inf)``.
-
-        Either way the per-pass test is one comparison ``B <= threshold``
-        against a precomputed matrix (the ``-inf`` "no other candidate"
-        sentinel passes every comparison on its own).  ``s``'s lower end
-        does not enter: a defined entry's slice reaches down to it, so the
-        slice is never empty — provided ``s`` itself holds a point (a tick,
-        on a discrete axis), which sampling from it requires anyway.  In
-        particular the slice of a candidate lying wholly beyond ``p`` is
-        all of ``s`` and conflicts with nothing, which is what lets the
-        checker screen such candidates out before the table is built.
+        The per-pass test is one comparison ``B <= threshold`` against a
+        precomputed matrix (the ``-inf`` "no other candidate" sentinel
+        passes every comparison on its own).  ``s``'s lower end does not
+        enter: a defined entry's slice reaches down to it, so the slice is
+        never empty — provided ``s`` itself holds a tick, which sampling
+        from it requires anyway.  In particular the slice of a candidate
+        lying wholly beyond ``p`` is all of ``s`` and conflicts with
+        nothing, which is what lets the checker screen such candidates out
+        before the table is built.
         Undefined cells get a NaN threshold, which fails every comparison,
         so no per-pass ``& defined`` is needed.  ``opposing[r]`` holds, for
         the entries of signed axis ``r``, the bounds they can conflict
@@ -234,34 +227,13 @@ class ConflictTable:
             return cache
         m = self.m
         signed = self._signed
-        own_high = self._own_high[:, np.newaxis]
         undefined = ~self._defined
-        discrete = self._discrete
 
         # At a few hundred candidates these passes are bound by memory
-        # traffic, so temporaries are reused in place (``out=``/``putmask``)
-        # and only the variant a schema actually needs is materialised.
-        def discrete_axes():
-            snapped = signed - 1.0
-            np.minimum(snapped, own_high, out=snapped)
-            return snapped, snapped - 1.0
-
-        def continuous_axes():
-            snapped = np.minimum(signed, own_high)
-            return snapped, np.nextafter(snapped, -np.inf)
-
-        if discrete.all():
-            snapped, threshold = discrete_axes()
-        elif not discrete.any():
-            snapped, threshold = continuous_axes()
-        else:
-            both = np.concatenate((discrete, discrete))[:, np.newaxis]
-            (snapped_d, threshold_d), (snapped_c, threshold_c) = (
-                discrete_axes(),
-                continuous_axes(),
-            )
-            snapped = np.where(both, snapped_d, snapped_c)
-            threshold = np.where(both, threshold_d, threshold_c)
+        # traffic, so temporaries are reused in place (``out=``/``putmask``).
+        snapped = signed - 1.0
+        np.minimum(snapped, self._own_high[:, np.newaxis], out=snapped)
+        threshold = snapped - 1.0
         np.putmask(threshold, undefined, np.nan)
 
         opposing = np.concatenate((signed[m:], signed[:m]))
@@ -299,19 +271,16 @@ class ConflictTable:
 
         For a LOW entry this is the slice of ``s`` strictly below the
         candidate's lower bound; for a HIGH entry the slice strictly above
-        the candidate's upper bound.  On discrete domains strictness removes
-        one tick; on continuous domains the closed approximation is
-        returned (the boundary has measure zero).
+        the candidate's upper bound: strictness removes one tick.
         """
         if not self.is_defined(row, attribute, side):
             return Interval.empty()
         s_interval = Interval(*self._own_interval(attribute))
-        tick = 1.0 if self._discrete[attribute] else 0.0
         if side is EntrySide.LOW:
             bound = float(self._signed[attribute, row])
-            return s_interval.intersection(Interval(-math.inf, bound - tick))
+            return s_interval.intersection(Interval(-math.inf, bound - 1.0))
         bound = float(-self._signed[self.m + attribute, row])
-        return s_interval.intersection(Interval(bound + tick, math.inf))
+        return s_interval.intersection(Interval(bound + 1.0, math.inf))
 
     def defined_entries(self, row: int) -> List[EntryRef]:
         """All defined entries in ``row``."""
@@ -355,26 +324,9 @@ class ConflictTable:
     ) -> bool:
         """Unsatisfiability of ``s ∧ (x < low_bound) ∧ (x > high_bound)``."""
         s_low, s_high = self._own_interval(attribute)
-        if self._discrete[attribute]:
-            lowest = max(high_bound + 1.0, s_low)
-            highest = min(low_bound - 1.0, s_high)
-            return highest < lowest
-        lowest = max(high_bound, s_low)
-        highest = min(low_bound, s_high)
-        return not self._open_slice_met(high_bound, lowest, highest, low_bound)
-
-    @staticmethod
-    def _open_slice_met(below, lowest, highest, above):
-        """Whether the closed range ``[lowest, highest]`` of ``s`` holds a
-        point strictly between ``below`` and ``above`` (continuous axes).
-
-        ``lowest = max(below, s_low)`` and ``highest = min(above, s_high)``.
-        ``s`` is a closed box: where it is a single point on the attribute
-        that point counts, unless a strict bound touches it.
-        """
-        return (highest > lowest) | (
-            (highest == lowest) & (below < lowest) & (highest < above)
-        )
+        lowest = max(high_bound + 1.0, s_low)
+        highest = min(low_bound - 1.0, s_high)
+        return highest < lowest
 
     # ------------------------------------------------------------------
     # rho_w support (Algorithm 2)
@@ -391,26 +343,13 @@ class ConflictTable:
         The product over attributes approximates ``I(sw)``, the size of the
         smallest polyhedron witness.
 
-        For schemas built from the four built-in domain types the whole
-        computation is a handful of array expressions over the table's
-        bound matrices (bit-identical to the per-entry domain calls);
-        schemas with custom domains take the per-object fallback.
-        """
-        if self._vectors is not None and self._vectors.vectorisable:
-            return self._minimum_gap_measures_vectorised(rows)
-        return self._minimum_gap_measures_scalar(rows)
-
-    def _minimum_gap_measures_vectorised(
-        self, rows: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """Array implementation of Algorithm 2's per-attribute minima.
-
-        Replicates, per cell, exactly what ``entry_region`` +
-        ``domain.measure`` + ``domain.gap_measure(1e-12)`` compute for
-        the built-in domains: on discrete axes the snapped point count
-        ``floor(high) - ceil(low) + 1`` of the uncovered slice, on
-        continuous axes its length floored by the domain resolution.  Bounds
-        are already snapped, so the point count is ``high - low + 1``.
+        The whole computation is a handful of array expressions over the
+        table's bound matrices, replicating per cell exactly what
+        ``entry_region`` + ``domain.measure`` and a floor of ``1e-12``
+        compute (:meth:`_minimum_gap_measures_scalar`, the tests'
+        reference): the point count ``floor(high) - ceil(low) + 1`` of the
+        uncovered slice.  Bounds are already snapped, so the point count is
+        ``high - low + 1``.
         """
         cells, initial = self._ensure_gap_cache()
         if rows is not None:
@@ -427,9 +366,9 @@ class ConflictTable:
         reduction over them.  ``snapped`` comes from
         :meth:`_ensure_pass_cache` — the same slice ends the MCS thresholds
         are derived from: the slice of ``s`` strictly below a candidate's
-        bound on a signed axis is ``[own_low, snapped]`` (one tick removed
-        on discrete axes).  Also returns the ``(m,)`` initial value, the
-        full extent of ``s`` on each attribute.
+        bound on a signed axis is ``[own_low, snapped]`` (one tick
+        removed).  Also returns the ``(m,)`` initial value, the full extent
+        of ``s`` on each attribute.
         """
         cache = self._gap_cache
         if cache is not None:
@@ -437,39 +376,14 @@ class ConflictTable:
         snapped = self._ensure_pass_cache()[2]
         m = self.m
         own_low = self._own_low
-        discrete = self._discrete
-        resolution = self._vectors.resolution
-
-        with np.errstate(invalid="ignore"):
-
-            def discrete_axes():
-                # point count, clamped at 0 and floored by ``gap_measure``
-                # (a single ``maximum`` does both)
-                cells = snapped - own_low[:, np.newaxis]
-                cells += 1.0
-                np.maximum(cells, 1e-12, out=cells)
-                return cells, -own_low[m:] - own_low[:m] + 1.0
-
-            def continuous_axes():
-                cells = snapped - own_low[:, np.newaxis]
-                floor = np.concatenate((resolution, resolution))[:, np.newaxis]
-                np.maximum(cells, floor, out=cells)
-                return cells, np.maximum(-own_low[m:] - own_low[:m], resolution)
-
-            if discrete.all():
-                cells, initial = discrete_axes()
-            elif not discrete.any():
-                cells, initial = continuous_axes()
-            else:
-                (cells_d, initial_d), (cells_c, initial_c) = (
-                    discrete_axes(),
-                    continuous_axes(),
-                )
-                both = np.concatenate((discrete, discrete))[:, np.newaxis]
-                cells = np.where(both, cells_d, cells_c)
-                initial = np.where(discrete, initial_d, initial_c)
-            # Undefined entries contribute nothing to the minima.
-            np.putmask(cells, ~self._defined, np.inf)
+        # point count, clamped at 0 and floored at ``1e-12`` (a single
+        # ``maximum`` does both)
+        cells = snapped - own_low[:, np.newaxis]
+        cells += 1.0
+        np.maximum(cells, 1e-12, out=cells)
+        initial = -own_low[m:] - own_low[:m] + 1.0
+        # Undefined entries contribute nothing to the minima.
+        np.putmask(cells, ~self._defined, np.inf)
         cache = (cells, initial)
         self._gap_cache = cache
         return cache
@@ -477,7 +391,7 @@ class ConflictTable:
     def _minimum_gap_measures_scalar(
         self, rows: Optional[Sequence[int]] = None
     ) -> np.ndarray:
-        """Per-object reference implementation (and custom-domain fallback)."""
+        """Per-object reference implementation, for the tests."""
         active = list(range(self.k)) if rows is None else list(rows)
         gaps = np.empty(self.m, dtype=float)
         for attribute in range(self.m):
@@ -488,12 +402,12 @@ class ConflictTable:
                     slice_measure = domain.measure(
                         self.entry_region(row, attribute, EntrySide.LOW)
                     )
-                    minimum = min(minimum, max(slice_measure, domain.gap_measure(1e-12)))
+                    minimum = min(minimum, max(slice_measure, 1e-12))
                 if self.defined_high[row, attribute]:
                     slice_measure = domain.measure(
                         self.entry_region(row, attribute, EntrySide.HIGH)
                     )
-                    minimum = min(minimum, max(slice_measure, domain.gap_measure(1e-12)))
+                    minimum = min(minimum, max(slice_measure, 1e-12))
             gaps[attribute] = minimum
         return gaps
 

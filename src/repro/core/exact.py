@@ -15,7 +15,6 @@ paper).
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,42 +26,20 @@ __all__ = ["exact_group_cover", "uncovered_region", "exact_witness_point"]
 _Box = Tuple[np.ndarray, np.ndarray]
 
 
-def _tick(schema, attribute: int) -> float:
-    """Discretisation step of an attribute (1 for discrete, 0 otherwise)."""
-    return 1.0 if schema.domain(attribute).is_discrete else 0.0
-
-
-def _box_is_empty(schema, lows: np.ndarray, highs: np.ndarray) -> bool:
-    """Whether a candidate box contains no representable point."""
-    for attribute in range(schema.m):
-        low = lows[attribute]
-        high = highs[attribute]
-        if low > high:
-            return True
-        if schema.domain(attribute).is_discrete and math.floor(high) < math.ceil(low):
-            return True
-    return False
+def _box_is_empty(lows: np.ndarray, highs: np.ndarray) -> bool:
+    """Whether a box of tick-valued bounds contains no tick."""
+    return bool((lows > highs).any())
 
 
 def _ticks_inside(subscription: Subscription) -> _Box:
-    """``subscription``'s bounds rounded inwards to a tick on the discrete
-    attributes: only ticks exist there, and the ``± tick`` arithmetic of
-    :func:`_subtract` is exact on tick-valued bounds only (a lower bound of
-    ``4.7`` leaves the tick ``4`` uncovered, not just ``x <= 3.7``)."""
-    lows = subscription.lows.copy()
-    highs = subscription.highs.copy()
-    discrete = subscription.schema.vectors.discrete
-    lows[discrete] = np.ceil(lows[discrete])
-    highs[discrete] = np.floor(highs[discrete])
-    return lows, highs
+    """``subscription``'s bounds rounded inwards to a tick: only ticks
+    exist, and the ``± 1`` arithmetic of :func:`_subtract` is exact on
+    tick-valued bounds only (a lower bound of ``4.7`` leaves the tick ``4``
+    uncovered, not just ``x <= 3.7``)."""
+    return np.ceil(subscription.lows), np.floor(subscription.highs)
 
 
-def _subtract(
-    schema,
-    box: _Box,
-    cand_lows: np.ndarray,
-    cand_highs: np.ndarray,
-) -> List[_Box]:
+def _subtract(box: _Box, cand_lows: np.ndarray, cand_highs: np.ndarray) -> List[_Box]:
     """Subtract a candidate box from ``box``, returning disjoint remainders."""
     lows, highs = box
     # Disjoint on some attribute -> nothing to subtract.
@@ -72,29 +49,20 @@ def _subtract(
     remainders: List[_Box] = []
     current_lows = lows.copy()
     current_highs = highs.copy()
-    for attribute in range(schema.m):
-        tick = _tick(schema, attribute)
+    for attribute in range(len(lows)):
         # Part of the current box strictly below the candidate.
         if cand_lows[attribute] > current_lows[attribute]:
             below_lows = current_lows.copy()
             below_highs = current_highs.copy()
-            below_highs[attribute] = cand_lows[attribute] - tick
-            if tick == 0.0:
-                below_highs[attribute] = math.nextafter(
-                    cand_lows[attribute], -math.inf
-                )
-            if not _box_is_empty(schema, below_lows, below_highs):
+            below_highs[attribute] = cand_lows[attribute] - 1.0
+            if not _box_is_empty(below_lows, below_highs):
                 remainders.append((below_lows, below_highs))
         # Part of the current box strictly above the candidate.
         if cand_highs[attribute] < current_highs[attribute]:
             above_lows = current_lows.copy()
             above_highs = current_highs.copy()
-            above_lows[attribute] = cand_highs[attribute] + tick
-            if tick == 0.0:
-                above_lows[attribute] = math.nextafter(
-                    cand_highs[attribute], math.inf
-                )
-            if not _box_is_empty(schema, above_lows, above_highs):
+            above_lows[attribute] = cand_highs[attribute] + 1.0
+            if not _box_is_empty(above_lows, above_highs):
                 remainders.append((above_lows, above_highs))
         # Narrow the current box to the candidate's extent on this attribute
         # and continue carving the next attribute.
@@ -115,7 +83,7 @@ def uncovered_region(
     """
     schema = subscription.schema
     boxes: List[_Box] = [_ticks_inside(subscription)]
-    if _box_is_empty(schema, *boxes[0]):
+    if _box_is_empty(*boxes[0]):
         return []  # no tick inside ``s``: nothing to leave uncovered
     for candidate in candidates:
         if not boxes:
@@ -123,7 +91,7 @@ def uncovered_region(
         cand_lows, cand_highs = _ticks_inside(candidate)
         next_boxes: List[_Box] = []
         for box in boxes:
-            next_boxes.extend(_subtract(schema, box, cand_lows, cand_highs))
+            next_boxes.extend(_subtract(box, cand_lows, cand_highs))
             if len(next_boxes) > max_boxes:
                 raise RuntimeError(
                     "uncovered_region exceeded the box budget "

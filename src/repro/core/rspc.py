@@ -21,9 +21,9 @@ fused draw and one membership pass.  Every later check sees the stream
 position it always saw; the cap bounds what a check can draw ahead and
 the size of the group buffers.
 
-Word space (:func:`_guess_in_words`).  A run of more than four batches on
-an all-discrete box drawn from a ``PCG64`` (``checker-families``) computes
-no guess but the witness.  NumPy draws a value from ``span`` integers as
+Word space (:func:`_guess_in_words`).  A run of more than four batches
+drawn from a ``PCG64`` (``checker-families``) computes no guess but the
+witness.  NumPy draws a value from ``span`` integers as
 ``first + (u * span >> 32)`` of a 32-bit word ``u`` (Lemire's rule),
 which grows with ``u``, so "guess >= bound" is "word >= threshold".  Once
 per run the candidates' signed bounds become exact uint32 thresholds
@@ -35,8 +35,8 @@ back, and the generator is handed back once, at the end of the run.
 Value space (:func:`_guess_in_values`) takes the rest: shorter runs,
 whose groups are too small to pay for the thresholds; a word Lemire's
 rule rejects (NumPy then takes another, so words and values part; the
-run starts over from its saved state); continuous or mixed boxes, other
-bit generators, and ranges of more than ``2**21`` values.  Its draw is
+run starts over from its saved state); other bit generators, and ranges
+of more than ``2**21`` values.  Its draw is
 :func:`~repro.utils.rng.integers_into`, the values and end state of one
 broadcast-bounds ``Generator.integers`` call; a witness before the end of
 a group restores the state saved before the group and re-draws only the
@@ -50,10 +50,9 @@ about 1.6 of 30 per row on the Section-6 families.  One comparison against
 ``s``'s snapped signed box per run marks the bounds some guess can fail;
 each block of candidates keeps only the axes one of its members needs,
 and a block that needs none contains all of ``s``.  A bound is skipped
-only when every guess the sampling plan can draw satisfies it, so upper
-bounds on continuous axes are always tested.  The first uncovered index
-is unchanged, and with it the draws, the rollback and every counter
-(README, "The RSPC guess kernel", has the measurements).
+only when every guess the sampling plan can draw satisfies it.  The first
+uncovered index is unchanged, and with it the draws, the rollback and
+every counter (README, "The RSPC guess kernel", has the measurements).
 """
 
 from __future__ import annotations
@@ -166,14 +165,11 @@ def _candidate_blocks(
     Candidates that fit in one block are not sorted.
 
     A bound every guess satisfies is an *undefined* conflict-table entry
-    (Definition 2) and is skipped: one on a discrete axis at or below
-    ``s``'s snapped bound (guesses are integers inside the snapped box),
-    or a lower bound on a continuous axis at or below ``s``'s (a draw
-    ``a + (b - a) * u`` is never below ``a``).  Upper bounds on continuous
-    axes are always kept: no rounding argument shows the draw stays
-    ``<= b``.  Each block is ``(axes, bounds)``: the signed axes at least
-    one member needs, and the members' ``(len(axes), block, 1)`` bounds
-    on them.  A block with no axes contains every point of ``s``.
+    (Definition 2) and is skipped: one at or below ``s``'s snapped bound
+    (guesses are ticks inside the snapped box).  Each block is ``(axes,
+    bounds)``: the signed axes at least one member needs, and the
+    members' ``(len(axes), block, 1)`` bounds on them.  A block with no
+    axes contains every point of ``s``.
 
     Given the run's word reader ``words`` the blocks are built for
     guesses in word space (:func:`_word_thresholds`): the bounds are
@@ -192,10 +188,6 @@ def _candidate_blocks(
     else:
         # a negation, so that a NaN bound stays needed (and fails every guess)
         needed = ~(signed <= signed_box(subscription)[0][:, np.newaxis])
-        vectors = subscription.schema.vectors
-        # continuous upper bounds stay needed (``True``: every axis discrete)
-        if vectors.signed_discrete is not True:
-            needed[m:][~vectors.discrete] = True
     starts = np.arange(0, signed.shape[1], _CANDIDATE_BLOCK)
     if not starts.size:
         return []
@@ -297,18 +289,14 @@ def _guess_witness(
     witness leaves it in, so no later check can tell how far this one
     drew ahead.
 
-    A run of more than ``_WORD_MIN_GUESSES`` guesses on an all-discrete
-    box whose draws :func:`~repro.utils.rng.integer_words` can read as
-    words guesses in word space (:func:`_guess_in_words`).  Every other
+    A run of more than ``_WORD_MIN_GUESSES`` guesses whose draws
+    :func:`~repro.utils.rng.integer_words` can read as words guesses in
+    word space (:func:`_guess_in_words`).  Every other
     run, and one whose words meet a rejection, guesses in value space
     (:func:`_guess_in_values`) from where the run started.
     """
-    if (
-        allowed > _WORD_MIN_GUESSES
-        and subscription.schema.vectors.signed_discrete is True
-    ):
-        ((_, _, _, first, beyond),) = subscription.sampling_plan()
-        words = integer_words(rng, first, beyond)
+    if allowed > _WORD_MIN_GUESSES:
+        words = integer_words(rng, *subscription.sampling_plan())
         if words is not None:
             found = _guess_in_words(subscription, signed, words, allowed)
             if found is not None:

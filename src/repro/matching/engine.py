@@ -66,7 +66,8 @@ class EngineCounters:
 
     ``engine.<name>`` for each name in :data:`ENGINE_COUNTERS`, charged
     by :meth:`count`, and the gauge ``engine.subscriptions_total``, the
-    number of stored subscriptions, which the engine sets.
+    number of subscriptions clients registered (merged boxes excluded),
+    which the engine sets.
     """
 
     def __init__(self) -> None:
@@ -195,7 +196,7 @@ class MatchingEngine:
             )
         decision = store.add(subscription)
         self.deltas.count((decision,))
-        self.counters.subscriptions.value = store.total_count
+        self.counters.subscriptions.value = len(self)
         return decision
 
     @stage("engine.unsubscribe")
@@ -211,7 +212,7 @@ class MatchingEngine:
             return ()
         outcome = store.remove(subscription_id)
         self.deltas.count(outcome.reinsertions)
-        self.counters.subscriptions.value = store.total_count
+        self.counters.subscriptions.value = len(self)
         return outcome.promoted
 
     # ------------------------------------------------------------------
@@ -228,7 +229,9 @@ class MatchingEngine:
         return self.store.covered
 
     def __len__(self) -> int:
-        return self.store.total_count
+        """The subscriptions clients registered: the store's, less the
+        merged boxes it made (each stands for members it also holds)."""
+        return self.store.total_count - len(self.store.members)
 
     # ------------------------------------------------------------------
     # Matching (Algorithm 5)

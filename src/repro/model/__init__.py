@@ -3,17 +3,16 @@
 Publications are points in an ``m``-dimensional attribute space and
 subscriptions are conjunctions of range predicates, i.e. axis-aligned
 hyper-rectangles (convex polyhedra in the paper's terminology).  Attribute
-values come from *domains* (integer ranges, continuous ranges, finite
-categorical sets, timestamps) that all encode to numbers so the core
-algorithms can treat every subscription uniformly as a box of
-``[low, high]`` intervals.
+values come from finite ordered *domains* (integer ranges, categorical
+sets, timestamps) that all encode to integer ticks so the core algorithms
+can treat every subscription uniformly as a box of ``[low, high]``
+intervals.
 """
 
 from repro.model.attributes import (
     Attribute,
     AttributeDomain,
     CategoricalDomain,
-    ContinuousDomain,
     IntegerDomain,
     TimestampDomain,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Attribute",
     "AttributeDomain",
     "CategoricalDomain",
-    "ContinuousDomain",
     "DomainError",
     "IntegerDomain",
     "Interval",

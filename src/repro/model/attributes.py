@@ -2,19 +2,15 @@
 
 The paper assumes every predicate constrains an attribute whose values are
 "elements from (ordered) finite sets" — bike identifiers, rental-post
-identifiers, frame sizes, brands, dates.  We provide four concrete domains
-and encode each one onto a numeric axis so that the core algorithms work on
-plain ``[low, high]`` intervals:
+identifiers, frame sizes, brands, dates.  We provide three concrete domains,
+each a finite ordered set encoded as consecutive integer *ticks* on a
+numeric axis, so that the core algorithms work on plain ``[low, high]``
+intervals and count points exactly — the witness-counting functions
+(``I(s)``, ``I(sw)``) match the paper's integer-solution counting in
+Proposition 2:
 
 ``IntegerDomain``
-    Ordered integers ``lower … upper``.  The witness-counting functions
-    (``I(s)``, ``I(sw)``) use exact point counts on these domains, matching
-    the paper's integer-solution counting in Proposition 2.
-
-``ContinuousDomain``
-    A real interval with a configurable *resolution* used as the unit for
-    measure computations (the paper's analysis carries over by replacing
-    point counts with Lebesgue measure).
+    Ordered integers ``lower … upper``.
 
 ``CategoricalDomain``
     A finite set of labels mapped to consecutive integer codes, as suggested
@@ -41,7 +37,6 @@ __all__ = [
     "AttributeDomain",
     "Attribute",
     "IntegerDomain",
-    "ContinuousDomain",
     "CategoricalDomain",
     "TimestampDomain",
 ]
@@ -50,12 +45,10 @@ __all__ = [
 class AttributeDomain(ABC):
     """Abstract base class of every attribute domain.
 
-    A domain maps externally visible values onto an internal numeric axis
-    and knows how to measure intervals and sample points on that axis.
+    A domain maps externally visible values onto the integer ticks of an
+    internal numeric axis and knows how to count and sample the ticks of an
+    interval on that axis.
     """
-
-    #: whether the internal axis is discrete (integer points)
-    is_discrete: bool = True
 
     # ------------------------------------------------------------------
     # Bounds
@@ -104,14 +97,11 @@ class AttributeDomain(ABC):
     def snap(self, interval: Interval) -> Interval:
         """Snap interval endpoints to representable domain values.
 
-        Discrete domains round the lower endpoint up and the upper endpoint
-        down so the snapped interval contains exactly the representable
-        points of the original.
+        The lower endpoint is rounded up and the upper endpoint down, so the
+        snapped interval contains exactly the ticks of the original.
         """
         if interval.is_empty:
             return Interval.empty()
-        if not self.is_discrete:
-            return interval
         low = math.ceil(interval.low) if math.isfinite(interval.low) else interval.low
         high = (
             math.floor(interval.high) if math.isfinite(interval.high) else interval.high
@@ -120,29 +110,23 @@ class AttributeDomain(ABC):
             return Interval.empty()
         return Interval(float(low), float(high))
 
-    @abstractmethod
     def measure(self, interval: Interval) -> float:
-        """Measure of an interval: point count (discrete) or length."""
-
-    @abstractmethod
-    def sample(self, interval: Interval, rng: Any) -> float:
-        """Sample a uniformly random encoded value inside ``interval``.
-
-        ``rng`` is a :class:`numpy.random.Generator` (or any object with
-        compatible ``integers``/``uniform`` methods).
-        """
-
-    def gap_measure(self, width: float) -> float:
-        """Measure of an axis-aligned gap of raw width ``width``.
-
-        Used by the ``rho_w`` estimator (Algorithm 2): on discrete domains a
-        raw width of ``w`` corresponds to ``w`` integer points (the points
-        strictly on one side of a bound), on continuous domains to length
-        ``w``.
-        """
-        if width <= 0:
+        """Measure of an interval: the number of ticks inside it."""
+        snapped = self.snap(self.clip(interval))
+        if snapped.is_empty:
             return 0.0
-        return float(width)
+        return snapped.high - snapped.low + 1.0
+
+    def sample(self, interval: Interval, rng: Any) -> float:
+        """Sample a uniformly random tick inside ``interval``.
+
+        ``rng`` is a :class:`numpy.random.Generator` (or any object with a
+        compatible ``integers`` method).
+        """
+        snapped = self.snap(self.clip(interval))
+        if snapped.is_empty:
+            raise DomainError("cannot sample from an empty interval")
+        return float(rng.integers(int(snapped.low), int(snapped.high) + 1))
 
     # ------------------------------------------------------------------
     # Serialization helpers
@@ -166,8 +150,6 @@ class IntegerDomain(AttributeDomain):
     lower: int
     upper: int
 
-    is_discrete = True
-
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise DomainError(
@@ -190,93 +172,12 @@ class IntegerDomain(AttributeDomain):
     def decode(self, encoded: float) -> int:
         return int(round(encoded))
 
-    def measure(self, interval: Interval) -> float:
-        snapped = self.snap(self.clip(interval))
-        if snapped.is_empty:
-            return 0.0
-        return snapped.high - snapped.low + 1.0
-
-    def sample(self, interval: Interval, rng: Any) -> float:
-        snapped = self.snap(self.clip(interval))
-        if snapped.is_empty:
-            raise DomainError("cannot sample from an empty interval")
-        return float(rng.integers(int(snapped.low), int(snapped.high) + 1))
-
     def to_dict(self) -> Dict[str, Any]:
         return {"type": "integer", "lower": self.lower, "upper": self.upper}
 
 
-@dataclass(frozen=True)
-class ContinuousDomain(AttributeDomain):
-    """Real-valued domain ``[lower, upper]``.
-
-    ``resolution`` is the smallest meaningful gap width; it floors the gap
-    measure so that the point-witness probability never collapses to zero
-    because of floating-point noise.
-    """
-
-    lower: float
-    upper: float
-    resolution: float = 1e-9
-
-    is_discrete = False
-
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise DomainError(
-                f"ContinuousDomain lower bound {self.lower} exceeds upper bound {self.upper}"
-            )
-        if self.resolution <= 0:
-            raise DomainError("resolution must be positive")
-
-    @property
-    def lower_bound(self) -> float:
-        return float(self.lower)
-
-    @property
-    def upper_bound(self) -> float:
-        return float(self.upper)
-
-    def encode(self, value: Any) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"cannot encode {value!r} on a continuous domain")
-        return float(value)
-
-    def decode(self, encoded: float) -> float:
-        return float(encoded)
-
-    def measure(self, interval: Interval) -> float:
-        clipped = self.clip(interval)
-        if clipped.is_empty:
-            return 0.0
-        return max(clipped.span, self.resolution)
-
-    def sample(self, interval: Interval, rng: Any) -> float:
-        clipped = self.clip(interval)
-        if clipped.is_empty:
-            raise DomainError("cannot sample from an empty interval")
-        if clipped.is_point:
-            return clipped.low
-        return float(rng.uniform(clipped.low, clipped.high))
-
-    def gap_measure(self, width: float) -> float:
-        if width <= 0:
-            return 0.0
-        return max(float(width), self.resolution)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "type": "continuous",
-            "lower": self.lower,
-            "upper": self.upper,
-            "resolution": self.resolution,
-        }
-
-
 class CategoricalDomain(AttributeDomain):
     """Finite ordered set of labels mapped to consecutive integer codes."""
-
-    is_discrete = True
 
     def __init__(self, values: Sequence[Any]):
         if not values:
@@ -315,18 +216,6 @@ class CategoricalDomain(AttributeDomain):
             raise DomainError(f"code {encoded!r} outside the categorical domain")
         return self._values[index]
 
-    def measure(self, interval: Interval) -> float:
-        snapped = self.snap(self.clip(interval))
-        if snapped.is_empty:
-            return 0.0
-        return snapped.high - snapped.low + 1.0
-
-    def sample(self, interval: Interval, rng: Any) -> float:
-        snapped = self.snap(self.clip(interval))
-        if snapped.is_empty:
-            raise DomainError("cannot sample from an empty interval")
-        return float(rng.integers(int(snapped.low), int(snapped.high) + 1))
-
     def to_dict(self) -> Dict[str, Any]:
         return {"type": "categorical", "values": list(self._values)}
 
@@ -342,8 +231,6 @@ class CategoricalDomain(AttributeDomain):
 
 class TimestampDomain(AttributeDomain):
     """ISO-8601 timestamps mapped to integer epoch seconds."""
-
-    is_discrete = True
 
     def __init__(
         self,
@@ -391,18 +278,6 @@ class TimestampDomain(AttributeDomain):
     def decode(self, encoded: float) -> datetime:
         seconds = int(round(encoded)) * self._granularity
         return datetime.fromtimestamp(seconds, tz=timezone.utc)
-
-    def measure(self, interval: Interval) -> float:
-        snapped = self.snap(self.clip(interval))
-        if snapped.is_empty:
-            return 0.0
-        return snapped.high - snapped.low + 1.0
-
-    def sample(self, interval: Interval, rng: Any) -> float:
-        snapped = self.snap(self.clip(interval))
-        if snapped.is_empty:
-            raise DomainError("cannot sample from an empty interval")
-        return float(rng.integers(int(snapped.low), int(snapped.high) + 1))
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -463,12 +338,6 @@ def domain_from_dict(payload: Dict[str, Any]) -> AttributeDomain:
     kind = payload.get("type")
     if kind == "integer":
         return IntegerDomain(int(payload["lower"]), int(payload["upper"]))
-    if kind == "continuous":
-        return ContinuousDomain(
-            float(payload["lower"]),
-            float(payload["upper"]),
-            float(payload.get("resolution", 1e-9)),
-        )
     if kind == "categorical":
         return CategoricalDomain(payload["values"])
     if kind == "timestamp":

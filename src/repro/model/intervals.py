@@ -53,18 +53,6 @@ class Interval:
         """Whether the interval contains no point."""
         return self.low > self.high
 
-    @property
-    def is_point(self) -> bool:
-        """Whether the interval is a single point."""
-        return self.low == self.high and not self.is_empty
-
-    @property
-    def span(self) -> float:
-        """Length ``high - low`` (0 for points, ``-inf``-free for empties)."""
-        if self.is_empty:
-            return 0.0
-        return self.high - self.low
-
     # ------------------------------------------------------------------
     # Combinators
     # ------------------------------------------------------------------

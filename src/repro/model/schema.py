@@ -14,60 +14,11 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.model.attributes import (
-    Attribute,
-    AttributeDomain,
-    CategoricalDomain,
-    ContinuousDomain,
-    IntegerDomain,
-    TimestampDomain,
-)
+from repro.model.attributes import Attribute, AttributeDomain, IntegerDomain
 from repro.model.errors import SchemaError
 from repro.model.intervals import Interval
 
-__all__ = ["Schema", "SchemaVectors"]
-
-
-class SchemaVectors:
-    """Per-attribute domain facts as NumPy arrays, computed once per schema.
-
-    The vectorised pipeline stages (conflict-table gap measures, RSPC
-    sampling-plan hoisting) need per-attribute discreteness and measure
-    resolutions as arrays rather than through per-cell domain method
-    calls.  ``vectorisable`` is ``True`` only when every domain is one of
-    the built-in types whose measure semantics the vectorised code
-    replicates bit-for-bit; callers must fall back to the per-object
-    code path otherwise (e.g. for user-defined domains overriding
-    ``measure``).
-    """
-
-    __slots__ = ("discrete", "signed_discrete", "resolution", "vectorisable")
-
-    _EXACT_TYPES = (IntegerDomain, CategoricalDomain, TimestampDomain, ContinuousDomain)
-
-    def __init__(self, attributes: Tuple[Attribute, ...]):
-        self.discrete = np.array(
-            [a.domain.is_discrete for a in attributes], dtype=bool
-        )
-        #: ``discrete`` on the signed axes (lows on top of negated highs) as
-        #: a ``(2m, 1)`` column, collapsed to one ``bool`` when every
-        #: attribute agrees — a ufunc ``where=`` argument either way
-        if self.discrete.all() or not self.discrete.any():
-            self.signed_discrete = bool(self.discrete.all())
-        else:
-            self.signed_discrete = np.concatenate((self.discrete, self.discrete))[
-                :, np.newaxis
-            ]
-        self.resolution = np.array(
-            [
-                a.domain.resolution if isinstance(a.domain, ContinuousDomain) else 0.0
-                for a in attributes
-            ],
-            dtype=float,
-        )
-        self.vectorisable = all(
-            type(a.domain) in self._EXACT_TYPES for a in attributes
-        )
+__all__ = ["Schema"]
 
 
 class Schema:
@@ -103,7 +54,6 @@ class Schema:
         self.name = name
         # Immutable facts, computed on first use (the attribute tuple never
         # changes after construction).
-        self._vectors: Optional[SchemaVectors] = None
         self._hash: Optional[int] = None
         self._full_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -199,13 +149,6 @@ class Schema:
     # ------------------------------------------------------------------
     # Geometry helpers
     # ------------------------------------------------------------------
-    @property
-    def vectors(self) -> SchemaVectors:
-        """Cached per-attribute domain arrays for the vectorised stages."""
-        if self._vectors is None:
-            self._vectors = SchemaVectors(self._attributes)
-        return self._vectors
-
     def full_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-attribute domain bounds as ``(lows, highs)`` arrays.
 

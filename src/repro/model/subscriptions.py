@@ -28,11 +28,6 @@ __all__ = ["Subscription"]
 
 _id_counter = itertools.count(1)
 
-#: sampling-plan step kinds (see :meth:`Subscription.sampling_plan`)
-_DRAW_INTEGERS = 0
-_DRAW_UNIFORM = 1
-_DRAW_CONSTANT = 2
-
 
 def _next_subscription_id() -> str:
     """Generate a readable, process-unique subscription identifier."""
@@ -125,7 +120,7 @@ class Subscription:
         self._size: Optional[float] = None
         self._bounds_list: Optional[Tuple[List[float], List[float]]] = None
         #: cached :meth:`sampling_plan` (bounds are immutable)
-        self._sampling_plan: Optional[list] = None
+        self._sampling_plan: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: cached snapped ends on the signed axes
         #: (:func:`repro.core.arena.signed_box`)
         self._signed_box: Optional[np.ndarray] = None
@@ -239,7 +234,7 @@ class Subscription:
         )
 
     def size(self) -> float:
-        """The paper's ``I(s)``: number of points (or measure) inside.
+        """The paper's ``I(s)``: the number of points (ticks) inside.
 
         Memoised — the bounds are immutable, and the ``rho_w`` estimator
         asks for the same subscription's measure on every check.
@@ -326,51 +321,27 @@ class Subscription:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def sampling_plan(self) -> list:
+    def sampling_plan(self) -> Tuple[np.ndarray, np.ndarray]:
         """How points inside the box are drawn, computed once per box.
 
-        The plan is a list of steps ``(kind, start, stop, a, b)`` over the
-        attribute columns ``start:stop``, in column order: a run of
-        consecutive discrete columns is one ``rng.integers`` call with
-        per-column bounds ``a``/``b`` of shape ``(stop - start, 1)``, a
-        non-degenerate continuous column one ``rng.uniform(a, b)``, a
-        degenerate continuous column the constant ``a``.  Discrete bounds
-        are snapped inwards like :meth:`IntegerDomain.sample` does
-        (``ceil`` low, ``floor`` high), so every draw is a point of the
-        box; a discrete range holding no integer raises
+        The plan is one run of integer draws over every attribute column:
+        ``(first, beyond)``, the per-column bounds of one ``rng.integers``
+        call, each of shape ``(m, 1)``.  The bounds are snapped inwards like
+        :meth:`AttributeDomain.sample` does (``ceil`` low, ``floor`` high),
+        so every draw is a tick of the box; a range holding no tick raises
         :class:`DomainError`.
         """
         plan = self._sampling_plan
         if plan is not None:
             return plan
-        lows = self.lows.tolist()
-        highs = self.highs.tolist()
-        discrete = self.schema.vectors.discrete.tolist()
-        plan = []
-        for is_discrete, run in itertools.groupby(
-            range(len(lows)), key=discrete.__getitem__
-        ):
-            columns = list(run)
-            if not is_discrete:
-                for attribute in columns:
-                    low, high = lows[attribute], highs[attribute]
-                    kind = _DRAW_UNIFORM if high > low else _DRAW_CONSTANT
-                    plan.append((kind, attribute, attribute + 1, low, high))
-                continue
-            start, stop = columns[0], columns[-1] + 1
-            first = [math.ceil(low) for low in lows[start:stop]]
-            beyond = [math.floor(high) + 1 for high in highs[start:stop]]
-            if any(a >= b for a, b in zip(first, beyond)):
-                raise DomainError("cannot sample from an empty interval")
-            plan.append(
-                (
-                    _DRAW_INTEGERS,
-                    start,
-                    stop,
-                    np.array(first, dtype=np.int64)[:, np.newaxis],
-                    np.array(beyond, dtype=np.int64)[:, np.newaxis],
-                )
-            )
+        first = [math.ceil(low) for low in self.lows.tolist()]
+        beyond = [math.floor(high) + 1 for high in self.highs.tolist()]
+        if any(a >= b for a, b in zip(first, beyond)):
+            raise DomainError("cannot sample from an empty interval")
+        plan = (
+            np.array(first, dtype=np.int64)[:, np.newaxis],
+            np.array(beyond, dtype=np.int64)[:, np.newaxis],
+        )
         # Bounds are immutable after construction, so the plan rides on
         # the object across the many re-checks brokers perform and the
         # many publications a workload draws from one box.
@@ -387,30 +358,17 @@ class Subscription:
         column order: ``Generator.integers`` with broadcast bounds fills
         its output in C order through the same bounded-integer routine as
         the scalar call (pinned by
-        ``tests/test_rspc_kernel.py::TestNumpyStreamProperty``), so an
-        all-discrete plan takes one such draw for the whole group and a
-        mixed plan one per run of discrete columns per batch.  Each is a
+        ``tests/test_rspc_kernel.py::TestNumpyStreamProperty``), so the
+        whole group is one such draw: a
         :func:`~repro.utils.rng.integers_into` call, which gives that
         call's values and end state, computing large draws on a ``PCG64``
         from raw words.  RSPC draws batches of 256 guesses;
         :meth:`sample_points` draws batches of one.
         """
-        plan = self.sampling_plan()
-        m = self.m
-        points = np.empty((m, batches, size), dtype=float)
-        kind, _, stop, a, b = plan[0]
-        if kind == _DRAW_INTEGERS and stop == m:
-            integers_into(rng, a, b, points)
-            return points.reshape(m, batches * size)
-        for batch in range(batches):
-            for kind, start, stop, a, b in plan:
-                if kind == _DRAW_INTEGERS:
-                    integers_into(rng, a, b, points[start:stop, batch : batch + 1])
-                elif kind == _DRAW_UNIFORM:
-                    points[start, batch] = rng.uniform(a, b, size=size)
-                else:
-                    points[start, batch] = a
-        return points.reshape(m, batches * size)
+        first, beyond = self.sampling_plan()
+        points = np.empty((self.m, batches, size), dtype=float)
+        integers_into(rng, first, beyond, points)
+        return points.reshape(self.m, batches * size)
 
     def sample_points(self, rng: Any, count: int) -> np.ndarray:
         """``count`` uniformly random encoded points inside the box, one per row.
@@ -419,12 +377,11 @@ class Subscription:
         next point starts — the stream of ``count x m`` scalar
         :meth:`AttributeDomain.sample` calls — so a run of ``count`` leaves
         ``rng`` where ``count`` runs of one do, with the same values
-        (``tests/test_scenario_compile.py::TestSamplePoints``).  On an
-        all-discrete schema the whole run is one
-        :func:`~repro.utils.rng.integers_into` draw of ``count`` batches
-        of one — ``Generator.integers``' own call below 4 096 words, so a
-        single point takes NumPy's path.  The result is a fresh C-ordered
-        ``(count, m)`` matrix.
+        (``tests/test_scenario_compile.py::TestSamplePoints``).  The whole
+        run is one :func:`~repro.utils.rng.integers_into` draw of ``count``
+        batches of one — ``Generator.integers``' own call below 4 096
+        words, so a single point takes NumPy's path.  The result is a fresh
+        C-ordered ``(count, m)`` matrix.
         """
         return np.ascontiguousarray(self.draw_batches(rng, count, 1).T)
 

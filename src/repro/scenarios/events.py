@@ -280,8 +280,8 @@ class _PaperFigureWorkload:
     instance when the pool is exhausted) and publishes points that fall
     inside the current base subscription with probability
     ``match_probability`` (else uniformly in the space), so publications
-    actually exercise the covering-structured routing state.  The schema
-    is all-integer, so a point is one integer draw per attribute.
+    actually exercise the covering-structured routing state.  A point is
+    one integer draw per attribute.
     """
 
     def __init__(
@@ -302,8 +302,6 @@ class _PaperFigureWorkload:
         self._pool: List[Subscription] = []
         self._next = 0
         self._base: Optional[Subscription] = None
-        if not schema.vectors.discrete.all():
-            raise ValueError("the paper families need an all-integer schema")
         self._everywhere = _integer_bounds(Subscription.whole_space(schema))
 
     def _refill(self) -> None:
@@ -355,9 +353,9 @@ class _PaperFigureWorkload:
 
 
 def _integer_bounds(box: Subscription) -> List[Tuple[int, int]]:
-    """``(first, span)`` of each attribute of a box on an all-integer
-    schema, from its sampling plan (one integer step)."""
-    ((_, _, _, first, beyond),) = box.sampling_plan()
+    """``(first, span)`` of each attribute of a box, from its sampling
+    plan."""
+    first, beyond = box.sampling_plan()
     return list(zip(first.ravel().tolist(), (beyond - first).ravel().tolist()))
 
 

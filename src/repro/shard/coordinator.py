@@ -23,8 +23,9 @@ then is the first error (in shard order) raised, so a failing command
 never leaves a stale reply in a pipe for the next command to read.  A
 worker whose pipe is gone surfaces as ``RuntimeError("shard worker N
 died ...")``, on send as on receive.  Observability lands in the
-``shard.dispatch`` / ``shard.collect`` stage timers and per-shard
-registry instruments.
+``shard.route`` (routing, eager flushes included), ``shard.dispatch`` /
+``shard.collect`` and ``shard.sync`` stage timers and per-shard registry
+instruments.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # Routing (fire-and-forget, buffered)
     # ------------------------------------------------------------------
+    @stage("shard.route")
     def route_subscribe(self, subscription: Subscription) -> int:
         """Assign a subscription to its shard; returns the shard index."""
         if subscription.id in self._shard_of:
@@ -141,6 +143,7 @@ class ShardCoordinator:
         self._buffer(shard, ("sub", subscription))
         return shard
 
+    @stage("shard.route")
     def route_unsubscribe(self, subscription_id: str) -> Optional[int]:
         """Route a removal to the owning shard; ``None`` when unknown."""
         shard = self._shard_of.pop(subscription_id, None)
@@ -258,6 +261,7 @@ class ShardCoordinator:
             payloads = self._collect(reached, errors)
         return [payloads[shard] for shard in targets]
 
+    @stage("shard.sync")
     def sync(self) -> None:
         """Drain every pipe; surfaces any parked worker error."""
         self._command(("sync",))

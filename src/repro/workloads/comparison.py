@@ -94,15 +94,14 @@ class ComparisonWorkload:
                 width = normal_width(
                     mean=self.width_mean_fraction * extent,
                     std=self.width_std_fraction * extent,
-                    minimum=1.0 if domain.is_discrete else extent * 1e-6,
+                    minimum=1.0,
                     maximum=extent,
                     rng=self._rng,
                 )
             low = max(domain.lower_bound, center - width / 2.0)
             high = min(domain.upper_bound, center + width / 2.0)
-            if domain.is_discrete:
-                low = float(int(low))
-                high = float(int(high))
+            low = float(int(low))
+            high = float(int(high))
             lows[int(attribute)] = low
             highs[int(attribute)] = max(high, low)
         return Subscription(
@@ -140,9 +139,7 @@ class ComparisonWorkload:
                 value = pareto_center(
                     domain.lower_bound, domain.upper_bound, self.center_skew, self._rng
                 )
-                if domain.is_discrete:
-                    value = float(int(value))
-                point[attribute] = value
+                point[attribute] = float(int(value))
         return points
 
     def publication(self, publisher: Optional[str] = None) -> Publication:

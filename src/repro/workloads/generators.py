@@ -72,22 +72,14 @@ def _ceil(values):
     return np.ceil(values) + 0.0
 
 
-def _domain_vectors(schema: Schema) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-attribute domain ``(lower, upper, discrete)`` arrays."""
-    lower, upper = schema.full_bounds()
-    return lower, upper, schema.vectors.discrete
-
-
-def _snap(low, high, lower, upper, discrete) -> _Bounds:
-    """Clip ``[low, high]`` to the domain and round it outwards on discrete axes.
+def _snap(low, high, lower, upper) -> _Bounds:
+    """Clip ``[low, high]`` to the domain and round it outwards to ticks.
 
     Elementwise over ``(..., m)`` arrays; an inverted result collapses onto
     its upper end.
     """
-    low = _max(low, lower)
-    high = _min(high, upper)
-    low = np.where(discrete, _max(_floor(low), lower), low)
-    high = np.where(discrete, _min(_ceil(high), upper), high)
+    low = _max(_floor(_max(low, lower)), lower)
+    high = _min(_ceil(_min(high, upper)), upper)
     return np.where(low > high, high, low), high
 
 
@@ -120,7 +112,6 @@ def _random_bounds(
     rng: np.random.Generator,
     lower: np.ndarray,
     upper: np.ndarray,
-    discrete: np.ndarray,
     width_fraction: Tuple[float, float],
 ) -> _Bounds:
     """Per attribute a width fraction, then a start: ``2m`` doubles in one call."""
@@ -128,7 +119,7 @@ def _random_bounds(
     fraction = _uniform(draws[0::2], float(width_fraction[0]), float(width_fraction[1]))
     width = _max((upper - lower) * fraction, 0.0)
     start = _uniform(draws[1::2], lower, _max(upper - width, lower))
-    return _snap(start, start + width, lower, upper, discrete)
+    return _snap(start, start + width, lower, upper)
 
 
 def random_interval(
@@ -141,7 +132,6 @@ def random_interval(
         rng,
         np.array([domain.lower_bound], dtype=float),
         np.array([domain.upper_bound], dtype=float),
-        np.array([domain.is_discrete]),
         width_fraction,
     )
     return Interval(float(low[0]), float(high[0]))
@@ -154,9 +144,7 @@ def random_subscription(
     subscriber: Optional[str] = None,
 ) -> Subscription:
     """A random box subscription with per-attribute width in a fraction band."""
-    lows, highs = _random_bounds(
-        ensure_rng(rng), *_domain_vectors(schema), width_fraction
-    )
+    lows, highs = _random_bounds(ensure_rng(rng), *schema.full_bounds(), width_fraction)
     return Subscription(schema, lows, highs, subscriber=subscriber)
 
 
@@ -237,7 +225,7 @@ def _intersecting_draws(
     if not count:
         return np.empty((0, schema.m, 4))
     tape = _Tape(rng, count * _intersecting_tape_size(schema.m, cover_probability))
-    lower, upper, _ = _domain_vectors(schema)
+    lower, upper = schema.full_bounds()
     positions, ends = _walk_intersecting(
         tape, 0, count, upper - lower, width_fraction, cover_probability
     )
@@ -259,7 +247,7 @@ def _intersecting_bounds(
     reference's range with a margin; any other is centred at its anchor
     (a point of the reference's range), so the box meets the reference.
     """
-    lower, upper, discrete = _domain_vectors(schema)
+    lower, upper = schema.full_bounds()
     extent = upper - lower
     rolls, anchors, fractions, offsets = np.moveaxis(draws, -1, 0)
     covered = rolls < cover_probability
@@ -272,7 +260,7 @@ def _intersecting_bounds(
     margin = _max(extent * 0.01, 1.0)
     low = np.where(covered, reference_lows - margin, low)
     high = np.where(covered, reference_highs + margin, high)
-    return _snap(low, high, lower, upper, discrete)
+    return _snap(low, high, lower, upper)
 
 
 def random_subscription_intersecting(
@@ -330,20 +318,14 @@ def publication_inside(
 # ----------------------------------------------------------------------
 # Deterministic boxes
 # ----------------------------------------------------------------------
-def _slab_edges(
-    low: float, high: float, count: int, discrete: bool
-) -> Tuple[np.ndarray, np.ndarray]:
+def _slab_edges(low: float, high: float, count: int) -> Tuple[np.ndarray, np.ndarray]:
     """The ``[low, high]`` ends of the slabs :func:`slab_partition` cuts."""
-    if discrete:
-        total_points = int(high - low) + 1
-        pieces = min(count, total_points)
-        base, extra = divmod(total_points, pieces)
-        sizes = base + (np.arange(pieces) < extra)
-        ends = low + (np.cumsum(sizes) - 1.0)
-        return ends - (sizes - 1.0), ends
-    edges = low + (high - low) * np.arange(count + 1) / count
-    edges[-1] = high
-    return edges[:-1], edges[1:]
+    total_points = int(high - low) + 1
+    pieces = min(count, total_points)
+    base, extra = divmod(total_points, pieces)
+    sizes = base + (np.arange(pieces) < extra)
+    ends = low + (np.cumsum(sizes) - 1.0)
+    return ends - (sizes - 1.0), ends
 
 
 def slab_partition(
@@ -353,9 +335,8 @@ def slab_partition(
 ) -> List[Subscription]:
     """Partition a box into ``count`` slabs along one attribute.
 
-    The slabs jointly cover the box exactly (no overlap beyond shared
-    boundaries on continuous domains, disjoint consecutive integers on
-    discrete ones) — the basic construction for group-covering instances
+    The slabs jointly cover the box exactly (disjoint runs of consecutive
+    ticks) — the basic construction for group-covering instances
     where no single slab covers the whole box.
     """
     if count < 1:
@@ -365,7 +346,6 @@ def slab_partition(
         float(subscription.lows[attribute]),
         float(subscription.highs[attribute]),
         count,
-        schema.domain(attribute).is_discrete,
     )
     lows = np.tile(subscription.lows, (len(starts), 1))
     highs = np.tile(subscription.highs, (len(starts), 1))
@@ -378,8 +358,8 @@ def _expanded_bounds(
     schema: Schema, lows: np.ndarray, highs: np.ndarray, margin_fraction: float
 ) -> _Bounds:
     """Bounds of :func:`expand_to_cover`."""
-    lower, upper, discrete = _domain_vectors(schema)
-    margin = _max((upper - lower) * margin_fraction, np.where(discrete, 1.0, 0.0))
+    lower, upper = schema.full_bounds()
+    margin = _max((upper - lower) * margin_fraction, 1.0)
     return _max(lower, lows - margin), _min(upper, highs + margin)
 
 
@@ -404,21 +384,17 @@ def shrink_inside(
 ) -> Subscription:
     """A random box inside ``subscription``, always pair-wise covered by it.
 
-    Every attribute holding more than one value (two ticks on a discrete
-    axis, a span over ``1e-9`` on a continuous one) is cut by a random
+    Every attribute holding more than one tick is cut by a random
     fraction of its span, split at random between its two ends, and
-    rounded inwards on discrete axes — so wherever the box holds more than
+    rounded inwards — so wherever the box holds more than
     one point the result never equals the input.
     Each such attribute draws a fraction, then a split, in attribute order.
     """
     generator = ensure_rng(rng)
     schema = subscription.schema
-    discrete = schema.vectors.discrete
     lows, highs = subscription.lows, subscription.highs
     span = highs - lows
-    shrinkable = np.where(
-        discrete, np.floor(highs) - np.ceil(lows) >= 1.0, span > 1e-9
-    )
+    shrinkable = np.floor(highs) - np.ceil(lows) >= 1.0
     draws = np.zeros((schema.m, 2))
     draws[shrinkable] = generator.random(
         (int(np.count_nonzero(shrinkable)), 2)
@@ -428,8 +404,8 @@ def shrink_inside(
     )
     low = lows + _uniform(draws[:, 1], 0.0, shrink)
     high = _max(highs - (shrink - (low - lows)), low)
-    low = np.where(discrete, _ceil(low), low)
-    high = np.where(discrete, _floor(high), high)
+    low = _ceil(low)
+    high = _floor(high)
     low = np.where(low > high, high, low)
     return Subscription(
         schema, np.where(shrinkable, low, lows), np.where(shrinkable, high, highs)

@@ -78,7 +78,6 @@ from repro.utils.rng import RandomSource, ensure_rng
 from repro.workloads.generators import (
     _Bounds,
     _ceil,
-    _domain_vectors,
     _expanded_bounds,
     _floor,
     _intersecting_bounds,
@@ -157,7 +156,7 @@ class ScenarioInstance:
 # ----------------------------------------------------------------------
 def _base_bounds(schema: Schema, rng: np.random.Generator) -> _Bounds:
     """A moderately sized box used as the tested ``s``."""
-    return _random_bounds(rng, *_domain_vectors(schema), (0.15, 0.35))
+    return _random_bounds(rng, *schema.full_bounds(), (0.15, 0.35))
 
 
 def _instance(
@@ -170,12 +169,11 @@ def _instance(
     return rows[0], rows[1:]
 
 
-def _shrink_attribute(schema: Schema, lows: np.ndarray, highs: np.ndarray) -> Optional[int]:
+def _shrink_attribute(lows: np.ndarray, highs: np.ndarray) -> Optional[int]:
     """The attribute :func:`_avoid_full_cover` cuts: the first one, unless
-    the reference is (almost) a point there, then the first one that is
-    not; ``None`` when there is none."""
-    discrete = schema.vectors.discrete
-    wide = np.flatnonzero(highs - lows > np.where(discrete, 1.0, 1e-9))
+    the reference holds at most two ticks there, then the first one that
+    holds more; ``None`` when there is none."""
+    wide = np.flatnonzero(highs - lows > 1.0)
     return int(wide[0]) if len(wide) else None
 
 
@@ -185,16 +183,14 @@ def _avoid_full_cover(
     reference_lows: np.ndarray,
     reference_highs: np.ndarray,
     attribute: int,
-    discrete: bool,
     draws: np.ndarray,
 ) -> None:
     """Keep a candidate row that pair-wise covers the reference from doing so.
 
     Its range on ``attribute`` is cut back to a strict part of the
     reference's (``draws``: the cut's fraction, then which end is cut), and
-    the cut end lies at least one tick (one representable value on a
-    continuous axis) inside the reference, so the candidate only partly
-    covers it.  Writes into the rows.
+    the cut end lies at least one tick inside the reference, so the
+    candidate only partly covers it.  Writes into the rows.
     """
     low = float(reference_lows[attribute])
     high = float(reference_highs[attribute])
@@ -206,15 +202,12 @@ def _avoid_full_cover(
     else:
         lows[attribute] = low + cut
         highs[attribute] = max(highs[attribute], lows[attribute])
-    if discrete:
-        lows[attribute] = math.floor(lows[attribute])
-        highs[attribute] = math.ceil(highs[attribute])
+    lows[attribute] = math.floor(lows[attribute])
+    highs[attribute] = math.ceil(highs[attribute])
     if cut_top:
-        inside = math.floor(high) - 1 if discrete else math.nextafter(high, -math.inf)
-        highs[attribute] = min(highs[attribute], inside)
+        highs[attribute] = min(highs[attribute], math.floor(high) - 1)
     else:
-        inside = math.ceil(low) + 1 if discrete else math.nextafter(low, math.inf)
-        lows[attribute] = max(lows[attribute], inside)
+        lows[attribute] = max(lows[attribute], math.ceil(low) + 1)
 
 
 def _intersecting_candidates(
@@ -237,8 +230,8 @@ def _intersecting_candidates(
     two doubles shift every later candidate) and the rest are computed
     again from after it.
     """
-    lower, upper, discrete = _domain_vectors(schema)
-    attribute = _shrink_attribute(schema, reference_lows, reference_highs)
+    lower, upper = schema.full_bounds()
+    attribute = _shrink_attribute(reference_lows, reference_highs)
     tape = _Tape(
         rng, count * (_intersecting_tape_size(schema.m, cover_probability) + tail + 2)
     )
@@ -272,7 +265,6 @@ def _intersecting_candidates(
                 reference_lows,
                 reference_highs,
                 attribute,
-                bool(discrete[attribute]),
                 tape.values[position - 2 : position],
             )
         blocks.append((lows, highs))
@@ -338,8 +330,8 @@ def redundant_covering_scenario(
     slabs along the first attribute (each covering ``s`` completely on all
     other attributes), so their union covers ``s`` but none does so alone.
     Neighbouring slabs overlap by ``slab_overlap_fraction`` of ``s``'s span;
-    a slab that the overlap (rounded outwards on a discrete axis) would
-    stretch over the whole of ``s`` keeps its exact ends instead.
+    a slab that the overlap (rounded outwards to ticks) would stretch over
+    the whole of ``s`` keeps its exact ends instead.
 
     The remaining candidates only partly cover ``s`` and are therefore
     redundant for the cover decision — exactly the setting of Figure 6.
@@ -418,8 +410,8 @@ def _covering_slabs(
 ) -> _Bounds:
     """The covering group: slabs of ``s`` along the first attribute, each
     overlapping its neighbours there and ``s`` by a 1 % margin elsewhere."""
-    lower, upper, discrete = _domain_vectors(schema)
-    starts, ends = _slab_edges(float(lows[0]), float(highs[0]), count, bool(discrete[0]))
+    lower, upper = schema.full_bounds()
+    starts, ends = _slab_edges(float(lows[0]), float(highs[0]), count)
     margin = (upper - lower) * 0.01
     slab_lows = np.tile(_max(lower, lows - margin), (len(starts), 1))
     slab_highs = np.tile(_min(upper, highs + margin), (len(starts), 1))
@@ -427,11 +419,8 @@ def _covering_slabs(
     # other attributes make the covering group look like organic,
     # similar-interest subscriptions rather than an exact partition.
     overlap = (highs[0] - lows[0]) * overlap_fraction
-    first_lows = _max(lower[0], starts - overlap)
-    first_highs = _min(upper[0], ends + overlap)
-    if discrete[0]:
-        first_lows = _floor(first_lows)
-        first_highs = _ceil(first_highs)
+    first_lows = _floor(_max(lower[0], starts - overlap))
+    first_highs = _ceil(_min(upper[0], ends + overlap))
     if len(starts) > 1:
         alone = (first_lows <= lows[0]) & (first_highs >= highs[0])
         first_lows = np.where(alone, starts, first_lows)
@@ -459,15 +448,13 @@ def _one_sided_partial_covers(
     each other.  ``draws[i]`` are the row's ``m`` doubles: the cut, then a
     margin for each other attribute in attribute order.
     """
-    lower, upper, discrete = _domain_vectors(schema)
+    lower, upper = schema.full_bounds()
     count, m = draws.shape
     rows = np.arange(count)
-    on_attribute = discrete[attributes]
     low = reference_lows[attributes]
     high = reference_highs[attributes]
     span = high - low
-    cut = low + span * _uniform(draws[:, 0], 0.2, 0.8)
-    cut = np.where(on_attribute, np.rint(cut) + 0.0, cut)
+    cut = np.rint(low + span * _uniform(draws[:, 0], 0.2, 0.8)) + 0.0
 
     others = np.arange(m - 1)
     columns = others + (others >= attributes[:, np.newaxis])
@@ -478,15 +465,14 @@ def _one_sided_partial_covers(
     lows = _max(lower, reference_lows - margins)
     highs = _min(upper, reference_highs + margins)
 
-    tick = np.where(on_attribute, 1.0, _max(span * 1e-9, 1e-12))
     cut_low = np.where(
-        lower_sides, _max(lower[attributes], low - span * 0.02), _max(cut, low + tick)
+        lower_sides, _max(lower[attributes], low - span * 0.02), _max(cut, low + 1.0)
     )
     cut_high = np.where(
-        lower_sides, _min(cut, high - tick), _min(upper[attributes], high + span * 0.02)
+        lower_sides, _min(cut, high - 1.0), _min(upper[attributes], high + span * 0.02)
     )
-    cut_low = np.where(on_attribute, _floor(cut_low), cut_low)
-    cut_high = np.where(on_attribute, _ceil(cut_high), cut_high)
+    cut_low = _floor(cut_low)
+    cut_high = _ceil(cut_high)
     lows[rows, attributes] = np.where(cut_low > cut_high, cut_high, cut_low)
     highs[rows, attributes] = cut_high
     return lows, highs
@@ -509,7 +495,7 @@ def no_intersection_scenario(
         raise ValueError("k must be at least 1")
     generator = ensure_rng(rng)
     base = _base_bounds(schema, generator)
-    _, _, _, below, above = _push_outside_sides(schema, *base)
+    _, _, below, above = _push_outside_sides(schema, *base)
     drawn = below | above
 
     draws: List[np.ndarray] = []
@@ -539,16 +525,15 @@ def no_intersection_scenario(
 def _push_outside_sides(
     schema: Schema, reference_lows: np.ndarray, reference_highs: np.ndarray
 ) -> Tuple[np.ndarray, ...]:
-    """Per attribute: the tick, the room below and above the reference in
-    the domain, and whether a push goes below with a random width or above
+    """Per attribute: the room below and above the reference in the
+    domain, and whether a push goes below with a random width or above
     with one (else to the side with room, with no draw)."""
-    lower, upper, discrete = _domain_vectors(schema)
-    tick = np.where(discrete, 1.0, _max((upper - lower) * 1e-6, 1e-9))
+    lower, upper = schema.full_bounds()
     room_below = reference_lows - lower
     room_above = upper - reference_highs
-    below = (room_below >= room_above) & (room_below > tick)
-    above = ~below & (room_above > tick)
-    return tick, room_below, room_above, below, above
+    below = (room_below >= room_above) & (room_below > 1.0)
+    above = ~below & (room_above > 1.0)
+    return room_below, room_above, below, above
 
 
 def _push_outside(
@@ -567,17 +552,16 @@ def _push_outside(
     more than a tick, to whichever side has one, even if the slice is a
     single point.
     """
-    lower, upper, discrete = _domain_vectors(schema)
-    tick, room_below, room_above, below, above = (
+    room_below, room_above, below, above = (
         values[attributes]
         for values in _push_outside_sides(schema, reference_lows, reference_highs)
     )
-    lower, upper, discrete = lower[attributes], upper[attributes], discrete[attributes]
+    lower, upper = (bound[attributes] for bound in schema.full_bounds())
     ref_low, ref_high = reference_lows[attributes], reference_highs[attributes]
     fraction = _uniform(draws, 0.2, 0.8)
-    under = ref_low - tick
-    over = ref_high + tick
-    fallback_below = room_below >= tick
+    under = ref_low - 1.0
+    over = ref_high + 1.0
+    fallback_below = room_below >= 1.0
     low = np.select(
         [below, above, fallback_below],
         [_max(lower, under - room_below * fraction), over, lower],
@@ -588,9 +572,8 @@ def _push_outside(
         [under, _min(upper, over + room_above * fraction), under],
         upper,
     )
-    low = np.where(discrete, _ceil(low), low)
-    high = np.where(discrete, _floor(high), high)
-    low = _min(_max(low, lower), upper)
+    low = _min(_max(_ceil(low), lower), upper)
+    high = _floor(high)
     high = _min(_max(high, low), upper)
     lows = lows.copy()
     highs = highs.copy()
@@ -624,14 +607,14 @@ def non_cover_scenario(
     fraction = (
         float(generator.uniform(0.05, 0.2)) if gap_fraction is None else gap_fraction
     )
-    gap_low, gap_high = _carve_gap(schema, *base, fraction, generator)
-    tick, left_room, right_room = _gap_rooms(schema, *base, gap_low, gap_high)
+    gap_low, gap_high = _carve_gap(*base, fraction, generator)
+    left_room, right_room = _gap_rooms(*base, gap_low, gap_high)
     # with room on both sides a roll picks the side, else the side with room
     rolled = left_room and right_room
 
     def avoid_gap(lows: np.ndarray, highs: np.ndarray, rolls: np.ndarray) -> _Bounds:
         go_left = rolls[:, 0] < 0.5 if rolled else np.full(len(lows), left_room)
-        return _avoid_gap(schema, *base, lows, highs, go_left, gap_low, gap_high, tick)
+        return _avoid_gap(schema, *base, lows, highs, go_left, gap_low, gap_high)
 
     lows, highs = _intersecting_candidates(
         generator, schema, *base, k, cover_probability, tail=int(rolled), clip=avoid_gap
@@ -651,47 +634,32 @@ def non_cover_scenario(
 
 
 def _carve_gap(
-    schema: Schema,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    fraction: float,
-    rng: np.random.Generator,
+    lows: np.ndarray, highs: np.ndarray, fraction: float, rng: np.random.Generator
 ) -> Tuple[float, float]:
     """Choose a gap strictly inside ``s``'s range on the first attribute."""
-    discrete = schema.domain(0).is_discrete
     low, high = float(lows[0]), float(highs[0])
     span = high - low
-    width = max(span * fraction, 1.0 if discrete else span * 1e-6)
-    margin = max(span * 0.05, 1.0 if discrete else span * 1e-6)
+    width = max(span * fraction, 1.0)
+    margin = max(span * 0.05, 1.0)
     start_low = low + margin
     start_high = max(high - margin - width, start_low)
     gap_low = float(rng.uniform(start_low, start_high))
     gap_high = gap_low + width
-    if discrete:
-        gap_low = math.floor(gap_low)
-        gap_high = math.ceil(gap_high)
-        gap_high = max(gap_high, gap_low)
-    gap_high = min(gap_high, high - (1.0 if discrete else 0.0))
-    gap_low = max(gap_low, low + (1.0 if discrete else 0.0))
+    gap_low = math.floor(gap_low)
+    gap_high = max(math.ceil(gap_high), gap_low)
+    gap_high = min(gap_high, high - 1.0)
+    gap_low = max(gap_low, low + 1.0)
     if gap_low > gap_high:
         gap_low = gap_high
     return gap_low, gap_high
 
 
 def _gap_rooms(
-    schema: Schema,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    gap_low: float,
-    gap_high: float,
-) -> Tuple[float, bool, bool]:
-    """The first attribute's tick, and whether ``s`` reaches a tick past
-    the gap on its left and on its right."""
-    domain = schema.domain(0)
-    tick = 1.0 if domain.is_discrete else max(
-        (domain.upper_bound - domain.lower_bound) * 1e-9, 1e-12
-    )
-    return tick, bool(gap_low - tick >= lows[0]), bool(gap_high + tick <= highs[0])
+    lows: np.ndarray, highs: np.ndarray, gap_low: float, gap_high: float
+) -> Tuple[bool, bool]:
+    """Whether ``s`` reaches a tick past the gap on the first attribute,
+    on its left and on its right."""
+    return bool(gap_low - 1.0 >= lows[0]), bool(gap_high + 1.0 <= highs[0])
 
 
 def _avoid_gap(
@@ -703,7 +671,6 @@ def _avoid_gap(
     go_left: np.ndarray,
     gap_low: float,
     gap_high: float,
-    tick: float,
 ) -> _Bounds:
     """Clip each candidate row to one side of the gap on the first attribute.
 
@@ -711,18 +678,13 @@ def _avoid_gap(
     short of the gap; one going right starts a tick past it and keeps its
     high end (at least ``s``'s).
     """
-    lower, upper, discrete = _domain_vectors(schema)
-    left_high = gap_low - tick
+    lower, upper = schema.full_bounds()
+    left_high = gap_low - 1.0
     left_low = _min(_min(lows[:, 0], reference_lows[0]), left_high)
-    right_low = gap_high + tick
+    right_low = gap_high + 1.0
     right_high = _max(_max(highs[:, 0], reference_highs[0]), right_low)
-    low = np.where(go_left, left_low, right_low)
-    high = np.where(go_left, left_high, right_high)
-    if discrete[0]:
-        low = _floor(low)
-        high = _ceil(high)
-    low = _max(low, lower[0])
-    high = _min(high, upper[0])
+    low = _max(_floor(np.where(go_left, left_low, right_low)), lower[0])
+    high = _min(_ceil(np.where(go_left, left_high, right_high)), upper[0])
     lows = lows.copy()
     highs = highs.copy()
     lows[:, 0] = np.where(low > high, high, low)
@@ -759,19 +721,14 @@ def extreme_non_cover_scenario(
         raise ValueError("gap_fraction must be in (0, 1)")
     generator = ensure_rng(rng)
     base = _base_bounds(schema, generator)
-    gap_low, gap_high = _carve_gap(schema, *base, gap_fraction, generator)
-    tick, _, _ = _gap_rooms(schema, *base, gap_low, gap_high)
-    discrete = bool(schema.domain(0).is_discrete)
+    gap_low, gap_high = _carve_gap(*base, gap_fraction, generator)
 
-    left_low, left_high = float(base[0][0]), gap_low - tick
-    right_low, right_high = gap_high + tick, float(base[1][0])
-    if discrete:
-        left_high = math.floor(left_high)
-        right_low = math.ceil(right_low)
+    left_low, left_high = float(base[0][0]), math.floor(gap_low - 1.0)
+    right_low, right_high = math.ceil(gap_high + 1.0), float(base[1][0])
     n_left = k // 2
     regions = [
-        (left_low, left_high) + _tile_region(left_low, left_high, n_left, discrete),
-        (right_low, right_high) + _tile_region(right_low, right_high, k - n_left, discrete),
+        (left_low, left_high) + _tile_region(left_low, left_high, n_left),
+        (right_low, right_high) + _tile_region(right_low, right_high, k - n_left),
     ]
     tile_count = sum(len(starts) for _, _, starts, _ in regions)
 
@@ -781,7 +738,7 @@ def extreme_non_cover_scenario(
     used = 0
     for region_low, region_high, starts, ends in regions:
         stretched = _stretch_tiles(
-            region_low, region_high, starts, ends, draws[used : used + len(starts)], discrete
+            region_low, region_high, starts, ends, draws[used : used + len(starts)]
         )
         tile_lows.append(stretched[0])
         tile_highs.append(stretched[1])
@@ -791,8 +748,8 @@ def extreme_non_cover_scenario(
     margins = [draws[tile_count:].reshape(tile_count, schema.m - 1)]
     chosen = [np.arange(tile_count)]
 
-    # Discrete regions narrower than the requested tile count yield fewer
-    # tiles; pad with duplicated random tiles so the instance has exactly k
+    # Regions narrower than the requested tile count yield fewer tiles;
+    # pad with duplicated random tiles so the instance has exactly k
     # candidates (the duplicates are redundant but harmless).
     if tile_count:
         for _ in range(k - tile_count):
@@ -820,16 +777,13 @@ def extreme_non_cover_scenario(
 
 
 def _tile_region(
-    region_low: float, region_high: float, pieces: int, discrete: bool
+    region_low: float, region_high: float, pieces: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Contiguous tiles of ``[region_low, region_high]`` as ``(starts, ends)``;
     none when the region is empty."""
     if region_low > region_high or pieces < 1:
         return np.empty(0), np.empty(0)
-    if discrete:
-        return _slab_edges(region_low, region_high, pieces, True)
-    edges = region_low + (region_high - region_low) * np.arange(pieces + 1) / pieces
-    return edges[:-1], edges[1:]
+    return _slab_edges(region_low, region_high, pieces)
 
 
 def _stretch_tiles(
@@ -838,16 +792,12 @@ def _stretch_tiles(
     starts: np.ndarray,
     ends: np.ndarray,
     draws: np.ndarray,
-    discrete: bool,
 ) -> _Bounds:
     """Small random overlap of each tile with its neighbours (never into
     the gap or outside the region), up to 2 % of the region's span."""
     stretch = (region_high - region_low) * _uniform(draws, 0.0, 0.02)
-    lows = _max(region_low, starts - stretch)
-    highs = _min(region_high, ends + stretch)
-    if discrete:
-        lows = _max(_floor(lows), region_low)
-        highs = _min(_ceil(highs), region_high)
+    lows = _max(_floor(_max(region_low, starts - stretch)), region_low)
+    highs = _min(_ceil(_min(region_high, ends + stretch)), region_high)
     return lows, highs
 
 
@@ -856,7 +806,7 @@ def _wide_on_other_attributes(
 ) -> _Bounds:
     """``s`` widened on attributes ``1..m-1`` by up to 2 % of each domain,
     one row per row of ``draws`` (a margin per attribute)."""
-    lower, upper, _ = _domain_vectors(schema)
+    lower, upper = schema.full_bounds()
     margin = (upper - lower)[1:] * _uniform(draws, 0.0, 0.02)
     wide_lows = np.tile(lows, (len(draws), 1))
     wide_highs = np.tile(highs, (len(draws), 1))
@@ -915,11 +865,10 @@ class ValidationResult:
         return tuple(name for name, held in self.checks.items() if not held)
 
 
-def _ticks_inside(schema: Schema, lows: np.ndarray, highs: np.ndarray) -> _Bounds:
-    """Bounds rounded inwards to a tick on discrete attributes (the points
-    a box actually holds, as :mod:`repro.core.exact` reads it)."""
-    discrete = schema.vectors.discrete
-    return np.where(discrete, np.ceil(lows), lows), np.where(discrete, np.floor(highs), highs)
+def _ticks_inside(lows: np.ndarray, highs: np.ndarray) -> _Bounds:
+    """Bounds rounded inwards to a tick (the points a box actually holds,
+    as :mod:`repro.core.exact` reads it)."""
+    return np.ceil(lows), np.floor(highs)
 
 
 def validate_instance(instance: ScenarioInstance) -> ValidationResult:
@@ -943,10 +892,10 @@ def validate_instance(instance: ScenarioInstance) -> ValidationResult:
     subscription = instance.subscription
     schema = subscription.schema
     candidates = instance.candidates
-    s_lows, s_highs = _ticks_inside(schema, subscription.lows, subscription.highs)
+    s_lows, s_highs = _ticks_inside(subscription.lows, subscription.highs)
     lows = np.array([c.lows for c in candidates]).reshape(-1, schema.m)
     highs = np.array([c.highs for c in candidates]).reshape(-1, schema.m)
-    lows, highs = _ticks_inside(schema, lows, highs)
+    lows, highs = _ticks_inside(lows, highs)
     meets = (np.maximum(lows, s_lows) <= np.minimum(highs, s_highs)).all(axis=1)
     covers = (lows <= s_lows).all(axis=1) & (highs >= s_highs).all(axis=1)
 
@@ -964,8 +913,7 @@ def validate_instance(instance: ScenarioInstance) -> ValidationResult:
         checks["candidates_meet_s"] = bool(meets.all())
     if name in (ScenarioName.NON_COVER, ScenarioName.EXTREME_NON_COVER):
         gap = np.array(instance.metadata["gap"], dtype=float)
-        if schema.vectors.discrete[0]:
-            gap = np.array([math.ceil(gap[0]), math.floor(gap[1])], dtype=float)
+        gap = np.array([math.ceil(gap[0]), math.floor(gap[1])], dtype=float)
         inside = max(gap[0], s_lows[0]) <= min(gap[1], s_highs[0])
         clear = (highs[:, 0] < gap[0]) | (lows[:, 0] > gap[1])
         checks["gap_clear"] = bool(inside and clear.all())

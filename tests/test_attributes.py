@@ -10,7 +10,6 @@ import pytest
 from repro.model.attributes import (
     Attribute,
     CategoricalDomain,
-    ContinuousDomain,
     IntegerDomain,
     TimestampDomain,
     domain_from_dict,
@@ -67,46 +66,6 @@ class TestIntegerDomain:
     def test_roundtrip_dict(self):
         domain = IntegerDomain(3, 9)
         assert domain_from_dict(domain.to_dict()) == domain
-
-
-class TestContinuousDomain:
-    def test_measure_is_length(self):
-        domain = ContinuousDomain(0.0, 10.0)
-        assert domain.measure(Interval(2.0, 4.5)) == pytest.approx(2.5)
-
-    def test_measure_floors_at_resolution(self):
-        domain = ContinuousDomain(0.0, 10.0, resolution=0.01)
-        assert domain.measure(Interval(5.0, 5.0)) == pytest.approx(0.01)
-
-    def test_invalid_resolution(self):
-        with pytest.raises(DomainError):
-            ContinuousDomain(0, 1, resolution=0)
-
-    def test_sample_within_interval(self):
-        domain = ContinuousDomain(0.0, 1.0)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            value = domain.sample(Interval(0.25, 0.75), rng)
-            assert 0.25 <= value <= 0.75
-
-    def test_sample_point_interval(self):
-        domain = ContinuousDomain(0.0, 1.0)
-        assert domain.sample(Interval(0.5, 0.5), np.random.default_rng(0)) == 0.5
-
-    def test_gap_measure(self):
-        domain = ContinuousDomain(0.0, 1.0, resolution=0.001)
-        assert domain.gap_measure(0.25) == 0.25
-        assert domain.gap_measure(0.0) == 0.0
-        assert domain.gap_measure(1e-9) == pytest.approx(0.001)
-
-    def test_roundtrip_dict(self):
-        domain = ContinuousDomain(0.0, 2.5, resolution=0.1)
-        restored = domain_from_dict(domain.to_dict())
-        assert restored == domain
-
-    def test_snap_is_identity(self):
-        domain = ContinuousDomain(0.0, 10.0)
-        assert domain.snap(Interval(1.3, 2.7)) == Interval(1.3, 2.7)
 
 
 class TestCategoricalDomain:
@@ -228,11 +187,16 @@ class TestAttribute:
         with pytest.raises(DomainError):
             domain_from_dict({"type": "mystery"})
 
+    def test_domain_from_dict_rejects_a_real_interval(self):
+        # every domain is a finite ordered set of ticks: a real-valued
+        # range is an unknown domain type
+        with pytest.raises(DomainError, match="unknown domain type 'continuous'"):
+            domain_from_dict({"type": "continuous", "lower": 0.0, "upper": 1.0})
+
 
 DOMAINS = {
     "integer": (IntegerDomain(3, 9), 7.0),
     "integer-single-point": (IntegerDomain(4, 4), 1.0),
-    "continuous": (ContinuousDomain(-1.0, 1.0, resolution=1e-3), 2.0),
     "categorical": (CategoricalDomain(["lo", "mid", "hi"]), 3.0),
     "timestamp-hourly": (
         TimestampDomain("2024-03-01T00:00:00", "2024-03-02T00:00:00", 3600),
@@ -286,11 +250,4 @@ class TestEveryDomain:
         for _ in range(50):
             value = domain.sample(full, rng)
             assert full.low <= value <= full.high
-            if domain.is_discrete:
-                assert float(value).is_integer()
-
-    def test_non_positive_gap_has_no_measure(self, domain_case):
-        domain, _ = domain_case
-        assert domain.gap_measure(0.0) == 0.0
-        assert domain.gap_measure(-1.0) == 0.0
-        assert domain.gap_measure(1.0) >= 1.0
+            assert float(value).is_integer()

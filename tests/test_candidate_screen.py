@@ -33,13 +33,7 @@ from repro.core.results import Answer, DecisionMethod
 from repro.core.rspc import RSPCOutcome, run_rspc
 from repro.core.subsumption import SubsumptionChecker
 from repro.core.witness import estimate_smallest_witness
-from repro.model import (
-    CategoricalDomain,
-    ContinuousDomain,
-    IntegerDomain,
-    Schema,
-    Subscription,
-)
+from repro.model import CategoricalDomain, IntegerDomain, Schema, Subscription
 
 DELTA = 1e-4
 #: crosses the RSPC batch size (256) and the first draw-ahead group
@@ -179,45 +173,34 @@ def _discrete_schema():
     return Schema.uniform_integer(4, 0, 200, name="discrete")
 
 
-def _mixed_schema():
+def _ranges_schema():
     return Schema(
         [
             ("a", IntegerDomain(0, 200)),
-            ("b", ContinuousDomain(0.0, 50.0, resolution=1e-6)),
+            ("b", IntegerDomain(0, 50)),
             ("c", CategoricalDomain([f"v{i}" for i in range(12)])),
             ("d", IntegerDomain(-40, 40)),
         ],
-        name="mixed",
-    )
-
-
-def _continuous_schema():
-    return Schema(
-        [(f"c{i}", ContinuousDomain(0.0, 10.0, resolution=1e-6)) for i in range(3)],
-        name="continuous",
+        name="ranges",
     )
 
 
 SCHEMAS = {
     "discrete": _discrete_schema,
-    "mixed": _mixed_schema,
-    "continuous": _continuous_schema,
+    "ranges": _ranges_schema,
 }
 
 
 def _box(schema, lows, highs, fractional, rng):
-    """A subscription over ``[lows, highs]``: ticks on the discrete axes, or
-    — ``fractional`` — bounds pushed up to 0.95 *outwards* off them, so the
-    box holds exactly the same ticks while its raw bounds reach almost to
-    the next one (two such boxes can overlap without sharing a tick)."""
-    lows = np.array(lows, dtype=float)
-    highs = np.array(highs, dtype=float)
-    discrete = schema.vectors.discrete
-    lows[discrete] = np.round(lows[discrete])
-    highs[discrete] = np.maximum(np.round(highs[discrete]), lows[discrete])
+    """A subscription over ``[lows, highs]``: ticks, or — ``fractional`` —
+    bounds pushed up to 0.95 *outwards* off them, so the box holds exactly
+    the same ticks while its raw bounds reach almost to the next one (two
+    such boxes can overlap without sharing a tick)."""
+    lows = np.round(np.array(lows, dtype=float))
+    highs = np.maximum(np.round(np.array(highs, dtype=float)), lows)
     if fractional:
-        lows[discrete] -= rng.uniform(0.0, 0.95, int(discrete.sum()))
-        highs[discrete] += rng.uniform(0.0, 0.95, int(discrete.sum()))
+        lows -= rng.uniform(0.0, 0.95, schema.m)
+        highs += rng.uniform(0.0, 0.95, schema.m)
     return Subscription(schema, lows, highs)
 
 
@@ -266,21 +249,19 @@ def _disjoint_candidates(schema, subject, rng, count, fractional):
     the very next tick (``touching + 1``) to far away."""
     domain_lows, domain_highs = schema.full_bounds()
     extent = domain_highs - domain_lows
-    discrete = schema.vectors.discrete
     candidates = []
     for _ in range(count):
         axis = int(rng.integers(0, schema.m))
         anchor = rng.uniform(domain_lows, domain_highs)
         lows = anchor - extent * rng.uniform(0.02, 0.3, schema.m)
         highs = anchor + extent * rng.uniform(0.02, 0.3, schema.m)
-        step = 1.0 if discrete[axis] else extent[axis] * 1e-3
-        gap = step if rng.random() < 0.25 else step + extent[axis] * rng.uniform(0, 0.2)
+        gap = 1.0 if rng.random() < 0.25 else 1.0 + extent[axis] * rng.uniform(0, 0.2)
         width = extent[axis] * rng.uniform(0.0, 0.2)
         if rng.random() < 0.5:
-            start = np.floor(subject.highs[axis]) if discrete[axis] else subject.highs[axis]
+            start = np.floor(subject.highs[axis])
             lows[axis], highs[axis] = start + gap, start + gap + width
         else:
-            start = np.ceil(subject.lows[axis]) if discrete[axis] else subject.lows[axis]
+            start = np.ceil(subject.lows[axis])
             lows[axis], highs[axis] = start - gap - width, start - gap
         candidates.append(_box(schema, lows, highs, fractional, rng))
     return candidates
@@ -385,24 +366,13 @@ class TestScreenIsMcsPassOneHoisted:
         snapshot = CandidateSet(touching)
         assert snapshot.meeting(subject).tolist() == [True, True, False, True, False]
         assert_screen_is_neutral(subject, touching)
-        # continuous axes are closed intervals: equal bounds meet
-        schema = _continuous_schema()
-        subject = Subscription(schema, [2.0, 2.0, 2.0], [4.0, 4.0, 4.0])
-        boxes = [
-            Subscription(schema, [4.0, 0.0, 0.0], [6.0, 10.0, 10.0]),
-            Subscription(schema, [np.nextafter(4.0, 5.0), 0.0, 0.0], [6.0, 10.0, 10.0]),
-            Subscription(schema, [0.0, 0.0, 0.0], [2.0, 10.0, 10.0]),
-            Subscription(schema, [0.0, 0.0, 0.0], [np.nextafter(2.0, 1.0), 10.0, 10.0]),
-        ]
-        assert CandidateSet(boxes).meeting(subject).tolist() == [True, False, True, False]
-        assert_screen_is_neutral(subject, boxes)
 
     def test_negative_zero_is_zero(self):
         """``ceil(-0.5)``, ``-floor(0.4)`` and a negated upper bound of ``0``
         are all ``-0.0`` on the signed layout; they must compare as ``0``."""
-        schema = Schema([("n", IntegerDomain(-5, 5)), ("x", ContinuousDomain(-1.0, 1.0))])
+        schema = Schema([("n", IntegerDomain(-5, 5)), ("x", IntegerDomain(-1, 1))])
         subject = Subscription(schema, [0, 0.0], [0, 0.0])
-        around = Subscription(schema, [-0.5, -0.0], [0.4, 0.0])  # the tick 0, the point 0
+        around = Subscription(schema, [-0.5, -0.0], [0.4, 0.0])  # the tick 0 on both
         beside = Subscription(schema, [0.5, 0.0], [3, 0.0])  # ticks 1..3
         snapshot = CandidateSet([around, beside])
         assert snapshot.signed[:, 0].tolist() == [0.0, 0.0, 0.0, 0.0]
@@ -413,8 +383,8 @@ class TestScreenIsMcsPassOneHoisted:
         assert result.covering_row == 1
         assert CandidateSet([subject]).meeting(around).tolist() == [True]
 
-    def test_degenerate_boxes(self, conflict_free_counts):
-        """``low == high``: single ticks and single points, on either side."""
+    def test_degenerate_boxes(self):
+        """``low == high``: single ticks, on either side."""
         for name in SCHEMAS:
             schema = SCHEMAS[name]()
             for variant in range(6):
@@ -423,8 +393,7 @@ class TestScreenIsMcsPassOneHoisted:
                 pinched = int(rng.integers(0, schema.m))
                 if variant < 3:  # the subject is one value on an attribute
                     lows, highs = subject.lows.copy(), subject.highs.copy()
-                    if schema.vectors.discrete[pinched]:
-                        lows[pinched] = np.ceil(lows[pinched])
+                    lows[pinched] = np.ceil(lows[pinched])
                     highs[pinched] = lows[pinched]
                     subject = Subscription(schema, lows, highs)
                 else:  # a third of the candidates are (tick-less ones too)
@@ -433,70 +402,20 @@ class TestScreenIsMcsPassOneHoisted:
                         lows[pinched] = candidates[i].highs[pinched]
                         candidates[i] = Subscription(schema, lows, candidates[i].highs)
                 assert_screen_is_neutral(subject, candidates, seed=variant)
-        # the corner the closed-box conflict rule exists for: two
-        # candidates either side of a single-point continuous range each
-        # own a conflict-free entry (the point lies strictly between them)
-        schema = _continuous_schema()
-        subject = Subscription(schema, [5.0, 0.0, 0.0], [5.0, 10.0, 10.0])
-        sides = [
-            Subscription(schema, [6.0, 0.0, 0.0], [7.0, 10.0, 10.0]),
-            Subscription(schema, [1.0, 0.0, 0.0], [2.0, 10.0, 10.0]),
-        ]
-        table = ConflictTable(subject, sides)
-        assert conflict_free_counts(table).tolist() == [1, 1]
-        result = assert_screen_is_neutral(subject, sides)
-        assert result.method is DecisionMethod.EMPTY_MCS
-        assert result.iterations_performed == 0
-
-    def test_infinite_bounds(self):
-        inf = np.inf
-        schema = Schema(
-            [
-                ("u", ContinuousDomain(-inf, inf)),
-                ("v", ContinuousDomain(-inf, inf)),
-                ("n", IntegerDomain(0, 100)),
-            ],
-            name="unbounded",
-        )
-        subject = Subscription(schema, [-inf, 0.0, 10.2], [5.0, inf, 90.0])
-        candidates = [
-            Subscription(schema, [-inf, -5.0, 0.0], [3.0, inf, 50.5]),
-            Subscription(schema, [3.0, 0.0, 40.0], [inf, 7.5, 100.0]),
-            Subscription(schema, [5.5, 7.5, 20.0], [inf, inf, 60.0]),  # beyond u
-            Subscription(schema, [-inf, -inf, 0.0], [inf, -1.0, 100.0]),  # below v
-            Subscription(schema, [-inf, 7.5, 90.3], [inf, inf, 100.0]),  # tick 91 on
-            Subscription(schema, [-inf, 7.5, 50.0], [5.0, inf, 90.0]),
-        ]
-        assert CandidateSet(candidates).meeting(subject).tolist() == [
-            True,
-            True,
-            False,
-            False,
-            False,
-            True,
-        ]
-        for seed in range(4):
-            assert_screen_is_neutral(subject, candidates, seed=seed)
-        everything = Subscription(schema, [-inf, -inf, 0.0], [inf, inf, 100.0])
-        result = assert_screen_is_neutral(subject, candidates + [everything])
-        assert result.method is DecisionMethod.PAIRWISE_COVER
-        assert result.covering_row == len(candidates)
 
 
 def _share_a_point(first, second):
-    """Independent box-intersection test: per attribute, ticks or overlap."""
-    for j, attribute in enumerate(first.schema.attributes):
-        low = max(first.lows[j], second.lows[j])
-        high = min(first.highs[j], second.highs[j])
-        if attribute.domain.is_discrete:
-            low, high = np.ceil(low), np.floor(high)
+    """Independent box-intersection test: per attribute, a shared tick."""
+    for j in range(first.m):
+        low = np.ceil(max(first.lows[j], second.lows[j]))
+        high = np.floor(min(first.highs[j], second.highs[j]))
         if low > high:
             return False
     return True
 
 
 def _covers_every_tick(coverer, subject):
-    """Pair-wise cover on an all-discrete schema, tick for tick."""
+    """Pair-wise cover, tick for tick."""
     return bool(
         np.all(np.ceil(coverer.lows) <= np.ceil(subject.lows))
         and np.all(np.floor(subject.highs) <= np.floor(coverer.highs))
@@ -683,9 +602,9 @@ class TestCallerFacingContract:
 # Soundness, against tick enumeration and the exact oracle
 # ----------------------------------------------------------------------
 _TINY = Schema.uniform_integer(2, 0, 7, name="tiny")
-_TINY_MIXED = Schema(
-    [("n", IntegerDomain(0, 7)), ("x", ContinuousDomain(0.0, 7.0, resolution=1e-6))],
-    name="tiny-mixed",
+_TINY_KINDS = Schema(
+    [("n", IntegerDomain(0, 7)), ("c", CategoricalDomain(tuple("abcdefgh")))],
+    name="tiny-kinds",
 )
 
 #: bounds on a grid of tenths, so ticks, near-ticks and touching bounds all occur
@@ -695,9 +614,9 @@ _bound = st.integers(min_value=0, max_value=70).map(lambda tenth: tenth / 10.0)
 @st.composite
 def _tiny_box(draw, schema):
     lows, highs = [], []
-    for attribute in schema.attributes:
+    for _ in schema.attributes:
         a, b = sorted((draw(_bound), draw(_bound)))
-        if attribute.domain.is_discrete and np.floor(b) < np.ceil(a):
+        if np.floor(b) < np.ceil(a):
             b = float(np.ceil(a))  # holds at least one tick
         lows.append(a)
         highs.append(b)
@@ -711,7 +630,7 @@ def _tiny_instance(schema):
 
 
 def _ticks(subscription):
-    """Every integer point of an all-discrete box."""
+    """Every integer point of a box."""
     ranges = [
         range(int(np.ceil(low)), int(np.floor(high)) + 1)
         for low, high in zip(subscription.lows, subscription.highs)
@@ -736,7 +655,7 @@ class TestSoundness:
                 assert kept  # a pair-wise coverer is never screened out
 
     @settings(max_examples=200, deadline=None)
-    @given(_tiny_instance(_TINY_MIXED), st.integers(0, 2**32 - 1))
+    @given(_tiny_instance(_TINY_KINDS), st.integers(0, 2**32 - 1))
     def test_no_screened_out_candidate_contains_a_point_of_s(self, instance, seed):
         subject, candidates = instance
         meeting = CandidateSet(candidates).meeting(subject).tolist()
@@ -745,10 +664,8 @@ class TestSoundness:
             np.array(corner)
             for corner in itertools.product(
                 *(
-                    (np.ceil(low), np.floor(high)) if discrete else (low, high)
-                    for low, high, discrete in zip(
-                        subject.lows, subject.highs, subject.schema.vectors.discrete
-                    )
+                    (np.ceil(low), np.floor(high))
+                    for low, high in zip(subject.lows, subject.highs)
                 )
             )
         ]

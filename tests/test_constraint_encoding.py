@@ -15,7 +15,6 @@ from repro.model import Publication, Schema, Subscription
 from repro.model.attributes import (
     Attribute,
     CategoricalDomain,
-    ContinuousDomain,
     IntegerDomain,
     TimestampDomain,
 )
@@ -31,7 +30,6 @@ def schema():
     return Schema(
         [
             Attribute("price", IntegerDomain(0, 100)),
-            Attribute("temp", ContinuousDomain(0.0, 100.0)),
             Attribute("brand", CategoricalDomain(["a", "b", "c", "d"])),
             Attribute(
                 "at",
@@ -55,11 +53,6 @@ ACCEPTED = [
     ("int-interval-clipped", "price", Interval(-3, 4), (0, 4)),
     ("int-none", "price", None, (0, 100)),
     ("int-star", "price", "*", (0, 100)),
-    # continuous: bounds kept exactly
-    ("float-equality", "temp", 2.5, (2.5, 2.5)),
-    ("float-pair", "temp", (0.25, 99.75), (0.25, 99.75)),
-    ("float-pair-clipped", "temp", (-1.0, 1e9), (0.0, 100.0)),
-    ("float-interval", "temp", Interval(10.5, 20.5), (10.5, 20.5)),
     # categorical: labels encode to their codes; a pair is a contiguous run
     ("label-equality", "brand", "c", (2, 2)),
     ("label-pair", "brand", ("b", "c"), (1, 2)),
@@ -113,7 +106,6 @@ REJECTED = [
     ("int-string", "price", "x", DomainError),
     ("int-bool", "price", True, DomainError),
     ("int-pair-outside-domain", "price", (200, 300), ModelError),
-    ("float-string", "temp", "warm", DomainError),
     ("label-reversed-pair", "brand", ("c", "b"), DomainError),
     ("label-unknown", "brand", "zzz", DomainError),
     ("label-code-out-of-range", "brand", 7, DomainError),
@@ -144,7 +136,6 @@ def box(schema):
         schema,
         {
             "price": (10, 20),
-            "temp": (1.5, 2.5),
             "brand": ("b", "c"),
             "at": ("2024-01-01T02:00:00", "2024-01-01T03:59:59"),
         },
@@ -152,7 +143,7 @@ def box(schema):
     )
 
 
-INSIDE = {"price": 15, "temp": 2.0, "brand": "b", "at": "2024-01-01T02:30:00"}
+INSIDE = {"price": 15, "brand": "b", "at": "2024-01-01T02:30:00"}
 
 MATCHING = [
     ("centre", {}, True),
@@ -160,9 +151,6 @@ MATCHING = [
     ("price-at-high-bound", {"price": 20}, True),
     ("price-one-below", {"price": 9}, False),
     ("price-one-above", {"price": 21}, False),
-    ("temp-at-low-bound", {"temp": 1.5}, True),
-    ("temp-at-high-bound", {"temp": 2.5}, True),
-    ("temp-just-above", {"temp": 2.5000001}, False),
     ("brand-last-label-of-run", {"brand": "c"}, True),
     ("brand-before-run", {"brand": "a"}, False),
     ("brand-after-run", {"brand": "d"}, False),
@@ -170,7 +158,7 @@ MATCHING = [
     ("time-last-second-of-bucket", {"at": "2024-01-01T03:59:59"}, True),
     ("time-bucket-before", {"at": "2024-01-01T01:59:59"}, False),
     ("time-bucket-after", {"at": "2024-01-01T04:00:00"}, False),
-    ("every-attribute-at-a-corner", {"price": 20, "temp": 1.5, "brand": "c"}, True),
+    ("every-attribute-at-a-corner", {"price": 20, "brand": "c"}, True),
 ]
 
 

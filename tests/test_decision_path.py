@@ -24,7 +24,11 @@ store's insertion and re-insertion — goes straight to the strategy's
   parent demoted 3-99 times per run, and the ``t1-churn`` and
   ``t2-merge-stress`` ``merging``/``hybrid`` rows, where unsubscriptions
   reached merged members), and all 20 engine ``totals`` (the store stats
-  lost their ``demoted`` key).
+  lost their ``demoted`` key).  The eight ``merging``/``hybrid`` engine
+  ``totals`` were re-pinned a third time when
+  ``engine.subscriptions_total`` stopped counting merged boxes (it counts
+  the subscriptions clients registered, as it does at any shard count):
+  every ``decisions`` digest and every other total stayed equal.
 * the census that made those caches dead weight: on the same runs no
   broker decides the same ``(subscription id, bounds, link advertisement
   ids)`` twice, and no store the same ``(subscription id, bounds, active

@@ -261,8 +261,6 @@ def census(scratch: Path) -> Tuple[Dict[Tuple[str, int, str], Function], Set[str
 # ----------------------------------------------------------------------
 #: a scalar or exact oracle that tests pin a fast path against
 TEST_REFERENCE = "test reference"
-#: part of the JSONL trace / schema serialization format
-TRACE_FORMAT = "trace format"
 #: runs in the forked shard workers, which the census does not trace
 SHARD_CHILD = "shard child"
 #: reached only at full benchmark scale (the census runs ``--quick``)
@@ -275,7 +273,6 @@ def _roadmap(item: int, why: str) -> str:
     return f"ROADMAP item {item}: {why}"
 
 
-_CONTINUOUS = _roadmap(16, "continuous domains; no entry point builds one")
 _VALUE_SEMANTICS = _roadmap(16, "value semantics (==, hash); no entry point compares two")
 _DOMAIN_PATH = _roadmap(16, "a domain path no entry point takes (decoding, '*', timestamps)")
 _ENGINE_SURFACE = _roadmap(16, "the engine-shaped facade surface tests drive the pool through")
@@ -294,7 +291,6 @@ ALLOWLIST: Dict[str, str] = {
             "repro/core/conflict_table.py::ConflictTable.entry_region",
             "repro/core/conflict_table.py::ConflictTable.entries_conflict",
             "repro/core/conflict_table.py::ConflictTable._low_high_conflict",
-            "repro/core/conflict_table.py::ConflictTable._open_slice_met",
             "repro/core/conflict_table.py::ConflictTable._own_interval",
             "repro/core/conflict_table.py::ConflictTable.defined_entries",
             "repro/core/conflict_table.py::ConflictTable.is_defined",
@@ -309,10 +305,7 @@ ALLOWLIST: Dict[str, str] = {
             "repro/workloads/generators.py::shrink_inside",
             "repro/workloads/generators.py::expand_to_cover",
             # the per-attribute draw Subscription.draw_batches is pinned to
-            "repro/model/attributes.py::IntegerDomain.sample",
-            "repro/model/attributes.py::CategoricalDomain.sample",
-            "repro/model/attributes.py::TimestampDomain.sample",
-            "repro/model/attributes.py::ContinuousDomain.sample",
+            "repro/model/attributes.py::AttributeDomain.sample",
             # one publication at a time: what publication_points is pinned to
             "repro/scenarios/events.py::_GridAdapter.publication",
             "repro/scenarios/events.py::_PaperFigureWorkload.publication",
@@ -320,7 +313,6 @@ ALLOWLIST: Dict[str, str] = {
         ],
         TEST_REFERENCE,
     ),
-    "repro/model/attributes.py::ContinuousDomain.to_dict": TRACE_FORMAT,
     **dict.fromkeys(
         [
             "repro/shard/worker.py::worker_main",
@@ -384,23 +376,6 @@ ALLOWLIST: Dict[str, str] = {
     ),
     "repro/workloads/scenarios.py::_avoid_full_cover": _roadmap(
         16, "generator branch taken only when a drawn candidate would cover the reference"
-    ),
-    **dict.fromkeys(
-        [
-            "repro/model/attributes.py::ContinuousDomain.__post_init__",
-            "repro/model/attributes.py::ContinuousDomain.decode",
-            "repro/model/attributes.py::ContinuousDomain.encode",
-            "repro/model/attributes.py::ContinuousDomain.gap_measure",
-            "repro/model/attributes.py::ContinuousDomain.lower_bound",
-            "repro/model/attributes.py::ContinuousDomain.upper_bound",
-            "repro/model/attributes.py::ContinuousDomain.measure",
-            "repro/model/attributes.py::AttributeDomain.gap_measure",
-            "repro/model/intervals.py::Interval.span",
-            "repro/model/intervals.py::Interval.is_point",
-            "repro/core/conflict_table.py::ConflictTable._ensure_gap_cache.continuous_axes",
-            "repro/core/conflict_table.py::ConflictTable._ensure_pass_cache.continuous_axes",
-        ],
-        _CONTINUOUS,
     ),
     **dict.fromkeys(
         [
@@ -476,7 +451,7 @@ def test_every_src_function_is_reached_or_allowlisted(tmp_path):
     )
     stale = sorted(key for key in ALLOWLIST if key not in keys or key not in unreached)
     assert not stale, "allowlisted but reached, or gone from src/:\n  " + "\n  ".join(stale)
-    kinds = (TEST_REFERENCE, TRACE_FORMAT, SHARD_CHILD, FULL_SCALE, PAPER)
+    kinds = (TEST_REFERENCE, SHARD_CHILD, FULL_SCALE, PAPER)
     assert all(
         reason in kinds or reason.startswith("ROADMAP item ")
         for reason in ALLOWLIST.values()

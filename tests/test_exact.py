@@ -6,7 +6,7 @@ import pytest
 from repro.core.exact import exact_group_cover, exact_witness_point, uncovered_region
 from repro.core.results import Answer
 from repro.core.subsumption import SubsumptionChecker
-from repro.model import Attribute, ContinuousDomain, IntegerDomain, Schema, Subscription
+from repro.model import Attribute, IntegerDomain, Schema, Subscription
 from repro.workloads.scenarios import ScenarioName, generate_scenario
 
 
@@ -99,50 +99,39 @@ class TestGeneralBehaviour:
         with pytest.raises(RuntimeError):
             uncovered_region(s, candidates, max_boxes=10)
 
-    def test_continuous_domain_cover(self):
-        schema = Schema(
-            [("x", ContinuousDomain(0.0, 1.0)), ("y", ContinuousDomain(0.0, 1.0))]
-        )
-        s = Subscription.from_constraints(schema, {"x": (0.2, 0.8), "y": (0.2, 0.8)})
-        left = Subscription.from_constraints(schema, {"x": (0.0, 0.5), "y": (0.0, 1.0)})
-        right = Subscription.from_constraints(schema, {"x": (0.5, 1.0), "y": (0.0, 1.0)})
-        assert exact_group_cover(s, [left, right]) is True
-        assert exact_group_cover(s, [left]) is False
 
-
-#: small schemas for the family slice: all-integer, and mixed with two
-#: continuous attributes (one of them narrow)
+#: small schemas for the family slice: one integer range, and four
+#: different ranges (one of them narrow, two reaching below zero)
 FAMILY_SCHEMAS = {
     "integer": Schema.uniform_integer(3, 0, 60, prefix="x", name="small-integer"),
-    "mixed": Schema(
+    "ranges": Schema(
         [
             Attribute("a", IntegerDomain(0, 60)),
-            Attribute("b", ContinuousDomain(0.0, 50.0)),
+            Attribute("b", IntegerDomain(0, 50)),
             Attribute("c", IntegerDomain(-20, 20)),
-            Attribute("d", ContinuousDomain(-1.0, 1.0)),
+            Attribute("d", IntegerDomain(-1, 1)),
         ],
-        name="small-mixed",
+        name="small-ranges",
     ),
 }
 
 
 def _fractional(subscription, rng, inwards):
-    """``subscription`` with fractional bounds on its discrete attributes.
+    """``subscription`` with fractional bounds.
 
-    Every discrete bound moves outwards by less than a tick, which leaves
+    Every bound moves outwards by less than a tick, which leaves
     the ticks inside unchanged.  With ``inwards``, an attribute wide
     enough to keep a tick moves both bounds inwards instead half the
     time, which drops its end ticks.
     """
-    discrete = subscription.schema.vectors.discrete
     lows, highs = subscription.lows.copy(), subscription.highs.copy()
     shift = rng.uniform(0.1, 0.9, size=(2, len(lows)))
     if inwards:
         sign = np.where(highs - lows >= 2.0, rng.choice((-1.0, 1.0), len(lows)), 1.0)
     else:
         sign = np.ones(len(lows))
-    lows[discrete] -= (sign * shift[0])[discrete]
-    highs[discrete] += (sign * shift[1])[discrete]
+    lows -= sign * shift[0]
+    highs += sign * shift[1]
     return Subscription(subscription.schema, lows, highs)
 
 
@@ -171,7 +160,7 @@ class TestAgreementWithRSPC:
     @pytest.mark.parametrize("name", list(ScenarioName))
     def test_families_have_no_false_not_covered(self, kind, name):
         """The five Section-6 families at k <= 10, m <= 4 with fractional
-        discrete bounds: no ``NOT_COVERED`` verdict is a false one."""
+        bounds: no ``NOT_COVERED`` verdict is a false one."""
         schema = FAMILY_SCHEMAS[kind]
         answers = set()
         for seed in range(6):

@@ -28,7 +28,7 @@ import pytest
 from repro.core.exact import exact_group_cover, uncovered_region
 from repro.core.results import DecisionMethod
 from repro.core.subsumption import SubsumptionChecker
-from repro.model import Attribute, ContinuousDomain, Schema, Subscription
+from repro.model import Schema, Subscription
 
 #: guess cap far above every theoretical ``d`` here: the runs are uncapped
 UNCAPPED = 10**9
@@ -47,16 +47,15 @@ class NearCover(NamedTuple):
     rho: float
 
 
-def _pinwheel(schema, top, hole, step, layer=None) -> List[Subscription]:
-    """Four boxes tiling ``[0, top]^2`` except ``hole``; ``step`` is the
-    tick (0 on continuous axes).  With ``layer = (low, high)`` the boxes
-    span that range of a third axis."""
+def _pinwheel(schema, top, hole, layer=None) -> List[Subscription]:
+    """Four boxes tiling ``[0, top]^2`` except ``hole``.  With ``layer =
+    (low, high)`` the boxes span that range of a third axis."""
     (a0, b0), (a1, b1) = hole
     arms = [
-        ((0, b0), (0, a1 - step)),
-        ((b0 + step, top), (0, b1)),
-        ((a0, top), (b1 + step, top)),
-        ((0, a0 - step), (a1, top)),
+        ((0, b0), (0, a1 - 1)),
+        ((b0 + 1, top), (0, b1)),
+        ((a0, top), (b1 + 1, top)),
+        ((0, a0 - 1), (a1, top)),
     ]
     spans = [] if layer is None else [layer]
     return [
@@ -69,19 +68,12 @@ def _pinwheel(schema, top, hole, step, layer=None) -> List[Subscription]:
     ]
 
 
-def _flat(name, top, hole, continuous=False) -> NearCover:
-    if continuous:
-        schema = Schema(
-            [Attribute(a, ContinuousDomain(0.0, top)) for a in ("x", "y")]
-        )
-        step = 0.0
-    else:
-        schema = Schema.uniform_integer(2, 0, top)
-        step = 1
+def _flat(name, top, hole) -> NearCover:
+    schema = Schema.uniform_integer(2, 0, top)
     s = Subscription(schema, [0, 0], [top, top])
     (a0, b0), (a1, b1) = hole
-    size = (b0 - a0 + step) * (b1 - a1 + step)
-    return NearCover(name, s, _pinwheel(schema, top, hole, step), size / s.size())
+    size = (b0 - a0 + 1) * (b1 - a1 + 1)
+    return NearCover(name, s, _pinwheel(schema, top, hole), size / s.size())
 
 
 def _stacked(name, top, lower, upper, cut) -> NearCover:
@@ -89,8 +81,8 @@ def _stacked(name, top, lower, upper, cut) -> NearCover:
     three defined entries per row."""
     schema = Schema.uniform_integer(3, 0, top)
     s = Subscription(schema, [0, 0, 0], [top, top, top])
-    candidates = _pinwheel(schema, top, lower, 1, (0, cut - 1)) + _pinwheel(
-        schema, top, upper, 1, (cut, top)
+    candidates = _pinwheel(schema, top, lower, (0, cut - 1)) + _pinwheel(
+        schema, top, upper, (cut, top)
     )
     side = top + 1
     holes = [
@@ -105,7 +97,6 @@ CASES: Tuple[Tuple[NearCover, bool], ...] = (
     (_flat("tight", 29, ((10, 19), (10, 19))), True),
     (_flat("wide-hole", 29, ((9, 20), (9, 20))), True),
     (_flat("off-centre", 23, ((8, 15), (6, 17))), True),
-    (_flat("continuous", 30.0, ((10.0, 20.0), (10.0, 20.0)), continuous=True), True),
     (_stacked("stacked-k8", 29, ((10, 19), (10, 19)), ((9, 20), (9, 20)), 15), True),
     (_flat("hole-8", 29, ((11, 18), (11, 18))), False),
     (_flat("hole-4", 29, ((13, 16), (13, 16))), False),

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.exact import exact_group_cover
-from repro.model import ContinuousDomain, IntegerDomain, Schema, Subscription
+from repro.model import IntegerDomain, Schema, Subscription
 from repro.model.errors import ValidationError
 from repro.model.intervals import Interval
 from repro.workloads import scenarios
@@ -60,11 +60,10 @@ def states_equal(first, second):
 def ref_snap(domain, low, high):
     low = max(low, domain.lower_bound)
     high = min(high, domain.upper_bound)
-    if domain.is_discrete:
-        low = math.floor(low)
-        high = math.ceil(high)
-        low = max(low, domain.lower_bound)
-        high = min(high, domain.upper_bound)
+    low = math.floor(low)
+    high = math.ceil(high)
+    low = max(low, domain.lower_bound)
+    high = min(high, domain.upper_bound)
     if low > high:
         low = high
     return float(low), float(high)
@@ -116,7 +115,6 @@ def ref_random_subscription_intersecting(
 
 def ref_slab_partition(subscription, count, attribute=0):
     schema = subscription.schema
-    domain = schema.domain(attribute)
     interval = subscription.interval(attribute)
     slabs = []
 
@@ -127,22 +125,15 @@ def ref_slab_partition(subscription, count, attribute=0):
         highs[attribute] = high
         slabs.append(Subscription(schema, lows, highs))
 
-    if domain.is_discrete:
-        total_points = int(interval.high - interval.low) + 1
-        pieces = min(count, total_points)
-        base, extra = divmod(total_points, pieces)
-        low = interval.low
-        for index in range(pieces):
-            size = base + (1 if index < extra else 0)
-            high = low + size - 1
-            make_slab(low, high)
-            low = high + 1
-    else:
-        span = interval.high - interval.low
-        edges = [interval.low + span * index / count for index in range(count + 1)]
-        edges[-1] = interval.high
-        for index in range(count):
-            make_slab(edges[index], edges[index + 1])
+    total_points = int(interval.high - interval.low) + 1
+    pieces = min(count, total_points)
+    base, extra = divmod(total_points, pieces)
+    low = interval.low
+    for index in range(pieces):
+        size = base + (1 if index < extra else 0)
+        high = low + size - 1
+        make_slab(low, high)
+        low = high + 1
     return slabs
 
 
@@ -153,7 +144,7 @@ def ref_expand_to_cover(subscription, margin_fraction=0.05):
     for j, attribute in enumerate(schema.attributes):
         domain = attribute.domain
         extent = domain.upper_bound - domain.lower_bound
-        margin = max(extent * margin_fraction, 1.0 if domain.is_discrete else 0.0)
+        margin = max(extent * margin_fraction, 1.0)
         lows[j] = max(domain.lower_bound, lows[j] - margin)
         highs[j] = min(domain.upper_bound, highs[j] + margin)
     return Subscription(schema, lows, highs)
@@ -163,21 +154,16 @@ def ref_shrink_inside(subscription, rng, shrink_fraction=(0.1, 0.5)):
     schema = subscription.schema
     lows = subscription.lows.copy()
     highs = subscription.highs.copy()
-    for j, attribute in enumerate(schema.attributes):
-        domain = attribute.domain
+    for j in range(schema.m):
         interval = subscription.interval(j)
-        if domain.is_discrete:
-            if math.floor(interval.high) - math.ceil(interval.low) < 1:
-                continue
-        elif interval.high - interval.low <= 1e-9:
+        if math.floor(interval.high) - math.ceil(interval.low) < 1:
             continue
         span = interval.high - interval.low
         shrink = span * float(rng.uniform(*shrink_fraction))
         low = interval.low + float(rng.uniform(0.0, shrink))
         high = max(interval.high - (shrink - (low - interval.low)), low)
-        if domain.is_discrete:
-            low = math.ceil(low)
-            high = math.floor(high)
+        low = math.ceil(low)
+        high = math.floor(high)
         if low > high:
             low = high
         lows[j] = low
@@ -193,21 +179,19 @@ def ref_avoid_full_cover(candidate, reference, rng):
     if not candidate.covers(reference):
         return candidate
     schema = reference.schema
-    domain = schema.domain(0)
     interval = reference.interval(0)
     span = interval.high - interval.low
-    if span <= (1.0 if domain.is_discrete else 1e-9):
+    if span <= 1.0:
         for attribute in range(1, schema.m):
             interval = reference.interval(attribute)
             span = interval.high - interval.low
-            if span > (1.0 if schema.domain(attribute).is_discrete else 1e-9):
+            if span > 1.0:
                 return ref_shrink_on_attribute(candidate, reference, attribute, rng)
         return candidate
     return ref_shrink_on_attribute(candidate, reference, 0, rng)
 
 
 def ref_shrink_on_attribute(candidate, reference, attribute, rng):
-    domain = reference.schema.domain(attribute)
     interval = reference.interval(attribute)
     span = interval.high - interval.low
     cut = span * float(rng.uniform(0.2, 0.6))
@@ -220,24 +204,13 @@ def ref_shrink_on_attribute(candidate, reference, attribute, rng):
     else:
         lows[attribute] = interval.low + cut
         highs[attribute] = max(highs[attribute], lows[attribute])
-    if domain.is_discrete:
-        lows[attribute] = math.floor(lows[attribute])
-        highs[attribute] = math.ceil(highs[attribute])
+    lows[attribute] = math.floor(lows[attribute])
+    highs[attribute] = math.ceil(highs[attribute])
     # the cut end lies a tick inside the reference
     if cut_top:
-        inside = (
-            math.floor(interval.high) - 1
-            if domain.is_discrete
-            else math.nextafter(interval.high, -math.inf)
-        )
-        highs[attribute] = min(highs[attribute], inside)
+        highs[attribute] = min(highs[attribute], math.floor(interval.high) - 1)
     else:
-        inside = (
-            math.ceil(interval.low) + 1
-            if domain.is_discrete
-            else math.nextafter(interval.low, math.inf)
-        )
-        lows[attribute] = max(lows[attribute], inside)
+        lows[attribute] = max(lows[attribute], math.ceil(interval.low) + 1)
     return Subscription(candidate.schema, lows, highs)
 
 
@@ -271,7 +244,7 @@ def ref_redundant_covering(
     slabs = ref_slab_partition(subscription, covering_count, attribute=0)
     covering = []
     domain0 = schema.domain(0)
-    span0 = subscription.interval(0).span
+    span0 = subscription.highs[0] - subscription.lows[0]
     overlap = span0 * slab_overlap_fraction
     for slab in slabs:
         lows = slab.lows.copy()
@@ -283,9 +256,8 @@ def ref_redundant_covering(
             margin = (domain.upper_bound - domain.lower_bound) * 0.01
             lows[attribute] = max(domain.lower_bound, lows[attribute] - margin)
             highs[attribute] = min(domain.upper_bound, highs[attribute] + margin)
-        if domain0.is_discrete:
-            lows[0] = math.floor(lows[0])
-            highs[0] = math.ceil(highs[0])
+        lows[0] = math.floor(lows[0])
+        highs[0] = math.ceil(highs[0])
         # a slab stretched over all of s would cover it alone
         if len(slabs) > 1 and lows[0] <= subscription.lows[0] and highs[0] >= subscription.highs[0]:
             lows[0] = slab.lows[0]
@@ -325,9 +297,7 @@ def ref_one_sided_partial_cover(reference, shared_side_is_lower, rng):
     domain = schema.domain(attribute)
     interval = reference.interval(attribute)
     span = interval.high - interval.low
-    cut = interval.low + span * float(rng.uniform(0.2, 0.8))
-    if domain.is_discrete:
-        cut = float(round(cut))
+    cut = float(round(interval.low + span * float(rng.uniform(0.2, 0.8))))
     lows = reference.lows.copy()
     highs = reference.highs.copy()
     for other in range(schema.m):
@@ -338,16 +308,14 @@ def ref_one_sided_partial_cover(reference, shared_side_is_lower, rng):
         margin = extent * float(rng.uniform(0.0, 0.02))
         lows[other] = max(other_domain.lower_bound, lows[other] - margin)
         highs[other] = min(other_domain.upper_bound, highs[other] + margin)
-    tick = 1.0 if domain.is_discrete else max(span * 1e-9, 1e-12)
     if shared_side_is_lower[attribute]:
-        highs[attribute] = min(cut, interval.high - tick)
+        highs[attribute] = min(cut, interval.high - 1.0)
         lows[attribute] = max(domain.lower_bound, interval.low - span * 0.02)
     else:
-        lows[attribute] = max(cut, interval.low + tick)
+        lows[attribute] = max(cut, interval.low + 1.0)
         highs[attribute] = min(domain.upper_bound, interval.high + span * 0.02)
-    if domain.is_discrete:
-        lows[attribute] = math.floor(lows[attribute])
-        highs[attribute] = math.ceil(highs[attribute])
+    lows[attribute] = math.floor(lows[attribute])
+    highs[attribute] = math.ceil(highs[attribute])
     if lows[attribute] > highs[attribute]:
         lows[attribute] = highs[attribute]
     return Subscription(schema, lows, highs)
@@ -373,9 +341,7 @@ def ref_push_outside(candidate, reference, attribute, rng):
     schema = reference.schema
     domain = schema.domain(attribute)
     ref = reference.interval(attribute)
-    tick = 1.0 if domain.is_discrete else max(
-        (domain.upper_bound - domain.lower_bound) * 1e-6, 1e-9
-    )
+    tick = 1.0
     room_below = ref.low - domain.lower_bound
     room_above = domain.upper_bound - ref.high
     lows = candidate.lows.copy()
@@ -392,9 +358,8 @@ def ref_push_outside(candidate, reference, attribute, rng):
     else:
         low = ref.high + tick
         high = domain.upper_bound
-    if domain.is_discrete:
-        low = math.ceil(low)
-        high = math.floor(high)
+    low = math.ceil(low)
+    high = math.floor(high)
     low = min(max(low, domain.lower_bound), domain.upper_bound)
     high = min(max(high, low), domain.upper_bound)
     lows[attribute] = low
@@ -427,21 +392,19 @@ def ref_non_cover(schema, k, rng, gap_fraction=None, cover_probability=0.7):
 
 
 def ref_carve_gap(subscription, fraction, rng):
-    domain = subscription.schema.domain(0)
     interval = subscription.interval(0)
     span = interval.high - interval.low
-    width = max(span * fraction, 1.0 if domain.is_discrete else span * 1e-6)
-    margin = max(span * 0.05, 1.0 if domain.is_discrete else span * 1e-6)
+    width = max(span * fraction, 1.0)
+    margin = max(span * 0.05, 1.0)
     start_low = interval.low + margin
     start_high = max(interval.high - margin - width, start_low)
     gap_low = float(rng.uniform(start_low, start_high))
     gap_high = gap_low + width
-    if domain.is_discrete:
-        gap_low = math.floor(gap_low)
-        gap_high = math.ceil(gap_high)
-        gap_high = max(gap_high, gap_low)
-    gap_high = min(gap_high, interval.high - (1.0 if domain.is_discrete else 0.0))
-    gap_low = max(gap_low, interval.low + (1.0 if domain.is_discrete else 0.0))
+    gap_low = math.floor(gap_low)
+    gap_high = math.ceil(gap_high)
+    gap_high = max(gap_high, gap_low)
+    gap_high = min(gap_high, interval.high - 1.0)
+    gap_low = max(gap_low, interval.low + 1.0)
     if gap_low > gap_high:
         gap_low = gap_high
     return gap_low, gap_high
@@ -451,9 +414,7 @@ def ref_avoid_gap(candidate, reference, gap_low, gap_high, rng):
     schema = reference.schema
     domain = schema.domain(0)
     ref = reference.interval(0)
-    tick = 1.0 if domain.is_discrete else max(
-        (domain.upper_bound - domain.lower_bound) * 1e-9, 1e-12
-    )
+    tick = 1.0
     lows = candidate.lows.copy()
     highs = candidate.highs.copy()
     left_room = gap_low - tick >= ref.low
@@ -466,9 +427,8 @@ def ref_avoid_gap(candidate, reference, gap_low, gap_high, rng):
         low = gap_high + tick
         high = max(highs[0], ref.high)
         high = max(high, low)
-    if domain.is_discrete:
-        low = math.floor(low)
-        high = math.ceil(high)
+    low = math.floor(low)
+    high = math.ceil(high)
     low = max(low, domain.lower_bound)
     high = min(high, domain.upper_bound)
     if low > high:
@@ -481,10 +441,7 @@ def ref_avoid_gap(candidate, reference, gap_low, gap_high, rng):
 def ref_extreme_non_cover(schema, k, gap_fraction, rng):
     subscription = ref_base_subscription(schema, rng)
     gap_low, gap_high = ref_carve_gap(subscription, gap_fraction, rng)
-    domain0 = schema.domain(0)
-    tick = 1.0 if domain0.is_discrete else max(
-        (domain0.upper_bound - domain0.lower_bound) * 1e-9, 1e-12
-    )
+    tick = 1.0
     ref0 = subscription.interval(0)
 
     def wide_on_other_attributes():
@@ -501,40 +458,33 @@ def ref_extreme_non_cover(schema, k, gap_fraction, rng):
     def tile_region(region_low, region_high, pieces):
         if region_low > region_high or pieces < 1:
             return []
-        if domain0.is_discrete:
-            total = int(region_high - region_low) + 1
-            pieces = max(1, min(pieces, total))
-            base, extra = divmod(total, pieces)
-            tiles = []
-            low = region_low
-            for index in range(pieces):
-                size = base + (1 if index < extra else 0)
-                high = low + size - 1
-                tiles.append((low, high))
-                low = high + 1
-        else:
-            span = region_high - region_low
-            edges = [region_low + span * i / pieces for i in range(pieces + 1)]
-            tiles = [(edges[i], edges[i + 1]) for i in range(pieces)]
+        total = int(region_high - region_low) + 1
+        pieces = max(1, min(pieces, total))
+        base, extra = divmod(total, pieces)
+        tiles = []
+        low = region_low
+        for index in range(pieces):
+            size = base + (1 if index < extra else 0)
+            high = low + size - 1
+            tiles.append((low, high))
+            low = high + 1
         overlapped = []
         span = region_high - region_low
         for low, high in tiles:
             stretch = span * float(rng.uniform(0.0, 0.02))
             new_low = max(region_low, low - stretch)
             new_high = min(region_high, high + stretch)
-            if domain0.is_discrete:
-                new_low = math.floor(new_low)
-                new_high = math.ceil(new_high)
-                new_low = max(new_low, region_low)
-                new_high = min(new_high, region_high)
+            new_low = math.floor(new_low)
+            new_high = math.ceil(new_high)
+            new_low = max(new_low, region_low)
+            new_high = min(new_high, region_high)
             overlapped.append((new_low, new_high))
         return overlapped
 
     left_low, left_high = ref0.low, gap_low - tick
     right_low, right_high = gap_high + tick, ref0.high
-    if domain0.is_discrete:
-        left_high = math.floor(left_high)
-        right_low = math.ceil(right_low)
+    left_high = math.floor(left_high)
+    right_low = math.ceil(right_low)
     n_left = k // 2
     tiles = tile_region(left_low, left_high, n_left) + tile_region(
         right_low, right_high, k - n_left
@@ -588,29 +538,16 @@ MIN_K = {"redundant_covering": 2, "extreme_non_cover": 4}
 def make_schema(kind: str, size: float = 10_000, m: int = 6) -> Schema:
     if kind == "integer":
         return Schema.uniform_integer(m, 0, int(size))
-    if kind == "continuous":
-        return Schema(
-            [(f"x{j}", ContinuousDomain(-size / 2, size / 2 + j)) for j in range(m)]
-        )
-    if kind == "mixed":
-        return Schema(
-            [
-                (f"x{j}", IntegerDomain(0, int(size)) if j % 2 == 0 else ContinuousDomain(0.0, size))
-                for j in range(m)
-            ]
-        )
     if kind == "one-attribute":
         return Schema.uniform_integer(1, 0, int(size))
-    if kind == "one-continuous":
-        return Schema([("x", ContinuousDomain(0.0, size))])
     if kind == "degenerate":
         # a point domain first: zero widths (no offset draw), a gap clip
         # that lands on s, and the cover clip firing inside a block
         return Schema(
             [
-                ("p", ContinuousDomain(1.0, 1.0)),
+                ("p", IntegerDomain(1, 1)),
                 ("q", IntegerDomain(0, 30)),
-                ("r", ContinuousDomain(0.0, 10.0)),
+                ("r", IntegerDomain(0, 10)),
                 ("t", IntegerDomain(5, 5)),
             ]
         )
@@ -664,7 +601,7 @@ def assert_same_generation(family, schema, k, bit_generator, seed, **kwargs):
 # ----------------------------------------------------------------------
 # Stream identity
 # ----------------------------------------------------------------------
-SCHEMA_KINDS = ("integer", "continuous", "mixed", "one-attribute")
+SCHEMA_KINDS = ("integer", "one-attribute")
 FAMILY_KWARGS = {
     "extreme_non_cover": {"gap_fraction": 0.02},
 }
@@ -700,7 +637,7 @@ class TestStreamIdentity:
             ("extreme_non_cover", {"gap_fraction": 0.3}),
         ],
     )
-    @pytest.mark.parametrize("kind", SCHEMA_KINDS + ("degenerate", "one-continuous"))
+    @pytest.mark.parametrize("kind", SCHEMA_KINDS + ("degenerate",))
     @pytest.mark.parametrize("size", (10, 30, 10_000))
     def test_parameters_and_small_domains(self, family, kwargs, kind, size):
         schema = make_schema(kind, size=size, m=3)
@@ -747,7 +684,7 @@ class TestStreamIdentity:
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     def test_instances_in_sequence_share_one_stream(self, bit_generator):
-        schema = make_schema("mixed")
+        schema = make_schema("integer")
         rngs = [np.random.Generator(bit_generator(7)) for _ in range(2)]
         for family in ScenarioName:
             kwargs = FAMILY_KWARGS.get(family.value, {})
@@ -791,7 +728,7 @@ class TestGeneratorIdentity:
             assert box.same_box(expected)
         assert states_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
 
-    @pytest.mark.parametrize("kind", ("integer", "continuous", "mixed", "degenerate"))
+    @pytest.mark.parametrize("kind", ("integer", "degenerate"))
     def test_random_interval(self, kind):
         schema = make_schema(kind, size=30)
         rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
@@ -800,7 +737,7 @@ class TestGeneratorIdentity:
                 assert random_interval(domain, rng) == ref_random_interval(domain, reference_rng)
         assert states_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
 
-    @pytest.mark.parametrize("kind", ("integer", "continuous", "mixed", "degenerate"))
+    @pytest.mark.parametrize("kind", ("integer", "degenerate"))
     @pytest.mark.parametrize("count", (1, 2, 3, 7, 40))
     def test_slabs_and_expansion(self, kind, count):
         schema = make_schema(kind, size=30)
@@ -821,7 +758,7 @@ class TestGeneratorIdentity:
                 assert bigger.highs.tobytes() == expected.highs.tobytes()
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-    @pytest.mark.parametrize("kind", ("integer", "continuous", "mixed", "degenerate"))
+    @pytest.mark.parametrize("kind", ("integer", "degenerate"))
     def test_shrink_inside(self, kind, bit_generator):
         schema = make_schema(kind, size=20)
         rng, reference_rng = (np.random.Generator(bit_generator(5)) for _ in range(2))
@@ -841,7 +778,7 @@ class TestGeneratorIdentity:
 class TestFromMatrix:
     @pytest.fixture
     def schema(self):
-        return make_schema("mixed", size=100, m=3)
+        return make_schema("integer", size=100, m=3)
 
     def test_equals_the_scalar_constructor(self, schema):
         lows = np.array([[0.0, 1.5, 3.0], [-5.0, 0.0, 2.0], [10.0, 20.0, 30.0]])
@@ -976,10 +913,10 @@ class TestAvoidFullCover:
         still_covering = 0
         for seed in range(200):
             lows, highs = np.full(3, 0.0), np.full(3, 50.0)
-            attribute = scenarios._shrink_attribute(schema, reference.lows, reference.highs)
+            attribute = scenarios._shrink_attribute(reference.lows, reference.highs)
             draws = np.random.default_rng(seed).random(2)
             scenarios._avoid_full_cover(
-                lows, highs, reference.lows, reference.highs, attribute, True, draws
+                lows, highs, reference.lows, reference.highs, attribute, draws
             )
             candidate = Subscription(schema, lows, highs)
             expected = ref_avoid_full_cover(
@@ -992,17 +929,6 @@ class TestAvoidFullCover:
                 reference.lows <= candidate.highs
             )
         assert still_covering == 0
-
-    def test_continuous_cut_too_small_for_the_bound(self):
-        schema = Schema([("x", ContinuousDomain(0.0, 1e12))])
-        reference = Subscription(schema, [1e10], [1e10 + 2e-6])
-        for seed in range(50):
-            lows, highs = np.array([0.0]), np.array([1e11])
-            draws = np.random.default_rng(seed).random(2)
-            scenarios._avoid_full_cover(
-                lows, highs, reference.lows, reference.highs, 0, False, draws
-            )
-            assert not Subscription(schema, lows, highs).covers(reference)
 
 
 class TestShrinkInside:
@@ -1019,7 +945,7 @@ class TestShrinkInside:
             assert smaller.size() < box.size()
 
     def test_a_single_point_comes_back_unchanged_without_drawing(self):
-        schema = Schema([("a", IntegerDomain(0, 9)), ("b", ContinuousDomain(0.0, 1.0))])
+        schema = Schema([("a", IntegerDomain(0, 9)), ("b", IntegerDomain(0, 1))])
         point = Subscription(schema, [3.0, 0.5], [3.0, 0.5])
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
@@ -1032,7 +958,7 @@ class TestShrinkInside:
 # ----------------------------------------------------------------------
 class TestValidateInstance:
     @pytest.mark.parametrize("m", (1, 3))
-    @pytest.mark.parametrize("kind", ("integer", "continuous", "mixed"))
+    @pytest.mark.parametrize("kind", ("integer",))
     @pytest.mark.parametrize("size", (10, 30, 10_000))
     def test_every_family_has_its_claimed_properties(self, size, kind, m):
         schema = make_schema(kind, size=size, m=m)
@@ -1121,8 +1047,8 @@ class TestValidateInstance:
 
     def test_pairwise_and_meeting_agree_with_the_exact_oracle(self):
         """The per-candidate relations read the points each box holds, as
-        :func:`exact_group_cover` does, fractional discrete bounds included."""
-        schema = Schema([("a", IntegerDomain(0, 20)), ("b", ContinuousDomain(0.0, 20.0)), ("c", IntegerDomain(0, 20))])
+        :func:`exact_group_cover` does, fractional bounds included."""
+        schema = Schema([("a", IntegerDomain(0, 20)), ("b", IntegerDomain(0, 20)), ("c", IntegerDomain(0, 20))])
         rng = np.random.default_rng(9)
         s = Subscription(schema, [4.0, 4.0, 4.0], [9.0, 9.0, 9.0])
         for _ in range(400):
@@ -1138,9 +1064,6 @@ class TestValidateInstance:
             assert checks["pairwise_cover"] == exact_group_cover(s, [box])
             region = (np.maximum(s.lows, box.lows), np.minimum(s.highs, box.highs))
             holds_point = all(
-                (math.ceil(region[0][j]) <= math.floor(region[1][j]))
-                if schema.domain(j).is_discrete
-                else region[0][j] <= region[1][j]
-                for j in range(3)
+                math.ceil(region[0][j]) <= math.floor(region[1][j]) for j in range(3)
             )
             assert checks["candidates_meet_s"] == holds_point

@@ -21,13 +21,6 @@ class TestConstruction:
         assert Interval(5.0, 1.0).is_empty
 
 
-class TestPredicates:
-    def test_span(self):
-        assert Interval(2, 6).span == 4
-        assert Interval(2, 2).span == 0
-        assert Interval.empty().span == 0
-
-
 class TestCombinators:
     def test_intersection(self):
         assert Interval(0, 5).intersection(Interval(3, 10)) == Interval(3, 5)
@@ -78,23 +71,6 @@ def test_intersection_table(a, b, expected):
             assert result == Interval.empty()
         else:
             assert result == Interval(*expected)
-
-
-@pytest.mark.parametrize(
-    "bounds, is_point, span",
-    [
-        ((2, 2), True, 0.0),
-        ((2, 3), False, 1.0),
-        ((-1.5, 1.5), False, 3.0),
-        ((3, 2), False, 0.0),
-        ((-INF, 0), False, INF),
-    ],
-    ids=["point", "unit", "straddles-zero", "reversed", "unbounded"],
-)
-def test_is_point_and_span(bounds, is_point, span):
-    interval = Interval(*bounds)
-    assert interval.is_point is is_point
-    assert interval.span == span
 
 
 @pytest.mark.parametrize(

@@ -299,7 +299,12 @@ STAGE_CALLS = {
         "engine.subscribe": 293,
         "engine.unsubscribe": 113,
     },
-    ("t1-churn", "engine", 2): {"shard.collect": 39, "shard.dispatch": 39},
+    ("t1-churn", "engine", 2): {
+        "shard.collect": 39,
+        "shard.dispatch": 39,
+        "shard.route": 191,
+        "shard.sync": 5,
+    },
 }
 
 

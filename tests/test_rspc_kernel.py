@@ -26,29 +26,23 @@ from repro.core.rspc import (
     run_rspc,
 )
 from repro.core.subsumption import SubsumptionChecker
-from repro.model import Attribute, ContinuousDomain, IntegerDomain, Schema, Subscription
+from repro.model import Attribute, IntegerDomain, Schema, Subscription
 from repro.utils import rng as rng_module
 from repro.utils.rng import integers_into
 
 
 # ----------------------------------------------------------------------
 # The reference: the per-batch loop as it stood before the kernel, with
-# the sampling plan inlined (and its discrete bounds snapped inwards)
+# the sampling plan inlined (and its bounds snapped inwards)
 # ----------------------------------------------------------------------
 def _reference_sample_points(subscription, rng, count):
-    discrete = subscription.schema.vectors.discrete
     points = np.empty((count, subscription.m), dtype=float)
     for attribute in range(subscription.m):
         low = float(subscription.lows[attribute])
         high = float(subscription.highs[attribute])
-        if discrete[attribute]:
-            points[:, attribute] = rng.integers(
-                math.ceil(low), math.floor(high) + 1, size=count
-            )
-        elif high > low:
-            points[:, attribute] = rng.uniform(low, high, size=count)
-        else:
-            points[:, attribute] = low
+        points[:, attribute] = rng.integers(
+            math.ceil(low), math.floor(high) + 1, size=count
+        )
     return points
 
 
@@ -111,32 +105,22 @@ SPAN = 100_000.0
 
 
 def _schema(kind):
-    integer = IntegerDomain(-200_000, 200_000)
-    continuous = ContinuousDomain(-200_000.0, 200_000.0)
-    domains = {
-        "discrete": [integer] * M,
-        "continuous": [continuous] * M,
-        "mixed": [integer, continuous, continuous, integer],
-        # a degenerate column of each kind (see ``_subscription``)
-        "degenerate": [integer, integer, continuous, continuous],
-    }[kind]
     return Schema(
-        [Attribute(f"x{j + 1}", domain) for j, domain in enumerate(domains)],
+        [Attribute(f"x{j + 1}", IntegerDomain(-200_000, 200_000)) for j in range(M)],
         name=kind,
     )
 
 
-SCHEMAS = {
-    kind: _schema(kind) for kind in ("discrete", "continuous", "mixed", "degenerate")
-}
+SCHEMAS = {kind: _schema(kind) for kind in ("discrete", "degenerate")}
 
 
 def _subscription(kind):
     lows = [0.0] * M
     highs = [SPAN] * M
     if kind == "degenerate":
+        # two columns of one tick each
         highs[1] = lows[1] = 7.0
-        highs[3] = lows[3] = 2.5
+        highs[3] = lows[3] = 2.0
     return Subscription(SCHEMAS[kind], lows, highs)
 
 
@@ -210,7 +194,7 @@ def _assert_same(expected, got, old_rng, new_rng):
     assert _states_equal(new_rng.bit_generator.state, old_rng.bit_generator.state)
 
 
-KINDS = ("discrete", "mixed", "continuous", "degenerate")
+KINDS = ("discrete", "degenerate")
 KS = (1, 8, 9, 64, 200)
 BUDGETS = (1, 255, 256, 257, 1000, 10_000)
 #: slab widths giving a witness never / once in 5 000 guesses (late
@@ -450,8 +434,11 @@ class TestKernelDifferential:
             hits += got[0] is not None and got[1] > 3 * _BATCH_SIZE
         assert hits
 
-    @pytest.mark.parametrize("kind", ("discrete", "mixed"))
+    @pytest.mark.parametrize("kind", ("discrete", "degenerate"))
     def test_groups_grow_geometrically_up_to_the_cap(self, kind, monkeypatch):
+        """The value-space schedule; an ``MT19937`` has no word reader, so
+        the whole run takes value space whatever the words hold (the
+        word-space schedule is ``TestWordPath``'s)."""
         drawn = []
         draw = Subscription.draw_batches
 
@@ -462,18 +449,19 @@ class TestKernelDifferential:
         monkeypatch.setattr(Subscription, "draw_batches", recording)
         subscription = _subscription(kind)
         _, _, signed = _signed(_candidates(kind, 9, NEVER, seed=9))
-        witness, performed = _guess_witness(
-            subscription, signed, np.random.default_rng(0), 10_000
-        )
+        rng = np.random.Generator(np.random.MT19937(0))
+        assert rng_module.integer_words(rng, *subscription.sampling_plan()) is None
+        witness, performed = _guess_witness(subscription, signed, rng, 10_000)
         assert (witness, performed) == (None, 10_000)
         # 39 full batches, then the 16 guesses left over on their own
+        assert drawn
         assert drawn == [(g, _BATCH_SIZE) for g in (1, 2, 4, 8, 16, 8)] + [(1, 16)]
         assert max(batches for batches, _ in drawn) == _GROUP_CAP
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     def test_rollback_on_every_bit_generator(self, bit_generator):
-        subscription = _subscription("mixed")
-        candidates = _candidates("mixed", 9, RARE, seed=3)
+        subscription = _subscription("degenerate")
+        candidates = _candidates("degenerate", 9, RARE, seed=3)
         lows, highs, signed = _signed(candidates)
         for seed in range(8):
             old_rng = np.random.Generator(bit_generator(seed))
@@ -554,8 +542,8 @@ class TestDrawAheadIsInvisible:
 
 class TestRunRspcBounds:
     def test_bounds_argument_equals_stacking_the_candidates(self):
-        subscription = _subscription("mixed")
-        candidates = _candidates("mixed", 20, COMMON, seed=5)
+        subscription = _subscription("degenerate")
+        candidates = _candidates("degenerate", 20, COMMON, seed=5)
         _, _, signed = _signed(candidates)
         plain = run_rspc(subscription, candidates, rho_w=0.02, rng=5)
         fed = run_rspc(subscription, candidates, rho_w=0.02, rng=5, bounds=signed)
@@ -586,8 +574,8 @@ class TestRunRspcBounds:
 
 # ----------------------------------------------------------------------
 # The skip rule: the kernel tests a guess only against the bounds some
-# guess can fail (the defined conflict-table entries, bar continuous
-# upper bounds); the reference above still tests every bound
+# guess can fail (the defined conflict-table entries); the reference
+# above still tests every bound
 # ----------------------------------------------------------------------
 def _two_groups(kind, hole, seed):
     """16 boxes in two volume blocks that need different signed axes.
@@ -637,7 +625,7 @@ def _outcomes_match_reference(subscription, candidates, budgets, seed):
 
 
 class TestSkipRule:
-    @pytest.mark.parametrize("kind", ("discrete", "mixed", "continuous"))
+    @pytest.mark.parametrize("kind", ("discrete",))
     def test_blocks_with_different_axis_sets(self, kind):
         subscription = _subscription(kind)
         found = []
@@ -659,13 +647,12 @@ class TestSkipRule:
         for k, hole in ((1, NEVER), (9, RARE), (20, COMMON)):
             candidates = _candidates(kind, k, hole, seed=k)
             candidates.insert(k // 2, container)
-            if kind == "discrete":
-                # it needs no axis: its block holds every guess
-                assert set() in _block_axes(subscription, [container])
+            # it needs no axis: its block holds every guess
+            assert set() in _block_axes(subscription, [container])
             found = _outcomes_match_reference(subscription, candidates, BUDGETS, k)
             assert not any(found)
 
-    @pytest.mark.parametrize("kind", ("discrete", "mixed"))
+    @pytest.mark.parametrize("kind", ("discrete",))
     def test_candidate_containing_s_exhausts_the_budget(self, kind, monkeypatch):
         from repro.core import rspc as rspc_module
 
@@ -705,12 +692,12 @@ class TestSkipRule:
         assert _states_equal(checked_state, old[1][1])
         assert old[1][0].iterations_performed == 3000
 
-    @pytest.mark.parametrize("kind", ("discrete", "mixed"))
+    @pytest.mark.parametrize("kind", ("discrete",))
     def test_fractional_discrete_bounds_fed_raw(self, kind):
-        """Raw (unsnapped) fractional bounds on the discrete attributes,
-        some just inside and some just outside ``s``'s ticks."""
+        """Raw (unsnapped) fractional bounds, some just inside and some
+        just outside ``s``'s ticks."""
         schema = SCHEMAS[kind]
-        # attribute 4 is discrete in both schemas and narrow: ticks 0..30
+        # attribute 4 is narrow: ticks 0..30
         subscription = Subscription(schema, [0.5, 0, 0.25, 0], [SPAN, SPAN, SPAN, 30.6])
         rng = np.random.default_rng(4)
         found = []
@@ -732,37 +719,6 @@ class TestSkipRule:
             assert plain.iterations_performed == fed.iterations_performed
             if plain.witness_point is not None:
                 assert np.array_equal(plain.witness_point, fed.witness_point)
-        assert any(found) and not all(found)
-
-    def test_only_continuous_upper_bounds_defined(self):
-        """Boxes wider than ``s`` everywhere except the upper bounds of
-        the continuous attributes, which are kept though some equal
-        ``s``'s own."""
-        subscription = _subscription("mixed")
-        schema = SCHEMAS["mixed"]
-        found = []
-        for seed, hole in enumerate((COMMON, 5 * COMMON)):
-            tops = (
-                (SPAN - hole, SPAN + 5.0),
-                (SPAN + 5.0, SPAN - hole),
-                (SPAN, SPAN - hole),
-            )
-            candidates = [
-                Subscription(schema, [-5.0] * M, [SPAN + 5.0, *top, SPAN + 5.0])
-                for top in tops
-            ]
-            for axes in _block_axes(subscription, candidates):
-                assert axes == {M + 1, M + 2}
-            found += _outcomes_match_reference(
-                subscription, candidates, BUDGETS, 10 * seed
-            )
-            # the same with a box equal to ``s`` on the continuous tops
-            candidates.append(
-                Subscription(schema, [-5.0] * M, [SPAN + 5.0, SPAN, SPAN, SPAN + 5.0])
-            )
-            assert not any(
-                _outcomes_match_reference(subscription, candidates, BUDGETS, seed)
-            )
         assert any(found) and not all(found)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -1034,7 +990,7 @@ class TestWordPath:
         for hole in (NEVER, RARE, COMMON):
             _, _, signed = _signed(_candidates("discrete", 9, hole, seed=3))
             fed = np.concatenate((extra[:, :2], signed, extra[:, 2:]), axis=1)
-            ((_, _, _, first, beyond),) = subscription.sampling_plan()
+            first, beyond = subscription.sampling_plan()
             words = integer_words(np.random.default_rng(0), first, beyond)
             assert _word_thresholds(fed, words).shape == (2 * M, signed.shape[1])
             for seed, allowed in enumerate(BUDGETS):

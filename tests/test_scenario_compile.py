@@ -28,7 +28,6 @@ import pytest
 from repro.model import (
     Attribute,
     CategoricalDomain,
-    ContinuousDomain,
     DomainError,
     IntegerDomain,
     Publication,
@@ -172,7 +171,6 @@ def reference_sample_points(subscription, rng, count):
 
 def _box(kind):
     integer = IntegerDomain(-1_000, 1_000)
-    continuous = ContinuousDomain(-1_000.0, 1_000.0)
     if kind == "discrete":
         # a timestamp and a categorical axis, a range past 2**32 values
         schema = Schema(
@@ -190,35 +188,19 @@ def _box(kind):
         )
         lows, highs = schema.full_bounds()
         return Subscription(schema, [-5, 1, lows[2] + 10, lows[3]], [900, 4, highs[2], highs[3]])
-    if kind == "continuous":
-        schema = Schema([Attribute(name, continuous) for name in "abc"])
-        return Subscription(schema, [-3.5, 0.0, 10.0], [7.25, 1e-9, 999.0])
-    if kind == "mixed":
-        schema = Schema(
-            [Attribute(name, domain) for name, domain in zip(
-                "abcdef", [integer, continuous, continuous, integer, integer, continuous]
-            )]
-        )
-        return Subscription(
-            schema, [-7, -1.5, 4.0, 1, -3, 0.0], [0, 2.5, 4.0, 6, -3, 500.0]
-        )
     if kind == "single-point":
         schema = Schema(
             [Attribute(name, domain) for name, domain in zip(
-                "abc", [integer, continuous, integer]
+                "abc", [integer, CategoricalDomain(tuple("pqr")), integer]
             )]
         )
-        return Subscription(schema, [12, -0.5, -1_000], [12, -0.5, -1_000])
+        return Subscription(schema, [12, 1, -1_000], [12, 1, -1_000])
     assert kind == "fractional"
-    schema = Schema(
-        [Attribute(name, domain) for name, domain in zip(
-            "abcd", [integer, integer, continuous, integer]
-        )]
-    )
-    return Subscription(schema, [2.5, -7.5, 0.25, 0.2], [9.5, -0.5, 0.75, 1.9])
+    schema = Schema([Attribute(name, integer) for name in "abcd"])
+    return Subscription(schema, [2.5, -7.5, -0.25, 0.2], [9.5, -0.5, 3.75, 1.9])
 
 
-BOX_KINDS = ("discrete", "continuous", "mixed", "single-point", "fractional")
+BOX_KINDS = ("discrete", "single-point", "fractional")
 
 
 class TestSamplePoints:
@@ -248,7 +230,7 @@ class TestSamplePoints:
         assert all(box.contains_point(point) for point in run[:50])
 
     def test_empty_run_draws_nothing(self):
-        box = _box("mixed")
+        box = _box("discrete")
         rng = np.random.default_rng(1)
         before = rng.bit_generator.state
         assert box.sample_points(rng, 0).shape == (0, box.m)
@@ -263,7 +245,7 @@ class TestSamplePoints:
             box.sample_points(np.random.default_rng(0), 3)
 
     def test_plan_is_memoised_on_the_box(self):
-        box = _box("mixed")
+        box = _box("discrete")
         assert box.sampling_plan() is box.sampling_plan()
 
     def test_model_does_not_import_core(self):
@@ -289,11 +271,11 @@ class TestPublicationFromMatrix:
     SCHEMA = Schema(
         [
             Attribute("a", IntegerDomain(0, 100)),
-            Attribute("b", ContinuousDomain(-1.0, 1.0)),
+            Attribute("b", IntegerDomain(-1, 1)),
             Attribute("c", CategoricalDomain(("x", "y", "z"))),
         ]
     )
-    MATRIX = [[0, -1.0, 0], [100, 1.0, 2], [17, 0.25, 1], [3, float("nan"), 2]]
+    MATRIX = [[0, -1.0, 0], [100, 1.0, 2], [17, 0.0, 1], [3, float("nan"), 2]]
 
     def test_equal_to_scalar_construction(self):
         ids = [f"p{index}" for index in range(len(self.MATRIX))]
@@ -527,21 +509,6 @@ class TestScalarDrawSites:
                     for _ in range(len(adapter._pool) - adapter._next + 1):
                         adapter.subscription()
         assert adapters[0]._base.same_box(adapters[1]._base)
-
-    def test_paper_families_need_an_all_integer_schema(self):
-        from repro.scenarios.events import _PaperFigureWorkload
-        from repro.workloads.scenarios import ScenarioName
-
-        schema = Schema(
-            [
-                Attribute("a", IntegerDomain(0, 100)),
-                Attribute("b", ContinuousDomain(0.0, 1.0)),
-            ]
-        )
-        with pytest.raises(ValueError, match="all-integer"):
-            _PaperFigureWorkload(
-                ScenarioName.NON_COVER, schema, np.random.default_rng(0)
-            )
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize("buffered", (0, 1))

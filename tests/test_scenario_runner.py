@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.subsumption import SubsumptionChecker
 from repro.matching.engine import MatchingEngine
+from repro.model.errors import DomainError
 from repro.scenarios import (
     EventAction,
     ScenarioRunner,
@@ -117,6 +118,22 @@ class TestReplay:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError):
             read_trace(path)
+
+    def test_real_valued_schema_is_rejected(self, tmp_path):
+        """A trace is input from outside: a domain that is not a finite
+        ordered set of ticks fails where the schema is read."""
+        compiled = compile_scenario(get_scenario("t0-smoke"), seed=1)
+        path = tmp_path / "real.jsonl"
+        write_trace(path, compiled)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["schema"]["attributes"][0]["domain"] = {
+            "type": "continuous", "lower": 0.0, "upper": 1.0, "resolution": 1e-9
+        }
+        lines[0] = json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match="unknown domain type 'continuous'"):
+            read_trace(path, verify=False)
 
     def test_non_trace_file_is_rejected(self, tmp_path):
         path = tmp_path / "not-a-trace.jsonl"

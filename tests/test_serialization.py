@@ -15,7 +15,7 @@ from repro.model import (
     subscription_from_dict,
     subscription_to_dict,
 )
-from repro.model.errors import SerializationError
+from repro.model.errors import DomainError, SerializationError
 from repro.workloads.bike_rental import bike_rental_schema
 
 
@@ -39,6 +39,16 @@ class TestSchemaSerialization:
     def test_malformed_payload(self):
         with pytest.raises(SerializationError):
             schema_from_dict({"attributes": [{"name": "x"}]})
+
+    def test_real_valued_domain_is_rejected(self, schema):
+        # every domain is a finite ordered set of ticks; a real-valued
+        # range read from outside the program is an unknown domain type
+        payload = schema_to_dict(schema)
+        payload["attributes"][1]["domain"] = {
+            "type": "continuous", "lower": 0.0, "upper": 1.0, "resolution": 1e-9
+        }
+        with pytest.raises(DomainError, match="unknown domain type 'continuous'"):
+            schema_from_dict(json.loads(json.dumps(payload)))
 
 
 class TestSubscriptionSerialization:

@@ -98,6 +98,40 @@ class TestEngineNotificationInvariance:
             assert total == baseline_total
 
 
+class TestSubscriptionsTotal:
+    """``engine.subscriptions_total`` and ``len`` count the subscriptions
+    clients registered, at any shard count: a merging store's boxes stand
+    for members it also holds, and are not counted again."""
+
+    def test_merging_agrees_across_shard_counts(self):
+        spec, compiled = _compiled("t0-smoke", "merging")
+
+        def reported(shards: int):
+            runner = ScenarioRunner(spec, seed=SEED, backend="engine", shards=shards)
+            report = runner.run(compiled)
+            return report.totals["subscriptions_total"], [
+                phase.metrics["subscriptions_total"] for phase in report.phases
+            ]
+
+        single = reported(0)
+        assert single == reported(2)
+        assert single[0] == 6
+
+    def test_len_excludes_merged_boxes(self):
+        _, compiled = _compiled("t0-smoke", "merging")
+        engine = MatchingEngine(policy="merging")
+        for event in compiled.events:
+            if event.action is EventAction.SUBSCRIBE:
+                engine.subscribe(event.subscription)
+        assert engine.store.members  # the store did merge
+        registered = sum(
+            event.action is EventAction.SUBSCRIBE for event in compiled.events
+        )
+        assert len(engine) == registered
+        assert engine.counters.subscriptions.value == registered
+        assert engine.store.total_count == registered + len(engine.store.members)
+
+
 def _record_sends(monkeypatch):
     """Spy on every message the coordinator sends; returns the list."""
     sent = []
@@ -542,7 +576,13 @@ class TestWorkersAreNotObserved:
                 engine.sync()
             finally:
                 engine.close()
-        assert probe.stage_calls == {"shard.dispatch": 1, "shard.collect": 1}
+        # routing and the drain are timed too, in this process
+        assert probe.stage_calls == {
+            "shard.route": 2,
+            "shard.dispatch": 1,
+            "shard.collect": 1,
+            "shard.sync": 1,
+        }
         assert _no_children_left()
 
 

@@ -7,7 +7,7 @@ the historical object-list pipeline: same answer, same deciding method,
 same reduced set, same ``rho_w``/``d``, same guess counts, same witness
 points.  The sweep drives both paths from identically seeded checkers
 over random and adversarial instances (degenerate point intervals,
-tiny discrete domains, conflicting candidate pairs, continuous domains)
+tiny domains, conflicting candidate pairs, several domain kinds)
 and compares everything.
 
 A second set of tests pins the candidate snapshots: a store or broker
@@ -26,13 +26,7 @@ from repro.core.mcs import minimized_cover_set
 from repro.core.pairwise import PairwiseCoverageChecker
 from repro.core.store import SubscriptionStore
 from repro.core.subsumption import SubsumptionChecker
-from repro.model import (
-    CategoricalDomain,
-    ContinuousDomain,
-    IntegerDomain,
-    Schema,
-    Subscription,
-)
+from repro.model import CategoricalDomain, IntegerDomain, Schema, Subscription
 from repro.model.errors import ValidationError
 from repro.model.intervals import Interval
 from repro.workloads.generators import random_publication, random_subscription
@@ -44,15 +38,15 @@ from repro.workloads.scenarios import (
 SEEDS = [3, 17, 101, 20060331]
 
 
-def _mixed_schema() -> Schema:
+def _ranges_schema() -> Schema:
     return Schema(
         [
             ("a", IntegerDomain(0, 1_000)),
-            ("b", ContinuousDomain(0.0, 50.0, resolution=1e-6)),
+            ("b", IntegerDomain(0, 50)),
             ("c", CategoricalDomain(["x", "y", "z", "w"])),
             ("d", IntegerDomain(-20, 20)),
         ],
-        name="mixed",
+        name="ranges",
     )
 
 
@@ -102,15 +96,15 @@ def _instances():
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         integer_schema = Schema.uniform_integer(6, 0, 500)
-        mixed = _mixed_schema()
+        ranges = _ranges_schema()
         tiny = Schema.uniform_integer(3, 0, 4)  # tiny discrete domain
         yield _random_instance(integer_schema, rng, 12)
-        yield _random_instance(mixed, rng, 10)
+        yield _random_instance(ranges, rng, 10)
         yield _random_instance(tiny, rng, 8)
         yield _degenerate_instance(integer_schema, rng, 8)
-        yield _degenerate_instance(mixed, rng, 6)
+        yield _degenerate_instance(ranges, rng, 6)
         yield _conflicting_pair_instance(integer_schema, rng)
-        yield _conflicting_pair_instance(mixed, rng)
+        yield _conflicting_pair_instance(ranges, rng)
     # structured instances from the paper's evaluation scenarios
     schema = Schema.uniform_integer(8, 0, 2_000)
     covering = redundant_covering_scenario(schema, 40, 11)
@@ -166,13 +160,11 @@ def conflict_free_counts_scalar(table, rows=None):
     if not len(active):
         return counts
     candidate_lows, candidate_highs = table.candidate_lows, table.candidate_highs
-    open_slice_met = ConflictTable._open_slice_met
     for attribute in range(table.m):
         low_positions = np.nonzero(table.defined_low[active, attribute])[0]
         high_positions = np.nonzero(table.defined_high[active, attribute])[0]
         low_bounds = candidate_lows[active[low_positions], attribute]
         high_bounds = candidate_highs[active[high_positions], attribute]
-        discrete = bool(table.schema.vectors.discrete[attribute])
         s_low, s_high = table._own_interval(attribute)
 
         if low_positions.size:
@@ -181,14 +173,9 @@ def conflict_free_counts_scalar(table, rows=None):
             )
             a = low_bounds
             has_other = np.isfinite(other_max_b)
-            if discrete:
-                highest = np.minimum(a - 1.0, s_high)
-                lowest = np.maximum(other_max_b + 1.0, s_low)
-                conflict = has_other & (highest < lowest)
-            else:
-                highest = np.minimum(a, s_high)
-                lowest = np.maximum(other_max_b, s_low)
-                conflict = has_other & ~open_slice_met(other_max_b, lowest, highest, a)
+            highest = np.minimum(a - 1.0, s_high)
+            lowest = np.maximum(other_max_b + 1.0, s_low)
+            conflict = has_other & (highest < lowest)
             np.add.at(counts, low_positions, (~conflict).astype(int))
 
         if high_positions.size:
@@ -197,14 +184,9 @@ def conflict_free_counts_scalar(table, rows=None):
             )
             b = high_bounds
             has_other = np.isfinite(other_min_a)
-            if discrete:
-                highest = np.minimum(other_min_a - 1.0, s_high)
-                lowest = np.maximum(b + 1.0, s_low)
-                conflict = has_other & (highest < lowest)
-            else:
-                highest = np.minimum(other_min_a, s_high)
-                lowest = np.maximum(b, s_low)
-                conflict = has_other & ~open_slice_met(b, lowest, highest, other_min_a)
+            highest = np.minimum(other_min_a - 1.0, s_high)
+            lowest = np.maximum(b + 1.0, s_low)
+            conflict = has_other & (highest < lowest)
             np.add.at(counts, high_positions, (~conflict).astype(int))
     return counts
 
@@ -336,22 +318,6 @@ class TestVectorisedStageDifferentials:
                 # bit-exact, not approximately equal
                 assert fast.tolist() == slow.tolist()
 
-    def test_custom_domain_falls_back_to_scalar_path(self):
-        class HalfMeasureDomain(IntegerDomain):
-            """A user domain whose measure differs from the built-in."""
-
-            def measure(self, interval):
-                return super().measure(interval) / 2.0
-
-        schema = Schema([("a", HalfMeasureDomain(0, 100))], name="custom")
-        assert not schema.vectors.vectorisable
-        subscription = Subscription(schema, [10.0], [90.0])
-        candidate = Subscription(schema, [20.0], [80.0])
-        table = ConflictTable(subscription, [candidate])
-        fast = table.minimum_gap_measures()
-        slow = table._minimum_gap_measures_scalar()
-        assert fast.tolist() == slow.tolist()
-
     def test_cross_schema_fast_paths_raise_like_covers(self):
         first = Schema.uniform_integer(3, 0, 100)
         second = Schema.uniform_integer(3, 0, 50)
@@ -414,7 +380,7 @@ class TestVectorisedStageDifferentials:
 
     def test_contains_values_matches_contains_point(self):
         rng = np.random.default_rng(9)
-        for schema in (Schema.uniform_integer(7, 0, 100), _mixed_schema()):
+        for schema in (Schema.uniform_integer(7, 0, 100), _ranges_schema()):
             for _ in range(50):
                 subscription = random_subscription(schema, rng)
                 publication = random_publication(schema, rng)
@@ -559,15 +525,8 @@ def _reference_fixed_point(table):
     return tuple(active), tuple(removed), passes, late_t_rule
 
 
-def _continuous_schema() -> Schema:
-    return Schema(
-        [(f"c{i}", ContinuousDomain(0.0, 10.0, resolution=1e-6)) for i in range(5)],
-        name="continuous",
-    )
-
-
 def _jittered(schema, subscription, rng):
-    """Non-integer bounds on every axis (discrete ones included)."""
+    """Non-integer bounds on every axis."""
     lows = subscription.lows + rng.uniform(-0.9, 0.9, schema.m)
     highs = np.maximum(subscription.highs + rng.uniform(-0.9, 0.9, schema.m), lows)
     return Subscription(schema, lows, highs)
@@ -585,8 +544,7 @@ def _kernel_instances():
     schemas = (
         Schema.uniform_integer(6, 0, 500),
         Schema.uniform_integer(3, 0, 4),  # tiny domain: ties everywhere
-        _continuous_schema(),
-        _mixed_schema(),
+        _ranges_schema(),
     )
     for schema in schemas:
         for k in (1, 2, 12, 63, 64, 65, 130):
@@ -639,20 +597,13 @@ class TestSignedKernel:
                 )
             seen["late_t_rule"] += late_t_rule
             seen["emptied_in_pass_1"] += not kept and passes == 2
-            # raw bounds off the ticks of a discrete axis reach the table
-            # snapped inwards ...
+            # raw bounds off the ticks reach the table snapped inwards ...
             raw = np.array([c.lows for c in table.candidates])
-            discrete = table.schema.vectors.discrete
-            seen["fractional_discrete_bound"] += bool(
-                (raw != np.ceil(raw))[:, discrete].any()
-            )
-            assert np.array_equal(
-                table.candidate_lows[:, discrete], np.ceil(raw)[:, discrete]
-            )
-            assert np.array_equal(table.candidate_lows[:, ~discrete], raw[:, ~discrete])
-            # ... and where s is one point of a continuous axis its entries
-            # are slices of a closed box, not empty ones
-            pinched = ~discrete & (table.subscription.lows == table.subscription.highs)
+            seen["fractional_discrete_bound"] += bool((raw != np.ceil(raw)).any())
+            assert np.array_equal(table.candidate_lows, np.ceil(raw))
+            # ... and where s is one tick of an axis its entries are the
+            # slices holding that tick, not empty ones
+            pinched = table.subscription.lows == table.subscription.highs
             seen["entry_on_a_single_point_axis"] += bool(
                 (table.defined_low | table.defined_high)[:, pinched].any()
             )
@@ -710,20 +661,6 @@ class TestSignedKernel:
         assert conflict_free_counts(table, [0]).tolist() == [1]
         assert conflict_free_counts(table, [0, 1]).tolist()[0] == 0
 
-    def test_single_point_continuous_axis_between_two_candidates(self, conflict_free_counts):
-        """Two candidates either side of a single-point continuous range
-        each own a conflict-free entry: the point lies strictly between
-        them."""
-        schema = _continuous_schema()
-        subject = Subscription(schema, [5.0] + [0.0] * 4, [5.0] + [10.0] * 4)
-        sides = [
-            Subscription(schema, [6.0] + [0.0] * 4, [7.0] + [10.0] * 4),
-            Subscription(schema, [1.0] + [0.0] * 4, [2.0] + [10.0] * 4),
-        ]
-        table = ConflictTable(subject, sides)
-        assert conflict_free_counts(table).tolist() == [1, 1]
-        assert conflict_free_counts_scalar(table).tolist() == [1, 1]
-
     def test_tie_at_a_column_extreme(self, conflict_free_counts):
         """Two rows share the largest HIGH bound: each faces the other's."""
         schema = Schema.uniform_integer(1, 0, 100)
@@ -746,31 +683,15 @@ class TestSignedKernel:
         )
 
     def test_infinite_bounds(self, conflict_free_counts):
-        unbounded = Schema(
-            [
-                ("u", ContinuousDomain(-np.inf, np.inf)),
-                ("v", ContinuousDomain(-np.inf, np.inf)),
-                ("n", IntegerDomain(0, 100)),
-            ],
-            name="unbounded",
-        )
         inf = np.inf
-        subscription = Subscription(unbounded, [-inf, 0.0, 10.0], [inf, inf, 90.0])
-        candidates = [
-            Subscription(unbounded, [-inf, -5.0, 0.0], [3.0, inf, 50.0]),
-            Subscription(unbounded, [3.0, 0.0, 40.0], [inf, 7.5, 100.0]),
-            Subscription(unbounded, [-1.0, 7.5, 20.0], [1.0, inf, 60.0]),
-            Subscription(unbounded, [-inf, -inf, 0.0], [inf, inf, 100.0]),
-        ]
-        tables = [ConflictTable(subscription, candidates)]
-        # ±inf in the candidate matrices of a *discrete* axis as well
+        # ±inf in the candidate matrices, handed over as a raw snapshot
         schema = Schema.uniform_integer(2, 0, 50)
         bounded = Subscription(schema, [5.0, 5.0], [45.0, 45.0])
         rows = [Subscription(schema, [10.0, 0.0], [50.0, 30.0]) for _ in range(3)]
         lows = np.array([[10.0, -inf], [-inf, 20.0], [12.5, 0.0]])
         highs = np.array([[inf, 30.0], [25.0, inf], [40.0, 44.5]])
         snapshot = CandidateSet(rows, np.concatenate((lows, -highs), axis=1).T)
-        tables.append(ConflictTable(bounded, snapshot))
+        tables = [ConflictTable(bounded, snapshot)]
         # the fractional bounds reach the table as ticks, the infinite
         # ones as they are
         assert tables[-1].candidate_lows.tolist() == [

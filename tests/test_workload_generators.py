@@ -149,16 +149,6 @@ class TestSlabPartition:
         with pytest.raises(ValueError):
             slab_partition(subscription, 0)
 
-    def test_continuous_domain_partition(self):
-        from repro.model import ContinuousDomain, Subscription
-
-        schema = Schema([("x", ContinuousDomain(0.0, 1.0)), ("y", ContinuousDomain(0.0, 1.0))])
-        subscription = Subscription.from_constraints(schema, {"x": (0.2, 0.8)})
-        slabs = slab_partition(subscription, 3, attribute=0)
-        assert len(slabs) == 3
-        assert slabs[0].interval(0).low == pytest.approx(0.2)
-        assert slabs[-1].interval(0).high == pytest.approx(0.8)
-
 
 class TestExpandShrink:
     def test_expand_to_cover(self, schema, rng):
