@@ -197,10 +197,17 @@ class TestAttribute:
 DOMAINS = {
     "integer": (IntegerDomain(3, 9), 7.0),
     "integer-single-point": (IntegerDomain(4, 4), 1.0),
+    "integer-negative": (IntegerDomain(-12, -3), 10.0),
     "categorical": (CategoricalDomain(["lo", "mid", "hi"]), 3.0),
+    "categorical-single-label": (CategoricalDomain(["only"]), 1.0),
     "timestamp-hourly": (
         TimestampDomain("2024-03-01T00:00:00", "2024-03-02T00:00:00", 3600),
         25.0,
+    ),
+    # 2024 is a leap year: 366 days
+    "timestamp-daily": (
+        TimestampDomain("2024-01-01T00:00:00", "2024-12-31T00:00:00", 86_400),
+        366.0,
     ),
 }
 

@@ -53,11 +53,15 @@ ACCEPTED = [
     ("int-interval-clipped", "price", Interval(-3, 4), (0, 4)),
     ("int-none", "price", None, (0, 100)),
     ("int-star", "price", "*", (0, 100)),
+    ("int-float-equality", "price", 5.0, (5, 5)),
+    ("int-interval", "price", Interval(10, 20), (10, 20)),
     # categorical: labels encode to their codes; a pair is a contiguous run
     ("label-equality", "brand", "c", (2, 2)),
     ("label-pair", "brand", ("b", "c"), (1, 2)),
     ("label-pair-whole-domain", "brand", ("a", "d"), (0, 3)),
     ("label-code", "brand", 1, (1, 1)),
+    ("label-list-pair", "brand", ["a", "b"], (0, 1)),
+    ("label-code-pair", "brand", (0, 2), (0, 2)),
     ("label-star", "brand", "*", (0, 3)),
     # timestamps: ISO strings and datetimes fall into granularity buckets
     ("time-equality", "at", "2024-01-01T05:30:00", (HOUR0 + 5, HOUR0 + 5)),
@@ -82,6 +86,13 @@ ACCEPTED = [
         ("2023-12-31T00:00:00", "2024-01-01T01:00:00"),
         (HOUR0, HOUR0 + 1),
     ),
+    (
+        "time-pair-clipped-at-end",
+        "at",
+        ("2024-01-01T23:00:00", "2024-01-05T00:00:00"),
+        (HOUR0 + 23, HOUR0 + 24),
+    ),
+    ("time-epoch-seconds", "at", HOUR0 * 3600 + 7200, (HOUR0 + 2, HOUR0 + 2)),
     ("time-none", "at", None, (HOUR0, HOUR0 + 24)),
 ]
 
@@ -106,10 +117,13 @@ REJECTED = [
     ("int-string", "price", "x", DomainError),
     ("int-bool", "price", True, DomainError),
     ("int-pair-outside-domain", "price", (200, 300), ModelError),
+    ("int-pair-with-none", "price", (None, 5), DomainError),
+    ("int-triple", "price", (1, 2, 3), DomainError),
     ("label-reversed-pair", "brand", ("c", "b"), DomainError),
     ("label-unknown", "brand", "zzz", DomainError),
     ("label-code-out-of-range", "brand", 7, DomainError),
     ("time-garbage", "at", "not-a-date", DomainError),
+    ("time-bool", "at", True, DomainError),
     (
         "time-reversed-pair",
         "at",
@@ -154,10 +168,15 @@ MATCHING = [
     ("brand-last-label-of-run", {"brand": "c"}, True),
     ("brand-before-run", {"brand": "a"}, False),
     ("brand-after-run", {"brand": "d"}, False),
+    ("brand-as-its-code", {"brand": 2}, True),
+    ("price-at-domain-floor", {"price": 0}, False),
     ("time-first-second-of-bucket", {"at": "2024-01-01T02:00:00"}, True),
     ("time-last-second-of-bucket", {"at": "2024-01-01T03:59:59"}, True),
     ("time-bucket-before", {"at": "2024-01-01T01:59:59"}, False),
     ("time-bucket-after", {"at": "2024-01-01T04:00:00"}, False),
+    # an offset moves the instant, not the bucket boundaries
+    ("time-offset-inside", {"at": "2024-01-01T04:00:00+02:00"}, True),
+    ("time-offset-after", {"at": "2024-01-01T06:00:00+02:00"}, False),
     ("every-attribute-at-a-corner", {"price": 20, "brand": "c"}, True),
 ]
 

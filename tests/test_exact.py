@@ -6,7 +6,14 @@ import pytest
 from repro.core.exact import exact_group_cover, exact_witness_point, uncovered_region
 from repro.core.results import Answer
 from repro.core.subsumption import SubsumptionChecker
-from repro.model import Attribute, IntegerDomain, Schema, Subscription
+from repro.model import (
+    Attribute,
+    CategoricalDomain,
+    IntegerDomain,
+    Schema,
+    Subscription,
+    TimestampDomain,
+)
 from repro.workloads.scenarios import ScenarioName, generate_scenario
 
 
@@ -100,8 +107,9 @@ class TestGeneralBehaviour:
             uncovered_region(s, candidates, max_boxes=10)
 
 
-#: small schemas for the family slice: one integer range, and four
-#: different ranges (one of them narrow, two reaching below zero)
+#: small schemas for the family slice: one integer range, four
+#: different ranges (one of them narrow, two reaching below zero), and
+#: one axis of each domain class
 FAMILY_SCHEMAS = {
     "integer": Schema.uniform_integer(3, 0, 60, prefix="x", name="small-integer"),
     "ranges": Schema(
@@ -112,6 +120,15 @@ FAMILY_SCHEMAS = {
             Attribute("d", IntegerDomain(-1, 1)),
         ],
         name="small-ranges",
+    ),
+    # a categorical and a timestamp axis, the timestamp ticks far from zero
+    "typed": Schema(
+        [
+            Attribute("a", IntegerDomain(0, 60)),
+            Attribute("b", CategoricalDomain([f"c{i}" for i in range(12)])),
+            Attribute("c", TimestampDomain(1_700_000_000, 1_700_000_040)),
+        ],
+        name="small-typed",
     ),
 }
 

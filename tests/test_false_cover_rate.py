@@ -97,6 +97,7 @@ CASES: Tuple[Tuple[NearCover, bool], ...] = (
     (_flat("tight", 29, ((10, 19), (10, 19))), True),
     (_flat("wide-hole", 29, ((9, 20), (9, 20))), True),
     (_flat("off-centre", 23, ((8, 15), (6, 17))), True),
+    (_flat("third-of-300", 299, ((100, 199), (100, 199))), True),
     (_stacked("stacked-k8", 29, ((10, 19), (10, 19)), ((9, 20), (9, 20)), 15), True),
     (_flat("hole-8", 29, ((11, 18), (11, 18))), False),
     (_flat("hole-4", 29, ((13, 16), (13, 16))), False),

@@ -20,7 +20,13 @@ import numpy as np
 import pytest
 
 from repro.core.exact import exact_group_cover
-from repro.model import IntegerDomain, Schema, Subscription
+from repro.model import (
+    CategoricalDomain,
+    IntegerDomain,
+    Schema,
+    Subscription,
+    TimestampDomain,
+)
 from repro.model.errors import ValidationError
 from repro.model.intervals import Interval
 from repro.workloads import scenarios
@@ -538,8 +544,23 @@ MIN_K = {"redundant_covering": 2, "extreme_non_cover": 4}
 def make_schema(kind: str, size: float = 10_000, m: int = 6) -> Schema:
     if kind == "integer":
         return Schema.uniform_integer(m, 0, int(size))
+    if kind == "signed":
+        # negative lower bounds and a different extent on every attribute
+        return Schema(
+            [(f"x{j}", IntegerDomain(-int(size) // 2, int(size) // 2 + j)) for j in range(m)]
+        )
+    if kind == "typed":
+        # every domain class, the timestamp ticks far from zero
+        domains = (
+            lambda: IntegerDomain(0, int(size)),
+            lambda: TimestampDomain(1_700_000_000, 1_700_000_000 + int(size)),
+            lambda: CategoricalDomain(range(int(size) + 1)),
+        )
+        return Schema([(f"x{j}", domains[j % 3]()) for j in range(m)])
     if kind == "one-attribute":
         return Schema.uniform_integer(1, 0, int(size))
+    if kind == "one-signed":
+        return Schema([("x", IntegerDomain(-int(size), 0))])
     if kind == "degenerate":
         # a point domain first: zero widths (no offset draw), a gap clip
         # that lands on s, and the cover clip firing inside a block
@@ -601,7 +622,7 @@ def assert_same_generation(family, schema, k, bit_generator, seed, **kwargs):
 # ----------------------------------------------------------------------
 # Stream identity
 # ----------------------------------------------------------------------
-SCHEMA_KINDS = ("integer", "one-attribute")
+SCHEMA_KINDS = ("integer", "signed", "typed", "one-attribute")
 FAMILY_KWARGS = {
     "extreme_non_cover": {"gap_fraction": 0.02},
 }
@@ -637,7 +658,7 @@ class TestStreamIdentity:
             ("extreme_non_cover", {"gap_fraction": 0.3}),
         ],
     )
-    @pytest.mark.parametrize("kind", SCHEMA_KINDS + ("degenerate",))
+    @pytest.mark.parametrize("kind", SCHEMA_KINDS + ("degenerate", "one-signed"))
     @pytest.mark.parametrize("size", (10, 30, 10_000))
     def test_parameters_and_small_domains(self, family, kwargs, kind, size):
         schema = make_schema(kind, size=size, m=3)
@@ -728,7 +749,7 @@ class TestGeneratorIdentity:
             assert box.same_box(expected)
         assert states_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
 
-    @pytest.mark.parametrize("kind", ("integer", "degenerate"))
+    @pytest.mark.parametrize("kind", ("integer", "signed", "typed", "degenerate"))
     def test_random_interval(self, kind):
         schema = make_schema(kind, size=30)
         rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
@@ -737,7 +758,7 @@ class TestGeneratorIdentity:
                 assert random_interval(domain, rng) == ref_random_interval(domain, reference_rng)
         assert states_equal(rng.bit_generator.state, reference_rng.bit_generator.state)
 
-    @pytest.mark.parametrize("kind", ("integer", "degenerate"))
+    @pytest.mark.parametrize("kind", ("integer", "signed", "typed", "degenerate"))
     @pytest.mark.parametrize("count", (1, 2, 3, 7, 40))
     def test_slabs_and_expansion(self, kind, count):
         schema = make_schema(kind, size=30)
@@ -758,7 +779,7 @@ class TestGeneratorIdentity:
                 assert bigger.highs.tobytes() == expected.highs.tobytes()
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-    @pytest.mark.parametrize("kind", ("integer", "degenerate"))
+    @pytest.mark.parametrize("kind", ("integer", "signed", "typed", "degenerate"))
     def test_shrink_inside(self, kind, bit_generator):
         schema = make_schema(kind, size=20)
         rng, reference_rng = (np.random.Generator(bit_generator(5)) for _ in range(2))
@@ -958,7 +979,7 @@ class TestShrinkInside:
 # ----------------------------------------------------------------------
 class TestValidateInstance:
     @pytest.mark.parametrize("m", (1, 3))
-    @pytest.mark.parametrize("kind", ("integer",))
+    @pytest.mark.parametrize("kind", ("integer", "signed", "typed"))
     @pytest.mark.parametrize("size", (10, 30, 10_000))
     def test_every_family_has_its_claimed_properties(self, size, kind, m):
         schema = make_schema(kind, size=size, m=m)

@@ -54,6 +54,11 @@ INTERSECTIONS = [
     ("disjoint", (0, 2), (3, 5), None),
     ("just-apart", (0, 2.5), (2.5000001, 5), None),
     ("empty-operand", (4, 1), (0, 10), None),
+    ("point-inside", (2, 2), (0, 5), (2, 2)),
+    ("point-outside", (7, 7), (0, 5), None),
+    ("straddles-zero", (-1.5, 1.5), (0, 4), (0, 1.5)),
+    ("both-empty", (3, 2), (5, 4), None),
+    ("unbounded-halves-meet-at-zero", (-INF, 0), (0, INF), (0, 0)),
 ]
 
 
@@ -81,8 +86,22 @@ def test_intersection_table(a, b, expected):
         ((-INF, INF), (0, 100), (0, 100)),
         ((0, 10), (10, 20), (10, 10)),
         ((0, 10), (20, 30), None),
+        ((5, 5), (0, 10), (5, 5)),
+        ((-3, 3), (0, 10), (0, 3)),
+        ((3, 2), (0, 10), None),
+        ((-INF, 0), (-5, 5), (-5, 0)),
     ],
-    ids=["inside", "already-inside", "unbounded", "edge", "outside"],
+    ids=[
+        "inside",
+        "already-inside",
+        "unbounded",
+        "edge",
+        "outside",
+        "point",
+        "straddles-zero",
+        "reversed",
+        "half-unbounded",
+    ],
 )
 def test_clamp_table(bounds, clamp, expected):
     result = Interval(*bounds).clamp(*clamp)

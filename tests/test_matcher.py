@@ -6,7 +6,7 @@ broker's routing table and the network's delivery oracle.  Its reference here is
 plain loop over the live subscriptions in insertion order.
 
 * the edge sweep: integer, mixed-kind (integer and categorical),
-  one-attribute and six-attribute schemas; fresh tables and churned ones (tombstoned
+  far-from-zero (epoch seconds), one-attribute and six-attribute schemas; fresh tables and churned ones (tombstoned
   and compacted columns);
   bursts of 1, 2, 65 and 5000 publications; every answer — candidates, their order, the tests charged — equal
   to the scan;
@@ -40,7 +40,14 @@ from repro.core.arena import Matcher
 from repro.core.subsumption import SubsumptionChecker
 from repro.matching.engine import MatchingEngine
 from repro.matching.matcher import BACKEND_NAMES
-from repro.model import CategoricalDomain, IntegerDomain, Publication, Schema, Subscription
+from repro.model import (
+    CategoricalDomain,
+    IntegerDomain,
+    Publication,
+    Schema,
+    Subscription,
+    TimestampDomain,
+)
 from repro.model.errors import ValidationError
 from repro.scenarios import (
     ScenarioRunner,
@@ -80,6 +87,14 @@ SCHEMAS = {
         name="mixed",
     ),
     "scalar": Schema([("t", IntegerDomain(0, 100))], name="scalar"),
+    # ticks far from zero: epoch seconds and a range below -10**9
+    "epoch": Schema(
+        [
+            ("at", TimestampDomain(1_700_000_000, 1_700_086_400)),
+            ("n", IntegerDomain(-(10**9) - 300, -(10**9))),
+        ],
+        name="epoch",
+    ),
     "wide": Schema.uniform_integer(6, 0, 50),
 }
 
@@ -340,7 +355,7 @@ def _assert_payloads(answers, expected):
 
 
 @pytest.mark.parametrize("path", ("dense", "chunked"))
-@pytest.mark.parametrize("family", ("discrete", "mixed"))
+@pytest.mark.parametrize("family", ("discrete", "mixed", "epoch"))
 @pytest.mark.parametrize("seed", range(3))
 def test_payloads_follow_their_columns(seed, family, path, monkeypatch):
     """Random add/remove runs that cross compaction: ``match_values``,

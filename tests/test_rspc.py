@@ -74,6 +74,9 @@ class TestSamplingPlanSnapsDiscreteBounds:
             ([0.2, -0.8], [1.9, 0.8]),  # ranges holding one integer
             ([-100.0, 99.5], [-99.5, 100.0]),  # clipped at the domain edges
             ([3.0, -4.0], [8.0, 11.0]),  # integer-valued: unchanged
+            ([-0.5, -0.75], [0.5, 0.25]),  # straddling zero: the tick 0
+            ([-100.0, 100.0], [-100.0, 100.0]),  # one tick at each edge
+            ([-100.0, -100.0], [100.0, 100.0]),  # the whole domain
         ],
     )
     def test_plan_ranges_equal_sample_point_ranges(self, lows, highs):

@@ -104,14 +104,20 @@ M = 4
 SPAN = 100_000.0
 
 
+#: the top of the "wide" kind's third column: a range past the word
+#: path's 2**21 values, so every bit generator guesses in value space
+WIDE_TOP = float(2**22)
+
+
 def _schema(kind):
+    bound = 2**23 if kind == "wide" else 200_000
     return Schema(
-        [Attribute(f"x{j + 1}", IntegerDomain(-200_000, 200_000)) for j in range(M)],
+        [Attribute(f"x{j + 1}", IntegerDomain(-bound, bound)) for j in range(M)],
         name=kind,
     )
 
 
-SCHEMAS = {kind: _schema(kind) for kind in ("discrete", "degenerate")}
+SCHEMAS = {kind: _schema(kind) for kind in ("discrete", "degenerate", "wide")}
 
 
 def _subscription(kind):
@@ -121,7 +127,17 @@ def _subscription(kind):
         # two columns of one tick each
         highs[1] = lows[1] = 7.0
         highs[3] = lows[3] = 2.0
+    if kind == "wide":
+        highs[2] = WIDE_TOP
     return Subscription(SCHEMAS[kind], lows, highs)
+
+
+def _container(kind):
+    """A box 5 ticks wider than ``s`` on every side it reaches."""
+    highs = [SPAN + 5.0] * M
+    if kind == "wide":
+        highs[2] = WIDE_TOP + 5.0
+    return Subscription(SCHEMAS[kind], [-5.0] * M, highs)
 
 
 def _candidates(kind, k, hole, seed):
@@ -141,7 +157,7 @@ def _candidates(kind, k, hole, seed):
     out = []
     for i in range(k):
         lows = [-5.0] * M
-        highs = [SPAN + 5.0] * M
+        highs = list(_container(kind).highs)
         highs[0] = top if hole else SPAN + 5.0
         if k > 1:
             # overlapping slices along ``cut``; the widths differ so the
@@ -194,7 +210,7 @@ def _assert_same(expected, got, old_rng, new_rng):
     assert _states_equal(new_rng.bit_generator.state, old_rng.bit_generator.state)
 
 
-KINDS = ("discrete", "degenerate")
+KINDS = ("discrete", "degenerate", "wide")
 KS = (1, 8, 9, 64, 200)
 BUDGETS = (1, 255, 256, 257, 1000, 10_000)
 #: slab widths giving a witness never / once in 5 000 guesses (late
@@ -386,6 +402,15 @@ class TestKernelDifferential:
                     assert subscription.contains_point(got[0])
                     assert not any(c.contains_point(got[0]) for c in candidates)
 
+    def test_the_wide_kind_guesses_in_value_space(self):
+        """The "wide" sweep would repeat the "discrete" one were its box
+        drawn in word space: no bit generator reads words for it."""
+        subscription = _subscription("wide")
+        assert subscription.highs[2] - subscription.lows[2] + 1 > 2**21
+        for bit_generator in BIT_GENERATORS:
+            rng = np.random.Generator(bit_generator(0))
+            assert rng_module.integer_words(rng, *subscription.sampling_plan()) is None
+
     def test_sweep_reaches_every_witness_position(self):
         """The sweep above would be hollow if every witness fell into the
         first batch; count where they land over many seeds."""
@@ -434,7 +459,7 @@ class TestKernelDifferential:
             hits += got[0] is not None and got[1] > 3 * _BATCH_SIZE
         assert hits
 
-    @pytest.mark.parametrize("kind", ("discrete", "degenerate"))
+    @pytest.mark.parametrize("kind", KINDS)
     def test_groups_grow_geometrically_up_to_the_cap(self, kind, monkeypatch):
         """The value-space schedule; an ``MT19937`` has no word reader, so
         the whole run takes value space whatever the words hold (the
@@ -643,7 +668,7 @@ class TestSkipRule:
     @pytest.mark.parametrize("kind", KINDS)
     def test_candidate_containing_s(self, kind):
         subscription = _subscription(kind)
-        container = Subscription(SCHEMAS[kind], [-5.0] * M, [SPAN + 5.0] * M)
+        container = _container(kind)
         for k, hole in ((1, NEVER), (9, RARE), (20, COMMON)):
             candidates = _candidates(kind, k, hole, seed=k)
             candidates.insert(k // 2, container)
@@ -652,12 +677,12 @@ class TestSkipRule:
             found = _outcomes_match_reference(subscription, candidates, BUDGETS, k)
             assert not any(found)
 
-    @pytest.mark.parametrize("kind", ("discrete",))
+    @pytest.mark.parametrize("kind", KINDS)
     def test_candidate_containing_s_exhausts_the_budget(self, kind, monkeypatch):
         from repro.core import rspc as rspc_module
 
         subscription = _subscription(kind)
-        container = Subscription(SCHEMAS[kind], [-5.0] * M, [SPAN + 5.0] * M)
+        container = _container(kind)
         candidates = _candidates(kind, 9, COMMON, seed=9) + [container]
 
         def run_direct():

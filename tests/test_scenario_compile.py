@@ -195,12 +195,30 @@ def _box(kind):
             )]
         )
         return Subscription(schema, [12, 1, -1_000], [12, 1, -1_000])
+    if kind == "word-sized":
+        # every range at most 2**21 values, the widest exactly that
+        schema = Schema(
+            [Attribute(name, IntegerDomain(-(2**21), 2**21)) for name in "abcd"]
+        )
+        return Subscription(schema, [0, 5, -300, 77], [2**21 - 1, 6, 9_699, 77])
+    if kind == "far-from-zero":
+        # ticks beyond 2**40 on both sides of zero
+        schema = Schema(
+            [
+                Attribute("a", IntegerDomain(2**40, 2**40 + 1_000)),
+                Attribute("b", IntegerDomain(-(2**41), -(2**41) + 17)),
+                Attribute("c", IntegerDomain(-(2**45), 2**45)),
+            ]
+        )
+        return Subscription(
+            schema, [2**40 + 3, -(2**41), -(2**44)], [2**40 + 999, -(2**41) + 17, 2**44]
+        )
     assert kind == "fractional"
     schema = Schema([Attribute(name, integer) for name in "abcd"])
     return Subscription(schema, [2.5, -7.5, -0.25, 0.2], [9.5, -0.5, 3.75, 1.9])
 
 
-BOX_KINDS = ("discrete", "single-point", "fractional")
+BOX_KINDS = ("discrete", "single-point", "fractional", "word-sized", "far-from-zero")
 
 
 class TestSamplePoints:
